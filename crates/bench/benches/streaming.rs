@@ -1,9 +1,8 @@
-//! Streaming vs. materializing chain execution: the pull-based batched
-//! pipeline (ExecOptions::streaming) against the materialize-everything
-//! oracle on a scaled §2 person workload. Answers are byte-identical by
-//! construction (tests/streaming_equivalence.rs); this bench tracks what
-//! the restructuring costs or saves in end-to-end wall time at several
-//! batch sizes.
+//! What bounding the batches costs: the chain pipeline at batch sizes 64
+//! and 1024 against an unbounded batch (whole tables between operators) on
+//! a scaled §2 person workload. Answers are byte-identical at every batch
+//! size (tests/streaming_equivalence.rs); this bench tracks end-to-end
+//! wall time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use medmaker::{Mediator, MediatorOptions};
@@ -11,7 +10,7 @@ use std::sync::Arc;
 use wrappers::scenario::MS1;
 use wrappers::workload::PersonWorkload;
 
-fn build(n: usize, streaming: bool, batch_size: usize) -> Mediator {
+fn build(n: usize, batch_size: usize) -> Mediator {
     let (whois, cs) = PersonWorkload::sized(n).build();
     Mediator::new(
         "med",
@@ -21,7 +20,6 @@ fn build(n: usize, streaming: bool, batch_size: usize) -> Mediator {
     )
     .unwrap()
     .with_options(MediatorOptions {
-        streaming,
         batch_size,
         learn_stats: false, // keep plans stable across iterations
         ..Default::default()
@@ -39,26 +37,19 @@ fn bench_streaming(c: &mut Criterion) {
         "S :- S:<cs_person {<year 3>}>@med",
     ] {
         let label = if q.contains("year") { "year" } else { "scan" };
-        let oracle = build(n, false, 1024);
-        let expect = oracle.query_text(q).unwrap().top_level().len();
-        group.bench_with_input(BenchmarkId::new(label, "materialized"), &(), |b, _| {
-            b.iter(|| {
-                let res = oracle.query_text(q).unwrap();
-                assert_eq!(res.top_level().len(), expect);
-            })
-        });
-        for batch in [64usize, 1024] {
-            let med = build(n, true, batch);
-            group.bench_with_input(
-                BenchmarkId::new(label, format!("streaming_b{batch}")),
-                &(),
-                |b, _| {
-                    b.iter(|| {
-                        let res = med.query_text(q).unwrap();
-                        assert_eq!(res.top_level().len(), expect);
-                    })
-                },
-            );
+        let expect = build(n, usize::MAX)
+            .query_text(q)
+            .unwrap()
+            .top_level()
+            .len();
+        for (name, batch) in [("unbounded", usize::MAX), ("b64", 64), ("b1024", 1024)] {
+            let med = build(n, batch);
+            group.bench_with_input(BenchmarkId::new(label, name), &(), |b, _| {
+                b.iter(|| {
+                    let res = med.query_text(q).unwrap();
+                    assert_eq!(res.top_level().len(), expect);
+                })
+            });
         }
     }
     group.finish();

@@ -83,9 +83,6 @@ pub struct Config {
     /// Warm-tier byte budget (`--cache-warm-bytes N`, default 64 MiB);
     /// compaction drops the lowest-value entries past it.
     pub cache_warm_bytes: Option<u64>,
-    /// Ablation: evict the hot tier oldest-first instead of cost-aware
-    /// (`--cache-fifo`).
-    pub cache_fifo: bool,
     /// Offline warm-tier maintenance
     /// (`medmaker cache stats|clear|compact --cache-dir DIR`).
     pub cache_cmd: Option<CacheCmd>,
@@ -100,12 +97,9 @@ pub struct Config {
     /// Canonical keys scoping the delta (`--key K`, repeatable;
     /// invalidate mode only).
     pub keys: Vec<String>,
-    /// Use the materializing executor instead of streaming batches
-    /// (`--materialize`).
-    pub materialize: bool,
     /// Cost-model component weights (`--cost-weights rows=1,net=5,...`).
     pub cost_weights: Option<medmaker::cost::CostWeights>,
-    /// Rows per streamed batch (`--batch-size N`).
+    /// Rows per batch flowing between operators (`--batch-size N`).
     pub batch_size: Option<usize>,
     /// Serve subcommand: run the resident mediator daemon
     /// (`medmaker serve --spec FILE ...`).
@@ -139,8 +133,7 @@ usage: medmaker --spec FILE [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]
                 [--retries N] [--source-deadline-ms MS] [--partial]
                 [--cache] [--cache-capacity N] [--cache-ttl-ms MS]
                 [--cache-stale-ok] [--cache-dir DIR] [--cache-warm-bytes N]
-                [--cache-fifo] [--materialize] [--batch-size N]
-                [--cost-weights K=V,...] [QUERY]
+                [--batch-size N] [--cost-weights K=V,...] [QUERY]
        medmaker lint SPEC [--json] [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]...
        medmaker check SPEC [--json] [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]...
        medmaker explain --spec FILE [--analyze] [--trace-json PATH] [source/option flags] QUERY
@@ -182,11 +175,8 @@ usage: medmaker --spec FILE [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]
   --cache-warm-bytes N
                     warm-tier byte budget (default: 64 MiB); compaction
                     drops the lowest-value entries past it
-  --cache-fifo      evict hot-tier entries oldest-first (the seed's
-                    behavior) instead of cost-aware; ablation flag
-  --materialize     run the materializing executor (full table per node)
-                    instead of streaming bounded batches
-  --batch-size N    rows per streamed batch (default: 1024)
+  --batch-size N    rows per batch flowing between operators; bounds
+                    what each operator holds at once (default: 1024)
   --cost-weights K=V,...
                     reweight the optimizer's cost components; keys are
                     rows, cpu, net, mem (e.g. rows=1,net=5 prices network
@@ -349,8 +339,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Config, Str
                 }
                 cfg.cache_warm_bytes = Some(n);
             }
-            "--cache-fifo" => cfg.cache_fifo = true,
-            "--materialize" => cfg.materialize = true,
             "--cost-weights" => {
                 let v = it
                     .next()
@@ -548,7 +536,6 @@ pub fn build_mediator(cfg: &Config) -> Result<Mediator, String> {
         warm_bytes: cfg
             .cache_warm_bytes
             .unwrap_or(medmaker::cache::DEFAULT_WARM_BYTES),
-        fifo: cfg.cache_fifo,
         ..Default::default()
     };
     let defaults = MediatorOptions::default();
@@ -565,7 +552,6 @@ pub fn build_mediator(cfg: &Config) -> Result<Mediator, String> {
         },
         fault,
         cache,
-        streaming: !cfg.materialize && defaults.streaming,
         batch_size: cfg.batch_size.unwrap_or(defaults.batch_size),
         ..defaults
     }))
@@ -1150,17 +1136,23 @@ mod tests {
 
     #[test]
     fn parse_streaming_flags() {
-        let cfg = parse_args(argv("--spec med.msl --materialize --batch-size 128 QUERY")).unwrap();
-        assert!(cfg.materialize);
+        let cfg = parse_args(argv("--spec med.msl --batch-size 128 QUERY")).unwrap();
         assert_eq!(cfg.batch_size, Some(128));
-        // Defaults: streaming executor, default batch size.
+        // Default: the mediator's own batch size.
         let cfg = parse_args(argv("--spec med.msl QUERY")).unwrap();
-        assert!(!cfg.materialize);
         assert_eq!(cfg.batch_size, None);
         // The batch size validates its argument and rejects zero.
         assert!(parse_args(argv("--spec s.msl --batch-size tiny")).is_err());
         assert!(parse_args(argv("--spec s.msl --batch-size 0")).is_err());
         assert!(parse_args(argv("--spec s.msl --batch-size")).is_err());
+        // The flags that chose a second executor or eviction policy are gone.
+        for retired in ["--materialize", "--cache-fifo"] {
+            let err = parse_args(argv(&format!("--spec s.msl {retired} QUERY"))).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown option '{retired}'")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1190,19 +1182,17 @@ mod tests {
     #[test]
     fn parse_tiered_cache_flags() {
         let cfg = parse_args(argv(
-            "--spec med.msl --cache-dir /tmp/warm --cache-warm-bytes 1024 --cache-fifo QUERY",
+            "--spec med.msl --cache-dir /tmp/warm --cache-warm-bytes 1024 QUERY",
         ))
         .unwrap();
         // --cache-dir implies --cache.
         assert!(cfg.cache);
         assert_eq!(cfg.cache_dir.as_ref().unwrap().to_str(), Some("/tmp/warm"));
         assert_eq!(cfg.cache_warm_bytes, Some(1024));
-        assert!(cfg.cache_fifo);
-        // Defaults: memory-only, cost-aware.
+        // Default: memory-only.
         let cfg = parse_args(argv("--spec med.msl --cache QUERY")).unwrap();
         assert!(cfg.cache_dir.is_none());
         assert_eq!(cfg.cache_warm_bytes, None);
-        assert!(!cfg.cache_fifo);
         // The byte budget validates its argument and rejects zero.
         assert!(parse_args(argv("--spec s.msl --cache-warm-bytes big")).is_err());
         assert!(parse_args(argv("--spec s.msl --cache-warm-bytes 0")).is_err());

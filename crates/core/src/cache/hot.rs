@@ -6,21 +6,16 @@
 //! containment candidates, newest first, exactly as before.
 //!
 //! **Eviction** past the per-source capacity is where the tiers earn
-//! their keep:
-//!
-//! * [`EvictionPolicy::CostAware`] (default) evicts the entry with the
-//!   lowest *value score* — what one byte of this entry saves per unit
-//!   time: `unit_cost_ms × hit_boost / size_bytes`, where `unit_cost_ms`
-//!   is the source's observed per-call latency EWMA (snapshotted from
-//!   [`crate::stats`] at insert) and `hit_boost` is a per-entry hit EWMA
-//!   (seeded from the source's hit-rate EWMA, raised toward 1 on every
-//!   hit this entry serves). Big answers from cheap sources that nobody
-//!   re-asks go first; small answers from slow sources that keep hitting
-//!   stay. Ties fall back to oldest-first, so with no signal (equal
-//!   sizes, no hits, unmeasured source) the policy degrades to exactly
-//!   the seed's FIFO.
-//! * [`EvictionPolicy::Fifo`] is the seed behavior, kept as an ablation
-//!   flag (`--cache-fifo`) so benchmarks can compare against it.
+//! their keep: the entry with the lowest *value score* goes — what one
+//! byte of this entry saves per unit time:
+//! `unit_cost_ms × hit_boost / size_bytes`, where `unit_cost_ms` is the
+//! source's observed per-call latency EWMA (snapshotted from
+//! [`crate::stats`] at insert) and `hit_boost` is a per-entry hit EWMA
+//! (seeded from the source's hit-rate EWMA, raised toward 1 on every hit
+//! this entry serves). Big answers from cheap sources that nobody re-asks
+//! go first; small answers from slow sources that keep hitting stay. Ties
+//! fall back to oldest-first, so with no signal (equal sizes, no hits,
+//! unmeasured source) eviction is plain first-in, first-out.
 //!
 //! When a warm tier is configured, the evicted loser **demotes** (the
 //! caller drops it from memory knowing the warm tier already holds it)
@@ -29,17 +24,6 @@
 use super::Entry;
 use oem::Symbol;
 use std::collections::BTreeMap;
-
-/// How the hot tier picks a victim past capacity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Evict the lowest value score (latency × hit EWMA / bytes); ties
-    /// oldest-first. The default.
-    #[default]
-    CostAware,
-    /// Evict the oldest entry (the seed behavior; the ablation flag).
-    Fifo,
-}
 
 /// The in-memory tier: per-source shards of cached entries.
 #[derive(Default)]
@@ -64,16 +48,16 @@ impl HotTier {
         self.shards.values().map(Vec::len).sum()
     }
 
-    /// Insert `entry`, replacing any same-key entry, then evict down to
-    /// `capacity`. Returns `(freed_bytes_of_replaced, evicted_entries)`:
-    /// the caller settles the byte gauge and decides whether evicted
-    /// losers demote (warm tier) or vanish.
+    /// Insert `entry`, replacing any same-key entry, then evict the
+    /// lowest value scores down to `capacity`, ties oldest-first. Returns
+    /// `(freed_bytes_of_replaced, evicted_entries)`: the caller settles
+    /// the byte gauge and decides whether evicted losers demote (warm
+    /// tier) or vanish.
     pub(crate) fn insert(
         &mut self,
         source: Symbol,
         entry: Entry,
         capacity: usize,
-        policy: EvictionPolicy,
     ) -> (usize, Vec<Entry>) {
         let shard = self.shards.entry(source).or_default();
         let mut freed = 0;
@@ -83,20 +67,13 @@ impl HotTier {
         shard.push(entry);
         let mut evicted = Vec::new();
         while shard.len() > capacity {
-            let victim = match policy {
-                EvictionPolicy::Fifo => 0,
-                EvictionPolicy::CostAware => {
-                    // Lowest value first; stable min so ties evict the
-                    // oldest (seed-compatible when nothing differs).
-                    let mut best = 0;
-                    for (i, e) in shard.iter().enumerate() {
-                        if e.value_score() < shard[best].value_score() {
-                            best = i;
-                        }
-                    }
-                    best
+            // Lowest value first; stable min so ties evict the oldest.
+            let mut victim = 0;
+            for (i, e) in shard.iter().enumerate() {
+                if e.value_score() < shard[victim].value_score() {
+                    victim = i;
                 }
-            };
+            }
             evicted.push(shard.remove(victim));
         }
         (freed, evicted)

@@ -34,9 +34,8 @@
 //! The store is split in two (submodules [`hot`] and [`warm`]):
 //!
 //! * the **hot tier** holds recently useful answers in memory, evicted
-//!   cost-aware past capacity ([`EvictionPolicy`], value score = source
-//!   latency × per-entry hit EWMA over bytes; `--cache-fifo` restores the
-//!   seed FIFO as an ablation);
+//!   cost-aware past capacity (value score = source latency × per-entry
+//!   hit EWMA over bytes, ties oldest-first);
 //! * the **warm tier** (enabled by [`CacheOptions::cache_dir`]) is an
 //!   append-only checksummed disk log that every insert writes through,
 //!   so hot-tier losers *demote* (drop from memory, stay on disk) instead
@@ -73,7 +72,6 @@ pub mod hot;
 pub mod keyidx;
 pub mod warm;
 
-pub use hot::EvictionPolicy;
 pub use keyidx::{rule_labels, LabelFootprint, SourceDelta};
 pub use warm::{CompactStats, WarmStats, WarmTier};
 
@@ -101,8 +99,7 @@ pub struct CacheOptions {
     /// the execution path.
     pub enabled: bool,
     /// Maximum cached answers per source shard of the hot tier; the
-    /// lowest-value (or, under [`Self::fifo`], oldest) entry is evicted
-    /// when a shard overflows.
+    /// lowest-value entry is evicted when a shard overflows.
     pub capacity: usize,
     /// Time-to-live per entry in milliseconds, measured on [`Self::clock`];
     /// `None` means entries never expire. Applies to both tiers.
@@ -128,9 +125,6 @@ pub struct CacheOptions {
     /// segment files outgrow it, compaction rewrites live entries in
     /// value order and drops the lowest-value ones past the budget.
     pub warm_bytes: u64,
-    /// Ablation flag (`--cache-fifo`): evict the hot tier oldest-first
-    /// like the seed instead of cost-aware.
-    pub fifo: bool,
 }
 
 /// Default warm-tier byte budget: 64 MiB.
@@ -147,7 +141,6 @@ impl Default for CacheOptions {
             clock: None,
             cache_dir: None,
             warm_bytes: DEFAULT_WARM_BYTES,
-            fifo: false,
         }
     }
 }
@@ -173,7 +166,6 @@ impl fmt::Debug for CacheOptions {
             .field("clock", &self.clock.as_ref().map(|_| "<injected>"))
             .field("cache_dir", &self.cache_dir)
             .field("warm_bytes", &self.warm_bytes)
-            .field("fifo", &self.fifo)
             .finish()
     }
 }
@@ -277,7 +269,6 @@ struct CacheInner {
 pub struct AnswerCache {
     opts: CacheOptions,
     clock: Arc<dyn Clock>,
-    policy: EvictionPolicy,
     /// Mediator statistics, when wired ([`AnswerCache::with_stats`]):
     /// the source of eviction value-score inputs. Read *before* taking
     /// [`Self::inner`]'s lock — the two locks never nest.
@@ -290,7 +281,6 @@ impl fmt::Debug for AnswerCache {
         let c = self.counters();
         f.debug_struct("AnswerCache")
             .field("opts", &self.opts)
-            .field("policy", &self.policy)
             .field("counters", &c)
             .finish()
     }
@@ -322,15 +312,9 @@ impl AnswerCache {
         } else {
             None
         };
-        let policy = if opts.fifo {
-            EvictionPolicy::Fifo
-        } else {
-            EvictionPolicy::CostAware
-        };
         AnswerCache {
             opts,
             clock,
-            policy,
             stats,
             inner: Mutex::new(CacheInner {
                 warm,
@@ -484,9 +468,7 @@ impl AnswerCache {
                 }
             };
             let size = entry.size_bytes;
-            let (freed, evicted) = inner
-                .hot
-                .insert(source, entry, self.opts.capacity, self.policy);
+            let (freed, evicted) = inner.hot.insert(source, entry, self.opts.capacity);
             let evicted_bytes: usize = evicted.iter().map(|e| e.size_bytes).sum();
             inner.promotions += 1;
             inner.demotions += evicted.len(); // warm is present: losers demote
@@ -524,9 +506,7 @@ impl AnswerCache {
             hit_boost,
         };
         let inner = &mut *self.inner.lock();
-        let (freed, evicted) = inner
-            .hot
-            .insert(source, entry, self.opts.capacity, self.policy);
+        let (freed, evicted) = inner.hot.insert(source, entry, self.opts.capacity);
         let evicted_bytes: usize = evicted.iter().map(|e| e.size_bytes).sum();
         if inner.warm.is_some() {
             inner.demotions += evicted.len();

@@ -575,25 +575,6 @@ fn cost_aware_eviction_keeps_the_hitter() {
 }
 
 #[test]
-fn fifo_ablation_evicts_oldest_regardless_of_hits() {
-    let cache = AnswerCache::new(CacheOptions {
-        enabled: true,
-        capacity: 2,
-        fifo: true,
-        ..Default::default()
-    });
-    cache.insert(sym("whois"), &dept_query("A"), &extract_n(), &n_answer(1));
-    cache.insert(sym("whois"), &dept_query("B"), &extract_n(), &n_answer(1));
-    assert!(lookup_names(&cache, &dept_query("A")).is_some());
-    cache.insert(sym("whois"), &dept_query("C"), &extract_n(), &n_answer(1));
-    assert!(
-        lookup_names(&cache, &dept_query("A")).is_none(),
-        "FIFO ignores the hit and evicts the oldest"
-    );
-    assert!(lookup_names(&cache, &dept_query("B")).is_some());
-}
-
-#[test]
 fn scoped_label_delta_invalidates_only_matching_entries() {
     let dir = tmp_dir("delta-label");
     let person = dept_query("CS");

@@ -3,7 +3,18 @@
 //! "The datamerge engine executes the graph in a bottom-up fashion":
 //! source results are placed in the mediator's memory, binding tables flow
 //! from node to node, and the constructor creates the final result objects.
-//! Every node records a [`crate::metrics::NodeMetrics`] while it runs —
+//!
+//! There is one executor. Each rule chain runs as a pull pipeline of
+//! bounded binding batches ([`ExecOptions::batch_size`] rows at most):
+//! query ops yield rows as extraction proceeds, filter/join/external ops
+//! consume and emit incrementally, and only genuine pipeline breakers
+//! accumulate — the dup-elim seen-set, a hash join's build side, the final
+//! answer sink. §3.2's semantics are set-oriented and order-insensitive, so
+//! the batch size never changes an answer; the differential oracle for that
+//! claim is [`crate::naive`], which shares no operator, fetch or extraction
+//! code with this module.
+//!
+//! Every op records a [`crate::metrics::NodeMetrics`] while it runs —
 //! rows in/out, source round-trips, timing — into a per-query
 //! [`QueryTrace`]; with [`ExecOptions::trace`] enabled the emitted binding
 //! tables are additionally rendered, which is how the Figure 3.6
@@ -47,14 +58,14 @@ pub struct ExecOptions {
     /// parallel chains (and across queries — the [`crate::Mediator`] owns
     /// it) behind the cache's internal lock.
     pub cache: Option<Arc<AnswerCache>>,
-    /// Run each chain as a pull-based pipeline of bounded binding batches
-    /// instead of materializing a full table at every node. Set-oriented
-    /// MSL semantics are order-insensitive (§3.2), so both modes produce
-    /// identical answers; streaming bounds per-node resident rows at
-    /// `batch_size` and surfaces first answers before slow sources finish.
-    /// The materializing path is kept as a differential-testing oracle.
+    /// `false` is equivalent to `batch_size = usize::MAX`: the same
+    /// pipeline with whole tables flowing between operators. The default
+    /// is `true`. The field carries no other meaning and goes with the
+    /// next `benchmark` PR that stops naming it
+    /// (`crates/bench/src/bin/perf` builds this struct by full literal).
     pub streaming: bool,
-    /// Upper bound on rows per streamed batch. Clamped to at least 1.
+    /// Upper bound on rows per batch flowing between operators. Clamped to
+    /// at least 1.
     pub batch_size: usize,
     /// The mediator's shared parameterized-query memo, when caching is
     /// enabled ([`crate::Mediator`] owns it alongside the answer cache).
@@ -70,7 +81,7 @@ impl Default for ExecOptions {
             parallel: false,
             fault: FaultOptions::default(),
             cache: None,
-            streaming: cfg!(feature = "streaming"),
+            streaming: true,
             batch_size: 1024,
             param_memo: None,
         }
@@ -131,7 +142,7 @@ pub struct ExecOutcome {
     pub trace: QueryTrace,
 }
 
-/// Per-node counters threaded through [`exec_node`] while it runs.
+/// Per-op source and cache counters, accumulated across pulls.
 #[derive(Default)]
 struct NodeCounters {
     source_calls: usize,
@@ -162,6 +173,30 @@ struct ChainStats {
     latency_calls: BTreeMap<Symbol, usize>,
 }
 
+impl ChainStats {
+    /// Fold this chain's accounting into the query trace and the set of
+    /// sources that answered. Runs for failed chains too — the retries a
+    /// dead source consumed are part of the evidence.
+    fn merge_into(self, trace: &mut QueryTrace, sources_ok: &mut BTreeSet<Symbol>) {
+        trace.observations.extend(self.observations);
+        for (from, into) in [
+            (self.source_calls, &mut trace.source_calls),
+            (self.retries, &mut trace.retries),
+            (self.failures, &mut trace.failures),
+            (self.cache_hits, &mut trace.cache_hits),
+            (self.containment_hits, &mut trace.containment_hits),
+            (self.cache_misses, &mut trace.cache_misses),
+            (self.latency_ms, &mut trace.latency_ms),
+            (self.latency_calls, &mut trace.latency_calls),
+        ] {
+            for (s, n) in from {
+                *into.entry(s).or_insert(0) += n;
+            }
+        }
+        sources_ok.extend(self.sources_ok);
+    }
+}
+
 /// Everything one chain produced (its memory is private until merged).
 struct ChainOutcome {
     table: BindingTable,
@@ -171,80 +206,6 @@ struct ChainOutcome {
     /// `Some` when a source stayed failed and the chain was abandoned —
     /// Partial mode drops just this chain, Fail mode aborts the query.
     failed: Option<MedError>,
-}
-
-/// Execute one rule chain bottom-up with its own working memory.
-fn run_chain(rule_plan: &RulePlan, ctx: &ChainCtx<'_>) -> Result<ChainOutcome> {
-    let chain_start = Instant::now();
-    let mut memory = ObjectStore::with_oid_prefix("x");
-    let mut table = BindingTable::unit();
-    let mut nodes = Vec::with_capacity(rule_plan.nodes.len());
-    let mut stats = ChainStats::default();
-    let mut failed = None;
-    for (i, node) in rule_plan.nodes.iter().enumerate() {
-        let rows_in = table.len();
-        let mut counters = NodeCounters::default();
-        let node_start = Instant::now();
-        table = match exec_node(node, table, &mut memory, ctx, &mut stats, &mut counters) {
-            Ok(t) => t,
-            Err(e @ MedError::SourceUnavailable { .. }) => {
-                // The chain is dead: record why and emit no rows. The
-                // caller decides whether that fails the query (Fail) or
-                // just drops this chain (Partial).
-                failed = Some(e);
-                BindingTable::new(Vec::new())
-            }
-            Err(e) => return Err(e),
-        };
-        let wall_ns = node_start.elapsed().as_nanos() as u64;
-        let est = rule_plan.estimates.get(i).copied().unwrap_or_default();
-        nodes.push(NodeTrace {
-            op: node.op_name().to_string(),
-            detail: node_detail(node),
-            metrics: NodeMetrics {
-                rows_in,
-                rows_out: table.len(),
-                bindings_produced: counters.bindings_produced,
-                source_calls: counters.source_calls,
-                dedup_hits: if matches!(node, Node::DupElim { .. }) {
-                    rows_in.saturating_sub(table.len())
-                } else {
-                    0
-                },
-                wall_ns,
-                est_rows: est.rows_out,
-                est_cpu_rows: est.cpu,
-                est_net_ms: est.net,
-                est_mem_rows: est.memory,
-                cache_hits: counters.cache_hits,
-                containment_hits: counters.containment_hits,
-                cache_misses: counters.cache_misses,
-                // Materializing execution holds the whole emitted table.
-                peak_batch_rows: table.len(),
-                peak_bytes_resident: table.approx_bytes(),
-            },
-            table: if ctx.trace_on {
-                table.render(&memory)
-            } else {
-                String::new()
-            },
-        });
-        if table.is_empty() {
-            break; // nothing can come out of this chain
-        }
-    }
-    Ok(ChainOutcome {
-        table,
-        memory,
-        trace: RuleTrace {
-            nodes,
-            constructed: 0, // filled in during the construction phase
-            wall_ns: chain_start.elapsed().as_nanos() as u64,
-            error: failed.as_ref().map(|e| e.to_string()),
-        },
-        stats,
-        failed,
-    })
 }
 
 /// Rewrite a table's object references through an old-id → new-id map.
@@ -264,19 +225,13 @@ fn remap_table(table: &mut BindingTable, map: &HashMap<oem::ObjId, oem::ObjId>) 
     }
 }
 
-// ---- streaming execution (pull-based bounded batches) -------------------
+// ---- the chain pipeline (pull-based bounded batches) --------------------
 //
-// The §3.2 semantics are set-oriented and order-insensitive, so a chain
-// can be run as a pull pipeline of bounded binding batches instead of
-// materializing a full table at every node: scan/query ops yield batches
-// as extraction proceeds, match/join/construct ops consume and emit
-// incrementally, and only genuine pipeline breakers accumulate (the
-// dup-elim seen-set, a hash join's build side, the final answer sink).
-// Both modes produce byte-identical answers — the merge phase re-copies
-// the final tables' roots into fresh memory, so per-chain object arrival
-// order is invisible to the result.
+// Every batch size produces byte-identical answers: the merge phase
+// re-copies the final tables' roots into fresh memory, so the order in
+// which objects arrived in a chain's memory is invisible to the result.
 
-/// A batch of binding rows flowing between streaming ops. Ops never emit
+/// A batch of binding rows flowing between pipeline ops. Ops never emit
 /// empty batches; a `None` pull result means permanently exhausted.
 type Batch = Vec<Vec<BoundValue>>;
 
@@ -284,7 +239,7 @@ type Batch = Vec<Vec<BoundValue>>;
 /// and the cursor currently crossing them.
 type MemoRows = std::rc::Rc<Vec<Vec<BoundValue>>>;
 
-/// Progress counters one streaming op accumulates across pulls.
+/// Progress counters one op accumulates across pulls.
 #[derive(Default)]
 struct OpMeter {
     rows_in: usize,
@@ -345,7 +300,7 @@ impl ExtSource {
             return Ok(());
         };
         let top = store.top_level();
-        let end = (*cursor + n.max(1)).min(top.len());
+        let end = cursor.saturating_add(n.max(1)).min(top.len());
         let roots = copy::deep_copy_all_into(store, &top[*cursor..end], memory, map);
         counters.bindings_produced += roots.len();
         for root in roots {
@@ -359,10 +314,46 @@ impl ExtSource {
     }
 }
 
-/// The streaming analogue of [`run_and_extract`] for non-parameterized
-/// queries: resolve a source query to an [`ExtSource`]. Cache hits arrive
-/// fully extracted; a fresh round-trip keeps the result store so rows are
-/// extracted chunk by chunk as downstream ops pull.
+/// Probe the answer cache for `query`. A hit serves the cached rows
+/// straight into `memory` and counts as an exact or containment hit. Its
+/// row count is a real cardinality the source once returned for this
+/// query, so it *is* recorded as a §3.5 observation — otherwise a
+/// cache-heavy workload starves the EWMA feed. What a hit must never feed
+/// is the round-trip accounting (source_calls, latency, failures): serving
+/// from cache says nothing about the source's speed or health.
+fn cache_probe(
+    source: Symbol,
+    query: &Rule,
+    vars: &[ExtractVar],
+    memory: &mut ObjectStore,
+    ctx: &ChainCtx<'_>,
+    stats: &mut ChainStats,
+    counters: &mut NodeCounters,
+) -> Option<Vec<Vec<BoundValue>>> {
+    let cache = ctx.cache.filter(|c| c.enabled_for(source))?;
+    let (rows, kind) = cache.lookup(source, query, vars, memory)?;
+    match kind {
+        CacheHit::Exact => {
+            counters.cache_hits += 1;
+            *stats.cache_hits.entry(source).or_insert(0) += 1;
+        }
+        CacheHit::Containment => {
+            counters.containment_hits += 1;
+            *stats.containment_hits.entry(source).or_insert(0) += 1;
+        }
+    }
+    stats.observations.push(Observation {
+        source,
+        label: query_label(query),
+        count: rows.len(),
+    });
+    counters.bindings_produced += rows.len();
+    Some(rows)
+}
+
+/// Resolve a non-parameterized source query to an [`ExtSource`]. Cache
+/// hits arrive fully extracted; a fresh round-trip keeps the result store
+/// so rows are extracted chunk by chunk as downstream ops pull.
 fn open_ext_source(
     source: Symbol,
     query: &Rule,
@@ -372,35 +363,14 @@ fn open_ext_source(
     stats: &mut ChainStats,
     counters: &mut NodeCounters,
 ) -> Result<ExtSource> {
-    if let Some(cache) = ctx.cache.filter(|c| c.enabled_for(source)) {
-        if let Some((rows, kind)) = cache.lookup(source, query, vars, memory) {
-            match kind {
-                CacheHit::Exact => {
-                    counters.cache_hits += 1;
-                    *stats.cache_hits.entry(source).or_insert(0) += 1;
-                }
-                CacheHit::Containment => {
-                    counters.containment_hits += 1;
-                    *stats.containment_hits.entry(source).or_insert(0) += 1;
-                }
-            }
-            // The cached row count is a known answer cardinality for this
-            // query — feed it to §3.5 learning. (No round-trip happened,
-            // so source_calls/latency stay untouched.)
-            stats.observations.push(Observation {
-                source,
-                label: query_label(query),
-                count: rows.len(),
-            });
-            counters.bindings_produced += rows.len();
-            return Ok(ExtSource::from_rows(rows));
-        }
+    if let Some(rows) = cache_probe(source, query, vars, memory, ctx, stats, counters) {
+        return Ok(ExtSource::from_rows(rows));
     }
     let result = fetch_store(source, query, vars, ctx, stats, counters)?;
     Ok(ExtSource::from_store(Arc::new(result)))
 }
 
-/// The inner-side state a streaming hash join builds on first input.
+/// The inner-side state a hash join builds on first input.
 struct JoinBuild {
     /// Join key → indices into `rows`, in extraction order.
     index: HashMap<Vec<BoundValue>, Vec<usize>>,
@@ -408,7 +378,7 @@ struct JoinBuild {
     outer_key_idx: Vec<usize>,
 }
 
-/// Per-node streaming state. Lifetimes borrow the plan.
+/// Per-node pipeline state. Lifetimes borrow the plan.
 enum OpKind<'p> {
     /// The unit table as a stream: one empty row, once.
     Unit { emitted: bool },
@@ -435,8 +405,8 @@ enum OpKind<'p> {
         memo: HashMap<Vec<Value>, MemoRows>,
         pending: std::collections::VecDeque<Vec<BoundValue>>,
         cur: Option<(Vec<BoundValue>, MemoRows, usize)>,
-        /// Parameter column positions, resolved on the first row (the
-        /// materializing path errors at node execution, not plan build).
+        /// Parameter column positions, resolved on the first row: a
+        /// missing parameter is an execution error, not a plan-build one.
         param_idx: Option<Vec<usize>>,
     },
     External {
@@ -473,7 +443,7 @@ enum OpKind<'p> {
     },
 }
 
-/// One op in a streaming chain pipeline. `ops[0]` is the synthetic unit
+/// One op in a chain pipeline. `ops[0]` is the synthetic unit
 /// source; `ops[k]` executes `rule_plan.nodes[k - 1]`.
 struct OpState<'p> {
     in_cols: Vec<Symbol>,
@@ -495,13 +465,13 @@ struct StreamEnv<'a, 'b> {
     stats: &'a mut ChainStats,
     batch: usize,
     /// Index of the op whose source went unavailable, with the error. The
-    /// chain is dead: the driver stops pulling and discards all rows,
-    /// exactly like the materializing path's empty failed table.
+    /// chain is dead: the driver stops pulling and discards all rows.
     failed: Option<(usize, MedError)>,
 }
 
-/// Build the op pipeline for one rule plan (columns derived exactly as the
-/// materializing [`exec_node`] derives them).
+/// Build the op pipeline for one rule plan. Each op's output columns are
+/// its input columns followed by the variables the node newly binds;
+/// dup-elim instead projects onto its variable list.
 fn build_ops(rule_plan: &RulePlan) -> Vec<OpState<'_>> {
     let mut ops: Vec<OpState<'_>> = Vec::with_capacity(rule_plan.nodes.len() + 1);
     ops.push(OpState {
@@ -1113,9 +1083,9 @@ fn pull_inner(
 /// `emit` receives each final batch as it surfaces, taking ownership — the
 /// returned outcome's table carries the final columns but no rows; the
 /// caller reattaches what it accumulated. On a mid-chain source failure
-/// the caller must discard everything emitted (a failed chain yields no
-/// rows, exactly like the materializing path's empty table).
-fn run_chain_streaming(
+/// the caller must discard everything emitted: a failed chain yields no
+/// rows.
+fn run_chain(
     rule_plan: &RulePlan,
     ctx: &ChainCtx<'_>,
     batch_size: usize,
@@ -1186,8 +1156,8 @@ fn run_chain_streaming(
                 String::new()
             },
         });
-        // Mirror the materializing break: nothing flows past the first op
-        // that emitted no rows, and the trace stops there too.
+        // Nothing flows past the first op that emitted no rows, and the
+        // trace stops there too.
         if op.meter.rows_out == 0 || failed_idx == Some(k) {
             break;
         }
@@ -1238,129 +1208,98 @@ pub fn execute(
     };
     // Phase 1: run every rule chain (optionally in parallel — chains are
     // independent; "the datamerge engine executes the graph in a bottom-up
-    // fashion" per chain). Streaming chains surface their first batches
-    // while slower chains (or slower sources within a chain) are still
-    // running; the time-to-first-answer is recorded off the emit path.
+    // fashion" per chain). Chains surface their first batches while slower
+    // chains (or slower sources within a chain) are still running; the
+    // time-to-first-answer is recorded off the emit path.
+    // `streaming = false` asks for whole tables between operators.
+    let batch_size = if opts.streaming {
+        opts.batch_size
+    } else {
+        usize::MAX
+    };
     let mut first_rows_ns: u64 = 0;
-    let chains: Vec<Result<ChainOutcome>> = if opts.streaming {
-        if opts.parallel && plan.rules.len() > 1 {
-            // Every chain streams its batches into one bounded channel; the
-            // sink (this thread) accumulates rows per chain, so first
-            // answers surface before slow sources finish rather than after
-            // a whole-table join at the end of each thread.
-            let n = plan.rules.len();
-            let batch_size = opts.batch_size;
-            let (results, rows_acc, firsts) = crossbeam::thread::scope(|scope| {
-                let ctx = &ctx;
-                let (tx, rx) = crossbeam::channel::bounded::<(usize, Batch)>(n.max(2) * 2);
-                let handles: Vec<_> = plan
-                    .rules
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, rule_plan)| {
-                        let tx = tx.clone();
-                        scope.spawn(move |_| {
-                            let mut emit = |batch: Batch| {
-                                // A hung-up receiver only means the scope is
-                                // unwinding; dropping the batch is fine.
-                                let _ = tx.send((ci, batch));
-                            };
-                            run_chain_streaming(rule_plan, ctx, batch_size, &mut emit)
-                        })
-                    })
-                    .collect();
-                drop(tx);
-                let mut rows_acc: Vec<Vec<Vec<BoundValue>>> = vec![Vec::new(); n];
-                let mut firsts: Vec<u64> = vec![0; n];
-                for (ci, batch) in rx.iter() {
-                    if firsts[ci] == 0 && !batch.is_empty() {
-                        firsts[ci] = exec_start.elapsed().as_nanos() as u64;
-                    }
-                    rows_acc[ci].extend(batch);
-                }
-                let results: Vec<Result<ChainOutcome>> = handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(outcome) => outcome,
-                        // A panicking chain must not abort the whole
-                        // process: surface the payload as a MedError.
-                        // NB: deref the Box first — coercing `&Box<dyn Any>`
-                        // would downcast against the box, not the payload.
-                        Err(payload) => Err(MedError::ChainPanic(panic_message(&*payload))),
-                    })
-                    .collect();
-                (results, rows_acc, firsts)
-            })
-            .expect("crossbeam scope");
-            results
-                .into_iter()
-                .zip(rows_acc)
-                .zip(firsts)
-                .map(|((res, rows), first)| {
-                    let mut outcome = res?;
-                    // A failed chain yields no rows (and no first-answer
-                    // credit): everything it streamed is discarded, exactly
-                    // like the materializing path's empty failed table.
-                    if outcome.failed.is_none() {
-                        outcome.table.rows = rows;
-                        if first > 0 && (first_rows_ns == 0 || first < first_rows_ns) {
-                            first_rows_ns = first;
-                        }
-                    }
-                    Ok(outcome)
-                })
-                .collect()
-        } else {
-            plan.rules
-                .iter()
-                .map(|rule_plan| {
-                    let mut rows: Vec<Vec<BoundValue>> = Vec::new();
-                    let mut first: u64 = 0;
-                    let res = {
-                        let mut emit = |batch: Batch| {
-                            if first == 0 && !batch.is_empty() {
-                                first = exec_start.elapsed().as_nanos() as u64;
-                            }
-                            rows.extend(batch);
-                        };
-                        run_chain_streaming(rule_plan, &ctx, opts.batch_size, &mut emit)
-                    };
-                    let mut outcome = res?;
-                    if outcome.failed.is_none() {
-                        outcome.table.rows = rows;
-                        if first > 0 && (first_rows_ns == 0 || first < first_rows_ns) {
-                            first_rows_ns = first;
-                        }
-                    }
-                    Ok(outcome)
-                })
-                .collect()
+    // Hand a finished chain the rows it emitted and keep the earliest
+    // first-answer time. A failed chain yields no rows and earns no
+    // first-answer credit: everything it emitted is discarded.
+    let mut settle = |res: Result<ChainOutcome>, rows: Vec<Vec<BoundValue>>, first: u64| {
+        let mut outcome = res?;
+        if outcome.failed.is_none() {
+            outcome.table.rows = rows;
+            if first > 0 && (first_rows_ns == 0 || first < first_rows_ns) {
+                first_rows_ns = first;
+            }
         }
-    } else if opts.parallel && plan.rules.len() > 1 {
-        crossbeam::thread::scope(|scope| {
+        Ok(outcome)
+    };
+    let chains: Vec<Result<ChainOutcome>> = if opts.parallel && plan.rules.len() > 1 {
+        // Every chain sends its batches into one bounded channel; the sink
+        // (this thread) accumulates rows per chain, so first answers
+        // surface before slow sources finish rather than after a
+        // whole-table join at the end of each thread.
+        let n = plan.rules.len();
+        let (results, rows_acc, firsts) = crossbeam::thread::scope(|scope| {
             let ctx = &ctx;
+            let (tx, rx) = crossbeam::channel::bounded::<(usize, Batch)>(n.max(2) * 2);
             let handles: Vec<_> = plan
                 .rules
                 .iter()
-                .map(|rule_plan| scope.spawn(move |_| run_chain(rule_plan, ctx)))
+                .enumerate()
+                .map(|(ci, rule_plan)| {
+                    let tx = tx.clone();
+                    scope.spawn(move |_| {
+                        let mut emit = |batch: Batch| {
+                            // A hung-up receiver only means the scope is
+                            // unwinding; dropping the batch is fine.
+                            let _ = tx.send((ci, batch));
+                        };
+                        run_chain(rule_plan, ctx, batch_size, &mut emit)
+                    })
+                })
                 .collect();
-            handles
+            drop(tx);
+            let mut rows_acc: Vec<Vec<Vec<BoundValue>>> = vec![Vec::new(); n];
+            let mut firsts: Vec<u64> = vec![0; n];
+            for (ci, batch) in rx.iter() {
+                if firsts[ci] == 0 && !batch.is_empty() {
+                    firsts[ci] = exec_start.elapsed().as_nanos() as u64;
+                }
+                rows_acc[ci].extend(batch);
+            }
+            let results: Vec<Result<ChainOutcome>> = handles
                 .into_iter()
                 .map(|h| match h.join() {
                     Ok(outcome) => outcome,
-                    // A panicking chain must not abort the whole process:
-                    // surface the payload as a MedError instead.
+                    // A panicking chain must not abort the whole
+                    // process: surface the payload as a MedError.
                     // NB: deref the Box first — coercing `&Box<dyn Any>`
                     // would downcast against the box, not the payload.
                     Err(payload) => Err(MedError::ChainPanic(panic_message(&*payload))),
                 })
-                .collect()
+                .collect();
+            (results, rows_acc, firsts)
         })
-        .expect("crossbeam scope")
+        .expect("crossbeam scope");
+        results
+            .into_iter()
+            .zip(rows_acc)
+            .zip(firsts)
+            .map(|((res, rows), first)| settle(res, rows, first))
+            .collect()
     } else {
         plan.rules
             .iter()
-            .map(|rule_plan| run_chain(rule_plan, &ctx))
+            .map(|rule_plan| {
+                let mut rows: Vec<Vec<BoundValue>> = Vec::new();
+                let mut first: u64 = 0;
+                let mut emit = |batch: Batch| {
+                    if first == 0 && !batch.is_empty() {
+                        first = exec_start.elapsed().as_nanos() as u64;
+                    }
+                    rows.extend(batch);
+                };
+                let res = run_chain(rule_plan, &ctx, batch_size, &mut emit);
+                settle(res, rows, first)
+            })
             .collect()
     };
 
@@ -1387,36 +1326,7 @@ pub fn execute(
             }
             Err(e) => return Err(e),
         };
-        // Fault accounting merges even for chains that failed — the
-        // retries a dead source consumed are part of the evidence.
-        trace
-            .observations
-            .extend(std::mem::take(&mut chain.stats.observations));
-        for (s, n) in std::mem::take(&mut chain.stats.source_calls) {
-            *trace.source_calls.entry(s).or_insert(0) += n;
-        }
-        for (s, n) in std::mem::take(&mut chain.stats.retries) {
-            *trace.retries.entry(s).or_insert(0) += n;
-        }
-        for (s, n) in std::mem::take(&mut chain.stats.failures) {
-            *trace.failures.entry(s).or_insert(0) += n;
-        }
-        for (s, n) in std::mem::take(&mut chain.stats.cache_hits) {
-            *trace.cache_hits.entry(s).or_insert(0) += n;
-        }
-        for (s, n) in std::mem::take(&mut chain.stats.containment_hits) {
-            *trace.containment_hits.entry(s).or_insert(0) += n;
-        }
-        for (s, n) in std::mem::take(&mut chain.stats.cache_misses) {
-            *trace.cache_misses.entry(s).or_insert(0) += n;
-        }
-        for (s, n) in std::mem::take(&mut chain.stats.latency_ms) {
-            *trace.latency_ms.entry(s).or_insert(0) += n;
-        }
-        for (s, n) in std::mem::take(&mut chain.stats.latency_calls) {
-            *trace.latency_calls.entry(s).or_insert(0) += n;
-        }
-        sources_ok.extend(std::mem::take(&mut chain.stats.sources_ok));
+        chain.stats.merge_into(&mut trace, &mut sources_ok);
         if let Some(err) = chain.failed {
             if !partial {
                 return Err(err);
@@ -1456,12 +1366,6 @@ pub fn execute(
         }
         let (_, map) = copy::deep_copy_all_with_map(&chain.memory, &roots, &mut memory);
         remap_table(&mut chain.table, &map);
-        // Materializing fallback for the time-to-first-answer: the first
-        // rows only exist once the chain's whole table lands here. (A
-        // streaming run already recorded the earlier emission time above.)
-        if first_rows_ns == 0 && !chain.table.rows.is_empty() {
-            first_rows_ns = exec_start.elapsed().as_nanos() as u64;
-        }
         trace.rules.push(chain.trace);
         final_tables.push((chain.table, rule_plan, trace.rules.len() - 1));
     }
@@ -1566,214 +1470,6 @@ fn node_detail(node: &Node) -> String {
     }
 }
 
-fn exec_node(
-    node: &Node,
-    input: BindingTable,
-    memory: &mut ObjectStore,
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
-    counters: &mut NodeCounters,
-) -> Result<BindingTable> {
-    match node {
-        Node::Query {
-            source,
-            query,
-            vars,
-        } => {
-            let extracted =
-                run_and_extract(*source, query, vars, memory, ctx, stats, counters, None)?;
-            // Cartesian with the (unit) input.
-            let mut out = BindingTable::new(
-                input
-                    .cols
-                    .iter()
-                    .copied()
-                    .chain(vars.iter().map(|v| v.var))
-                    .collect(),
-            );
-            for row in &input.rows {
-                for ext in &extracted {
-                    let mut r = row.clone();
-                    r.extend(ext.clone());
-                    out.rows.push(r);
-                }
-            }
-            Ok(out)
-        }
-        Node::ParamQuery {
-            source,
-            query,
-            params,
-            vars,
-        } => {
-            let mut out = BindingTable::new(
-                input
-                    .cols
-                    .iter()
-                    .copied()
-                    .chain(vars.iter().map(|v| v.var))
-                    .collect(),
-            );
-            // Memoize identical parameter tuples: the engine need not send
-            // the same source query twice.
-            let mut memo: HashMap<Vec<Value>, Vec<Vec<BoundValue>>> = HashMap::new();
-            for row in &input.rows {
-                let mut key = Vec::with_capacity(params.len());
-                let mut pmap: HashMap<Symbol, Value> = HashMap::new();
-                let mut ok = true;
-                for p in params {
-                    let idx = input.col(*p).ok_or_else(|| {
-                        MedError::Planning(format!("parameter {p} missing from table"))
-                    })?;
-                    match &row[idx] {
-                        BoundValue::Atom(v) => {
-                            key.push(v.clone());
-                            pmap.insert(*p, v.clone());
-                        }
-                        _ => {
-                            // Non-atomic parameter: this row cannot
-                            // parameterize the query; it yields nothing.
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok {
-                    continue;
-                }
-                let extracted = match memo.get(&key) {
-                    Some(e) => e.clone(),
-                    None => {
-                        let filled = fill_params_rule(query, &pmap);
-                        let shared = (*source, msl::printer::rule(query), key.clone());
-                        let e = run_and_extract(
-                            *source,
-                            &filled,
-                            vars,
-                            memory,
-                            ctx,
-                            stats,
-                            counters,
-                            Some(shared),
-                        )?;
-                        memo.insert(key.clone(), e.clone());
-                        e
-                    }
-                };
-                for ext in extracted {
-                    let mut r = row.clone();
-                    r.extend(ext);
-                    out.rows.push(r);
-                }
-            }
-            Ok(out)
-        }
-        Node::ExternalPred {
-            pred,
-            args,
-            new_vars,
-        } => {
-            let mut out = BindingTable::new(
-                input
-                    .cols
-                    .iter()
-                    .copied()
-                    .chain(new_vars.iter().copied())
-                    .collect(),
-            );
-            for i in 0..input.len() {
-                let b = input.row_bindings(i);
-                for nb in ctx.registry.evaluate(*pred, args, &b)? {
-                    let mut r = input.rows[i].clone();
-                    for v in new_vars {
-                        r.push(nb.get(*v).cloned().ok_or_else(|| {
-                            MedError::External(format!("{pred} did not bind {v} as planned"))
-                        })?);
-                    }
-                    out.rows.push(r);
-                }
-            }
-            if !new_vars.is_empty() {
-                counters.bindings_produced += out.len();
-            }
-            Ok(out)
-        }
-        Node::RestFilter { var, condition } => {
-            let idx = input.col(*var).ok_or_else(|| {
-                MedError::Planning(format!("filter variable {var} missing from table"))
-            })?;
-            let mut out = BindingTable::new(input.cols.clone());
-            for row in &input.rows {
-                let BoundValue::ObjSet(ids) = &row[idx] else {
-                    continue;
-                };
-                let passes = ids.iter().any(|&id| {
-                    !engine::matcher::match_pattern(memory, id, condition, &Bindings::new())
-                        .is_empty()
-                });
-                if passes {
-                    out.rows.push(row.clone());
-                }
-            }
-            Ok(out)
-        }
-        Node::HashJoin {
-            source,
-            query,
-            vars,
-            join_vars,
-        } => {
-            let extracted =
-                run_and_extract(*source, query, vars, memory, ctx, stats, counters, None)?;
-            // Index inner rows by join key.
-            let inner_key_idx: Vec<usize> = join_vars
-                .iter()
-                .map(|v| {
-                    vars.iter()
-                        .position(|e| e.var == *v)
-                        .expect("planner included join vars in extraction")
-                })
-                .collect();
-            let mut index: HashMap<Vec<BoundValue>, Vec<&Vec<BoundValue>>> = HashMap::new();
-            for row in &extracted {
-                let key: Vec<BoundValue> = inner_key_idx.iter().map(|&i| row[i].clone()).collect();
-                index.entry(key).or_default().push(row);
-            }
-            // Output: input columns + inner extraction minus join vars.
-            let keep_inner: Vec<usize> = (0..vars.len())
-                .filter(|i| !inner_key_idx.contains(i))
-                .collect();
-            let mut out_cols = input.cols.clone();
-            out_cols.extend(keep_inner.iter().map(|&i| vars[i].var));
-            let outer_key_idx: Vec<usize> = join_vars
-                .iter()
-                .map(|v| {
-                    input.col(*v).ok_or_else(|| {
-                        MedError::Planning(format!("join variable {v} missing from table"))
-                    })
-                })
-                .collect::<Result<_>>()?;
-            let mut out = BindingTable::new(out_cols);
-            for row in &input.rows {
-                let key: Vec<BoundValue> = outer_key_idx.iter().map(|&i| row[i].clone()).collect();
-                if let Some(matches) = index.get(&key) {
-                    for inner in matches {
-                        let mut r = row.clone();
-                        r.extend(keep_inner.iter().map(|&i| inner[i].clone()));
-                        out.rows.push(r);
-                    }
-                }
-            }
-            Ok(out)
-        }
-        Node::DupElim { vars } => {
-            let mut out = input.project(vars);
-            out.dedup();
-            Ok(out)
-        }
-    }
-}
-
 /// One source call under the fault policy: circuit-breaker check, bounded
 /// retries with exponential backoff on transient errors, and a per-call
 /// deadline measured on the injectable clock. Retry/failure counts land in
@@ -1845,16 +1541,12 @@ fn query_with_retry(
     })
 }
 
-/// Send a query to a source, copy the results into the mediator's memory
-/// (§3.4: "the result of Qw is placed in the mediator's memory"), and
-/// extract the `bind_for_*` variables from each result object. The
-/// answer cache (when enabled) intercepts the round-trip: a hit serves
-/// the cached answer straight into `memory`. The cached row count is a
-/// real cardinality the source once returned for this query, so it *is*
-/// recorded as a §3.5 observation — the seed skipped it, starving the
-/// EWMA feed on cache-heavy workloads. What a hit must never feed is the
-/// round-trip accounting (source_calls, latency, failures): serving from
-/// cache says nothing about the source's speed or health.
+/// Send a query to a source, copy the whole result into the mediator's
+/// memory (§3.4: "the result of Qw is placed in the mediator's memory"),
+/// and extract the `bind_for_*` variables from each result object — the
+/// all-at-once form the hash-join build side and parameterized queries
+/// need. The answer cache (when enabled) intercepts the round-trip, see
+/// [`cache_probe`].
 #[allow(clippy::too_many_arguments)]
 fn run_and_extract(
     source: Symbol,
@@ -1866,28 +1558,8 @@ fn run_and_extract(
     counters: &mut NodeCounters,
     shared_key: Option<ParamMemoKey>,
 ) -> Result<Vec<Vec<BoundValue>>> {
-    if let Some(cache) = ctx.cache.filter(|c| c.enabled_for(source)) {
-        if let Some((rows, kind)) = cache.lookup(source, query, vars, memory) {
-            match kind {
-                CacheHit::Exact => {
-                    counters.cache_hits += 1;
-                    *stats.cache_hits.entry(source).or_insert(0) += 1;
-                }
-                CacheHit::Containment => {
-                    counters.containment_hits += 1;
-                    *stats.containment_hits.entry(source).or_insert(0) += 1;
-                }
-            }
-            // As in [`open_ext_source`]: a hit's row count is a known
-            // answer cardinality, observed without a round-trip.
-            stats.observations.push(Observation {
-                source,
-                label: query_label(query),
-                count: rows.len(),
-            });
-            counters.bindings_produced += rows.len();
-            return Ok(rows);
-        }
+    if let Some(rows) = cache_probe(source, query, vars, memory, ctx, stats, counters) {
+        return Ok(rows);
     }
     // Parameterized queries consult the shared memo: a sibling chain (or,
     // with the mediator's shared memo, a concurrent query) may already

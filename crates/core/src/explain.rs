@@ -249,9 +249,8 @@ pub fn render_analyze(plan: &PhysicalPlan, outcome: &ExecOutcome) -> String {
             },
         );
     }
-    // Memory/latency profile of the execution: the largest batch (streaming)
-    // or table (materializing) any node held, and the time at which the
-    // first answer rows surfaced.
+    // Memory/latency profile of the execution: the largest batch any node
+    // held, and the time at which the first answer rows surfaced.
     let _ = writeln!(
         out,
         "peak resident: {} rows / ~{} bytes",

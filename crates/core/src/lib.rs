@@ -59,8 +59,7 @@ pub mod veao;
 
 pub use analysis::{AnswerMatrix, SourceInfo, SpecAnalysis};
 pub use cache::{
-    AnswerCache, CacheCounters, CacheHit, CacheOptions, EvictionPolicy, SourceDelta, WarmStats,
-    WarmTier,
+    AnswerCache, CacheCounters, CacheHit, CacheOptions, SourceDelta, WarmStats, WarmTier,
 };
 pub use error::{MedError, Result};
 pub use externals::ExternalRegistry;

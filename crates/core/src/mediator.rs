@@ -51,11 +51,12 @@ pub struct MediatorOptions {
     /// [`Mediator::lint_warnings`], and the result feeds the planner's
     /// infeasible-chain pruning. On by default.
     pub analysis: bool,
-    /// Execute chains as pull-based pipelines of bounded binding batches
-    /// ([`ExecOptions::streaming`]). Defaults to the `streaming` cargo
-    /// feature's presence; turn off to use the materializing oracle path.
+    /// Forwarded to [`ExecOptions::streaming`]: `false` is equivalent to
+    /// `batch_size = usize::MAX`. The default is `true`; the field goes
+    /// with the next `benchmark` PR that stops naming it.
     pub streaming: bool,
-    /// Rows per streamed batch ([`ExecOptions::batch_size`]).
+    /// Rows per batch flowing between operators
+    /// ([`ExecOptions::batch_size`]).
     pub batch_size: usize,
 }
 
@@ -79,9 +80,8 @@ pub struct QueryLimits {
     /// short, so a capped answer is a prefix of the full one. Carried
     /// here so the cap participates in coalescing identity.
     pub max_rows: Option<usize>,
-    /// Rows per streamed batch for this query only
-    /// ([`ExecOptions::batch_size`]); bounds the query's peak resident
-    /// rows under streaming execution.
+    /// Rows per batch for this query only ([`ExecOptions::batch_size`]);
+    /// bounds the query's peak resident rows per operator.
     pub batch_size: Option<usize>,
 }
 
@@ -110,7 +110,7 @@ impl Default for MediatorOptions {
             fault: crate::retry::FaultOptions::default(),
             cache: CacheOptions::default(),
             analysis: true,
-            streaming: ExecOptions::default().streaming,
+            streaming: true,
             batch_size: ExecOptions::default().batch_size,
         }
     }

@@ -78,10 +78,8 @@ pub struct NodeMetrics {
     /// Source queries that consulted the answer cache and fell through to
     /// a round-trip (zero when the cache is off).
     pub cache_misses: usize,
-    /// Largest binding batch the node held at once: under streaming
-    /// execution the biggest batch it emitted (bounded by
-    /// [`crate::exec::ExecOptions::batch_size`]); under materializing
-    /// execution the full emitted table's row count.
+    /// Largest binding batch the node held at once: the biggest batch it
+    /// emitted, bounded by [`crate::exec::ExecOptions::batch_size`].
     pub peak_batch_rows: usize,
     /// Approximate bytes of the largest resident batch (same resolution as
     /// `peak_batch_rows`; see `crate::table::approx_row_bytes`).
@@ -253,10 +251,9 @@ pub struct QueryTrace {
     /// Wall-clock time of the whole execution, in nanoseconds.
     pub wall_ns: u64,
     /// Nanoseconds from execution start until the first answer rows
-    /// surfaced at the merge sink (time-to-first-answer). Under streaming
-    /// execution that is the first non-empty batch emitted by a chain that
-    /// ultimately succeeded; under materializing execution, the merge of
-    /// the first non-empty final table. 0 when no rows were produced.
+    /// surfaced at the merge sink (time-to-first-answer): the first
+    /// non-empty batch emitted by a chain that ultimately succeeded. 0 when
+    /// no rows were produced.
     pub first_rows_ns: u64,
     /// Largest binding batch any node held at once, across all chains
     /// (max over the per-node `peak_batch_rows`).

@@ -1,9 +1,12 @@
-//! A direct (non-optimized) rule evaluator.
+//! A direct (non-optimized) rule evaluator, and the differential oracle
+//! for the datamerge engine.
 //!
-//! Used by the recursion module (fixpoint iteration re-evaluates rules
-//! against a changing materialized view, where plan caching buys nothing)
-//! and by tests as an oracle for the optimized datamerge engine: both must
-//! produce the same objects.
+//! It shares no operator, fetch or extraction code with [`crate::exec`]:
+//! whatever the planner and the pipeline do to a logical datamerge program,
+//! [`eval_program`] over the same rules must produce the same objects
+//! (`tests/streaming_equivalence.rs`, `tests/equivalence.rs`). The
+//! recursion module also uses it — fixpoint iteration re-evaluates rules
+//! against a changing materialized view, where plan caching buys nothing.
 //!
 //! Strategy per rule: evaluate tail items left to right. A `Match` item
 //! against a wrapper fetches the matching objects (with already-bound
@@ -18,7 +21,7 @@ use engine::construct::Constructor;
 use engine::matcher::match_top_level;
 use engine::subst::{bindings_to_subst, subst_pattern};
 use msl::{Head, Pattern, Rule, TailItem};
-use oem::{copy, ObjectStore, Symbol};
+use oem::{copy, eq::dedup_structural, ObjectStore, Symbol};
 use std::collections::HashMap;
 use std::sync::Arc;
 use wrappers::Wrapper;
@@ -44,6 +47,51 @@ pub fn eval_rule(
     results: &mut ObjectStore,
 ) -> Result<usize> {
     let mut eval_store = ObjectStore::with_oid_prefix("n");
+    let surviving = rule_bindings(rule, resolve, registry, &mut eval_store)?;
+    let mut ctor = Constructor::new(&eval_store);
+    for b in &surviving {
+        ctor.construct_head(&rule.head, b, results)?;
+    }
+    Ok(surviving.len())
+}
+
+/// Evaluate a whole logical datamerge program (`Mediator::expand`'s
+/// rules) to its answer: one evaluation store and one [`Constructor`]
+/// across all rules, so semantic oids fuse across rules exactly as §2
+/// prescribes, then structural duplicate elimination over the result.
+pub fn eval_program(
+    rules: &[Rule],
+    resolve: &Resolver<'_>,
+    registry: &ExternalRegistry,
+) -> Result<ObjectStore> {
+    let mut eval_store = ObjectStore::with_oid_prefix("n");
+    let per_rule: Vec<Vec<Bindings>> = rules
+        .iter()
+        .map(|rule| rule_bindings(rule, resolve, registry, &mut eval_store))
+        .collect::<Result<_>>()?;
+    let mut results = ObjectStore::with_oid_prefix("cp");
+    let mut ctor = Constructor::new(&eval_store);
+    for (rule, bindings) in rules.iter().zip(&per_rule) {
+        for b in bindings {
+            ctor.construct_head(&rule.head, b, &mut results)?;
+        }
+    }
+    let unique = dedup_structural(&results, results.top_level());
+    results.set_top_level(unique);
+    Ok(results)
+}
+
+/// Evaluate a rule's tail left to right and return the head-variable
+/// bindings that survive projection and duplicate elimination. Wrapper
+/// fetches land in `eval_store`, which is what construction must read;
+/// bindings matched against a [`SourceRef::Store`] reference that store's
+/// ids instead, so store-backed sources go through [`eval_rule_with_view`].
+fn rule_bindings(
+    rule: &Rule,
+    resolve: &Resolver<'_>,
+    registry: &ExternalRegistry,
+    eval_store: &mut ObjectStore,
+) -> Result<Vec<Bindings>> {
     let mut states = vec![Bindings::new()];
 
     for item in &rule.tail {
@@ -71,10 +119,10 @@ pub fn eval_rule(
                             }
                         }
                         SourceRef::Wrapper(w) => {
-                            let fetched = fetch_matching(w, &bound, &mut eval_store)?;
+                            let fetched = fetch_matching(w, &bound, eval_store)?;
                             for root in fetched {
                                 for nb in engine::matcher::match_pattern(
-                                    &eval_store,
+                                    eval_store,
                                     root,
                                     &bound,
                                     &Bindings::new(),
@@ -96,31 +144,16 @@ pub fn eval_rule(
         }
         states = next;
         if states.is_empty() {
-            return Ok(0);
+            return Ok(Vec::new());
         }
     }
 
-    // Project + dedup per MSL semantics, then construct.
+    // Project + dedup per MSL semantics.
     let mut head_vars = Vec::new();
     rule.head.collect_vars(&mut head_vars);
-    let projected: Vec<Bindings> = states.iter().map(|b| b.project(&head_vars)).collect();
-    let surviving = dedup_bindings(projected);
-    let n = surviving.len();
-
-    // Bindings reference two possible stores: wrapper fetches live in
-    // eval_store; store-backed matches reference the resolver's store.
-    // We construct from eval_store — store-backed sources are handled by
-    // copying their matched objects in during matching. To keep this
-    // simple and correct, matching against `SourceRef::Store` stores is
-    // only done with stores that outlive this call AND whose ids are
-    // disjoint... instead we copy matched store objects into eval_store
-    // up front. See `fetch_matching` — Store sources go through the same
-    // copy-in path below.
-    let mut ctor = Constructor::new(&eval_store);
-    for b in &surviving {
-        ctor.construct_head(&rule.head, b, results)?;
-    }
-    Ok(n)
+    Ok(dedup_bindings(
+        states.iter().map(|b| b.project(&head_vars)).collect(),
+    ))
 }
 
 /// Fetch objects matching `pattern` from a wrapper into `eval_store`,
@@ -145,11 +178,9 @@ fn fetch_matching(
     Ok(copy::deep_copy_all(&result, result.top_level(), eval_store))
 }
 
-/// The problem called out above: bindings produced against a
-/// `SourceRef::Store` reference that store's ids, while construction reads
-/// from the eval store. [`eval_rule_with_view`] therefore copies the
-/// *view* into the eval store first and matches there. It is the entry
-/// point the recursion module uses.
+/// Evaluate `rule` with the *view* under fixpoint construction exposed as
+/// one more source, copied into the eval store so every binding references
+/// one arena. It is the entry point the recursion module uses.
 pub fn eval_rule_with_view(
     rule: &Rule,
     wrappers: &HashMap<Symbol, Arc<dyn Wrapper>>,

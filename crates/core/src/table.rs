@@ -27,15 +27,6 @@ impl BindingTable {
         }
     }
 
-    /// The unit table: no columns, one (empty) row. The identity input for
-    /// the first node of a chain.
-    pub fn unit() -> BindingTable {
-        BindingTable {
-            cols: Vec::new(),
-            rows: vec![Vec::new()],
-        }
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -44,11 +35,6 @@ impl BindingTable {
     /// Is the table empty?
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Column index of a variable.
-    pub fn col(&self, var: Symbol) -> Option<usize> {
-        self.cols.iter().position(|c| *c == var)
     }
 
     /// Convert a row to a [`Bindings`] environment.
@@ -70,46 +56,6 @@ impl BindingTable {
             .collect();
         self.rows.push(row);
     }
-
-    /// Project onto a subset of columns (dropping the rest), preserving row
-    /// order.
-    pub fn project(&self, vars: &[Symbol]) -> BindingTable {
-        let idx: Vec<Option<usize>> = vars.iter().map(|v| self.col(*v)).collect();
-        let cols: Vec<Symbol> = vars
-            .iter()
-            .zip(&idx)
-            .filter(|(_, i)| i.is_some())
-            .map(|(v, _)| *v)
-            .collect();
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| idx.iter().filter_map(|i| i.map(|i| r[i].clone())).collect())
-            .collect();
-        BindingTable { cols, rows }
-    }
-
-    /// Remove duplicate rows (first occurrence wins). Hash-based, linear in
-    /// the row count.
-    pub fn dedup(&mut self) {
-        let mut seen: std::collections::HashSet<Vec<BoundValue>> =
-            std::collections::HashSet::with_capacity(self.rows.len());
-        self.rows.retain(|r| seen.insert(r.clone()));
-    }
-
-    /// Render in the style of Figure 3.6's tables: a header row of variable
-    /// names, then one line per tuple. Object values render as their oid in
-    /// `store`; sets render their member oids.
-    pub fn render(&self, store: &ObjectStore) -> String {
-        let mut out = render_header(&self.cols);
-        out.push_str(&render_rows(&self.rows, store));
-        out
-    }
-
-    /// Rough resident size of the table's rows — see [`approx_batch_bytes`].
-    pub fn approx_bytes(&self) -> u64 {
-        approx_batch_bytes(&self.rows)
-    }
 }
 
 /// Build a [`Bindings`] environment from parallel column/row slices — the
@@ -125,15 +71,16 @@ pub fn bindings_for_row(cols: &[Symbol], row: &[BoundValue]) -> Bindings {
     b
 }
 
-/// Render just the header line of [`BindingTable::render`]'s format.
+/// Render a table's header in the style of Figure 3.6's tables: one line
+/// of variable names.
 pub fn render_header(cols: &[Symbol]) -> String {
     let header: Vec<String> = cols.iter().map(|c| c.as_str()).collect();
     format!("| {} |\n", header.join(" | "))
 }
 
-/// Render rows (no header) in [`BindingTable::render`]'s format. The
-/// streaming executor appends each emitted batch to a node's table render
-/// as it flows past; the concatenation equals a one-shot `render`.
+/// Render rows (no header), one line per tuple. Object values render as
+/// their oid in `store`; sets render their members. The executor appends
+/// each emitted batch to a node's table render as it flows past.
 pub fn render_rows(rows: &[Vec<BoundValue>], store: &ObjectStore) -> String {
     let mut out = String::new();
     for row in rows {
@@ -200,11 +147,7 @@ mod tests {
     }
 
     #[test]
-    fn unit_and_push() {
-        let u = BindingTable::unit();
-        assert_eq!(u.len(), 1);
-        assert!(u.cols.is_empty());
-
+    fn push_and_row_bindings() {
         let mut t = BindingTable::new(vec![sym("A"), sym("B")]);
         let b = Bindings::new()
             .bind(sym("A"), atom(1))
@@ -221,31 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn projection_and_dedup() {
-        let mut t = BindingTable::new(vec![sym("A"), sym("B")]);
-        t.rows.push(vec![atom(1), atom(10)]);
-        t.rows.push(vec![atom(1), atom(20)]);
-        t.rows.push(vec![atom(2), atom(30)]);
-        let mut p = t.project(&[sym("A")]);
-        assert_eq!(p.cols, vec![sym("A")]);
-        assert_eq!(p.len(), 3);
-        p.dedup();
-        assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn project_ignores_unknown_columns() {
-        let t = BindingTable::new(vec![sym("A")]);
-        let p = t.project(&[sym("A"), sym("Z")]);
-        assert_eq!(p.cols, vec![sym("A")]);
-    }
-
-    #[test]
     fn render_shows_values() {
         let store = ObjectStore::new();
-        let mut t = BindingTable::new(vec![sym("N")]);
-        t.rows.push(vec![BoundValue::Atom(Value::str("Joe Chung"))]);
-        let s = t.render(&store);
+        let rows = vec![vec![BoundValue::Atom(Value::str("Joe Chung"))]];
+        let s = render_header(&[sym("N")]) + &render_rows(&rows, &store);
         assert!(s.contains("| N |"));
         assert!(s.contains("'Joe Chung'"));
     }

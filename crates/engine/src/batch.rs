@@ -1,4 +1,4 @@
-//! Batch-at-a-time condition evaluation for the streaming executor.
+//! Batch-at-a-time condition evaluation for the datamerge executor.
 //!
 //! The hot loop of datamerge execution is "does some member of this object
 //! set satisfy `<label const>`?" — rest-condition filters (§3.3) evaluate

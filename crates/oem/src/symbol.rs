@@ -20,10 +20,10 @@ use std::sync::OnceLock;
 pub struct Symbol(u32);
 
 struct Interner {
-    /// Stable storage of interned strings. Boxed so reallocating the Vec
-    /// does not move string bytes.
-    strings: Vec<Box<str>>,
-    lookup: HashMap<Box<str>, u32>,
+    /// Interned strings, each stored once and leaked: the interner is
+    /// append-only and never frees, so a `&'static str` can leave the lock.
+    strings: Vec<&'static str>,
+    lookup: HashMap<&'static str, u32>,
 }
 
 static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
@@ -52,26 +52,24 @@ impl Symbol {
             return Symbol(id);
         }
         let id = guard.strings.len() as u32;
-        let boxed: Box<str> = s.into();
-        guard.strings.push(boxed.clone());
-        guard.lookup.insert(boxed, id);
+        let leaked: &'static str = Box::leak(s.into());
+        guard.strings.push(leaked);
+        guard.lookup.insert(leaked, id);
         Symbol(id)
     }
 
-    /// The interned string.
-    ///
-    /// Returns an owned `String`; the interner is behind a lock, so handing
-    /// out references would require holding the read guard across the call
-    /// site. Symbol-to-symbol comparisons never need this.
+    /// The interned string, as an owned `String`. Symbol-to-symbol
+    /// comparisons never need this.
     pub fn as_str(&self) -> String {
-        let guard = interner().read();
-        guard.strings[self.0 as usize].to_string()
+        self.with_str(str::to_string)
     }
 
-    /// Run `f` over the interned string without allocating.
+    /// Run `f` over the interned string without allocating. The read lock
+    /// is released before `f` runs, so `f` may itself use the interner:
+    /// nested reads with a writer queued between them would deadlock.
     pub fn with_str<R>(&self, f: impl FnOnce(&str) -> R) -> R {
-        let guard = interner().read();
-        f(&guard.strings[self.0 as usize])
+        let s: &'static str = interner().read().strings[self.0 as usize];
+        f(s)
     }
 
     /// The raw interner index. Only meaningful within this process.

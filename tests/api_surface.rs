@@ -168,3 +168,55 @@ fn symbol_interning_stable_across_crates() {
     assert_eq!(a, b);
     assert_eq!(a.index(), b.index());
 }
+
+#[test]
+fn benchmark_struct_literals_still_build() {
+    // crates/bench/src/bin/perf (frozen between `benchmark` PRs, and built
+    // as its own package outside this workspace) drives the mediator stage
+    // by stage and builds `PlanContext` and `ExecOptions` by full struct
+    // literal — no `..Default::default()`. Adding, renaming or removing a
+    // field of either breaks it; this case breaks first, inside tier-1.
+    use medmaker::exec::{execute, ExecOptions};
+    use medmaker::planner::{plan, PlanContext};
+    use std::sync::Arc;
+    let sources: Vec<Arc<dyn wrappers::Wrapper>> = vec![
+        Arc::new(wrappers::scenario::whois_wrapper()),
+        Arc::new(wrappers::scenario::cs_wrapper()),
+    ];
+    let registry = medmaker::externals::standard_registry();
+    let med =
+        medmaker::Mediator::new("med", wrappers::scenario::MS1, sources.clone(), registry).unwrap();
+    let options = medmaker::MediatorOptions::default();
+    let sources: std::collections::HashMap<_, _> =
+        sources.into_iter().map(|w| (w.name(), w)).collect();
+    let registry = medmaker::externals::standard_registry();
+    let stats = medmaker::stats::SharedStats::new(med.stats_snapshot());
+    let rule = msl::parse_query("JC :- JC:<cs_person {<name 'Joe Chung'>}>@med").unwrap();
+    let program = med.expand(&rule).unwrap();
+    let physical = {
+        let stats = stats.read();
+        plan(
+            &program,
+            &PlanContext {
+                sources: &sources,
+                registry: &registry,
+                stats: &stats,
+                options: &options.planner,
+                analysis: med.analysis(),
+            },
+        )
+        .unwrap()
+    };
+    let exec_options = ExecOptions {
+        trace: options.trace,
+        parallel: options.parallel,
+        fault: options.fault.clone(),
+        cache: None,
+        streaming: options.streaming,
+        batch_size: options.batch_size,
+        param_memo: None,
+    };
+    let outcome = execute(&physical, &sources, &registry, &exec_options).unwrap();
+    stats.record_trace(&outcome.trace);
+    assert_eq!(outcome.results.top_level().len(), 1);
+}

@@ -3,6 +3,9 @@
 //! exhaustive unification — the answer must be the same set of objects.
 //! The optimized pipeline is also checked against the naive evaluator.
 
+mod common;
+
+use common::same_objects;
 use engine::unify::UnifyMode;
 use medmaker::naive::{eval_rule, SourceRef};
 use medmaker::planner::PlannerOptions;
@@ -31,24 +34,6 @@ fn paper_mediator(options: MediatorOptions) -> Mediator {
     )
     .unwrap()
     .with_options(options)
-}
-
-/// Sort-insensitive structural comparison of two result stores.
-fn same_objects(a: &ObjectStore, b: &ObjectStore) -> bool {
-    if a.top_level().len() != b.top_level().len() {
-        return false;
-    }
-    let mut unmatched: Vec<oem::ObjId> = b.top_level().to_vec();
-    for &x in a.top_level() {
-        let Some(pos) = unmatched
-            .iter()
-            .position(|&y| oem::eq::struct_eq_cross(a, x, b, y))
-        else {
-            return false;
-        };
-        unmatched.swap_remove(pos);
-    }
-    true
 }
 
 fn options_matrix() -> Vec<MediatorOptions> {

@@ -1,12 +1,27 @@
-//! Streaming/materializing differential guard: the pull-based batched
-//! executor must produce byte-identical answers to the materializing
-//! oracle on every workload shape — parameterized chains, open scans,
-//! rest-condition filters, multi-rule fusion (sequential and parallel),
-//! Partial-mode degradation, and cache-hit paths — at any batch size.
-//! MSL's set-oriented semantics (§3.2) make pipelining invisible; these
-//! tests keep it that way.
+//! Executor differential guard, on every workload shape — parameterized
+//! chains, open scans, rest-condition filters, external predicates,
+//! multi-rule fusion — over `MS1` and the two-rule [`UNION_SPEC`]:
+//!
+//! (a) the batch size is invisible: `print_store` is byte-identical across
+//!     batch sizes, sequential and parallel execution, cache hits, and
+//!     Partial-mode degradation (with equal completeness sections).
+//!     MSL's set-oriented semantics (§3.2) make pipelining invisible;
+//!     these tests keep it that way;
+//! (b) the planned answer is structurally equal to what the naive
+//!     evaluator ([`medmaker::naive::eval_program`]) computes from the
+//!     same logical datamerge program. The oracle shares no operator,
+//!     fetch or extraction code with the pipeline.
+//!
+//! `MediatorOptions::streaming = false` means `batch_size = usize::MAX`
+//! and nothing else; the test names still say "materialized" for that
+//! whole-table setting.
 
+mod common;
+
+use common::same_objects;
+use medmaker::naive::{eval_program, SourceRef};
 use medmaker::{FaultOptions, Mediator, MediatorOptions, OnSourceFailure};
+use oem::Symbol;
 use proptest::prelude::*;
 use std::sync::Arc;
 use wrappers::fault::{FaultInjectingWrapper, FaultPlan};
@@ -14,7 +29,8 @@ use wrappers::scenario::{cs_wrapper, whois_wrapper, MS1};
 use wrappers::Wrapper;
 
 /// Multi-rule view fused by a semantic oid: one chain per source, so the
-/// parallel/streaming merge paths are exercised with more than one chain.
+/// parallel merge path is exercised with more than one chain, and the
+/// oracle must fuse across rules.
 const UNION_SPEC: &str = "\
 <person_id(N) all_person {<name N> <src 'whois'> Rest}> :-
     <person {<name N> | Rest}>@whois
@@ -25,6 +41,8 @@ const UNION_SPEC: &str = "\
 decomp(bound, free, free) by name_to_lnfn
 decomp(free, bound, bound) by lnfn_to_name
 ";
+
+const BATCH_SIZES: [usize; 5] = [1, 7, 512, 4096, usize::MAX];
 
 fn mediator(spec: &str, options: MediatorOptions) -> Mediator {
     Mediator::new(
@@ -37,15 +55,16 @@ fn mediator(spec: &str, options: MediatorOptions) -> Mediator {
     .with_options(options)
 }
 
-fn streaming_opts(batch_size: usize) -> MediatorOptions {
+fn batched(batch_size: usize) -> MediatorOptions {
     MediatorOptions {
-        streaming: true,
         batch_size,
         ..Default::default()
     }
 }
 
-fn materializing_opts() -> MediatorOptions {
+/// Whole tables between operators, spelled the way the frozen benchmark
+/// spells it.
+fn whole_tables() -> MediatorOptions {
     MediatorOptions {
         streaming: false,
         ..Default::default()
@@ -58,6 +77,34 @@ fn materializing_opts() -> MediatorOptions {
 fn answer(med: &Mediator, query: &str) -> String {
     let res = med.query_text(query).unwrap();
     oem::printer::print_store(&res)
+}
+
+/// Assertion (b): the planned answer to `query` equals the naive
+/// evaluation of the same expanded program.
+fn assert_matches_naive(med: &Mediator, query: &str) {
+    let q = msl::parse_query(query).unwrap();
+    let planned = med.query_rule(&q).unwrap().results;
+    let sources: Vec<Arc<dyn Wrapper>> = vec![Arc::new(whois_wrapper()), Arc::new(cs_wrapper())];
+    let resolve = |name: Symbol| {
+        sources
+            .iter()
+            .find(|w| w.name() == name)
+            .map(SourceRef::Wrapper)
+    };
+    let naive = eval_program(
+        &med.expand(&q).unwrap().rules,
+        &resolve,
+        &medmaker::externals::standard_registry(),
+    )
+    .unwrap();
+    assert!(
+        same_objects(&planned, &naive),
+        "query={query}: planned {} objects vs naive {}\nplanned:\n{}naive:\n{}",
+        planned.top_level().len(),
+        naive.top_level().len(),
+        oem::printer::print_store(&planned),
+        oem::printer::print_store(&naive),
+    );
 }
 
 /// The workload matrix: every plan-node shape the executor has.
@@ -74,45 +121,63 @@ const QUERIES: &[&str] = &[
     "<o {<n N>}> :- <cs_person {<name N>}>@m AND eq(N, N)",
 ];
 
+/// The fusion view's one query: both rules contribute to every object.
+const UNION_QUERY: &str = "P :- P:<all_person {}>@m";
+
 #[test]
 fn streaming_matches_materialized_on_every_workload() {
-    let oracle = mediator(MS1, materializing_opts());
-    for &batch in &[1usize, 7, 512, 4096] {
-        let streamed = mediator(MS1, streaming_opts(batch));
-        for q in QUERIES {
-            assert_eq!(
-                answer(&streamed, q),
-                answer(&oracle, q),
-                "batch={batch} query={q}"
-            );
+    let whole = mediator(MS1, whole_tables());
+    for q in QUERIES {
+        let expected = answer(&whole, q);
+        for &batch in &BATCH_SIZES {
+            for parallel in [false, true] {
+                let med = mediator(
+                    MS1,
+                    MediatorOptions {
+                        parallel,
+                        ..batched(batch)
+                    },
+                );
+                assert_eq!(
+                    answer(&med, q),
+                    expected,
+                    "batch={batch} parallel={parallel} query={q}"
+                );
+            }
         }
+        assert_matches_naive(&whole, q);
     }
 }
 
 #[test]
 fn streaming_matches_materialized_on_multi_rule_fusion() {
-    let oracle = mediator(UNION_SPEC, materializing_opts());
-    let q = "P :- P:<all_person {}>@m";
-    let expected = answer(&oracle, q);
-    for &batch in &[1usize, 7, 512, 4096] {
-        // Sequential and parallel streaming must both agree with the
-        // oracle (and therefore with each other).
-        let sequential = mediator(UNION_SPEC, streaming_opts(batch));
-        assert_eq!(answer(&sequential, q), expected, "batch={batch}");
+    let whole = mediator(UNION_SPEC, whole_tables());
+    let expected = answer(&whole, UNION_QUERY);
+    for &batch in &BATCH_SIZES {
+        // Sequential and parallel execution must both agree with the
+        // whole-table run (and therefore with each other).
+        let sequential = mediator(UNION_SPEC, batched(batch));
+        assert_eq!(answer(&sequential, UNION_QUERY), expected, "batch={batch}");
         let parallel = mediator(
             UNION_SPEC,
             MediatorOptions {
                 parallel: true,
-                ..streaming_opts(batch)
+                ..batched(batch)
             },
         );
-        assert_eq!(answer(&parallel, q), expected, "parallel batch={batch}");
+        assert_eq!(
+            answer(&parallel, UNION_QUERY),
+            expected,
+            "parallel batch={batch}"
+        );
     }
+    // Two rules, one constructor: the oracle fuses per semantic oid too.
+    assert_matches_naive(&whole, UNION_QUERY);
 }
 
 #[test]
 fn streaming_records_first_answer_and_bounded_batches() {
-    let med = mediator(MS1, streaming_opts(2));
+    let med = mediator(MS1, batched(2));
     let q = msl::parse_query("P :- P:<cs_person {}>@m").unwrap();
     let outcome = med.query_rule(&q).unwrap();
     assert!(outcome.trace.first_rows_ns > 0, "TTFA must be recorded");
@@ -122,17 +187,22 @@ fn streaming_records_first_answer_and_bounded_batches() {
         outcome.trace.peak_batch_rows
     );
     assert!(outcome.trace.peak_bytes_resident > 0);
-    // The materializing oracle holds whole tables, so its peak for the
-    // same query is at least as large.
-    let oracle = mediator(MS1, materializing_opts());
-    let mat = oracle.query_rule(&q).unwrap();
-    assert!(mat.trace.peak_batch_rows >= outcome.trace.peak_batch_rows);
+    // `streaming = false` is `batch_size = usize::MAX` and nothing else:
+    // both hold whole tables, so the same peak, no lower than the
+    // bounded one.
+    let whole = mediator(MS1, whole_tables()).query_rule(&q).unwrap();
+    let unbounded = mediator(MS1, batched(usize::MAX)).query_rule(&q).unwrap();
+    assert_eq!(whole.trace.peak_batch_rows, unbounded.trace.peak_batch_rows);
+    assert!(whole.trace.peak_batch_rows >= outcome.trace.peak_batch_rows);
+    assert!(whole.trace.first_rows_ns > 0);
 }
 
 #[test]
 fn streaming_matches_materialized_in_partial_mode() {
     // cs is down: the cs chain drops, the whois chain still answers —
-    // identically in both modes, with the same completeness annotations.
+    // identically at every batch size, with the same completeness
+    // annotations. (No naive counterpart: the oracle has no Partial mode;
+    // `tests/fault_tolerance.rs` asserts the degraded answers explicitly.)
     let build = |options: MediatorOptions| {
         let down: Arc<dyn Wrapper> = Arc::new(FaultInjectingWrapper::new(
             Arc::new(cs_wrapper()),
@@ -153,60 +223,71 @@ fn streaming_matches_materialized_in_partial_mode() {
             ..options
         })
     };
-    let q = msl::parse_query("P :- P:<all_person {}>@m").unwrap();
-    let streamed = build(streaming_opts(3)).query_rule(&q).unwrap();
-    let materialized = build(materializing_opts()).query_rule(&q).unwrap();
-    assert_eq!(
-        oem::printer::print_store(&streamed.results),
-        oem::printer::print_store(&materialized.results)
-    );
-    assert!(!streamed.trace.completeness.is_complete());
-    assert_eq!(
-        streamed.trace.completeness.skipped_chains,
-        materialized.trace.completeness.skipped_chains
-    );
-    assert_eq!(
-        streamed.trace.completeness.sources_failed,
-        materialized.trace.completeness.sources_failed
-    );
+    let q = msl::parse_query(UNION_QUERY).unwrap();
+    let whole = build(whole_tables()).query_rule(&q).unwrap();
+    assert!(!whole.trace.completeness.is_complete());
+    assert!(!whole.results.top_level().is_empty(), "whois side answers");
+    for &batch in &BATCH_SIZES {
+        for parallel in [false, true] {
+            let out = build(MediatorOptions {
+                parallel,
+                ..batched(batch)
+            })
+            .query_rule(&q)
+            .unwrap();
+            assert_eq!(
+                oem::printer::print_store(&out.results),
+                oem::printer::print_store(&whole.results),
+                "batch={batch} parallel={parallel}"
+            );
+            assert_eq!(
+                out.trace.completeness.skipped_chains,
+                whole.trace.completeness.skipped_chains
+            );
+            assert_eq!(
+                out.trace.completeness.sources_failed,
+                whole.trace.completeness.sources_failed
+            );
+        }
+    }
 }
 
 #[test]
 fn streaming_matches_materialized_on_cache_hits() {
-    let build = |options: MediatorOptions| {
+    let build = |spec: &str, options: MediatorOptions| {
         mediator(
-            MS1,
+            spec,
             MediatorOptions {
-                cache: medmaker::CacheOptions {
-                    enabled: true,
-                    ..Default::default()
-                },
+                cache: medmaker::CacheOptions::enabled(),
                 ..options
             },
         )
     };
-    let q = "P :- P:<cs_person {}>@m";
-    let streamed = build(streaming_opts(4));
-    let materialized = build(materializing_opts());
-    // First run populates each mediator's cache; the second is served
-    // from it (cached rows enter the streaming pipeline fully extracted).
-    let cold = (answer(&streamed, q), answer(&materialized, q));
-    assert_eq!(cold.0, cold.1);
-    let warm = (answer(&streamed, q), answer(&materialized, q));
-    assert_eq!(warm.0, warm.1);
-    assert_eq!(cold.0, warm.0, "cache hits must not change the answer");
+    for (spec, queries) in [(MS1, QUERIES), (UNION_SPEC, &[UNION_QUERY][..])] {
+        for q in queries {
+            let uncached = answer(&mediator(spec, MediatorOptions::default()), q);
+            for &batch in &BATCH_SIZES {
+                // The first run populates the cache; the second is served
+                // from it (cached rows enter the pipeline fully extracted).
+                let med = build(spec, batched(batch));
+                assert_eq!(answer(&med, q), uncached, "cold batch={batch} query={q}");
+                assert_eq!(answer(&med, q), uncached, "warm batch={batch} query={q}");
+                assert_matches_naive(&med, q);
+            }
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Batch size is invisible: any size from one row up produces the
-    /// same bytes as the materializing oracle.
+    /// same bytes as whole tables.
     #[test]
     fn any_batch_size_is_equivalent(batch in 1i64..4097) {
-        let oracle = mediator(MS1, materializing_opts());
-        let streamed = mediator(MS1, streaming_opts(batch as usize));
+        let whole = mediator(MS1, whole_tables());
+        let med = mediator(MS1, batched(batch as usize));
         let q = "JC :- JC:<cs_person {<name 'Joe Chung'>}>@m";
-        prop_assert_eq!(answer(&streamed, q), answer(&oracle, q));
+        prop_assert_eq!(answer(&med, q), answer(&whole, q));
     }
 }
