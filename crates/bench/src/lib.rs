@@ -1,13 +1,13 @@
-//! Shared harness helpers for the figure-reproduction experiments and the
-//! Criterion benches.
+//! Shared harness helpers for the figure-reproduction experiments (the
+//! `experiments` binary and `tests/cost_model.rs`). Nothing here is timed:
+//! wall-clock numbers come from `BENCHMARK.json` and the stand-alone
+//! package under `src/bin/perf/`.
 
 #![warn(missing_docs)]
 
-use medmaker::planner::PlannerOptions;
 use medmaker::{ExternalRegistry, Mediator, MediatorOptions};
 use std::sync::Arc;
 use wrappers::scenario::{cs_wrapper, whois_wrapper, MS1};
-use wrappers::workload::PersonWorkload;
 
 /// The paper's `med` mediator over the paper's exact sources.
 pub fn paper_mediator() -> Mediator {
@@ -25,22 +25,6 @@ pub fn paper_mediator_with(options: MediatorOptions) -> Mediator {
     paper_mediator().with_options(options)
 }
 
-/// A scaled `med`-style mediator over the synthetic person workload.
-pub fn scaled_mediator(workload: &PersonWorkload, planner: PlannerOptions) -> Mediator {
-    let (whois, cs) = workload.build();
-    Mediator::new(
-        "med",
-        MS1,
-        vec![Arc::new(whois), Arc::new(cs)],
-        medmaker::externals::standard_registry(),
-    )
-    .expect("workload scenario is valid")
-    .with_options(MediatorOptions {
-        planner,
-        ..Default::default()
-    })
-}
-
 /// A fresh standard registry (decomp).
 pub fn registry() -> ExternalRegistry {
     medmaker::externals::standard_registry()
@@ -55,13 +39,5 @@ mod tests {
         let med = paper_mediator();
         let res = med.query_text("P :- P:<cs_person {}>@med").unwrap();
         assert_eq!(res.top_level().len(), 2);
-    }
-
-    #[test]
-    fn scaled_harness_builds() {
-        let med = scaled_mediator(&PersonWorkload::sized(20), PlannerOptions::default());
-        let res = med.query_text("P :- P:<cs_person {}>@med").unwrap();
-        // overlap 0.5 → 10 persons in both sources.
-        assert_eq!(res.top_level().len(), 10);
     }
 }

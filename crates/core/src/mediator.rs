@@ -9,6 +9,7 @@ use crate::cache::{AnswerCache, CacheCounters, CacheOptions, ParamMemo, SourceDe
 use crate::error::{MedError, Result};
 use crate::exec::{execute, ExecOptions, ExecOutcome};
 use crate::externals::ExternalRegistry;
+use crate::graph::PhysicalPlan;
 use crate::logical::LogicalProgram;
 use crate::planner::{plan, PlanContext, PlannerOptions};
 use crate::recursion::materialize_fixpoint;
@@ -406,6 +407,33 @@ impl Mediator {
             return self.query_recursive(query);
         }
 
+        self.plan_and_run(query, self.options.trace, self.options.parallel, limits)
+            .map(|(_, outcome)| outcome)
+    }
+
+    /// Plan an expanded query against the statistics learned so far.
+    fn plan_program(&self, program: &LogicalProgram) -> Result<PhysicalPlan> {
+        let stats = self.stats.read();
+        let ctx = PlanContext {
+            sources: &self.sources,
+            registry: &self.registry,
+            stats: &stats,
+            options: &self.options.planner,
+            analysis: self.analysis.as_ref(),
+        };
+        plan(program, &ctx)
+    }
+
+    /// Execute a physical plan under the standing options. `trace`,
+    /// `parallel` and `limits` are the three values the entry points
+    /// differ in.
+    fn execute_plan(
+        &self,
+        physical: &PhysicalPlan,
+        trace: bool,
+        parallel: bool,
+        limits: &QueryLimits,
+    ) -> Result<ExecOutcome> {
         let mut fault = self.options.fault.clone();
         if let Some(d) = limits.deadline_ms {
             fault.source_deadline_ms = Some(match fault.source_deadline_ms {
@@ -413,37 +441,39 @@ impl Mediator {
                 None => d,
             });
         }
-        let program = self.expand(query)?;
-        let physical = {
-            let stats = self.stats.read();
-            let ctx = PlanContext {
-                sources: &self.sources,
-                registry: &self.registry,
-                stats: &stats,
-                options: &self.options.planner,
-                analysis: self.analysis.as_ref(),
-            };
-            plan(&program, &ctx)?
-        };
-        let mut outcome = execute(
-            &physical,
+        execute(
+            physical,
             &self.sources,
             &self.registry,
             &ExecOptions {
-                trace: self.options.trace,
-                parallel: self.options.parallel,
+                trace,
+                parallel,
                 fault,
                 cache: self.exec_cache(),
                 param_memo: self.exec_param_memo(),
                 streaming: self.options.streaming,
                 batch_size: limits.batch_size.unwrap_or(self.options.batch_size),
             },
-        )?;
+        )
+    }
+
+    /// Expand, plan and execute a validated non-recursive query, stamp the
+    /// trace with the query text and, with `learn_stats` on, feed its
+    /// observations back into the statistics cache.
+    fn plan_and_run(
+        &self,
+        query: &Rule,
+        trace: bool,
+        parallel: bool,
+        limits: &QueryLimits,
+    ) -> Result<(PhysicalPlan, ExecOutcome)> {
+        let physical = self.plan_program(&self.expand(query)?)?;
+        let mut outcome = self.execute_plan(&physical, trace, parallel, limits)?;
         outcome.trace.query = msl::printer::rule(query);
         if self.options.learn_stats {
             self.stats.record_trace(&outcome.trace);
         }
-        Ok(outcome)
+        Ok((physical, outcome))
     }
 
     /// View expansion only (used by explain and the experiments).
@@ -492,34 +522,11 @@ impl Mediator {
         let program = self.expand(&query)?;
         let mut out = String::new();
         out.push_str(&crate::explain::render_logical(&program));
-        let physical = {
-            let stats = self.stats.read();
-            let ctx = PlanContext {
-                sources: &self.sources,
-                registry: &self.registry,
-                stats: &stats,
-                options: &self.options.planner,
-                analysis: self.analysis.as_ref(),
-            };
-            plan(&program, &ctx)?
-        };
+        let physical = self.plan_program(&program)?;
         let _ = writeln!(out);
         out.push_str(&crate::explain::render_plan(&physical));
         if run {
-            let outcome = execute(
-                &physical,
-                &self.sources,
-                &self.registry,
-                &ExecOptions {
-                    trace: true,
-                    parallel: false,
-                    fault: self.options.fault.clone(),
-                    cache: self.exec_cache(),
-                    param_memo: self.exec_param_memo(),
-                    streaming: self.options.streaming,
-                    batch_size: self.options.batch_size,
-                },
-            )?;
+            let outcome = self.execute_plan(&physical, true, false, &QueryLimits::default())?;
             let _ = writeln!(out);
             out.push_str(&crate::explain::render_execution(&physical, &outcome));
         }
@@ -546,36 +553,12 @@ impl Mediator {
             );
             return Ok((report, outcome.trace));
         }
-        let program = self.expand(&query)?;
-        let physical = {
-            let stats = self.stats.read();
-            let ctx = PlanContext {
-                sources: &self.sources,
-                registry: &self.registry,
-                stats: &stats,
-                options: &self.options.planner,
-                analysis: self.analysis.as_ref(),
-            };
-            plan(&program, &ctx)?
-        };
-        let mut outcome = execute(
-            &physical,
-            &self.sources,
-            &self.registry,
-            &ExecOptions {
-                trace: false,
-                parallel: self.options.parallel,
-                fault: self.options.fault.clone(),
-                cache: self.exec_cache(),
-                param_memo: self.exec_param_memo(),
-                streaming: self.options.streaming,
-                batch_size: self.options.batch_size,
-            },
+        let (physical, outcome) = self.plan_and_run(
+            &query,
+            false,
+            self.options.parallel,
+            &QueryLimits::default(),
         )?;
-        outcome.trace.query = msl::printer::rule(&query);
-        if self.options.learn_stats {
-            self.stats.record_trace(&outcome.trace);
-        }
         let report = crate::explain::render_analyze(&physical, &outcome);
         Ok((report, outcome.trace))
     }
