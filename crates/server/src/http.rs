@@ -3,11 +3,16 @@
 //! dependencies offline.
 //!
 //! Supported subset: one request per connection (every response carries
-//! `Connection: close`), headers up to 8 KiB, bodies up to 1 MiB
-//! declared by `Content-Length`. No chunked encoding, no keep-alive, no
-//! TLS — the daemon is meant to sit behind localhost or a trusted
-//! reverse proxy (see docs/OPERATIONS.md).
+//! `Connection: close`), headers up to 8 KiB — checked as the bytes
+//! arrive, so an endless header line is refused at the limit, not once
+//! it is in memory — and bodies up to 1 MiB declared by
+//! `Content-Length`. A response is assembled in one buffer and handed
+//! to the socket whole, so head and body never travel as separate small
+//! segments. No chunked encoding, no keep-alive, no TLS — the daemon is
+//! meant to sit behind localhost or a trusted reverse proxy (see
+//! docs/OPERATIONS.md).
 
+use crate::line::{read_capped, Line};
 use std::io::{BufRead, Write};
 
 /// Largest accepted request body (1 MiB) — queries are small; anything
@@ -51,19 +56,19 @@ pub fn read_request(first_line: &str, reader: &mut impl BufRead) -> Result<Reque
         .to_string();
     let mut content_length = 0usize;
     let mut header_bytes = 0usize;
+    let mut line = Vec::new();
     loop {
-        let mut line = String::new();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| format!("reading headers: {e}"))?;
-        if n == 0 {
-            return Err("connection closed inside headers".to_string());
+        line.clear();
+        match read_capped(reader, &mut line, MAX_HEADER - header_bytes) {
+            Ok(Line::Complete) => {}
+            Ok(Line::Eof) => return Err("connection closed inside headers".to_string()),
+            Ok(Line::TooLong) => return Err("header section too large".to_string()),
+            Err(e) => return Err(format!("reading headers: {e}")),
         }
-        header_bytes += n;
-        if header_bytes > MAX_HEADER {
-            return Err("header section too large".to_string());
-        }
-        let line = line.trim_end_matches(['\r', '\n']);
+        header_bytes += line.len();
+        let line = std::str::from_utf8(&line)
+            .map_err(|_| "header line is not UTF-8".to_string())?
+            .trim_end_matches(['\r', '\n']);
         if line.is_empty() {
             break;
         }
@@ -87,7 +92,7 @@ pub fn read_request(first_line: &str, reader: &mut impl BufRead) -> Result<Reque
 }
 
 /// Write a complete response with `Connection: close` and an exact
-/// `Content-Length`, then flush.
+/// `Content-Length` — head and body in one `write` — then flush.
 pub fn write_response(
     out: &mut impl Write,
     status: u16,
@@ -104,15 +109,17 @@ pub fn write_response(
         503 => "Service Unavailable",
         _ => "Unknown",
     };
-    write!(out, "HTTP/1.1 {status} {reason}\r\n")?;
-    write!(out, "Content-Type: {content_type}\r\n")?;
-    write!(out, "Content-Length: {}\r\n", body.len())?;
-    write!(out, "Connection: close\r\n")?;
+    let mut response = Vec::with_capacity(128 + body.len());
+    write!(response, "HTTP/1.1 {status} {reason}\r\n")?;
+    write!(response, "Content-Type: {content_type}\r\n")?;
+    write!(response, "Content-Length: {}\r\n", body.len())?;
+    write!(response, "Connection: close\r\n")?;
     for (name, value) in extra_headers {
-        write!(out, "{name}: {value}\r\n")?;
+        write!(response, "{name}: {value}\r\n")?;
     }
-    write!(out, "\r\n")?;
-    out.write_all(body)?;
+    write!(response, "\r\n")?;
+    response.extend_from_slice(body);
+    out.write_all(&response)?;
     out.flush()
 }
 
@@ -157,6 +164,31 @@ mod tests {
         let huge = format!("Content-Length: {}\r\n\r\n", MAX_BODY + 1);
         let mut r = BufReader::new(huge.as_bytes());
         assert!(read_request("POST / HTTP/1.1", &mut r).is_err());
+    }
+
+    #[test]
+    fn header_limit_applies_before_a_line_is_in_memory() {
+        // A header line that never ends is refused at the limit...
+        let endless = vec![b'x'; 4 * MAX_HEADER];
+        let mut r = BufReader::new(&endless[..]);
+        let err = read_request("GET / HTTP/1.1", &mut r).unwrap_err();
+        assert_eq!(err, "header section too large");
+        // ...and so is a section of many short lines that adds up past it.
+        let many = "X-Pad: 0123456789\r\n".repeat(MAX_HEADER / 19 + 1) + "\r\n";
+        let mut r = BufReader::new(many.as_bytes());
+        let err = read_request("GET / HTTP/1.1", &mut r).unwrap_err();
+        assert_eq!(err, "header section too large");
+        let mut r = BufReader::new(&b"X-Bad: \xff\xfe\r\n\r\n"[..]);
+        assert!(read_request("GET / HTTP/1.1", &mut r).is_err());
+    }
+
+    #[test]
+    fn response_leaves_in_one_write() {
+        let mut out = crate::testing::CountingWriter::default();
+        let body = vec![b'a'; 100_000];
+        write_response(&mut out, 200, "text/plain", &body, &[("Retry-After", "1")]).unwrap();
+        assert_eq!(out.writes, 1);
+        assert!(out.bytes.ends_with(&body));
     }
 
     #[test]

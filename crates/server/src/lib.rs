@@ -12,6 +12,10 @@
 //! * **Line protocol** ([`proto`]): one MSL query per line, answers
 //!   terminated by a `.` line. Both protocols share one port — the first
 //!   line of each connection is sniffed.
+//! * **The wire costs what the kernel charges**: the acceptor blocks in
+//!   `accept` (shutdown wakes it with a connection to its own address),
+//!   every reply is one `write` on a `TCP_NODELAY` socket, and every line
+//!   read is bounded ([`proto::MAX_LINE`], [`http::MAX_HEADER`]).
 //! * **Admission control + coalescing** ([`service`]): bounded
 //!   concurrent executions, bounded wait queue, 503/`BUSY` sheds beyond
 //!   that, and identical in-flight queries share one execution.
@@ -36,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod http;
+mod line;
 pub mod metrics;
 pub mod proto;
 pub mod service;
@@ -43,9 +48,10 @@ pub mod signal;
 
 pub use service::{QueryReply, QueryService, ReplyStatus};
 
+use line::Line;
 use medmaker::{Mediator, QueryLimits};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -104,9 +110,6 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| format!("no local address: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set nonblocking: {e}"))?;
         let service = Arc::new(QueryService::new(
             mediator,
             options.workers,
@@ -138,6 +141,20 @@ impl ServerHandle {
         self.addr
     }
 
+    /// Where a connection from this process reaches the listener: the
+    /// bound address, or loopback on the bound port when the listener is
+    /// bound to every interface (`0.0.0.0` / `::` is no destination).
+    fn wake_addr(&self) -> SocketAddr {
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        addr
+    }
+
     /// The shared service — metrics and the resident mediator.
     pub fn service(&self) -> &Arc<QueryService> {
         &self.service
@@ -146,10 +163,17 @@ impl ServerHandle {
     /// Graceful shutdown: stop accepting, then wait up to ~2 s for open
     /// connections to finish their current request. In-flight queries
     /// complete; idle connections are abandoned to their read timeout.
+    ///
+    /// The acceptor is blocked in `accept`, so after raising `stop` this
+    /// connects to the listener to wake it. If that connection cannot be
+    /// made the acceptor is left detached rather than joined: it exits at
+    /// the next arrival, and shutdown never waits on one.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+            if TcpStream::connect_timeout(&self.wake_addr(), Duration::from_secs(1)).is_ok() {
+                let _ = h.join();
+            }
         }
         for _ in 0..200 {
             if self.active.load(Ordering::SeqCst) == 0 {
@@ -167,12 +191,13 @@ fn accept_loop(
     active: Arc<AtomicUsize>,
     max_connections: usize,
 ) {
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
+    while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((mut stream, _peer)) => {
+                // `accept` blocks; shutdown wakes it by connecting.
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
                 if active.load(Ordering::SeqCst) >= max_connections {
                     let _ = http::write_response(
                         &mut stream,
@@ -192,10 +217,8 @@ fn accept_loop(
                     active.fetch_sub(1, Ordering::SeqCst);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            // A real failure (EMFILE, ENOMEM, ...): back off, don't spin.
             Err(_) => thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -210,13 +233,23 @@ fn handle_connection(
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    // Replies are whole buffers; none should wait for the peer's ACK.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
+    // Outlives the loop body: a line the idle timeout interrupts is
+    // resumed, not dropped. Bounded by `MAX_LINE`.
+    let mut line = Vec::new();
     loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // client closed
-            Ok(_) => {}
+        match line::read_capped(&mut reader, &mut line, proto::MAX_LINE) {
+            Ok(Line::Eof) => break, // client closed
+            Ok(Line::Complete) => {}
+            Ok(Line::TooLong) => {
+                writer.write_all(b"ERR line too long\n")?;
+                writer.shutdown(Shutdown::Write)?;
+                line::skip(&mut reader);
+                break;
+            }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -230,16 +263,21 @@ fn handle_connection(
             }
             Err(e) => return Err(e),
         }
-        let first = line.trim_end_matches(['\r', '\n']).to_string();
-        if http::is_request_line(&first) {
-            handle_http(&first, &mut reader, &mut writer, service)?;
-            break; // every HTTP response closes the connection
+        match std::str::from_utf8(&line) {
+            Ok(text) => {
+                let first = text.trim_end_matches(['\r', '\n']);
+                if http::is_request_line(first) {
+                    handle_http(first, &mut reader, &mut writer, service)?;
+                    break; // every HTTP response closes the connection
+                }
+                if !first.is_empty() {
+                    let reply = service.run(first, &QueryLimits::default());
+                    proto::write_reply(&mut writer, &reply)?;
+                }
+            }
+            Err(_) => writer.write_all(b"ERR line is not UTF-8\n")?,
         }
-        if first.is_empty() {
-            continue;
-        }
-        let reply = service.run(&first, &QueryLimits::default());
-        proto::write_reply(&mut writer, &reply)?;
+        line.clear();
         if stop.load(Ordering::SeqCst) {
             break;
         }
@@ -431,7 +469,11 @@ fn reply_value(reply: &QueryReply) -> serde::Value {
         ("coalesced".to_string(), serde::Value::Bool(reply.coalesced)),
         (
             "elapsed_ms".to_string(),
-            serde::Value::Int(reply.elapsed_ms as i64),
+            serde::Value::Int(reply.elapsed_ms() as i64),
+        ),
+        (
+            "elapsed_us".to_string(),
+            serde::Value::Int(reply.elapsed_us as i64),
         ),
         (
             "answer".to_string(),
@@ -445,6 +487,29 @@ fn reply_value(reply: &QueryReply) -> serde::Value {
 fn json_str(s: &str) -> String {
     serde_json::to_string(&serde::Value::Str(s.to_string()))
         .unwrap_or_else(|_| "\"error\"".to_string())
+}
+
+#[cfg(test)]
+pub(crate) mod testing {
+    /// A writer that counts the `write` calls it receives — what a socket
+    /// would see as separate segments.
+    #[derive(Default)]
+    pub struct CountingWriter {
+        pub writes: usize,
+        pub bytes: Vec<u8>,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
 }
 
 #[cfg(test)]

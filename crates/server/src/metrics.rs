@@ -31,7 +31,7 @@ pub struct ServerMetrics {
     objects_returned: AtomicU64,
     truncated_replies: AtomicU64,
     partial_replies: AtomicU64,
-    elapsed_ms_total: AtomicU64,
+    elapsed_us_total: AtomicU64,
     executions: AtomicU64,
     source_calls: AtomicU64,
     cache_hits: AtomicU64,
@@ -67,8 +67,8 @@ impl ServerMetrics {
         }
         self.objects_returned
             .fetch_add(reply.objects as u64, Ordering::Relaxed);
-        self.elapsed_ms_total
-            .fetch_add(reply.elapsed_ms, Ordering::Relaxed);
+        self.elapsed_us_total
+            .fetch_add(reply.elapsed_us, Ordering::Relaxed);
     }
 
     /// Fold one execution's trace totals (called once per leader; cache
@@ -124,6 +124,7 @@ impl ServerMetrics {
     /// per-execution counters) and `mediator` (live process-wide gauges).
     pub fn snapshot(&self, mediator: &Mediator, uptime_ms: u64) -> serde::Value {
         let n = |a: &AtomicU64| serde::Value::Int(a.load(Ordering::Relaxed) as i64);
+        let elapsed_us = self.elapsed_us_total.load(Ordering::Relaxed) as i64;
         let cache = mediator.cache_counters();
         serde::Value::Object(vec![
             ("uptime_ms".to_string(), serde::Value::Int(uptime_ms as i64)),
@@ -139,7 +140,16 @@ impl ServerMetrics {
                     ("objects_returned".to_string(), n(&self.objects_returned)),
                     ("truncated_replies".to_string(), n(&self.truncated_replies)),
                     ("partial_replies".to_string(), n(&self.partial_replies)),
-                    ("elapsed_ms_total".to_string(), n(&self.elapsed_ms_total)),
+                    // Derived, so that replies of a fraction of a
+                    // millisecond each still add up.
+                    (
+                        "elapsed_ms_total".to_string(),
+                        serde::Value::Int(elapsed_us / 1000),
+                    ),
+                    (
+                        "elapsed_us_total".to_string(),
+                        serde::Value::Int(elapsed_us),
+                    ),
                     ("executions".to_string(), n(&self.executions)),
                     ("source_calls".to_string(), n(&self.source_calls)),
                     ("cache_hits".to_string(), n(&self.cache_hits)),
@@ -209,5 +219,45 @@ impl ServerMetrics {
                 ]),
             ),
         ])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+    use wrappers::scenario::{cs_wrapper, whois_wrapper, MS1};
+
+    #[test]
+    fn sub_millisecond_replies_add_up_in_the_snapshot() {
+        let med = Mediator::new(
+            "med",
+            MS1,
+            vec![Arc::new(whois_wrapper()), Arc::new(cs_wrapper())],
+            medmaker::externals::standard_registry(),
+        )
+        .unwrap();
+        let metrics = ServerMetrics::default();
+        let reply = QueryReply {
+            status: ReplyStatus::Ok,
+            answer: String::new(),
+            objects: 0,
+            total_objects: 0,
+            truncated: false,
+            partial: None,
+            error: None,
+            coalesced: false,
+            elapsed_us: 300,
+        };
+        assert_eq!(reply.elapsed_ms(), 0);
+        for _ in 0..10 {
+            metrics.record_reply(&reply);
+        }
+        let snapshot = metrics.snapshot(&med, 0);
+        let server = snapshot.get("server").expect("server section");
+        let field = |name: &str| server.get(name).and_then(|v| v.as_i64());
+        assert_eq!(field("queries_total"), Some(10));
+        assert_eq!(field("elapsed_us_total"), Some(3000));
+        assert_eq!(field("elapsed_ms_total"), Some(3));
     }
 }

@@ -21,49 +21,55 @@
 //! ```
 //!
 //! for failures and admission-control sheds respectively. Messages are
-//! collapsed to one line. Blank request lines are ignored.
+//! collapsed to one line. Blank request lines are ignored. A response
+//! block is assembled in one buffer and handed to the socket whole: head,
+//! answer and terminator sent as three small segments would each wait on
+//! the peer's delayed ACK.
+//!
+//! A request line may be at most [`MAX_LINE`] bytes; a longer one is
+//! answered `ERR line too long` and the connection is closed.
 
 use crate::service::{QueryReply, ReplyStatus};
 use std::io::Write;
+
+/// Largest accepted request line, newline included (1 MiB — the size a
+/// query may have over HTTP, [`crate::http::MAX_BODY`]).
+pub const MAX_LINE: usize = crate::http::MAX_BODY;
 
 /// Collapse an error message to a single line.
 fn one_line(msg: &str) -> String {
     msg.replace(['\r', '\n'], "; ")
 }
 
-/// Write one response block for `reply`, then flush.
+/// Write one response block for `reply` — in one `write` — then flush.
 pub fn write_reply(out: &mut impl Write, reply: &QueryReply) -> std::io::Result<()> {
-    match reply.status {
+    let block = match reply.status {
         ReplyStatus::Ok => {
-            let mut head = format!("OK {} {}", reply.objects, reply.total_objects);
+            let mut block = format!("OK {} {}", reply.objects, reply.total_objects);
             if reply.truncated {
-                head.push_str(" TRUNCATED");
+                block.push_str(" TRUNCATED");
             }
             if reply.partial.is_some() {
-                head.push_str(" PARTIAL");
+                block.push_str(" PARTIAL");
             }
-            writeln!(out, "{head}")?;
-            out.write_all(reply.answer.as_bytes())?;
+            block.push('\n');
+            block.push_str(&reply.answer);
             if !reply.answer.is_empty() && !reply.answer.ends_with('\n') {
-                writeln!(out)?;
+                block.push('\n');
             }
-            writeln!(out, ".")?;
+            block.push_str(".\n");
+            block
         }
-        ReplyStatus::Shed => {
-            writeln!(
-                out,
-                "BUSY {}",
-                one_line(reply.error.as_deref().unwrap_or("admission queue full"))
-            )?;
-        }
-        ReplyStatus::BadQuery | ReplyStatus::Failed => {
-            writeln!(
-                out,
-                "ERR {}",
-                one_line(reply.error.as_deref().unwrap_or("query failed"))
-            )?;
-        }
-    }
+        ReplyStatus::Shed => format!(
+            "BUSY {}\n",
+            one_line(reply.error.as_deref().unwrap_or("admission queue full"))
+        ),
+        ReplyStatus::BadQuery | ReplyStatus::Failed => format!(
+            "ERR {}\n",
+            one_line(reply.error.as_deref().unwrap_or("query failed"))
+        ),
+    };
+    out.write_all(block.as_bytes())?;
     out.flush()
 }
 
@@ -81,7 +87,7 @@ mod tests {
             partial: None,
             error: None,
             coalesced: false,
-            elapsed_ms: 0,
+            elapsed_us: 0,
         }
     }
 
@@ -93,6 +99,17 @@ mod tests {
             String::from_utf8(out).unwrap(),
             "OK 1 1\n<&p1, person, set, {}>\n.\n"
         );
+    }
+
+    #[test]
+    fn every_reply_leaves_in_one_write() {
+        let mut bad = ok_reply("", 0, 0);
+        bad.status = ReplyStatus::BadQuery;
+        for reply in [ok_reply("<&p1, person, set, {}>\n", 1, 1), bad] {
+            let mut out = crate::testing::CountingWriter::default();
+            write_reply(&mut out, &reply).unwrap();
+            assert_eq!(out.writes, 1, "{:?}", reply.status);
+        }
     }
 
     #[test]

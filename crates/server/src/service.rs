@@ -52,7 +52,7 @@ impl ReplyStatus {
 
 /// One request's outcome, shared byte-for-byte between a coalescing
 /// leader and its followers (only [`QueryReply::coalesced`] and
-/// [`QueryReply::elapsed_ms`] are per-requester).
+/// [`QueryReply::elapsed_us`] are per-requester).
 #[derive(Clone, Debug)]
 pub struct QueryReply {
     /// Outcome class (drives the HTTP status code).
@@ -75,11 +75,18 @@ pub struct QueryReply {
     pub error: Option<String>,
     /// Whether this requester shared another request's execution.
     pub coalesced: bool,
-    /// Wall-clock time this requester waited, in milliseconds.
-    pub elapsed_ms: u64,
+    /// Wall-clock time this requester waited, in microseconds (a reply
+    /// from the cache takes a fraction of a millisecond).
+    pub elapsed_us: u64,
 }
 
 impl QueryReply {
+    /// [`QueryReply::elapsed_us`] in whole milliseconds, as the wire's
+    /// `elapsed_ms` reports it.
+    pub fn elapsed_ms(&self) -> u64 {
+        self.elapsed_us / 1000
+    }
+
     fn empty(status: ReplyStatus, error: Option<String>, started: Instant) -> QueryReply {
         QueryReply {
             status,
@@ -90,7 +97,7 @@ impl QueryReply {
             partial: None,
             error,
             coalesced: false,
-            elapsed_ms: started.elapsed().as_millis() as u64,
+            elapsed_us: started.elapsed().as_micros() as u64,
         }
     }
 }
@@ -290,7 +297,7 @@ impl QueryService {
         if !leader {
             let mut reply = slot.wait();
             reply.coalesced = true;
-            reply.elapsed_ms = started.elapsed().as_millis() as u64;
+            reply.elapsed_us = started.elapsed().as_micros() as u64;
             self.metrics.record_reply(&reply);
             return reply;
         }
@@ -357,7 +364,7 @@ impl QueryService {
             partial,
             error: None,
             coalesced: false,
-            elapsed_ms: started.elapsed().as_millis() as u64,
+            elapsed_us: started.elapsed().as_micros() as u64,
         }
     }
 }

@@ -2,9 +2,10 @@
 # Smoke test for `medmaker serve` (CI "Serve smoke" step; run it locally
 # the same way): start the daemon on a free port against the demo
 # mediator, drive one query over each wire protocol plus /healthz and
-# /metrics, then check that SIGTERM shuts it down gracefully (exit 0,
-# drained). Needs only bash + a built `medmaker` binary; the HTTP client
-# is a raw bash /dev/tcp exchange, so no curl dependency.
+# /metrics, ten queries down one line-protocol connection and an
+# over-long line, then check that SIGTERM shuts it down gracefully (exit
+# 0, drained, within 2 s). Needs only bash + a built `medmaker` binary;
+# the HTTP client is a raw bash /dev/tcp exchange, so no curl dependency.
 set -euo pipefail
 
 BIN="${MEDMAKER_BIN:-target/debug/medmaker}"
@@ -53,14 +54,23 @@ echo "$RES" | grep -q "200 OK" || fail "/query not 200" "$RES"
 echo "$RES" | grep -q '"status": "ok"' || fail "/query status not ok" "$RES"
 echo "$RES" | grep -q "Joe Chung" || fail "/query answer missing Joe Chung" "$RES"
 
-# Same query over the line protocol: OK header, answer block, '.' end.
-RES="$(exec 3<>"/dev/tcp/$HOST/$PORT"
-  printf "JC :- JC:<cs_person {<name 'Joe Chung'>}>@med\n" >&3
-  while IFS= read -r line <&3; do
-    echo "$line"
-    [ "$line" = "." ] && break
+# COUNT queries down one line-protocol connection (fd 3), each sent once
+# the previous block — OK header, answer, '.' end — has been read.
+line_queries() {
+  local count=$1 line
+  exec 3<>"/dev/tcp/$HOST/$PORT"
+  for _ in $(seq 1 "$count"); do
+    printf "JC :- JC:<cs_person {<name 'Joe Chung'>}>@med\n" >&3
+    while IFS= read -r line <&3; do
+      echo "$line"
+      [ "$line" = "." ] && break
+    done
   done
-  exec 3<&- 3>&-)"
+  exec 3<&- 3>&-
+}
+
+# Same query over the line protocol.
+RES="$(line_queries 1)"
 echo "$RES" | head -n1 | grep -q "^OK 1 1" || fail "line protocol header" "$RES"
 echo "$RES" | grep -q "Joe Chung" || fail "line protocol answer" "$RES"
 
@@ -76,14 +86,29 @@ echo "$RES" | grep -q '"invalidated"' || fail "invalidate reply" "$RES"
 RES="$(http 'GET /metrics HTTP/1.1\r\nHost: smoke\r\n\r\n')"
 echo "$RES" | grep -q '"invalidations": 1' || fail "/metrics invalidations != 1" "$RES"
 
-# Graceful shutdown: SIGTERM must drain and exit 0 promptly.
+# Many queries down one connection: ten blocks come back.
+RES="$(line_queries 10)"
+[ "$(echo "$RES" | grep -c "^OK 1 1")" -eq 10 ] || fail "ten line-protocol replies" "$RES"
+RES="$(http 'GET /metrics HTTP/1.1\r\nHost: smoke\r\n\r\n')"
+echo "$RES" | grep -q '"queries_ok": 12' || fail "/metrics queries_ok != 12" "$RES"
+
+# A line past the 1 MiB bound is refused, not buffered.
+RES="$(exec 3<>"/dev/tcp/$HOST/$PORT"
+  { head -c 1048577 /dev/zero | tr '\0' 'x'; echo; } >&3 2>/dev/null || true
+  IFS= read -r line <&3 && echo "$line"
+  exec 3<&- 3>&-)"
+[ "$RES" = "ERR line too long" ] || fail "over-long line not refused" "${RES:0:200}"
+
+# Graceful shutdown: with no connection open, SIGTERM must drain and
+# exit 0 within 2 s (the acceptor is blocked in accept and has to be
+# woken).
 kill -TERM "$SERVER_PID"
-for _ in $(seq 1 100); do
+for _ in $(seq 1 20); do
   kill -0 "$SERVER_PID" 2>/dev/null || break
   sleep 0.1
 done
 if kill -0 "$SERVER_PID" 2>/dev/null; then
-  echo "FAIL: server still running 10s after SIGTERM"
+  echo "FAIL: server still running 2s after SIGTERM"
   kill -9 "$SERVER_PID"
   exit 1
 fi
