@@ -1002,17 +1002,27 @@ fn cost() {
 /// Bounded batches against slow sources: an open scan over the scaled
 /// person view with 2 ms injected latency per round-trip on *both*
 /// sources (the shape of real network wrappers), so whichever source the
-/// optimizer puts on the per-row side of the bind join pays it. With an
-/// unbounded batch every operator hands on its whole table, so the first
-/// answer arrives with the last round-trip; with a batch of 32 the
-/// pipeline surfaces the first rows after about one batch of round-trips
-/// and no operator holds more than one batch.
+/// optimizer puts on the inner side of the bind join pays it.
+///
+/// Two runs against sources that take one value per parameter (§3.4's
+/// node: one query per binding tuple) show pipelining. With an unbounded
+/// batch every operator hands on its whole table, so the first answer
+/// arrives with the last round-trip; with a batch of 32 the pipeline
+/// surfaces the first rows after about one batch of round-trips and no
+/// operator holds more than one batch.
+///
+/// Two more against sources that accept value sets show what a
+/// round-trip then carries: each refill of the parameterized node sends
+/// its distinct tuples in one call, so 400 tuples cost 1 call unbounded
+/// and ceil(400 / 32) = 13 at batch 32 — and the answers are the bytes
+/// the per-tuple runs printed.
 ///
 /// This is the one experiment that reads a clock, because what it times
-/// is sleep it injected itself (at least 802 of some 866 ms per run), not
-/// the host: `wall >= source_calls x 2 ms`, the first answer at least 2x
-/// sooner at batch 32, and peak resident 32 against 400 rows. The host's
-/// speed is `BENCHMARK.json`'s (`exec.first_rows_ms`, `exec.peak_batch_rows`).
+/// is sleep it injected itself (at least 802 of some 866 ms per per-tuple
+/// run), not the host: `wall >= source_calls x 2 ms`, the first answer at
+/// least 2x sooner at batch 32, and peak resident 32 against 400 rows. The
+/// host's speed is `BENCHMARK.json`'s (`exec.first_rows_ms`,
+/// `exec.peak_batch_rows`).
 fn streaming() {
     use std::time::Instant;
     use wrappers::fault::{FaultInjectingWrapper, FaultPlan};
@@ -1021,8 +1031,12 @@ fn streaming() {
     const N: usize = 400;
     const LATENCY_MS: u64 = 2;
     const BATCH: usize = 32;
-    let build = |batch_size: usize| {
-        let (whois, cs) = PersonWorkload::sized(N).build();
+    let build = |batch_size: usize, value_sets: bool| {
+        let (mut whois, mut cs) = PersonWorkload::sized(N).build();
+        if !value_sets {
+            whois = whois.without_parameterized_sets();
+            cs = cs.without_parameterized_sets();
+        }
         let slow = |w: Arc<dyn Wrapper>| -> Arc<dyn Wrapper> {
             Arc::new(FaultInjectingWrapper::new(
                 w,
@@ -1038,9 +1052,9 @@ fn streaming() {
         .unwrap()
         .with_options(MediatorOptions {
             planner: PlannerOptions {
-                // Bind joins make the inner source a per-row
-                // parameterized query: the latency cost is proportional
-                // to the rows consumed, so pipelining is visible in
+                // Bind joins make the inner source a parameterized
+                // query: per tuple the latency cost is proportional to
+                // the rows consumed, so pipelining is visible in
                 // time-to-first-answer.
                 prefer_bind_join: Some(true),
                 ..Default::default()
@@ -1052,8 +1066,8 @@ fn streaming() {
     };
     let q = msl::parse_query("P :- P:<cs_person {}>@med").unwrap();
 
-    let run = |label: &str, batch_size: usize| {
-        let med = build(batch_size);
+    let run = |label: &str, batch_size: usize, value_sets: bool| {
+        let med = build(batch_size, value_sets);
         let start = Instant::now();
         let outcome = med.query_rule(&q).unwrap();
         let wall = start.elapsed();
@@ -1074,7 +1088,7 @@ fn streaming() {
             per_source.join(", ")
         );
         // Every round-trip really waited: if the plan stops calling the
-        // slow side once per row, the latency floor gives it away.
+        // slow side as often as it reports, the latency floor gives it away.
         assert!(
             wall.as_millis() as u64 >= calls as u64 * LATENCY_MS,
             "{label}: {calls} round-trips at {LATENCY_MS} ms each cannot \
@@ -1083,19 +1097,24 @@ fn streaming() {
         );
         outcome
     };
-    let unbounded = run("unbounded batch", usize::MAX);
-    let bounded = run("batch 32       ", BATCH);
+    let unbounded = run("one tuple a call, unbounded batch", usize::MAX, false);
+    let bounded = run("one tuple a call, batch 32       ", BATCH, false);
+    let sets_unbounded = run("value sets, unbounded batch      ", usize::MAX, true);
+    let sets_bounded = run("value sets, batch 32             ", BATCH, true);
 
-    assert_eq!(
-        print_store(&bounded.results),
-        print_store(&unbounded.results),
-        "the batch size must not change the answer"
-    );
+    let answer = print_store(&unbounded.results);
+    for other in [&bounded, &sets_unbounded, &sets_bounded] {
+        assert_eq!(
+            print_store(&other.results),
+            answer,
+            "neither the batch size nor what a call carries may change the answer"
+        );
+    }
     let calls = bounded.trace.total_source_calls();
     assert_eq!(calls, unbounded.trace.total_source_calls());
     assert!(
         calls > N / 2,
-        "the per-row side must be called per row, got {calls} round-trips"
+        "the per-tuple side must be called per tuple, got {calls} round-trips"
     );
     assert!(unbounded.trace.first_rows_ns > 0 && bounded.trace.first_rows_ns > 0);
     let speedup = unbounded.trace.first_rows_ns as f64 / bounded.trace.first_rows_ns as f64;
@@ -1106,11 +1125,13 @@ fn streaming() {
         unbounded.trace.first_rows_ns,
         bounded.trace.first_rows_ns
     );
-    assert!(
-        bounded.trace.peak_batch_rows <= BATCH,
-        "no operator may hold more than one batch: peak {}",
-        bounded.trace.peak_batch_rows
-    );
+    for b in [&bounded, &sets_bounded] {
+        assert!(
+            b.trace.peak_batch_rows <= BATCH,
+            "no operator may hold more than one batch: peak {}",
+            b.trace.peak_batch_rows
+        );
+    }
     assert!(
         unbounded.trace.peak_batch_rows >= 4 * bounded.trace.peak_batch_rows,
         "an unbounded batch holds whole tables ({} rows) — the bounded \
@@ -1118,11 +1139,21 @@ fn streaming() {
         unbounded.trace.peak_batch_rows,
         bounded.trace.peak_batch_rows
     );
+    // One call for the outer side, one per refill of the inner.
+    assert_eq!(sets_unbounded.trace.total_source_calls(), 2);
+    assert_eq!(
+        sets_bounded.trace.total_source_calls(),
+        1 + N.div_ceil(BATCH)
+    );
 
     println!(
         "[ok] first answer {speedup:.1}x sooner at batch {BATCH}; peak resident \
-         {} rows vs {} unbounded, byte-identical answers",
-        bounded.trace.peak_batch_rows, unbounded.trace.peak_batch_rows
+         {} rows vs {} unbounded; {calls} round-trips become {} with value sets \
+         ({} unbounded), byte-identical answers",
+        bounded.trace.peak_batch_rows,
+        unbounded.trace.peak_batch_rows,
+        sets_bounded.trace.total_source_calls(),
+        sets_unbounded.trace.total_source_calls()
     );
 }
 

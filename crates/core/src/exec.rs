@@ -14,22 +14,31 @@
 //! claim is [`crate::naive`], which shares no operator, fetch or extraction
 //! code with this module.
 //!
+//! §3.4's parameterized-query node sends its source one query per binding
+//! tuple. Against a source that accepts value sets
+//! ([`wrappers::Capabilities::parameterized_sets`]) the op sends one per
+//! *input batch* instead — `prefetch_tuples` here, the `valueset` module
+//! beside it — and files the answer per tuple, so memo, cache and
+//! statistics cannot tell the difference; any other source keeps the
+//! per-tuple path.
+//!
 //! Every op records a [`crate::metrics::NodeMetrics`] while it runs —
 //! rows in/out, source round-trips, timing — into a per-query
 //! [`QueryTrace`]; with [`ExecOptions::trace`] enabled the emitted binding
 //! tables are additionally rendered, which is how the Figure 3.6
 //! walkthrough is regenerated.
 
-use crate::cache::{AnswerCache, CacheHit, ParamMemo, ParamMemoKey};
+use crate::cache::{AnswerCache, CacheHit, ParamMemo, ParamMemoKey, ParamMemoState};
 use crate::error::{MedError, Result};
 use crate::externals::ExternalRegistry;
 use crate::graph::{ExtractVar, Node, PhysicalPlan, RulePlan, VarKind};
 use crate::metrics::{NodeMetrics, NodeTrace, Observation, QueryTrace, RuleTrace};
 use crate::retry::{CircuitBreaker, FaultOptions, OnSourceFailure, Sleeper, ThreadSleeper};
 use crate::table::BindingTable;
+use crate::valueset;
 use engine::bindings::{Bindings, BoundValue};
 use engine::construct::Constructor;
-use engine::subst::fill_params_rule;
+use engine::subst::{fill_params_rule, Subst};
 use msl::{Rule, TailItem, Term};
 use oem::{copy, ObjectStore, Symbol, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -146,6 +155,8 @@ pub struct ExecOutcome {
 #[derive(Default)]
 struct NodeCounters {
     source_calls: usize,
+    /// Parameter tuples those calls carried (parameterized ops only).
+    tuples_sent: usize,
     bindings_produced: usize,
     cache_hits: usize,
     containment_hits: usize,
@@ -366,7 +377,7 @@ fn open_ext_source(
     if let Some(rows) = cache_probe(source, query, vars, memory, ctx, stats, counters) {
         return Ok(ExtSource::from_rows(rows));
     }
-    let result = fetch_store(source, query, vars, ctx, stats, counters)?;
+    let result = fetch_store(source, query, vars, 0, ctx, stats, counters)?;
     Ok(ExtSource::from_store(Arc::new(result)))
 }
 
@@ -400,6 +411,11 @@ enum OpKind<'p> {
         query: &'p Rule,
         params: &'p [Symbol],
         vars: &'p [ExtractVar],
+        /// [`set_valued_form`] of `query`, worked out by the first input
+        /// batch that holds two new tuples ([`prefetch_tuples`]): `Some`
+        /// sends such a batch in one call, `None` keeps §3.4's one query
+        /// per tuple.
+        batch: std::cell::OnceCell<Option<Rule>>,
         /// Per-chain tuple memo; `Rc` so repeated tuples share one
         /// extraction (the cross-chain memo lives in [`ChainCtx`]).
         memo: HashMap<Vec<Value>, MemoRows>,
@@ -521,6 +537,7 @@ fn build_ops(rule_plan: &RulePlan) -> Vec<OpState<'_>> {
                     query,
                     params,
                     vars,
+                    batch: std::cell::OnceCell::new(),
                     memo: HashMap::new(),
                     pending: std::collections::VecDeque::new(),
                     cur: None,
@@ -739,6 +756,7 @@ fn pull_inner(
             query,
             params,
             vars,
+            batch,
             memo,
             pending,
             cur,
@@ -752,50 +770,58 @@ fn pull_inner(
                             break 'fill;
                         }
                         match pull(head, i - 1, env)? {
-                            Some(batch) => {
-                                op.meter.rows_in += batch.len();
-                                pending.extend(batch);
+                            Some(rows) => {
+                                op.meter.rows_in += rows.len();
+                                if param_idx.is_none() {
+                                    let idx: Vec<usize> = params
+                                        .iter()
+                                        .map(|p| {
+                                            op.in_cols.iter().position(|c| c == p).ok_or_else(
+                                                || {
+                                                    MedError::Planning(format!(
+                                                        "parameter {p} missing from table"
+                                                    ))
+                                                },
+                                            )
+                                        })
+                                        .collect::<Result<_>>()?;
+                                    *param_idx = Some(idx);
+                                }
+                                match prefetch_tuples(
+                                    *source,
+                                    query,
+                                    batch,
+                                    params,
+                                    vars,
+                                    param_idx.as_ref().expect("resolved above"),
+                                    &rows,
+                                    memo,
+                                    env,
+                                    &mut op.meter.counters,
+                                ) {
+                                    Ok(()) => {}
+                                    Err(e @ MedError::SourceUnavailable { .. }) => {
+                                        env.failed = Some((i, e));
+                                        break 'fill;
+                                    }
+                                    Err(e) => return Err(e),
+                                }
+                                pending.extend(rows);
                             }
                             None => op.upstream_done = true,
                         }
                         continue 'fill;
                     };
-                    if param_idx.is_none() {
-                        let idx: Vec<usize> = params
-                            .iter()
-                            .map(|p| {
-                                op.in_cols.iter().position(|c| c == p).ok_or_else(|| {
-                                    MedError::Planning(format!("parameter {p} missing from table"))
-                                })
-                            })
-                            .collect::<Result<_>>()?;
-                        *param_idx = Some(idx);
-                    }
-                    let idxs = param_idx.as_ref().expect("resolved above");
-                    let mut key = Vec::with_capacity(params.len());
-                    let mut pmap: HashMap<Symbol, Value> = HashMap::new();
-                    let mut ok = true;
-                    for (p, &ci) in params.iter().zip(idxs) {
-                        match &row[ci] {
-                            BoundValue::Atom(v) => {
-                                key.push(v.clone());
-                                pmap.insert(*p, v.clone());
-                            }
-                            _ => {
-                                // Non-atomic parameter: this row cannot
-                                // parameterize the query; it yields nothing.
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if !ok {
+                    let idxs = param_idx.as_ref().expect("resolved with the first batch");
+                    // A non-atomic parameter cannot parameterize the query:
+                    // the row yields nothing.
+                    let Some(key) = param_tuple(&row, idxs) else {
                         continue 'fill;
-                    }
+                    };
                     let ext = match memo.get(&key) {
                         Some(e) => std::rc::Rc::clone(e),
                         None => {
-                            let filled = fill_params_rule(query, &pmap);
+                            let filled = fill_tuple(query, params, &key);
                             let shared = (*source, msl::printer::rule(query), key.clone());
                             let e = match run_and_extract(
                                 *source,
@@ -1130,6 +1156,7 @@ fn run_chain(
                 rows_out: op.meter.rows_out,
                 bindings_produced: op.meter.counters.bindings_produced,
                 source_calls: op.meter.counters.source_calls,
+                tuples_sent: op.meter.counters.tuples_sent,
                 dedup_hits: if matches!(node, Node::DupElim { .. }) {
                     op.meter.rows_in.saturating_sub(op.meter.rows_out)
                 } else {
@@ -1565,40 +1592,193 @@ fn run_and_extract(
     // with the mediator's shared memo, a concurrent query) may already
     // have fetched this exact tuple. Only the tuple's own slot lock is
     // held across the fetch — executions after the same tuple wait for
-    // the one round-trip; everything else proceeds. A cross-query memo
-    // follows the cache's freshness rules: expired entries refetch, and
-    // an embargoed source is always refetched so a shared memo cannot
-    // mask an outage behind data of unknown staleness.
+    // the one round-trip; everything else proceeds.
     if let Some(skey) = shared_key {
         let slot = ctx.param_memo.slot(&skey);
         let mut filled = slot.lock();
-        let embargoed = ctx.param_memo.is_shared()
-            && ctx
-                .cache
-                .is_some_and(|c| c.enabled_for(source) && c.embargoed(source));
-        if !embargoed {
-            if let Some(state) = filled.as_ref().filter(|s| ctx.param_memo.live(s)) {
-                let store = Arc::clone(&state.answer);
-                drop(filled);
-                return extract_rows(&store, vars, memory, counters);
-            }
+        if let Some(store) = memoized(&filled, source, ctx) {
+            drop(filled);
+            return extract_rows(&store, vars, memory, counters);
         }
-        let result = Arc::new(fetch_store(source, query, vars, ctx, stats, counters)?);
+        let result = Arc::new(fetch_store(source, query, vars, 1, ctx, stats, counters)?);
         *filled = Some(ctx.param_memo.state(Arc::clone(&result)));
         drop(filled);
         return extract_rows(&result, vars, memory, counters);
     }
-    let result = fetch_store(source, query, vars, ctx, stats, counters)?;
+    let result = fetch_store(source, query, vars, 0, ctx, stats, counters)?;
     extract_rows(&result, vars, memory, counters)
 }
 
-/// The actual round-trip: call the source under the fault policy, record
-/// the §3.5 observation, and (on success) populate the answer cache.
-/// Failures mark the source in the cache so stale answers are embargoed.
-fn fetch_store(
+/// The answer a shared-memo slot holds, if it may be served. A
+/// cross-query memo follows the cache's freshness rules: expired entries
+/// refetch, and an embargoed source is always refetched so a shared memo
+/// cannot mask an outage behind data of unknown staleness.
+fn memoized(
+    slot: &Option<ParamMemoState>,
+    source: Symbol,
+    ctx: &ChainCtx<'_>,
+) -> Option<Arc<ObjectStore>> {
+    let embargoed = ctx.param_memo.is_shared()
+        && ctx
+            .cache
+            .is_some_and(|c| c.enabled_for(source) && c.embargoed(source));
+    slot.as_ref()
+        .filter(|state| !embargoed && ctx.param_memo.live(state))
+        .map(|state| Arc::clone(&state.answer))
+}
+
+/// The atomic parameter values of `row`, or `None` if some parameter
+/// column holds an object or a set.
+fn param_tuple(row: &[BoundValue], idxs: &[usize]) -> Option<Vec<Value>> {
+    idxs.iter()
+        .map(|&ci| row[ci].as_atom().cloned())
+        .collect::<Option<Vec<_>>>()
+}
+
+/// `query` with its `$param` slots filled from `tuple` (§3.4: `Qcs`
+/// instantiated into `Qc2`).
+fn fill_tuple(query: &Rule, params: &[Symbol], tuple: &[Value]) -> Rule {
+    let consts: Subst = params
+        .iter()
+        .zip(tuple)
+        .map(|(p, v)| (*p, Term::Const(v.clone())))
+        .collect();
+    fill_params_rule(query, &consts)
+}
+
+/// The form of a parameterized `query` that takes a set of values per
+/// `$param` ([`valueset::template`]), if `source` accepts value sets and
+/// can evaluate that form. Whatever its profile refuses of it — the set
+/// itself, the label variable a label `$param` turns into, a mandatory
+/// form field left to a variable — keeps the node on one query per tuple.
+fn set_valued_form(
     source: Symbol,
     query: &Rule,
+    params: &[Symbol],
+    ctx: &ChainCtx<'_>,
+) -> Option<Rule> {
+    let caps = ctx.sources.get(&source)?.capabilities();
+    if !caps.parameterized_sets {
+        return None;
+    }
+    let template = valueset::template(query, params)?;
+    caps.check_query(&template).is_ok().then_some(template)
+}
+
+/// Answer the distinct parameter tuples of a fresh input batch that this
+/// chain has not seen, leaving their rows in `memo` for the row loop. Each
+/// tuple is looked up exactly as it would be alone — the answer cache
+/// under its own filled query, then its shared-memo slot — and what is
+/// still open goes to the source in **one** round-trip: a set-valued query
+/// ([`valueset`]) for two or more tuples, the plain filled query for one.
+/// The answer is filed per tuple (memo slot, cache entry, §3.5
+/// observation), so later reuse finds the keys a per-tuple fetch would
+/// have left; the set-valued query itself is never cached. A batch with
+/// fewer than two new tuples, or for a source that takes one value per
+/// parameter, is left to the row loop.
+#[allow(clippy::too_many_arguments)]
+fn prefetch_tuples(
+    source: Symbol,
+    query: &Rule,
+    batch: &std::cell::OnceCell<Option<Rule>>,
+    params: &[Symbol],
     vars: &[ExtractVar],
+    idxs: &[usize],
+    rows: &[Vec<BoundValue>],
+    memo: &mut HashMap<Vec<Value>, MemoRows>,
+    env: &mut StreamEnv<'_, '_>,
+    counters: &mut NodeCounters,
+) -> Result<()> {
+    let mut tuples: Vec<Vec<Value>> = Vec::new();
+    let mut seen: std::collections::HashSet<Vec<Value>> = std::collections::HashSet::new();
+    for tuple in rows.iter().filter_map(|row| param_tuple(row, idxs)) {
+        if !memo.contains_key(&tuple) && seen.insert(tuple.clone()) {
+            tuples.push(tuple);
+        }
+    }
+    if tuples.len() < 2 {
+        return Ok(());
+    }
+    let ctx = env.ctx;
+    let Some(template) = batch.get_or_init(|| set_valued_form(source, query, params, ctx)) else {
+        return Ok(());
+    };
+    let mut open: Vec<(Vec<Value>, Rule)> = Vec::new();
+    for tuple in tuples {
+        let filled = fill_tuple(query, params, &tuple);
+        match cache_probe(source, &filled, vars, env.memory, ctx, env.stats, counters) {
+            Some(rows) => {
+                memo.insert(tuple, std::rc::Rc::new(rows));
+            }
+            None => open.push((tuple, filled)),
+        }
+    }
+    // Every open tuple's slot is held across the fetch, as a lone tuple's
+    // is. Locking in one global order (the rendered tuple) keeps two
+    // executions that batch overlapping tuples from deadlocking.
+    let unfilled = msl::printer::rule(query);
+    let slots: Vec<_> = open
+        .iter()
+        .map(|(tuple, _)| {
+            ctx.param_memo
+                .slot(&(source, unfilled.clone(), tuple.clone()))
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..open.len()).collect();
+    order.sort_by_cached_key(|&k| -> Vec<String> {
+        open[k].0.iter().map(Value::render_atomic).collect()
+    });
+    let mut held: Vec<_> = slots.iter().map(|_| None).collect();
+    for k in order {
+        held[k] = Some(slots[k].lock());
+    }
+    let mut fetch: Vec<usize> = Vec::new();
+    for (k, (tuple, _)) in open.iter().enumerate() {
+        let slot = held[k].as_ref().expect("every slot locked above");
+        match memoized(slot, source, ctx) {
+            Some(store) => {
+                held[k] = None;
+                let rows = extract_rows(&store, vars, env.memory, counters)?;
+                memo.insert(tuple.clone(), std::rc::Rc::new(rows));
+            }
+            None => fetch.push(k),
+        }
+    }
+    let answers: Vec<ObjectStore> = match fetch[..] {
+        [] => return Ok(()),
+        [k] => vec![fetch_store(
+            source, &open[k].1, vars, 1, ctx, env.stats, counters,
+        )?],
+        _ => {
+            let asked: Vec<&[Value]> = fetch.iter().map(|&k| open[k].0.as_slice()).collect();
+            let batched = valueset::restrict(template, params, &asked);
+            let answer = call_source(source, &batched, asked.len(), ctx, env.stats, counters)?;
+            let answers = valueset::split_answer(&answer, source, params, &asked)?;
+            for (&k, answer) in fetch.iter().zip(&answers) {
+                record_answer(source, &open[k].1, vars, answer, ctx, env.stats);
+            }
+            answers
+        }
+    };
+    for (k, answer) in fetch.into_iter().zip(answers) {
+        let answer = Arc::new(answer);
+        let mut slot = held[k].take().expect("an open tuple's slot is still held");
+        *slot = Some(ctx.param_memo.state(Arc::clone(&answer)));
+        drop(slot);
+        let rows = extract_rows(&answer, vars, env.memory, counters)?;
+        memo.insert(open[k].0.clone(), std::rc::Rc::new(rows));
+    }
+    Ok(())
+}
+
+/// One round-trip under the fault policy, counted once whatever it
+/// carries: `tuples` says how many parameter tuples ride in `query` (0
+/// for an unparameterized one). Failures mark the source in the cache so
+/// stale answers are embargoed.
+fn call_source(
+    source: Symbol,
+    query: &Rule,
+    tuples: usize,
     ctx: &ChainCtx<'_>,
     stats: &mut ChainStats,
     counters: &mut NodeCounters,
@@ -1609,38 +1789,60 @@ fn fetch_store(
         .ok_or_else(|| MedError::UnknownSource(source.as_str()))?;
     *stats.source_calls.entry(source).or_insert(0) += 1;
     counters.source_calls += 1;
-    // A cache miss is an actual round-trip, counted here rather than at
-    // lookup time: a shared-memo hit pays no fetch and must not inflate
-    // the trace's miss counters.
+    counters.tuples_sent += tuples;
+    // A cache miss is a lookup that ended in a round-trip, counted here
+    // rather than at lookup time: a shared-memo hit pays no fetch and must
+    // not inflate the trace's miss counters. Every tuple of a set-valued
+    // query was looked up on its own.
     if ctx.cache.is_some_and(|c| c.enabled_for(source)) {
-        counters.cache_misses += 1;
-        *stats.cache_misses.entry(source).or_insert(0) += 1;
+        let lookups = tuples.max(1);
+        counters.cache_misses += lookups;
+        *stats.cache_misses.entry(source).or_insert(0) += lookups;
     }
-    let result = match query_with_retry(wrapper, source, query, ctx, stats) {
-        Ok(result) => {
-            // Only an answer that survived retries AND its deadline gets
-            // cached: `query_with_retry` converts a too-late Ok into a
-            // Timeout before it can reach this point.
-            if let Some(cache) = ctx.cache {
-                cache.mark_ok(source);
-                cache.insert(source, query, vars, &result);
-            }
-            result
+    let outcome = query_with_retry(wrapper, source, query, ctx, stats);
+    if let Some(cache) = ctx.cache {
+        match &outcome {
+            Ok(_) => cache.mark_ok(source),
+            Err(_) => cache.mark_failed(source),
         }
-        Err(e) => {
-            if let Some(cache) = ctx.cache {
-                cache.mark_failed(source);
-            }
-            return Err(e);
-        }
-    };
+    }
+    outcome
+}
 
-    // Record an observation keyed by the first tail pattern's label.
+/// File a fresh answer to `query`: into the answer cache, and as a §3.5
+/// observation. Only an answer that survived retries AND its deadline
+/// gets here: `query_with_retry` converts a too-late Ok into a Timeout.
+fn record_answer(
+    source: Symbol,
+    query: &Rule,
+    vars: &[ExtractVar],
+    answer: &ObjectStore,
+    ctx: &ChainCtx<'_>,
+    stats: &mut ChainStats,
+) {
+    if let Some(cache) = ctx.cache {
+        cache.insert(source, query, vars, answer);
+    }
+    // Keyed by the first tail pattern's label.
     stats.observations.push(Observation {
         source,
         label: query_label(query),
-        count: result.top_level().len(),
+        count: answer.top_level().len(),
     });
+}
+
+/// The round-trip for one query: [`call_source`], then [`record_answer`].
+fn fetch_store(
+    source: Symbol,
+    query: &Rule,
+    vars: &[ExtractVar],
+    tuples: usize,
+    ctx: &ChainCtx<'_>,
+    stats: &mut ChainStats,
+    counters: &mut NodeCounters,
+) -> Result<ObjectStore> {
+    let result = call_source(source, query, tuples, ctx, stats, counters)?;
+    record_answer(source, query, vars, &result, ctx, stats);
     Ok(result)
 }
 
@@ -1681,7 +1883,7 @@ fn extract_row(
 ) -> Result<Vec<BoundValue>> {
     let mut row = Vec::with_capacity(vars.len());
     for v in vars {
-        let carrier_label = Symbol::intern(&format!("bind_for_{}", v.var));
+        let carrier_label = valueset::carrier_label(v.var);
         let carrier = memory
             .children(root)
             .iter()

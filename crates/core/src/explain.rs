@@ -111,7 +111,13 @@ pub fn render_analyze(plan: &PhysicalPlan, outcome: &ExecOutcome) -> String {
                 let _ = writeln!(out, "{cost}");
             }
             let mut extras: Vec<String> = Vec::new();
-            if m.source_calls > 0 {
+            if m.tuples_sent > m.source_calls {
+                // A parameterized node whose calls carried value sets.
+                extras.push(format!(
+                    "source calls: {} ({} tuples)",
+                    m.source_calls, m.tuples_sent
+                ));
+            } else if m.source_calls > 0 {
                 extras.push(format!("source calls: {}", m.source_calls));
             }
             if m.bindings_produced > 0 {

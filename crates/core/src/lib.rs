@@ -55,6 +55,7 @@ pub mod retry;
 pub mod spec;
 pub mod stats;
 pub mod table;
+mod valueset;
 pub mod veao;
 
 pub use analysis::{AnswerMatrix, SourceInfo, SpecAnalysis};

@@ -146,7 +146,9 @@ fn violation_diag(v: &wrappers::CapViolation, src: Symbol, span: Span) -> Option
             ),
         )
         .with_help("move the condition into the explicit subpattern list"),
-        CapViolation::MissingRequiredCondition { .. } => return None,
+        // Specification rules carry no value sets: only the datamerge
+        // engine writes `one_of` into a source query.
+        CapViolation::MissingRequiredCondition { .. } | CapViolation::ValueSet => return None,
     })
 }
 

@@ -251,8 +251,10 @@ impl Mediator {
         }
         // What this mediator supports as a *source*: full MSL matching on
         // virtual objects except wildcards (any-depth search cannot be
-        // pushed through view expansion soundly — see veao docs).
-        let mut caps = Capabilities::full();
+        // pushed through view expansion soundly — see veao docs), one
+        // value per parameter (`one_of` is not a predicate a specification
+        // declares, so the view expander would refuse it).
+        let mut caps = Capabilities::full().without_parameterized_sets();
         caps.wildcards = false;
         let stats = Arc::new(SharedStats::new(stats));
         let cache = Arc::new(AnswerCache::with_stats(

@@ -32,6 +32,7 @@ use std::collections::BTreeMap;
 /// | `rows_out`          | rows  | every node                              |
 /// | `bindings_produced` | rows  | query, param. query, hash join, ext. pred |
 /// | `source_calls`      | calls | query, param. query, hash join          |
+/// | `tuples_sent`       | tuples | param. query                           |
 /// | `dedup_hits`        | rows  | dup elim                                |
 /// | `wall_ns`           | ns    | every node                              |
 /// | `est_rows`          | rows  | every node (from the optimizer)         |
@@ -53,6 +54,10 @@ pub struct NodeMetrics {
     /// Source round-trips this node performed (bind-join vs hash-join cost
     /// accounting).
     pub source_calls: usize,
+    /// Parameter tuples those round-trips carried (parameterized query
+    /// nodes only): equal to `source_calls` when every call asked about
+    /// one tuple, larger when calls carried value sets.
+    pub tuples_sent: usize,
     /// Rows removed by duplicate elimination (dup-elim nodes only).
     pub dedup_hits: usize,
     /// Wall-clock time spent executing the node, in nanoseconds.
@@ -327,6 +332,7 @@ impl serde::Serialize for NodeMetrics {
             ("rows_out", self.rows_out.to_value()),
             ("bindings_produced", self.bindings_produced.to_value()),
             ("source_calls", self.source_calls.to_value()),
+            ("tuples_sent", self.tuples_sent.to_value()),
             ("dedup_hits", self.dedup_hits.to_value()),
             ("wall_ns", self.wall_ns.to_value()),
             ("est_rows", self.est_rows.to_value()),
@@ -389,6 +395,8 @@ impl serde::Deserialize for NodeMetrics {
             // Absent in traces exported before streaming execution.
             peak_batch_rows: optional_count(v, "peak_batch_rows")?,
             peak_bytes_resident: optional_u64(v, "peak_bytes_resident")?,
+            // Absent in traces exported before set-valued bind joins.
+            tuples_sent: optional_count(v, "tuples_sent")?,
         })
     }
 }
@@ -626,6 +634,7 @@ mod tests {
                         rows_out: 2,
                         bindings_produced: 2,
                         source_calls: 1,
+                        tuples_sent: 20,
                         dedup_hits: 0,
                         wall_ns: 12_345,
                         est_rows: 10.0,
@@ -699,6 +708,7 @@ mod tests {
             "\"rows_out\"",
             "\"bindings_produced\"",
             "\"source_calls\"",
+            "\"tuples_sent\"",
             "\"dedup_hits\"",
             "\"wall_ns\"",
             "\"est_rows\"",
@@ -735,7 +745,8 @@ mod tests {
     #[test]
     fn old_traces_without_streaming_fields_still_parse() {
         // A trace exported before streaming execution lacks the
-        // time-to-first-answer and peak-residency fields everywhere.
+        // time-to-first-answer and peak-residency fields everywhere, and
+        // the tuples-per-call counter that came later still.
         let mut trace = sample();
         trace.first_rows_ns = 0;
         trace.peak_batch_rows = 0;
@@ -743,13 +754,14 @@ mod tests {
         let m = &mut trace.rules[0].nodes[0].metrics;
         m.peak_batch_rows = 0;
         m.peak_bytes_resident = 0;
+        m.tuples_sent = 0;
         let mut v = trace.to_value();
         let drop_streaming_keys = |v: &mut serde::Value| {
             if let serde::Value::Object(pairs) = v {
                 pairs.retain(|(k, _)| {
                     !matches!(
                         &**k,
-                        "first_rows_ns" | "peak_batch_rows" | "peak_bytes_resident"
+                        "first_rows_ns" | "peak_batch_rows" | "peak_bytes_resident" | "tuples_sent"
                     )
                 });
             }

@@ -246,6 +246,18 @@ pub fn atomic_eq(a: &Value, b: &Value) -> bool {
     a == b || a.compare_atomic(b) == Some(std::cmp::Ordering::Equal)
 }
 
+/// A hashable stand-in for an atomic value under [`atomic_eq`]: values that
+/// compare equal share a key (numbers are keyed by their `f64` view, `-0.0`
+/// as `0.0`). Unequal values may share one too — integers beyond 2^53 —
+/// so a key hit is a candidate to confirm with [`atomic_eq`].
+pub fn atomic_key(v: &Value) -> Value {
+    match v {
+        Value::Int(i) => Value::real(*i as f64 + 0.0),
+        Value::RealBits(b) => Value::real(f64::from_bits(*b) + 0.0),
+        other => other.clone(),
+    }
+}
+
 /// Match a pattern against every top-level object of a store. Solutions
 /// are deduplicated.
 ///
@@ -553,5 +565,30 @@ mod tests {
             .unwrap();
         let sols = match_top_level(&store, &pat, &base);
         assert_eq!(sols.len(), 1);
+    }
+
+    #[test]
+    fn atomic_key_agrees_with_atomic_eq() {
+        let values = [
+            Value::Int(3),
+            Value::real(3.0),
+            Value::real(2.5),
+            Value::Int(0),
+            Value::real(-0.0),
+            Value::str("3"),
+            Value::Bool(true),
+            Value::real(f64::NAN),
+        ];
+        for a in &values {
+            for b in &values {
+                // Equal values share a key; among these (no integer beyond
+                // 2^53) a shared key also means equal.
+                assert_eq!(
+                    atomic_key(a) == atomic_key(b),
+                    atomic_eq(a, b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 }

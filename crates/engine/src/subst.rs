@@ -4,7 +4,7 @@
 //! `$FN` slots in `Qcs`, §3.4).
 
 use msl::{Head, PatValue, Pattern, RestSpec, Rule, SetElem, SetPattern, TailItem, Term};
-use oem::{Symbol, Value};
+use oem::Symbol;
 use std::collections::HashMap;
 
 /// A variable→term substitution.
@@ -96,13 +96,14 @@ pub fn subst_tail_item(t: &TailItem, s: &Subst) -> TailItem {
     }
 }
 
-/// Replace `$name` parameters with constant values (parameterized query
-/// instantiation, §3.4). Missing parameters are left in place so callers
-/// can detect under-instantiation.
-pub fn fill_params_term(t: &Term, params: &HashMap<Symbol, Value>) -> Term {
+/// Replace `$name` parameters with terms: constants instantiate a
+/// parameterized query for one tuple (§3.4), variables turn it back into
+/// the query over all tuples. Missing parameters are left in place so
+/// callers can detect under-instantiation.
+pub fn fill_params_term(t: &Term, params: &Subst) -> Term {
     match t {
         Term::Param(p) => match params.get(p) {
-            Some(v) => Term::Const(v.clone()),
+            Some(filled) => filled.clone(),
             None => t.clone(),
         },
         Term::Func(f, args) => Term::Func(
@@ -114,7 +115,7 @@ pub fn fill_params_term(t: &Term, params: &HashMap<Symbol, Value>) -> Term {
 }
 
 /// Fill parameters throughout a pattern.
-pub fn fill_params_pattern(p: &Pattern, params: &HashMap<Symbol, Value>) -> Pattern {
+pub fn fill_params_pattern(p: &Pattern, params: &Subst) -> Pattern {
     Pattern {
         obj_var: p.obj_var,
         oid: p.oid.as_ref().map(|t| fill_params_term(t, params)),
@@ -146,7 +147,7 @@ pub fn fill_params_pattern(p: &Pattern, params: &HashMap<Symbol, Value>) -> Patt
 }
 
 /// Fill parameters throughout a rule.
-pub fn fill_params_rule(r: &Rule, params: &HashMap<Symbol, Value>) -> Rule {
+pub fn fill_params_rule(r: &Rule, params: &Subst) -> Rule {
     if params.is_empty() {
         return r.clone();
     }
@@ -254,10 +255,10 @@ mod tests {
             "<bind_for_Rest2 Rest2> :- <$R {<last_name $LN> <first_name $FN> | Rest2}>@cs",
         )
         .unwrap();
-        let mut params = HashMap::new();
-        params.insert(sym("R"), Value::str("employee"));
-        params.insert(sym("LN"), Value::str("Chung"));
-        params.insert(sym("FN"), Value::str("Joe"));
+        let mut params = Subst::new();
+        params.insert(sym("R"), Term::str("employee"));
+        params.insert(sym("LN"), Term::str("Chung"));
+        params.insert(sym("FN"), Term::str("Joe"));
         let filled = fill_params_rule(&qcs, &params);
         let printed = printer::rule(&filled);
         assert!(printed.contains("<employee {"), "{printed}");
@@ -274,8 +275,8 @@ mod tests {
             msl::TailItem::Match { pattern, .. } => pattern,
             _ => panic!(),
         };
-        let mut params = HashMap::new();
-        params.insert(sym("R"), Value::str("emp"));
+        let mut params = Subst::new();
+        params.insert(sym("R"), Term::str("emp"));
         let filled = fill_params_pattern(&pat, &params);
         assert!(has_params_pattern(&filled));
         assert_eq!(filled.label, Term::str("emp"));

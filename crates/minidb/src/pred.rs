@@ -2,6 +2,7 @@
 
 use crate::types::Datum;
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
 
 /// A comparison operator.
@@ -107,22 +108,56 @@ impl fmt::Display for Condition {
 pub struct InCondition {
     /// Column the condition tests.
     pub column: String,
-    /// The accepted values.
-    pub values: Vec<Datum>,
+    values: Vec<Datum>,
+    /// Positions in `values` by [`set_key`], built once so that testing a
+    /// row is a lookup and not a pass over the list.
+    by_key: HashMap<Datum, Vec<usize>>,
+}
+
+/// A hashable stand-in for a datum under [`Datum::compare`]'s equality:
+/// numbers by their `f64` view (so 3 finds 3.0), `-0.0` as `0.0`; NULL,
+/// which equals nothing, has none. Distinct integers beyond 2^53 can share
+/// a key, so a hit is confirmed with `compare`.
+fn set_key(d: &Datum) -> Option<Datum> {
+    Some(match d {
+        Datum::Int(i) => Datum::real(*i as f64 + 0.0),
+        Datum::RealBits(b) => Datum::real(f64::from_bits(*b) + 0.0),
+        Datum::Null => return None,
+        other => other.clone(),
+    })
 }
 
 impl InCondition {
     /// Shorthand constructor.
     pub fn of(column: &str, values: impl IntoIterator<Item = impl Into<Datum>>) -> InCondition {
+        let values: Vec<Datum> = values.into_iter().map(Into::into).collect();
+        let mut by_key: HashMap<Datum, Vec<usize>> = HashMap::new();
+        for (i, v) in values.iter().enumerate() {
+            if let Some(key) = set_key(v) {
+                by_key.entry(key).or_default().push(i);
+            }
+        }
         InCondition {
             column: column.to_string(),
-            values: values.into_iter().map(Into::into).collect(),
+            values,
+            by_key,
         }
+    }
+
+    /// The accepted values, as listed.
+    pub fn values(&self) -> &[Datum] {
+        &self.values
     }
 
     /// Does `datum` equal any of the listed values?
     pub fn matches(&self, datum: &Datum) -> bool {
-        self.values.iter().any(|v| CmpOp::Eq.eval(datum.compare(v)))
+        set_key(datum)
+            .and_then(|key| self.by_key.get(&key))
+            .is_some_and(|listed| {
+                listed
+                    .iter()
+                    .any(|&i| CmpOp::Eq.eval(datum.compare(&self.values[i])))
+            })
     }
 }
 
@@ -243,5 +278,29 @@ mod tests {
             p.to_string(),
             "title = 'professor' AND last_name IN ('Chung', 'Able')"
         );
+    }
+
+    #[test]
+    fn in_condition_membership_is_compare_equality() {
+        // The set lookup keeps `Datum::compare`'s numeric promotion...
+        let reals = InCondition::of("gpa", [3.0, 2.5]);
+        assert!(reals.matches(&Datum::Int(3)));
+        assert!(reals.matches(&Datum::real(2.5)));
+        assert!(!reals.matches(&Datum::Int(2)));
+        let ints = InCondition::of("year", [3, 0]);
+        assert!(ints.matches(&Datum::real(3.0)));
+        assert!(ints.matches(&Datum::real(-0.0)));
+        assert!(!ints.matches(&Datum::str("3")));
+        // ...tells apart the integers an f64 cannot...
+        let big = InCondition::of("id", [(1i64 << 53) + 1]);
+        assert!(big.matches(&Datum::Int((1 << 53) + 1)));
+        assert!(!big.matches(&Datum::Int(1 << 53)));
+        // ...and NULL is in nothing, listed or not; nor is anything in ().
+        let with_null = InCondition::of("x", [Datum::Null, Datum::Int(1)]);
+        assert!(!with_null.matches(&Datum::Null));
+        assert!(with_null.matches(&Datum::Int(1)));
+        let empty = InCondition::of("x", Vec::<Datum>::new());
+        assert!(!empty.matches(&Datum::Int(1)) && !empty.matches(&Datum::Null));
+        assert!(empty.values().is_empty());
     }
 }

@@ -7,9 +7,11 @@
 //! and `Qcs` (§3.4) and receive OEM objects back.
 
 use crate::capabilities::Capabilities;
-use msl::{Rule, TailItem};
-use oem::{ObjectStore, Symbol};
-use std::collections::BTreeMap;
+use engine::bindings::{Bindings, BoundValue};
+use engine::matcher::{atomic_eq, atomic_key};
+use msl::{Rule, TailItem, Term};
+use oem::{ObjectStore, Symbol, Value};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Errors a wrapper can raise.
@@ -128,14 +130,92 @@ pub trait Wrapper: Send + Sync {
 
     /// Answer an MSL query. Tail `Match` items must refer to this source
     /// (their `@source` annotation equal to `self.name()` or absent);
-    /// external predicates are not evaluated by wrappers.
+    /// external predicates are not evaluated by wrappers — except the
+    /// reserved [`ONE_OF`], which a source declaring
+    /// [`Capabilities::parameterized_sets`] must honour.
     fn query(&self, q: &Rule) -> Result<ObjectStore, WrapperError>;
 }
 
-/// Shared validation helper: extract this wrapper's match patterns from a
-/// query and reject foreign/unsupported shapes.
-pub fn own_patterns(name: Symbol, q: &Rule) -> Result<Vec<&msl::Pattern>, WrapperError> {
+/// The reserved tail predicate that carries a value set into a source
+/// query: `one_of(V, v1, v2, …)` restricts variable `V` to the listed
+/// atomic values, compared as the matcher compares (3 is 3.0). Only a
+/// source declaring [`Capabilities::parameterized_sets`] accepts it.
+pub const ONE_OF: &str = "one_of";
+
+/// The tail item `one_of(var, values…)`.
+pub fn one_of(var: Symbol, values: impl IntoIterator<Item = Value>) -> TailItem {
+    TailItem::External {
+        name: Symbol::intern(ONE_OF),
+        args: std::iter::once(Term::Var(var))
+            .chain(values.into_iter().map(Term::Const))
+            .collect(),
+    }
+}
+
+/// The value sets of one source query: which variables its `one_of` items
+/// restrict, and to what.
+#[derive(Default, Debug)]
+pub struct ValueSets {
+    /// Per restricted variable, the listed values under their
+    /// [`atomic_key`]s.
+    sets: Vec<(Symbol, HashMap<Value, Vec<Value>>)>,
+}
+
+impl ValueSets {
+    /// The listed values of `var`, if the query restricts it.
+    pub fn values(&self, var: Symbol) -> Option<impl Iterator<Item = &Value>> {
+        let (_, set) = self.sets.iter().find(|(v, _)| *v == var)?;
+        Some(set.values().flatten())
+    }
+
+    /// May `var` take `value`? Always, when the query does not restrict it.
+    pub fn allows(&self, var: Symbol, value: &Value) -> bool {
+        self.sets
+            .iter()
+            .filter(|(v, _)| *v == var)
+            .all(|(_, set)| listed(set, value).is_some())
+    }
+
+    /// Keep `b` if every restricted variable it binds holds a listed
+    /// value, rebound to the listed value it equals: a 3.0 found for a
+    /// listed 3 must then deduplicate with a 3 found elsewhere, as it would
+    /// in the answer to the query for that one value.
+    pub fn admit(&self, mut b: Bindings) -> Option<Bindings> {
+        for (var, set) in &self.sets {
+            let found = match b.get(*var) {
+                Some(BoundValue::Atom(found)) => found,
+                Some(_) => return None,
+                None => continue, // bound by a later pattern
+            };
+            let want = listed(set, found)?;
+            if want != found {
+                let want = BoundValue::Atom(want.clone());
+                let others: Vec<Symbol> = b.variables().into_iter().filter(|v| v != var).collect();
+                b = b.project(&others).bind(*var, want)?;
+            }
+        }
+        Some(b)
+    }
+}
+
+fn listed<'s>(set: &'s HashMap<Value, Vec<Value>>, value: &Value) -> Option<&'s Value> {
+    set.get(&atomic_key(value))?
+        .iter()
+        .find(|l| atomic_eq(l, value))
+}
+
+/// Shared validation helper: split a query into this wrapper's match
+/// patterns and its value sets, rejecting foreign and unsupported shapes.
+/// A `one_of` item is only taken from a source whose `caps` declare
+/// [`Capabilities::parameterized_sets`] — a wrapper that ignored it would
+/// answer for values nobody asked about.
+pub fn own_patterns<'q>(
+    name: Symbol,
+    caps: &Capabilities,
+    q: &'q Rule,
+) -> Result<(Vec<&'q msl::Pattern>, ValueSets), WrapperError> {
     let mut out = Vec::new();
+    let mut sets = ValueSets::default();
     for item in &q.tail {
         match item {
             TailItem::Match { pattern, source } => {
@@ -148,6 +228,33 @@ pub fn own_patterns(name: Symbol, q: &Rule) -> Result<Vec<&msl::Pattern>, Wrappe
                 }
                 out.push(pattern);
             }
+            TailItem::External { name: pred, args } if pred.as_str() == ONE_OF => {
+                if !caps.parameterized_sets {
+                    return Err(WrapperError::Unsupported(
+                        crate::capabilities::CapViolation::ValueSet.to_string(),
+                    ));
+                }
+                let Some((Term::Var(var), values)) = args.split_first() else {
+                    return Err(WrapperError::BadQuery(
+                        "one_of restricts a variable: one_of(V, v1, v2, …)".into(),
+                    ));
+                };
+                let mut set: HashMap<Value, Vec<Value>> = HashMap::new();
+                for value in values {
+                    match value {
+                        Term::Const(v) if v.is_atomic() => {
+                            set.entry(atomic_key(v)).or_default().push(v.clone())
+                        }
+                        other => {
+                            return Err(WrapperError::BadQuery(format!(
+                                "one_of lists atomic constants, not {}",
+                                msl::printer::term(other, true)
+                            )))
+                        }
+                    }
+                }
+                sets.sets.push((*var, set));
+            }
             TailItem::External { name: pred, .. } => {
                 return Err(WrapperError::BadQuery(format!(
                     "wrappers do not evaluate external predicates ({pred})"
@@ -158,7 +265,18 @@ pub fn own_patterns(name: Symbol, q: &Rule) -> Result<Vec<&msl::Pattern>, Wrappe
     if out.is_empty() {
         return Err(WrapperError::BadQuery("query has no match patterns".into()));
     }
-    Ok(out)
+    if !sets.sets.is_empty() {
+        let mut bound = Vec::new();
+        for p in &out {
+            p.collect_vars(&mut bound);
+        }
+        if let Some((var, _)) = sets.sets.iter().find(|(v, _)| !bound.contains(v)) {
+            return Err(WrapperError::BadQuery(format!(
+                "one_of restricts {var}, which no pattern binds"
+            )));
+        }
+    }
+    Ok((out, sets))
 }
 
 #[cfg(test)]
@@ -170,21 +288,66 @@ mod tests {
     #[test]
     fn own_patterns_accepts_own_and_unannotated() {
         let q = parse_query("X :- X:<person {<name N>}>@whois AND <dept {<x X2>}>").unwrap();
-        let pats = own_patterns(sym("whois"), &q).unwrap();
+        let (pats, sets) = own_patterns(sym("whois"), &Capabilities::full(), &q).unwrap();
         assert_eq!(pats.len(), 2);
+        assert!(sets.values(sym("N")).is_none());
     }
 
     #[test]
     fn own_patterns_rejects_foreign_source() {
         let q = parse_query("X :- X:<person {}>@cs").unwrap();
-        let err = own_patterns(sym("whois"), &q).unwrap_err();
+        let err = own_patterns(sym("whois"), &Capabilities::full(), &q).unwrap_err();
         assert!(matches!(err, WrapperError::BadQuery(_)));
     }
 
     #[test]
     fn own_patterns_rejects_externals() {
         let q = parse_query("X :- X:<p {<n N>}>@s AND ge(N, 3)").unwrap();
-        assert!(own_patterns(sym("s"), &q).is_err());
+        assert!(own_patterns(sym("s"), &Capabilities::full(), &q).is_err());
+    }
+
+    #[test]
+    fn one_of_is_taken_only_with_the_bit() {
+        let mut q = parse_query("X :- X:<p {<n N>}>@s").unwrap();
+        q.tail
+            .push(one_of(sym("N"), [Value::Int(3), Value::str("a")]));
+        assert_eq!(
+            msl::printer::rule(&q),
+            "X :- X:<p {<n N>}>@s\n    AND one_of(N, 3, 'a')"
+        );
+        let (pats, sets) = own_patterns(sym("s"), &Capabilities::full(), &q).unwrap();
+        assert_eq!(pats.len(), 1);
+        assert_eq!(sets.values(sym("N")).unwrap().count(), 2);
+        // Membership compares as the matcher does, and an unrestricted
+        // variable may take anything.
+        assert!(sets.allows(sym("N"), &Value::real(3.0)));
+        assert!(!sets.allows(sym("N"), &Value::str("3")));
+        assert!(sets.allows(sym("M"), &Value::str("3")));
+        let err = own_patterns(sym("s"), &Capabilities::restricted(), &q).unwrap_err();
+        assert!(matches!(err, WrapperError::Unsupported(_)), "{err}");
+        // The first argument is the variable; the rest are constants.
+        let bad = parse_query("X :- X:<p {<n N>}>@s AND one_of(3, N)").unwrap();
+        let err = own_patterns(sym("s"), &Capabilities::full(), &bad).unwrap_err();
+        assert!(matches!(err, WrapperError::BadQuery(_)), "{err}");
+    }
+
+    #[test]
+    fn admit_rebinds_to_the_listed_value() {
+        let mut q = parse_query("X :- X:<p {<n N>}>@s").unwrap();
+        q.tail.push(one_of(sym("N"), [Value::Int(3)]));
+        let (_, sets) = own_patterns(sym("s"), &Capabilities::full(), &q).unwrap();
+        let bind = |v: Value| {
+            Bindings::new()
+                .bind(sym("N"), BoundValue::Atom(v))
+                .unwrap()
+                .bind(sym("M"), BoundValue::Atom(Value::str("kept")))
+                .unwrap()
+        };
+        let found = sets.admit(bind(Value::real(3.0))).unwrap();
+        assert_eq!(found, bind(Value::Int(3)));
+        assert!(sets.admit(bind(Value::Int(4))).is_none());
+        // Not bound yet: a later pattern may still bind it.
+        assert_eq!(sets.admit(Bindings::new()), Some(Bindings::new()));
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //! Checks report **all** violations of a query as structured
 //! [`CapViolation`] values (not just the first), so the mediator's lint
 //! can surface every capability problem in one pass.
+//!
+//! One declaration is about volume rather than expressiveness:
+//! [`Capabilities::parameterized_sets`] says the source accepts a *set* of
+//! values where a `$param` stood, so the parameterized-query node can ship
+//! a whole batch of tuples in one call. The set travels inside the query as
+//! the reserved tail predicate `one_of(V, v1, v2, …)` (see
+//! [`crate::api::one_of`]); a source without the bit refuses it.
 
 use msl::{PatValue, Pattern, Rule, SetElem, TailItem, Term};
 use oem::Symbol;
@@ -46,6 +53,12 @@ pub struct Capabilities {
     /// signal §3.5 says wrappers rarely provide: a bind join into a
     /// scan-based source costs a full scan per outer tuple.
     pub parameterized_cheap: bool,
+    /// Accepts a *set* of values where a `$param` stood — the query then
+    /// carries `one_of(V, v1, v2, …)` tail items ([`crate::api::one_of`])
+    /// and the answer exports `V` beside the other variables? With it the
+    /// parameterized-query node pays one round-trip per batch of tuples
+    /// instead of one per tuple.
+    pub parameterized_sets: bool,
 }
 
 /// One violation of a source's declared capabilities, found in a query.
@@ -80,6 +93,9 @@ pub enum CapViolation {
         /// The label that must be bound.
         label: Symbol,
     },
+    /// A `one_of` value set at a source that takes one value per
+    /// parameter ([`Capabilities::parameterized_sets`] is off).
+    ValueSet,
 }
 
 impl CapViolation {
@@ -108,6 +124,9 @@ impl fmt::Display for CapViolation {
             CapViolation::MissingRequiredCondition { label } => {
                 write!(f, "source requires a bound condition on '{label}'")
             }
+            CapViolation::ValueSet => {
+                f.write_str("value sets (one_of) not supported by this source")
+            }
         }
     }
 }
@@ -129,11 +148,13 @@ impl Capabilities {
             required_condition_labels: BTreeSet::new(),
             parameterized: true,
             parameterized_cheap: false,
+            parameterized_sets: true,
         }
     }
 
-    /// A deliberately restricted profile: no wildcards, no label variables.
-    /// Typical of a form-based facility like the paper's whois.
+    /// A deliberately restricted profile: no wildcards, no label variables,
+    /// one value per parameter. Typical of a form-based facility like the
+    /// paper's whois.
     pub fn restricted() -> Capabilities {
         Capabilities {
             label_variables: false,
@@ -143,6 +164,7 @@ impl Capabilities {
             required_condition_labels: BTreeSet::new(),
             parameterized: true,
             parameterized_cheap: false,
+            parameterized_sets: false,
         }
     }
 
@@ -159,12 +181,27 @@ impl Capabilities {
         self
     }
 
+    /// Take one value per parameter: §3.4's parameterized-query node then
+    /// sends this source one query per binding tuple, as the paper has it.
+    pub fn without_parameterized_sets(mut self) -> Capabilities {
+        self.parameterized_sets = false;
+        self
+    }
+
     /// All capability violations in a whole query, in pattern order.
     pub fn query_violations(&self, q: &Rule) -> Vec<CapViolation> {
         let mut out = Vec::new();
         for item in &q.tail {
-            if let TailItem::Match { pattern, .. } = item {
-                self.collect_pattern(pattern, true, &mut out);
+            match item {
+                TailItem::Match { pattern, .. } => self.collect_pattern(pattern, true, &mut out),
+                TailItem::External { name, .. }
+                    if !self.parameterized_sets && name.as_str() == crate::api::ONE_OF =>
+                {
+                    out.push(CapViolation::ValueSet)
+                }
+                // Any other predicate is not a question of capability:
+                // `own_patterns` refuses it as a malformed source query.
+                TailItem::External { .. } => {}
             }
         }
         out
@@ -372,6 +409,21 @@ mod tests {
                 CapViolation::RestConditions,
             ]
         );
+    }
+
+    #[test]
+    fn value_sets_need_the_bit() {
+        let q = parse_query("X :- X:<person {<name N>}>@s AND one_of(N, 'A', 'B')").unwrap();
+        Capabilities::full().check_query(&q).unwrap();
+        for caps in [
+            Capabilities::restricted(),
+            Capabilities::full().without_parameterized_sets(),
+        ] {
+            assert_eq!(caps.query_violations(&q), vec![CapViolation::ValueSet]);
+            assert!(!CapViolation::ValueSet.compensable());
+            let err = caps.check_query(&q).unwrap_err();
+            assert!(err.contains("one_of"), "{err}");
+        }
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //!   an MSL query, return constructed OEM objects; advertise
 //!   [`capabilities::Capabilities`] and optional [`api::SourceStats`].
 //! * [`capabilities`] — which query features a source supports (§3.5's
-//!   "limited query capabilities of the underlying sources").
+//!   "limited query capabilities of the underlying sources"), and whether
+//!   it accepts a *set* of values where a `$param` stood
+//!   ([`api::one_of`], [`api::ValueSets`]).
+//! * [`eval`] — the generic evaluator both shipped wrappers end in.
 //! * [`fault`] — fault injection: [`fault::FaultInjectingWrapper`]
 //!   decorates any wrapper with a deterministic [`fault::FaultPlan`]
 //!   (fail-first-N, fail-every-Kth, seeded flakiness, injected latency),
@@ -19,7 +22,8 @@
 //!   through [`api::Wrapper::metrics`].
 //! * [`relational`] — wraps a [`minidb`] catalog: every row is exported as
 //!   a top-level OEM object labeled by its relation name (Figure 2.2),
-//!   with equality conditions pushed down to the relational engine.
+//!   with equality conditions and value sets pushed down to the
+//!   relational engine.
 //! * [`semistructured`] — wraps a native [`oem::ObjectStore`] (the paper's
 //!   "whois" facility, Figure 2.3), evaluating full MSL patterns.
 //! * [`scenario`] — the paper's exact `cs` and `whois` sources plus the

@@ -13,18 +13,21 @@
 //! matching finishes the job (label variables, shared variables, rest
 //! variables).
 //!
+//! A variable restricted to a value set (`one_of`, the batched form of a
+//! parameterized query — see [`crate::api::ValueSets`]) pushes down the
+//! same way: `<last_name LN>` with `LN` one of twenty names becomes one
+//! `last_name IN (…)` that batch-probes the column's index, and a restricted
+//! label variable narrows the candidate relations.
+//!
 //! A label *variable* in the top-level pattern position ranges over the
 //! relations of the catalog — that is how the paper's `<R {...}>@cs`
 //! pattern binds `R` to `employee`/`student`, turning schema into data
 //! (schematic discrepancy, §2).
 
-use crate::api::{own_patterns, SourceStats, Wrapper, WrapperError};
+use crate::api::{own_patterns, SourceStats, ValueSets, Wrapper, WrapperError};
 use crate::capabilities::Capabilities;
 use crate::metrics::{WrapperCounters, WrapperMetrics};
-use engine::bindings::{dedup_bindings, Bindings};
-use engine::construct::Constructor;
-use engine::matcher::match_top_level;
-use minidb::{Catalog, Condition, Datum, Predicate, TableStats};
+use minidb::{Catalog, Condition, Datum, InCondition, Predicate, TableStats};
 use msl::{PatValue, Pattern, Rule, SetElem, Term};
 use oem::{ObjectStore, Symbol, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -61,6 +64,14 @@ impl RelationalWrapper {
         self
     }
 
+    /// This source taking one value per parameter
+    /// ([`Capabilities::without_parameterized_sets`]): §3.4's node then
+    /// sends it one query per binding tuple.
+    pub fn without_parameterized_sets(mut self) -> RelationalWrapper {
+        self.caps.parameterized_sets = false;
+        self
+    }
+
     /// The wrapped catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
@@ -71,8 +82,9 @@ impl RelationalWrapper {
         &mut self.catalog
     }
 
-    /// Candidate tables for a top-level pattern: the named one, or all.
-    fn candidate_tables(&self, pattern: &Pattern) -> Vec<String> {
+    /// Candidate tables for a top-level pattern: the named one, or all
+    /// that a label variable may take.
+    fn candidate_tables(&self, pattern: &Pattern, sets: &ValueSets) -> Vec<String> {
         match &pattern.label {
             Term::Const(v) => match v.as_str_sym() {
                 Some(s) => {
@@ -85,31 +97,48 @@ impl RelationalWrapper {
                 }
                 None => Vec::new(),
             },
-            Term::Var(_) => self.catalog.table_names().map(|s| s.to_string()).collect(),
+            Term::Var(v) => self
+                .catalog
+                .table_names()
+                .filter(|t| sets.allows(*v, &Value::str(t)))
+                .map(|s| s.to_string())
+                .collect(),
             Term::Param(_) | Term::Func(..) => Vec::new(),
         }
     }
 
-    /// Equality conditions pushable to the engine: subpatterns with a
-    /// constant label (a column name) and a constant value. Returns `None`
-    /// if some pushable condition references a column the table lacks — the
+    /// Conditions pushable to the engine: subpatterns with a constant
+    /// label (a column name) and either a constant value (equality) or a
+    /// variable restricted to a value set (`IN`). Returns `None` if some
+    /// pushable condition references a column the table lacks — the
     /// pattern can never match a row of that table.
-    fn pushdown(&self, table: &str, pattern: &Pattern) -> Option<Predicate> {
+    fn pushdown(&self, table: &str, pattern: &Pattern, sets: &ValueSets) -> Option<Predicate> {
         let schema = self.catalog.table(table).ok()?.schema();
+        // A required column that is absent means no row matches.
+        let column = |label: &Value| -> Option<String> {
+            let name = label.as_str_sym()?.as_str();
+            schema.column_index(&name)?;
+            Some(name)
+        };
         let mut pred = Predicate::all();
         if let PatValue::Set(sp) = &pattern.value {
             for e in &sp.elements {
                 let SetElem::Pattern(sub) = e else { continue };
-                let (Term::Const(label), PatValue::Term(Term::Const(value))) =
-                    (&sub.label, &sub.value)
-                else {
+                let (Term::Const(label), PatValue::Term(value)) = (&sub.label, &sub.value) else {
                     continue;
                 };
-                let col = label.as_str_sym()?;
-                let col_name = col.as_str();
-                // A required column that is absent means no row matches.
-                schema.column_index(&col_name)?;
-                pred = pred.and(Condition::eq(&col_name, value_to_datum(value)?));
+                match value {
+                    Term::Const(value) => {
+                        pred = pred.and(Condition::eq(&column(label)?, value_to_datum(value)?));
+                    }
+                    Term::Var(v) => {
+                        if let Some(listed) = sets.values(*v) {
+                            let listed = listed.filter_map(value_to_datum);
+                            pred = pred.and_in(InCondition::of(&column(label)?, listed));
+                        }
+                    }
+                    Term::Param(_) | Term::Func(..) => {}
+                }
             }
         }
         Some(pred)
@@ -220,14 +249,14 @@ impl Wrapper for RelationalWrapper {
             self.counters.capability_rejected();
             return Err(WrapperError::Unsupported(e));
         }
-        let patterns = own_patterns(self.name, q)?;
+        let (patterns, sets) = own_patterns(self.name, &self.caps, q)?;
 
         // Materialize, per tail pattern, only rows surviving pushdown.
         let mut view = ObjectStore::with_oid_prefix(&format!("{}_t", self.name));
         let mut memo: HashMap<(String, usize), oem::ObjId> = HashMap::new();
         for pattern in &patterns {
-            for table in self.candidate_tables(pattern) {
-                let Some(pred) = self.pushdown(&table, pattern) else {
+            for table in self.candidate_tables(pattern, &sets) {
+                let Some(pred) = self.pushdown(&table, pattern, &sets) else {
                     continue;
                 };
                 let t = self.catalog.table(&table).expect("candidate exists");
@@ -240,28 +269,7 @@ impl Wrapper for RelationalWrapper {
         }
 
         // Finish with generic MSL matching over the materialized view.
-        let mut states = vec![Bindings::new()];
-        for pattern in &patterns {
-            let mut next = Vec::new();
-            for b in &states {
-                next.extend(match_top_level(&view, pattern, b));
-            }
-            states = next;
-            if states.is_empty() {
-                break;
-            }
-        }
-        let mut head_vars = Vec::new();
-        q.head.collect_vars(&mut head_vars);
-        let projected: Vec<Bindings> = states.iter().map(|b| b.project(&head_vars)).collect();
-        let surviving = dedup_bindings(projected);
-
-        let mut out = ObjectStore::with_oid_prefix(&format!("{}_r", self.name));
-        let mut ctor = Constructor::new(&view);
-        for b in &surviving {
-            ctor.construct_head(&q.head, b, &mut out)
-                .map_err(|e| WrapperError::Construct(e.to_string()))?;
-        }
+        let out = crate::eval::answer_patterns(self.name, &view, &patterns, &sets, q)?;
         self.counters.objects_exported(out.top_level().len());
         Ok(out)
     }
@@ -386,6 +394,64 @@ mod tests {
         assert_eq!(w.query(&hit).unwrap().top_level().len(), 1);
         let miss = parse_query("X :- X:<student {<year 4>}>@cs").unwrap();
         assert!(w.query(&miss).unwrap().top_level().is_empty());
+    }
+
+    #[test]
+    fn value_sets_push_down_and_narrow_the_relations() {
+        use crate::api::one_of;
+        let w = cs();
+        let mut q =
+            parse_query("<row {<rel R> <ln LN> <rest Rest2>}> :- <R {<last_name LN> | Rest2}>@cs")
+                .unwrap();
+        let names = ["Chung", "Naive", "Nobody"].map(Value::str);
+        q.tail.push(one_of(sym("LN"), names));
+        let both: Vec<String> = {
+            let res = w.query(&q).unwrap();
+            res.top_level().iter().map(|&t| compact(&res, t)).collect()
+        };
+        assert_eq!(both.len(), 2, "{both:?}");
+        assert!(both[0].contains("<rel 'employee'>") && both[0].contains("<ln 'Chung'>"));
+        assert!(both[1].contains("<rel 'student'>") && both[1].contains("<ln 'Naive'>"));
+        // A restricted label variable leaves one candidate relation.
+        q.tail.push(one_of(sym("R"), [Value::str("student")]));
+        let res = w.query(&q).unwrap();
+        assert_eq!(res.top_level().len(), 1);
+        assert_eq!(compact(&res, res.top_level()[0]), both[1]);
+        // A source taking one value per parameter refuses the query.
+        let strict = cs().without_parameterized_sets();
+        assert!(matches!(
+            strict.query(&q),
+            Err(WrapperError::Unsupported(_))
+        ));
+        assert_eq!(strict.metrics().unwrap().capability_rejections, 1);
+    }
+
+    #[test]
+    fn integer_value_set_meets_a_real_column() {
+        let mut catalog = Catalog::new();
+        let mut t = Table::new(
+            Schema::new("grade", &[("who", ColType::Str), ("gpa", ColType::Real)]).unwrap(),
+        );
+        t.insert_all([
+            vec!["A".into(), 3.0.into()],
+            vec!["B".into(), 3.5.into()],
+            vec!["C".into(), 4.0.into()],
+        ])
+        .unwrap();
+        catalog.add_table(t).unwrap();
+        let w = RelationalWrapper::new("src", catalog);
+        let mut q = parse_query("<out {<who W> <g G>}> :- <grade {<who W> <gpa G>}>@src").unwrap();
+        q.tail.push(crate::api::one_of(
+            sym("G"),
+            [Value::Int(3), Value::Int(4), Value::Int(5)],
+        ));
+        let res = w.query(&q).unwrap();
+        let printed: Vec<String> = res.top_level().iter().map(|&t| compact(&res, t)).collect();
+        // 3 is 3.0, as in `<gpa 3>`; the answer names the value asked for.
+        assert_eq!(
+            printed,
+            ["<out {<who 'A'> <g 3>}>", "<out {<who 'C'> <g 4>}>"]
+        );
     }
 
     #[test]

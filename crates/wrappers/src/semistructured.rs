@@ -4,7 +4,8 @@
 //! the paper's university "whois" facility (Figure 2.3). Evaluation is
 //! full MSL pattern matching, optionally restricted by a
 //! [`Capabilities`] profile (e.g. "cannot evaluate conditions on `year`",
-//! the §3.5 example).
+//! the §3.5 example). A query restricting variables to value sets
+//! (`one_of`, [`crate::api::ValueSets`]) is one pass over the store.
 
 use crate::api::{SourceStats, Wrapper, WrapperError};
 use crate::capabilities::Capabilities;
@@ -43,6 +44,14 @@ impl SemiStructuredSource {
     /// Replace the capability profile.
     pub fn with_capabilities(mut self, caps: Capabilities) -> SemiStructuredSource {
         self.caps = caps;
+        self
+    }
+
+    /// This source taking one value per parameter
+    /// ([`Capabilities::without_parameterized_sets`]): §3.4's node then
+    /// sends it one query per binding tuple.
+    pub fn without_parameterized_sets(mut self) -> SemiStructuredSource {
+        self.caps.parameterized_sets = false;
         self
     }
 
@@ -125,7 +134,7 @@ impl Wrapper for SemiStructuredSource {
             self.counters.capability_rejected();
             return Err(WrapperError::Unsupported(e));
         }
-        let result = answer_msl_query(self.name, &self.store, q)?;
+        let result = answer_msl_query(self.name, &self.caps, &self.store, q)?;
         self.counters.objects_exported(result.top_level().len());
         Ok(result)
     }

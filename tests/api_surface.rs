@@ -107,8 +107,14 @@ fn wrapper_stats_surface() {
     assert_eq!(stats.top_level_count, 2);
     assert!(stats.selectivity(oem::sym("last_name")) <= 1.0);
     assert!(cs.capabilities().parameterized_cheap);
+    assert!(cs.capabilities().parameterized_sets);
     let whois = wrappers::scenario::whois_wrapper();
     assert!(!whois.capabilities().parameterized_cheap);
+    assert!(whois.capabilities().parameterized_sets);
+    // A form takes one value per field; so does a mediator used as a source.
+    assert!(!wrappers::Capabilities::restricted().parameterized_sets);
+    let caps = wrappers::Capabilities::full().without_parameterized_sets();
+    assert!(!caps.parameterized_sets && caps.parameterized);
 }
 
 #[test]

@@ -4,6 +4,11 @@
 //! against the seeded fault plans exactly. Every scenario runs on virtual
 //! time (injected clock + sleeper) — the whole suite finishes without a
 //! single real sleep, and every fault plan is deterministic.
+//!
+//! The last section runs the matrix's cs column again for a bind join that
+//! ships its tuples as value sets: a batch is one call to every decorator
+//! on the way to the source, one attempt to the retry policy, and — once
+//! answered — twenty per-tuple cache entries.
 
 use medmaker::exec::ExecOutcome;
 use medmaker::{FaultOptions, MedError, Mediator, MediatorOptions, OnSourceFailure, RetryPolicy};
@@ -381,4 +386,308 @@ fn seeded_flaky_plan_is_reproducible_across_runs() {
     let plan_c = FaultPlan::none().flaky(0.5, 43);
     let seq_c: Vec<bool> = (0..32).map(|i| plan_c.injects_fault(i)).collect();
     assert_ne!(seq_a, seq_c);
+}
+
+// ---- value sets: one batch is one call ------------------------------------
+
+use medmaker::CacheOptions;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A decorator that forwards everything and does its work in `query`
+/// (the shape of the benchmark's timing wrapper): whatever a batch needs
+/// must travel inside the `Rule`.
+struct Counting {
+    inner: Arc<dyn Wrapper>,
+    calls: AtomicUsize,
+}
+
+impl Wrapper for Counting {
+    fn name(&self) -> oem::Symbol {
+        self.inner.name()
+    }
+    fn capabilities(&self) -> &wrappers::Capabilities {
+        self.inner.capabilities()
+    }
+    fn stats(&self) -> Option<wrappers::SourceStats> {
+        self.inner.stats()
+    }
+    fn metrics(&self) -> Option<wrappers::WrapperMetrics> {
+        self.inner.metrics()
+    }
+    fn schema_summary(&self) -> Option<wrappers::SchemaSummary> {
+        self.inner.schema_summary()
+    }
+    fn query(&self, q: &msl::Rule) -> Result<oem::ObjectStore, wrappers::WrapperError> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.query(q)
+    }
+}
+
+/// The benchmark's `slow_source` fixture on virtual time: 40 whois
+/// persons, 20 of them students, the bind join pinned; each source sits
+/// behind a fault injector behind a [`Counting`] decorator.
+struct Fanout {
+    med: Mediator,
+    whois: Arc<FaultInjectingWrapper>,
+    cs: Arc<FaultInjectingWrapper>,
+    cs_counted: Arc<Counting>,
+    cs_source: Arc<dyn Wrapper>,
+}
+
+const STUDENTS: &str = "P :- P:<cs_person {<rel 'student'>}>@m";
+
+fn fanout(value_sets: bool, cs_plan: FaultPlan, fault: FaultOptions, cache: bool) -> Fanout {
+    let (mut whois, mut cs) = wrappers::workload::PersonWorkload::sized(40).build();
+    if !value_sets {
+        whois = whois.without_parameterized_sets();
+        cs = cs.without_parameterized_sets();
+    }
+    let clock = Arc::new(VirtualClock::new());
+    let cs_source: Arc<dyn Wrapper> = Arc::new(cs);
+    let cs_counted = Arc::new(Counting {
+        inner: cs_source.clone(),
+        calls: AtomicUsize::new(0),
+    });
+    let cs = Arc::new(
+        FaultInjectingWrapper::new(cs_counted.clone(), cs_plan).with_virtual_clock(clock.clone()),
+    );
+    let whois = Arc::new(
+        FaultInjectingWrapper::new(Arc::new(whois), FaultPlan::none())
+            .with_virtual_clock(clock.clone()),
+    );
+    let med = Mediator::new(
+        "m",
+        MS1,
+        vec![
+            whois.clone() as Arc<dyn Wrapper>,
+            cs.clone() as Arc<dyn Wrapper>,
+        ],
+        medmaker::externals::standard_registry(),
+    )
+    .unwrap()
+    .with_options(MediatorOptions {
+        planner: medmaker::planner::PlannerOptions {
+            prefer_bind_join: Some(true),
+            ..Default::default()
+        },
+        learn_stats: false,
+        fault: fault.on_virtual_time(clock),
+        cache: if cache {
+            CacheOptions::enabled()
+        } else {
+            CacheOptions::default()
+        },
+        ..Default::default()
+    });
+    Fanout {
+        med,
+        whois,
+        cs,
+        cs_counted,
+        cs_source,
+    }
+}
+
+fn students(f: &Fanout) -> medmaker::Result<ExecOutcome> {
+    f.med.query_rule(&msl::parse_query(STUDENTS).unwrap())
+}
+
+#[test]
+fn a_value_set_is_one_call_to_every_decorator() {
+    // One tuple a call: 2 whois + 21 cs round-trips, twenty of them the
+    // parameterized node's.
+    let per_tuple = fanout(false, FaultPlan::none(), FaultOptions::default(), false);
+    let expected = students(&per_tuple).unwrap();
+    assert_eq!(expected.results.top_level().len(), 20);
+    assert_eq!(
+        (per_tuple.whois.calls_seen(), per_tuple.cs.calls_seen()),
+        (2, 21)
+    );
+    // Value sets: the twenty tuples ride in one query, and the injector,
+    // the decorator below it, the source itself and the trace each count
+    // it once.
+    let f = fanout(true, FaultPlan::none(), FaultOptions::default(), false);
+    let out = students(&f).unwrap();
+    assert_eq!(
+        oem::printer::print_store(&out.results),
+        oem::printer::print_store(&expected.results)
+    );
+    assert_eq!((f.whois.calls_seen(), f.cs.calls_seen()), (2, 2));
+    assert_eq!(f.cs_counted.calls.load(Ordering::Relaxed), 2);
+    assert_eq!(f.cs_source.metrics().unwrap().queries_received, 2);
+    assert_eq!(out.trace.calls(sym("cs")), 2);
+    assert_eq!(out.trace.latency_calls.get(&sym("cs")), Some(&2));
+    let node = out
+        .trace
+        .nodes()
+        .find(|n| n.metrics.tuples_sent > 1)
+        .expect("a node sent a value set");
+    assert_eq!(
+        (node.metrics.source_calls, node.metrics.tuples_sent),
+        (1, 20)
+    );
+    // §3.5 observations stay "rows per bound tuple": one per tuple, each
+    // with its own student.
+    let per_tuple_obs = out
+        .trace
+        .observations
+        .iter()
+        .filter(|o| o.source == sym("cs") && o.count == 1)
+        .count();
+    assert!(per_tuple_obs >= 20, "{:?}", out.trace.observations);
+}
+
+#[test]
+fn a_failed_batch_is_retried_as_one_attempt() {
+    let healthy = fanout(true, FaultPlan::none(), FaultOptions::default(), false);
+    let expected = oem::printer::print_store(&students(&healthy).unwrap().results);
+    // cs refuses its first call — the value set — and answers the retry.
+    let retrying = FaultOptions {
+        retry: RetryPolicy::retries(1),
+        ..Default::default()
+    };
+    let f = fanout(true, FaultPlan::none().fail_first(1), retrying, false);
+    let out = students(&f).unwrap();
+    assert_eq!(oem::printer::print_store(&out.results), expected);
+    assert_eq!(out.trace.retries_for(sym("cs")), 1);
+    assert_eq!(out.trace.failures_for(sym("cs")), 1);
+    assert_eq!(out.trace.calls(sym("cs")), 2, "a retried call is one call");
+    assert_eq!(
+        f.cs.calls_seen(),
+        3,
+        "1 refused + its retry + the other chain"
+    );
+    assert!(out.trace.completeness.is_complete());
+}
+
+#[test]
+fn a_batch_that_stays_failed_fails_like_a_tuple() {
+    let retrying = |mode: OnSourceFailure| FaultOptions {
+        retry: RetryPolicy::retries(2),
+        on_source_failure: mode,
+        ..Default::default()
+    };
+    // Fail mode: the query errors.
+    let f = fanout(
+        true,
+        FaultPlan::always_down(),
+        retrying(OnSourceFailure::Fail),
+        false,
+    );
+    match students(&f).err().expect("cs is down") {
+        MedError::SourceUnavailable { source, .. } => assert_eq!(source, "cs"),
+        other => panic!("expected SourceUnavailable, got {other}"),
+    }
+    assert_eq!(f.cs_counted.calls.load(Ordering::Relaxed), 0);
+    // Partial mode: every chain of MS1 needs cs, so each is dropped — the
+    // one holding the batch like the others, after three attempts at one
+    // query.
+    let f = fanout(
+        true,
+        FaultPlan::always_down(),
+        retrying(OnSourceFailure::Partial),
+        false,
+    );
+    let out = students(&f).unwrap();
+    assert!(out.results.top_level().is_empty());
+    assert!(out
+        .trace
+        .completeness
+        .sources_failed
+        .contains_key(&sym("cs")));
+    let batch = out
+        .trace
+        .nodes()
+        .find(|n| n.metrics.tuples_sent > 1)
+        .expect("a node sent a value set");
+    assert_eq!(
+        (batch.metrics.source_calls, batch.metrics.tuples_sent),
+        (1, 20)
+    );
+    assert_eq!(f.cs.calls_seen(), 3 * out.trace.calls(sym("cs")));
+    assert_eq!(out.trace.failures_for(sym("cs")), f.cs.calls_seen());
+}
+
+#[test]
+fn a_batch_fills_the_cache_tuple_by_tuple() {
+    let f = fanout(true, FaultPlan::none(), FaultOptions::default(), true);
+    let cold = students(&f).unwrap();
+    assert_eq!((f.whois.calls_seen(), f.cs.calls_seen()), (2, 2));
+    // Twenty lookups missed and shared one round-trip.
+    let node = cold
+        .trace
+        .nodes()
+        .find(|n| n.metrics.tuples_sent > 1)
+        .expect("a node sent a value set");
+    assert_eq!(
+        (node.metrics.cache_misses, node.metrics.source_calls),
+        (20, 1)
+    );
+    // Again: every source query — each tuple's among them — is resident.
+    let warm = students(&f).unwrap();
+    assert_eq!(warm.trace.total_source_calls(), 0);
+    assert_eq!((f.whois.calls_seen(), f.cs.calls_seen()), (2, 2));
+    assert_eq!(
+        oem::printer::print_store(&warm.results),
+        oem::printer::print_store(&cold.results)
+    );
+    // One of the twenty on its own: its cs query is the filled query the
+    // batch was split into, an exact hit.
+    let name = wrappers::workload::PersonWorkload::full_name_of(3);
+    let one = msl::parse_query(&format!("P :- P:<cs_person {{<name '{name}'>}}>@m")).unwrap();
+    let out = f.med.query_rule(&one).unwrap();
+    assert_eq!(out.results.top_level().len(), 1);
+    let node = out
+        .trace
+        .nodes()
+        .find(|n| n.op == "parameterized query")
+        .expect("the point query binds into cs");
+    assert_eq!(
+        (node.metrics.cache_hits, node.metrics.source_calls),
+        (1, 0),
+        "{node:?}"
+    );
+}
+
+#[test]
+fn a_source_taking_one_value_refuses_a_value_set() {
+    /// A hand-written wrapper over the library's evaluator that never
+    /// heard of value sets: its profile says so.
+    struct Plain {
+        caps: wrappers::Capabilities,
+        store: oem::ObjectStore,
+    }
+    impl Wrapper for Plain {
+        fn name(&self) -> oem::Symbol {
+            sym("whois")
+        }
+        fn capabilities(&self) -> &wrappers::Capabilities {
+            &self.caps
+        }
+        fn query(&self, q: &msl::Rule) -> Result<oem::ObjectStore, wrappers::WrapperError> {
+            wrappers::eval::answer_msl_query(self.name(), &self.caps, &self.store, q)
+        }
+    }
+    let plain = Plain {
+        caps: wrappers::Capabilities::full().without_parameterized_sets(),
+        store: wrappers::scenario::whois_store(),
+    };
+    let mut q = msl::parse_query("P :- P:<person {<name N>}>@whois").unwrap();
+    plain.query(&q).unwrap();
+    q.tail.push(wrappers::api::one_of(
+        sym("N"),
+        [oem::Value::str("Joe Chung")],
+    ));
+    // Never both people, which ignoring the restriction would return.
+    match plain.query(&q) {
+        Err(wrappers::WrapperError::Unsupported(why)) => assert!(why.contains("one_of"), "{why}"),
+        other => panic!("expected Unsupported, got {:?}", other.map(|s| s.len())),
+    }
+    // The mediator reads the profile and never sends it one.
+    let f = fanout(false, FaultPlan::none(), FaultOptions::default(), false);
+    let out = students(&f).unwrap();
+    assert!(out
+        .trace
+        .nodes()
+        .all(|n| n.metrics.tuples_sent <= n.metrics.source_calls));
 }

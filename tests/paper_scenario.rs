@@ -27,14 +27,32 @@ fn med_minimal() -> Mediator {
     })
 }
 
-/// Like [`med_minimal`], but pinned to the seed scalar cost model. The
-/// Fig 3.6 row-count tests below document the paper's presentation, where
-/// the inner whois group runs as a per-tuple parameterized query; the
-/// multi-objective model legitimately prefers a single-scan hash join for
-/// whois once it prices round-trips, so the paper shape is only stable
-/// under the `Scalar` ablation.
+/// Like [`med_minimal`], but pinned to the seed scalar cost model and to
+/// sources that take one value per parameter. The Fig 3.6 row-count tests
+/// below document the paper's presentation, where the inner whois group
+/// runs as a per-tuple parameterized query; the multi-objective model
+/// legitimately prefers a single-scan hash join for whois once it prices
+/// round-trips, so the paper shape is only stable under the `Scalar`
+/// ablation — and §3.4's node sends one query per binding tuple, which a
+/// source accepting value sets would not be sent.
 fn med_paper_shape() -> Mediator {
-    med().with_options(MediatorOptions {
+    paper_shape(false)
+}
+
+fn paper_shape(value_sets: bool) -> Mediator {
+    let (mut whois, mut cs) = (whois_wrapper(), cs_wrapper());
+    if !value_sets {
+        whois = whois.without_parameterized_sets();
+        cs = cs.without_parameterized_sets();
+    }
+    Mediator::new(
+        "med",
+        MS1,
+        vec![Arc::new(whois), Arc::new(cs)],
+        medmaker::externals::standard_registry(),
+    )
+    .unwrap()
+    .with_options(MediatorOptions {
         unify_mode: UnifyMode::Minimal,
         planner: medmaker::planner::PlannerOptions {
             enumeration: medmaker::planner::JoinEnumeration::Scalar,
@@ -253,7 +271,7 @@ fn analyze_q1_per_node_row_counts() {
 #[test]
 fn analyze_tau_chains_per_node_row_counts() {
     let med = med_paper_shape();
-    let (_, trace) = med
+    let (per_tuple_report, trace) = med
         .explain_analyze("S :- S:<cs_person {<year 3>}>@med")
         .unwrap();
     assert_eq!(trace.rules.len(), 2);
@@ -272,7 +290,29 @@ fn analyze_tau_chains_per_node_row_counts() {
     // The whois parameterized query of τ1 memoizes nothing here: two
     // distinct name/relation tuples mean two source round-trips.
     assert_eq!(trace.rules[0].nodes[2].metrics.source_calls, 2);
+    assert!(
+        per_tuple_report.contains("source calls: 2 ") && !per_tuple_report.contains("tuples)"),
+        "{per_tuple_report}"
+    );
     assert_eq!(trace.result_count, 1);
+
+    // Against sources that accept value sets the same rows flow through
+    // the same nodes; the two tuples share one round-trip.
+    let (report, batched) = paper_shape(true)
+        .explain_analyze("S :- S:<cs_person {<year 3>}>@med")
+        .unwrap();
+    for ri in 0..2 {
+        let got: Vec<(usize, usize)> = batched.rules[ri]
+            .nodes
+            .iter()
+            .map(|n| (n.metrics.rows_in, n.metrics.rows_out))
+            .collect();
+        assert_eq!(got, rows(ri), "{report}");
+    }
+    let probe = &batched.rules[0].nodes[2].metrics;
+    assert_eq!((probe.source_calls, probe.tuples_sent), (1, 2), "{report}");
+    assert!(report.contains("source calls: 1 (2 tuples)"), "{report}");
+    assert_eq!(batched.result_count, 1);
 }
 
 /// A trace produced through the mediator survives the JSON export format
