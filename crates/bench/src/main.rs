@@ -573,7 +573,8 @@ decomp(free, bound, bound) by lnfn_to_name
 /// full round-trips) and cache on (iteration 1 fills the cache, every
 /// later iteration is answered without touching a source). Also shows a
 /// containment hit: a name-pinned query served by locally filtering the
-/// cached answer to the broad view query.
+/// cached answer to the broad view query — and that such a probe examines
+/// as many cached objects as it returns, at either of two table sizes.
 fn cache() {
     use medmaker::CacheOptions;
 
@@ -645,10 +646,77 @@ fn cache() {
          ({containment} containment hit(s), 0 whois round-trips)"
     );
 
+    // Shape: a pinned containment hit costs what it returns, not what the
+    // entry holds. The whole person table is cached at two sizes; the
+    // same PROBES name-pinned queries are then answered from it. The
+    // first builds the entry's index over every object, each later one
+    // looks at the object it returns — the same count at both sizes.
+    const PEOPLE: usize = 100;
+    const PROBES: usize = 50;
+    let mut per_probe = Vec::new();
+    for size in [PEOPLE, 2 * PEOPLE] {
+        let build = |cache: CacheOptions| {
+            let (whois, _) = wrappers::workload::PersonWorkload::sized(size).build();
+            Mediator::new(
+                "m",
+                "<p {<n N> <r R>}> :- <person {<name N> <relation R>}>@whois",
+                vec![Arc::new(whois)],
+                registry(),
+            )
+            .unwrap()
+            .with_options(opts(cache))
+        };
+        let (off, on) = (
+            build(CacheOptions::default()),
+            build(CacheOptions::enabled()),
+        );
+        let table = on.query_text("X :- X:<p {}>@m").unwrap();
+        assert_eq!(table.top_level().len(), size);
+        let probe = |i: usize| {
+            let name = wrappers::workload::PersonWorkload::full_name_of(i);
+            let q = msl::parse_query(&format!("X :- X:<p {{<n '{name}'>}}>@m")).unwrap();
+            let served = on.query_rule(&q).unwrap();
+            assert_eq!(
+                served.trace.total_source_calls(),
+                0,
+                "{name}: no round-trip"
+            );
+            assert_eq!(
+                print_store(&served.results),
+                print_store(&off.query_rule(&q).unwrap().results),
+                "{name}: byte-identical to the cache-off twin"
+            );
+        };
+        let examined = || on.cache_counters().objects_examined;
+        probe(size - 1);
+        let built = examined();
+        assert!(built >= size, "the first pinned probe indexes the entry");
+        for i in 0..PROBES {
+            probe(i);
+        }
+        let c = on.cache_counters();
+        assert_eq!((c.containment_hits, c.misses), (PROBES + 1, 1));
+        println!(
+            "pinned probes over a cached table of {size}: the first examined {built} objects \
+             (index build), the next {PROBES} examined {} in all",
+            examined() - built
+        );
+        per_probe.push((examined() - built) as f64 / PROBES as f64);
+    }
+    assert_eq!(
+        per_probe[0], per_probe[1],
+        "objects examined per pinned probe must not grow with the entry"
+    );
+    assert!(per_probe[0] <= 2.0, "{per_probe:?}");
+
     println!(
         "[ok] repeated Fig 3.6 workload collapses from {total_off} to {total_on} \
-         source round-trips ({:.1}x) with byte-identical answers",
-        total_off as f64 / total_on as f64
+         source round-trips ({:.1}x) with byte-identical answers; a pinned \
+         containment probe examines {} object(s) whether the cached table \
+         holds {PEOPLE} or {}",
+        total_off as f64 / total_on as f64,
+        per_probe[0],
+        2 * PEOPLE
     );
 }
 

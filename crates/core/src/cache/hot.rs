@@ -20,10 +20,96 @@
 //! When a warm tier is configured, the evicted loser **demotes** (the
 //! caller drops it from memory knowing the warm tier already holds it)
 //! instead of vanishing; without one it is simply gone.
+//!
+//! **Pinned probes** are what a resident answer is indexed for. A
+//! containment hit that pins a variable (`<name 'Joe Chung'>` against the
+//! cached `<name N>`) wants the few objects whose `bind_for_N` carrier
+//! holds that value, not a walk over the whole answer, so each entry's
+//! `CachedAnswer` keeps, per pinned variable, a map from the carrier's
+//! [`atomic_key`] to the positions in `top_level()` that hold it. The map
+//! is built by the first probe that pins that variable and lives in the
+//! same struct as the store it describes: whatever replaces, evicts,
+//! expires or invalidates the entry drops both, and there is no second
+//! invalidation path to forget.
 
-use super::Entry;
-use oem::Symbol;
-use std::collections::BTreeMap;
+use super::{find_carrier, Entry};
+use crate::graph::carrier_label;
+use engine::matcher::atomic_key;
+use oem::{ObjectStore, Symbol, Value};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
+/// A resident answer with the indexes built over it so far.
+pub(crate) struct CachedAnswer {
+    store: Arc<ObjectStore>,
+    /// Pinned variable → [`atomic_key`] of its carrier → ascending
+    /// positions in `store.top_level()`. `None` for a variable some
+    /// object carries no atom for: the entry refuses every probe that
+    /// pins it.
+    by_pin: HashMap<Symbol, Option<HashMap<Value, Vec<usize>>>>,
+}
+
+impl CachedAnswer {
+    pub(crate) fn new(store: Arc<ObjectStore>) -> CachedAnswer {
+        CachedAnswer {
+            store,
+            by_pin: HashMap::new(),
+        }
+    }
+
+    /// The wrapper's exported answer, as returned.
+    pub(crate) fn store(&self) -> &ObjectStore {
+        &self.store
+    }
+
+    /// Build the index of every variable `pins` pins that has none yet.
+    /// Returns the number of top-level objects the builds looked at (0
+    /// when there was nothing to do).
+    pub(crate) fn index_pins(&mut self, pins: &HashMap<Symbol, Value>) -> usize {
+        let store = &*self.store;
+        let mut looked_at = 0;
+        for &var in pins.keys() {
+            self.by_pin.entry(var).or_insert_with(|| {
+                let label = carrier_label(var);
+                store.top_level().iter().enumerate().try_fold(
+                    HashMap::<Value, Vec<usize>>::new(),
+                    |mut index, (pos, &top)| {
+                        looked_at += 1;
+                        match &store.get(find_carrier(store, top, label)?).value {
+                            Value::Set(_) => None,
+                            atom => {
+                                index.entry(atomic_key(atom)).or_default().push(pos);
+                                Some(index)
+                            }
+                        }
+                    },
+                )
+            });
+        }
+        looked_at
+    }
+
+    /// The objects a probe pinning each variable of `pins` to its value
+    /// can return, as ascending positions in `top_level()`: the shortest
+    /// of the pins' lists, every one of which holds all the objects whose
+    /// carrier equals the pinned value. They are candidates to confirm
+    /// with [`engine::matcher::atomic_eq`], pin by pin, since unequal
+    /// values can share a key. `None` when the entry cannot answer the
+    /// probe: for one of the variables some object lacks the carrier or
+    /// holds a set there (or [`Self::index_pins`] has not run), or `pins`
+    /// is empty.
+    pub(crate) fn candidates(&self, pins: &HashMap<Symbol, Value>) -> Option<&[usize]> {
+        let mut shortest: Option<&[usize]> = None;
+        for (var, value) in pins {
+            let index = self.by_pin.get(var)?.as_ref()?;
+            let listed = index.get(&atomic_key(value)).map_or(&[][..], Vec::as_slice);
+            if shortest.is_none_or(|s| listed.len() < s.len()) {
+                shortest = Some(listed);
+            }
+        }
+        shortest
+    }
+}
 
 /// The in-memory tier: per-source shards of cached entries.
 #[derive(Default)]
@@ -38,7 +124,7 @@ impl HotTier {
         self.shards.get(&source)
     }
 
-    /// Mutable shard access (hit bookkeeping).
+    /// Mutable shard access (probing builds indexes; hit bookkeeping).
     pub(crate) fn shard_mut(&mut self, source: Symbol) -> Option<&mut Vec<Entry>> {
         self.shards.get_mut(&source)
     }

@@ -16,14 +16,29 @@
 //! locally, `wrappers/eval.rs`-style, against the extra constants and
 //! conditions instead of paying a round-trip.
 //!
+//! What that filtering costs is the number of cached objects it visits,
+//! and `serve` — the one loop both tiers are served by — visits as few
+//! as it can prove sufficient. A probe that pins nothing (an exact
+//! repeat, a rest-only specialization) visits the whole answer. A probe
+//! that pins variables to constants asks the hot entry's
+//! `hot::CachedAnswer` for the positions listed under a pinned value —
+//! an index built by the first probe that pins that variable, owned by
+//! the entry and dropped with it — and runs the same checks on those
+//! objects only, in the answer's order. A bind join over a cached table
+//! is made of such probes, one per tuple; before the index each cost as
+//! much as the table is long. [`CacheCounters::objects_examined`] counts
+//! the visits.
+//!
 //! Keys are computed over the *post-capability-strip* node queries (the
 //! planner already removed conditions the source cannot evaluate), so the
 //! cache never conflates what the source was actually asked with what the
 //! mediator filters afterwards.
 //!
 //! Soundness rule: a probe that meets *any* structural surprise — a
-//! pinned variable the cached query never exported, a rest condition
-//! whose carrier is missing, a rest condition referencing a variable the
+//! pinned variable the cached query never exported or that some object
+//! of the answer carries no atom for (anywhere in the entry, not only
+//! among the objects the probe would return), a rest condition whose
+//! carrier is missing, a rest condition referencing a variable the
 //! query binds elsewhere (local filtering cannot thread bindings the way
 //! the live matcher does), mismatched extraction kinds — rejects the
 //! entry and falls back to a miss. A containment false-positive can never
@@ -33,15 +48,17 @@
 //!
 //! The store is split in two (submodules [`hot`] and [`warm`]):
 //!
-//! * the **hot tier** holds recently useful answers in memory, evicted
-//!   cost-aware past capacity (value score = source latency × per-entry
-//!   hit EWMA over bytes, ties oldest-first);
+//! * the **hot tier** holds recently useful answers in memory, each with
+//!   the pin indexes built over it so far, evicted cost-aware past
+//!   capacity (value score = source latency × per-entry hit EWMA over
+//!   bytes, ties oldest-first);
 //! * the **warm tier** (enabled by [`CacheOptions::cache_dir`]) is an
 //!   append-only checksummed disk log that every insert writes through,
 //!   so hot-tier losers *demote* (drop from memory, stay on disk) instead
 //!   of vanishing, and a restarted process reopens yesterday's answers
 //!   without re-paying the source round-trips. A warm hit re-reads,
-//!   re-verifies and *promotes* the entry back to hot.
+//!   re-verifies and *promotes* the entry back to hot; the store it
+//!   filters was parsed a moment ago and is scanned, not indexed.
 //!
 //! Invalidation is tiered too: beyond whole-source
 //! ([`AnswerCache::invalidate_source`]), a scoped [`SourceDelta`]
@@ -75,11 +92,11 @@ pub mod warm;
 pub use keyidx::{rule_labels, LabelFootprint, SourceDelta};
 pub use warm::{CompactStats, WarmStats, WarmTier};
 
-use crate::graph::{ExtractVar, VarKind};
+use crate::graph::{carrier_label, ExtractVar, VarKind};
 use crate::stats::SharedStats;
 use engine::bindings::{Bindings, BoundValue};
 use engine::matcher::{atomic_eq, match_pattern};
-use hot::HotTier;
+use hot::{CachedAnswer, HotTier};
 use msl::{Head, PatValue, Pattern, RestSpec, Rule, SetElem, SetPattern, TailItem, Term};
 use oem::{copy, ObjectStore, Symbol, Value};
 use parking_lot::Mutex;
@@ -209,6 +226,11 @@ pub struct CacheCounters {
     pub warm_entries: usize,
     /// Live answer bytes in the warm tier (garbage excluded).
     pub warm_bytes: usize,
+    /// Top-level cached objects looked at to answer lookups: every object
+    /// a hit or a refused entry was filtered over, plus every object an
+    /// index build visited. Per pinned containment hit it stays near the
+    /// number of rows returned, whatever the entry holds.
+    pub objects_examined: usize,
 }
 
 /// One cached source answer (hot tier).
@@ -221,8 +243,8 @@ pub(crate) struct Entry {
     extract: Vec<ExtractVar>,
     /// Label footprint of the query, for delta-driven invalidation.
     footprint: LabelFootprint,
-    /// The wrapper's exported answer, as returned.
-    answer: Arc<ObjectStore>,
+    /// The wrapper's exported answer, as returned, and its pin indexes.
+    answer: CachedAnswer,
     /// Insertion time on the cache clock, for TTL expiry.
     inserted_ms: u64,
     /// Approximate size of the answer (printed form), for accounting.
@@ -260,6 +282,7 @@ struct CacheInner {
     demotions: usize,
     promotions: usize,
     compactions: usize,
+    objects_examined: usize,
 }
 
 /// The mediator-level source-answer cache. One instance lives on a
@@ -370,26 +393,42 @@ impl AnswerCache {
 
         // Hot probe: exact keys first (newest first), then containment.
         let mut hot_hit: Option<(usize, Vec<Vec<BoundValue>>, CacheHit)> = None;
-        if let Some(shard) = inner.hot.shard(source) {
-            let order = (0..shard.len())
-                .rev()
-                .filter(|&i| shard[i].key == key)
-                .chain((0..shard.len()).rev().filter(|&i| shard[i].key != key));
-            for i in order {
-                let entry = &shard[i];
-                let Some(m) = specialize_match_rule(query, &entry.query) else {
-                    continue;
-                };
-                let Some(rows) = serve(&entry.extract, &entry.answer, &m, vars, memory) else {
-                    continue;
-                };
-                let kind = if entry.key == key {
-                    CacheHit::Exact
-                } else {
-                    CacheHit::Containment
-                };
-                hot_hit = Some((i, rows, kind));
-                break;
+        let examined = &mut inner.objects_examined;
+        if let Some(shard) = inner.hot.shard_mut(source) {
+            'probe: for kind in [CacheHit::Exact, CacheHit::Containment] {
+                for (i, entry) in shard.iter_mut().enumerate().rev() {
+                    if (entry.key == key) != (kind == CacheHit::Exact) {
+                        continue;
+                    }
+                    let Some(m) = specialize_match_rule(query, &entry.query) else {
+                        continue;
+                    };
+                    // A probe that pins variables visits only the objects
+                    // the entry's index lists under a pinned value.
+                    let positions = if m.sigma.is_empty() {
+                        None
+                    } else {
+                        *examined += entry.answer.index_pins(&m.sigma);
+                        match entry.answer.candidates(&m.sigma) {
+                            Some(positions) => Some(positions),
+                            None => continue, // the entry refuses these pins
+                        }
+                    };
+                    let answer = entry.answer.store();
+                    let Some(rows) = serve(
+                        &entry.extract,
+                        answer,
+                        positions,
+                        &m,
+                        vars,
+                        memory,
+                        examined,
+                    ) else {
+                        continue;
+                    };
+                    hot_hit = Some((i, rows, kind));
+                    break 'probe;
+                }
             }
         }
         if let Some((i, rows, kind)) = hot_hit {
@@ -427,7 +466,10 @@ impl AnswerCache {
                     let Some(store) = warm.read_answer(we) else {
                         continue;
                     };
-                    let Some(rows) = serve(&we.extract, &store, &m, vars, memory) else {
+                    // Nothing resident to index: the store was just re-read.
+                    let examined = &mut inner.objects_examined;
+                    let Some(rows) = serve(&we.extract, &store, None, &m, vars, memory, examined)
+                    else {
                         continue;
                     };
                     let kind = if we.key == key {
@@ -460,7 +502,7 @@ impl AnswerCache {
                     query: we.query.clone(),
                     extract: we.extract.clone(),
                     footprint: we.footprint.clone(),
-                    answer: Arc::new(store),
+                    answer: CachedAnswer::new(Arc::new(store)),
                     inserted_ms: we.inserted_ms,
                     size_bytes: we.size_bytes,
                     unit_cost_ms: we.unit_cost_ms,
@@ -499,7 +541,7 @@ impl AnswerCache {
             query: query.clone(),
             extract: vars.to_vec(),
             footprint: rule_labels(query),
-            answer: Arc::new(answer.clone()),
+            answer: CachedAnswer::new(Arc::new(answer.clone())),
             inserted_ms,
             size_bytes,
             unit_cost_ms,
@@ -649,6 +691,7 @@ impl AnswerCache {
             compactions: inner.compactions,
             warm_entries,
             warm_bytes,
+            objects_examined: inner.objects_examined,
         }
     }
 
@@ -1407,6 +1450,14 @@ enum Extraction {
 /// agnostic: the hot path passes the resident answer, the warm path the
 /// store it just re-read off disk.
 ///
+/// `positions` narrows the objects visited to those places in
+/// `answer.top_level()` (ascending, so rows leave in the answer's order);
+/// `None` visits them all. A narrowed call runs every check a full one
+/// does on the objects it visits, so it is sound for any list that holds
+/// every object the σ filter would keep — what
+/// [`hot::CachedAnswer::candidates`] returns for the mapping's pins. Each
+/// object visited adds one to `examined`.
+///
 /// Two passes: every row is filtered and validated *before* anything is
 /// copied, so a structural surprise in a late row cannot leave earlier
 /// rows' objects orphaned in the chain's memory. (A bail-out here sends
@@ -1415,39 +1466,51 @@ enum Extraction {
 fn serve(
     extract: &[ExtractVar],
     answer: &ObjectStore,
+    positions: Option<&[usize]>,
     m: &Mapping,
     vars: &[ExtractVar],
     memory: &mut ObjectStore,
+    examined: &mut usize,
 ) -> Option<Vec<Vec<BoundValue>>> {
+    // Carrier labels are resolved here, once per call: formatting and
+    // interning one per object is what used to dominate a pinned probe.
+    let exported = |var: Symbol| extract.iter().find(|e| e.var == var);
     // Every variable the new query extracts must map onto one the cached
     // answer exported, with the same kind.
     let mut carrier_for: Vec<(Symbol, VarKind)> = Vec::with_capacity(vars.len());
     for v in vars {
-        let cached_var = *m.rho_inv.get(&v.var)?;
-        let cached_kind = extract
-            .iter()
-            .find(|e| e.var == cached_var)
-            .map(|e| e.kind)?;
-        if cached_kind != v.kind {
+        let cached = exported(*m.rho_inv.get(&v.var)?)?;
+        if cached.kind != v.kind {
             return None;
         }
-        carrier_for.push((cached_var, v.kind));
+        carrier_for.push((carrier_label(cached.var), v.kind));
     }
     // Every pinned variable and rest-filter variable must have a carrier.
-    for pinned in m.sigma.keys() {
-        extract.iter().find(|e| e.var == *pinned)?;
+    let mut pins: Vec<(Symbol, &Value)> = Vec::with_capacity(m.sigma.len());
+    for (pinned, value) in &m.sigma {
+        exported(*pinned)?;
+        pins.push((carrier_label(*pinned), value));
     }
-    for (rest_var, _) in &m.extra_rest {
-        extract.iter().find(|e| e.var == *rest_var)?;
+    let mut rest_filters: Vec<(Symbol, &Pattern)> = Vec::with_capacity(m.extra_rest.len());
+    for (rest_var, cond) in &m.extra_rest {
+        exported(*rest_var)?;
+        rest_filters.push((carrier_label(*rest_var), cond));
     }
     // Pass 1: filter and validate, touching nothing but the cached answer.
+    let tops = answer.top_level();
+    let visited = positions.map_or(tops.len(), <[usize]>::len);
     let mut kept: Vec<Vec<Extraction>> = Vec::new();
-    for &top in answer.top_level() {
+    for k in 0..visited {
+        let top = match positions {
+            Some(listed) => tops[listed[k]],
+            None => tops[k],
+        };
+        *examined += 1;
         // σ filter: the carrier for a pinned variable must hold exactly
         // the pinned constant.
         let mut keep = true;
-        for (pinned, value) in &m.sigma {
-            let carrier = find_carrier(answer, top, *pinned)?;
+        for &(label, value) in &pins {
+            let carrier = find_carrier(answer, top, label)?;
             match &answer.get(carrier).value {
                 Value::Set(_) => return None, // non-atomic pin: cannot filter
                 atomic => {
@@ -1463,8 +1526,8 @@ fn serve(
         // same semantics as the executor's RestFilter node; sound under
         // empty bindings because the probe rejected non-local variables).
         if keep {
-            for (rest_var, cond) in &m.extra_rest {
-                let carrier = find_carrier(answer, top, *rest_var)?;
+            for &(label, cond) in &rest_filters {
+                let carrier = find_carrier(answer, top, label)?;
                 let Value::Set(ids) = &answer.get(carrier).value else {
                     return None;
                 };
@@ -1481,8 +1544,8 @@ fn serve(
             continue;
         }
         let mut row = Vec::with_capacity(carrier_for.len());
-        for (cached_var, kind) in &carrier_for {
-            let carrier = find_carrier(answer, top, *cached_var)?;
+        for &(label, kind) in &carrier_for {
+            let carrier = find_carrier(answer, top, label)?;
             let extraction = match (&answer.get(carrier).value, kind) {
                 (Value::Set(kids), VarKind::Object) => Extraction::Obj(*kids.first()?),
                 (Value::Set(kids), VarKind::Scalar) => Extraction::Set(kids.clone()),
@@ -1512,9 +1575,9 @@ fn serve(
     Some(rows)
 }
 
-/// The `bind_for_<var>` carrier child of a top-level answer object.
-fn find_carrier(store: &ObjectStore, top: oem::ObjId, var: Symbol) -> Option<oem::ObjId> {
-    let label = Symbol::intern(&format!("bind_for_{var}"));
+/// The child of a top-level answer object labelled `label` (a
+/// [`carrier_label`]).
+fn find_carrier(store: &ObjectStore, top: oem::ObjId, label: Symbol) -> Option<oem::ObjId> {
     store
         .children(top)
         .iter()

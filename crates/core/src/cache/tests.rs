@@ -784,3 +784,335 @@ fn byte_gauge_tracks_resident_entries_exactly() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+// ---- pinned probes and the carrier index -----------------------------
+
+/// The whole `person` table as the planner would fetch it: name and year
+/// exported as atoms, the rest as a set.
+fn people_query() -> Rule {
+    q(
+        "<bind_for_whois {<bind_for_N N> <bind_for_Y Y> <bind_for_Rest1 {Rest1}>}> :- \
+         <person {<name N> <year Y> | Rest1}>@whois",
+    )
+}
+
+fn scalars(vars: &[&str]) -> Vec<ExtractVar> {
+    vars.iter()
+        .map(|v| ExtractVar {
+            var: sym(v),
+            kind: VarKind::Scalar,
+        })
+        .collect()
+}
+
+fn extract_nyr() -> Vec<ExtractVar> {
+    scalars(&["N", "Y", "Rest1"])
+}
+
+/// Cache `answer` as the answer to [`people_query`].
+fn cache_people(cache: &AnswerCache, answer: &ObjectStore) {
+    cache.insert(sym("whois"), &people_query(), &extract_nyr(), answer);
+}
+
+/// One object per `(name, year, relation)`.
+fn people_answer(people: impl IntoIterator<Item = (String, Value, &'static str)>) -> ObjectStore {
+    let mut s = ObjectStore::with_oid_prefix("whois_r");
+    for (name, year, relation) in people {
+        let name_c = s.atom("bind_for_N", name.as_str());
+        let year_c = s.insert_auto(sym("bind_for_Y"), year);
+        let relation = s.atom("relation", relation);
+        let rest_c = s.set("bind_for_Rest1", vec![relation]);
+        let top = s.set("bind_for_whois", vec![name_c, year_c, rest_c]);
+        s.add_top(top);
+    }
+    s
+}
+
+/// 200 people; every tenth shares the name `Twin`, years cycle through
+/// five reals, relations alternate.
+fn two_hundred() -> ObjectStore {
+    people_answer((0..200).map(|i| {
+        let name = if i % 10 == 0 {
+            "Twin".to_string()
+        } else {
+            format!("P{i}")
+        };
+        let relation = if i % 2 == 0 { "student" } else { "employee" };
+        (name, Value::real((i % 5) as f64), relation)
+    }))
+}
+
+/// A query narrower than [`people_query`]: `name` and `year` are MSL
+/// terms (a variable or a constant), `rest` an optional condition block.
+fn narrow_people(name: &str, year: &str, rest: &str) -> (Rule, Vec<ExtractVar>) {
+    let mut head = String::new();
+    let mut vars = Vec::new();
+    for term in [name, year] {
+        if term == "N" || term == "Y" {
+            head.push_str(&format!("<bind_for_{term} {term}> "));
+            vars.push(term);
+        }
+    }
+    vars.push("Rest1");
+    let query = q(&format!(
+        "<bind_for_whois {{{head}<bind_for_Rest1 {{Rest1}}>}}> :- \
+         <person {{<name {name}> <year {year}> | Rest1{rest}}}>@whois"
+    ));
+    (query, scalars(&vars))
+}
+
+/// What [`serve`] returns.
+type Served = Option<Vec<Vec<BoundValue>>>;
+
+/// [`serve`] over `answer` for `narrow`: scanning every object, and
+/// narrowed to the index's candidates for the probe's pins (`None` where
+/// the entry refuses them). Each call gets a fresh memory, so equal
+/// rows hold equal object ids.
+fn serve_both_ways(
+    answer: &ObjectStore,
+    narrow: &Rule,
+    vars: &[ExtractVar],
+) -> (Served, Served, usize) {
+    let extract = extract_nyr();
+    let m = specialize_match_rule(narrow, &people_query()).expect("contained");
+    let (mut scan_examined, mut examined) = (0, 0);
+    let scanned = serve(
+        &extract,
+        answer,
+        None,
+        &m,
+        vars,
+        &mut ObjectStore::new(),
+        &mut scan_examined,
+    );
+    assert!(!m.sigma.is_empty(), "the probe pins a variable");
+    let mut cached = CachedAnswer::new(Arc::new(answer.clone()));
+    cached.index_pins(&m.sigma);
+    let indexed = cached.candidates(&m.sigma).and_then(|positions| {
+        serve(
+            &extract,
+            answer,
+            Some(positions),
+            &m,
+            vars,
+            &mut ObjectStore::new(),
+            &mut examined,
+        )
+    });
+    (scanned, indexed, examined)
+}
+
+#[test]
+fn pinned_probes_return_what_the_scan_returns() {
+    let answer = two_hundred();
+    // (name, year, rest, rows expected, objects the narrowed call visits)
+    let cases = [
+        ("'P17'", "Y", "", 1, 1),
+        ("'Twin'", "Y", "", 20, 20),
+        // An Int pin finds the Real carriers it equals: 40 of 200.
+        ("N", "3", "", 40, 40),
+        // Two pins: the shorter list (the name's) is visited, the σ
+        // filter tests the year on it.
+        ("'Twin'", "0", "", 20, 20),
+        ("'P17'", "3", "", 0, 1),
+        // A pin plus a rest condition.
+        ("'Twin'", "Y", ":{<relation 'student'>}", 20, 20),
+        ("'P17'", "Y", ":{<relation 'student'>}", 0, 1),
+        // A value nobody holds: no rows, and still an answer.
+        ("'Nobody'", "Y", "", 0, 0),
+    ];
+    for (name, year, rest, rows, visited) in cases {
+        let (narrow, vars) = narrow_people(name, year, rest);
+        let (scanned, indexed, examined) = serve_both_ways(&answer, &narrow, &vars);
+        let case = format!("name {name} year {year} rest {rest}");
+        assert_eq!(scanned.as_ref().map(Vec::len), Some(rows), "{case}");
+        assert_eq!(indexed, scanned, "{case}");
+        assert_eq!(examined, visited, "{case}");
+    }
+}
+
+#[test]
+fn integers_sharing_an_index_key_are_told_apart() {
+    // 2^53 and 2^53 + 1 have the same f64 view, hence the same key.
+    let (a, b) = (9_007_199_254_740_992_i64, 9_007_199_254_740_993_i64);
+    assert_eq!(
+        engine::matcher::atomic_key(&Value::Int(a)),
+        engine::matcher::atomic_key(&Value::Int(b))
+    );
+    let answer = people_answer([
+        ("A".to_string(), Value::Int(a), "student"),
+        ("B".to_string(), Value::Int(b), "student"),
+    ]);
+    let (narrow, vars) = narrow_people("N", &b.to_string(), "");
+    let (scanned, indexed, examined) = serve_both_ways(&answer, &narrow, &vars);
+    let rows = indexed.expect("served");
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows[0][0], BoundValue::Atom(Value::str("B")));
+    assert_eq!(Some(rows), scanned);
+    assert_eq!(examined, 2, "both share the key; atomic_eq keeps one");
+}
+
+#[test]
+fn non_atomic_or_missing_pinned_carrier_refuses_the_probe() {
+    let mut with_set = two_hundred();
+    let kid = with_set.atom("alias", "Zed");
+    let name_c = with_set.set("bind_for_N", vec![kid]);
+    let year_c = with_set.insert_auto(sym("bind_for_Y"), Value::real(9.0));
+    let rest_c = with_set.set("bind_for_Rest1", vec![]);
+    let top = with_set.set("bind_for_whois", vec![name_c, year_c, rest_c]);
+    with_set.add_top(top);
+    let mut without = two_hundred();
+    let year_c = without.insert_auto(sym("bind_for_Y"), Value::real(9.0));
+    let rest_c = without.set("bind_for_Rest1", vec![]);
+    let top = without.set("bind_for_whois", vec![year_c, rest_c]);
+    without.add_top(top);
+
+    for answer in [with_set, without] {
+        // P17 itself is a well-formed object; the entry still refuses,
+        // because it cannot tell what the odd object's name is.
+        let (narrow, vars) = narrow_people("'P17'", "Y", "");
+        let (scanned, indexed, _) = serve_both_ways(&answer, &narrow, &vars);
+        assert!(scanned.is_none() && indexed.is_none());
+        let cache = AnswerCache::new(CacheOptions::enabled());
+        cache_people(&cache, &answer);
+        let mut memory = ObjectStore::new();
+        for _ in 0..2 {
+            assert!(cache
+                .lookup(sym("whois"), &narrow, &vars, &mut memory)
+                .is_none());
+        }
+        assert_eq!(cache.counters().misses, 2);
+        assert_eq!(memory.len(), 0, "a refused probe copies nothing");
+        // The year carrier is sound, so a probe pinning only it is served.
+        let (by_year, vars) = narrow_people("N", "1", "");
+        assert!(cache
+            .lookup(sym("whois"), &by_year, &vars, &mut memory)
+            .is_some());
+    }
+}
+
+/// The `Y` and rest-relation a pinned lookup of `name` returns, per row.
+fn lookup_person(cache: &AnswerCache, name: &str) -> Option<Vec<(Value, String)>> {
+    let (narrow, vars) = narrow_people(&format!("'{name}'"), "Y", "");
+    let mut memory = ObjectStore::new();
+    let (rows, kind) = cache.lookup(sym("whois"), &narrow, &vars, &mut memory)?;
+    assert_eq!(kind, CacheHit::Containment);
+    Some(
+        rows.into_iter()
+            .map(|row| {
+                let (BoundValue::Atom(year), BoundValue::ObjSet(rest)) = (&row[0], &row[1]) else {
+                    panic!("unexpected row shape {row:?}");
+                };
+                (year.clone(), oem::printer::compact(&memory, rest[0]))
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn a_pinned_probe_costs_what_it_returns() {
+    let cache = AnswerCache::new(CacheOptions::enabled());
+    let answer =
+        people_answer((0..500).map(|i| (format!("P{i}"), Value::real((i % 7) as f64), "student")));
+    cache_people(&cache, &answer);
+    for i in 0..500 {
+        let rows = lookup_person(&cache, &format!("P{i}")).expect("served");
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].0, Value::real((i % 7) as f64));
+    }
+    let c = cache.counters();
+    assert_eq!((c.containment_hits, c.misses), (500, 0));
+    // One build over the 500 objects, then one candidate per probe; the
+    // unindexed scan examined 500 x 500.
+    assert!(
+        c.objects_examined <= 500 + 2 * 500,
+        "examined {}",
+        c.objects_examined
+    );
+}
+
+/// Ten people, all born in `year`, with `relation`.
+fn ten_people(year: f64, relation: &'static str) -> ObjectStore {
+    people_answer((0..10).map(|i| (format!("P{i}"), Value::real(year), relation)))
+}
+
+fn student(year: f64) -> Vec<(Value, String)> {
+    vec![(Value::real(year), "<relation 'student'>".to_string())]
+}
+
+#[test]
+fn the_index_never_outlives_the_answer_it_was_built_over() {
+    // Replacement under the same canonical key.
+    let cache = AnswerCache::new(CacheOptions::enabled());
+    cache_people(&cache, &ten_people(1.0, "student"));
+    assert_eq!(lookup_person(&cache, "P3"), Some(student(1.0)));
+    // The new answer holds P3 elsewhere (P0..P2 are gone) and changed.
+    let moved = people_answer(
+        (3..10)
+            .rev()
+            .map(|i| (format!("P{i}"), Value::real(2.0), "student")),
+    );
+    cache_people(&cache, &moved);
+    assert_eq!(lookup_person(&cache, "P3"), Some(student(2.0)));
+    assert_eq!(lookup_person(&cache, "P0"), Some(vec![]));
+
+    // A delta whose footprint matches drops entry and index together.
+    assert_eq!(
+        cache.apply_delta(&SourceDelta::labels(sym("whois"), [sym("year")])),
+        1
+    );
+    assert_eq!(lookup_person(&cache, "P3"), None);
+    cache_people(&cache, &ten_people(3.0, "student"));
+    assert_eq!(lookup_person(&cache, "P3"), Some(student(3.0)));
+
+    // TTL expiry on the virtual clock.
+    let clock = Arc::new(VirtualClock::new());
+    let cache = AnswerCache::new(CacheOptions {
+        enabled: true,
+        ttl_ms: Some(100),
+        clock: Some(clock.clone()),
+        ..Default::default()
+    });
+    cache_people(&cache, &ten_people(4.0, "student"));
+    assert_eq!(lookup_person(&cache, "P3"), Some(student(4.0)));
+    clock.advance(101);
+    assert_eq!(lookup_person(&cache, "P3"), None);
+    cache_people(&cache, &moved);
+    assert_eq!(lookup_person(&cache, "P3"), Some(student(2.0)));
+}
+
+#[test]
+fn a_promoted_entry_is_indexed_on_its_next_pinned_probe() {
+    let dir = tmp_dir("pin-promote");
+    let cache = AnswerCache::new(CacheOptions {
+        capacity: 1,
+        ..tiered_opts(&dir)
+    });
+    cache_people(&cache, &ten_people(5.0, "student"));
+    assert_eq!(lookup_person(&cache, "P3"), Some(student(5.0)));
+    // Another entry takes the only hot slot: the table demotes, and the
+    // index built a line ago goes with the resident copy.
+    let small = dept_query("EE");
+    cache.insert(sym("whois"), &small, &extract_n(), &n_answer(1));
+    assert_eq!(cache.counters().demotions, 1);
+    // (A small answer outscores a large one; drop it so the table can
+    // come back and stay.)
+    cache.apply_delta(&SourceDelta::keys(sym("whois"), [canonical_key(&small)]));
+    let examined = |cache: &AnswerCache| cache.counters().objects_examined;
+    // Served off disk: re-read and scanned, all ten objects.
+    let before = examined(&cache);
+    assert_eq!(lookup_person(&cache, "P4"), Some(student(5.0)));
+    let c = cache.counters();
+    assert_eq!((c.warm_hits, c.promotions), (1, 1));
+    assert_eq!(examined(&cache) - before, 10);
+    // Hot again: this probe builds the index (ten) and visits one...
+    let before = examined(&cache);
+    assert_eq!(lookup_person(&cache, "P5"), Some(student(5.0)));
+    assert_eq!(examined(&cache) - before, 10 + 1);
+    // ...and the next visits one.
+    let before = examined(&cache);
+    assert_eq!(lookup_person(&cache, "P6"), Some(student(5.0)));
+    assert_eq!(examined(&cache) - before, 1);
+    assert_eq!(cache.counters().warm_hits, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}

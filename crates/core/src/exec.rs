@@ -31,7 +31,7 @@
 use crate::cache::{AnswerCache, CacheHit, ParamMemo, ParamMemoKey, ParamMemoState};
 use crate::error::{MedError, Result};
 use crate::externals::ExternalRegistry;
-use crate::graph::{ExtractVar, Node, PhysicalPlan, RulePlan, VarKind};
+use crate::graph::{carrier_label, ExtractVar, Node, PhysicalPlan, RulePlan, VarKind};
 use crate::metrics::{NodeMetrics, NodeTrace, Observation, QueryTrace, RuleTrace};
 use crate::retry::{CircuitBreaker, FaultOptions, OnSourceFailure, Sleeper, ThreadSleeper};
 use crate::table::BindingTable;
@@ -314,8 +314,9 @@ impl ExtSource {
         let end = cursor.saturating_add(n.max(1)).min(top.len());
         let roots = copy::deep_copy_all_into(store, &top[*cursor..end], memory, map);
         counters.bindings_produced += roots.len();
+        let carriers = carrier_labels(vars);
         for root in roots {
-            self.ext.push(extract_row(memory, root, vars)?);
+            self.ext.push(extract_row(memory, root, vars, &carriers)?);
         }
         *cursor = end;
         if *cursor >= top.len() {
@@ -415,7 +416,11 @@ enum OpKind<'p> {
         /// batch that holds two new tuples ([`prefetch_tuples`]): `Some`
         /// sends such a batch in one call, `None` keeps §3.4's one query
         /// per tuple.
-        batch: std::cell::OnceCell<Option<Rule>>,
+        batch: std::cell::OnceCell<Option<Box<Rule>>>,
+        /// `query` printed, the part of a shared-memo key every tuple of
+        /// this node has in common; filled by the first tuple that needs a
+        /// slot (one the answer cache does not serve).
+        unfilled: std::cell::OnceCell<String>,
         /// Per-chain tuple memo; `Rc` so repeated tuples share one
         /// extraction (the cross-chain memo lives in [`ChainCtx`]).
         memo: HashMap<Vec<Value>, MemoRows>,
@@ -538,6 +543,7 @@ fn build_ops(rule_plan: &RulePlan) -> Vec<OpState<'_>> {
                     params,
                     vars,
                     batch: std::cell::OnceCell::new(),
+                    unfilled: std::cell::OnceCell::new(),
                     memo: HashMap::new(),
                     pending: std::collections::VecDeque::new(),
                     cur: None,
@@ -757,6 +763,7 @@ fn pull_inner(
             params,
             vars,
             batch,
+            unfilled,
             memo,
             pending,
             cur,
@@ -791,6 +798,7 @@ fn pull_inner(
                                     *source,
                                     query,
                                     batch,
+                                    unfilled,
                                     params,
                                     vars,
                                     param_idx.as_ref().expect("resolved above"),
@@ -822,7 +830,6 @@ fn pull_inner(
                         Some(e) => std::rc::Rc::clone(e),
                         None => {
                             let filled = fill_tuple(query, params, &key);
-                            let shared = (*source, msl::printer::rule(query), key.clone());
                             let e = match run_and_extract(
                                 *source,
                                 &filled,
@@ -831,7 +838,7 @@ fn pull_inner(
                                 env.ctx,
                                 env.stats,
                                 &mut op.meter.counters,
-                                Some(shared),
+                                Some(&|| shared_key(*source, query, unfilled, &key)),
                             ) {
                                 Ok(e) => std::rc::Rc::new(e),
                                 Err(e @ MedError::SourceUnavailable { .. }) => {
@@ -1583,7 +1590,7 @@ fn run_and_extract(
     ctx: &ChainCtx<'_>,
     stats: &mut ChainStats,
     counters: &mut NodeCounters,
-    shared_key: Option<ParamMemoKey>,
+    shared_key: Option<&dyn Fn() -> ParamMemoKey>,
 ) -> Result<Vec<Vec<BoundValue>>> {
     if let Some(rows) = cache_probe(source, query, vars, memory, ctx, stats, counters) {
         return Ok(rows);
@@ -1593,8 +1600,8 @@ fn run_and_extract(
     // have fetched this exact tuple. Only the tuple's own slot lock is
     // held across the fetch — executions after the same tuple wait for
     // the one round-trip; everything else proceeds.
-    if let Some(skey) = shared_key {
-        let slot = ctx.param_memo.slot(&skey);
+    if let Some(shared_key) = shared_key {
+        let slot = ctx.param_memo.slot(&shared_key());
         let mut filled = slot.lock();
         if let Some(store) = memoized(&filled, source, ctx) {
             drop(filled);
@@ -1607,6 +1614,18 @@ fn run_and_extract(
     }
     let result = fetch_store(source, query, vars, 0, ctx, stats, counters)?;
     extract_rows(&result, vars, memory, counters)
+}
+
+/// The shared-memo key of `tuple` under the parameterized `query`, whose
+/// printed form `unfilled` keeps for the operator's lifetime.
+fn shared_key(
+    source: Symbol,
+    query: &Rule,
+    unfilled: &std::cell::OnceCell<String>,
+    tuple: &[Value],
+) -> ParamMemoKey {
+    let unfilled = unfilled.get_or_init(|| msl::printer::rule(query));
+    (source, unfilled.clone(), tuple.to_vec())
 }
 
 /// The answer a shared-memo slot holds, if it may be served. A
@@ -1656,13 +1675,15 @@ fn set_valued_form(
     query: &Rule,
     params: &[Symbol],
     ctx: &ChainCtx<'_>,
-) -> Option<Rule> {
+) -> Option<Box<Rule>> {
     let caps = ctx.sources.get(&source)?.capabilities();
     if !caps.parameterized_sets {
         return None;
     }
     let template = valueset::template(query, params)?;
-    caps.check_query(&template).is_ok().then_some(template)
+    caps.check_query(&template)
+        .is_ok()
+        .then(|| Box::new(template))
 }
 
 /// Answer the distinct parameter tuples of a fresh input batch that this
@@ -1680,7 +1701,8 @@ fn set_valued_form(
 fn prefetch_tuples(
     source: Symbol,
     query: &Rule,
-    batch: &std::cell::OnceCell<Option<Rule>>,
+    batch: &std::cell::OnceCell<Option<Box<Rule>>>,
+    unfilled: &std::cell::OnceCell<String>,
     params: &[Symbol],
     vars: &[ExtractVar],
     idxs: &[usize],
@@ -1716,12 +1738,11 @@ fn prefetch_tuples(
     // Every open tuple's slot is held across the fetch, as a lone tuple's
     // is. Locking in one global order (the rendered tuple) keeps two
     // executions that batch overlapping tuples from deadlocking.
-    let unfilled = msl::printer::rule(query);
     let slots: Vec<_> = open
         .iter()
         .map(|(tuple, _)| {
             ctx.param_memo
-                .slot(&(source, unfilled.clone(), tuple.clone()))
+                .slot(&shared_key(source, query, unfilled, tuple))
         })
         .collect();
     let mut order: Vec<usize> = (0..open.len()).collect();
@@ -1868,22 +1889,29 @@ fn extract_rows(
 ) -> Result<Vec<Vec<BoundValue>>> {
     let roots = copy::deep_copy_all(result, result.top_level(), memory);
     counters.bindings_produced += roots.len();
+    let carriers = carrier_labels(vars);
     let mut rows = Vec::with_capacity(roots.len());
     for root in roots {
-        rows.push(extract_row(memory, root, vars)?);
+        rows.push(extract_row(memory, root, vars, &carriers)?);
     }
     Ok(rows)
 }
 
-/// Pull variable bindings out of one `bind_for_*` result object.
+/// The carrier label of each extraction variable, in `vars` order.
+fn carrier_labels(vars: &[ExtractVar]) -> Vec<Symbol> {
+    vars.iter().map(|v| carrier_label(v.var)).collect()
+}
+
+/// Pull variable bindings out of one `bind_for_*` result object;
+/// `carriers` is [`carrier_labels`] of `vars`.
 fn extract_row(
     memory: &ObjectStore,
     root: oem::ObjId,
     vars: &[ExtractVar],
+    carriers: &[Symbol],
 ) -> Result<Vec<BoundValue>> {
     let mut row = Vec::with_capacity(vars.len());
-    for v in vars {
-        let carrier_label = valueset::carrier_label(v.var);
+    for (v, &carrier_label) in vars.iter().zip(carriers) {
         let carrier = memory
             .children(root)
             .iter()

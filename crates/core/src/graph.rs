@@ -31,6 +31,12 @@ pub struct ExtractVar {
     pub kind: VarKind,
 }
 
+/// Label of the subobject that carries `var`'s binding in a source result.
+/// Formats and interns: resolve it once per answer, not once per object.
+pub(crate) fn carrier_label(var: Symbol) -> Symbol {
+    Symbol::intern(&format!("bind_for_{var}"))
+}
+
 /// One operator of the datamerge graph.
 #[derive(Clone, Debug)]
 pub enum Node {

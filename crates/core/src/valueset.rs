@@ -15,16 +15,12 @@
 //! [`split_answer`] drops objects of combinations nobody asked for.
 
 use crate::error::{MedError, Result};
+use crate::graph::carrier_label;
 use engine::matcher::{atomic_eq, atomic_key};
 use engine::subst::{fill_params_rule, Subst};
 use msl::{Head, PatValue, Pattern, Rule, SetElem, Term};
 use oem::{copy, ObjId, ObjectStore, Symbol, Value};
 use std::collections::{HashMap, HashSet};
-
-/// Label of the subobject that carries `var`'s binding in a source result.
-pub(crate) fn carrier_label(var: Symbol) -> Symbol {
-    Symbol::intern(&format!("bind_for_{var}"))
-}
 
 /// `query` with every `$V` of `params` turned into the variable `V` and
 /// `<bind_for_V V>` added to its head — the set-valued query less its

@@ -189,6 +189,10 @@ impl ServerMetrics {
                         serde::Value::Int(cache.warm_hits as i64),
                     ),
                     (
+                        "cache_objects_examined".to_string(),
+                        serde::Value::Int(cache.objects_examined as i64),
+                    ),
+                    (
                         "cache_warm_entries".to_string(),
                         serde::Value::Int(cache.warm_entries as i64),
                     ),

@@ -469,3 +469,115 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The answer cache's pin index: a probe narrowed to the index's candidates
+// returns the rows of a scan over the whole entry, in the same order
+
+/// The payloads a lookup of `<item {<k1 a> <k2 b> <payload P>}>` gets
+/// from `cache`, where a `None` pin leaves the key a variable.
+fn pinned_payloads(
+    cache: &medmaker::AnswerCache,
+    a: Option<&Value>,
+    b: Option<&Value>,
+) -> Option<Vec<BoundValue>> {
+    use engine::subst::{fill_params_rule, Subst};
+    use medmaker::graph::{ExtractVar, VarKind};
+    let template =
+        msl::parse_rule("<bind_for_s {<bind_for_P P>}> :- <item {<k1 $A> <k2 $B> <payload P>}>@s")
+            .unwrap();
+    let term = |pin: Option<&Value>, var: &str| match pin {
+        Some(v) => Term::Const(v.clone()),
+        None => Term::Var(oem::sym(var)),
+    };
+    let pins: Subst = [(oem::sym("A"), term(a, "A")), (oem::sym("B"), term(b, "B"))]
+        .into_iter()
+        .collect();
+    let vars = [ExtractVar {
+        var: oem::sym("P"),
+        kind: VarKind::Scalar,
+    }];
+    let (rows, _) = cache.lookup(
+        oem::sym("s"),
+        &fill_params_rule(&template, &pins),
+        &vars,
+        &mut ObjectStore::new(),
+    )?;
+    Some(rows.into_iter().map(|mut row| row.remove(0)).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The same probes against a resident entry (indexed on first use) and
+    /// against a cache that can only read the entry off disk (capacity 0:
+    /// nothing is ever promoted, every hit scans), and against the list
+    /// filtered by hand with the matcher's equality.
+    #[test]
+    fn indexed_probes_return_the_scanned_rows_in_order(
+        items in prop::collection::vec((arb_key(), arb_key()), 0..24),
+        probes in prop::collection::vec(
+            (any::<bool>(), arb_key(), any::<bool>(), arb_key()), 1..16),
+    ) {
+        use engine::matcher::atomic_eq;
+        use medmaker::graph::{ExtractVar, VarKind};
+        use medmaker::{AnswerCache, CacheOptions};
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "medmaker-pin-index-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = |capacity| CacheOptions {
+            enabled: true,
+            capacity,
+            cache_dir: Some(dir.clone()),
+            ..Default::default()
+        };
+
+        let whole = msl::parse_rule(
+            "<bind_for_s {<bind_for_A A> <bind_for_B B> <bind_for_P P>}> :- \
+             <item {<k1 A> <k2 B> <payload P>}>@s",
+        )
+        .unwrap();
+        let exported: Vec<ExtractVar> = ["A", "B", "P"]
+            .iter()
+            .map(|v| ExtractVar { var: oem::sym(v), kind: VarKind::Scalar })
+            .collect();
+        let mut answer = ObjectStore::with_oid_prefix("s_r");
+        for (i, (k1, k2)) in items.iter().enumerate() {
+            ObjectBuilder::set("bind_for_s")
+                .atom("bind_for_A", k1.clone())
+                .atom("bind_for_B", k2.clone())
+                .atom("bind_for_P", i as i64)
+                .build_top(&mut answer);
+        }
+        let resident = AnswerCache::new(opts(4));
+        resident.insert(oem::sym("s"), &whole, &exported, &answer);
+        let on_disk = AnswerCache::new(opts(0));
+
+        for (pin_a, a, pin_b, b) in &probes {
+            let (a, b) = (pin_a.then_some(a), pin_b.then_some(b));
+            let by_hand: Vec<BoundValue> = items
+                .iter()
+                .enumerate()
+                .filter(|(_, (k1, k2))| {
+                    a.is_none_or(|a| atomic_eq(a, k1)) && b.is_none_or(|b| atomic_eq(b, k2))
+                })
+                .map(|(i, _)| BoundValue::Atom(Value::Int(i as i64)))
+                .collect();
+            let indexed = pinned_payloads(&resident, a, b);
+            prop_assert_eq!(indexed.as_ref(), Some(&by_hand), "a={:?} b={:?}", a, b);
+            prop_assert_eq!(pinned_payloads(&on_disk, a, b), indexed, "a={:?} b={:?}", a, b);
+        }
+        let (hot, cold) = (resident.counters(), on_disk.counters());
+        prop_assert_eq!((hot.warm_hits, hot.misses), (0, 0));
+        prop_assert_eq!((cold.warm_hits, cold.promotions), (probes.len(), 0));
+        // The scan looks at every object every time; the index at each
+        // object once per pinned variable, then at candidates only.
+        prop_assert_eq!(cold.objects_examined, probes.len() * items.len());
+        prop_assert!(hot.objects_examined <= cold.objects_examined + 2 * items.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

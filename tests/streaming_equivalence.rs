@@ -19,6 +19,10 @@
 //!     tuples, tuples nobody matches, listed values in combinations nobody
 //!     asked for, an integer meeting a real column, a label parameter).
 //!
+//! (d) where an answer comes from is invisible as well: a bind join whose
+//!     every tuple is served by filtering a cached table through its pin
+//!     index prints the bytes of one that asked the sources.
+//!
 //! `MediatorOptions::streaming = false` means `batch_size = usize::MAX`
 //! and nothing else; the test names still say "materialized" for that
 //! whole-table setting.
@@ -441,6 +445,118 @@ fn value_sets_match_one_call_per_tuple() {
         }
     }
     assert!(saved > 0, "some run must have sent a value set");
+}
+
+/// MS1 plus a view of the cs tables as they are: asking for it leaves the
+/// whole of cs in the answer cache, under a query that exports `R`, `FN`
+/// and `LN` — the three parameters MS1's bind join then pins per tuple.
+const ROSTER_SPEC: &str = "\
+<cs_person {<name N> <rel R> Rest1 Rest2}> :-
+    <person {<name N> <dept 'CS'> <relation R> | Rest1}>@whois
+    AND <R {<first_name FN> <last_name LN> | Rest2}>@cs
+    AND decomp(N, LN, FN)
+
+<cs_row {<rel R> <first FN> <last LN> Rest2}> :-
+    <R {<first_name FN> <last_name LN> | Rest2}>@cs
+
+decomp(bound, free, free) by name_to_lnfn
+decomp(free, bound, bound) by lnfn_to_name
+decomp(bound, bound, bound) by check_name_lnfn
+";
+
+/// Sixty whois persons over a cs roster that misses every seventh of
+/// them, lists every fifth twice, and files some under the other relation.
+fn roster() -> Vec<Arc<dyn Wrapper>> {
+    use oem::ObjectBuilder;
+    let mut whois = oem::ObjectStore::with_oid_prefix("w");
+    let mut cs = oem::ObjectStore::with_oid_prefix("c");
+    for i in 0..60 {
+        let (first, last) = (format!("F{}", i % 12), format!("L{i}"));
+        let relation = if i % 3 == 0 { "student" } else { "employee" };
+        ObjectBuilder::set("person")
+            .atom("name", format!("{first} {last}").as_str())
+            .atom("dept", "CS")
+            .atom("relation", relation)
+            .atom("office", i as i64)
+            .build_top(&mut whois);
+        if i % 7 == 0 {
+            continue;
+        }
+        let filed = if i % 11 == 0 { "student" } else { relation };
+        for copy in 0..1 + usize::from(i % 5 == 0) {
+            ObjectBuilder::set(filed)
+                .atom("first_name", first.as_str())
+                .atom("last_name", last.as_str())
+                .atom("badge", (100 * copy + i) as i64)
+                .build_top(&mut cs);
+        }
+    }
+    vec![
+        Arc::new(wrappers::SemiStructuredWrapper::new("whois", whois)),
+        Arc::new(wrappers::SemiStructuredWrapper::new("cs", cs)),
+    ]
+}
+
+#[test]
+fn bind_join_over_a_cached_table_matches_the_sources() {
+    let build = |cache: bool, batch_size: usize| {
+        Mediator::new_with_options(
+            "m",
+            ROSTER_SPEC,
+            roster(),
+            medmaker::externals::standard_registry(),
+            MediatorOptions {
+                planner: medmaker::planner::PlannerOptions {
+                    prefer_bind_join: Some(true),
+                    ..Default::default()
+                },
+                cache: if cache {
+                    medmaker::CacheOptions::enabled()
+                } else {
+                    Default::default()
+                },
+                learn_stats: false,
+                batch_size,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    };
+    let view = "P :- P:<cs_person {}>@m";
+    let expected = answer(&build(false, usize::MAX), view);
+    assert!(expected.matches("cs_person").count() > 40, "{expected}");
+    for batch in [1, 7, 1024] {
+        let med = build(true, batch);
+        answer(&med, "T :- T:<cs_row {}>@m");
+        let primed = med.cache_counters();
+        let out = med.query_rule(&msl::parse_query(view).unwrap()).unwrap();
+        assert_eq!(
+            oem::printer::print_store(&out.results),
+            expected,
+            "batch={batch}"
+        );
+        // Every tuple of the parameterized node was a pinned probe of the
+        // cached cs table, and cs was not called again.
+        let node = out
+            .trace
+            .nodes()
+            .find(|n| n.op == "parameterized query")
+            .expect("a bind join");
+        assert_eq!(node.metrics.rows_in, 60, "batch={batch}");
+        assert_eq!(node.metrics.source_calls, 0, "batch={batch}");
+        assert!(node.metrics.containment_hits >= 50, "batch={batch}");
+        // One build per pinned variable (R, FN, LN) over the 62 cs rows,
+        // then each probe looks at the rows of one last name: 244 in
+        // all, where a scan per tuple makes it 60 x 62.
+        let c = med.cache_counters();
+        let examined = c.objects_examined - primed.objects_examined;
+        let cs_rows = 60 - 9 + 11;
+        assert!(
+            examined <= 3 * cs_rows + 2 * node.metrics.containment_hits,
+            "batch={batch}: examined {examined}"
+        );
+        assert_matches_naive_over(&med, &roster(), view);
+    }
 }
 
 proptest! {
