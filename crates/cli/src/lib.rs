@@ -216,8 +216,7 @@ ones past the --cache-warm-bytes budget.
 invalidate mode POSTs a source delta to a running daemon's /invalidate
 endpoint (default --addr 127.0.0.1:7070): unscoped drops every cached
 answer for --source; --label/--key scope the drop to answers whose
-label footprint or canonical key matches. The daemon's bind-join memo
-for the source is purged either way.
+label footprint or canonical key matches.
 
 explain mode prints the view expansion, the physical datamerge plan and a
 traced run of QUERY. With --analyze the run is rendered EXPLAIN

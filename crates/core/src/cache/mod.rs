@@ -590,15 +590,6 @@ impl AnswerCache {
         self.inner.lock().failed.remove(&source);
     }
 
-    /// Whether `source` is currently embargoed after an observed failure
-    /// (and the embargo is in force, i.e. not overridden by
-    /// [`CacheOptions::stale_ok`]). The shared [`ParamMemo`] consults this
-    /// so memoized parameterized answers follow the same freshness rules
-    /// as cached ones.
-    pub fn embargoed(&self, source: Symbol) -> bool {
-        !self.opts.stale_ok && self.inner.lock().failed.contains(&source)
-    }
-
     /// Drop every cached answer for `source` in both tiers (counted as
     /// evictions, one per distinct key) and lift any failure embargo. The
     /// explicit invalidation hook behind
@@ -728,162 +719,6 @@ impl AnswerCache {
             (warm_n, _) = warm.retain(source, |e| now.saturating_sub(e.inserted_ms) <= ttl);
         }
         inner.evictions += hot_n.max(warm_n);
-    }
-}
-
-// ---- parameterized-query memo -------------------------------------------
-
-/// Key of the parameterized-query memo: source, printed unfilled query,
-/// bound parameter tuple.
-pub type ParamMemoKey = (Symbol, String, Vec<Value>);
-
-/// A memoized answer with its insertion time (for TTL expiry).
-pub struct ParamMemoState {
-    /// The wrapper's answer for this parameter tuple, as returned.
-    pub answer: Arc<ObjectStore>,
-    inserted_ms: u64,
-}
-
-/// One memo slot per parameter tuple. The slot's own lock is held across
-/// the fetch — executions racing on the *same* tuple block and then reuse
-/// the one answer — while the map lock is released before any I/O, so
-/// distinct tuples and distinct sources fetch concurrently. A failed
-/// fetch leaves the slot empty; the next execution to need the tuple
-/// retries.
-pub type ParamSlot = Arc<Mutex<Option<ParamMemoState>>>;
-
-/// The parameterized-query memo: bound parameter tuples already fetched
-/// from a source, keyed by `(source, unfilled query, tuple)`.
-///
-/// Two scopes exist:
-/// - **Ephemeral** ([`ParamMemo::ephemeral`]): created per execution by
-///   the datamerge engine. Parallel chains of *one query* sending the
-///   same bound tuple to the same source pay one round-trip — the exact
-///   pre-serve behavior.
-/// - **Shared** ([`ParamMemo::shared`]): owned by a [`crate::Mediator`]
-///   alongside its [`AnswerCache`] and passed to every execution while
-///   the cache is enabled. Concurrent *and successive* queries then share
-///   parameterized fetches process-wide — the source-call-level analogue
-///   of the server's whole-query coalescing. Shared entries honor the
-///   cache's TTL on the same clock, respect the failed-source embargo
-///   (via [`AnswerCache::embargoed`], checked by the executor), and are
-///   dropped by [`ParamMemo::invalidate_source`] — which
-///   [`crate::Mediator::apply_delta`] invokes for *any* delta touching
-///   the source, scoped or not: memo keys are parameter tuples, not
-///   canonical query keys, so scoping cannot be mapped onto them and the
-///   conservative whole-source purge is the sound choice.
-///
-/// The memo is a dedup window, not a store: when it outgrows
-/// `max_entries` it is simply reset — anything worth keeping longer is
-/// already in the answer cache, which the executor consults first.
-pub struct ParamMemo {
-    ttl_ms: Option<u64>,
-    clock: Arc<dyn Clock>,
-    /// `true` for the mediator-owned memo shared across queries; gates
-    /// the TTL/embargo freshness checks so an ephemeral memo behaves
-    /// exactly like the historical per-execution map.
-    shared: bool,
-    max_entries: usize,
-    slots: Mutex<HashMap<ParamMemoKey, ParamSlot>>,
-}
-
-/// Reset threshold for a shared memo (entries). Far above any single
-/// query's tuple count; purely a bound on resident growth of a long-lived
-/// server process.
-const PARAM_MEMO_MAX_ENTRIES: usize = 65_536;
-
-impl ParamMemo {
-    /// A per-execution memo: no TTL, never consulted across queries.
-    pub fn ephemeral() -> ParamMemo {
-        ParamMemo {
-            ttl_ms: None,
-            clock: Arc::new(SystemClock::new()),
-            shared: false,
-            max_entries: usize::MAX,
-            slots: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// A mediator-owned memo shared across queries, configured from the
-    /// answer cache's options (same TTL, same clock).
-    pub fn shared(opts: &CacheOptions) -> ParamMemo {
-        ParamMemo {
-            ttl_ms: opts.ttl_ms,
-            clock: opts
-                .clock
-                .clone()
-                .unwrap_or_else(|| Arc::new(SystemClock::new())),
-            shared: true,
-            max_entries: PARAM_MEMO_MAX_ENTRIES,
-            slots: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Whether this memo is shared across queries (the mediator-owned
-    /// scope); the executor then applies the TTL/embargo freshness rules.
-    pub fn is_shared(&self) -> bool {
-        self.shared
-    }
-
-    /// The slot for `key`, created empty if absent. Only the map lock is
-    /// held here; callers lock the returned slot across their fetch.
-    pub fn slot(&self, key: &ParamMemoKey) -> ParamSlot {
-        let mut slots = self.slots.lock();
-        if slots.len() >= self.max_entries {
-            // Outgrew the dedup window: reset. In-flight fetches keep
-            // their own Arc'd slots; future lookups refetch (or hit the
-            // answer cache).
-            slots.clear();
-        }
-        Arc::clone(slots.entry(key.clone()).or_default())
-    }
-
-    /// Whether a filled slot is still servable: always for an ephemeral
-    /// memo, within the TTL for a shared one.
-    pub fn live(&self, state: &ParamMemoState) -> bool {
-        if !self.shared {
-            return true;
-        }
-        match self.ttl_ms {
-            Some(ttl) => self.clock.now_ms().saturating_sub(state.inserted_ms) <= ttl,
-            None => true,
-        }
-    }
-
-    /// Wrap a freshly fetched answer with its insertion timestamp.
-    pub fn state(&self, answer: Arc<ObjectStore>) -> ParamMemoState {
-        ParamMemoState {
-            answer,
-            inserted_ms: self.clock.now_ms(),
-        }
-    }
-
-    /// Drop every memoized tuple for `source` — invoked together with
-    /// [`AnswerCache::invalidate_source`], and by
-    /// [`crate::Mediator::apply_delta`] for scoped deltas too (see the
-    /// type docs for why the purge is always whole-source).
-    pub fn invalidate_source(&self, source: Symbol) {
-        self.slots.lock().retain(|(s, _, _), _| *s != source);
-    }
-
-    /// Memoized tuples currently resident (diagnostics / `/metrics`).
-    pub fn len(&self) -> usize {
-        self.slots.lock().len()
-    }
-
-    /// Whether the memo currently holds no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.slots.lock().is_empty()
-    }
-}
-
-impl fmt::Debug for ParamMemo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ParamMemo")
-            .field("shared", &self.shared)
-            .field("ttl_ms", &self.ttl_ms)
-            .field("entries", &self.len())
-            .finish()
     }
 }
 

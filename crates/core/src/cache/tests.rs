@@ -618,13 +618,15 @@ fn scoped_delta_leaves_the_failure_embargo_intact() {
     cache.insert(sym("whois"), &dept_query("A"), &extract_n(), &n_answer(1));
     cache.mark_failed(sym("whois"));
     cache.apply_delta(&SourceDelta::labels(sym("whois"), [sym("nosuch")]));
+    assert_eq!(cache.entry_count(sym("whois")), 1);
     assert!(
-        cache.embargoed(sym("whois")),
-        "a data change is not a recovery"
+        lookup_names(&cache, &dept_query("A")).is_none(),
+        "a data change is not a recovery: the kept entry stays unserved"
     );
     // An unscoped delta is whole-source invalidation and lifts it.
     cache.apply_delta(&SourceDelta::whole(sym("whois")));
-    assert!(!cache.embargoed(sym("whois")));
+    cache.insert(sym("whois"), &dept_query("A"), &extract_n(), &n_answer(1));
+    assert!(lookup_names(&cache, &dept_query("A")).is_some());
 }
 
 #[test]

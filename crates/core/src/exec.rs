@@ -28,7 +28,7 @@
 //! tables are additionally rendered, which is how the Figure 3.6
 //! walkthrough is regenerated.
 
-use crate::cache::{AnswerCache, CacheHit, ParamMemo, ParamMemoKey, ParamMemoState};
+use crate::cache::{AnswerCache, CacheHit};
 use crate::error::{MedError, Result};
 use crate::externals::ExternalRegistry;
 use crate::graph::{carrier_label, ExtractVar, Node, PhysicalPlan, RulePlan, VarKind};
@@ -41,6 +41,7 @@ use engine::construct::Constructor;
 use engine::subst::{fill_params_rule, Subst};
 use msl::{Rule, TailItem, Term};
 use oem::{copy, ObjectStore, Symbol, Value};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -76,10 +77,10 @@ pub struct ExecOptions {
     /// Upper bound on rows per batch flowing between operators. Clamped to
     /// at least 1.
     pub batch_size: usize,
-    /// The mediator's shared parameterized-query memo, when caching is
-    /// enabled ([`crate::Mediator`] owns it alongside the answer cache).
-    /// `None` makes the execution build its own ephemeral memo — the
-    /// historical per-query scope.
+    /// `None`, which is what [`crate::Mediator`] always passes, makes the
+    /// execution build its own [`ParamMemo`]; a `Some` is used in its
+    /// place. Nothing sets it: like `streaming`, the field goes with the
+    /// next `benchmark` PR that stops naming it.
     pub param_memo: Option<Arc<ParamMemo>>,
 }
 
@@ -94,6 +95,36 @@ impl Default for ExecOptions {
             batch_size: 1024,
             param_memo: None,
         }
+    }
+}
+
+/// Key of the parameterized-query memo: source, printed unfilled query,
+/// bound parameter tuple.
+type ParamMemoKey = (Symbol, String, Vec<Value>);
+
+/// One memo slot per parameter tuple. The slot's own lock is held across
+/// the fetch — chains racing on the *same* tuple block and then reuse the
+/// one answer — while the map lock is released before any I/O, so
+/// distinct tuples and distinct sources fetch concurrently. A failed
+/// fetch leaves the slot empty; the next chain to need the tuple retries.
+type ParamSlot = Arc<Mutex<Option<Arc<ObjectStore>>>>;
+
+/// The parameterized-query memo of one execution: the answers to bound
+/// parameter tuples its chains have already fetched, keyed by `(source,
+/// unfilled query, tuple)`. Chains that fill the same parameterized query
+/// with the same tuple pay one round-trip between them, in sequence or in
+/// parallel. It is dropped with the execution: between queries a source
+/// answer lives in the [`AnswerCache`] and nowhere else.
+#[derive(Debug, Default)]
+pub struct ParamMemo {
+    slots: Mutex<HashMap<ParamMemoKey, ParamSlot>>,
+}
+
+impl ParamMemo {
+    /// The slot for `key`, created empty if absent. Only the map lock is
+    /// held here; callers lock the returned slot across their fetch.
+    fn slot(&self, key: ParamMemoKey) -> ParamSlot {
+        Arc::clone(self.slots.lock().entry(key).or_default())
     }
 }
 
@@ -130,11 +161,9 @@ struct ChainCtx<'a> {
     registry: &'a ExternalRegistry,
     fault: &'a FaultRuntime,
     /// Parameterized-query answers shared across every chain of this
-    /// execution (same lock pattern as the circuit breaker): parallel
-    /// chains sending the same bound tuple to the same source pay one
-    /// round-trip, not one each. When [`ExecOptions::param_memo`] carries
-    /// the mediator's shared memo, the sharing extends across whole
-    /// queries — see [`ParamMemo`] for the scoping rules.
+    /// execution (same lock pattern as the circuit breaker): chains
+    /// sending the same bound tuple to the same source pay one
+    /// round-trip, not one each. It ends with the execution.
     param_memo: &'a ParamMemo,
     cache: Option<&'a AnswerCache>,
     trace_on: bool,
@@ -417,7 +446,7 @@ enum OpKind<'p> {
         /// sends such a batch in one call, `None` keeps §3.4's one query
         /// per tuple.
         batch: std::cell::OnceCell<Option<Box<Rule>>>,
-        /// `query` printed, the part of a shared-memo key every tuple of
+        /// `query` printed, the part of a [`ParamMemo`] key every tuple of
         /// this node has in common; filled by the first tuple that needs a
         /// slot (one the answer cache does not serve).
         unfilled: std::cell::OnceCell<String>,
@@ -1228,7 +1257,7 @@ pub fn execute(
     let param_memo: &ParamMemo = match &opts.param_memo {
         Some(m) => m.as_ref(),
         None => {
-            local_memo = ParamMemo::ephemeral();
+            local_memo = ParamMemo::default();
             &local_memo
         }
     };
@@ -1595,20 +1624,19 @@ fn run_and_extract(
     if let Some(rows) = cache_probe(source, query, vars, memory, ctx, stats, counters) {
         return Ok(rows);
     }
-    // Parameterized queries consult the shared memo: a sibling chain (or,
-    // with the mediator's shared memo, a concurrent query) may already
-    // have fetched this exact tuple. Only the tuple's own slot lock is
-    // held across the fetch — executions after the same tuple wait for
-    // the one round-trip; everything else proceeds.
+    // Parameterized queries consult the execution's memo: a sibling chain
+    // may already have fetched this exact tuple. Only the tuple's own
+    // slot lock is held across the fetch — chains after the same tuple
+    // wait for the one round-trip; everything else proceeds.
     if let Some(shared_key) = shared_key {
-        let slot = ctx.param_memo.slot(&shared_key());
+        let slot = ctx.param_memo.slot(shared_key());
         let mut filled = slot.lock();
-        if let Some(store) = memoized(&filled, source, ctx) {
+        if let Some(store) = filled.clone() {
             drop(filled);
             return extract_rows(&store, vars, memory, counters);
         }
         let result = Arc::new(fetch_store(source, query, vars, 1, ctx, stats, counters)?);
-        *filled = Some(ctx.param_memo.state(Arc::clone(&result)));
+        *filled = Some(Arc::clone(&result));
         drop(filled);
         return extract_rows(&result, vars, memory, counters);
     }
@@ -1616,7 +1644,7 @@ fn run_and_extract(
     extract_rows(&result, vars, memory, counters)
 }
 
-/// The shared-memo key of `tuple` under the parameterized `query`, whose
+/// The [`ParamMemo`] key of `tuple` under the parameterized `query`, whose
 /// printed form `unfilled` keeps for the operator's lifetime.
 fn shared_key(
     source: Symbol,
@@ -1626,24 +1654,6 @@ fn shared_key(
 ) -> ParamMemoKey {
     let unfilled = unfilled.get_or_init(|| msl::printer::rule(query));
     (source, unfilled.clone(), tuple.to_vec())
-}
-
-/// The answer a shared-memo slot holds, if it may be served. A
-/// cross-query memo follows the cache's freshness rules: expired entries
-/// refetch, and an embargoed source is always refetched so a shared memo
-/// cannot mask an outage behind data of unknown staleness.
-fn memoized(
-    slot: &Option<ParamMemoState>,
-    source: Symbol,
-    ctx: &ChainCtx<'_>,
-) -> Option<Arc<ObjectStore>> {
-    let embargoed = ctx.param_memo.is_shared()
-        && ctx
-            .cache
-            .is_some_and(|c| c.enabled_for(source) && c.embargoed(source));
-    slot.as_ref()
-        .filter(|state| !embargoed && ctx.param_memo.live(state))
-        .map(|state| Arc::clone(&state.answer))
 }
 
 /// The atomic parameter values of `row`, or `None` if some parameter
@@ -1689,9 +1699,10 @@ fn set_valued_form(
 /// Answer the distinct parameter tuples of a fresh input batch that this
 /// chain has not seen, leaving their rows in `memo` for the row loop. Each
 /// tuple is looked up exactly as it would be alone — the answer cache
-/// under its own filled query, then its shared-memo slot — and what is
-/// still open goes to the source in **one** round-trip: a set-valued query
-/// ([`valueset`]) for two or more tuples, the plain filled query for one.
+/// under its own filled query, then its slot in the execution's memo —
+/// and what is still open goes to the source in **one** round-trip: a
+/// set-valued query ([`valueset`]) for two or more tuples, the plain
+/// filled query for one.
 /// The answer is filed per tuple (memo slot, cache entry, §3.5
 /// observation), so later reuse finds the keys a per-tuple fetch would
 /// have left; the set-valued query itself is never cached. A batch with
@@ -1737,12 +1748,12 @@ fn prefetch_tuples(
     }
     // Every open tuple's slot is held across the fetch, as a lone tuple's
     // is. Locking in one global order (the rendered tuple) keeps two
-    // executions that batch overlapping tuples from deadlocking.
+    // parallel chains that batch overlapping tuples from deadlocking.
     let slots: Vec<_> = open
         .iter()
         .map(|(tuple, _)| {
             ctx.param_memo
-                .slot(&shared_key(source, query, unfilled, tuple))
+                .slot(shared_key(source, query, unfilled, tuple))
         })
         .collect();
     let mut order: Vec<usize> = (0..open.len()).collect();
@@ -1755,8 +1766,8 @@ fn prefetch_tuples(
     }
     let mut fetch: Vec<usize> = Vec::new();
     for (k, (tuple, _)) in open.iter().enumerate() {
-        let slot = held[k].as_ref().expect("every slot locked above");
-        match memoized(slot, source, ctx) {
+        let slot = held[k].as_deref().expect("every slot locked above");
+        match slot.clone() {
             Some(store) => {
                 held[k] = None;
                 let rows = extract_rows(&store, vars, env.memory, counters)?;
@@ -1784,7 +1795,7 @@ fn prefetch_tuples(
     for (k, answer) in fetch.into_iter().zip(answers) {
         let answer = Arc::new(answer);
         let mut slot = held[k].take().expect("an open tuple's slot is still held");
-        *slot = Some(ctx.param_memo.state(Arc::clone(&answer)));
+        *slot = Some(Arc::clone(&answer));
         drop(slot);
         let rows = extract_rows(&answer, vars, env.memory, counters)?;
         memo.insert(open[k].0.clone(), std::rc::Rc::new(rows));
@@ -1812,9 +1823,9 @@ fn call_source(
     counters.source_calls += 1;
     counters.tuples_sent += tuples;
     // A cache miss is a lookup that ended in a round-trip, counted here
-    // rather than at lookup time: a shared-memo hit pays no fetch and must
-    // not inflate the trace's miss counters. Every tuple of a set-valued
-    // query was looked up on its own.
+    // rather than at lookup time: a tuple a sibling chain already fetched
+    // pays no fetch and must not inflate the trace's miss counters. Every
+    // tuple of a set-valued query was looked up on its own.
     if ctx.cache.is_some_and(|c| c.enabled_for(source)) {
         let lookups = tuples.max(1);
         counters.cache_misses += lookups;
@@ -2312,20 +2323,44 @@ mod tests {
     }
 
     fn planned(query: &str, srcs: &HashMap<Symbol, Arc<dyn Wrapper>>) -> PhysicalPlan {
+        planned_with(query, srcs, &PlannerOptions::default())
+    }
+
+    fn planned_with(
+        query: &str,
+        srcs: &HashMap<Symbol, Arc<dyn Wrapper>>,
+        options: &PlannerOptions,
+    ) -> PhysicalPlan {
         let med = MediatorSpec::parse("med", MS1).unwrap();
         let q = parse_query(query).unwrap();
         let program = expand(&q, &med, UnifyMode::Minimal).unwrap();
         let registry = standard_registry();
         let stats = StatsCache::new();
-        let options = PlannerOptions::default();
         let ctx = PlanContext {
             sources: srcs,
             registry: &registry,
             stats: &stats,
-            options: &options,
+            options,
             analysis: None,
         };
         plan(&program, &ctx).unwrap()
+    }
+
+    /// The whole view with the bind join pinned (whois outer, one cs
+    /// probe per person), and the same plan with its one chain run twice:
+    /// two chains that send the same bound tuples to the same source.
+    fn bind_join_once_and_twice(
+        srcs: &HashMap<Symbol, Arc<dyn Wrapper>>,
+    ) -> (PhysicalPlan, PhysicalPlan) {
+        let options = PlannerOptions {
+            prefer_bind_join: Some(true),
+            ..Default::default()
+        };
+        let once = planned_with("P :- P:<cs_person {}>@med", srcs, &options);
+        assert_eq!(once.rules.len(), 1);
+        let mut twice = once.clone();
+        twice.rules.push(once.rules[0].clone());
+        (once, twice)
     }
 
     fn faulty_sources(
@@ -2747,31 +2782,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_param_memo_dedups_across_chains() {
-        // Two chains (year-3 query, Minimal mode) that both bind-join into
-        // cs: identical bound tuples are fetched once per execution, even
-        // in parallel mode — the shared memo extends the per-chain one.
+    fn per_execution_param_memo_dedups_across_chains() {
+        // Identical bound tuples are fetched once per execution, even in
+        // parallel mode — the execution's memo extends the per-chain one.
         let srcs = sources();
-        let med = MediatorSpec::parse("med", MS1).unwrap();
-        let q = parse_query("S :- S:<cs_person {<year 3>}>@med").unwrap();
-        let program = expand(&q, &med, UnifyMode::Minimal).unwrap();
         let registry = standard_registry();
-        let stats = StatsCache::new();
-        let options = PlannerOptions {
-            prefer_bind_join: Some(true),
-            ..Default::default()
-        };
-        let ctx = PlanContext {
-            sources: &srcs,
-            registry: &registry,
-            stats: &stats,
-            options: &options,
-            analysis: None,
-        };
-        let physical = plan(&program, &ctx).unwrap();
-        let seq = execute(&physical, &srcs, &registry, &ExecOptions::default()).unwrap();
+        let (once, twice) = bind_join_once_and_twice(&srcs);
+        let one = execute(&once, &srcs, &registry, &ExecOptions::default()).unwrap();
+        let seq = execute(&twice, &srcs, &registry, &ExecOptions::default()).unwrap();
         let par = execute(
-            &physical,
+            &twice,
             &srcs,
             &registry,
             &ExecOptions {
@@ -2780,10 +2800,75 @@ mod tests {
             },
         )
         .unwrap();
+        assert!(one.trace.calls(sym("cs")) > 0);
+        assert_eq!(seq.trace.calls(sym("cs")), one.trace.calls(sym("cs")));
         // Sequential and parallel must agree call-for-call: the memo is
         // shared per-execution, not per-thread.
         assert_eq!(seq.trace.source_calls, par.trace.source_calls);
         assert_eq!(seq.results.top_level().len(), par.results.top_level().len());
+    }
+
+    /// A source that answers only once two callers have asked, so that
+    /// two parallel chains leave their first node together.
+    struct Rendezvous {
+        inner: Arc<dyn Wrapper>,
+        both_asked: std::sync::Barrier,
+    }
+
+    impl Wrapper for Rendezvous {
+        fn name(&self) -> Symbol {
+            self.inner.name()
+        }
+        fn capabilities(&self) -> &Capabilities {
+            self.inner.capabilities()
+        }
+        fn query(&self, q: &Rule) -> std::result::Result<ObjectStore, WrapperError> {
+            self.both_asked.wait();
+            self.inner.query(q)
+        }
+    }
+
+    #[test]
+    fn per_execution_param_memo_dedups_across_parallel_chains_with_the_cache_on() {
+        // Two chains that reach a tuple together both miss the empty
+        // cache; the slot lock makes the second wait for the first's
+        // round-trip instead of paying its own, and a miss is counted per
+        // round-trip. One row per batch keeps the node on one call per
+        // tuple.
+        let mut srcs = sources();
+        let registry = standard_registry();
+        let (once, twice) = bind_join_once_and_twice(&srcs);
+        let per_tuple = ExecOptions {
+            batch_size: 1,
+            ..Default::default()
+        };
+        let one = execute(&once, &srcs, &registry, &per_tuple).unwrap();
+        let tuples = one.trace.calls(sym("cs"));
+        assert!(tuples > 1, "{:?}", one.trace.source_calls);
+        let whois = srcs.remove(&sym("whois")).unwrap();
+        srcs.insert(
+            sym("whois"),
+            Arc::new(Rendezvous {
+                inner: whois,
+                both_asked: std::sync::Barrier::new(2),
+            }),
+        );
+        let cache = Arc::new(AnswerCache::new(CacheOptions::enabled()));
+        let par = execute(
+            &twice,
+            &srcs,
+            &registry,
+            &ExecOptions {
+                parallel: true,
+                cache: Some(Arc::clone(&cache)),
+                ..per_tuple
+            },
+        )
+        .unwrap();
+        assert_eq!(par.trace.calls(sym("whois")), 2);
+        assert_eq!(par.trace.calls(sym("cs")), tuples);
+        assert_eq!(par.trace.cache_misses.get(&sym("cs")), Some(&tuples));
+        assert_eq!(par.results.top_level().len(), one.results.top_level().len());
     }
 
     #[test]

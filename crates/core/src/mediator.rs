@@ -5,7 +5,7 @@
 //! serve as sources of other mediators — stacking exactly as in the
 //! TSIMMIS architecture of Figure 1.1.
 
-use crate::cache::{AnswerCache, CacheCounters, CacheOptions, ParamMemo, SourceDelta};
+use crate::cache::{AnswerCache, CacheCounters, CacheOptions, SourceDelta};
 use crate::error::{MedError, Result};
 use crate::exec::{execute, ExecOptions, ExecOutcome};
 use crate::externals::ExternalRegistry;
@@ -147,18 +147,10 @@ pub struct Mediator {
     /// construction when [`MediatorOptions::analysis`] is on. The planner
     /// consults it to prune provably-empty chains.
     analysis: Option<crate::analysis::SpecAnalysis>,
-    /// The source-answer cache. Persists across queries (that is the
-    /// point); rebuilt by [`Mediator::with_options`] so a reconfigured
-    /// cache starts cold.
+    /// The source-answer cache: the one place a source answer outlives
+    /// the execution that fetched it. Rebuilt by
+    /// [`Mediator::with_options`] so a reconfigured cache starts cold.
     cache: Arc<AnswerCache>,
-    /// Cross-query memo for parameterized source calls (bind joins).
-    /// Handed to the executor only while the cache is enabled — with the
-    /// cache off, every execution falls back to its own ephemeral memo
-    /// and repeated queries pay their round-trips exactly as before.
-    /// Follows the cache's TTL and failed-source embargo; cleared by
-    /// [`Mediator::invalidate_source`] and rebuilt (cold) by
-    /// [`Mediator::with_options`].
-    param_memo: Arc<ParamMemo>,
 }
 
 impl Mediator {
@@ -261,7 +253,6 @@ impl Mediator {
             options.cache.clone(),
             Some(Arc::clone(&stats)),
         ));
-        let param_memo = Arc::new(ParamMemo::shared(&options.cache));
         Ok(Mediator {
             spec,
             sources: map,
@@ -272,7 +263,6 @@ impl Mediator {
             lint_warnings,
             analysis,
             cache,
-            param_memo,
         })
     }
 
@@ -284,15 +274,13 @@ impl Mediator {
         &self.lint_warnings
     }
 
-    /// Replace the option set. The answer cache and the cross-query
-    /// parameterized-call memo are rebuilt from the new
+    /// Replace the option set. The answer cache is rebuilt from the new
     /// [`MediatorOptions::cache`] configuration, starting cold.
     pub fn with_options(mut self, options: MediatorOptions) -> Mediator {
         self.cache = Arc::new(AnswerCache::with_stats(
             options.cache.clone(),
             Some(Arc::clone(&self.stats)),
         ));
-        self.param_memo = Arc::new(ParamMemo::shared(&options.cache));
         if !options.analysis {
             // The analysis can only be *disabled* after construction: it
             // runs while the mediator is built (use
@@ -311,27 +299,20 @@ impl Mediator {
 
     /// Drop every cached source answer for `source` — the explicit
     /// invalidation hook for when a source is known to have changed.
-    /// Clears both the answer cache (hot and warm tiers) and the
-    /// cross-query parameterized memo, so the next query pays fresh
-    /// round-trips to that source. Returns the number of distinct
-    /// cached answers dropped.
+    /// Clears the answer cache's hot and warm tiers, so the next query
+    /// pays fresh round-trips to that source. Returns the number of
+    /// distinct cached answers dropped.
     pub fn invalidate_source(&self, source: Symbol) -> usize {
-        let n = self.cache.invalidate_source(source);
-        self.param_memo.invalidate_source(source);
-        n
+        self.cache.invalidate_source(source)
     }
 
     /// Apply a scoped change report from a wrapper: only cache entries
     /// whose query could have observed the changed objects are dropped
     /// (see [`SourceDelta`] for the matching rules; an unscoped delta is
-    /// whole-source invalidation). The parameterized-call memo has no
-    /// per-key scoping — its keys are parameter tuples, not canonical
-    /// queries — so any delta purges it whole-source. Returns the number
-    /// of distinct cached answers dropped.
+    /// whole-source invalidation). Returns the number of distinct cached
+    /// answers dropped.
     pub fn apply_delta(&self, delta: &SourceDelta) -> usize {
-        let n = self.cache.apply_delta(delta);
-        self.param_memo.invalidate_source(delta.source);
-        n
+        self.cache.apply_delta(delta)
     }
 
     /// Snapshot of the answer cache's lifetime counters (hits, misses,
@@ -348,23 +329,6 @@ impl Mediator {
         } else {
             None
         }
-    }
-
-    /// The cross-query memo handed to the executor: `Some` only when the
-    /// cache is enabled. With the cache off the executor uses a
-    /// per-execution ephemeral memo, preserving exact seed behavior.
-    fn exec_param_memo(&self) -> Option<Arc<ParamMemo>> {
-        if self.options.cache.enabled {
-            Some(Arc::clone(&self.param_memo))
-        } else {
-            None
-        }
-    }
-
-    /// Entries currently held by the cross-query parameterized-call
-    /// memo. Process-wide, like [`Mediator::cache_counters`].
-    pub fn param_memo_len(&self) -> usize {
-        self.param_memo.len()
     }
 
     /// Lifetime count of statistics observations folded into the learned
@@ -395,10 +359,9 @@ impl Mediator {
     /// Like [`Mediator::query_rule`], with per-query resource limits
     /// layered over the mediator's standing options. This is the serving
     /// layer's entry point: many threads call it concurrently against
-    /// one resident mediator (`&self`), sharing the answer cache, the
-    /// parameterized-call memo, learned statistics, and circuit
-    /// breakers. `max_rows` is carried but not enforced here — see
-    /// [`QueryLimits::max_rows`].
+    /// one resident mediator (`&self`), sharing the answer cache, learned
+    /// statistics, and circuit breakers. `max_rows` is carried but not
+    /// enforced here — see [`QueryLimits::max_rows`].
     pub fn query_rule_with(&self, query: &Rule, limits: &QueryLimits) -> Result<ExecOutcome> {
         msl::validate::validate_rule(query, &self.spec.spec.externals)?;
 
@@ -452,7 +415,7 @@ impl Mediator {
                 parallel,
                 fault,
                 cache: self.exec_cache(),
-                param_memo: self.exec_param_memo(),
+                param_memo: None,
                 streaming: self.options.streaming,
                 batch_size: limits.batch_size.unwrap_or(self.options.batch_size),
             },
@@ -996,31 +959,72 @@ mod tests {
         );
     }
 
-    #[test]
-    fn param_memo_shared_across_queries_and_cleared_by_invalidation() {
-        // The bind-join memo outlives a single execution when the cache
-        // is on: a later query reuses the whois answers fetched for the
-        // same parameter tuples. Explicit invalidation must clear it, or
-        // it would serve data the caller just declared stale.
-        let med = paper_mediator().with_options(cache_test_options(CacheOptions::enabled()));
-        assert_eq!(med.param_memo_len(), 0);
-        med.query_text("S :- S:<cs_person {<year 3>}>@med").unwrap();
-        let after_first = med.param_memo_len();
-        assert!(after_first > 0, "bind joins must populate the shared memo");
-        med.invalidate_source(sym("whois"));
-        assert!(
-            med.param_memo_len() < after_first,
-            "invalidation must drop the source's memo entries"
-        );
+    /// Cache options for the year-3 query with the bind join pinned: two
+    /// chains that each probe whois by the names cs returned.
+    fn bind_join_cache_options(cache: CacheOptions) -> MediatorOptions {
+        MediatorOptions {
+            planner: crate::planner::PlannerOptions {
+                prefer_bind_join: Some(true),
+                ..Default::default()
+            },
+            ..cache_test_options(cache)
+        }
     }
 
     #[test]
-    fn param_memo_unused_while_cache_disabled() {
-        // Cache off = exact seed behavior: executions use their own
-        // ephemeral memo and nothing accumulates on the mediator.
-        let med = paper_mediator().with_options(cache_test_options(CacheOptions::default()));
-        med.query_text("S :- S:<cs_person {<year 3>}>@med").unwrap();
-        assert_eq!(med.param_memo_len(), 0);
+    fn invalidation_makes_a_cached_bind_join_pay_its_round_trips_again() {
+        let q = msl::parse_query("S :- S:<cs_person {<year 3>}>@med").unwrap();
+        let med = paper_mediator().with_options(bind_join_cache_options(CacheOptions::enabled()));
+        let cold = med.query_rule(&q).unwrap();
+        let whois_calls = cold.trace.calls(sym("whois"));
+        assert!(whois_calls > 0, "{:?}", cold.trace.source_calls);
+        let invalidations: [&dyn Fn() -> usize; 3] = [
+            &|| med.invalidate_source(sym("whois")),
+            &|| med.apply_delta(&SourceDelta::whole(sym("whois"))),
+            &|| med.apply_delta(&SourceDelta::labels(sym("whois"), [sym("relation")])),
+        ];
+        for invalidate in invalidations {
+            let warm = med.query_rule(&q).unwrap();
+            assert_eq!(
+                warm.trace.total_source_calls(),
+                0,
+                "{:?}",
+                warm.trace.source_calls
+            );
+            assert!(invalidate() > 0);
+            // The per-tuple whois answers are gone with nothing beside
+            // the cache to serve them; cs is still cached.
+            let after = med.query_rule(&q).unwrap();
+            assert_eq!(
+                (
+                    after.trace.calls(sym("whois")),
+                    after.trace.calls(sym("cs"))
+                ),
+                (whois_calls, 0),
+                "{:?}",
+                after.trace.source_calls
+            );
+        }
+    }
+
+    #[test]
+    fn a_source_excluded_from_caching_is_fetched_live_by_every_query() {
+        // `disabled_sources` means "always fetched live", for the tuples
+        // of a bind join like for any other query.
+        let q = msl::parse_query("S :- S:<cs_person {<year 3>}>@med").unwrap();
+        let med = paper_mediator().with_options(bind_join_cache_options(CacheOptions {
+            disabled_sources: [sym("whois")].into_iter().collect(),
+            ..CacheOptions::enabled()
+        }));
+        for cs_calls in [1, 0] {
+            let out = med.query_rule(&q).unwrap();
+            assert_eq!(
+                (out.trace.calls(sym("whois")), out.trace.calls(sym("cs"))),
+                (2, cs_calls),
+                "{:?}",
+                out.trace.source_calls
+            );
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * orders the groups by **join enumeration** over a multi-objective
 //!   [`CostEstimate`] (rows / cpu / net / memory, weighted by
 //!   [`CostWeights`]): exhaustive enumeration of every feasible order for
-//!   small rule bodies ([`PlannerOptions::exhaustive_limit`], default 6
-//!   groups), greedy cheapest-next above it. The `net` component prices
+//!   small rule bodies (up to `EXHAUSTIVE_LIMIT` = 6 groups), greedy
+//!   cheapest-next above it. The `net` component prices
 //!   round-trips with the measured per-source latency, failure-rate and
 //!   cache-hit EWMAs ([`crate::stats::StatsCache::per_call_cost_ms`]).
 //!   [`JoinEnumeration::Scalar`] restores the seed behavior — a sort by
@@ -61,11 +61,12 @@ pub struct PlannerOptions {
     /// Weights collapsing a [`CostEstimate`] to one comparable number
     /// (`--cost-weights`); ignored under [`JoinEnumeration::Scalar`].
     pub cost_weights: CostWeights,
-    /// Rule bodies with at most this many source groups are ordered by
-    /// exhaustive enumeration under [`JoinEnumeration::Auto`]; larger
-    /// bodies fall back to the greedy cheapest-next heuristic.
-    pub exhaustive_limit: usize,
 }
+
+/// Rule bodies with at most this many source groups are ordered by
+/// exhaustive enumeration under [`JoinEnumeration::Auto`]; larger bodies
+/// fall back to the greedy cheapest-next heuristic.
+const EXHAUSTIVE_LIMIT: usize = 6;
 
 impl Default for PlannerOptions {
     fn default() -> PlannerOptions {
@@ -77,7 +78,6 @@ impl Default for PlannerOptions {
             prune_infeasible: true,
             enumeration: JoinEnumeration::Auto,
             cost_weights: CostWeights::default(),
-            exhaustive_limit: 6,
         }
     }
 }
@@ -85,8 +85,8 @@ impl Default for PlannerOptions {
 /// Join-order search strategy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum JoinEnumeration {
-    /// Exhaustive for rule bodies up to
-    /// [`PlannerOptions::exhaustive_limit`] groups, greedy above.
+    /// Exhaustive for rule bodies up to `EXHAUSTIVE_LIMIT` (6) groups,
+    /// greedy above.
     #[default]
     Auto,
     /// Score every feasible permutation with the multi-objective cost
@@ -821,7 +821,7 @@ fn choose_join_order(
     let exhaustive = match ctx.options.enumeration {
         JoinEnumeration::Exhaustive => true,
         JoinEnumeration::Greedy => false,
-        _ => n <= ctx.options.exhaustive_limit,
+        _ => n <= EXHAUSTIVE_LIMIT,
     };
     let sim = OrderSim::new(model, processed, externals, needed);
     let order = if exhaustive {

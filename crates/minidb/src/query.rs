@@ -3,7 +3,7 @@
 use crate::error::{DbError, Result};
 use crate::pred::{CmpOp, InCondition, Predicate};
 use crate::table::Table;
-use crate::types::Datum;
+use crate::types::{ColType, Datum};
 
 /// Evaluate `SELECT * FROM table WHERE pred`, returning row ids.
 ///
@@ -31,7 +31,7 @@ pub fn select(table: &Table, pred: &Predicate) -> Result<Vec<usize>> {
     let mut best: Option<(usize, &[usize])> = None;
     for (i, (col, op, value)) in resolved.iter().enumerate() {
         if *op == CmpOp::Eq {
-            if let Some(rids) = table.index_lookup(*col, value) {
+            if let Some(rids) = index_probe(table, *col, value) {
                 if best.is_none_or(|(_, b)| rids.len() < b.len()) {
                     best = Some((i, rids));
                 }
@@ -45,7 +45,7 @@ pub fn select(table: &Table, pred: &Predicate) -> Result<Vec<usize>> {
         let mut union: Vec<usize> = Vec::new();
         let mut probed = true;
         for value in c.values() {
-            match table.index_lookup(*col, value) {
+            match index_probe(table, *col, value) {
                 Some(rids) => union.extend_from_slice(rids),
                 None => {
                     probed = false;
@@ -85,6 +85,28 @@ pub fn select(table: &Table, pred: &Predicate) -> Result<Vec<usize>> {
             .collect(),
     };
     Ok(out)
+}
+
+/// The rows the index on `col` lists for `value`, compared as the scan
+/// compares. [`Datum::compare`] promotes between int and real while the
+/// index is keyed by representation, so a number probing a column of the
+/// other numeric type is converted to the column's type first. `None`
+/// leaves the condition to the scan: without an index, and for a real
+/// that is no int the index could hold exactly (a fraction, or a
+/// magnitude of 2^53 and up, where several ints equal one real).
+fn index_probe<'t>(table: &'t Table, col: usize, value: &Datum) -> Option<&'t [usize]> {
+    let key = match (table.schema().column_type(col), value) {
+        (Some(ColType::Real), Datum::Int(i)) => Datum::real(*i as f64),
+        (Some(ColType::Int), Datum::RealBits(bits)) => {
+            let x = f64::from_bits(*bits);
+            if x.fract() != 0.0 || x.abs() >= 2f64.powi(53) {
+                return None;
+            }
+            Datum::Int(x as i64)
+        }
+        _ => return table.index_lookup(col, value),
+    };
+    table.index_lookup(col, &key)
 }
 
 fn resolve_column(table: &Table, column: &str) -> Result<usize> {
@@ -203,6 +225,35 @@ mod tests {
         let indexed = select(&t, &pred).unwrap();
         assert_eq!(scan, indexed);
         assert_eq!(indexed, vec![0]);
+    }
+
+    #[test]
+    fn indexed_numeric_probes_compare_as_the_scan_does() {
+        // 3 is 3.0 to `Datum::compare`, whichever side is the column.
+        let schema = Schema::new("m", &[("i", ColType::Int), ("r", ColType::Real)]).unwrap();
+        let mut t = Table::new(schema);
+        t.insert_all([
+            vec![3.into(), 3.0.into()],
+            vec![4.into(), 3.5.into()],
+            vec![3.into(), 4.0.into()],
+        ])
+        .unwrap();
+        let preds = [
+            Predicate::of(vec![Condition::eq("r", 3)]),
+            Predicate::all().and_in(InCondition::of("r", [3, 4, 5])),
+            Predicate::of(vec![Condition::eq("i", 3.0)]),
+            Predicate::all().and_in(InCondition::of("i", [3.0, 9.0])),
+            // No int is 3.5: nothing matches, by either path.
+            Predicate::of(vec![Condition::eq("i", 3.5)]),
+            Predicate::all().and_in(InCondition::of("i", [3.5, 4.0])),
+        ];
+        let expected = [vec![0], vec![0, 2], vec![0, 2], vec![0, 2], vec![], vec![1]];
+        let scans: Vec<_> = preds.iter().map(|p| select(&t, p).unwrap()).collect();
+        assert_eq!(scans, expected);
+        t.create_index("i").unwrap();
+        t.create_index("r").unwrap();
+        let indexed: Vec<_> = preds.iter().map(|p| select(&t, p).unwrap()).collect();
+        assert_eq!(indexed, scans);
     }
 
     #[test]

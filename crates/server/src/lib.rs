@@ -2,8 +2,8 @@
 //!
 //! `medmaker serve` keeps one [`medmaker::Mediator`] alive and answers
 //! many queries concurrently over TCP, so the answer cache, learned
-//! statistics, circuit breakers, and the parameterized-call memo amortize
-//! across queries instead of dying with each process. The wire protocols
+//! statistics, and circuit breakers amortize across queries instead of
+//! dying with each process. The wire protocols
 //! and operational behavior are specified in DESIGN.md §11 and
 //! docs/OPERATIONS.md; in short:
 //!
@@ -593,11 +593,11 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_endpoint_purges_cache_and_param_memo_over_live_socket() {
+    fn invalidate_endpoint_makes_the_next_query_refetch_over_live_socket() {
         // A resident mediator with the cache on: the first query pays
-        // round-trips and fills both the answer cache and the bind-join
-        // param memo; `POST /invalidate` must flush both so the next
-        // query re-fetches.
+        // round-trips and fills the answer cache, a repeat pays none, and
+        // after `POST /invalidate` the repeat goes back to the source.
+        // Learning is off so every repeat runs the same plan.
         let med = Mediator::new(
             "med",
             MS1,
@@ -607,6 +607,7 @@ mod tests {
         .unwrap()
         .with_options(medmaker::MediatorOptions {
             cache: medmaker::CacheOptions::enabled(),
+            learn_stats: false,
             ..Default::default()
         });
         let h = Server::start(Arc::new(med), ServerOptions::default()).unwrap();
@@ -615,17 +616,21 @@ mod tests {
             "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         );
-        let res = http_roundtrip(h.addr(), &query_req);
-        assert!(res.starts_with("HTTP/1.1 200 OK"), "{res}");
-        let memo_entries = |metrics: &str| -> i64 {
+        // Run the query, then read the lifetime `server.source_calls`.
+        let calls_after_query = || -> (i64, String) {
+            let res = http_roundtrip(h.addr(), &query_req);
+            assert!(res.starts_with("HTTP/1.1 200 OK"), "{res}");
+            let metrics = http_roundtrip(h.addr(), "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
             let json = metrics.split("\r\n\r\n").nth(1).expect("body");
             let v: serde::Value = serde_json::from_str(json.trim()).unwrap();
-            let med = v.get("mediator").expect("mediator section");
-            med.get("param_memo_entries").unwrap().as_i64().unwrap()
+            let server = v.get("server").expect("server section");
+            let calls = server.get("source_calls").unwrap().as_i64().unwrap();
+            (calls, metrics)
         };
-        let metrics = http_roundtrip(h.addr(), "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
-        let before = memo_entries(&metrics);
-        assert!(before > 0, "bind joins must populate the memo: {metrics}");
+        let (cold, metrics) = calls_after_query();
+        assert!(cold > 0, "the first query pays round-trips: {metrics}");
+        let (warm, metrics) = calls_after_query();
+        assert_eq!(warm, cold, "a repeat is served from the cache: {metrics}");
         // Whole-source invalidation of the bind-join target.
         let inv = r#"{"source": "whois"}"#;
         let inv_req = format!(
@@ -635,23 +640,22 @@ mod tests {
         let res = http_roundtrip(h.addr(), &inv_req);
         assert!(res.starts_with("HTTP/1.1 200 OK"), "{res}");
         assert!(res.contains("\"invalidated\":"), "{res}");
-        let metrics = http_roundtrip(h.addr(), "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+        let (after, metrics) = calls_after_query();
         assert!(
-            memo_entries(&metrics) < before,
-            "invalidation must purge the source's memo entries: {metrics}"
+            after > warm,
+            "the repeat after an invalidation must re-fetch: {metrics}"
         );
         assert!(metrics.contains("\"invalidations\": 1"), "{metrics}");
-        // The service still answers after invalidation (re-fetching).
-        let res = http_roundtrip(h.addr(), &query_req);
-        assert!(res.starts_with("HTTP/1.1 200 OK"), "{res}");
-        // A scoped delta that names nothing cached: 0 invalidated.
-        let inv = r#"{"source": "whois", "labels": ["no_such_label"], "keys": []}"#;
+        // A key-scoped delta that names nothing cached drops nothing.
+        let inv = r#"{"source": "whois", "labels": [], "keys": ["no such key"]}"#;
         let inv_req = format!(
             "POST /invalidate HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{inv}",
             inv.len()
         );
         let res = http_roundtrip(h.addr(), &inv_req);
         assert!(res.starts_with("HTTP/1.1 200 OK"), "{res}");
+        let (unchanged, metrics) = calls_after_query();
+        assert_eq!(unchanged, after, "nothing was dropped: {metrics}");
         h.shutdown();
     }
 

@@ -12,8 +12,8 @@
 //!   total.
 //!
 //! Process-wide **gauges** (cache bytes/hit counters, learned-statistics
-//! observations, memo entries) are not accumulated here at all: the
-//! snapshot reads them live off the [`medmaker::Mediator`].
+//! observations) are not accumulated here at all: the snapshot reads
+//! them live off the [`medmaker::Mediator`].
 
 use crate::service::{QueryReply, ReplyStatus};
 use medmaker::Mediator;
@@ -215,10 +215,6 @@ impl ServerMetrics {
                     (
                         "stats_observations".to_string(),
                         serde::Value::Int(mediator.stats_observations() as i64),
-                    ),
-                    (
-                        "param_memo_entries".to_string(),
-                        serde::Value::Int(mediator.param_memo_len() as i64),
                     ),
                 ]),
             ),

@@ -252,10 +252,9 @@ impl QueryService {
         self.metrics.snapshot(&self.mediator, self.uptime_ms())
     }
 
-    /// Apply a change report against the resident mediator's caches (the
+    /// Apply a change report against the resident mediator's cache (the
     /// `POST /invalidate` backend): drops matching answer-cache entries
-    /// in both tiers and purges the source's parameterized-call memo.
-    /// Returns the number of distinct cached answers dropped.
+    /// in both tiers. Returns the number of distinct cached answers dropped.
     pub fn invalidate(&self, delta: &medmaker::SourceDelta) -> usize {
         let n = self.mediator.apply_delta(delta);
         self.metrics.record_invalidation(n);

@@ -2,8 +2,9 @@
 # Smoke test for `medmaker serve` (CI "Serve smoke" step; run it locally
 # the same way): start the daemon on a free port against the demo
 # mediator, drive one query over each wire protocol plus /healthz and
-# /metrics, ten queries down one line-protocol connection and an
-# over-long line, then check that SIGTERM shuts it down gracefully (exit
+# /metrics, an invalidation that the next query must answer with source
+# calls, ten queries down one line-protocol connection and an over-long
+# line, then check that SIGTERM shuts it down gracefully (exit
 # 0, drained, within 2 s). Needs only bash + a built `medmaker` binary;
 # the HTTP client is a raw bash /dev/tcp exchange, so no curl dependency.
 set -euo pipefail
@@ -45,6 +46,9 @@ http() {
 
 fail() { echo "FAIL: $1"; echo "--- response ---"; echo "$2"; exit 1; }
 
+# The lifetime `server.source_calls` counter of a /metrics response.
+source_calls() { echo "$1" | sed -n 's/.*"source_calls": \([0-9]*\).*/\1/p' | head -n1; }
+
 RES="$(http 'GET /healthz HTTP/1.1\r\nHost: smoke\r\n\r\n')"
 echo "$RES" | grep -q "200 OK" || fail "/healthz not 200" "$RES"
 
@@ -85,12 +89,16 @@ RES="$("$BIN" invalidate --addr "$HOST:$PORT" --source whois)"
 echo "$RES" | grep -q '"invalidated"' || fail "invalidate reply" "$RES"
 RES="$(http 'GET /metrics HTTP/1.1\r\nHost: smoke\r\n\r\n')"
 echo "$RES" | grep -q '"invalidations": 1' || fail "/metrics invalidations != 1" "$RES"
+CALLS_BEFORE="$(source_calls "$RES")"
 
-# Many queries down one connection: ten blocks come back.
+# Many queries down one connection: ten blocks come back. The first of
+# them finds its whois answers dropped and must go back to the source.
 RES="$(line_queries 10)"
 [ "$(echo "$RES" | grep -c "^OK 1 1")" -eq 10 ] || fail "ten line-protocol replies" "$RES"
 RES="$(http 'GET /metrics HTTP/1.1\r\nHost: smoke\r\n\r\n')"
 echo "$RES" | grep -q '"queries_ok": 12' || fail "/metrics queries_ok != 12" "$RES"
+[ "$(source_calls "$RES")" -gt "$CALLS_BEFORE" ] ||
+  fail "no source call after the invalidation (was $CALLS_BEFORE)" "$RES"
 
 # A line past the 1 MiB bound is refused, not buffered.
 RES="$(exec 3<>"/dev/tcp/$HOST/$PORT"
