@@ -547,6 +547,178 @@ mod tests {
     }
 
     #[test]
+    fn analyze_report_is_pinned_byte_for_byte() {
+        // Golden: a hand-built outcome with fixed timings that reaches
+        // every line `render_analyze` can print — a bind join whose calls
+        // carried value sets, dedup hits, the cache / containment / miss
+        // counters per node and per source, both warm-tier lines, retries,
+        // failed attempts, a dropped chain and a PARTIAL verdict —
+        // compared as one string. Every other test here is a `contains`.
+        use crate::metrics::{Completeness, NodeMetrics, NodeTrace, QueryTrace, RuleTrace};
+        // Fresh names interned in this order: per-source maps iterate in
+        // symbol order, which is interning order.
+        let (a, b) = (sym("golden_alpha"), sym("golden_beta"));
+        let node = |op: &str, detail: &str, metrics: NodeMetrics| NodeTrace {
+            op: op.into(),
+            detail: detail.into(),
+            metrics,
+            table: String::new(),
+        };
+        let rule_plan = || crate::graph::RulePlan {
+            nodes: Vec::new(),
+            estimates: Vec::new(),
+            head: msl::Head::Var(sym("X")),
+        };
+        let plan = crate::graph::PhysicalPlan {
+            rules: vec![rule_plan(), rule_plan()],
+            dedup_results: true,
+            pruned: Vec::new(),
+        };
+        let counts = |pairs: &[(oem::Symbol, usize)]| pairs.iter().copied().collect();
+        let outcome = ExecOutcome {
+            results: oem::ObjectStore::new(),
+            memory: oem::ObjectStore::new(),
+            trace: QueryTrace {
+                query: "X :- X:<p {}>@med".into(),
+                rules: vec![
+                    RuleTrace {
+                        nodes: vec![
+                            node(
+                                "query",
+                                "@golden_alpha: Q",
+                                NodeMetrics {
+                                    rows_in: 1,
+                                    rows_out: 4,
+                                    bindings_produced: 4,
+                                    source_calls: 1,
+                                    wall_ns: 2_000_000,
+                                    est_rows: 4.0,
+                                    est_cpu_rows: 10.0,
+                                    est_net_ms: 1.0,
+                                    est_mem_rows: 8.0,
+                                    cache_misses: 1,
+                                    peak_batch_rows: 4,
+                                    peak_bytes_resident: 96,
+                                    ..Default::default()
+                                },
+                            ),
+                            node(
+                                "parameterized query",
+                                "@golden_beta: P",
+                                NodeMetrics {
+                                    rows_in: 4,
+                                    rows_out: 3,
+                                    bindings_produced: 3,
+                                    source_calls: 2,
+                                    tuples_sent: 4,
+                                    wall_ns: 12_345,
+                                    est_rows: 6.0,
+                                    cache_hits: 1,
+                                    containment_hits: 2,
+                                    cache_misses: 4,
+                                    peak_batch_rows: 3,
+                                    peak_bytes_resident: 72,
+                                    ..Default::default()
+                                },
+                            ),
+                            node(
+                                "dup elim",
+                                "project [X]",
+                                NodeMetrics {
+                                    rows_in: 3,
+                                    rows_out: 2,
+                                    dedup_hits: 1,
+                                    wall_ns: 950,
+                                    ..Default::default()
+                                },
+                            ),
+                        ],
+                        constructed: 2,
+                        wall_ns: 2_500_000,
+                        error: None,
+                    },
+                    RuleTrace {
+                        nodes: vec![node(
+                            "query",
+                            "@golden_beta: Q2",
+                            NodeMetrics {
+                                rows_in: 1,
+                                wall_ns: 3_200_000_000,
+                                ..Default::default()
+                            },
+                        )],
+                        constructed: 0,
+                        wall_ns: 3_300_000_000,
+                        error: Some("source 'golden_beta' unavailable: down".into()),
+                    },
+                ],
+                source_calls: counts(&[(a, 1), (b, 2)]),
+                retries: counts(&[(b, 2)]),
+                failures: counts(&[(a, 1), (b, 3)]),
+                completeness: Completeness {
+                    sources_ok: vec![a],
+                    sources_failed: [(b, "down".to_string())].into_iter().collect(),
+                    skipped_chains: vec![1],
+                },
+                cache_hits: counts(&[(b, 1)]),
+                containment_hits: counts(&[(b, 2)]),
+                cache_misses: counts(&[(a, 1), (b, 4)]),
+                bytes_cached: 512,
+                cache_evictions: 1,
+                cache_warm_hits: 2,
+                cache_demotions: 3,
+                warm_bytes_cached: 256,
+                result_count: 2,
+                result_dedup_removed: 1,
+                wall_ns: 3_400_000_000,
+                first_rows_ns: 42_000,
+                peak_batch_rows: 4,
+                peak_bytes_resident: 96,
+                ..Default::default()
+            },
+        };
+        let expected = [
+            "EXPLAIN ANALYZE  X :- X:<p {}>@med",
+            "=== rule R1 (2.50ms) ===",
+            "[query] @golden_alpha: Q",
+            "  rows: 1 in -> 4 out  (est 4.0, drift 1.00x)",
+            "  cost: cpu 10.0 rows, net 1.00 ms, mem 8.0 rows  (net drift 2.00x)",
+            "  source calls: 1   bindings: 4   cache misses: 1   time: 2.00ms",
+            "[parameterized query] @golden_beta: P",
+            "  rows: 4 in -> 3 out  (est 6.0, drift 0.50x)",
+            "  source calls: 2 (4 tuples)   bindings: 3   cache hits: 1   containment hits: 2   cache misses: 4   time: 12.3µs",
+            "[dup elim] project [X]",
+            "  rows: 3 in -> 2 out",
+            "  dedup hits: 1   time: 950ns",
+            "[constructor] X  -> 2 object(s)",
+            "=== rule R2 (3.30s) ===",
+            "[chain dropped] source 'golden_beta' unavailable: down",
+            "[query] @golden_beta: Q2",
+            "  rows: 1 in -> 0 out",
+            "  time: 3.20s",
+            "[constructor] X  -> 0 object(s)",
+            "=== totals ===",
+            "result objects: 2 (dedup removed 1)",
+            "source calls: golden_alpha=1 golden_beta=2",
+            "cache hits: golden_beta=1",
+            "containment hits: golden_beta=2",
+            "cache misses: golden_alpha=1 golden_beta=4",
+            "cache: 512 bytes held (process-wide), 1 evictions (this query)",
+            "cache warm tier: 2 disk hits, 3 demotions (this query)",
+            "cache warm tier: 256 bytes live on disk (process-wide)",
+            "retries: golden_beta=2",
+            "failed attempts: golden_alpha=1 golden_beta=3",
+            "completeness: PARTIAL — failed sources: golden_beta (down); dropped chains: R2",
+            "peak resident: 4 rows / ~96 bytes",
+            "first answer: 42.0µs",
+            "wall time: 3.40s",
+        ]
+        .map(|line| format!("{line}\n"))
+        .concat();
+        assert_eq!(render_analyze(&plan, &outcome), expected);
+    }
+
+    #[test]
     fn analyze_renders_cache_counters_when_cache_is_on() {
         use crate::cache::{AnswerCache, CacheOptions};
         let med = MediatorSpec::parse("med", MS1).unwrap();

@@ -742,6 +742,90 @@ mod tests {
         }
     }
 
+    /// The keys of a JSON object, in the order they were written.
+    fn keys(v: &serde::Value) -> Vec<&str> {
+        let pairs = v.as_object().expect("a JSON object");
+        pairs.iter().map(|(k, _)| k.as_str()).collect()
+    }
+
+    #[test]
+    fn json_key_sequences_are_pinned() {
+        // Golden: the exact keys, in order, of every record of the trace
+        // schema. A consumer diffing two `--trace-json` files sees a
+        // reordering as a change; adding a counter appends to one of
+        // these lists and nowhere else in this test.
+        let trace = sample();
+        let rule = &trace.rules[0];
+        let node = &rule.nodes[0];
+        assert_eq!(
+            keys(&node.metrics.to_value()),
+            [
+                "rows_in",
+                "rows_out",
+                "bindings_produced",
+                "source_calls",
+                "tuples_sent",
+                "dedup_hits",
+                "wall_ns",
+                "est_rows",
+                "est_cpu_rows",
+                "est_net_ms",
+                "est_mem_rows",
+                "cache_hits",
+                "containment_hits",
+                "cache_misses",
+                "peak_batch_rows",
+                "peak_bytes_resident",
+            ]
+        );
+        assert_eq!(keys(&node.to_value()), ["op", "detail", "metrics", "table"]);
+        assert_eq!(
+            keys(&rule.to_value()),
+            ["nodes", "constructed", "wall_ns", "error"]
+        );
+        assert_eq!(
+            keys(&trace.observations[0].to_value()),
+            ["source", "label", "count"]
+        );
+        assert_eq!(
+            keys(&trace.completeness.to_value()),
+            ["complete", "sources_ok", "sources_failed", "skipped_chains"]
+        );
+        assert_eq!(
+            keys(&trace.to_value()),
+            [
+                "query",
+                "rules",
+                "observations",
+                "source_calls",
+                "retries",
+                "failures",
+                "latency_ms",
+                "latency_calls",
+                "completeness",
+                "cache_hits",
+                "containment_hits",
+                "cache_misses",
+                "bytes_cached",
+                "cache_evictions",
+                "cache_warm_hits",
+                "cache_demotions",
+                "warm_bytes_cached",
+                "result_count",
+                "result_dedup_removed",
+                "wall_ns",
+                "first_rows_ns",
+                "peak_batch_rows",
+                "peak_bytes_resident",
+            ]
+        );
+        // A per-source map is an object keyed by source name.
+        let calls = trace.to_value();
+        let mut sources = keys(calls.get("source_calls").unwrap());
+        sources.sort_unstable();
+        assert_eq!(sources, ["cs", "whois"]);
+    }
+
     #[test]
     fn old_traces_without_streaming_fields_still_parse() {
         // A trace exported before streaming execution lacks the

@@ -228,15 +228,117 @@ mod tests {
     use std::sync::Arc;
     use wrappers::scenario::{cs_wrapper, whois_wrapper, MS1};
 
-    #[test]
-    fn sub_millisecond_replies_add_up_in_the_snapshot() {
-        let med = Mediator::new(
+    fn ms1() -> Mediator {
+        Mediator::new(
             "med",
             MS1,
             vec![Arc::new(whois_wrapper()), Arc::new(cs_wrapper())],
             medmaker::externals::standard_registry(),
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn metrics_key_sequences_are_pinned() {
+        // Golden: the `/metrics` document's keys, in order. Dashboards key
+        // on these names; a rename or a dropped gauge must show up here.
+        fn keys(v: &serde::Value) -> Vec<&str> {
+            let pairs = v.as_object().expect("a JSON object");
+            pairs.iter().map(|(k, _)| k.as_str()).collect()
+        }
+        let snapshot = ServerMetrics::default().snapshot(&ms1(), 7);
+        assert_eq!(keys(&snapshot), ["uptime_ms", "server", "mediator"]);
+        assert_eq!(
+            keys(snapshot.get("server").unwrap()),
+            [
+                "queries_total",
+                "queries_ok",
+                "queries_bad_query",
+                "queries_failed",
+                "queries_shed",
+                "queries_coalesced",
+                "objects_returned",
+                "truncated_replies",
+                "partial_replies",
+                "elapsed_ms_total",
+                "elapsed_us_total",
+                "executions",
+                "source_calls",
+                "cache_hits",
+                "containment_hits",
+                "retries",
+                "cache_evictions",
+                "cache_warm_hits",
+                "cache_demotions",
+                "invalidations",
+                "entries_invalidated",
+            ]
+        );
+        assert_eq!(
+            keys(snapshot.get("mediator").unwrap()),
+            [
+                "cache_hits",
+                "cache_misses",
+                "cache_evictions",
+                "cache_bytes",
+                "cache_warm_hits",
+                "cache_objects_examined",
+                "cache_warm_entries",
+                "cache_warm_bytes",
+                "cache_demotions",
+                "cache_promotions",
+                "cache_compactions",
+                "stats_observations",
+            ]
+        );
+    }
+
+    #[test]
+    fn an_execution_folds_its_trace_totals_once() {
+        use medmaker::metrics::QueryTrace;
+        use oem::sym;
+        let counts = |pairs: &[(&str, usize)]| pairs.iter().map(|(s, n)| (sym(s), *n)).collect();
+        let trace = QueryTrace {
+            source_calls: counts(&[("whois", 2), ("cs", 3)]),
+            cache_hits: counts(&[("cs", 7)]),
+            containment_hits: counts(&[("whois", 11), ("cs", 13)]),
+            retries: counts(&[("whois", 17)]),
+            cache_evictions: 19,
+            cache_warm_hits: 23,
+            cache_demotions: 29,
+            ..Default::default()
+        };
+        let metrics = ServerMetrics::default();
+        metrics.record_trace(&trace);
+        metrics.record_trace(&trace);
+        metrics.record_invalidation(31);
+        let snapshot = metrics.snapshot(&ms1(), 0);
+        let server = snapshot.get("server").expect("server section");
+        for (name, want) in [
+            ("executions", 2),
+            ("source_calls", 10),
+            ("cache_hits", 14),
+            ("containment_hits", 48),
+            ("retries", 34),
+            ("cache_evictions", 38),
+            ("cache_warm_hits", 46),
+            ("cache_demotions", 58),
+            ("invalidations", 1),
+            ("entries_invalidated", 31),
+            ("queries_total", 0),
+        ] {
+            assert_eq!(
+                server.get(name).and_then(|v| v.as_i64()),
+                Some(want),
+                "{name}"
+            );
+        }
+        assert_eq!(metrics.executions(), 2);
+    }
+
+    #[test]
+    fn sub_millisecond_replies_add_up_in_the_snapshot() {
+        let med = ms1();
         let metrics = ServerMetrics::default();
         let reply = QueryReply {
             status: ReplyStatus::Ok,
