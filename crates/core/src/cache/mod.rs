@@ -233,6 +233,29 @@ pub struct CacheCounters {
     pub objects_examined: usize,
 }
 
+impl CacheCounters {
+    /// Every counter beside the key `GET /metrics` serves it under
+    /// (`mediator.*`), in the order served. The one listing of those
+    /// names: a counter added to the struct is exported by adding it here.
+    pub fn metrics(&self) -> [(&'static str, usize); 13] {
+        [
+            ("cache_hits", self.hits),
+            ("cache_containment_hits", self.containment_hits),
+            ("cache_misses", self.misses),
+            ("cache_evictions", self.evictions),
+            ("cache_bytes", self.bytes_cached),
+            ("cache_entries", self.entries),
+            ("cache_warm_hits", self.warm_hits),
+            ("cache_objects_examined", self.objects_examined),
+            ("cache_warm_entries", self.warm_entries),
+            ("cache_warm_bytes", self.warm_bytes),
+            ("cache_demotions", self.demotions),
+            ("cache_promotions", self.promotions),
+            ("cache_compactions", self.compactions),
+        ]
+    }
+}
+
 /// One cached source answer (hot tier).
 pub(crate) struct Entry {
     /// Canonical key — the printed canonicalized query.
@@ -273,16 +296,10 @@ struct CacheInner {
     warm: Option<WarmTier>,
     /// Sources currently embargoed after an observed failure.
     failed: BTreeSet<Symbol>,
-    hits: usize,
-    containment_hits: usize,
-    misses: usize,
-    evictions: usize,
-    bytes_cached: usize,
-    warm_hits: usize,
-    demotions: usize,
-    promotions: usize,
-    compactions: usize,
-    objects_examined: usize,
+    /// The lifetime counters. The gauges read off the tiers (`entries`,
+    /// `warm_entries`, `warm_bytes`) stay 0 here; [`AnswerCache::counters`]
+    /// fills them in.
+    counts: CacheCounters,
 }
 
 /// The mediator-level source-answer cache. One instance lives on a
@@ -386,14 +403,14 @@ impl AnswerCache {
         if inner.failed.contains(&source) && !self.opts.stale_ok {
             // An observed outage embargoes the shard: serving would mask
             // the failure behind data of unknown staleness.
-            inner.misses += 1;
+            inner.counts.misses += 1;
             return None;
         }
         self.expire(inner, source, now);
 
         // Hot probe: exact keys first (newest first), then containment.
         let mut hot_hit: Option<(usize, Vec<Vec<BoundValue>>, CacheHit)> = None;
-        let examined = &mut inner.objects_examined;
+        let examined = &mut inner.counts.objects_examined;
         if let Some(shard) = inner.hot.shard_mut(source) {
             'probe: for kind in [CacheHit::Exact, CacheHit::Containment] {
                 for (i, entry) in shard.iter_mut().enumerate().rev() {
@@ -433,8 +450,8 @@ impl AnswerCache {
         }
         if let Some((i, rows, kind)) = hot_hit {
             match kind {
-                CacheHit::Exact => inner.hits += 1,
-                CacheHit::Containment => inner.containment_hits += 1,
+                CacheHit::Exact => inner.counts.hits += 1,
+                CacheHit::Containment => inner.counts.containment_hits += 1,
             }
             if let Some(shard) = inner.hot.shard_mut(source) {
                 let e = &mut shard[i];
@@ -467,7 +484,7 @@ impl AnswerCache {
                         continue;
                     };
                     // Nothing resident to index: the store was just re-read.
-                    let examined = &mut inner.objects_examined;
+                    let examined = &mut inner.counts.objects_examined;
                     let Some(rows) = serve(&we.extract, &store, None, &m, vars, memory, examined)
                     else {
                         continue;
@@ -484,10 +501,10 @@ impl AnswerCache {
         }
         if let Some((k, store, rows, kind)) = warm_hit {
             match kind {
-                CacheHit::Exact => inner.hits += 1,
-                CacheHit::Containment => inner.containment_hits += 1,
+                CacheHit::Exact => inner.counts.hits += 1,
+                CacheHit::Containment => inner.counts.containment_hits += 1,
             }
-            inner.warm_hits += 1;
+            inner.counts.warm_hits += 1;
             if self.opts.capacity == 0 {
                 return Some((rows, kind));
             }
@@ -512,13 +529,13 @@ impl AnswerCache {
             let size = entry.size_bytes;
             let (freed, evicted) = inner.hot.insert(source, entry, self.opts.capacity);
             let evicted_bytes: usize = evicted.iter().map(|e| e.size_bytes).sum();
-            inner.promotions += 1;
-            inner.demotions += evicted.len(); // warm is present: losers demote
-            inner.bytes_cached = inner.bytes_cached + size - freed - evicted_bytes;
+            inner.counts.promotions += 1;
+            inner.counts.demotions += evicted.len(); // warm is present: losers demote
+            inner.counts.bytes_cached = inner.counts.bytes_cached + size - freed - evicted_bytes;
             return Some((rows, kind));
         }
 
-        inner.misses += 1;
+        inner.counts.misses += 1;
         None
     }
 
@@ -551,11 +568,11 @@ impl AnswerCache {
         let (freed, evicted) = inner.hot.insert(source, entry, self.opts.capacity);
         let evicted_bytes: usize = evicted.iter().map(|e| e.size_bytes).sum();
         if inner.warm.is_some() {
-            inner.demotions += evicted.len();
+            inner.counts.demotions += evicted.len();
         } else {
-            inner.evictions += evicted.len();
+            inner.counts.evictions += evicted.len();
         }
-        inner.bytes_cached = inner.bytes_cached + size_bytes - freed - evicted_bytes;
+        inner.counts.bytes_cached = inner.counts.bytes_cached + size_bytes - freed - evicted_bytes;
         if let Some(warm) = &mut inner.warm {
             // Write-through. Warm I/O errors degrade the tier (the entry
             // just won't survive a restart), never the query.
@@ -571,8 +588,8 @@ impl AnswerCache {
             );
             if warm.disk_bytes() > self.opts.warm_bytes {
                 if let Ok(st) = warm.compact(self.opts.warm_bytes) {
-                    inner.compactions += 1;
-                    inner.evictions += st.dropped;
+                    inner.counts.compactions += 1;
+                    inner.counts.evictions += st.dropped;
                 }
             }
         }
@@ -603,7 +620,7 @@ impl AnswerCache {
             keys.extend(shard.iter().map(|e| e.key.clone()));
         }
         let (_, freed) = inner.hot.remove_source(source);
-        inner.bytes_cached -= freed;
+        inner.counts.bytes_cached -= freed;
         if let Some(warm) = &mut inner.warm {
             if let Some(shard) = warm.entries(source) {
                 keys.extend(shard.keys().cloned());
@@ -611,7 +628,7 @@ impl AnswerCache {
             warm.remove_source(source);
             let _ = warm.append_tombstone(source, None);
         }
-        inner.evictions += keys.len();
+        inner.counts.evictions += keys.len();
         inner.failed.remove(&source);
         keys.len()
     }
@@ -637,7 +654,7 @@ impl AnswerCache {
             }
             !stale
         });
-        inner.bytes_cached -= freed;
+        inner.counts.bytes_cached -= freed;
         if let Some(warm) = &mut inner.warm {
             warm.retain(source, |e| {
                 let stale = delta.matches(&e.key, &e.footprint);
@@ -650,7 +667,7 @@ impl AnswerCache {
                 let _ = warm.append_tombstone(source, Some(key));
             }
         }
-        inner.evictions += keys.len();
+        inner.counts.evictions += keys.len();
         keys.len()
     }
 
@@ -658,7 +675,7 @@ impl AnswerCache {
     pub fn counters(&self) -> CacheCounters {
         let inner = self.inner.lock();
         debug_assert_eq!(
-            inner.bytes_cached,
+            inner.counts.bytes_cached,
             inner.hot.resident_bytes(),
             "the bytes gauge must track hot-resident entries exactly"
         );
@@ -670,19 +687,10 @@ impl AnswerCache {
             None => (0, 0),
         };
         CacheCounters {
-            hits: inner.hits,
-            containment_hits: inner.containment_hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            bytes_cached: inner.bytes_cached,
             entries: inner.hot.entry_count(),
-            warm_hits: inner.warm_hits,
-            demotions: inner.demotions,
-            promotions: inner.promotions,
-            compactions: inner.compactions,
             warm_entries,
             warm_bytes,
-            objects_examined: inner.objects_examined,
+            ..inner.counts
         }
     }
 
@@ -713,12 +721,12 @@ impl AnswerCache {
             return;
         };
         let (hot_n, freed) = inner.hot.expire(source, ttl, now);
-        inner.bytes_cached -= freed;
+        inner.counts.bytes_cached -= freed;
         let mut warm_n = 0;
         if let Some(warm) = &mut inner.warm {
             (warm_n, _) = warm.retain(source, |e| now.saturating_sub(e.inserted_ms) <= ttl);
         }
-        inner.evictions += hot_n.max(warm_n);
+        inner.counts.evictions += hot_n.max(warm_n);
     }
 }
 

@@ -4,15 +4,20 @@
 //! source results are placed in the mediator's memory, binding tables flow
 //! from node to node, and the constructor creates the final result objects.
 //!
-//! There is one executor. Each rule chain runs as a pull pipeline of
-//! bounded binding batches ([`ExecOptions::batch_size`] rows at most):
-//! query ops yield rows as extraction proceeds, filter/join/external ops
-//! consume and emit incrementally, and only genuine pipeline breakers
-//! accumulate — the dup-elim seen-set, a hash join's build side, the final
-//! answer sink. §3.2's semantics are set-oriented and order-insensitive, so
-//! the batch size never changes an answer; the differential oracle for that
-//! claim is [`crate::naive`], which shares no operator, fetch or extraction
-//! code with this module.
+//! There is one executor and it works in two phases: every rule chain
+//! runs into a memory of its own, then one constructor builds the result
+//! objects from each chain's final table and that chain's memory, so
+//! semantic oids fuse across chains.
+//!
+//! Each rule chain runs as a pull pipeline of bounded binding batches
+//! ([`ExecOptions::batch_size`] rows at most): query ops yield rows as
+//! extraction proceeds, filter/join/external ops consume and emit
+//! incrementally, and only genuine pipeline breakers accumulate — the
+//! dup-elim seen-set, a hash join's build side, the final answer sink.
+//! §3.2's semantics are set-oriented and order-insensitive, so the batch
+//! size never changes an answer; the differential oracle for that claim is
+//! [`crate::naive`], which shares no operator, fetch or extraction code
+//! with this module.
 //!
 //! §3.4's parameterized-query node sends its source one query per binding
 //! tuple. Against a source that accepts value sets
@@ -42,7 +47,7 @@ use engine::subst::{fill_params_rule, Subst};
 use msl::{Rule, TailItem, Term};
 use oem::{copy, ObjectStore, Symbol, Value};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 use wrappers::fault::{Clock, SystemClock};
@@ -57,9 +62,9 @@ pub struct ExecOptions {
     pub trace: bool,
     /// Execute the per-rule chains on separate threads (crossbeam scoped).
     /// The chains of a logical program are independent until construction,
-    /// so this is safe for any plan — results are merged into one memory
-    /// before the (sequential) construction phase, preserving cross-rule
-    /// semantic-oid fusion.
+    /// so this is safe for any plan — construction is sequential and one
+    /// constructor serves every chain, preserving cross-rule semantic-oid
+    /// fusion.
     pub parallel: bool,
     /// What to do when a source misbehaves: retry policy, per-source
     /// deadline, circuit breaker, and the Fail/Partial degradation mode.
@@ -173,71 +178,26 @@ struct ChainCtx<'a> {
 pub struct ExecOutcome {
     /// Constructed result objects (top-level).
     pub results: ObjectStore,
-    /// The mediator's working memory (source results live here).
-    pub memory: ObjectStore,
     /// Everything the execution recorded: per-rule node traces, statistics
     /// observations (§3.5), per-source call counts, result totals.
     pub trace: QueryTrace,
 }
 
-/// Per-op source and cache counters, accumulated across pulls.
-#[derive(Default)]
-struct NodeCounters {
-    source_calls: usize,
-    /// Parameter tuples those calls carried (parameterized ops only).
-    tuples_sent: usize,
-    bindings_produced: usize,
-    cache_hits: usize,
-    containment_hits: usize,
-    cache_misses: usize,
-}
-
-/// Per-chain fault and feedback accounting, merged into the
-/// [`QueryTrace`] even when the chain itself fails (the retry counters of
-/// a chain that exhausted its policy are part of the evidence).
+/// Per-chain fault and feedback accounting, folded into the query's trace
+/// even when the chain itself fails (the retry counters of a chain that
+/// exhausted its policy are part of the evidence).
 #[derive(Default)]
 struct ChainStats {
-    observations: Vec<Observation>,
-    source_calls: BTreeMap<Symbol, usize>,
-    retries: BTreeMap<Symbol, usize>,
-    failures: BTreeMap<Symbol, usize>,
+    /// The chain's share of the [`QueryTrace`]: its observations and its
+    /// per-source counts. Latency covers *successful* round-trips only, the
+    /// planner's latency-EWMA feed; cache hits never touch it: a
+    /// served-from-cache answer says nothing about how slow the source is.
+    trace: QueryTrace,
     sources_ok: BTreeSet<Symbol>,
-    cache_hits: BTreeMap<Symbol, usize>,
-    containment_hits: BTreeMap<Symbol, usize>,
-    cache_misses: BTreeMap<Symbol, usize>,
-    /// Total measured milliseconds of *successful* source round-trips and
-    /// how many calls that total covers — the planner's latency-EWMA feed.
-    /// Cache hits never touch these: a served-from-cache answer says
-    /// nothing about how slow the source is.
-    latency_ms: BTreeMap<Symbol, usize>,
-    latency_calls: BTreeMap<Symbol, usize>,
 }
 
-impl ChainStats {
-    /// Fold this chain's accounting into the query trace and the set of
-    /// sources that answered. Runs for failed chains too — the retries a
-    /// dead source consumed are part of the evidence.
-    fn merge_into(self, trace: &mut QueryTrace, sources_ok: &mut BTreeSet<Symbol>) {
-        trace.observations.extend(self.observations);
-        for (from, into) in [
-            (self.source_calls, &mut trace.source_calls),
-            (self.retries, &mut trace.retries),
-            (self.failures, &mut trace.failures),
-            (self.cache_hits, &mut trace.cache_hits),
-            (self.containment_hits, &mut trace.containment_hits),
-            (self.cache_misses, &mut trace.cache_misses),
-            (self.latency_ms, &mut trace.latency_ms),
-            (self.latency_calls, &mut trace.latency_calls),
-        ] {
-            for (s, n) in from {
-                *into.entry(s).or_insert(0) += n;
-            }
-        }
-        sources_ok.extend(self.sources_ok);
-    }
-}
-
-/// Everything one chain produced (its memory is private until merged).
+/// Everything one chain produced. Its memory stays its own: construction
+/// reads the final table's objects straight out of it.
 struct ChainOutcome {
     table: BindingTable,
     memory: ObjectStore,
@@ -248,28 +208,11 @@ struct ChainOutcome {
     failed: Option<MedError>,
 }
 
-/// Rewrite a table's object references through an old-id → new-id map.
-fn remap_table(table: &mut BindingTable, map: &HashMap<oem::ObjId, oem::ObjId>) {
-    for row in &mut table.rows {
-        for cell in row.iter_mut() {
-            match cell {
-                BoundValue::Obj(id) => *id = map[id],
-                BoundValue::ObjSet(ids) => {
-                    for id in ids.iter_mut() {
-                        *id = map[id];
-                    }
-                }
-                BoundValue::Atom(_) => {}
-            }
-        }
-    }
-}
-
 // ---- the chain pipeline (pull-based bounded batches) --------------------
 //
-// Every batch size produces byte-identical answers: the merge phase
-// re-copies the final tables' roots into fresh memory, so the order in
-// which objects arrived in a chain's memory is invisible to the result.
+// Every batch size produces byte-identical answers: construction copies
+// what the final table references in row order, so the order in which
+// objects arrived in a chain's memory is invisible to the result.
 
 /// A batch of binding rows flowing between pipeline ops. Ops never emit
 /// empty batches; a `None` pull result means permanently exhausted.
@@ -279,19 +222,18 @@ type Batch = Vec<Vec<BoundValue>>;
 /// and the cursor currently crossing them.
 type MemoRows = std::rc::Rc<Vec<Vec<BoundValue>>>;
 
-/// Progress counters one op accumulates across pulls.
+/// What one op accumulates across pulls.
 #[derive(Default)]
 struct OpMeter {
-    rows_in: usize,
-    rows_out: usize,
-    counters: NodeCounters,
+    /// The counters the op's trace entry will report, incremented in
+    /// place; `wall_ns`, the estimates and `dedup_hits` are filled in
+    /// when the chain ends.
+    metrics: NodeMetrics,
     /// Inclusive wall time: every nanosecond spent inside this op's pull,
     /// including time spent pulling upstream. The chain is linear and only
     /// the next op pulls this one, so the trace recovers each op's
     /// exclusive time as `inclusive[i] - inclusive[i-1]`.
     wall_ns_inclusive: u64,
-    peak_batch_rows: usize,
-    peak_bytes_resident: u64,
     /// Incrementally rendered output rows (trace mode only); the header is
     /// prepended at trace build, so the concatenation equals a one-shot
     /// [`BindingTable::render`].
@@ -333,7 +275,7 @@ impl ExtSource {
         &mut self,
         vars: &[ExtractVar],
         memory: &mut ObjectStore,
-        counters: &mut NodeCounters,
+        counters: &mut NodeMetrics,
         n: usize,
     ) -> Result<()> {
         let Some((store, cursor, map)) = &mut self.rest else {
@@ -369,21 +311,21 @@ fn cache_probe(
     memory: &mut ObjectStore,
     ctx: &ChainCtx<'_>,
     stats: &mut ChainStats,
-    counters: &mut NodeCounters,
+    counters: &mut NodeMetrics,
 ) -> Option<Vec<Vec<BoundValue>>> {
     let cache = ctx.cache.filter(|c| c.enabled_for(source))?;
     let (rows, kind) = cache.lookup(source, query, vars, memory)?;
     match kind {
         CacheHit::Exact => {
             counters.cache_hits += 1;
-            *stats.cache_hits.entry(source).or_insert(0) += 1;
+            *stats.trace.cache_hits.entry(source).or_insert(0) += 1;
         }
         CacheHit::Containment => {
             counters.containment_hits += 1;
-            *stats.containment_hits.entry(source).or_insert(0) += 1;
+            *stats.trace.containment_hits.entry(source).or_insert(0) += 1;
         }
     }
-    stats.observations.push(Observation {
+    stats.trace.observations.push(Observation {
         source,
         label: query_label(query),
         count: rows.len(),
@@ -402,7 +344,7 @@ fn open_ext_source(
     memory: &mut ObjectStore,
     ctx: &ChainCtx<'_>,
     stats: &mut ChainStats,
-    counters: &mut NodeCounters,
+    counters: &mut NodeMetrics,
 ) -> Result<ExtSource> {
     if let Some(rows) = cache_probe(source, query, vars, memory, ctx, stats, counters) {
         return Ok(ExtSource::from_rows(rows));
@@ -678,10 +620,10 @@ fn pull(ops: &mut [OpState<'_>], i: usize, env: &mut StreamEnv<'_, '_>) -> Resul
     let op = &mut ops[i];
     op.meter.wall_ns_inclusive += start.elapsed().as_nanos() as u64;
     if let Ok(Some(batch)) = &out {
-        op.meter.rows_out += batch.len();
-        op.meter.peak_batch_rows = op.meter.peak_batch_rows.max(batch.len());
-        op.meter.peak_bytes_resident = op
-            .meter
+        let m = &mut op.meter.metrics;
+        m.rows_out += batch.len();
+        m.peak_batch_rows = m.peak_batch_rows.max(batch.len());
+        m.peak_bytes_resident = m
             .peak_bytes_resident
             .max(crate::table::approx_batch_bytes(batch));
         if env.ctx.trace_on {
@@ -737,7 +679,7 @@ fn pull_inner(
                             }
                             match pull(head, i - 1, env)? {
                                 Some(batch) => {
-                                    op.meter.rows_in += batch.len();
+                                    op.meter.metrics.rows_in += batch.len();
                                     pending.extend(batch);
                                 }
                                 None => op.upstream_done = true,
@@ -754,7 +696,7 @@ fn pull_inner(
                         env.memory,
                         env.ctx,
                         env.stats,
-                        &mut op.meter.counters,
+                        &mut op.meter.metrics,
                     ) {
                         Ok(s) => *src = Some(s),
                         Err(e @ MedError::SourceUnavailable { .. }) => {
@@ -767,7 +709,7 @@ fn pull_inner(
                 let s = src.as_mut().expect("source opened above");
                 let (row, idx) = cur.as_mut().expect("current row ensured above");
                 while *idx >= s.ext.len() && !s.fully_extracted() {
-                    s.extract_more(vars, env.memory, &mut op.meter.counters, cap)?;
+                    s.extract_more(vars, env.memory, &mut op.meter.metrics, cap)?;
                 }
                 if *idx >= s.ext.len() {
                     *cur = None; // row fully crossed with the extraction
@@ -807,7 +749,7 @@ fn pull_inner(
                         }
                         match pull(head, i - 1, env)? {
                             Some(rows) => {
-                                op.meter.rows_in += rows.len();
+                                op.meter.metrics.rows_in += rows.len();
                                 if param_idx.is_none() {
                                     let idx: Vec<usize> = params
                                         .iter()
@@ -834,7 +776,7 @@ fn pull_inner(
                                     &rows,
                                     memo,
                                     env,
-                                    &mut op.meter.counters,
+                                    &mut op.meter.metrics,
                                 ) {
                                     Ok(()) => {}
                                     Err(e @ MedError::SourceUnavailable { .. }) => {
@@ -866,7 +808,7 @@ fn pull_inner(
                                 env.memory,
                                 env.ctx,
                                 env.stats,
-                                &mut op.meter.counters,
+                                &mut op.meter.metrics,
                                 Some(&|| shared_key(*source, query, unfilled, &key)),
                             ) {
                                 Ok(e) => std::rc::Rc::new(e),
@@ -913,7 +855,7 @@ fn pull_inner(
                 match pull(head, i - 1, env)? {
                     None => op.upstream_done = true,
                     Some(batch) => {
-                        op.meter.rows_in += batch.len();
+                        op.meter.metrics.rows_in += batch.len();
                         let mut produced = 0usize;
                         for row in &batch {
                             let b = crate::table::bindings_for_row(&op.in_cols, row);
@@ -935,7 +877,7 @@ fn pull_inner(
                             }
                         }
                         if !new_vars.is_empty() {
-                            op.meter.counters.bindings_produced += produced;
+                            op.meter.metrics.bindings_produced += produced;
                         }
                     }
                 }
@@ -960,7 +902,7 @@ fn pull_inner(
                 match pull(head, i - 1, env)? {
                     None => op.upstream_done = true,
                     Some(batch) => {
-                        op.meter.rows_in += batch.len();
+                        op.meter.metrics.rows_in += batch.len();
                         let ci = match *idx {
                             Some(ci) => ci,
                             None => {
@@ -1038,7 +980,7 @@ fn pull_inner(
                 match pull(head, i - 1, env)? {
                     None => op.upstream_done = true,
                     Some(batch) => {
-                        op.meter.rows_in += batch.len();
+                        op.meter.metrics.rows_in += batch.len();
                         if build.is_none() {
                             // First non-empty input: fetch and index the
                             // whole inner side — the probe needs all of it,
@@ -1050,7 +992,7 @@ fn pull_inner(
                                 env.memory,
                                 env.ctx,
                                 env.stats,
-                                &mut op.meter.counters,
+                                &mut op.meter.metrics,
                                 None,
                             ) {
                                 Ok(e) => e,
@@ -1116,7 +1058,7 @@ fn pull_inner(
                 match pull(head, i - 1, env)? {
                     None => op.upstream_done = true,
                     Some(batch) => {
-                        op.meter.rows_in += batch.len();
+                        op.meter.metrics.rows_in += batch.len();
                         for row in &batch {
                             let projected: Vec<BoundValue> =
                                 proj.iter().map(|&k| row[k].clone()).collect();
@@ -1184,31 +1126,20 @@ fn run_chain(
         let excl = op.meter.wall_ns_inclusive.saturating_sub(prev_incl);
         prev_incl = op.meter.wall_ns_inclusive;
         let est = rule_plan.estimates.get(k - 1).copied().unwrap_or_default();
+        let mut metrics = std::mem::take(&mut op.meter.metrics);
+        let rows_out = metrics.rows_out;
+        if matches!(node, Node::DupElim { .. }) {
+            metrics.dedup_hits = metrics.rows_in.saturating_sub(rows_out);
+        }
+        metrics.wall_ns = excl;
+        metrics.est_rows = est.rows_out;
+        metrics.est_cpu_rows = est.cpu;
+        metrics.est_net_ms = est.net;
+        metrics.est_mem_rows = est.memory;
         nodes.push(NodeTrace {
             op: node.op_name().to_string(),
             detail: node_detail(node),
-            metrics: NodeMetrics {
-                rows_in: op.meter.rows_in,
-                rows_out: op.meter.rows_out,
-                bindings_produced: op.meter.counters.bindings_produced,
-                source_calls: op.meter.counters.source_calls,
-                tuples_sent: op.meter.counters.tuples_sent,
-                dedup_hits: if matches!(node, Node::DupElim { .. }) {
-                    op.meter.rows_in.saturating_sub(op.meter.rows_out)
-                } else {
-                    0
-                },
-                wall_ns: excl,
-                est_rows: est.rows_out,
-                est_cpu_rows: est.cpu,
-                est_net_ms: est.net,
-                est_mem_rows: est.memory,
-                cache_hits: op.meter.counters.cache_hits,
-                containment_hits: op.meter.counters.containment_hits,
-                cache_misses: op.meter.counters.cache_misses,
-                peak_batch_rows: op.meter.peak_batch_rows,
-                peak_bytes_resident: op.meter.peak_bytes_resident,
-            },
+            metrics,
             table: if ctx.trace_on {
                 format!(
                     "{}{}",
@@ -1221,7 +1152,7 @@ fn run_chain(
         });
         // Nothing flows past the first op that emitted no rows, and the
         // trace stops there too.
-        if op.meter.rows_out == 0 || failed_idx == Some(k) {
+        if rows_out == 0 || failed_idx == Some(k) {
             break;
         }
     }
@@ -1366,18 +1297,17 @@ pub fn execute(
             .collect()
     };
 
-    // Phase 2: merge chain memories into the mediator's memory, remapping
-    // the tables' object references. A failed chain aborts the query in
-    // Fail mode; in Partial mode it is dropped and recorded in the
-    // trace's completeness section.
+    // Fold every chain's accounting into the trace. A failed chain aborts
+    // the query in Fail mode; in Partial mode it is dropped and recorded
+    // in the trace's completeness section.
     let partial = opts.fault.on_source_failure == OnSourceFailure::Partial;
-    let mut memory = ObjectStore::with_oid_prefix("x");
     let mut trace = QueryTrace::default();
     let mut sources_ok: BTreeSet<Symbol> = BTreeSet::new();
-    // (final table, its rule plan, its index in trace.rules)
-    let mut final_tables: Vec<(BindingTable, &RulePlan, usize)> = Vec::new();
+    // (final table, the memory its object ids live in, its rule plan, its
+    // index in trace.rules)
+    let mut final_tables: Vec<(BindingTable, ObjectStore, &RulePlan, usize)> = Vec::new();
     for (idx, (chain, rule_plan)) in chains.into_iter().zip(&plan.rules).enumerate() {
-        let mut chain = match chain {
+        let chain = match chain {
             Ok(chain) => chain,
             Err(e @ MedError::ChainPanic(_)) if partial => {
                 trace.rules.push(RuleTrace {
@@ -1389,7 +1319,12 @@ pub fn execute(
             }
             Err(e) => return Err(e),
         };
-        chain.stats.merge_into(&mut trace, &mut sources_ok);
+        // Runs for failed chains too — the retries a dead source consumed
+        // are part of the evidence.
+        trace.add_per_source(&chain.stats.trace);
+        trace.observations.extend(chain.stats.trace.observations);
+        sources_ok.extend(chain.stats.sources_ok);
+        trace.rules.push(chain.trace);
         if let Some(err) = chain.failed {
             if !partial {
                 return Err(err);
@@ -1401,50 +1336,26 @@ pub fn execute(
                     .insert(Symbol::intern(source), reason.clone());
             }
             trace.completeness.skipped_chains.push(idx);
-            trace.rules.push(chain.trace);
             continue;
         }
-        // Only the objects the final table references (and their
-        // descendants) survive into the merged memory.
-        let mut roots: Vec<oem::ObjId> = Vec::new();
-        let mut seen: std::collections::HashSet<oem::ObjId> = std::collections::HashSet::new();
-        for row in &chain.table.rows {
-            for cell in row {
-                match cell {
-                    BoundValue::Obj(id) => {
-                        if seen.insert(*id) {
-                            roots.push(*id);
-                        }
-                    }
-                    BoundValue::ObjSet(ids) => {
-                        for id in ids {
-                            if seen.insert(*id) {
-                                roots.push(*id);
-                            }
-                        }
-                    }
-                    BoundValue::Atom(_) => {}
-                }
-            }
-        }
-        let (_, map) = copy::deep_copy_all_with_map(&chain.memory, &roots, &mut memory);
-        remap_table(&mut chain.table, &map);
-        trace.rules.push(chain.trace);
-        final_tables.push((chain.table, rule_plan, trace.rules.len() - 1));
+        final_tables.push((chain.table, chain.memory, rule_plan, trace.rules.len() - 1));
     }
     trace.completeness.sources_ok = sources_ok
         .into_iter()
         .filter(|s| !trace.completeness.sources_failed.contains_key(s))
         .collect();
 
-    // Phase 3: construction — one constructor for the whole plan, so
-    // semantic oids fuse across rules. `ti` addresses the chain's entry in
+    // Phase 2: construction — one constructor for the whole plan, so
+    // semantic oids fuse across rules, reading each chain's objects out of
+    // that chain's own memory. `ti` addresses the chain's entry in
     // trace.rules, which is NOT the positional index when Partial mode
     // skipped chains.
     let mut results = ObjectStore::with_oid_prefix("cp");
     {
-        let mut ctor = Constructor::new(&memory);
-        for (table, rule_plan, ti) in &final_tables {
+        let nothing = ObjectStore::new();
+        let mut ctor = Constructor::new(&nothing);
+        for (table, memory, rule_plan, ti) in &final_tables {
+            ctor.read_from(memory);
             for i in 0..table.len() {
                 let b = table.row_bindings(i);
                 ctor.construct_head(&rule_plan.head, &b, &mut results)?;
@@ -1487,11 +1398,7 @@ pub fn execute(
         trace.cache_demotions = c.demotions.saturating_sub(before.demotions);
     }
 
-    Ok(ExecOutcome {
-        results,
-        memory,
-        trace,
-    })
+    Ok(ExecOutcome { results, trace })
 }
 
 /// Render a panic payload (from a joined chain thread) as text.
@@ -1560,7 +1467,7 @@ fn query_with_retry(
     for attempt in 0..max_attempts {
         if attempt > 0 {
             rt.sleeper.sleep_ms(rt.opts.retry.backoff_ms(attempt - 1));
-            *stats.retries.entry(source).or_insert(0) += 1;
+            *stats.trace.retries.entry(source).or_insert(0) += 1;
         }
         let started = rt.clock.now_ms();
         let mut outcome = wrapper.query(query);
@@ -1577,14 +1484,14 @@ fn query_with_retry(
         match outcome {
             Ok(result) => {
                 let elapsed = rt.clock.now_ms().saturating_sub(started);
-                *stats.latency_ms.entry(source).or_insert(0) += elapsed as usize;
-                *stats.latency_calls.entry(source).or_insert(0) += 1;
+                *stats.trace.latency_ms.entry(source).or_insert(0) += elapsed as usize;
+                *stats.trace.latency_calls.entry(source).or_insert(0) += 1;
                 rt.circuit.record_success(source);
                 stats.sources_ok.insert(source);
                 return Ok(result);
             }
             Err(e) if e.is_transient() => {
-                *stats.failures.entry(source).or_insert(0) += 1;
+                *stats.trace.failures.entry(source).or_insert(0) += 1;
                 let opened = rt.circuit.record_failure(source);
                 last_err = Some(e);
                 if opened {
@@ -1618,7 +1525,7 @@ fn run_and_extract(
     memory: &mut ObjectStore,
     ctx: &ChainCtx<'_>,
     stats: &mut ChainStats,
-    counters: &mut NodeCounters,
+    counters: &mut NodeMetrics,
     shared_key: Option<&dyn Fn() -> ParamMemoKey>,
 ) -> Result<Vec<Vec<BoundValue>>> {
     if let Some(rows) = cache_probe(source, query, vars, memory, ctx, stats, counters) {
@@ -1720,7 +1627,7 @@ fn prefetch_tuples(
     rows: &[Vec<BoundValue>],
     memo: &mut HashMap<Vec<Value>, MemoRows>,
     env: &mut StreamEnv<'_, '_>,
-    counters: &mut NodeCounters,
+    counters: &mut NodeMetrics,
 ) -> Result<()> {
     let mut tuples: Vec<Vec<Value>> = Vec::new();
     let mut seen: std::collections::HashSet<Vec<Value>> = std::collections::HashSet::new();
@@ -1813,13 +1720,13 @@ fn call_source(
     tuples: usize,
     ctx: &ChainCtx<'_>,
     stats: &mut ChainStats,
-    counters: &mut NodeCounters,
+    counters: &mut NodeMetrics,
 ) -> Result<ObjectStore> {
     let wrapper = ctx
         .sources
         .get(&source)
         .ok_or_else(|| MedError::UnknownSource(source.as_str()))?;
-    *stats.source_calls.entry(source).or_insert(0) += 1;
+    *stats.trace.source_calls.entry(source).or_insert(0) += 1;
     counters.source_calls += 1;
     counters.tuples_sent += tuples;
     // A cache miss is a lookup that ended in a round-trip, counted here
@@ -1829,7 +1736,7 @@ fn call_source(
     if ctx.cache.is_some_and(|c| c.enabled_for(source)) {
         let lookups = tuples.max(1);
         counters.cache_misses += lookups;
-        *stats.cache_misses.entry(source).or_insert(0) += lookups;
+        *stats.trace.cache_misses.entry(source).or_insert(0) += lookups;
     }
     let outcome = query_with_retry(wrapper, source, query, ctx, stats);
     if let Some(cache) = ctx.cache {
@@ -1856,7 +1763,7 @@ fn record_answer(
         cache.insert(source, query, vars, answer);
     }
     // Keyed by the first tail pattern's label.
-    stats.observations.push(Observation {
+    stats.trace.observations.push(Observation {
         source,
         label: query_label(query),
         count: answer.top_level().len(),
@@ -1871,7 +1778,7 @@ fn fetch_store(
     tuples: usize,
     ctx: &ChainCtx<'_>,
     stats: &mut ChainStats,
-    counters: &mut NodeCounters,
+    counters: &mut NodeMetrics,
 ) -> Result<ObjectStore> {
     let result = call_source(source, query, tuples, ctx, stats, counters)?;
     record_answer(source, query, vars, &result, ctx, stats);
@@ -1896,7 +1803,7 @@ fn extract_rows(
     result: &ObjectStore,
     vars: &[ExtractVar],
     memory: &mut ObjectStore,
-    counters: &mut NodeCounters,
+    counters: &mut NodeMetrics,
 ) -> Result<Vec<Vec<BoundValue>>> {
     let roots = copy::deep_copy_all(result, result.top_level(), memory);
     counters.bindings_produced += roots.len();
@@ -2224,20 +2131,6 @@ mod tests {
         // ...but the metrics are still there.
         assert!(quiet.trace.nodes().any(|t| t.metrics.rows_out > 0));
         let _ = out;
-    }
-
-    #[test]
-    fn memory_contains_only_referenced_objects() {
-        // After the merge phase, the mediator's memory holds the objects
-        // the final tables reference — not every fetched object.
-        let out = run(
-            "JC :- JC:<cs_person {<name 'Joe Chung'>}>@med",
-            PlannerOptions::default(),
-        );
-        out.memory.validate().unwrap();
-        // All memory objects are reachable from some table-referenced root:
-        // sanity-check via the store size being modest (Joe's rests only).
-        assert!(out.memory.len() <= 12, "memory bloat: {:?}", out.memory);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 use crate::exec::ExecOutcome;
 use crate::graph::{Node, PhysicalPlan};
 use crate::logical::LogicalProgram;
+use oem::Symbol;
+use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// Render a logical program the way §3.2 presents it.
@@ -120,20 +122,16 @@ pub fn render_analyze(plan: &PhysicalPlan, outcome: &ExecOutcome) -> String {
             } else if m.source_calls > 0 {
                 extras.push(format!("source calls: {}", m.source_calls));
             }
-            if m.bindings_produced > 0 {
-                extras.push(format!("bindings: {}", m.bindings_produced));
-            }
-            if m.dedup_hits > 0 {
-                extras.push(format!("dedup hits: {}", m.dedup_hits));
-            }
-            if m.cache_hits > 0 {
-                extras.push(format!("cache hits: {}", m.cache_hits));
-            }
-            if m.containment_hits > 0 {
-                extras.push(format!("containment hits: {}", m.containment_hits));
-            }
-            if m.cache_misses > 0 {
-                extras.push(format!("cache misses: {}", m.cache_misses));
+            for (label, n) in [
+                ("bindings", m.bindings_produced),
+                ("dedup hits", m.dedup_hits),
+                ("cache hits", m.cache_hits),
+                ("containment hits", m.containment_hits),
+                ("cache misses", m.cache_misses),
+            ] {
+                if n > 0 {
+                    extras.push(format!("{label}: {n}"));
+                }
             }
             extras.push(format!("time: {}", format_ns(m.wall_ns)));
             let _ = writeln!(out, "  {}", extras.join("   "));
@@ -151,37 +149,13 @@ pub fn render_analyze(plan: &PhysicalPlan, outcome: &ExecOutcome) -> String {
         "result objects: {} (dedup removed {})",
         trace.result_count, trace.result_dedup_removed
     );
-    if !trace.source_calls.is_empty() {
-        let calls: Vec<String> = trace
-            .source_calls
-            .iter()
-            .map(|(s, n)| format!("{s}={n}"))
-            .collect();
-        let _ = writeln!(out, "source calls: {}", calls.join(" "));
-    }
-    if !trace.cache_hits.is_empty() {
-        let hits: Vec<String> = trace
-            .cache_hits
-            .iter()
-            .map(|(s, n)| format!("{s}={n}"))
-            .collect();
-        let _ = writeln!(out, "cache hits: {}", hits.join(" "));
-    }
-    if !trace.containment_hits.is_empty() {
-        let hits: Vec<String> = trace
-            .containment_hits
-            .iter()
-            .map(|(s, n)| format!("{s}={n}"))
-            .collect();
-        let _ = writeln!(out, "containment hits: {}", hits.join(" "));
-    }
-    if !trace.cache_misses.is_empty() {
-        let misses: Vec<String> = trace
-            .cache_misses
-            .iter()
-            .map(|(s, n)| format!("{s}={n}"))
-            .collect();
-        let _ = writeln!(out, "cache misses: {}", misses.join(" "));
+    for (label, counts) in [
+        ("source calls", &trace.source_calls),
+        ("cache hits", &trace.cache_hits),
+        ("containment hits", &trace.containment_hits),
+        ("cache misses", &trace.cache_misses),
+    ] {
+        per_source_line(&mut out, label, counts);
     }
     // The byte figure is a process-wide gauge (what the shared cache
     // holds after this query); evictions are this query's own delta.
@@ -210,22 +184,8 @@ pub fn render_analyze(plan: &PhysicalPlan, outcome: &ExecOutcome) -> String {
             trace.warm_bytes_cached
         );
     }
-    if !trace.retries.is_empty() {
-        let retries: Vec<String> = trace
-            .retries
-            .iter()
-            .map(|(s, n)| format!("{s}={n}"))
-            .collect();
-        let _ = writeln!(out, "retries: {}", retries.join(" "));
-    }
-    if !trace.failures.is_empty() {
-        let failures: Vec<String> = trace
-            .failures
-            .iter()
-            .map(|(s, n)| format!("{s}={n}"))
-            .collect();
-        let _ = writeln!(out, "failed attempts: {}", failures.join(" "));
-    }
+    per_source_line(&mut out, "retries", &trace.retries);
+    per_source_line(&mut out, "failed attempts", &trace.failures);
     let c = &trace.completeness;
     if c.is_complete() {
         let _ = writeln!(out, "completeness: complete");
@@ -267,6 +227,15 @@ pub fn render_analyze(plan: &PhysicalPlan, outcome: &ExecOutcome) -> String {
     }
     let _ = writeln!(out, "wall time: {}", format_ns(trace.wall_ns));
     out
+}
+
+/// One totals line of per-source counts, `label: source=n source=n`;
+/// nothing when no source has a count.
+fn per_source_line(out: &mut String, label: &str, counts: &BTreeMap<Symbol, usize>) {
+    if !counts.is_empty() {
+        let each: Vec<String> = counts.iter().map(|(s, n)| format!("{s}={n}")).collect();
+        let _ = writeln!(out, "{label}: {}", each.join(" "));
+    }
 }
 
 fn summarize(node: &Node) -> String {
@@ -516,7 +485,6 @@ mod tests {
         };
         let outcome = ExecOutcome {
             results: oem::ObjectStore::new(),
-            memory: oem::ObjectStore::new(),
             trace: QueryTrace {
                 rules: vec![RuleTrace {
                     nodes: vec![
@@ -577,7 +545,6 @@ mod tests {
         let counts = |pairs: &[(oem::Symbol, usize)]| pairs.iter().copied().collect();
         let outcome = ExecOutcome {
             results: oem::ObjectStore::new(),
-            memory: oem::ObjectStore::new(),
             trace: QueryTrace {
                 query: "X :- X:<p {}>@med".into(),
                 rules: vec![

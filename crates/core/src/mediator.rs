@@ -457,11 +457,7 @@ impl Mediator {
             result_count: results.top_level().len(),
             ..Default::default()
         };
-        Ok(ExecOutcome {
-            results,
-            memory: ObjectStore::new(),
-            trace,
-        })
+        Ok(ExecOutcome { results, trace })
     }
 
     /// A snapshot of the learned statistics (experiments).

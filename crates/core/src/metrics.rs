@@ -16,79 +16,179 @@
 //! [`crate::exec::ExecOptions::trace`], because rendering copies the table
 //! contents into strings.
 //!
-//! The JSON schema (see DESIGN.md §6 for the worked example) follows the
-//! `oem::json` conventions: hand-written [`serde::Serialize`] /
-//! [`serde::Deserialize`] impls over the vendored value model, so a trace
-//! round-trips through `serde_json` without derives.
+//! Each record is declared **once**, through `record!`: the declaration
+//! is the struct, its JSON form (DESIGN.md §6 has the schema and a worked
+//! example; the vendored `serde` is a value model without derives) and its
+//! `FIELDS` list, so a new counter is one line here plus its increment.
 
 use oem::Symbol;
 use std::collections::BTreeMap;
 
-/// Counters one datamerge node records during execution.
-///
-/// | counter             | unit  | emitted by                              |
-/// |---------------------|-------|-----------------------------------------|
-/// | `rows_in`           | rows  | every node                              |
-/// | `rows_out`          | rows  | every node                              |
-/// | `bindings_produced` | rows  | query, param. query, hash join, ext. pred |
-/// | `source_calls`      | calls | query, param. query, hash join          |
-/// | `tuples_sent`       | tuples | param. query                           |
-/// | `dedup_hits`        | rows  | dup elim                                |
-/// | `wall_ns`           | ns    | every node                              |
-/// | `est_rows`          | rows  | every node (from the optimizer)         |
-/// | `cache_hits`        | hits  | query, param. query, hash join (cache on) |
-/// | `containment_hits`  | hits  | query, param. query, hash join (cache on) |
-/// | `cache_misses`      | calls | query, param. query, hash join (cache on) |
-/// | `peak_batch_rows`   | rows  | every node                              |
-/// | `peak_bytes_resident` | bytes | every node                            |
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct NodeMetrics {
-    /// Rows in the binding table flowing *into* the node.
-    pub rows_in: usize,
-    /// Rows in the binding table the node emitted.
-    pub rows_out: usize,
-    /// Binding rows extracted from source results or produced by external
-    /// predicates. Zero for pure filters; for a parameterized query,
-    /// memoized parameter tuples produce no new bindings.
-    pub bindings_produced: usize,
-    /// Source round-trips this node performed (bind-join vs hash-join cost
-    /// accounting).
-    pub source_calls: usize,
-    /// Parameter tuples those round-trips carried (parameterized query
-    /// nodes only): equal to `source_calls` when every call asked about
-    /// one tuple, larger when calls carried value sets.
-    pub tuples_sent: usize,
-    /// Rows removed by duplicate elimination (dup-elim nodes only).
-    pub dedup_hits: usize,
-    /// Wall-clock time spent executing the node, in nanoseconds.
-    pub wall_ns: u64,
-    /// The optimizer's estimated output cardinality for this node, in rows
-    /// (what `EXPLAIN ANALYZE` prints next to `rows_out` as drift).
-    pub est_rows: f64,
-    /// The cost model's estimated locally-processed rows for this node
-    /// (0 when the scalar model planned, or for pure filter nodes).
-    pub est_cpu_rows: f64,
-    /// The cost model's estimated round-trip milliseconds for this node
-    /// (0 for nodes that never contact a source).
-    pub est_net_ms: f64,
-    /// The cost model's estimated resident rows for this node (hash-join
-    /// build sides, copied source answers; 0 when unknown).
-    pub est_mem_rows: f64,
-    /// Source queries this node served from the answer cache by exact
-    /// canonical-key match (zero when the cache is off).
-    pub cache_hits: usize,
-    /// Source queries served by filtering a broader cached answer through
-    /// the containment probe (zero when the cache is off).
-    pub containment_hits: usize,
-    /// Source queries that consulted the answer cache and fell through to
-    /// a round-trip (zero when the cache is off).
-    pub cache_misses: usize,
-    /// Largest binding batch the node held at once: the biggest batch it
-    /// emitted, bounded by [`crate::exec::ExecOptions::batch_size`].
-    pub peak_batch_rows: usize,
-    /// Approximate bytes of the largest resident batch (same resolution as
-    /// `peak_batch_rows`; see `crate::table::approx_row_bytes`).
-    pub peak_bytes_resident: u64,
+/// One field of a metrics record, as its declaration states it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Field {
+    /// The struct field's name, which is also its JSON key.
+    pub name: &'static str,
+    /// `None` for a key every trace carries: its absence is a parse
+    /// error. `Some(what)` for a key that came with `what`: a trace
+    /// exported before then lacks it and reads as the type's default.
+    pub absent_before: Option<&'static str>,
+}
+
+/// Declare a metrics record once. Per field: doc comment, name, type, and
+/// after the `=` either `required` or `before "X"` — "absent before X,
+/// read as the default" — then `[per_source]` for a map of per-source
+/// counts (a JSON object keyed by source name). Emitted: the `pub`
+/// struct, `Serialize` (keys in declaration order), `Deserialize` (a
+/// missing `required` key is an error) and `FIELDS`. A trailing
+/// `per_source fold: NAME;` adds a method NAME summing another record's
+/// per-source maps into this one's.
+macro_rules! record {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                $field:ident : $ty:ty = $presence:ident $($before:literal)? $([$codec:ident])?
+            ),* $(,)?
+        }
+        $(per_source fold: $fold:ident;)?
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $ty, )*
+        }
+
+        impl $name {
+            /// The record's fields — its JSON keys — in declaration order.
+            pub const FIELDS: &'static [Field] = &[
+                $( Field {
+                    name: stringify!($field),
+                    absent_before: record!(@before $presence $($before)?),
+                }, )*
+            ];
+        }
+
+        impl serde::Serialize for $name {
+            fn to_value(&self) -> serde::Value {
+                serde::object([
+                    $( (stringify!($field), record!(@to $([$codec])? self.$field)), )*
+                ])
+            }
+        }
+
+        impl serde::Deserialize for $name {
+            fn from_value(v: &serde::Value) -> std::result::Result<$name, serde::Error> {
+                Ok($name {
+                    $( $field: match v.get(stringify!($field)) {
+                        Some(x) => record!(@from $([$codec])? x).map_err(|e| {
+                            serde::Error::custom(format!(
+                                concat!("field `", stringify!($field), "`: {}"),
+                                e
+                            ))
+                        })?,
+                        None => record!(@absent $presence stringify!($field)),
+                    }, )*
+                })
+            }
+        }
+
+        record!(@fold $name [$($fold)?] $( $field $([$codec])? )*);
+    };
+    (@before required) => { None };
+    (@before before $what:literal) => { Some($what) };
+    (@absent required $key:expr) => {
+        return Err(serde::Error::custom(format!("missing field `{}`", $key)))
+    };
+    (@absent before $key:expr) => { Default::default() };
+    (@to [per_source] $map:expr) => {
+        serde::Value::Object($map.iter().map(|(s, n)| (s.as_str(), n.to_value())).collect())
+    };
+    (@to $value:expr) => { $value.to_value() };
+    (@from [per_source] $v:expr) => { per_source_from_value($v) };
+    (@from $v:expr) => { serde::Deserialize::from_value($v) };
+    (@fold $name:ident [] $($fields:tt)*) => {};
+    (@fold $name:ident [$fold:ident] $( $field:ident $([$codec:ident])? )*) => {
+        impl $name {
+            /// Add `other`'s per-source counts to this record's, source by
+            /// source, in every map the declaration marks `[per_source]`.
+            pub fn $fold(&mut self, other: &$name) {
+                $($( record!(@sum [$codec] self.$field, other.$field); )?)*
+            }
+        }
+    };
+    (@sum [per_source] $into:expr, $from:expr) => {
+        for (source, n) in &$from {
+            *$into.entry(*source).or_insert(0) += n;
+        }
+    };
+}
+
+/// A `[per_source]` map back from its JSON object.
+fn per_source_from_value(
+    v: &serde::Value,
+) -> std::result::Result<BTreeMap<Symbol, usize>, serde::Error> {
+    let pairs = v
+        .as_object()
+        .ok_or_else(|| serde::Error::custom("expected an object of per-source counts"))?;
+    pairs
+        .iter()
+        .map(|(source, n)| Ok((Symbol::intern(source), serde::Deserialize::from_value(n)?)))
+        .collect()
+}
+
+record! {
+    /// Counters one datamerge node records during execution (DESIGN.md
+    /// §6.1 tabulates unit and emitting operators per counter).
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct NodeMetrics {
+        /// Rows in the binding table flowing *into* the node.
+        rows_in: usize = required,
+        /// Rows in the binding table the node emitted.
+        rows_out: usize = required,
+        /// Binding rows extracted from source results or produced by external
+        /// predicates. Zero for pure filters; for a parameterized query,
+        /// memoized parameter tuples produce no new bindings.
+        bindings_produced: usize = required,
+        /// Source round-trips this node performed (bind-join vs hash-join cost
+        /// accounting).
+        source_calls: usize = required,
+        /// Parameter tuples those round-trips carried (parameterized query
+        /// nodes only): equal to `source_calls` when every call asked about
+        /// one tuple, larger when calls carried value sets.
+        tuples_sent: usize = before "set-valued bind joins",
+        /// Rows removed by duplicate elimination (dup-elim nodes only).
+        dedup_hits: usize = required,
+        /// Wall-clock time spent executing the node, in nanoseconds.
+        wall_ns: u64 = required,
+        /// The optimizer's estimated output cardinality for this node, in rows
+        /// (what `EXPLAIN ANALYZE` prints next to `rows_out` as drift).
+        est_rows: f64 = required,
+        /// The cost model's estimated locally-processed rows for this node
+        /// (0 when the scalar model planned, or for pure filter nodes).
+        est_cpu_rows: f64 = before "the multi-objective cost model",
+        /// The cost model's estimated round-trip milliseconds for this node
+        /// (0 for nodes that never contact a source).
+        est_net_ms: f64 = before "the multi-objective cost model",
+        /// The cost model's estimated resident rows for this node (hash-join
+        /// build sides, copied source answers; 0 when unknown).
+        est_mem_rows: f64 = before "the multi-objective cost model",
+        /// Source queries this node served from the answer cache by exact
+        /// canonical-key match (zero when the cache is off).
+        cache_hits: usize = before "the answer cache",
+        /// Source queries served by filtering a broader cached answer through
+        /// the containment probe (zero when the cache is off).
+        containment_hits: usize = before "the answer cache",
+        /// Source queries that consulted the answer cache and fell through to
+        /// a round-trip (zero when the cache is off).
+        cache_misses: usize = before "the answer cache",
+        /// Largest binding batch the node held at once: the biggest batch it
+        /// emitted, bounded by [`crate::exec::ExecOptions::batch_size`].
+        peak_batch_rows: usize = before "streaming execution",
+        /// Approximate bytes of the largest resident batch (same resolution as
+        /// `peak_batch_rows`; see `crate::table::approx_row_bytes`).
+        peak_bytes_resident: u64 = before "streaming execution",
+    }
 }
 
 impl NodeMetrics {
@@ -126,34 +226,38 @@ impl NodeMetrics {
     }
 }
 
-/// One node's trace entry: identity, counters, and (when table tracing is
-/// on) the emitted binding table rendered in Figure 3.6 style.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct NodeTrace {
-    /// Operator name (`query`, `parameterized query`, `external pred`,
-    /// `filter`, `hash join`, `dup elim`).
-    pub op: String,
-    /// Human-readable operator summary (source, query text, predicate...).
-    pub detail: String,
-    /// The counters recorded while the node ran.
-    pub metrics: NodeMetrics,
-    /// The emitted binding table, rendered; empty unless
-    /// [`crate::exec::ExecOptions::trace`] was set.
-    pub table: String,
+record! {
+    /// One node's trace entry: identity, counters, and (when table tracing is
+    /// on) the emitted binding table rendered in Figure 3.6 style.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct NodeTrace {
+        /// Operator name (`query`, `parameterized query`, `external pred`,
+        /// `filter`, `hash join`, `dup elim`).
+        op: String = required,
+        /// Human-readable operator summary (source, query text, predicate...).
+        detail: String = required,
+        /// The counters recorded while the node ran.
+        metrics: NodeMetrics = required,
+        /// The emitted binding table, rendered; empty unless
+        /// [`crate::exec::ExecOptions::trace`] was set.
+        table: String = required,
+    }
 }
 
-/// The trace of one rule chain (one Figure 3.6 column), bottom-up.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RuleTrace {
-    /// Per-node entries in execution order.
-    pub nodes: Vec<NodeTrace>,
-    /// Result objects the constructor built from this chain's final table.
-    pub constructed: usize,
-    /// Wall-clock time of the whole chain, in nanoseconds.
-    pub wall_ns: u64,
-    /// Why this chain produced nothing, when it failed and Partial mode
-    /// dropped it (`None` for chains that ran to completion).
-    pub error: Option<String>,
+record! {
+    /// The trace of one rule chain (one Figure 3.6 column), bottom-up.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct RuleTrace {
+        /// Per-node entries in execution order.
+        nodes: Vec<NodeTrace> = required,
+        /// Result objects the constructor built from this chain's final table.
+        constructed: usize = required,
+        /// Wall-clock time of the whole chain, in nanoseconds.
+        wall_ns: u64 = required,
+        /// Why this chain produced nothing, when it failed and Partial mode
+        /// dropped it (`None` for chains that ran to completion).
+        error: Option<String> = before "the fault-tolerance layer",
+    }
 }
 
 /// Which sources answered and which chains survived — the trace section
@@ -177,94 +281,99 @@ impl Completeness {
     }
 }
 
-/// One observed source-query cardinality — the §3.5 feedback signal
-/// consumed by [`crate::stats::StatsCache::record_trace`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct Observation {
-    /// The source the query was sent to.
-    pub source: Symbol,
-    /// The first tail pattern's top-level label (`None` = label variable).
-    pub label: Option<Symbol>,
-    /// Top-level objects in the source's answer.
-    pub count: usize,
+record! {
+    /// One observed source-query cardinality — the §3.5 feedback signal
+    /// consumed by [`crate::stats::StatsCache::record_trace`].
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Observation {
+        /// The source the query was sent to.
+        source: Symbol = required,
+        /// The first tail pattern's top-level label (`None` = label variable).
+        label: Option<Symbol> = required,
+        /// Top-level objects in the source's answer.
+        count: usize = required,
+    }
 }
 
-/// Everything one query execution recorded: per-rule node traces,
-/// statistics observations, per-source call counts, and result totals.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct QueryTrace {
-    /// The query text (filled in by [`crate::Mediator::query_rule`];
-    /// empty when the engine is driven directly).
-    pub query: String,
-    /// One trace per rule chain, in plan order.
-    pub rules: Vec<RuleTrace>,
-    /// Observed source cardinalities, in execution order.
-    pub observations: Vec<Observation>,
-    /// Total queries sent to each source across all chains.
-    pub source_calls: BTreeMap<Symbol, usize>,
-    /// Retries performed per source (re-attempts beyond each call's first
-    /// try, summed across all chains). Empty when nothing was retried.
-    pub retries: BTreeMap<Symbol, usize>,
-    /// Failed attempts per source (transient errors observed, including
-    /// the ones later retries recovered from). Empty when nothing failed.
-    pub failures: BTreeMap<Symbol, usize>,
-    /// Total round-trip milliseconds per source across this query's
-    /// *successful* calls, measured on the executor's injectable clock.
-    /// Cache and memo hits contribute nothing — latency statistics must
-    /// reflect what talking to the source actually costs.
-    pub latency_ms: BTreeMap<Symbol, usize>,
-    /// Successful calls contributing to `latency_ms`, per source (the
-    /// divisor for a mean; kept separate so EWMAs blend means, not sums).
-    pub latency_calls: BTreeMap<Symbol, usize>,
-    /// Which sources answered and which chains were dropped (Partial
-    /// mode); `Completeness::default()` — trivially complete — otherwise.
-    pub completeness: Completeness,
-    /// Exact answer-cache hits per source. Empty when the cache is off.
-    pub cache_hits: BTreeMap<Symbol, usize>,
-    /// Containment-probe cache hits per source. Empty when the cache is
-    /// off.
-    pub containment_hits: BTreeMap<Symbol, usize>,
-    /// Answer-cache misses per source (lookups that paid a round-trip).
-    /// Empty when the cache is off.
-    pub cache_misses: BTreeMap<Symbol, usize>,
-    /// Approximate bytes held by the answer cache after this query
-    /// (printed-form size of the cached answers; 0 when the cache is
-    /// off). A **process-wide gauge**, not attributable to this query:
-    /// under a shared mediator it reflects every query served so far.
-    pub bytes_cached: u64,
-    /// Answer-cache entries evicted **during this query** (capacity, TTL
-    /// or explicit invalidation). A per-request delta — summing it over
-    /// requests gives the cache's lifetime eviction count, so a shared
-    /// mediator's metrics never double-count.
-    pub cache_evictions: usize,
-    /// Cache hits served from the warm (disk) tier during this query — a
-    /// subset of the hit counts above, and a per-request delta like
-    /// `cache_evictions`. 0 without a `--cache-dir`.
-    pub cache_warm_hits: usize,
-    /// Hot-tier entries demoted to warm-only residence during this query
-    /// (a per-request delta). With no warm tier configured, overflow is
-    /// an eviction instead and this stays 0.
-    pub cache_demotions: usize,
-    /// Live bytes indexed by the warm (disk) tier after this query — a
-    /// **process-wide gauge** like `bytes_cached`, not attributable to
-    /// this query. 0 without a `--cache-dir`.
-    pub warm_bytes_cached: u64,
-    /// Top-level result objects after construction and result dedup.
-    pub result_count: usize,
-    /// Top-level objects removed by final structural dedup across rules.
-    pub result_dedup_removed: usize,
-    /// Wall-clock time of the whole execution, in nanoseconds.
-    pub wall_ns: u64,
-    /// Nanoseconds from execution start until the first answer rows
-    /// surfaced at the merge sink (time-to-first-answer): the first
-    /// non-empty batch emitted by a chain that ultimately succeeded. 0 when
-    /// no rows were produced.
-    pub first_rows_ns: u64,
-    /// Largest binding batch any node held at once, across all chains
-    /// (max over the per-node `peak_batch_rows`).
-    pub peak_batch_rows: usize,
-    /// Approximate bytes of the largest resident batch across all chains.
-    pub peak_bytes_resident: u64,
+record! {
+    /// Everything one query execution recorded: per-rule node traces,
+    /// statistics observations, per-source call counts, and result totals.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct QueryTrace {
+        /// The query text (filled in by [`crate::Mediator::query_rule`];
+        /// empty when the engine is driven directly).
+        query: String = required,
+        /// One trace per rule chain, in plan order.
+        rules: Vec<RuleTrace> = required,
+        /// Observed source cardinalities, in execution order.
+        observations: Vec<Observation> = required,
+        /// Total queries sent to each source across all chains.
+        source_calls: BTreeMap<Symbol, usize> = required [per_source],
+        /// Retries performed per source (re-attempts beyond each call's first
+        /// try, summed across all chains). Empty when nothing was retried.
+        retries: BTreeMap<Symbol, usize> = before "the fault-tolerance layer" [per_source],
+        /// Failed attempts per source (transient errors observed, including
+        /// the ones later retries recovered from). Empty when nothing failed.
+        failures: BTreeMap<Symbol, usize> = before "the fault-tolerance layer" [per_source],
+        /// Total round-trip milliseconds per source across this query's
+        /// *successful* calls, measured on the executor's injectable clock.
+        /// Cache and memo hits contribute nothing — latency statistics must
+        /// reflect what talking to the source actually costs.
+        latency_ms: BTreeMap<Symbol, usize> = before "the multi-objective cost model" [per_source],
+        /// Successful calls contributing to `latency_ms`, per source (the
+        /// divisor for a mean; kept separate so EWMAs blend means, not sums).
+        latency_calls: BTreeMap<Symbol, usize> = before "the multi-objective cost model" [per_source],
+        /// Which sources answered and which chains were dropped (Partial
+        /// mode); `Completeness::default()` — trivially complete — otherwise.
+        completeness: Completeness = before "the fault-tolerance layer",
+        /// Exact answer-cache hits per source. Empty when the cache is off.
+        cache_hits: BTreeMap<Symbol, usize> = before "the answer cache" [per_source],
+        /// Containment-probe cache hits per source. Empty when the cache is
+        /// off.
+        containment_hits: BTreeMap<Symbol, usize> = before "the answer cache" [per_source],
+        /// Answer-cache misses per source (lookups that paid a round-trip).
+        /// Empty when the cache is off.
+        cache_misses: BTreeMap<Symbol, usize> = before "the answer cache" [per_source],
+        /// Approximate bytes held by the answer cache after this query
+        /// (printed-form size of the cached answers; 0 when the cache is
+        /// off). A **process-wide gauge**, not attributable to this query:
+        /// under a shared mediator it reflects every query served so far.
+        bytes_cached: u64 = before "the answer cache",
+        /// Answer-cache entries evicted **during this query** (capacity, TTL
+        /// or explicit invalidation). A per-request delta — summing it over
+        /// requests gives the cache's lifetime eviction count, so a shared
+        /// mediator's metrics never double-count.
+        cache_evictions: usize = before "the answer cache",
+        /// Cache hits served from the warm (disk) tier during this query — a
+        /// subset of the hit counts above, and a per-request delta like
+        /// `cache_evictions`. 0 without a `--cache-dir`.
+        cache_warm_hits: usize = before "the tiered cache",
+        /// Hot-tier entries demoted to warm-only residence during this query
+        /// (a per-request delta). With no warm tier configured, overflow is
+        /// an eviction instead and this stays 0.
+        cache_demotions: usize = before "the tiered cache",
+        /// Live bytes indexed by the warm (disk) tier after this query — a
+        /// **process-wide gauge** like `bytes_cached`, not attributable to
+        /// this query. 0 without a `--cache-dir`.
+        warm_bytes_cached: u64 = before "the tiered cache",
+        /// Top-level result objects after construction and result dedup.
+        result_count: usize = required,
+        /// Top-level objects removed by final structural dedup across rules.
+        result_dedup_removed: usize = required,
+        /// Wall-clock time of the whole execution, in nanoseconds.
+        wall_ns: u64 = required,
+        /// Nanoseconds from execution start until the first answer rows
+        /// surfaced at the merge sink (time-to-first-answer): the first
+        /// non-empty batch emitted by a chain that ultimately succeeded. 0 when
+        /// no rows were produced.
+        first_rows_ns: u64 = before "streaming execution",
+        /// Largest binding batch any node held at once, across all chains
+        /// (max over the per-node `peak_batch_rows`).
+        peak_batch_rows: usize = before "streaming execution",
+        /// Approximate bytes of the largest resident batch across all chains.
+        peak_bytes_resident: u64 = before "streaming execution",
+    }
+    per_source fold: add_per_source;
 }
 
 impl QueryTrace {
@@ -323,131 +432,8 @@ pub fn format_ns(ns: u64) -> String {
     }
 }
 
-// ---- JSON (serde) impls — the QueryTrace schema of DESIGN.md §6 ---------
-
-impl serde::Serialize for NodeMetrics {
-    fn to_value(&self) -> serde::Value {
-        serde::object([
-            ("rows_in", self.rows_in.to_value()),
-            ("rows_out", self.rows_out.to_value()),
-            ("bindings_produced", self.bindings_produced.to_value()),
-            ("source_calls", self.source_calls.to_value()),
-            ("tuples_sent", self.tuples_sent.to_value()),
-            ("dedup_hits", self.dedup_hits.to_value()),
-            ("wall_ns", self.wall_ns.to_value()),
-            ("est_rows", self.est_rows.to_value()),
-            ("est_cpu_rows", self.est_cpu_rows.to_value()),
-            ("est_net_ms", self.est_net_ms.to_value()),
-            ("est_mem_rows", self.est_mem_rows.to_value()),
-            ("cache_hits", self.cache_hits.to_value()),
-            ("containment_hits", self.containment_hits.to_value()),
-            ("cache_misses", self.cache_misses.to_value()),
-            ("peak_batch_rows", self.peak_batch_rows.to_value()),
-            ("peak_bytes_resident", self.peak_bytes_resident.to_value()),
-        ])
-    }
-}
-
-/// Read an optional numeric field, defaulting when absent (traces
-/// exported before the field existed must still parse).
-fn optional_count(v: &serde::Value, name: &str) -> std::result::Result<usize, serde::Error> {
-    match v.get(name) {
-        Some(n) => <usize as serde::Deserialize>::from_value(n),
-        None => Ok(0),
-    }
-}
-
-/// [`optional_count`] for `u64` fields.
-fn optional_u64(v: &serde::Value, name: &str) -> std::result::Result<u64, serde::Error> {
-    match v.get(name) {
-        Some(n) => <u64 as serde::Deserialize>::from_value(n),
-        None => Ok(0),
-    }
-}
-
-/// [`optional_count`] for `f64` fields (cost-component estimates absent
-/// in traces exported before the multi-objective cost model).
-fn optional_f64(v: &serde::Value, name: &str) -> std::result::Result<f64, serde::Error> {
-    match v.get(name) {
-        Some(n) => <f64 as serde::Deserialize>::from_value(n),
-        None => Ok(0.0),
-    }
-}
-
-impl serde::Deserialize for NodeMetrics {
-    fn from_value(v: &serde::Value) -> std::result::Result<NodeMetrics, serde::Error> {
-        Ok(NodeMetrics {
-            rows_in: serde::field(v, "rows_in")?,
-            rows_out: serde::field(v, "rows_out")?,
-            bindings_produced: serde::field(v, "bindings_produced")?,
-            source_calls: serde::field(v, "source_calls")?,
-            dedup_hits: serde::field(v, "dedup_hits")?,
-            wall_ns: serde::field(v, "wall_ns")?,
-            est_rows: serde::field(v, "est_rows")?,
-            // Absent in traces exported before the multi-objective model.
-            est_cpu_rows: optional_f64(v, "est_cpu_rows")?,
-            est_net_ms: optional_f64(v, "est_net_ms")?,
-            est_mem_rows: optional_f64(v, "est_mem_rows")?,
-            // Absent in traces exported before the answer cache.
-            cache_hits: optional_count(v, "cache_hits")?,
-            containment_hits: optional_count(v, "containment_hits")?,
-            cache_misses: optional_count(v, "cache_misses")?,
-            // Absent in traces exported before streaming execution.
-            peak_batch_rows: optional_count(v, "peak_batch_rows")?,
-            peak_bytes_resident: optional_u64(v, "peak_bytes_resident")?,
-            // Absent in traces exported before set-valued bind joins.
-            tuples_sent: optional_count(v, "tuples_sent")?,
-        })
-    }
-}
-
-impl serde::Serialize for NodeTrace {
-    fn to_value(&self) -> serde::Value {
-        serde::object([
-            ("op", self.op.to_value()),
-            ("detail", self.detail.to_value()),
-            ("metrics", self.metrics.to_value()),
-            ("table", self.table.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for NodeTrace {
-    fn from_value(v: &serde::Value) -> std::result::Result<NodeTrace, serde::Error> {
-        Ok(NodeTrace {
-            op: serde::field(v, "op")?,
-            detail: serde::field(v, "detail")?,
-            metrics: serde::field(v, "metrics")?,
-            table: serde::field(v, "table")?,
-        })
-    }
-}
-
-impl serde::Serialize for RuleTrace {
-    fn to_value(&self) -> serde::Value {
-        serde::object([
-            ("nodes", self.nodes.to_value()),
-            ("constructed", self.constructed.to_value()),
-            ("wall_ns", self.wall_ns.to_value()),
-            ("error", self.error.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for RuleTrace {
-    fn from_value(v: &serde::Value) -> std::result::Result<RuleTrace, serde::Error> {
-        Ok(RuleTrace {
-            nodes: serde::field(v, "nodes")?,
-            constructed: serde::field(v, "constructed")?,
-            wall_ns: serde::field(v, "wall_ns")?,
-            // Absent in traces exported before the fault-tolerance layer.
-            error: match v.get("error") {
-                Some(e) => Option::<String>::from_value(e)?,
-                None => None,
-            },
-        })
-    }
-}
+// `Completeness` keeps a hand-written pair: `complete` is derived, and
+// `sources_failed` maps to strings, not counts.
 
 impl serde::Serialize for Completeness {
     fn to_value(&self) -> serde::Value {
@@ -482,136 +468,6 @@ impl serde::Deserialize for Completeness {
             sources_ok: serde::field(v, "sources_ok")?,
             sources_failed,
             skipped_chains: serde::field(v, "skipped_chains")?,
-        })
-    }
-}
-
-impl serde::Serialize for Observation {
-    fn to_value(&self) -> serde::Value {
-        serde::object([
-            ("source", self.source.to_value()),
-            ("label", self.label.to_value()),
-            ("count", self.count.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for Observation {
-    fn from_value(v: &serde::Value) -> std::result::Result<Observation, serde::Error> {
-        Ok(Observation {
-            source: serde::field(v, "source")?,
-            label: serde::field(v, "label")?,
-            count: serde::field(v, "count")?,
-        })
-    }
-}
-
-/// Serialize a per-source counter map as a JSON object keyed by source
-/// name; BTreeMap iteration keeps the key order deterministic.
-fn counter_map_to_value(map: &BTreeMap<Symbol, usize>) -> serde::Value {
-    serde::Value::Object(
-        map.iter()
-            .map(|(s, n)| (s.as_str(), serde::Serialize::to_value(n)))
-            .collect(),
-    )
-}
-
-/// The inverse of [`counter_map_to_value`], for the named field of `v`.
-/// A missing field reads as empty (traces exported before the
-/// fault-tolerance layer lack `retries`/`failures`).
-fn counter_map_field(
-    v: &serde::Value,
-    name: &str,
-    required: bool,
-) -> std::result::Result<BTreeMap<Symbol, usize>, serde::Error> {
-    let Some(field_v) = v.get(name) else {
-        if required {
-            return Err(serde::Error::custom(format!("missing field `{name}`")));
-        }
-        return Ok(BTreeMap::new());
-    };
-    let serde::Value::Object(pairs) = field_v else {
-        return Err(serde::Error::custom(format!("`{name}` must be an object")));
-    };
-    let mut map = BTreeMap::new();
-    for (k, n) in pairs {
-        map.insert(
-            Symbol::intern(k),
-            <usize as serde::Deserialize>::from_value(n)?,
-        );
-    }
-    Ok(map)
-}
-
-impl serde::Serialize for QueryTrace {
-    fn to_value(&self) -> serde::Value {
-        serde::object([
-            ("query", self.query.to_value()),
-            ("rules", self.rules.to_value()),
-            ("observations", self.observations.to_value()),
-            ("source_calls", counter_map_to_value(&self.source_calls)),
-            ("retries", counter_map_to_value(&self.retries)),
-            ("failures", counter_map_to_value(&self.failures)),
-            ("latency_ms", counter_map_to_value(&self.latency_ms)),
-            ("latency_calls", counter_map_to_value(&self.latency_calls)),
-            ("completeness", self.completeness.to_value()),
-            ("cache_hits", counter_map_to_value(&self.cache_hits)),
-            (
-                "containment_hits",
-                counter_map_to_value(&self.containment_hits),
-            ),
-            ("cache_misses", counter_map_to_value(&self.cache_misses)),
-            ("bytes_cached", self.bytes_cached.to_value()),
-            ("cache_evictions", self.cache_evictions.to_value()),
-            ("cache_warm_hits", self.cache_warm_hits.to_value()),
-            ("cache_demotions", self.cache_demotions.to_value()),
-            ("warm_bytes_cached", self.warm_bytes_cached.to_value()),
-            ("result_count", self.result_count.to_value()),
-            ("result_dedup_removed", self.result_dedup_removed.to_value()),
-            ("wall_ns", self.wall_ns.to_value()),
-            ("first_rows_ns", self.first_rows_ns.to_value()),
-            ("peak_batch_rows", self.peak_batch_rows.to_value()),
-            ("peak_bytes_resident", self.peak_bytes_resident.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for QueryTrace {
-    fn from_value(v: &serde::Value) -> std::result::Result<QueryTrace, serde::Error> {
-        Ok(QueryTrace {
-            query: serde::field(v, "query")?,
-            rules: serde::field(v, "rules")?,
-            observations: serde::field(v, "observations")?,
-            source_calls: counter_map_field(v, "source_calls", true)?,
-            retries: counter_map_field(v, "retries", false)?,
-            failures: counter_map_field(v, "failures", false)?,
-            // Absent in traces exported before the multi-objective model.
-            latency_ms: counter_map_field(v, "latency_ms", false)?,
-            latency_calls: counter_map_field(v, "latency_calls", false)?,
-            completeness: match v.get("completeness") {
-                Some(c) => Completeness::from_value(c)?,
-                None => Completeness::default(),
-            },
-            // Absent in traces exported before the answer cache.
-            cache_hits: counter_map_field(v, "cache_hits", false)?,
-            containment_hits: counter_map_field(v, "containment_hits", false)?,
-            cache_misses: counter_map_field(v, "cache_misses", false)?,
-            bytes_cached: match v.get("bytes_cached") {
-                Some(n) => <u64 as serde::Deserialize>::from_value(n)?,
-                None => 0,
-            },
-            cache_evictions: optional_count(v, "cache_evictions")?,
-            // Absent in traces exported before the tiered cache.
-            cache_warm_hits: optional_count(v, "cache_warm_hits")?,
-            cache_demotions: optional_count(v, "cache_demotions")?,
-            warm_bytes_cached: optional_u64(v, "warm_bytes_cached")?,
-            result_count: serde::field(v, "result_count")?,
-            result_dedup_removed: serde::field(v, "result_dedup_removed")?,
-            wall_ns: serde::field(v, "wall_ns")?,
-            // Absent in traces exported before streaming execution.
-            first_rows_ns: optional_u64(v, "first_rows_ns")?,
-            peak_batch_rows: optional_count(v, "peak_batch_rows")?,
-            peak_bytes_resident: optional_u64(v, "peak_bytes_resident")?,
         })
     }
 }
@@ -826,200 +682,131 @@ mod tests {
         assert_eq!(sources, ["cs", "whois"]);
     }
 
-    #[test]
-    fn old_traces_without_streaming_fields_still_parse() {
-        // A trace exported before streaming execution lacks the
-        // time-to-first-answer and peak-residency fields everywhere, and
-        // the tuples-per-call counter that came later still.
-        let mut trace = sample();
-        trace.first_rows_ns = 0;
-        trace.peak_batch_rows = 0;
-        trace.peak_bytes_resident = 0;
-        let m = &mut trace.rules[0].nodes[0].metrics;
-        m.peak_batch_rows = 0;
-        m.peak_bytes_resident = 0;
-        m.tuples_sent = 0;
-        let mut v = trace.to_value();
-        let drop_streaming_keys = |v: &mut serde::Value| {
-            if let serde::Value::Object(pairs) = v {
-                pairs.retain(|(k, _)| {
-                    !matches!(
-                        &**k,
-                        "first_rows_ns" | "peak_batch_rows" | "peak_bytes_resident" | "tuples_sent"
-                    )
-                });
-            }
-        };
-        drop_streaming_keys(&mut v);
-        if let serde::Value::Object(pairs) = &mut v {
-            let rules = &mut pairs.iter_mut().find(|(k, _)| k == "rules").unwrap().1;
-            if let serde::Value::Array(rules) = rules {
-                for rule in rules {
-                    if let serde::Value::Object(rp) = rule {
-                        let nodes = &mut rp.iter_mut().find(|(k, _)| k == "nodes").unwrap().1;
-                        if let serde::Value::Array(nodes) = nodes {
-                            for node in nodes {
-                                if let serde::Value::Object(np) = node {
-                                    let metrics =
-                                        &mut np.iter_mut().find(|(k, _)| k == "metrics").unwrap().1;
-                                    drop_streaming_keys(metrics);
-                                }
-                            }
-                        }
-                    }
+    /// `v` without its key `name`.
+    fn without(v: &serde::Value, name: &str) -> serde::Value {
+        let pairs = v.as_object().expect("a JSON object");
+        serde::Value::Object(pairs.iter().filter(|(k, _)| k != name).cloned().collect())
+    }
+
+    /// The back-compat table of one record, one row per declared field.
+    /// An optional field's key removed: the record parses, the field
+    /// reads `absent` (what the type defaults to, as JSON) and is written
+    /// back, nothing else changed. A required field's key removed: an
+    /// error that names the key.
+    fn check_presence_table<R>(fields: &[Field], sample: &R, absent: &dyn Fn(&str) -> serde::Value)
+    where
+        R: Serialize + Deserialize + std::fmt::Debug,
+    {
+        let full = sample.to_value();
+        assert_eq!(
+            keys(&full),
+            fields.iter().map(|f| f.name).collect::<Vec<_>>()
+        );
+        for field in fields {
+            let parsed = R::from_value(&without(&full, field.name));
+            match field.absent_before {
+                Some(_) => {
+                    let back = parsed.expect(field.name).to_value();
+                    assert_eq!(keys(&back), keys(&full), "{} is written back", field.name);
+                    assert_eq!(back.get(field.name), Some(&absent(field.name)));
+                    assert_eq!(without(&back, field.name), without(&full, field.name));
+                }
+                None => {
+                    let err = parsed.expect_err(field.name).to_string();
+                    assert!(err.contains(&format!("`{}`", field.name)), "{err}");
                 }
             }
         }
-        let parsed = QueryTrace::from_value(&v).unwrap();
-        assert_eq!(parsed, trace);
-        assert_eq!(parsed.first_rows_ns, 0);
     }
 
     #[test]
-    fn old_traces_without_fault_fields_still_parse() {
-        // A trace exported before the fault-tolerance layer lacks
-        // `retries`/`failures`/`completeness` and per-rule `error`.
-        let mut trace = sample();
-        trace.retries.clear();
-        trace.failures.clear();
-        trace.completeness = Completeness::default();
-        let mut v = trace.to_value();
-        if let serde::Value::Object(pairs) = &mut v {
-            pairs.retain(|(k, _)| !matches!(&**k, "retries" | "failures" | "completeness"));
+    fn old_traces_parse_field_by_field() {
+        // Driven by `FIELDS`, so a field declared tomorrow is covered
+        // without a test of its own. Each of the five stories this
+        // replaces is a set of rows here — a trace from before
+        //   streaming: NodeMetrics peak_batch_rows, peak_bytes_resident,
+        //     tuples_sent; QueryTrace first_rows_ns, peak_batch_rows,
+        //     peak_bytes_resident
+        //   fault tolerance: QueryTrace retries, failures, completeness
+        //     (and RuleTrace error, which no story removed)
+        //   the cache: NodeMetrics cache_hits, containment_hits,
+        //     cache_misses; QueryTrace the same three maps, bytes_cached,
+        //     cache_evictions
+        //   tiering: QueryTrace cache_warm_hits, cache_demotions,
+        //     warm_bytes_cached
+        //   the cost model: NodeMetrics est_cpu_rows, est_net_ms,
+        //     est_mem_rows; QueryTrace latency_ms, latency_calls
+        // — and every required key's removal is an error, which none
+        // of them checked.
+        fn default_of<R: Default + Serialize>() -> impl Fn(&str) -> serde::Value {
+            let v = R::default().to_value();
+            move |name| v.get(name).expect("a declared key").clone()
         }
-        let parsed = QueryTrace::from_value(&v).unwrap();
-        assert_eq!(parsed, trace);
-        assert!(parsed.completeness.is_complete());
-    }
-
-    #[test]
-    fn old_traces_without_cache_fields_still_parse() {
-        // A trace exported before the answer cache lacks the cache counter
-        // maps and the per-node cache counters.
-        let mut trace = sample();
-        trace.cache_hits.clear();
-        trace.containment_hits.clear();
-        trace.cache_misses.clear();
-        trace.bytes_cached = 0;
-        trace.cache_evictions = 0;
-        let m = &mut trace.rules[0].nodes[0].metrics;
-        m.cache_hits = 0;
-        m.containment_hits = 0;
-        m.cache_misses = 0;
-        let mut v = trace.to_value();
-        let drop_cache_keys = |v: &mut serde::Value| {
-            if let serde::Value::Object(pairs) = v {
-                pairs.retain(|(k, _)| {
-                    !matches!(
-                        &**k,
-                        "cache_hits"
-                            | "containment_hits"
-                            | "cache_misses"
-                            | "bytes_cached"
-                            | "cache_evictions"
-                    )
-                });
+        let trace = sample();
+        let rule = &trace.rules[0];
+        let node = &rule.nodes[0];
+        check_presence_table(
+            NodeMetrics::FIELDS,
+            &node.metrics,
+            &default_of::<NodeMetrics>(),
+        );
+        check_presence_table(NodeTrace::FIELDS, node, &default_of::<NodeTrace>());
+        check_presence_table(RuleTrace::FIELDS, rule, &default_of::<RuleTrace>());
+        check_presence_table(QueryTrace::FIELDS, &trace, &default_of::<QueryTrace>());
+        // `Observation` declares no optional field, so nothing is asked.
+        check_presence_table(Observation::FIELDS, &trace.observations[0], &|name| {
+            panic!("{name} is required")
+        });
+        assert!(NodeTrace::FIELDS.iter().all(|f| f.absent_before.is_none()));
+        assert_eq!(
+            QueryTrace::FIELDS[4],
+            Field {
+                name: "retries",
+                absent_before: Some("the fault-tolerance layer"),
             }
-        };
-        drop_cache_keys(&mut v);
-        fn field_mut<'a>(v: &'a mut serde::Value, name: &str) -> &'a mut serde::Value {
+        );
+
+        // The oldest trace there can be: every optional key gone at every
+        // level at once. The per-field rows compose.
+        fn strip(v: &serde::Value, fields: &[Field]) -> serde::Value {
+            let optional = fields.iter().filter(|f| f.absent_before.is_some());
+            optional.fold(v.clone(), |v, f| without(&v, f.name))
+        }
+        fn map_array(v: &mut serde::Value, key: &str, f: &dyn Fn(&serde::Value) -> serde::Value) {
             let serde::Value::Object(pairs) = v else {
-                panic!("expected object");
+                panic!("expected an object");
             };
-            &mut pairs
-                .iter_mut()
-                .find(|(k, _)| k == name)
-                .expect("field present in sample trace")
-                .1
+            let slot = &mut pairs.iter_mut().find(|(k, _)| k == key).expect(key).1;
+            *slot = serde::Value::Array(slot.as_array().expect(key).iter().map(f).collect());
         }
-        fn elems_mut(v: &mut serde::Value) -> &mut Vec<serde::Value> {
-            let serde::Value::Array(items) = v else {
-                panic!("expected array");
-            };
-            items
-        }
-        for rule in elems_mut(field_mut(&mut v, "rules")) {
-            for node in elems_mut(field_mut(rule, "nodes")) {
-                drop_cache_keys(field_mut(node, "metrics"));
-            }
-        }
-        let parsed = QueryTrace::from_value(&v).unwrap();
-        assert_eq!(parsed, trace);
-        assert_eq!(parsed.total_cache_hits(), 0);
-        assert_eq!(parsed.total_cache_misses(), 0);
-    }
-
-    #[test]
-    fn old_traces_without_tier_fields_still_parse() {
-        // A trace exported before the tiered cache lacks the warm-tier
-        // deltas and gauge; they must default to zero.
-        let mut trace = sample();
-        trace.cache_warm_hits = 0;
-        trace.cache_demotions = 0;
-        trace.warm_bytes_cached = 0;
-        let mut v = trace.to_value();
-        if let serde::Value::Object(pairs) = &mut v {
-            pairs.retain(|(k, _)| {
-                !matches!(
-                    &**k,
-                    "cache_warm_hits" | "cache_demotions" | "warm_bytes_cached"
-                )
-            });
-        }
-        let parsed = QueryTrace::from_value(&v).unwrap();
-        assert_eq!(parsed, trace);
-        assert_eq!(parsed.cache_warm_hits, 0);
-    }
-
-    #[test]
-    fn old_traces_without_cost_fields_still_parse() {
-        // A trace exported before the multi-objective cost model lacks the
-        // per-component estimates and the per-source latency maps.
-        let mut trace = sample();
-        trace.latency_ms.clear();
-        trace.latency_calls.clear();
-        let m = &mut trace.rules[0].nodes[0].metrics;
-        m.est_cpu_rows = 0.0;
-        m.est_net_ms = 0.0;
-        m.est_mem_rows = 0.0;
-        let mut v = trace.to_value();
-        let drop_cost_keys = |v: &mut serde::Value| {
-            if let serde::Value::Object(pairs) = v {
-                pairs.retain(|(k, _)| {
-                    !matches!(
-                        &**k,
-                        "est_cpu_rows"
-                            | "est_net_ms"
-                            | "est_mem_rows"
-                            | "latency_ms"
-                            | "latency_calls"
-                    )
-                });
-            }
-        };
-        drop_cost_keys(&mut v);
-        if let serde::Value::Object(pairs) = &mut v {
-            let rules = &mut pairs.iter_mut().find(|(k, _)| k == "rules").unwrap().1;
-            if let serde::Value::Array(rules) = rules {
-                for rule in rules {
-                    if let serde::Value::Object(rp) = rule {
-                        let nodes = &mut rp.iter_mut().find(|(k, _)| k == "nodes").unwrap().1;
-                        if let serde::Value::Array(nodes) = nodes {
-                            for node in nodes {
-                                if let serde::Value::Object(np) = node {
-                                    let metrics =
-                                        &mut np.iter_mut().find(|(k, _)| k == "metrics").unwrap().1;
-                                    drop_cost_keys(metrics);
-                                }
-                            }
-                        }
-                    }
+        let mut oldest = strip(&trace.to_value(), QueryTrace::FIELDS);
+        map_array(&mut oldest, "rules", &|rule| {
+            let mut rule = strip(rule, RuleTrace::FIELDS);
+            map_array(&mut rule, "nodes", &|node| {
+                let metrics = strip(node.get("metrics").unwrap(), NodeMetrics::FIELDS);
+                let mut node = node.clone();
+                if let serde::Value::Object(pairs) = &mut node {
+                    pairs.iter_mut().find(|(k, _)| k == "metrics").unwrap().1 = metrics;
                 }
-            }
-        }
-        let parsed = QueryTrace::from_value(&v).unwrap();
-        assert_eq!(parsed, trace);
-        assert!(parsed.latency_ms.is_empty());
+                node
+            });
+            rule
+        });
+        let parsed = QueryTrace::from_value(&oldest).unwrap();
+        assert_eq!(parsed.query, trace.query);
+        assert_eq!(parsed.source_calls, trace.source_calls);
+        assert!(parsed.completeness.is_complete());
+        assert_eq!(parsed.total_cache_hits() + parsed.total_cache_misses(), 0);
+        assert!(parsed.latency_ms.is_empty() && parsed.retries.is_empty());
+        assert_eq!((parsed.first_rows_ns, parsed.cache_warm_hits), (0, 0));
+        let m = &parsed.rules[0].nodes[0].metrics;
+        assert_eq!((m.rows_out, m.est_rows), (2, 10.0));
+        assert_eq!((m.tuples_sent, m.cache_hits, m.peak_batch_rows), (0, 0, 0));
+        assert_eq!(
+            (m.est_cpu_rows, m.est_net_ms, m.est_mem_rows),
+            (0.0, 0.0, 0.0)
+        );
+        assert_eq!(keys(&parsed.to_value()), keys(&trace.to_value()));
     }
 
     #[test]

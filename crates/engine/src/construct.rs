@@ -54,8 +54,8 @@ impl std::error::Error for ConstructError {}
 pub struct Constructor<'a> {
     /// Store the bindings' object ids refer to (the mediator's memory).
     pub src: &'a ObjectStore,
-    /// Copy map shared across constructions so shared source objects stay
-    /// shared in the output.
+    /// Copy map shared across constructions from one `src`, so shared
+    /// source objects stay shared in the output.
     copy_map: HashMap<ObjId, ObjId>,
     /// Semantic oid → already-constructed object.
     fused: HashMap<Symbol, ObjId>,
@@ -69,6 +69,15 @@ impl<'a> Constructor<'a> {
             copy_map: HashMap::new(),
             fused: HashMap::new(),
         }
+    }
+
+    /// Read bound objects from `src` from now on. Objects already
+    /// constructed keep their semantic oids, so heads built from different
+    /// stores still fuse; only the copy map, whose keys are ids of the
+    /// previous store, starts over.
+    pub fn read_from(&mut self, src: &'a ObjectStore) {
+        self.src = src;
+        self.copy_map.clear();
     }
 
     /// Instantiate a rule head under one binding, adding the object(s) to

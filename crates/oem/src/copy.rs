@@ -29,22 +29,6 @@ pub fn deep_copy_all(src: &ObjectStore, roots: &[ObjId], dst: &mut ObjectStore) 
         .collect()
 }
 
-/// Like [`deep_copy_all`], but also returns the old-id → new-id map, so
-/// callers holding references into `src` (e.g. binding tables) can remap
-/// them. The map covers every copied object, not just the roots.
-pub fn deep_copy_all_with_map(
-    src: &ObjectStore,
-    roots: &[ObjId],
-    dst: &mut ObjectStore,
-) -> (Vec<ObjId>, HashMap<ObjId, ObjId>) {
-    let mut map: HashMap<ObjId, ObjId> = HashMap::new();
-    let copied = roots
-        .iter()
-        .map(|&r| copy_rec(src, r, dst, &mut map))
-        .collect();
-    (copied, map)
-}
-
 /// Copy `roots` from `src` into `dst`, reusing (and extending) a caller-held
 /// old-id → new-id map.
 ///

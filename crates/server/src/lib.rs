@@ -593,6 +593,72 @@ mod tests {
     }
 
     #[test]
+    fn cache_hit_ratio_reads_off_metrics_over_live_socket() {
+        // `mediator.cache_hits` counts exact-key hits only; without
+        // `cache_containment_hits` beside it the ratio an operator computes
+        // is far too low exactly when the cache works best. Prime the
+        // whole view, then ask for a slice of it: the slice's source
+        // queries are narrower than what is cached, so they are
+        // containment hits. One tuple a batch keeps every round-trip to
+        // one lookup, which lets the trace side of `/metrics` count the
+        // lookups independently of the cache's own counters.
+        let med = Mediator::new(
+            "med",
+            MS1,
+            vec![Arc::new(whois_wrapper()), Arc::new(cs_wrapper())],
+            medmaker::externals::standard_registry(),
+        )
+        .unwrap()
+        .with_options(medmaker::MediatorOptions {
+            cache: medmaker::CacheOptions::enabled(),
+            learn_stats: false,
+            ..Default::default()
+        });
+        let h = Server::start(Arc::new(med), ServerOptions::default()).unwrap();
+        // Run `query`, then scrape: (hits, containment hits, misses) as
+        // the cache counts them, and the lookups the executions made.
+        let scrape_after = |query: &str| -> ([i64; 3], i64) {
+            let body = format!(r#"{{"query": "{query}", "batch_size": 1}}"#);
+            let res = http_roundtrip(
+                h.addr(),
+                &format!(
+                    "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                ),
+            );
+            assert!(res.starts_with("HTTP/1.1 200 OK"), "{res}");
+            let metrics = http_roundtrip(h.addr(), "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+            let json = metrics.split("\r\n\r\n").nth(1).expect("body");
+            let v: serde::Value = serde_json::from_str(json.trim()).unwrap();
+            let read = |section: &str, key: &str| -> i64 {
+                let n = v
+                    .get(section)
+                    .and_then(|s| s.get(key))
+                    .and_then(|n| n.as_i64());
+                n.unwrap_or_else(|| panic!("{section}.{key} missing: {metrics}"))
+            };
+            let cache = ["cache_hits", "cache_containment_hits", "cache_misses"];
+            let served = read("server", "cache_hits") + read("server", "containment_hits");
+            (
+                cache.map(|key| read("mediator", key)),
+                served + read("server", "source_calls"),
+            )
+        };
+        let ([hits, primed_containment, misses], lookups) =
+            scrape_after("P :- P:<cs_person {}>@med");
+        assert!(misses > 0, "a cold cache misses");
+        assert_eq!(hits + primed_containment + misses, lookups);
+        let ([hits, containment, misses], lookups) =
+            scrape_after("S :- S:<cs_person {<year 3>}>@med");
+        assert!(
+            containment > primed_containment,
+            "the slice is filtered out of the cached whole: {containment}"
+        );
+        assert_eq!(hits + containment + misses, lookups);
+        h.shutdown();
+    }
+
+    #[test]
     fn invalidate_endpoint_makes_the_next_query_refetch_over_live_socket() {
         // A resident mediator with the cache on: the first query pays
         // round-trips and fills the answer cache, a repeat pays none, and

@@ -16,210 +16,143 @@
 //! them live off the [`medmaker::Mediator`].
 
 use crate::service::{QueryReply, ReplyStatus};
+use medmaker::metrics::QueryTrace;
 use medmaker::Mediator;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Atomic counters shared by every connection thread.
-#[derive(Debug, Default)]
-pub struct ServerMetrics {
-    queries_total: AtomicU64,
-    queries_ok: AtomicU64,
-    queries_bad: AtomicU64,
-    queries_failed: AtomicU64,
-    queries_shed: AtomicU64,
-    queries_coalesced: AtomicU64,
-    objects_returned: AtomicU64,
-    truncated_replies: AtomicU64,
-    partial_replies: AtomicU64,
-    elapsed_us_total: AtomicU64,
-    executions: AtomicU64,
-    source_calls: AtomicU64,
-    cache_hits: AtomicU64,
-    containment_hits: AtomicU64,
-    retries: AtomicU64,
-    cache_evictions: AtomicU64,
-    cache_warm_hits: AtomicU64,
-    cache_demotions: AtomicU64,
-    invalidations: AtomicU64,
-    entries_invalidated: AtomicU64,
+/// One row per counter of `/metrics`' `server` section, in the order
+/// served: the atomic's field name, the JSON key(s) it is served under
+/// (`KEY / N` serves the count divided by N) and, for an execution-scoped
+/// counter, `<- |trace| …`: what one execution's trace adds to it.
+/// Emitted: the struct, `rows` and [`ServerMetrics::record_trace`].
+macro_rules! counters {
+    ($( $field:ident: $($key:literal $(/ $per:literal)?),+ $(<- $fold:expr)?; )*) => {
+        /// Atomic counters shared by every connection thread.
+        #[derive(Debug, Default)]
+        pub struct ServerMetrics {
+            $( $field: AtomicU64, )*
+        }
+
+        impl ServerMetrics {
+            /// Every `server.*` key with its current value, in order.
+            fn rows(&self) -> Vec<(&'static str, u64)> {
+                vec![ $($( ($key, self.$field.load(Relaxed) $(/ $per)?), )+)* ]
+            }
+
+            /// Fold one execution's trace totals (called once per leader; cache
+            /// evictions are the trace's per-request delta).
+            pub fn record_trace(&self, trace: &QueryTrace) {
+                $($(
+                    let fold: fn(&QueryTrace) -> usize = $fold;
+                    self.$field.fetch_add(fold(trace) as u64, Relaxed);
+                )?)*
+            }
+        }
+    };
+}
+
+/// The total of one per-source count map.
+fn total(counts: &BTreeMap<oem::Symbol, usize>) -> usize {
+    counts.values().sum()
+}
+
+counters! {
+    queries_total: "queries_total";
+    queries_ok: "queries_ok";
+    queries_bad: "queries_bad_query";
+    queries_failed: "queries_failed";
+    queries_shed: "queries_shed";
+    queries_coalesced: "queries_coalesced";
+    objects_returned: "objects_returned";
+    truncated_replies: "truncated_replies";
+    partial_replies: "partial_replies";
+    // The milliseconds are derived, so that replies of a fraction of a
+    // millisecond each still add up.
+    elapsed_us_total: "elapsed_ms_total" / 1000, "elapsed_us_total";
+    executions: "executions" <- |_| 1;
+    source_calls: "source_calls" <- |t| t.total_source_calls();
+    cache_hits: "cache_hits" <- |t| total(&t.cache_hits);
+    containment_hits: "containment_hits" <- |t| total(&t.containment_hits);
+    retries: "retries" <- |t| total(&t.retries);
+    cache_evictions: "cache_evictions" <- |t| t.cache_evictions;
+    cache_warm_hits: "cache_warm_hits" <- |t| t.cache_warm_hits;
+    cache_demotions: "cache_demotions" <- |t| t.cache_demotions;
+    invalidations: "invalidations";
+    entries_invalidated: "entries_invalidated";
 }
 
 impl ServerMetrics {
     /// Fold one reply's request-scoped counters (called for every
     /// requester — leaders, followers, sheds, parse failures).
     pub fn record_reply(&self, reply: &QueryReply) {
-        self.queries_total.fetch_add(1, Ordering::Relaxed);
+        self.queries_total.fetch_add(1, Relaxed);
         let bucket = match reply.status {
             ReplyStatus::Ok => &self.queries_ok,
             ReplyStatus::BadQuery => &self.queries_bad,
             ReplyStatus::Failed => &self.queries_failed,
             ReplyStatus::Shed => &self.queries_shed,
         };
-        bucket.fetch_add(1, Ordering::Relaxed);
+        bucket.fetch_add(1, Relaxed);
         if reply.coalesced {
-            self.queries_coalesced.fetch_add(1, Ordering::Relaxed);
+            self.queries_coalesced.fetch_add(1, Relaxed);
         }
         if reply.truncated {
-            self.truncated_replies.fetch_add(1, Ordering::Relaxed);
+            self.truncated_replies.fetch_add(1, Relaxed);
         }
         if reply.partial.is_some() {
-            self.partial_replies.fetch_add(1, Ordering::Relaxed);
+            self.partial_replies.fetch_add(1, Relaxed);
         }
         self.objects_returned
-            .fetch_add(reply.objects as u64, Ordering::Relaxed);
-        self.elapsed_us_total
-            .fetch_add(reply.elapsed_us, Ordering::Relaxed);
-    }
-
-    /// Fold one execution's trace totals (called once per leader; cache
-    /// evictions are the trace's per-request delta).
-    pub fn record_trace(&self, trace: &medmaker::metrics::QueryTrace) {
-        self.executions.fetch_add(1, Ordering::Relaxed);
-        self.source_calls
-            .fetch_add(trace.total_source_calls() as u64, Ordering::Relaxed);
-        self.cache_hits.fetch_add(
-            trace.cache_hits.values().map(|n| *n as u64).sum(),
-            Ordering::Relaxed,
-        );
-        self.containment_hits.fetch_add(
-            trace.containment_hits.values().map(|n| *n as u64).sum(),
-            Ordering::Relaxed,
-        );
-        self.retries.fetch_add(
-            trace.retries.values().map(|n| *n as u64).sum(),
-            Ordering::Relaxed,
-        );
-        self.cache_evictions
-            .fetch_add(trace.cache_evictions as u64, Ordering::Relaxed);
-        self.cache_warm_hits
-            .fetch_add(trace.cache_warm_hits as u64, Ordering::Relaxed);
-        self.cache_demotions
-            .fetch_add(trace.cache_demotions as u64, Ordering::Relaxed);
+            .fetch_add(reply.objects as u64, Relaxed);
+        self.elapsed_us_total.fetch_add(reply.elapsed_us, Relaxed);
     }
 
     /// Fold one `POST /invalidate` call that dropped `entries` cached
     /// answers.
     pub fn record_invalidation(&self, entries: usize) {
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-        self.entries_invalidated
-            .fetch_add(entries as u64, Ordering::Relaxed);
+        self.invalidations.fetch_add(1, Relaxed);
+        self.entries_invalidated.fetch_add(entries as u64, Relaxed);
     }
 
     /// Executions run so far (excludes coalesced followers and sheds).
     pub fn executions(&self) -> u64 {
-        self.executions.load(Ordering::Relaxed)
+        self.executions.load(Relaxed)
     }
 
     /// Requests shed by admission control so far.
     pub fn shed(&self) -> u64 {
-        self.queries_shed.load(Ordering::Relaxed)
+        self.queries_shed.load(Relaxed)
     }
 
     /// Requests answered by coalescing onto another execution so far.
     pub fn coalesced(&self) -> u64 {
-        self.queries_coalesced.load(Ordering::Relaxed)
+        self.queries_coalesced.load(Relaxed)
     }
 
     /// The `/metrics` document: `server` (accumulated per-request and
-    /// per-execution counters) and `mediator` (live process-wide gauges).
+    /// per-execution counters) and `mediator` (live process-wide gauges:
+    /// the cache's own listing, then the learned-statistics count).
     pub fn snapshot(&self, mediator: &Mediator, uptime_ms: u64) -> serde::Value {
-        let n = |a: &AtomicU64| serde::Value::Int(a.load(Ordering::Relaxed) as i64);
-        let elapsed_us = self.elapsed_us_total.load(Ordering::Relaxed) as i64;
-        let cache = mediator.cache_counters();
-        serde::Value::Object(vec![
-            ("uptime_ms".to_string(), serde::Value::Int(uptime_ms as i64)),
-            (
-                "server".to_string(),
-                serde::Value::Object(vec![
-                    ("queries_total".to_string(), n(&self.queries_total)),
-                    ("queries_ok".to_string(), n(&self.queries_ok)),
-                    ("queries_bad_query".to_string(), n(&self.queries_bad)),
-                    ("queries_failed".to_string(), n(&self.queries_failed)),
-                    ("queries_shed".to_string(), n(&self.queries_shed)),
-                    ("queries_coalesced".to_string(), n(&self.queries_coalesced)),
-                    ("objects_returned".to_string(), n(&self.objects_returned)),
-                    ("truncated_replies".to_string(), n(&self.truncated_replies)),
-                    ("partial_replies".to_string(), n(&self.partial_replies)),
-                    // Derived, so that replies of a fraction of a
-                    // millisecond each still add up.
-                    (
-                        "elapsed_ms_total".to_string(),
-                        serde::Value::Int(elapsed_us / 1000),
-                    ),
-                    (
-                        "elapsed_us_total".to_string(),
-                        serde::Value::Int(elapsed_us),
-                    ),
-                    ("executions".to_string(), n(&self.executions)),
-                    ("source_calls".to_string(), n(&self.source_calls)),
-                    ("cache_hits".to_string(), n(&self.cache_hits)),
-                    ("containment_hits".to_string(), n(&self.containment_hits)),
-                    ("retries".to_string(), n(&self.retries)),
-                    ("cache_evictions".to_string(), n(&self.cache_evictions)),
-                    ("cache_warm_hits".to_string(), n(&self.cache_warm_hits)),
-                    ("cache_demotions".to_string(), n(&self.cache_demotions)),
-                    ("invalidations".to_string(), n(&self.invalidations)),
-                    (
-                        "entries_invalidated".to_string(),
-                        n(&self.entries_invalidated),
-                    ),
-                ]),
-            ),
-            (
-                "mediator".to_string(),
-                serde::Value::Object(vec![
-                    (
-                        "cache_hits".to_string(),
-                        serde::Value::Int(cache.hits as i64),
-                    ),
-                    (
-                        "cache_misses".to_string(),
-                        serde::Value::Int(cache.misses as i64),
-                    ),
-                    (
-                        "cache_evictions".to_string(),
-                        serde::Value::Int(cache.evictions as i64),
-                    ),
-                    (
-                        "cache_bytes".to_string(),
-                        serde::Value::Int(cache.bytes_cached as i64),
-                    ),
-                    (
-                        "cache_warm_hits".to_string(),
-                        serde::Value::Int(cache.warm_hits as i64),
-                    ),
-                    (
-                        "cache_objects_examined".to_string(),
-                        serde::Value::Int(cache.objects_examined as i64),
-                    ),
-                    (
-                        "cache_warm_entries".to_string(),
-                        serde::Value::Int(cache.warm_entries as i64),
-                    ),
-                    (
-                        "cache_warm_bytes".to_string(),
-                        serde::Value::Int(cache.warm_bytes as i64),
-                    ),
-                    (
-                        "cache_demotions".to_string(),
-                        serde::Value::Int(cache.demotions as i64),
-                    ),
-                    (
-                        "cache_promotions".to_string(),
-                        serde::Value::Int(cache.promotions as i64),
-                    ),
-                    (
-                        "cache_compactions".to_string(),
-                        serde::Value::Int(cache.compactions as i64),
-                    ),
-                    (
-                        "stats_observations".to_string(),
-                        serde::Value::Int(mediator.stats_observations() as i64),
-                    ),
-                ]),
-            ),
+        let gauges = mediator.cache_counters().metrics();
+        let gauges = gauges.into_iter().map(|(key, n)| (key, n as u64));
+        let learned = ("stats_observations", mediator.stats_observations());
+        serde::object([
+            ("uptime_ms", serde::Value::Int(uptime_ms as i64)),
+            ("server", section(self.rows())),
+            ("mediator", section(gauges.chain([learned]))),
         ])
     }
+}
+
+/// One section of the `/metrics` document: an object of integer counts.
+fn section(rows: impl IntoIterator<Item = (&'static str, u64)>) -> serde::Value {
+    let pairs = rows.into_iter();
+    serde::Value::Object(
+        pairs
+            .map(|(key, n)| (key.to_string(), serde::Value::Int(n as i64)))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -227,6 +160,12 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use wrappers::scenario::{cs_wrapper, whois_wrapper, MS1};
+
+    /// The keys of a JSON object, in the order they were written.
+    fn keys(v: &serde::Value) -> Vec<&str> {
+        let pairs = v.as_object().expect("a JSON object");
+        pairs.iter().map(|(k, _)| k.as_str()).collect()
+    }
 
     fn ms1() -> Mediator {
         Mediator::new(
@@ -242,10 +181,6 @@ mod tests {
     fn metrics_key_sequences_are_pinned() {
         // Golden: the `/metrics` document's keys, in order. Dashboards key
         // on these names; a rename or a dropped gauge must show up here.
-        fn keys(v: &serde::Value) -> Vec<&str> {
-            let pairs = v.as_object().expect("a JSON object");
-            pairs.iter().map(|(k, _)| k.as_str()).collect()
-        }
         let snapshot = ServerMetrics::default().snapshot(&ms1(), 7);
         assert_eq!(keys(&snapshot), ["uptime_ms", "server", "mediator"]);
         assert_eq!(
@@ -278,9 +213,11 @@ mod tests {
             keys(snapshot.get("mediator").unwrap()),
             [
                 "cache_hits",
+                "cache_containment_hits",
                 "cache_misses",
                 "cache_evictions",
                 "cache_bytes",
+                "cache_entries",
                 "cache_warm_hits",
                 "cache_objects_examined",
                 "cache_warm_entries",
@@ -291,6 +228,102 @@ mod tests {
                 "stats_observations",
             ]
         );
+    }
+
+    #[test]
+    fn docs_name_every_declared_metric() {
+        // DESIGN.md §6.1 / §6.2 / §11.5 and docs/OPERATIONS.md restate
+        // the declarations; this holds them to it (the shape of `perf`'s
+        // catalog ↔ BENCHMARK.json test). A counter added to a `record!`,
+        // to `counters!` or to `CacheCounters::metrics` fails here until
+        // the two files name it.
+        use medmaker::metrics::{
+            Field, NodeMetrics, NodeTrace, Observation, QueryTrace, RuleTrace,
+        };
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let read = |file: &str| std::fs::read_to_string(format!("{root}/{file}")).expect(file);
+        let design = read("DESIGN.md");
+        let operations = read("docs/OPERATIONS.md");
+        let between = |text: &str, from: &str, to: &str| -> String {
+            let start = text.find(from).unwrap_or_else(|| panic!("no {from:?}"));
+            let len = text[start..]
+                .find(to)
+                .unwrap_or_else(|| panic!("no {to:?}"));
+            text[start..start + len].to_string()
+        };
+
+        // §6.1: one table per record, one row per field, in order, an
+        // optional field's row saying what it is absent before.
+        let records: [(&str, &[Field]); 5] = [
+            ("NodeMetrics", NodeMetrics::FIELDS),
+            ("NodeTrace", NodeTrace::FIELDS),
+            ("RuleTrace", RuleTrace::FIELDS),
+            ("Observation", Observation::FIELDS),
+            ("QueryTrace", QueryTrace::FIELDS),
+        ];
+        let taxonomy = between(&design, "### 6.1 Metric taxonomy", "### 6.2");
+        for (record, fields) in records {
+            let heading = format!("#### `{record}`");
+            let table = taxonomy.lines().skip_while(|l| !l.starts_with(&heading));
+            let table = table.skip(1).take_while(|l| !l.starts_with("#### "));
+            let rows: Vec<&str> = table.filter(|l| l.starts_with("| `")).collect();
+            let named: Vec<&str> = rows
+                .iter()
+                .map(|r| r[3..].split('`').next().unwrap())
+                .collect();
+            let declared: Vec<&str> = fields.iter().map(|f| f.name).collect();
+            assert_eq!(named, declared, "DESIGN.md §6.1, the `{record}` table");
+            for (row, field) in rows.iter().zip(fields) {
+                let says = row
+                    .split("absent before ")
+                    .nth(1)
+                    .map(|rest| rest.trim_end_matches(" |"));
+                assert_eq!(
+                    says, field.absent_before,
+                    "DESIGN.md §6.1, `{record}`.`{}`",
+                    field.name
+                );
+            }
+        }
+
+        // §6.2: the sample is a whole trace — every key of every record.
+        let sample = between(&design, "### 6.2 QueryTrace JSON schema", "### 6.3");
+        let sample = between(&sample, "```json\n", "\n```").replacen("```json\n", "", 1);
+        let sample: serde::Value = serde_json::from_str(&sample).expect("§6.2's sample is JSON");
+        let first =
+            |v: &serde::Value, key: &str| v.get(key).unwrap().as_array().unwrap()[0].clone();
+        let rule = first(&sample, "rules");
+        let node = first(&rule, "nodes");
+        for ((record, fields), v) in records.iter().zip([
+            node.get("metrics").unwrap().clone(),
+            node,
+            rule,
+            first(&sample, "observations"),
+            sample.clone(),
+        ]) {
+            let declared: Vec<&str> = fields.iter().map(|f| f.name).collect();
+            assert_eq!(keys(&v), declared, "DESIGN.md §6.2, the `{record}` object");
+        }
+        let parsed: QueryTrace = serde::Deserialize::from_value(&sample).expect("§6.2 parses");
+        assert_eq!(parsed.result_count, 1);
+
+        // §11.5 and the operations guide name every `/metrics` key.
+        let snapshot = ServerMetrics::default().snapshot(&ms1(), 0);
+        let serving = between(&design, "### 11.5", "### 11.6");
+        let monitoring = between(&operations, "## Monitoring", "## Stopping");
+        for section in ["server", "mediator"] {
+            for key in keys(snapshot.get(section).unwrap()) {
+                let quoted = format!("`{key}`");
+                assert!(
+                    serving.contains(&quoted),
+                    "DESIGN.md §11.5 lacks {section}.{key}"
+                );
+                assert!(
+                    monitoring.contains(&quoted),
+                    "OPERATIONS.md lacks {section}.{key}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -81,6 +81,9 @@ echo "$RES" | grep -q "Joe Chung" || fail "line protocol answer" "$RES"
 RES="$(http 'GET /metrics HTTP/1.1\r\nHost: smoke\r\n\r\n')"
 echo "$RES" | grep -q '"queries_total": 2' || fail "/metrics queries_total != 2" "$RES"
 echo "$RES" | grep -q '"queries_ok": 2' || fail "/metrics queries_ok != 2" "$RES"
+# The cache's hit ratio needs all three of hits, containment hits, misses.
+echo "$RES" | grep -q '"cache_containment_hits": ' ||
+  fail "/metrics lacks mediator.cache_containment_hits" "$RES"
 
 # Delta-driven invalidation: the CLI client POSTs /invalidate. It is not
 # a query, so queries_total above stays at 2; the invalidation counters
