@@ -113,7 +113,7 @@ fn render_value(v: &BoundValue, store: &ObjectStore) -> String {
     match v {
         BoundValue::Atom(a) => a.render_atomic(),
         BoundValue::Obj(id) => match store.try_get(*id) {
-            Some(obj) => format!("x{}", obj.oid),
+            Some(_) => format!("x{}", store.oid_display(*id)),
             None => format!("{id}"),
         },
         BoundValue::ObjSet(ids) => {

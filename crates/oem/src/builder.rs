@@ -157,8 +157,8 @@ mod tests {
         let b = ObjectBuilder::atom_obj("name", "Tom")
             .oid("n2")
             .build(&mut s);
-        assert_eq!(s.get(a).oid, sym("n1"));
-        assert_eq!(s.get(b).oid, sym("n2"));
+        assert_eq!(s.oid(a), sym("n1"));
+        assert_eq!(s.oid(b), sym("n2"));
         assert_eq!(s.by_oid(sym("n1")), Some(a));
     }
 

@@ -105,7 +105,7 @@ mod tests {
         let mut dst = ObjectStore::with_oid_prefix("m");
         let copied = deep_copy(&src, root, &mut dst);
         assert!(struct_eq_cross(&src, root, &dst, copied));
-        assert_eq!(dst.get(copied).oid, sym("m1"));
+        assert_eq!(dst.oid(copied), sym("m1"));
     }
 
     #[test]
@@ -180,7 +180,7 @@ mod tests {
             .unwrap();
         let root = src.by_oid(sym("&same")).unwrap();
         let copied = deep_copy(&src, root, &mut dst);
-        assert_ne!(dst.get(copied).oid, sym("&same"));
+        assert_ne!(dst.oid(copied), sym("&same"));
         dst.validate().unwrap();
     }
 }

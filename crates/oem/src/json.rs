@@ -115,25 +115,19 @@ impl serde::Deserialize for JsonStore {
 pub fn export(store: &ObjectStore) -> JsonStore {
     let objects = store
         .iter()
-        .map(|(_, obj)| JsonObject {
-            oid: obj.oid,
+        .map(|(id, obj)| JsonObject {
+            oid: store.oid(id),
             label: obj.label,
             value: match &obj.value {
                 Value::Str(s) => JsonValue::Str(s.as_str()),
                 Value::Int(i) => JsonValue::Int(*i),
                 Value::RealBits(b) => JsonValue::Real(f64::from_bits(*b)),
                 Value::Bool(b) => JsonValue::Bool(*b),
-                Value::Set(kids) => {
-                    JsonValue::Set(kids.iter().map(|&k| store.get(k).oid).collect())
-                }
+                Value::Set(kids) => JsonValue::Set(kids.iter().map(|&k| store.oid(k)).collect()),
             },
         })
         .collect();
-    let top_level = store
-        .top_level()
-        .iter()
-        .map(|&t| store.get(t).oid)
-        .collect();
+    let top_level = store.top_level().iter().map(|&t| store.oid(t)).collect();
     JsonStore { objects, top_level }
 }
 

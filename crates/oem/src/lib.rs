@@ -60,7 +60,7 @@ pub mod value;
 
 pub use builder::ObjectBuilder;
 pub use error::{OemError, Result};
-pub use store::{ObjId, ObjectStore, OemObject};
+pub use store::{ObjId, ObjectStore, OemObject, Oid};
 pub use symbol::Symbol;
 pub use value::{OemType, Value};
 

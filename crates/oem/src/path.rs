@@ -248,7 +248,7 @@ pub fn gc(store: &ObjectStore) -> ObjectStore {
             atomic => atomic.clone(),
         };
         let new = out
-            .insert(obj.oid, obj.label, value)
+            .insert(store.oid(id), obj.label, value)
             .expect("oids unique within the source store");
         map.insert(id, new);
     }

@@ -5,19 +5,13 @@
 //! only the oid reference inside their `{...}` — exactly matching how
 //! Figures 2.2/2.3/2.4 present object structures.
 
-use crate::store::{ObjId, ObjectStore};
+use crate::store::{FxSet, ObjId, ObjectStore};
 use crate::value::Value;
-use std::collections::HashSet;
 use std::fmt::Write;
 
 /// Render every top-level structure of the store.
 pub fn print_store(store: &ObjectStore) -> String {
-    let mut out = String::new();
-    let mut printed: HashSet<ObjId> = HashSet::new();
-    for &t in store.top_level() {
-        print_rec(store, t, 0, &mut printed, &mut out);
-    }
-    out
+    print_store_limit(store, usize::MAX)
 }
 
 /// Render at most `max` top-level structures — the serving layer's row
@@ -26,7 +20,7 @@ pub fn print_store(store: &ObjectStore) -> String {
 /// capped answer is literally a prefix of the full one.
 pub fn print_store_limit(store: &ObjectStore, max: usize) -> String {
     let mut out = String::new();
-    let mut printed: HashSet<ObjId> = HashSet::new();
+    let mut printed = FxSet::default();
     for &t in store.top_level().iter().take(max) {
         print_rec(store, t, 0, &mut printed, &mut out);
     }
@@ -36,29 +30,41 @@ pub fn print_store_limit(store: &ObjectStore, max: usize) -> String {
 /// Render one structure rooted at `id`.
 pub fn print_object(store: &ObjectStore, id: ObjId) -> String {
     let mut out = String::new();
-    print_rec(store, id, 0, &mut HashSet::new(), &mut out);
+    print_rec(store, id, 0, &mut FxSet::default(), &mut out);
     out
 }
 
 /// One-line header of an object: `<&p1, person, set, {&n1,&d1}>` or
 /// `<&n1, name, string, 'Joe Chung'>`.
 pub fn object_line(store: &ObjectStore, id: ObjId) -> String {
+    let mut out = String::new();
+    write_object_line(store, id, &mut out);
+    out
+}
+
+/// Append [`object_line`]'s text to `out`.
+fn write_object_line(store: &ObjectStore, id: ObjId, out: &mut String) {
     let obj = store.get(id);
+    let _ = write!(out, "<&{}, {}, ", store.oid_display(id), obj.label);
     match &obj.value {
         Value::Set(children) => {
-            let refs: Vec<String> = children
-                .iter()
-                .map(|c| format!("&{}", store.get(*c).oid))
-                .collect();
-            format!("<&{}, {}, set, {{{}}}>", obj.oid, obj.label, refs.join(","))
+            out.push_str("set, {");
+            for (i, &c) in children.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "&{}", store.oid_display(c));
+            }
+            out.push_str("}>");
         }
-        atomic => format!(
-            "<&{}, {}, {}, {}>",
-            obj.oid,
-            obj.label,
-            atomic.oem_type().keyword(),
-            atomic.render_atomic()
-        ),
+        atomic => {
+            let _ = write!(
+                out,
+                "{}, {}>",
+                atomic.oem_type().keyword(),
+                atomic.render_atomic()
+            );
+        }
     }
 }
 
@@ -66,11 +72,14 @@ fn print_rec(
     store: &ObjectStore,
     id: ObjId,
     indent: usize,
-    printed: &mut HashSet<ObjId>,
+    printed: &mut FxSet<ObjId>,
     out: &mut String,
 ) {
-    let pad = "  ".repeat(indent);
-    let _ = writeln!(out, "{pad}{}", object_line(store, id));
+    for _ in 0..indent {
+        out.push_str("  ");
+    }
+    write_object_line(store, id, out);
+    out.push('\n');
     if !printed.insert(id) {
         return;
     }
@@ -87,15 +96,15 @@ fn print_rec(
 /// render as `&oid`).
 pub fn compact(store: &ObjectStore, id: ObjId) -> String {
     let mut out = String::new();
-    let mut on_path = HashSet::new();
+    let mut on_path = FxSet::default();
     compact_rec(store, id, &mut on_path, &mut out);
     out
 }
 
-fn compact_rec(store: &ObjectStore, id: ObjId, on_path: &mut HashSet<ObjId>, out: &mut String) {
+fn compact_rec(store: &ObjectStore, id: ObjId, on_path: &mut FxSet<ObjId>, out: &mut String) {
     let obj = store.get(id);
     if !on_path.insert(id) {
-        let _ = write!(out, "&{}", obj.oid);
+        let _ = write!(out, "&{}", store.oid_display(id));
         return;
     }
     match &obj.value {
@@ -170,7 +179,7 @@ mod tests {
         // The address body must appear exactly once.
         assert_eq!(text.matches("'Gates'").count(), 1);
         // But its oid is referenced by both parents.
-        let oid = s.get(shared).oid.as_str();
+        let oid = s.oid(shared).as_str();
         assert_eq!(text.matches(&format!("{{&{oid}}}")).count(), 2);
     }
 
