@@ -7,7 +7,7 @@
 //! Usage: `cargo run -p medmaker-bench --bin experiments -- <id|all>`
 //! where `<id>` is one of: architecture fig22 fig23 ms1 bindings fig24
 //! pipeline theta1 pushdown fig36 schema_query wildcard fusion recursion
-//! dupelim capabilities stats analyze lorel faults cache cache_tiered
+//! dupelim capabilities stats analyze prune lorel faults cache cache_tiered
 //! cost streaming serve
 
 use engine::bindings::Bindings;
@@ -49,6 +49,7 @@ fn main() {
         ("capabilities", capabilities),
         ("stats", stats),
         ("analyze", analyze),
+        ("prune", prune),
         ("lorel", lorel_frontend),
         ("faults", faults),
         ("cache", cache),
@@ -468,6 +469,97 @@ fn analyze() {
         );
     }
     println!("[ok] every node annotated with observed cardinality and timing");
+}
+
+/// Chains the sources' own schemas prove empty: VE&AO (§3.2) rewrites a
+/// name lookup into one rule per place the condition can land — MS1's head,
+/// whois's `Rest1`, cs's `Rest2` — and cs exports rows whose subobjects are
+/// exactly its columns, none of them `name` (§2). The planner drops that
+/// rule before any source is called. Counted against the same mediator
+/// with pruning off (statistics not learned, so both plan alike): fewer
+/// round-trips, the same bytes.
+fn prune() {
+    use wrappers::workload::PersonWorkload;
+    let build = |prune_infeasible: bool| {
+        let (whois, cs) = PersonWorkload::sized(200).build();
+        Mediator::new_with_options(
+            "med",
+            MS1,
+            vec![Arc::new(whois), Arc::new(cs)],
+            registry(),
+            MediatorOptions {
+                planner: PlannerOptions {
+                    prune_infeasible,
+                    ..Default::default()
+                },
+                learn_stats: false,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    };
+    // Per source, in name order: (round-trips, objects exported).
+    let traffic = |med: &Mediator| -> Vec<(usize, usize)> {
+        med.wrapper_metrics()
+            .into_iter()
+            .map(|(_, m)| (m.queries_received, m.objects_exported))
+            .collect()
+    };
+    // (name, answers, [cs, whois] traffic pruning on, the same pruning off):
+    // the dead chain asks cs once, and cs has nothing for it.
+    let expected = [
+        (
+            "Joe Chung".to_string(),
+            0,
+            [(0, 0), (2, 0)],
+            [(1, 0), (2, 0)],
+        ),
+        (
+            PersonWorkload::full_name_of(3),
+            1,
+            [(1, 200), (2, 1)],
+            [(2, 200), (2, 1)],
+        ),
+    ];
+    for (name, answers, with, without) in expected {
+        let text = format!("P :- P:<cs_person {{<name '{name}'>}}>@med");
+        let (on, off) = (build(true), build(false));
+        let q = msl::parse_query(&text).unwrap();
+        assert_eq!(on.expand(&q).unwrap().rules.len(), 3, "{text}");
+        let explained = on.explain_text(&text, false).unwrap();
+        let pruned: Vec<&str> = explained
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("[pruned] "))
+            .collect();
+        assert_eq!(
+            pruned,
+            ["source 'cs' produces no subobject labeled 'name' here"],
+            "{explained}"
+        );
+        let (a, b) = (on.query_rule(&q).unwrap(), off.query_rule(&q).unwrap());
+        assert_eq!(
+            print_store(&a.results),
+            print_store(&b.results),
+            "{text}: byte-identical answers"
+        );
+        assert_eq!(a.results.top_level().len(), answers, "{text}");
+        assert_eq!((a.trace.rules.len(), b.trace.rules.len()), (2, 3));
+        assert_eq!(
+            (traffic(&on), traffic(&off)),
+            (with.to_vec(), without.to_vec())
+        );
+        println!(
+            "{text}: 3 rules, 1 pruned ({}), {answers} object(s)",
+            pruned[0]
+        );
+        println!(
+            "  (round-trips, objects exported) cs, whois: pruning on {with:?}, off {without:?}"
+        );
+    }
+    println!(
+        "[ok] the rule asking cs for a `name` column is pruned before any source \
+         is called; one cs round-trip fewer, byte-identical answers"
+    );
 }
 
 /// Fault tolerance: the Figure 3.6 scenario re-run with the whois source

@@ -445,8 +445,12 @@ pub fn rule_diagnostics(
     }
 }
 
-/// Planner-facing variant: does this (logical, post-expansion) rule have a
-/// provable type conflict against the source summaries? Returns the reason.
+/// Planner-facing variant: does this (logical, post-expansion) rule
+/// provably match nothing at its sources? Returns the reason: a type
+/// conflict (`E301`), or a label the rule requires that a *closed* summary
+/// lacks (`W301`'s message) — a closed summary lists every label its
+/// source exports, so a pattern, set element or rest condition on any
+/// other label never matches. At the spec level `W301` stays a warning.
 pub fn rule_type_conflict(
     rule: &Rule,
     mediator: Symbol,
@@ -460,12 +464,16 @@ pub fn rule_type_conflict(
     if let Some(d) = diags.iter().find(|d| d.is_error()) {
         return Some(d.message.clone());
     }
-    first_conflict(&occurrences).map(|(a, b)| {
-        format!(
+    if let Some((a, b)) = first_conflict(&occurrences) {
+        return Some(format!(
             "join variable '{}' has incompatible types: {} ({}) and {} ({})",
             a.var, a.ty, a.what, b.ty, b.what
-        )
-    })
+        ));
+    }
+    diags
+        .into_iter()
+        .find(|d| d.code == codes::UNKNOWN_LABEL)
+        .map(|d| d.message)
 }
 
 // ---------------------------------------------------------------------------
@@ -610,6 +618,49 @@ mod tests {
         let (diags, _) =
             analyze("<v {<f F>}> :- <R {<first_name F>}>@cs AND <person {<relation R>}>@whois\n");
         assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn a_label_a_closed_summary_lacks_proves_a_rule_empty() {
+        let mut sources = scenario_sources();
+        let empty = wrappers::SemiStructuredWrapper::new("blank", oem::ObjectStore::new());
+        sources.insert(sym("blank"), SourceInfo::of_wrapper(&empty));
+        sources.insert(
+            sym("dark"),
+            SourceInfo {
+                caps: wrappers::Capabilities::full(),
+                summary: None,
+            },
+        );
+        let reason =
+            |text: &str| rule_type_conflict(&msl::parse_rule(text).unwrap(), sym("med"), &sources);
+        // A rest condition, a set element and a top-level pattern.
+        assert_eq!(
+            reason("X :- X:<R {<first_name F> | Rest2:{<name 'Joe'>}}>@cs").as_deref(),
+            Some("source 'cs' produces no subobject labeled 'name' here")
+        );
+        assert_eq!(
+            reason("X :- X:<person {<title T>}>@whois").as_deref(),
+            Some("source 'whois' produces no subobject labeled 'title' here")
+        );
+        assert_eq!(
+            reason("X :- X:<persom {}>@whois").as_deref(),
+            Some("source 'whois' produces no top-level object labeled 'persom'")
+        );
+        // A type conflict keeps its own reason.
+        assert!(reason("X :- X:<student {<year 'three'> <nmae N>}>@cs")
+            .unwrap()
+            .contains("never match"));
+        // No claim: a label variable over the union of cs's tables (only
+        // `student` has `year`), a wildcard, an open summary, no summary.
+        for text in [
+            "X :- X:<R {<first_name F> | Rest2:{<year 3>}}>@cs",
+            "X :- X:<person {* <title T>}>@whois",
+            "X :- X:<person {<title T>}>@blank",
+            "X :- X:<person {<title T>}>@dark",
+        ] {
+            assert_eq!(reason(text), None, "{text}");
+        }
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!    did-you-mean edit-distance hint), dead views that can never derive
 //!    an object (`W302`), and statically unanswerable views whose
 //!    answerability matrix is empty (`E302`).
-//! 4. **Planner integration** (`answer`): the planner consults
-//!    [`SpecAnalysis::rule_infeasible`] to prune provably-empty or
-//!    capability-infeasible chains before execution.
+//! 4. **Planner integration** (`infer`, `answer`): the planner consults
+//!    [`SpecAnalysis::rule_infeasible`] to prune provably-empty chains (a
+//!    type conflict, a label a closed summary lacks) and
+//!    capability-infeasible ones before execution.
 //!
 //! The per-view **answerability matrix** records which bound/free
 //! adornments of a view's attributes are feasible given the sources'
@@ -90,9 +91,9 @@ impl SpecAnalysis {
     }
 
     /// If this (logical, post-expansion) rule provably produces nothing —
-    /// a type conflict against the source summaries, or a source whose
-    /// required conditions no evaluation order can satisfy — the reason.
-    /// The planner prunes such chains.
+    /// a type conflict against the source summaries, a label a closed
+    /// summary lacks, or a source whose required conditions no evaluation
+    /// order can satisfy — the reason. The planner prunes such chains.
     pub fn rule_infeasible(&self, rule: &msl::Rule) -> Option<String> {
         if let Some(reason) = infer::rule_type_conflict(rule, self.mediator, &self.sources) {
             return Some(reason);

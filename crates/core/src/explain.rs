@@ -23,7 +23,8 @@ pub fn render_logical(program: &LogicalProgram) -> String {
 }
 
 /// Render a physical plan as a per-rule chain of operators (Figure 3.6's
-/// graph, flattened).
+/// graph, flattened), then one `[pruned]` line per chain the analysis
+/// proved empty.
 pub fn render_plan(plan: &PhysicalPlan) -> String {
     let mut out = String::new();
     for (i, rule) in plan.rules.iter().enumerate() {
@@ -36,6 +37,9 @@ pub fn render_plan(plan: &PhysicalPlan) -> String {
             "  [constructor] cp = {}",
             msl::printer::head(&rule.head)
         );
+    }
+    for reason in &plan.pruned {
+        let _ = writeln!(out, "  [pruned] {reason}");
     }
     if plan.dedup_results {
         let _ = writeln!(out, "  [result dup elim] structural");
@@ -66,7 +70,8 @@ pub fn render_execution(plan: &PhysicalPlan, outcome: &ExecOutcome) -> String {
 /// Render the executed plan EXPLAIN ANALYZE-style: every node annotated
 /// with its observed row counts, the optimizer's estimate (and the drift
 /// between the two), source round-trips, bindings produced, dedup hits,
-/// and per-node wall time, followed by mediator-level totals.
+/// and per-node wall time, then the pruned chains' reasons, followed by
+/// mediator-level totals.
 pub fn render_analyze(plan: &PhysicalPlan, outcome: &ExecOutcome) -> String {
     use crate::metrics::format_ns;
     let trace = &outcome.trace;
@@ -142,6 +147,9 @@ pub fn render_analyze(plan: &PhysicalPlan, outcome: &ExecOutcome) -> String {
             msl::printer::head(&rule.head),
             rt.constructed
         );
+    }
+    for reason in &plan.pruned {
+        let _ = writeln!(out, "[pruned] {reason}");
     }
     let _ = writeln!(out, "=== totals ===");
     let _ = writeln!(
@@ -683,6 +691,39 @@ mod tests {
         .map(|line| format!("{line}\n"))
         .concat();
         assert_eq!(render_analyze(&plan, &outcome), expected);
+    }
+
+    #[test]
+    fn both_renderers_name_the_pruned_chain() {
+        // The point query expands to three rules; the one asking cs's
+        // rows for a `name` column is proved empty and printed as such.
+        let med = crate::Mediator::new(
+            "med",
+            MS1,
+            vec![Arc::new(whois_wrapper()), Arc::new(cs_wrapper())],
+            standard_registry(),
+        )
+        .unwrap();
+        let pruned_lines = |report: &str| -> Vec<String> {
+            report
+                .lines()
+                .filter(|l| l.contains("[pruned]"))
+                .map(|l| l.trim().to_string())
+                .collect()
+        };
+        let expected = ["[pruned] source 'cs' produces no subobject labeled 'name' here"];
+        let point = "JC :- JC:<cs_person {<name 'Joe Chung'>}>@med";
+        let plan_text = med.explain_text(point, false).unwrap();
+        assert!(plan_text.contains("(R3)"), "{plan_text}");
+        assert_eq!(pruned_lines(&plan_text), expected, "{plan_text}");
+        assert!(!plan_text.contains("rule R3"), "{plan_text}");
+        let (report, trace) = med.explain_analyze(point).unwrap();
+        assert_eq!(pruned_lines(&report), expected, "{report}");
+        assert_eq!((trace.rules.len(), trace.result_count), (2, 1));
+        // Nothing pruned, nothing printed.
+        let year = "S :- S:<cs_person {<year 3>}>@med";
+        assert!(pruned_lines(&med.explain_text(year, false).unwrap()).is_empty());
+        assert!(pruned_lines(&med.explain_analyze(year).unwrap().0).is_empty());
     }
 
     #[test]

@@ -51,10 +51,10 @@ pub struct PlannerOptions {
     /// most-conditions-first heuristic.
     pub use_stats: bool,
     /// Prune chains [`crate::analysis::SpecAnalysis::rule_infeasible`]
-    /// proves empty (type-mismatched joins, unsatisfiable required
-    /// conditions) instead of executing them. Requires
-    /// [`PlanContext::analysis`]; pruning never changes answers, only
-    /// skips provably-empty work.
+    /// proves empty (type-mismatched joins, labels a closed summary lacks,
+    /// unsatisfiable required conditions) instead of executing them.
+    /// Requires [`PlanContext::analysis`]; pruning never changes answers,
+    /// only skips provably-empty work.
     pub prune_infeasible: bool,
     /// How join orders are searched (and which cost model scores them).
     pub enumeration: JoinEnumeration,

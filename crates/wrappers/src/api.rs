@@ -124,6 +124,14 @@ pub trait Wrapper: Send + Sync {
     /// types), for the mediator's whole-spec static analysis. `None` for
     /// sources whose shape is unknown — the analysis then assumes nothing
     /// about them.
+    ///
+    /// A *closed* summary (or closed level of one) is a promise that holds
+    /// for as long as the wrapper is registered: every label the source
+    /// exports there is listed, with its value type. The planner drops
+    /// chains on it without calling the source — a condition whose type
+    /// conflicts with the summary, and a label the summary lacks. A source
+    /// whose shape can change under a live mediator returns an open
+    /// summary or `None`.
     fn schema_summary(&self) -> Option<crate::summary::SchemaSummary> {
         None
     }

@@ -159,7 +159,10 @@ pub struct SchemaSummary {
 impl SchemaSummary {
     /// The summary of a relational catalog: one top-level (set-valued)
     /// label per table, one atomic child per column. Exact and closed —
-    /// relational sources export precisely their schema.
+    /// relational sources export precisely their schema. Closed is a
+    /// promise (see [`crate::Wrapper::schema_summary`]): the planner prunes
+    /// chains asking for a table or column not listed here, so the catalog
+    /// must not gain one while the wrapper is registered.
     pub fn from_catalog(catalog: &Catalog) -> SchemaSummary {
         let mut labels = BTreeMap::new();
         for table in catalog.tables() {
@@ -189,7 +192,12 @@ impl SchemaSummary {
     /// to a depth cap) its subobject labels. Closed with respect to the
     /// data the source holds *now* — except that a store that is empty
     /// right now summarizes as *open* (its future shape is unknown, so
-    /// absence proves nothing).
+    /// absence proves nothing). Closed is a promise (see
+    /// [`crate::Wrapper::schema_summary`]) that the planner prunes chains
+    /// on. It holds for a [`crate::semistructured::SemiStructuredSource`]:
+    /// once registered with a mediator, behind an `Arc<dyn Wrapper>`,
+    /// nothing can reach its store mutably. A wrapper whose store can
+    /// change while it is registered must not return this summary as is.
     pub fn from_store(store: &ObjectStore) -> SchemaSummary {
         let mut labels = BTreeMap::new();
         for &t in store.top_level() {

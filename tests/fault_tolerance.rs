@@ -494,14 +494,17 @@ fn students(f: &Fanout) -> medmaker::Result<ExecOutcome> {
 
 #[test]
 fn a_value_set_is_one_call_to_every_decorator() {
-    // One tuple a call: 2 whois + 21 cs round-trips, twenty of them the
+    // One chain runs: MS1's `<rel 'student'>` lookup also expands into a
+    // chain asking whois's `Rest1` and one asking cs's `Rest2` for a `rel`
+    // subobject, and neither source has such a label, so both are pruned.
+    // One tuple a call: 1 whois + 20 cs round-trips, all of cs's the
     // parameterized node's.
     let per_tuple = fanout(false, FaultPlan::none(), FaultOptions::default(), false);
     let expected = students(&per_tuple).unwrap();
     assert_eq!(expected.results.top_level().len(), 20);
     assert_eq!(
         (per_tuple.whois.calls_seen(), per_tuple.cs.calls_seen()),
-        (2, 21)
+        (1, 20)
     );
     // Value sets: the twenty tuples ride in one query, and the injector,
     // the decorator below it, the source itself and the trace each count
@@ -512,11 +515,11 @@ fn a_value_set_is_one_call_to_every_decorator() {
         oem::printer::print_store(&out.results),
         oem::printer::print_store(&expected.results)
     );
-    assert_eq!((f.whois.calls_seen(), f.cs.calls_seen()), (2, 2));
-    assert_eq!(f.cs_counted.calls.load(Ordering::Relaxed), 2);
-    assert_eq!(f.cs_source.metrics().unwrap().queries_received, 2);
-    assert_eq!(out.trace.calls(sym("cs")), 2);
-    assert_eq!(out.trace.latency_calls.get(&sym("cs")), Some(&2));
+    assert_eq!((f.whois.calls_seen(), f.cs.calls_seen()), (1, 1));
+    assert_eq!(f.cs_counted.calls.load(Ordering::Relaxed), 1);
+    assert_eq!(f.cs_source.metrics().unwrap().queries_received, 1);
+    assert_eq!(out.trace.calls(sym("cs")), 1);
+    assert_eq!(out.trace.latency_calls.get(&sym("cs")), Some(&1));
     let node = out
         .trace
         .nodes()
@@ -551,12 +554,9 @@ fn a_failed_batch_is_retried_as_one_attempt() {
     assert_eq!(oem::printer::print_store(&out.results), expected);
     assert_eq!(out.trace.retries_for(sym("cs")), 1);
     assert_eq!(out.trace.failures_for(sym("cs")), 1);
-    assert_eq!(out.trace.calls(sym("cs")), 2, "a retried call is one call");
-    assert_eq!(
-        f.cs.calls_seen(),
-        3,
-        "1 refused + its retry + the other chain"
-    );
+    assert_eq!(out.trace.calls(sym("cs")), 1, "a retried call is one call");
+    // The chains asking for a `rel` subobject are pruned (see above).
+    assert_eq!(f.cs.calls_seen(), 2, "1 refused + its retry");
     assert!(out.trace.completeness.is_complete());
 }
 
@@ -612,7 +612,7 @@ fn a_batch_that_stays_failed_fails_like_a_tuple() {
 fn a_batch_fills_the_cache_tuple_by_tuple() {
     let f = fanout(true, FaultPlan::none(), FaultOptions::default(), true);
     let cold = students(&f).unwrap();
-    assert_eq!((f.whois.calls_seen(), f.cs.calls_seen()), (2, 2));
+    assert_eq!((f.whois.calls_seen(), f.cs.calls_seen()), (1, 1));
     // Twenty lookups missed and shared one round-trip.
     let node = cold
         .trace
@@ -626,7 +626,7 @@ fn a_batch_fills_the_cache_tuple_by_tuple() {
     // Again: every source query — each tuple's among them — is resident.
     let warm = students(&f).unwrap();
     assert_eq!(warm.trace.total_source_calls(), 0);
-    assert_eq!((f.whois.calls_seen(), f.cs.calls_seen()), (2, 2));
+    assert_eq!((f.whois.calls_seen(), f.cs.calls_seen()), (1, 1));
     assert_eq!(
         oem::printer::print_store(&warm.results),
         oem::printer::print_store(&cold.results)
