@@ -46,13 +46,10 @@ pub struct Config {
     pub lorel: bool,
     /// One-shot query; absent = interactive session.
     pub query: Option<String>,
-    /// Run speclint on the specification instead of querying
-    /// (`medmaker lint SPEC`).
-    pub lint: bool,
-    /// Run the whole-spec dataflow analysis on the specification instead
-    /// of querying (`medmaker check SPEC`).
+    /// Run every static pass on the specification instead of querying
+    /// (`medmaker check SPEC`).
     pub check: bool,
-    /// Emit diagnostics as JSON (`--json`, lint/check modes only).
+    /// Emit diagnostics as JSON (`--json`, check mode only).
     pub json: bool,
     /// Explain subcommand (`medmaker explain --spec FILE ... QUERY`).
     pub explain_cmd: bool,
@@ -134,7 +131,6 @@ usage: medmaker --spec FILE [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]
                 [--cache] [--cache-capacity N] [--cache-ttl-ms MS]
                 [--cache-stale-ok] [--cache-dir DIR] [--cache-warm-bytes N]
                 [--batch-size N] [--cost-weights K=V,...] [QUERY]
-       medmaker lint SPEC [--json] [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]...
        medmaker check SPEC [--json] [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]...
        medmaker explain --spec FILE [--analyze] [--trace-json PATH] [source/option flags] QUERY
        medmaker serve --spec FILE [--addr HOST:PORT] [--workers N] [--queue N]
@@ -184,19 +180,17 @@ usage: medmaker --spec FILE [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]
                     net=1 mem=0.005)
   QUERY             a query; omit for an interactive session
 
-lint mode runs every speclint diagnostic pass over SPEC and exits with
-0 (clean), 1 (warnings) or 2 (errors / unreadable spec). Registering
-sources (--oem/--csv) additionally checks the rules against their
-declared capabilities; --json prints machine-readable diagnostics.
-
-check mode runs lint plus the whole-spec dataflow analysis (specflow):
-interprocedural type inference over the view dependency graph against the
-registered sources' schema summaries, dead-view liveness, and per-view
-answerability matrices derived from the sources' capabilities. It prints
-every finding (type-mismatched joins E301, unanswerable views E302,
-unknown labels W301, dead views W302, plus all lint codes) followed by
-the inferred answerability of each view, and exits 0/1/2 like lint.
---json prints one object with \"diagnostics\" and \"views\" arrays.
+check mode runs every static pass over SPEC, the same passes a mediator
+runs when it is built: the lints (E0xx/W1xx), the capability checks
+against the registered sources (--oem/--csv; E202/W201), and the
+whole-spec dataflow analysis (specflow): type inference over the view
+dependency graph against the sources' schema summaries, dead-view
+liveness, and per-view answerability matrices derived from the sources'
+capabilities (type-mismatched joins E301, unanswerable views E302,
+unknown labels W301, dead views W302). It prints every finding followed by
+the inferred answerability of each view, and exits 0 (clean), 1
+(warnings) or 2 (errors / unreadable spec). --json prints one object with
+\"diagnostics\" and \"views\" arrays.
 
 serve mode keeps one mediator resident and answers queries concurrently
 over TCP — hand-rolled HTTP/1.1 (POST /query with a JSON body,
@@ -233,8 +227,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Config, Str
     };
     let mut it = args.into_iter().peekable();
     if it.peek().map(String::as_str) == Some("lint") {
-        it.next();
-        cfg.lint = true;
+        return Err("medmaker lint was removed: run medmaker check SPEC".to_string());
     } else if it.peek().map(String::as_str) == Some("check") {
         it.next();
         cfg.check = true;
@@ -389,7 +382,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Config, Str
             }
             "--explain" => cfg.explain = true,
             "--lorel" => cfg.lorel = true,
-            "--json" if cfg.lint || cfg.check => cfg.json = true,
+            "--json" if cfg.check => cfg.json = true,
             "--analyze" if cfg.explain_cmd => cfg.analyze = true,
             "--trace-json" if cfg.explain_cmd => {
                 let v = it.next().ok_or("--trace-json needs a PATH argument")?;
@@ -398,9 +391,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Config, Str
             }
             "--help" | "-h" => return Err(USAGE.to_string()),
             q if !q.starts_with("--") => {
-                // In lint/check mode the positional argument is the spec
-                // file.
-                if cfg.lint || cfg.check {
+                // In check mode the positional argument is the spec file.
+                if cfg.check {
                     if cfg.spec_path.is_some() {
                         return Err("more than one spec file given".to_string());
                     }
@@ -434,9 +426,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Config, Str
         return Ok(cfg);
     }
     if cfg.spec_path.is_none() {
-        let what = if cfg.lint {
-            "lint needs a SPEC file"
-        } else if cfg.check {
+        let what = if cfg.check {
             "check needs a SPEC file"
         } else {
             "--spec is required"
@@ -556,62 +546,6 @@ pub fn build_mediator(cfg: &Config) -> Result<Mediator, String> {
     }))
 }
 
-/// Run `medmaker lint SPEC`: print every speclint diagnostic (human
-/// renderings, or a JSON array with `--json`) and return the process exit
-/// code — 0 clean, 1 warnings only, 2 errors. A specification that cannot
-/// be read or parsed is reported and also exits 2.
-pub fn run_lint(cfg: &Config, out: &mut impl Write) -> Result<i32, String> {
-    let spec_path = cfg.spec_path.as_ref().expect("validated by parse_args");
-    let spec_text = std::fs::read_to_string(spec_path)
-        .map_err(|e| format!("cannot read {}: {e}", spec_path.display()))?;
-    let sources = load_sources(cfg)?;
-    let caps: BTreeMap<oem::Symbol, wrappers::Capabilities> = sources
-        .iter()
-        .map(|w| (w.name(), w.capabilities().clone()))
-        .collect();
-    let diags = match medmaker::lint::lint_text(&spec_text, &cfg.name, &caps) {
-        Ok((_, diags)) => diags,
-        Err(e) => {
-            // A specification that does not lex/parse cannot be linted.
-            if cfg.json {
-                let v = serde::Value::Object(vec![(
-                    "error".to_string(),
-                    serde::Value::Str(e.to_string()),
-                )]);
-                let text = serde_json::to_string(&v).map_err(|e| e.to_string())?;
-                writeln!(out, "{text}").map_err(|e| e.to_string())?;
-            } else {
-                writeln!(out, "{e}").map_err(|e| e.to_string())?;
-            }
-            return Ok(2);
-        }
-    };
-    let errors = diags.iter().filter(|d| d.is_error()).count();
-    let warnings = diags.len() - errors;
-    if cfg.json {
-        let v = serde::Value::Array(diags.iter().map(|d| diag_json(d, &spec_text)).collect());
-        let text = serde_json::to_string_pretty(&v).map_err(|e| e.to_string())?;
-        writeln!(out, "{text}").map_err(|e| e.to_string())?;
-    } else {
-        for d in &diags {
-            writeln!(out, "{}", d.render(&spec_text)).map_err(|e| e.to_string())?;
-        }
-        writeln!(
-            out,
-            "{}: {errors} error(s), {warnings} warning(s)",
-            spec_path.display()
-        )
-        .map_err(|e| e.to_string())?;
-    }
-    Ok(if errors > 0 {
-        2
-    } else if warnings > 0 {
-        1
-    } else {
-        0
-    })
-}
-
 /// One diagnostic as a JSON object (`--json` output element).
 fn diag_json(d: &msl::Diagnostic, source: &str) -> serde::Value {
     let (line, col) = msl::diag::line_col(source, d.span.start);
@@ -641,8 +575,8 @@ fn diag_json(d: &msl::Diagnostic, source: &str) -> serde::Value {
     ])
 }
 
-/// Run `medmaker check SPEC`: lint plus the whole-spec dataflow analysis
-/// ([`medmaker::analysis`]). Prints every diagnostic and the per-view
+/// Run `medmaker check SPEC`: every static pass
+/// ([`medmaker::analysis::check_text`]). Prints every diagnostic and the per-view
 /// answerability summary (or one JSON object with `--json`), and returns
 /// the process exit code — 0 clean, 1 warnings only, 2 errors. A
 /// specification that cannot be read or parsed is reported and exits 2.
@@ -1407,14 +1341,12 @@ mod tests {
     }
 
     #[test]
-    fn lint_subcommand_parsed() {
-        let cfg = parse_args(argv("lint spec.msl --json --name m")).unwrap();
-        assert!(cfg.lint && cfg.json);
-        assert_eq!(cfg.spec_path.as_ref().unwrap().to_str(), Some("spec.msl"));
-        assert_eq!(cfg.name, "m");
-        // The spec file is required, and --json is lint-only.
-        assert!(parse_args(argv("lint")).is_err());
-        assert!(parse_args(argv("--spec s.msl --json")).is_err());
+    fn lint_subcommand_is_gone() {
+        for args in ["lint", "lint spec.msl --json"] {
+            let err = parse_args(argv(args)).unwrap_err();
+            assert!(err.contains("medmaker check"), "{err}");
+            assert!(!err.contains('\n'), "one line: {err}");
+        }
     }
 
     #[test]
@@ -1477,91 +1409,14 @@ mod tests {
     }
 
     #[test]
-    fn lint_clean_spec_exits_zero() {
-        let (dir, spec) = temp_spec("clean", "<v {<n N>}> :- <person {<name N>}>@src\n");
-        let cfg = parse_args(argv(&format!("lint {}", spec.display()))).unwrap();
-        let mut out = Vec::new();
-        let code = run_lint(&cfg, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("0 error(s), 0 warning(s)"), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn lint_ms1_is_clean() {
-        let (dir, spec) = temp_spec("ms1", wrappers::scenario::MS1);
-        let cfg = parse_args(argv(&format!("lint {}", spec.display()))).unwrap();
-        let mut out = Vec::new();
-        let code = run_lint(&cfg, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert_eq!(code, 0, "{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn lint_renders_warnings_and_exits_one() {
-        // X is bound in the tail and never used again -> W102.
-        let (dir, spec) = temp_spec("warn", "<v {<n N>}> :- <person {<name N> <x X>}>@src\n");
-        let cfg = parse_args(argv(&format!("lint {}", spec.display()))).unwrap();
-        let mut out = Vec::new();
-        let code = run_lint(&cfg, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert_eq!(code, 1, "{text}");
-        assert!(text.contains("warning[W102]"), "{text}");
-        assert!(text.contains("0 error(s), 1 warning(s)"), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn lint_collects_multiple_defects_and_exits_two() {
-        // One unanswerable external (E005/E014 family) plus an unused
-        // variable: everything is reported in a single run.
-        let (dir, spec) = temp_spec(
-            "multi",
-            "<v {<n N> <l L>}> :- <person {<name N> <x X>}>@src AND conv(N, L)\n",
-        );
-        let cfg = parse_args(argv(&format!("lint {}", spec.display()))).unwrap();
-        let mut out = Vec::new();
-        let code = run_lint(&cfg, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert_eq!(code, 2, "{text}");
-        assert!(text.contains("error[E005]"), "{text}");
-        assert!(text.contains("warning[W102]"), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn lint_json_round_trips_through_serde_json() {
-        let (dir, spec) = temp_spec("json", "<v {<n N>}> :- <person {<name N> <x X>}>@src\n");
-        let cfg = parse_args(argv(&format!("lint {} --json", spec.display()))).unwrap();
-        let mut out = Vec::new();
-        let code = run_lint(&cfg, &mut out).unwrap();
-        assert_eq!(code, 1);
-        let text = String::from_utf8(out).unwrap();
-        let v: serde::Value = serde_json::from_str(&text).unwrap();
-        let items = v.as_array().unwrap();
-        assert_eq!(items.len(), 1, "{text}");
-        let d = &items[0];
-        assert_eq!(d.get("code").unwrap().as_str(), Some("W102"));
-        assert_eq!(d.get("severity").unwrap().as_str(), Some("warning"));
-        assert!(d.get("message").unwrap().as_str().unwrap().contains("X"));
-        let span = d.get("span").unwrap();
-        let start = span.get("start").unwrap().as_i64().unwrap();
-        let end = span.get("end").unwrap().as_i64().unwrap();
-        assert!(start < end, "{text}");
-        assert_eq!(d.get("line").unwrap().as_i64(), Some(1));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn check_subcommand_parsed() {
         let cfg = parse_args(argv("check spec.msl --json --name m")).unwrap();
-        assert!(cfg.check && cfg.json && !cfg.lint);
+        assert!(cfg.check && cfg.json);
         assert_eq!(cfg.spec_path.as_ref().unwrap().to_str(), Some("spec.msl"));
         assert_eq!(cfg.name, "m");
-        // The spec file is required, and --json needs lint or check mode.
+        // The spec file is required, and --json needs check mode.
         assert!(parse_args(argv("check")).is_err());
+        assert!(parse_args(argv("--spec s.msl --json")).is_err());
     }
 
     fn temp_oem_source(dir: &std::path::Path) -> std::path::PathBuf {
@@ -1684,37 +1539,80 @@ mod tests {
     }
 
     #[test]
-    fn lint_unparseable_spec_exits_two() {
-        let (dir, spec) = temp_spec("bad", "<<< not msl\n");
-        let cfg = parse_args(argv(&format!("lint {} --json", spec.display()))).unwrap();
+    fn check_renders_warnings_and_exits_one() {
+        // X is bound in the tail and never used again -> W102.
+        let (dir, spec) = temp_spec("warn", "<v {<n N>}> :- <person {<name N> <x X>}>@src\n");
+        let cfg = parse_args(argv(&format!("check {}", spec.display()))).unwrap();
         let mut out = Vec::new();
-        let code = run_lint(&cfg, &mut out).unwrap();
-        assert_eq!(code, 2);
+        let code = run_check(&cfg, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        let v: serde::Value = serde_json::from_str(&text).unwrap();
-        assert!(v.get("error").is_some(), "{text}");
+        assert_eq!(code, 1, "{text}");
+        assert!(text.contains("warning[W102]"), "{text}");
+        assert!(text.contains("0 error(s), 1 warning(s)"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn lint_checks_capabilities_of_registered_sources() {
-        // `src` is a semi-structured OEM source with full capabilities, so
-        // registering it keeps the spec clean; the capability passes run.
-        let dir = std::env::temp_dir().join(format!("medmaker-lint-caps-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec = dir.join("spec.msl");
-        std::fs::write(&spec, "<v {<n N>}> :- <person {<name N>}>@src\n").unwrap();
-        let oem_file = dir.join("src.oem");
-        std::fs::write(&oem_file, "<&p1, person, set, {<&n1, name, 'Ann'>}>\n").unwrap();
+    fn check_collects_multiple_defects_and_exits_two() {
+        // One unanswerable external (E005/E014 family) plus an unused
+        // variable: everything is reported in a single run.
+        let (dir, spec) = temp_spec(
+            "multi",
+            "<v {<n N> <l L>}> :- <person {<name N> <x X>}>@src AND conv(N, L)\n",
+        );
+        let cfg = parse_args(argv(&format!("check {}", spec.display()))).unwrap();
+        let mut out = Vec::new();
+        let code = run_check(&cfg, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(code, 2, "{text}");
+        assert!(text.contains("error[E005]"), "{text}");
+        assert!(text.contains("warning[W102]"), "{text}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn check_json_diagnostic_fields() {
+        let (dir, spec) = temp_spec("json", "<v {<n N>}> :- <person {<name N> <x X>}>@src\n");
+        let cfg = parse_args(argv(&format!("check {} --json", spec.display()))).unwrap();
+        let mut out = Vec::new();
+        let code = run_check(&cfg, &mut out).unwrap();
+        assert_eq!(code, 1);
+        let text = String::from_utf8(out).unwrap();
+        let v: serde::Value = serde_json::from_str(&text).unwrap();
+        let items = v.get("diagnostics").unwrap().as_array().unwrap();
+        assert_eq!(items.len(), 1, "{text}");
+        let d = &items[0];
+        assert_eq!(d.get("code").unwrap().as_str(), Some("W102"));
+        assert_eq!(d.get("severity").unwrap().as_str(), Some("warning"));
+        assert!(d.get("message").unwrap().as_str().unwrap().contains("X"));
+        let span = d.get("span").unwrap();
+        let start = span.get("start").unwrap().as_i64().unwrap();
+        let end = span.get("end").unwrap().as_i64().unwrap();
+        assert!(start < end, "{text}");
+        assert_eq!(d.get("line").unwrap().as_i64(), Some(1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn check_judges_capabilities_of_registered_sources() {
+        // An OEM source declares full capabilities, so a wildcard and a
+        // label variable, which a restricted source refuses (E202), are
+        // clean against it.
+        let (dir, spec) = temp_spec(
+            "caps",
+            "<v {<n N> <l L> <x V>}> :- <person {* <name N> <L V>}>@src\n",
+        );
+        let oem_file = temp_oem_source(&dir);
         let cfg = parse_args(argv(&format!(
-            "lint {} --oem src={}",
+            "check {} --oem src={}",
             spec.display(),
             oem_file.display()
         )))
         .unwrap();
         let mut out = Vec::new();
-        let code = run_lint(&cfg, &mut out).unwrap();
-        assert_eq!(code, 0, "{}", String::from_utf8_lossy(&out));
+        let code = run_check(&cfg, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(code, 0, "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

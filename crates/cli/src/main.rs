@@ -59,7 +59,6 @@ fn main() {
     // Each subcommand with the status a runtime error in it exits with.
     type Run = fn(&Config, &mut Stdout) -> Result<i32, String>;
     let (run, on_error): (Run, i32) = match () {
-        _ if cfg.lint => (cli::run_lint, 2),
         _ if cfg.check => (cli::run_check, 2),
         _ if cfg.explain_cmd => (cli::run_explain, 1),
         _ if cfg.serve => (cli::run_serve, 1),

@@ -45,6 +45,22 @@ fn closed_stdout_ends_quietly_with_status_zero() {
 }
 
 #[test]
+fn the_lint_subcommand_points_at_check() {
+    for args in [&["lint"][..], &["lint", "demo/med.msl", "--json"]] {
+        let out = medmaker().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains("medmaker check"), "{args:?}: {stderr}");
+        assert!(
+            !stderr.contains("more than one query"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn unknown_flag_is_a_usage_error() {
     let out = medmaker()
         .arg("--no-such-flag")

@@ -19,11 +19,11 @@
 use super::depgraph::ViewGraph;
 use super::SourceInfo;
 use msl::diag::{codes, Diagnostic};
-use msl::{
-    Adornment, ExternalDecl, PatValue, Pattern, Rule, SetElem, Spec, SpecSpans, TailItem, Term,
-};
+use msl::{Adornment, ExternalDecl, Pattern, Rule, Spec, SpecSpans, TailItem, Term};
 use oem::Symbol;
 use std::collections::{BTreeMap, BTreeSet};
+use wrappers::capabilities::subpatterns;
+use wrappers::Capabilities;
 
 /// At most this many head attributes participate in a matrix (2^8 masks).
 const ATTR_CAP: usize = 8;
@@ -161,12 +161,12 @@ fn simulate(
     for p in &pending {
         match p {
             Pending::Source { source, pattern } => {
-                let info = &sources[source];
-                for &label in &info.caps.required_condition_labels {
-                    if condition_satisfiable(pattern, label, &bound, &info.caps) {
+                let caps = &sources[source].caps;
+                for &label in &caps.required_condition_labels {
+                    if caps.condition_fillable(pattern, label, |v| bound.contains(&v)) {
                         continue;
                     }
-                    let how = if condition_possible(pattern, label) {
+                    let how = if caps.condition_fillable(pattern, label, |_| true) {
                         "no evaluation order binds it"
                     } else {
                         "no pattern in this rule can supply one"
@@ -199,64 +199,12 @@ fn bind_pattern(p: &Pattern, bound: &mut BTreeSet<Symbol>) {
 }
 
 /// Can this source be queried with this pattern given the bound set? Every
-/// required condition label must be satisfied.
+/// required condition label must be fillable.
 fn source_queryable(info: &SourceInfo, pattern: &Pattern, bound: &BTreeSet<Symbol>) -> bool {
-    info.caps
-        .required_condition_labels
+    let caps = &info.caps;
+    caps.required_condition_labels
         .iter()
-        .all(|&label| condition_satisfiable(pattern, label, bound, &info.caps))
-}
-
-/// Direct subpatterns of a top-level pattern: set elements plus rest
-/// conditions.
-fn direct_children(p: &Pattern) -> impl Iterator<Item = &Pattern> {
-    let (elems, rest) = match &p.value {
-        PatValue::Set(sp) => (
-            sp.elements.as_slice(),
-            sp.rest
-                .as_ref()
-                .map(|r| r.conditions.as_slice())
-                .unwrap_or(&[]),
-        ),
-        _ => (&[] as &[SetElem], &[] as &[Pattern]),
-    };
-    elems
-        .iter()
-        .filter_map(|e| match e {
-            SetElem::Pattern(inner) | SetElem::Wildcard(inner) => Some(inner),
-            SetElem::Var(_) => None,
-        })
-        .chain(rest.iter())
-}
-
-/// Is a condition on `label` available: an explicit constant/`$param`
-/// condition, or (for sources that accept parameterized queries) a
-/// subpattern variable that is already bound — the planner turns that into
-/// a bind join.
-fn condition_satisfiable(
-    p: &Pattern,
-    label: Symbol,
-    bound: &BTreeSet<Symbol>,
-    caps: &wrappers::Capabilities,
-) -> bool {
-    if wrappers::capabilities::pattern_has_condition_on(p, label) {
-        return true;
-    }
-    caps.parameterized
-        && direct_children(p).any(|c| {
-            matches!(&c.label, Term::Const(v) if v.as_str_sym() == Some(label))
-                && matches!(&c.value, PatValue::Term(Term::Var(v)) if bound.contains(v))
-        })
-}
-
-/// Could a condition on `label` *ever* be pushed: a constant condition or
-/// a variable subpattern that some order might bind.
-fn condition_possible(p: &Pattern, label: Symbol) -> bool {
-    wrappers::capabilities::pattern_has_condition_on(p, label)
-        || direct_children(p).any(|c| {
-            matches!(&c.label, Term::Const(v) if v.as_str_sym() == Some(label))
-                && matches!(&c.value, PatValue::Term(Term::Var(_)))
-        })
+        .all(|&label| caps.condition_fillable(pattern, label, |v| bound.contains(&v)))
 }
 
 /// Local adornment check, mirroring msl's E014 rules: `eq` is BB/BF/FB,
@@ -309,7 +257,7 @@ fn view_attributes(spec: &Spec, rules: &[usize]) -> Vec<Symbol> {
     let mut attrs: BTreeSet<Symbol> = BTreeSet::new();
     for &ri in rules {
         if let msl::Head::Pattern(p) = &spec.rules[ri].head {
-            for c in direct_children(p) {
+            for c in subpatterns(p) {
                 if let Term::Const(v) = &c.label {
                     if let Some(l) = v.as_str_sym() {
                         attrs.insert(l);
@@ -337,7 +285,7 @@ fn head_bound_vars(rule: &Rule, attributes: &[Symbol], mask: u32) -> BTreeSet<Sy
         if mask & (1 << i) == 0 {
             continue;
         }
-        for c in direct_children(p) {
+        for c in subpatterns(p) {
             if matches!(&c.label, Term::Const(v) if v.as_str_sym() == Some(attr)) {
                 bind_pattern(c, &mut seed);
             }
@@ -357,6 +305,9 @@ pub fn view_matrices(
     out: &mut Vec<Diagnostic>,
 ) -> BTreeMap<Symbol, AnswerMatrix> {
     let mut matrices: BTreeMap<Symbol, AnswerMatrix> = BTreeMap::new();
+    // A view answers any pattern, so it reads conditions like a source
+    // that takes parameterized queries.
+    let view_caps = Capabilities::full();
     for scc in &graph.sccs {
         let in_scc: BTreeSet<Symbol> = scc.iter().copied().collect();
         for &v in scc {
@@ -373,12 +324,7 @@ pub fn view_matrices(
                             .iter()
                             .enumerate()
                             .filter(|&(_, &a)| {
-                                condition_satisfiable(
-                                    pattern,
-                                    a,
-                                    bound,
-                                    &wrappers::Capabilities::full(),
-                                )
+                                view_caps.condition_fillable(pattern, a, |v| bound.contains(&v))
                             })
                             .map(|(i, _)| 1u32 << i)
                             .sum();
@@ -453,7 +399,6 @@ pub fn rule_unsatisfiable(
 mod tests {
     use super::*;
     use oem::sym;
-    use wrappers::Capabilities;
 
     fn form_whois() -> BTreeMap<Symbol, SourceInfo> {
         // whois as a form-based facility: a name must be supplied.

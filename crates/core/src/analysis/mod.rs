@@ -2,8 +2,8 @@
 //!
 //! The paper's central claim is that mediators are *declarative
 //! specifications*; this module takes that literally and analyzes a full
-//! MSL spec **as a program** before any source is contacted. Where
-//! [`crate::lint`] checks each rule in isolation, specflow works
+//! MSL spec **as a program** before any source is contacted. Where the
+//! lints check each rule in isolation, specflow works
 //! interprocedurally over the **view dependency graph** (head view →
 //! views/sources referenced in tails, SCC-condensed for recursion) in four
 //! cooperating passes:
@@ -32,8 +32,12 @@
 //! `required_condition_labels` (form-based sources that refuse to
 //! enumerate, after Békés & Szeredi's binding-pattern restrictions).
 //!
-//! Run it via `medmaker check SPEC`, or automatically inside
-//! [`crate::Mediator::new`] (switched by `MediatorOptions::analysis`).
+//! [`analyze_spec`] is the one way a specification gets checked: it runs
+//! the lints and specflow once over one parse. [`check_text`] (what
+//! `medmaker check SPEC` runs) parses and calls it; so does
+//! [`crate::Mediator::new`], always, which rejects a specification with
+//! any error-level finding as one [`crate::MedError::Lint`] carrying every
+//! error, and keeps the rest as [`crate::Mediator::lint_warnings`].
 
 mod answer;
 mod depgraph;
@@ -102,16 +106,18 @@ impl SpecAnalysis {
     }
 }
 
-/// Run the full specflow analysis. Returns the analysis result plus its
-/// diagnostics (unsorted; callers merge them with the lint findings and
-/// call [`msl::diag::sort`]).
+/// Check a parsed specification: every static pass, each run once — the
+/// text-only lints ([`msl::lint`]), the mediator's capability and
+/// redundancy lints and specflow. Returns the analysis result and every
+/// finding, sorted for presentation. [`check_text`] and
+/// [`crate::Mediator::new`] both check a specification through here.
 pub fn analyze_spec(
     spec: &Spec,
     spans: &SpecSpans,
     mediator: Symbol,
     sources: &BTreeMap<Symbol, SourceInfo>,
 ) -> (SpecAnalysis, Vec<Diagnostic>) {
-    let mut diags = Vec::new();
+    let mut diags = crate::lint::lint_spec_with_sources(spec, spans, mediator, sources);
 
     // Pass 1+2: propagate source summaries through the SCC-condensed view
     // dependency graph to infer every view's schema.
@@ -127,6 +133,7 @@ pub fn analyze_spec(
 
     // Pass 3c: answerability matrices per view.
     let matrices = answer::view_matrices(spec, spans, mediator, sources, &graph, &mut diags);
+    msl::diag::sort(&mut diags);
 
     (
         SpecAnalysis {
@@ -140,24 +147,15 @@ pub fn analyze_spec(
     )
 }
 
-/// Parse, lint **and** analyze a specification text — what `medmaker
-/// check` runs. The diagnostics are the union of every lint pass and every
-/// analysis pass, sorted for presentation. Lexer/parser failures abort and
-/// are returned as `Err`.
+/// Parse a specification text once and check it ([`analyze_spec`]) —
+/// what `medmaker check` runs. Lexer/parser failures abort and are
+/// returned as `Err`.
 pub fn check_text(
     text: &str,
     mediator: &str,
     sources: &BTreeMap<Symbol, SourceInfo>,
 ) -> Result<(Spec, Vec<Diagnostic>, SpecAnalysis), msl::MslError> {
     let (spec, spans) = msl::parse_spec_spanned(text)?;
-    let med = Symbol::intern(mediator);
-    let caps: BTreeMap<Symbol, Capabilities> = sources
-        .iter()
-        .map(|(s, info)| (*s, info.caps.clone()))
-        .collect();
-    let mut diags = crate::lint::lint_spec_with_sources(&spec, &spans, med, &caps);
-    let (analysis, mut more) = analyze_spec(&spec, &spans, med, sources);
-    diags.append(&mut more);
-    msl::diag::sort(&mut diags);
+    let (analysis, diags) = analyze_spec(&spec, &spans, Symbol::intern(mediator), sources);
     Ok((spec, diags, analysis))
 }

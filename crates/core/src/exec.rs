@@ -43,6 +43,7 @@ use crate::table::BindingTable;
 use crate::valueset;
 use engine::bindings::{Bindings, BoundValue};
 use engine::construct::Constructor;
+use engine::matcher::{atomic_eq, atomic_key};
 use engine::subst::{fill_params_rule, Subst};
 use msl::{Rule, TailItem, Term};
 use oem::{copy, ObjectStore, Symbol, Value};
@@ -1004,9 +1005,10 @@ fn pull_inner(
                             };
                             let mut index: HashMap<Vec<BoundValue>, Vec<usize>> = HashMap::new();
                             for (ri, row) in extracted.iter().enumerate() {
-                                let key: Vec<BoundValue> =
-                                    inner_key_idx.iter().map(|&k| row[k].clone()).collect();
-                                index.entry(key).or_default().push(ri);
+                                index
+                                    .entry(join_key(row, inner_key_idx))
+                                    .or_default()
+                                    .push(ri);
                             }
                             let outer_key_idx: Vec<usize> = join_vars
                                 .iter()
@@ -1026,10 +1028,18 @@ fn pull_inner(
                         }
                         let jb = build.as_ref().expect("build side indexed above");
                         for row in &batch {
-                            let key: Vec<BoundValue> =
-                                jb.outer_key_idx.iter().map(|&k| row[k].clone()).collect();
+                            let key = join_key(row, &jb.outer_key_idx);
                             if let Some(matches) = jb.index.get(&key) {
                                 for &ri in matches {
+                                    let inner = &jb.rows[ri];
+                                    let confirmed = jb
+                                        .outer_key_idx
+                                        .iter()
+                                        .zip(inner_key_idx.iter())
+                                        .all(|(&o, &k)| same_value(&row[o], &inner[k]));
+                                    if !confirmed {
+                                        continue;
+                                    }
                                     let mut r = row.clone();
                                     r.extend(keep_inner.iter().map(|&k| jb.rows[ri][k].clone()));
                                     if out.len() < cap {
@@ -1437,6 +1447,26 @@ fn node_detail(node: &Node) -> String {
             let vars: Vec<String> = vars.iter().map(|v| v.as_str()).collect();
             format!("project [{}]", vars.join(", "))
         }
+    }
+}
+
+/// A hash-join key over the columns `idx`: atoms by [`atomic_key`], so
+/// `3` and `3.0` share one. Unequal integers past 2^53 can share one too,
+/// so a hit is a candidate to confirm with [`same_value`].
+fn join_key(row: &[BoundValue], idx: &[usize]) -> Vec<BoundValue> {
+    idx.iter()
+        .map(|&k| match &row[k] {
+            BoundValue::Atom(v) => BoundValue::Atom(atomic_key(v)),
+            other => other.clone(),
+        })
+        .collect()
+}
+
+/// Do two join values match as the matcher compares them?
+fn same_value(a: &BoundValue, b: &BoundValue) -> bool {
+    match (a, b) {
+        (BoundValue::Atom(x), BoundValue::Atom(y)) => atomic_eq(x, y),
+        _ => a == b,
     }
 }
 

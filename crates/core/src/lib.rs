@@ -44,7 +44,7 @@ pub mod exec;
 pub mod explain;
 pub mod externals;
 pub mod graph;
-pub mod lint;
+mod lint;
 pub mod logical;
 pub mod mediator;
 pub mod metrics;

@@ -1,4 +1,4 @@
-//! Mediator-level lints — speclint's second stage.
+//! Mediator-level lints.
 //!
 //! [`msl::lint`] checks everything decidable from the specification text
 //! alone. This module adds the passes that need the mediator's context:
@@ -15,9 +15,10 @@
 //!   head over an identical tail (`W104`), using the same containment test
 //!   the view expander applies to prune non-minimal unifiers.
 //!
-//! [`Mediator::new`](crate::Mediator::new) runs both stages, rejects
-//! error-level findings and keeps warnings; `medmaker lint` prints them.
+//! [`crate::analysis::analyze_spec`] runs them, with the text-only lints
+//! and specflow, over the one parse of a specification.
 
+use crate::analysis::SourceInfo;
 use engine::containment::contained_in;
 use engine::unify::Unifier;
 use msl::diag::{codes, Diagnostic, Span};
@@ -26,39 +27,24 @@ use msl::{
 };
 use oem::Symbol;
 use std::collections::BTreeMap;
-use wrappers::Capabilities;
 
-/// Run the full speclint battery: every [`msl::lint`] pass plus the
-/// mediator-level capability and redundancy passes. `mediator` is the
-/// mediator's own name (self-references in recursive specifications are
-/// answered by expansion, not by a source, so they are skipped);
-/// `caps` maps each registered source to its declared capabilities.
-/// Sources absent from the map are skipped — [`crate::Mediator::new`]
-/// rejects unknown sources before linting, and the standalone CLI may
-/// simply have no sources to check against.
-pub fn lint_spec_with_sources(
+/// Every [`msl::lint`] pass plus the mediator-level capability and
+/// redundancy passes, unsorted. `mediator` is the mediator's own name
+/// (self-references in recursive specifications are answered by
+/// expansion, not by a source, so they are skipped). Sources absent from
+/// `sources` are skipped — [`crate::Mediator::new`] rejects unknown
+/// sources before checking, and `medmaker check` may simply have no
+/// sources to check against.
+pub(crate) fn lint_spec_with_sources(
     spec: &Spec,
     spans: &SpecSpans,
     mediator: Symbol,
-    caps: &BTreeMap<Symbol, Capabilities>,
+    sources: &BTreeMap<Symbol, SourceInfo>,
 ) -> Vec<Diagnostic> {
     let mut out = msl::lint::lint_spec(spec, spans);
-    capability_lints(spec, spans, mediator, caps, &mut out);
+    capability_lints(spec, spans, mediator, sources, &mut out);
     redundancy_lints(spec, spans, &mut out);
-    msl::diag::sort(&mut out);
     out
-}
-
-/// Parse and fully lint a specification text (what `medmaker lint` runs).
-/// Lexer/parser failures abort linting and are returned as `Err`.
-pub fn lint_text(
-    text: &str,
-    mediator: &str,
-    caps: &BTreeMap<Symbol, Capabilities>,
-) -> std::result::Result<(Spec, Vec<Diagnostic>), msl::MslError> {
-    let (spec, spans) = msl::parse_spec_spanned(text)?;
-    let diags = lint_spec_with_sources(&spec, &spans, Symbol::intern(mediator), caps);
-    Ok((spec, diags))
 }
 
 // ---------------------------------------------------------------------------
@@ -69,7 +55,7 @@ fn capability_lints(
     spec: &Spec,
     spans: &SpecSpans,
     mediator: Symbol,
-    caps: &BTreeMap<Symbol, Capabilities>,
+    sources: &BTreeMap<Symbol, SourceInfo>,
     out: &mut Vec<Diagnostic>,
 ) {
     for (ri, rule) in spec.rules.iter().enumerate() {
@@ -84,9 +70,11 @@ fn capability_lints(
             if *src == mediator {
                 continue;
             }
-            let Some(c) = caps.get(src) else { continue };
+            let Some(info) = sources.get(src) else {
+                continue;
+            };
             let span = spans.tail_item(ri, ti);
-            for v in c.pattern_violations(pattern, true) {
+            for v in info.caps.pattern_violations(pattern, true) {
                 if let Some(d) = violation_diag(&v, *src, span) {
                     out.push(d);
                 }
@@ -297,11 +285,23 @@ fn map_rule(rule: &Rule, m: &BTreeMap<Symbol, Symbol>) -> Rule {
 mod tests {
     use super::*;
     use oem::sym;
+    use wrappers::Capabilities;
 
-    fn caps_for(src: &str, c: Capabilities) -> BTreeMap<Symbol, Capabilities> {
-        let mut m = BTreeMap::new();
-        m.insert(sym(src), c);
-        m
+    fn caps_for(src: &str, caps: Capabilities) -> BTreeMap<Symbol, SourceInfo> {
+        let info = SourceInfo {
+            caps,
+            summary: None,
+        };
+        [(sym(src), info)].into()
+    }
+
+    /// Parse `text` and lint it against `sources`, sorted as the analysis
+    /// reports it.
+    fn lint_text(text: &str, sources: &BTreeMap<Symbol, SourceInfo>) -> Vec<Diagnostic> {
+        let (spec, spans) = msl::parse_spec_spanned(text).unwrap();
+        let mut diags = lint_spec_with_sources(&spec, &spans, sym("med"), sources);
+        msl::diag::sort(&mut diags);
+        diags
     }
 
     fn codes_of(diags: &[Diagnostic]) -> Vec<&'static str> {
@@ -310,12 +310,10 @@ mod tests {
 
     #[test]
     fn clean_spec_with_capable_source_has_no_diagnostics() {
-        let (_, diags) = lint_text(
+        let diags = lint_text(
             "<v {<n N>}> :- <person {<name N>}>@src",
-            "med",
             &caps_for("src", Capabilities::full()),
-        )
-        .unwrap();
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -323,15 +321,13 @@ mod tests {
     fn unsupported_condition_label_is_compensated_warning() {
         // The paper's whois/year example: answerable, but only by a
         // client-side filter.
-        let (_, diags) = lint_text(
+        let diags = lint_text(
             "<v {<n N>}> :- <person {<name N> <year 3>}>@whois",
-            "med",
             &caps_for(
                 "whois",
                 Capabilities::full().without_condition_on(sym("year")),
             ),
-        )
-        .unwrap();
+        );
         assert_eq!(codes_of(&diags), vec![codes::CAPABILITY_COMPENSATED]);
         let d = &diags[0];
         assert!(!d.is_error());
@@ -342,26 +338,22 @@ mod tests {
 
     #[test]
     fn condition_inside_rest_is_also_compensated() {
-        let (_, diags) = lint_text(
+        let diags = lint_text(
             "<v {<n N> R}> :- <person {<name N> | R:{<year 3>}}>@whois",
-            "med",
             &caps_for(
                 "whois",
                 Capabilities::full().without_condition_on(sym("year")),
             ),
-        )
-        .unwrap();
+        );
         assert_eq!(codes_of(&diags), vec![codes::CAPABILITY_COMPENSATED]);
     }
 
     #[test]
     fn label_variable_at_incapable_source_is_error() {
-        let (_, diags) = lint_text(
+        let diags = lint_text(
             "<v {<l L> <x X>}> :- <person {<L X>}>@whois",
-            "med",
             &caps_for("whois", Capabilities::restricted()),
-        )
-        .unwrap();
+        );
         assert_eq!(codes_of(&diags), vec![codes::CAPABILITY_UNANSWERABLE]);
         assert!(diags[0].is_error());
         assert!(
@@ -373,12 +365,10 @@ mod tests {
 
     #[test]
     fn wildcard_at_incapable_source_is_error() {
-        let (_, diags) = lint_text(
+        let diags = lint_text(
             "<v {<y Y>}> :- <p {* <year Y>}>@s",
-            "med",
             &caps_for("s", Capabilities::restricted()),
-        )
-        .unwrap();
+        );
         assert_eq!(codes_of(&diags), vec![codes::CAPABILITY_UNANSWERABLE]);
         assert!(
             diags[0].message.contains("wildcard"),
@@ -393,12 +383,10 @@ mod tests {
         c.rest_conditions = false;
         // `<year Y>` inside the rest spec is a retrieval, not a strippable
         // condition — the source would have to evaluate it.
-        let (_, diags) = lint_text(
+        let diags = lint_text(
             "<v {<n N> <y Y> R}> :- <p {<n N> | R:{<year Y>}}>@s",
-            "med",
             &caps_for("s", c),
-        )
-        .unwrap();
+        );
         assert_eq!(codes_of(&diags), vec![codes::CAPABILITY_UNANSWERABLE]);
         assert!(diags[0].message.contains("rest"), "{}", diags[0].message);
     }
@@ -409,37 +397,31 @@ mod tests {
         c.rest_conditions = false;
         // The year condition is stripped into a client-side filter before
         // the source sees the query, so no error.
-        let (_, diags) = lint_text(
+        let diags = lint_text(
             "<v {<n N> R}> :- <p {<n N> | R:{<year 3>}}>@s",
-            "med",
             &caps_for("s", c),
-        )
-        .unwrap();
+        );
         assert_eq!(codes_of(&diags), vec![codes::CAPABILITY_COMPENSATED]);
     }
 
     #[test]
     fn self_references_and_unknown_sources_are_skipped() {
-        let (_, diags) = lint_text(
+        let diags = lint_text(
             "<anc {<of X> <is Y>}> :- <parent {<of X> <is Y>}>@src\n\
              <anc {<of X> <is Z>}> :- <parent {<of X> <is Y>}>@src \
              AND <anc {<of Y> <is Z>}>@med",
-            "med",
             &BTreeMap::new(),
-        )
-        .unwrap();
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn duplicate_rule_up_to_renaming_flagged() {
-        let (_, diags) = lint_text(
+        let diags = lint_text(
             "<v {<n N>}> :- <person {<name N>}>@s\n\
              <v {<n M>}> :- <person {<name M>}>@s",
-            "med",
             &BTreeMap::new(),
-        )
-        .unwrap();
+        );
         assert_eq!(codes_of(&diags), vec![codes::DUPLICATE_RULE]);
         assert!(diags[0].message.contains("rule 1"), "{}", diags[0].message);
         assert!(!diags[0].span.is_empty());
@@ -451,7 +433,7 @@ mod tests {
         // (The narrow rule also earns a W102 for its now-unused `N`; this
         // test only cares about the redundancy finding.)
         fn subsumed_of(spec: &str) -> Vec<Diagnostic> {
-            let (_, diags) = lint_text(spec, "med", &BTreeMap::new()).unwrap();
+            let diags = lint_text(spec, &BTreeMap::new());
             diags
                 .into_iter()
                 .filter(|d| d.code == codes::SUBSUMED_RULE)
@@ -476,25 +458,24 @@ mod tests {
 
     #[test]
     fn different_tails_are_not_redundant() {
-        let (_, diags) = lint_text(
+        let diags = lint_text(
             "<v {<n N>}> :- <person {<name N>}>@s\n\
              <v {<n N>}> :- <employee {<name N>}>@s",
-            "med",
             &BTreeMap::new(),
-        )
-        .unwrap();
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn ms1_is_clean_under_scenario_capabilities() {
-        use wrappers::Wrapper as _;
         let whois = wrappers::scenario::whois_wrapper();
         let cs = wrappers::scenario::cs_wrapper();
-        let mut caps = BTreeMap::new();
-        caps.insert(sym("whois"), whois.capabilities().clone());
-        caps.insert(sym("cs"), cs.capabilities().clone());
-        let (_, diags) = lint_text(wrappers::scenario::MS1, "med", &caps).unwrap();
+        let sources = [
+            (sym("whois"), SourceInfo::of_wrapper(&whois)),
+            (sym("cs"), SourceInfo::of_wrapper(&cs)),
+        ]
+        .into();
+        let diags = lint_text(wrappers::scenario::MS1, &sources);
         assert!(diags.is_empty(), "{diags:?}");
     }
 }

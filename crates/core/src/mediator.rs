@@ -5,6 +5,7 @@
 //! serve as sources of other mediators — stacking exactly as in the
 //! TSIMMIS architecture of Figure 1.1.
 
+use crate::analysis::{analyze_spec, SourceInfo, SpecAnalysis};
 use crate::cache::{AnswerCache, CacheCounters, CacheOptions, SourceDelta};
 use crate::error::{MedError, Result};
 use crate::exec::{execute, ExecOptions, ExecOutcome};
@@ -23,7 +24,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use wrappers::{Capabilities, SourceStats, Wrapper, WrapperError};
 
-/// Mediator-level options.
+/// Mediator-level options. None of them changes how a specification is
+/// checked: [`Mediator::new`] always runs every static pass.
 #[derive(Clone, Debug)]
 pub struct MediatorOptions {
     /// Options forwarded to the cost-based optimizer.
@@ -46,12 +48,6 @@ pub struct MediatorOptions {
     /// `--cache` every query pays its round-trips, exactly as before the
     /// cache existed.
     pub cache: CacheOptions,
-    /// Run the whole-spec dataflow analysis ([`crate::analysis`]) at
-    /// construction. Error-level findings (`E301`/`E302`) reject the
-    /// specification like lint errors; warnings join
-    /// [`Mediator::lint_warnings`], and the result feeds the planner's
-    /// infeasible-chain pruning. On by default.
-    pub analysis: bool,
     /// Forwarded to [`ExecOptions::streaming`]: `false` is equivalent to
     /// `batch_size = usize::MAX`. The default is `true`; the field goes
     /// with the next `benchmark` PR that stops naming it.
@@ -110,7 +106,6 @@ impl Default for MediatorOptions {
             learn_stats: true,
             fault: crate::retry::FaultOptions::default(),
             cache: CacheOptions::default(),
-            analysis: true,
             streaming: true,
             batch_size: ExecOptions::default().batch_size,
         }
@@ -144,9 +139,9 @@ pub struct Mediator {
     caps: Capabilities,
     lint_warnings: Vec<msl::Diagnostic>,
     /// Whole-spec analysis result ([`crate::analysis`]), computed at
-    /// construction when [`MediatorOptions::analysis`] is on. The planner
-    /// consults it to prune provably-empty chains.
-    analysis: Option<crate::analysis::SpecAnalysis>,
+    /// construction. The planner consults it to prune provably-empty
+    /// chains.
+    analysis: SpecAnalysis,
     /// The source-answer cache: the one place a source answer outlives
     /// the execution that fetched it. Rebuilt by
     /// [`Mediator::with_options`] so a reconfigured cache starts cold.
@@ -171,10 +166,7 @@ impl Mediator {
         )
     }
 
-    /// Like [`Mediator::new`], but with an explicit option set — in
-    /// particular [`MediatorOptions::analysis`], which must be decided
-    /// before construction because the analysis runs (and can reject the
-    /// specification) while the mediator is built.
+    /// Like [`Mediator::new`], but with an explicit option set.
     pub fn new_with_options(
         name: &str,
         spec_text: &str,
@@ -182,7 +174,11 @@ impl Mediator {
         registry: ExternalRegistry,
         options: MediatorOptions,
     ) -> Result<Mediator> {
-        let spec = MediatorSpec::parse(name, spec_text)?;
+        let (parsed, spans) = msl::parse_spec_spanned(spec_text)?;
+        let spec = MediatorSpec {
+            name: Symbol::intern(name),
+            spec: parsed,
+        };
         spec.check_registry(&registry)?;
         let mut map = HashMap::new();
         for s in sources {
@@ -195,45 +191,19 @@ impl Mediator {
                 return Err(MedError::UnknownSource(s.as_str()));
             }
         }
-        // speclint (§3.4, §3.5): every static-analysis pass, including the
-        // capability checks against the registered sources' declarations.
-        // Error-level findings mean some rule can never be answered —
-        // reject the specification outright; warnings are kept and exposed
-        // through [`Mediator::lint_warnings`].
-        let caps_by_source: std::collections::BTreeMap<Symbol, Capabilities> = map
+        // Every static pass (§3.4, §3.5), once over the one parse. An
+        // error-level finding means some rule can never be answered: the
+        // specification is rejected with every error. Warnings are kept
+        // for [`Mediator::lint_warnings`].
+        let infos = map
             .iter()
-            .map(|(n, w)| (*n, w.capabilities().clone()))
+            .map(|(n, w)| (*n, SourceInfo::of_wrapper(w.as_ref())))
             .collect();
-        let (_, mut diags) = crate::lint::lint_text(spec_text, name, &caps_by_source)?;
+        let (analysis, diags) = analyze_spec(&spec.spec, &spans, spec.name, &infos);
         if diags.iter().any(|d| d.is_error()) {
-            diags.retain(|d| d.is_error());
-            return Err(MedError::Lint(diags));
+            let errors = diags.into_iter().filter(|d| d.is_error());
+            return Err(MedError::Lint(errors.collect()));
         }
-        let mut lint_warnings = diags;
-        // specflow (the whole-spec dataflow analysis): interprocedural type
-        // inference and answerability over the view dependency graph.
-        // Error-level findings mean a provably-empty join (`E301`) or a
-        // statically unanswerable view (`E302`) — rejected like lint
-        // errors; warnings join the lint warnings.
-        let analysis = if options.analysis {
-            let (parsed, spans) = msl::parse_spec_spanned(spec_text)?;
-            let infos: std::collections::BTreeMap<Symbol, crate::analysis::SourceInfo> = map
-                .iter()
-                .map(|(n, w)| (*n, crate::analysis::SourceInfo::of_wrapper(w.as_ref())))
-                .collect();
-            let (analysis, mut adiags) =
-                crate::analysis::analyze_spec(&parsed, &spans, spec.name, &infos);
-            if adiags.iter().any(|d| d.is_error()) {
-                adiags.retain(|d| d.is_error());
-                msl::diag::sort(&mut adiags);
-                return Err(MedError::Lint(adiags));
-            }
-            lint_warnings.append(&mut adiags);
-            msl::diag::sort(&mut lint_warnings);
-            Some(analysis)
-        } else {
-            None
-        };
         // Seed the statistics cache with whatever the wrappers offer.
         let mut stats = StatsCache::new();
         for (name, w) in &map {
@@ -260,7 +230,7 @@ impl Mediator {
             options,
             stats,
             caps,
-            lint_warnings,
+            lint_warnings: diags,
             analysis,
             cache,
         })
@@ -281,20 +251,15 @@ impl Mediator {
             options.cache.clone(),
             Some(Arc::clone(&self.stats)),
         ));
-        if !options.analysis {
-            // The analysis can only be *disabled* after construction: it
-            // runs while the mediator is built (use
-            // [`Mediator::new_with_options`] to skip it up front).
-            self.analysis = None;
-        }
         self.options = options;
         self
     }
 
-    /// The whole-spec analysis result, when [`MediatorOptions::analysis`]
-    /// is on (the default).
-    pub fn analysis(&self) -> Option<&crate::analysis::SpecAnalysis> {
-        self.analysis.as_ref()
+    /// The whole-spec analysis result. Always `Some`: every mediator is
+    /// analyzed at construction. (An `Option` because
+    /// [`PlanContext::analysis`] is one.)
+    pub fn analysis(&self) -> Option<&SpecAnalysis> {
+        Some(&self.analysis)
     }
 
     /// Drop every cached source answer for `source` — the explicit
@@ -384,7 +349,7 @@ impl Mediator {
             registry: &self.registry,
             stats: &stats,
             options: &self.options.planner,
-            analysis: self.analysis.as_ref(),
+            analysis: Some(&self.analysis),
         };
         plan(program, &ctx)
     }

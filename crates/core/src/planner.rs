@@ -397,7 +397,7 @@ fn plan_rule(rule: &Rule, ctx: &PlanContext) -> Result<RulePlan> {
         // mandatory field) is only evaluable as a bind join whose `$param`
         // slots fill those conditions — verify the params cover them.
         let forced_bind = !group.missing_required.is_empty();
-        if forced_bind && !params_fill_required(group, caps, &param_vars) {
+        if !group.fillable_by(caps, &param_vars) {
             return Err(unfillable_order_error(group));
         }
 
@@ -569,30 +569,17 @@ fn unfillable_order_error(group: &Group) -> MedError {
     ))
 }
 
-/// Do the bind-join `$param` slots fill every required condition the
-/// group's own patterns left unmet?
-fn params_fill_required(
-    group: &Group,
-    caps: &wrappers::Capabilities,
-    param_vars: &[Symbol],
-) -> bool {
-    caps.parameterized
-        && group.missing_required.iter().all(|&label| {
-            group.patterns.iter().any(|p| {
-                let PatValue::Set(sp) = &p.value else {
-                    return false;
-                };
-                sp.elements.iter().any(|e| match e {
-                    SetElem::Pattern(c) | SetElem::Wildcard(c) => {
-                        matches!(&c.label, Term::Const(v)
-                            if v.as_str_sym() == Some(label))
-                            && matches!(&c.value, PatValue::Term(Term::Var(v))
-                                if param_vars.contains(v))
-                    }
-                    SetElem::Var(_) => false,
-                })
-            })
+impl Group {
+    /// Can the group be queried with `$param` slots for `params`: does
+    /// every pattern meet every required condition, by itself or through
+    /// a slot ([`wrappers::Capabilities::condition_fillable`])?
+    fn fillable_by(&self, caps: &wrappers::Capabilities, params: &[Symbol]) -> bool {
+        self.patterns.iter().all(|p| {
+            self.missing_required
+                .iter()
+                .all(|&label| caps.condition_fillable(p, label, |v| params.contains(&v)))
         })
+    }
 }
 
 /// The multi-objective cost model. One instance prices both the
@@ -652,10 +639,10 @@ impl<'a, 'b> CostModel<'a, 'b> {
         running: f64,
         first: bool,
     ) -> Option<(CostEstimate, bool)> {
-        let forced_bind = !group.missing_required.is_empty();
-        if forced_bind && !params_fill_required(group, caps, param_vars) {
+        if !group.fillable_by(caps, param_vars) {
             return None;
         }
+        let forced_bind = !group.missing_required.is_empty();
         let rows_g = self.group_rows(group);
         let per_call = self.per_call_ms(group.source);
         if first {

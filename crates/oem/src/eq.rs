@@ -21,7 +21,6 @@
 
 use crate::store::{FxMap, FxSet, ObjId, ObjectStore};
 use crate::value::Value;
-use std::collections::HashMap;
 
 const ROUNDS: usize = 8;
 
@@ -110,16 +109,6 @@ fn refine(store: &ObjectStore, roots: &[ObjId]) -> Fingerprints {
         std::mem::swap(&mut colors, &mut next);
     }
     Fingerprints { index, colors }
-}
-
-/// Fingerprints for every object reachable from `roots`, refined `ROUNDS`
-/// times. Structurally equal objects always receive equal fingerprints.
-pub fn fingerprints_from(store: &ObjectStore, roots: &[ObjId]) -> HashMap<ObjId, u64> {
-    let fps = refine(store, roots);
-    fps.index
-        .iter()
-        .map(|(&id, &n)| (id, fps.colors[n as usize]))
-        .collect()
 }
 
 /// The fingerprint of a single structure.

@@ -237,12 +237,6 @@ impl ObjectStore {
             .filter(|id| oid(id) == Oid::Gen(n))
     }
 
-    /// Generate a fresh oid that is not yet used in this store.
-    pub fn gen_oid(&mut self) -> Symbol {
-        let n = self.next_gen();
-        Symbol::intern(&format!("{}{n}", self.gen_prefix))
-    }
-
     fn push(&mut self, oid: Oid, label: Symbol, value: Value) -> ObjId {
         let id = ObjId(self.slots.len() as u32);
         self.slots.push(OemObject { oid, label, value });
@@ -576,19 +570,6 @@ mod tests {
         assert!(matches!(err, OemError::DuplicateOid(ref o) if o == "x3"));
         // Not a generated spelling of 3, so free.
         s.insert(sym("x03"), sym("a"), Value::Int(0)).unwrap();
-        s.validate().unwrap();
-    }
-
-    #[test]
-    fn a_name_from_gen_oid_can_be_inserted() {
-        let mut s = ObjectStore::new();
-        s.atom("n", 0i64);
-        let name = s.gen_oid();
-        assert_eq!(name, sym("x2"));
-        let id = s.insert(name, sym("a"), Value::Int(1)).unwrap();
-        let next = s.atom("n", 2i64);
-        assert_eq!(s.by_oid(sym("x2")), Some(id));
-        assert_eq!(s.oid(next), sym("x3"));
         s.validate().unwrap();
     }
 

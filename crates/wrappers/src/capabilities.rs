@@ -288,6 +288,27 @@ impl Capabilities {
     fn unsupported_condition_label(&self, p: &Pattern) -> Option<Symbol> {
         condition_label(p).filter(|sym| self.unsupported_condition_labels.contains(sym))
     }
+
+    /// Can a query with top-level pattern `p` meet a required condition on
+    /// `label`? Either `p` carries one ([`pattern_has_condition_on`]), or
+    /// this source takes parameterized queries and a subpattern of `p` — a
+    /// set element or a rest condition — holds, under `label`, a variable
+    /// `bound` accepts: a bind join then fills it with a `$param`. The one
+    /// answer the answerability analysis (`E302`), chain pruning and the
+    /// planner's join ordering share.
+    pub fn condition_fillable(
+        &self,
+        p: &Pattern,
+        label: Symbol,
+        bound: impl Fn(Symbol) -> bool,
+    ) -> bool {
+        pattern_has_condition_on(p, label)
+            || self.parameterized
+                && subpatterns(p).any(|c| {
+                    matches!(&c.label, Term::Const(v) if v.as_str_sym() == Some(label))
+                        && matches!(&c.value, PatValue::Term(Term::Var(v)) if bound(*v))
+                })
+    }
 }
 
 /// If `p` is a condition (constant- or parameter-valued subpattern) with a
@@ -306,17 +327,21 @@ pub fn condition_label(p: &Pattern) -> Option<Symbol> {
 /// Does the top-level pattern `p` carry a condition on `label`, either as
 /// an explicit subpattern or as a rest condition?
 pub fn pattern_has_condition_on(p: &Pattern, label: Symbol) -> bool {
-    let PatValue::Set(sp) = &p.value else {
-        return false;
+    subpatterns(p).any(|c| condition_label(c) == Some(label))
+}
+
+/// The direct subpatterns of `p`: its set elements (wildcards included),
+/// then its rest conditions. Empty for an atomic-valued pattern.
+pub fn subpatterns(p: &Pattern) -> impl Iterator<Item = &Pattern> {
+    let (elements, rest) = match &p.value {
+        PatValue::Set(sp) => (&sp.elements[..], sp.rest.as_ref()),
+        PatValue::Term(_) => (&[][..], None),
     };
-    let elem_conditions = sp.elements.iter().filter_map(|e| match e {
+    let elements = elements.iter().filter_map(|e| match e {
         SetElem::Pattern(inner) | SetElem::Wildcard(inner) => Some(inner),
         SetElem::Var(_) => None,
     });
-    let rest_conditions = sp.rest.iter().flat_map(|r| r.conditions.iter());
-    elem_conditions
-        .chain(rest_conditions)
-        .any(|c| condition_label(c) == Some(label))
+    elements.chain(rest.into_iter().flat_map(|r| r.conditions.iter()))
 }
 
 fn render_violations(violations: Vec<CapViolation>) -> Result<(), String> {
@@ -448,5 +473,33 @@ mod tests {
         // A free variable on the label does not count as a condition.
         let free = parse_query("X :- X:<person {<name N>}>@whois").unwrap();
         assert!(c.check_query(&free).is_err());
+    }
+
+    #[test]
+    fn a_bound_variable_fills_a_required_condition() {
+        let c = Capabilities::restricted().with_required_condition_on(sym("name"));
+        let name = sym("name");
+        let top = |q: &str| match parse_query(q).unwrap().tail.remove(0) {
+            TailItem::Match { pattern, .. } => pattern,
+            TailItem::External { .. } => unreachable!(),
+        };
+        let by_const = top("X :- X:<person {<name 'Joe'>}>@s");
+        assert!(c.condition_fillable(&by_const, name, |_| false));
+        // A set element or a rest condition, once its variable is bound.
+        for q in [
+            "X :- X:<person {<name N>}>@s",
+            "X :- X:<person {<dept D> | R:{<name N>}}>@s",
+        ] {
+            let p = top(q);
+            assert!(!c.condition_fillable(&p, name, |_| false), "{q}");
+            assert!(c.condition_fillable(&p, name, |v| v == sym("N")), "{q}");
+            // Not at a source that takes no parameterized queries.
+            let mut fixed = c.clone();
+            fixed.parameterized = false;
+            assert!(!fixed.condition_fillable(&p, name, |_| true), "{q}");
+        }
+        // A bound variable under another label fills nothing.
+        let other = top("X :- X:<person {<dept N>}>@s");
+        assert!(!c.condition_fillable(&other, name, |_| true));
     }
 }

@@ -20,8 +20,9 @@ use std::fmt;
 /// analysis treats as "anything may be below here".
 const STORE_DEPTH_CAP: usize = 6;
 
-/// The value-type lattice: `⊥` below the incomparable atomic/object types,
-/// `⊤` above them.
+/// The value-type lattice: `⊥` below the atomic/object types, `⊤` above
+/// them. The types are incomparable except `int < real`: the matcher equates
+/// `3` with `3.0`, so an integer can meet a real.
 ///
 /// `join` is used when *building* summaries (a label holding both a string
 /// and an integer across objects summarizes to `⊤` — semi-structured
@@ -54,6 +55,9 @@ impl ValueType {
             (a, b) if a == b => a,
             (ValueType::Bottom, b) => b,
             (a, ValueType::Bottom) => a,
+            (ValueType::Int, ValueType::Real) | (ValueType::Real, ValueType::Int) => {
+                ValueType::Real
+            }
             _ => ValueType::Top,
         }
     }
@@ -64,6 +68,7 @@ impl ValueType {
             (a, b) if a == b => a,
             (ValueType::Top, b) => b,
             (a, ValueType::Top) => a,
+            (ValueType::Int, ValueType::Real) | (ValueType::Real, ValueType::Int) => ValueType::Int,
             _ => ValueType::Bottom,
         }
     }
@@ -252,6 +257,11 @@ mod tests {
         assert_eq!(Top.meet(Oid), Oid);
         assert!(Int.compatible(Top));
         assert!(!Int.compatible(Str));
+        // 3 = 3.0 to the matcher: int < real.
+        assert_eq!(Int.meet(Real), Int);
+        assert_eq!(Real.meet(Int), Int);
+        assert_eq!(Int.join(Real), Real);
+        assert!(Real.compatible(Int));
         assert_eq!(Object.to_string(), "object");
     }
 

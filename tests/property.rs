@@ -449,13 +449,15 @@ fn arb_key() -> impl Strategy<Value = Value> {
 
 /// The printed answer to the whole `hit` view over `probes` ⋈ `items`, the
 /// rows its parameterized node extracted and the round-trips it took, with
-/// both sources accepting value sets or not.
+/// both sources accepting value sets or not. `None` when the mediator
+/// refuses the spec because the stores' key types can never join (`E301`:
+/// say, only strings under `a` and only numbers under `k1`).
 fn bind_join_answer(
     spec: &str,
     probes: &[(Value, Value)],
     items: &[(Value, Value, i64)],
     value_sets: bool,
-) -> (String, usize, usize) {
+) -> Option<(String, usize, usize)> {
     use medmaker::{Mediator, MediatorOptions};
     use std::sync::Arc;
     use wrappers::{SemiStructuredWrapper, Wrapper};
@@ -493,13 +495,15 @@ fn bind_join_answer(
                 ..Default::default()
             },
             learn_stats: false,
-            // Keys of mixed type under one label are not specflow's business.
-            analysis: false,
             batch_size: 5,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
+    let med = match med {
+        Ok(med) => med,
+        Err(medmaker::MedError::Lint(e)) if e.iter().all(|d| d.code == "E301") => return None,
+        Err(e) => panic!("{e}"),
+    };
     let out = med
         .query_rule(&msl::parse_query("H :- H:<hit {}>@m").unwrap())
         .unwrap();
@@ -509,11 +513,11 @@ fn bind_join_answer(
         .filter(|n| n.op == "parameterized query")
         .map(|n| n.metrics.bindings_produced)
         .sum();
-    (
+    Some((
         oem::printer::print_store(&out.results),
         extracted,
         out.trace.total_source_calls(),
-    )
+    ))
 }
 
 proptest! {
@@ -535,9 +539,14 @@ proptest! {
             "<hit {<a A> <p P>}> :- <probe {<a A>}>@probes \
              AND <item {<k1 A> <payload P>}>@items",
         ] {
-            let (per_tuple, rows, calls) = bind_join_answer(spec, &probes, &items, false);
-            let (batched, batched_rows, batched_calls) =
-                bind_join_answer(spec, &probes, &items, true);
+            let per_tuple = bind_join_answer(spec, &probes, &items, false);
+            let batched = bind_join_answer(spec, &probes, &items, true);
+            prop_assert_eq!(per_tuple.is_some(), batched.is_some(), "spec={}", spec);
+            let (Some((per_tuple, rows, calls)), Some((batched, batched_rows, batched_calls))) =
+                (per_tuple, batched)
+            else {
+                continue;
+            };
             prop_assert_eq!(&batched, &per_tuple, "spec={}", spec);
             prop_assert_eq!(batched_rows, rows, "spec={}", spec);
             prop_assert!(batched_calls <= calls, "{} > {}", batched_calls, calls);
@@ -678,8 +687,9 @@ const LOOKUP_LABELS: &[&str] = &[
 ];
 
 /// The constant a lookup on `label` compares with: shaped like what the
-/// workload stores for person `i` (`kind` 0), a string nobody holds (1), or
-/// the integer `i` (2).
+/// workload stores for person `i` (`kind` 0), a string nobody holds (1),
+/// the integer `i` (2), or a student's year as a real (3: `3.0` equals an
+/// integer `3` to the matcher, so an integer label must not prune it).
 fn lookup_constant(label: &str, i: usize, kind: u8) -> Value {
     use wrappers::workload::PersonWorkload;
     match kind {
@@ -698,7 +708,8 @@ fn lookup_constant(label: &str, i: usize, kind: u8) -> Value {
             _ => Value::str(&format!("x{i}")),
         },
         1 => Value::str("nobody"),
-        _ => Value::Int(i as i64),
+        2 => Value::Int(i as i64),
+        _ => Value::real((i % 5 + 1) as f64),
     }
 }
 
@@ -744,8 +755,8 @@ proptest! {
     /// from every expanded rule (in its own order). Both sources hold
     /// students and employees (overlap above the student fraction), and
     /// some stores lack `e_mail` or `nickname` altogether. Every label but
-    /// `year` prunes at least one chain; `year` with an integer or a
-    /// variable prunes none. Whois's students carry the year cs holds for
+    /// `year` prunes at least one chain; `year` with an integer, a real or
+    /// a variable prunes none. Whois's students carry the year cs holds for
     /// them, so a wrongly pruned `Rest2:{<year …>}` chain shows in that
     /// count rather than in the answer.
     #[test]
@@ -757,7 +768,7 @@ proptest! {
         irregularity in 0.0f64..1.0,
         label in prop::sample::select(LOOKUP_LABELS.to_vec()),
         pick in 0usize..32,
-        kind in 0u8..4,
+        kind in 0u8..5,
     ) {
         use medmaker::naive::{eval_program, SourceRef};
         use std::sync::Arc;
@@ -769,7 +780,7 @@ proptest! {
             student_fraction,
             seed,
         };
-        let constant = (kind < 3).then(|| lookup_constant(label, pick % (n + 2), kind));
+        let constant = (kind < 4).then(|| lookup_constant(label, pick % (n + 2), kind));
         let cond = match &constant {
             Some(c) => msl::printer::term(&Term::Const(c.clone()), true),
             None => "V".to_string(),

@@ -110,3 +110,69 @@ fn fixtures_trigger_pairwise_distinct_codes() {
         seen.push(want);
     }
 }
+
+#[test]
+fn a_mediator_checks_every_fixture_as_check_text_does() {
+    // One front door: building a mediator keeps exactly `check_text`'s
+    // warnings, or is refused with exactly its errors, in the same order.
+    use medmaker::{MedError, Mediator, MediatorOptions};
+    use std::sync::Arc;
+    use wrappers::Wrapper;
+    let store = || oem::parser::parse_store(&fixture("src.oem")).unwrap();
+    // Name, specification text, the sources it is checked against.
+    type Case = (String, String, Vec<Arc<dyn Wrapper>>);
+    let mut cases: Vec<Case> = Vec::new();
+    let mut files: Vec<PathBuf> = std::fs::read_dir(specs_dir())
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "msl"))
+        .collect();
+    files.sort();
+    for path in files {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let source: Arc<dyn Wrapper> = if name == "unanswerable.msl" {
+            let caps = Capabilities::full().with_required_condition_on(sym("name"));
+            Arc::new(SemiStructuredWrapper::new("form", store()).with_capabilities(caps))
+        } else {
+            Arc::new(SemiStructuredWrapper::new("src", store()))
+        };
+        cases.push((name, std::fs::read_to_string(&path).unwrap(), vec![source]));
+    }
+    cases.push((
+        "MS1".to_string(),
+        wrappers::scenario::MS1.to_string(),
+        vec![
+            Arc::new(wrappers::scenario::whois_wrapper()),
+            Arc::new(wrappers::scenario::cs_wrapper()),
+        ],
+    ));
+
+    let mut rejected = Vec::new();
+    for (name, text, sources) in cases {
+        let infos = sources
+            .iter()
+            .map(|w| (w.name(), SourceInfo::of_wrapper(w.as_ref())))
+            .collect();
+        let (_, diags, _) = check_text(&text, "med", &infos).unwrap();
+        let (errors, warnings): (Vec<_>, Vec<_>) = diags.into_iter().partition(|d| d.is_error());
+        let built = Mediator::new_with_options(
+            "med",
+            &text,
+            sources,
+            medmaker::externals::standard_registry(),
+            MediatorOptions::default(),
+        );
+        match built {
+            Ok(med) => {
+                assert!(errors.is_empty(), "{name}: built despite {errors:?}");
+                assert_eq!(med.lint_warnings(), &warnings[..], "{name}");
+            }
+            Err(MedError::Lint(got)) => {
+                assert_eq!(got, errors, "{name}");
+                rejected.push(name);
+            }
+            Err(e) => panic!("{name}: {e}"),
+        }
+    }
+    assert_eq!(rejected, ["type_mismatch.msl", "unanswerable.msl"]);
+}

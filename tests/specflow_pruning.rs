@@ -1,7 +1,10 @@
 //! Planner-integrated answerability: the optimizer prunes rule chains the
 //! whole-spec analysis proves empty, the pruned chain count is pinned, and
 //! the answers are byte-identical with pruning on and off (only provably
-//! empty chains are ever dropped).
+//! empty chains are ever dropped). What the analysis accepts, the planner
+//! runs, and the answer is the naive evaluator's.
+
+mod common;
 
 use medmaker::planner::{plan, PlanContext, PlannerOptions};
 use medmaker::stats::StatsCache;
@@ -124,4 +127,97 @@ fn unconstrained_query_prunes_nothing() {
     // Both chains are feasible without the conflicting constant: both
     // sources answer.
     assert_eq!(all.top_level().len(), 2);
+}
+
+/// The planned answer to `query` over `spec`, which must hold the objects
+/// the naive evaluator builds from the same expanded rules. `bind` pins
+/// the join kind (`None`: the cost model's choice).
+fn answer_like_naive(
+    spec: &str,
+    sources: Vec<Arc<dyn Wrapper>>,
+    query: &str,
+    bind: Option<bool>,
+) -> oem::ObjectStore {
+    use medmaker::naive::{eval_program, SourceRef};
+    let options = MediatorOptions {
+        planner: PlannerOptions {
+            prefer_bind_join: bind,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let registry = medmaker::externals::standard_registry();
+    let med = Mediator::new_with_options("med", spec, sources.clone(), registry, options).unwrap();
+    let q = msl::parse_query(query).unwrap();
+    let planned = med.query_rule(&q).unwrap().results;
+    let resolve = |name: oem::Symbol| {
+        sources
+            .iter()
+            .find(|w| w.name() == name)
+            .map(SourceRef::Wrapper)
+    };
+    let rules = med.expand(&q).unwrap().rules;
+    let naive = eval_program(&rules, &resolve, &medmaker::externals::standard_registry()).unwrap();
+    let render = |s: &oem::ObjectStore| oem::printer::print_store(s);
+    assert!(
+        common::same_objects(&planned, &naive),
+        "{query}: planned\n{}naive\n{}",
+        render(&planned),
+        render(&naive)
+    );
+    planned
+}
+
+#[test]
+fn integers_and_reals_compare_as_the_matcher_compares_them() {
+    // `3` and `3.0` are equal to the matcher, so neither the pruning of a
+    // real constant on an integer label nor a join of an integer with a
+    // real may call them apart.
+    let ints = || source("a", "<&p1, p, set, {<&k1, k, 3>}>\n");
+    let mixed = || {
+        source(
+            "a",
+            "<&p1, p, set, {<&k1, k, 3>}>\n<&p2, p, set, {<&k2, k, 4.5>}>\n",
+        )
+    };
+    let reals = || source("b", "<&q1, q, set, {<&k3, k, 3.0>}>\n");
+    let view = "<v {<k K>}> :- <p {<k K>}>@a\n";
+    for a in [ints(), mixed()] {
+        let answer = answer_like_naive(view, vec![a], "X :- X:<v {<k 3.0>}>@med", None);
+        assert_eq!(answer.top_level().len(), 1);
+    }
+    // Probed by a bind join, and as the key of a hash join.
+    let join = "<w {<k K>}> :- <p {<k K>}>@a AND <q {<k K>}>@b\n";
+    for bind in [Some(true), Some(false)] {
+        let answer = answer_like_naive(join, vec![ints(), reals()], "X :- X:<w {}>@med", bind);
+        assert_eq!(answer.top_level().len(), 1, "bind join: {bind:?}");
+    }
+}
+
+#[test]
+fn a_bound_rest_condition_fills_a_required_condition() {
+    // `form` answers only queries that name a person. The rule names one
+    // in a rest condition, from `roster`'s member: the analysis accepts it
+    // (no E302) and the planner reaches `form` by bind join through it.
+    let roster = source(
+        "roster",
+        "<&m1, member, set, {<&w1, who, 'Ann'>}>\n<&m2, member, set, {<&w2, who, 'Bob'>}>\n",
+    );
+    let store = oem::parser::parse_store(
+        "<&p1, person, set, {<&n1, name, 'Ann'>, <&d1, dept, 'CS'>}>\n\
+         <&p2, person, set, {<&n2, name, 'Cy'>, <&d2, dept, 'EE'>}>\n",
+    )
+    .unwrap();
+    let caps = wrappers::Capabilities::restricted().with_required_condition_on(oem::sym("name"));
+    let form: Arc<dyn Wrapper> =
+        Arc::new(SemiStructuredWrapper::new("form", store).with_capabilities(caps));
+    let spec = "<v {<n N> <d D> R}> :- <member {<who N>}>@roster \
+                AND <person {<dept D> | R:{<name N>}}>@form\n";
+    let answer = answer_like_naive(spec, vec![roster, form], "X :- X:<v {}>@med", None);
+    let printed = oem::printer::print_store(&answer);
+    assert_eq!(answer.top_level().len(), 1, "{printed}");
+    assert!(
+        printed.contains("'Ann'") && printed.contains("'CS'"),
+        "{printed}"
+    );
 }

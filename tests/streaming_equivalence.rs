@@ -391,9 +391,6 @@ fn value_sets_match_one_call_per_tuple() {
                 },
                 learn_stats: false,
                 batch_size,
-                // specflow types joins more strictly than the matcher
-                // compares: it would refuse GRADED_SPEC's integer = real.
-                analysis: false,
                 ..Default::default()
             },
         )
