@@ -1,10 +1,10 @@
-//! The answer must not depend on how the optimizer chose the join order
-//! or how the plan was run: every cell of the enumeration × parallel ×
+//! The answer must not depend on how the optimizer joined the sources or
+//! how the plan was run: every cell of the join-method × parallel ×
 //! batch-size matrix returns byte-identical results for the paper's MS1
 //! workload.
 
 use engine::unify::UnifyMode;
-use medmaker::planner::{JoinEnumeration, PlannerOptions};
+use medmaker::planner::PlannerOptions;
 use medmaker::MediatorOptions;
 use medmaker_bench::paper_mediator_with;
 use oem::printer::print_store;
@@ -16,21 +16,17 @@ const QUERIES: [&str; 3] = [
 ];
 
 #[test]
-fn answers_identical_across_enumeration_and_execution_matrix() {
+fn answers_identical_across_join_method_and_execution_matrix() {
     let mut reference: Option<Vec<String>> = None;
-    for enumeration in [
-        JoinEnumeration::Auto,
-        JoinEnumeration::Exhaustive,
-        JoinEnumeration::Greedy,
-        JoinEnumeration::Scalar,
-    ] {
+    // Cost-chosen, forced bind joins, forced hash joins.
+    for prefer_bind_join in [None, Some(true), Some(false)] {
         for parallel in [false, true] {
             // MS1's tables fit any default-sized batch; one row per batch
             // is the size that pipelines every join order.
             for batch_size in [1, 1024] {
                 let med = paper_mediator_with(MediatorOptions {
                     planner: PlannerOptions {
-                        enumeration,
+                        prefer_bind_join,
                         ..Default::default()
                     },
                     parallel,
@@ -46,8 +42,8 @@ fn answers_identical_across_enumeration_and_execution_matrix() {
                     None => reference = Some(answers),
                     Some(want) => assert_eq!(
                         want, &answers,
-                        "{enumeration:?} parallel={parallel} batch_size={batch_size} \
-                         changed the answer"
+                        "prefer_bind_join={prefer_bind_join:?} parallel={parallel} \
+                         batch_size={batch_size} changed the answer"
                     ),
                 }
             }

@@ -94,8 +94,6 @@ pub struct Config {
     /// Canonical keys scoping the delta (`--key K`, repeatable;
     /// invalidate mode only).
     pub keys: Vec<String>,
-    /// Cost-model component weights (`--cost-weights rows=1,net=5,...`).
-    pub cost_weights: Option<medmaker::cost::CostWeights>,
     /// Rows per batch flowing between operators (`--batch-size N`).
     pub batch_size: Option<usize>,
     /// Serve subcommand: run the resident mediator daemon
@@ -130,7 +128,7 @@ usage: medmaker --spec FILE [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]
                 [--retries N] [--source-deadline-ms MS] [--partial]
                 [--cache] [--cache-capacity N] [--cache-ttl-ms MS]
                 [--cache-stale-ok] [--cache-dir DIR] [--cache-warm-bytes N]
-                [--batch-size N] [--cost-weights K=V,...] [QUERY]
+                [--batch-size N] [QUERY]
        medmaker check SPEC [--json] [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]...
        medmaker explain --spec FILE [--analyze] [--trace-json PATH] [source/option flags] QUERY
        medmaker serve --spec FILE [--addr HOST:PORT] [--workers N] [--queue N]
@@ -173,11 +171,6 @@ usage: medmaker --spec FILE [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]
                     drops the lowest-value entries past it
   --batch-size N    rows per batch flowing between operators; bounds
                     what each operator holds at once (default: 1024)
-  --cost-weights K=V,...
-                    reweight the optimizer's cost components; keys are
-                    rows, cpu, net, mem (e.g. rows=1,net=5 prices network
-                    5x against cardinality; defaults rows=1 cpu=0.01
-                    net=1 mem=0.005)
   QUERY             a query; omit for an interactive session
 
 check mode runs every static pass over SPEC, the same passes a mediator
@@ -330,14 +323,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Config, Str
                     return Err("--cache-warm-bytes must be at least 1".to_string());
                 }
                 cfg.cache_warm_bytes = Some(n);
-            }
-            "--cost-weights" => {
-                let v = it
-                    .next()
-                    .ok_or("--cost-weights needs a key=value,... argument")?;
-                let w = medmaker::cost::CostWeights::parse(&v)
-                    .map_err(|e| format!("--cost-weights: {e}"))?;
-                cfg.cost_weights = Some(w);
             }
             "--batch-size" => {
                 let v = it.next().ok_or("--batch-size needs a number argument")?;
@@ -531,7 +516,6 @@ pub fn build_mediator(cfg: &Config) -> Result<Mediator, String> {
     Ok(med.with_options(MediatorOptions {
         planner: PlannerOptions {
             dedup: !cfg.no_dedup,
-            cost_weights: cfg.cost_weights.unwrap_or_default(),
             ..Default::default()
         },
         unify_mode: if cfg.minimal {
@@ -1046,28 +1030,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_cost_weights_flag() {
-        let cfg = parse_args(argv(
-            "--spec med.msl --cost-weights rows=1,net=5,cpu=0.02 QUERY",
-        ))
-        .unwrap();
-        let w = cfg.cost_weights.expect("weights parsed");
-        assert_eq!(w.rows, 1.0);
-        assert_eq!(w.net, 5.0);
-        assert_eq!(w.cpu, 0.02);
-        // Unmentioned keys keep their defaults.
-        assert_eq!(w.mem, medmaker::cost::CostWeights::default().mem);
-        // Default: no override.
-        let cfg = parse_args(argv("--spec med.msl QUERY")).unwrap();
-        assert!(cfg.cost_weights.is_none());
-        // Malformed specs are rejected with the flag named.
-        let err = parse_args(argv("--spec s.msl --cost-weights rows=fast")).unwrap_err();
-        assert!(err.contains("--cost-weights"), "{err}");
-        assert!(parse_args(argv("--spec s.msl --cost-weights turbo=9")).is_err());
-        assert!(parse_args(argv("--spec s.msl --cost-weights")).is_err());
-    }
-
-    #[test]
     fn parse_streaming_flags() {
         let cfg = parse_args(argv("--spec med.msl --batch-size 128 QUERY")).unwrap();
         assert_eq!(cfg.batch_size, Some(128));
@@ -1078,8 +1040,9 @@ mod tests {
         assert!(parse_args(argv("--spec s.msl --batch-size tiny")).is_err());
         assert!(parse_args(argv("--spec s.msl --batch-size 0")).is_err());
         assert!(parse_args(argv("--spec s.msl --batch-size")).is_err());
-        // The flags that chose a second executor or eviction policy are gone.
-        for retired in ["--materialize", "--cache-fifo"] {
+        // The flags that chose a second executor, an eviction policy or
+        // cost weights are gone.
+        for retired in ["--materialize", "--cache-fifo", "--cost-weights"] {
             let err = parse_args(argv(&format!("--spec s.msl {retired} QUERY"))).unwrap_err();
             assert!(
                 err.contains(&format!("unknown option '{retired}'")),

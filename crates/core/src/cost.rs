@@ -1,10 +1,8 @@
-//! Multi-objective plan cost (ROADMAP item 2).
+//! Multi-objective plan cost.
 //!
-//! The seed planner ordered rule-body groups by a single scalar
-//! cardinality estimate. The system now *measures* much more than
-//! cardinality — per-source round-trip latency and failure rates
-//! ([`crate::retry`], PR 3), cache hit probability ([`crate::cache`],
-//! PR 4) — so a plan's cost is a vector, not a number:
+//! The system measures more than cardinality — per-source round-trip
+//! latency and failure rates ([`crate::retry`]), cache hit probability
+//! ([`crate::cache`]) — so a plan's cost is a vector, not a number:
 //!
 //! * `rows_out` — estimated binding rows the step emits (the EWMA
 //!   cardinality feed of §3.5, with same-source joins discounted for
@@ -16,10 +14,11 @@
 //! * `memory` — rows materialized in mediator memory (hash-join build
 //!   sides, copied source answers).
 //!
-//! [`CostWeights`] collapses the vector to a scalar for comparing
-//! candidate join orders; the components survive alongside the chosen
-//! plan (`RulePlan::estimates` → `NodeMetrics`) so `EXPLAIN ANALYZE`
-//! can report drift per component, not just on row counts.
+//! [`CostEstimate::total`] collapses the vector to a scalar, with one
+//! fixed set of weights, for comparing candidate join orders; the
+//! components survive alongside the chosen plan (`RulePlan::estimates` →
+//! `NodeMetrics`) so `EXPLAIN ANALYZE` can report drift per component,
+//! not just on row counts.
 
 /// One step's (or one whole order's) estimated cost, by component.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -35,8 +34,9 @@ pub struct CostEstimate {
 }
 
 impl CostEstimate {
-    /// A cardinality-only estimate (scalar-model compatibility: the other
-    /// components are unknown and render as absent).
+    /// A cardinality-only estimate, for steps that make no source call
+    /// (external predicates, client-side filters): the other components
+    /// are unknown and render as absent.
     pub fn rows_only(rows_out: f64) -> CostEstimate {
         CostEstimate {
             rows_out,
@@ -63,7 +63,8 @@ impl CostEstimate {
     /// Weighted scalar total for order comparison. NaN (degenerate
     /// statistics) sanitizes to `f64::MAX` so comparisons stay total and
     /// join ordering deterministic (the PR 3 NaN pin).
-    pub fn total(&self, w: &CostWeights) -> f64 {
+    pub fn total(&self) -> f64 {
+        let w = WEIGHTS;
         let t = self.rows_out * w.rows + self.cpu * w.cpu + self.net * w.net + self.memory * w.mem;
         if t.is_nan() {
             f64::MAX
@@ -79,65 +80,22 @@ impl CostEstimate {
 pub const SENTINEL_THRESHOLD: f64 = f64::MAX / 2.0;
 
 /// Relative weights collapsing a [`CostEstimate`] to one comparable
-/// number. The defaults make a row of intermediate result the unit,
-/// price a millisecond of round-trip like a row (both ~the cost the user
-/// waits on), and price local row handling and resident memory at a
-/// fraction of that — tune with `--cost-weights`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostWeights {
-    /// Weight per estimated output row.
-    pub rows: f64,
-    /// Weight per locally-processed row.
-    pub cpu: f64,
-    /// Weight per estimated round-trip millisecond.
-    pub net: f64,
-    /// Weight per resident row.
-    pub mem: f64,
+/// number. A row of intermediate result is the unit; a millisecond of
+/// round-trip is priced like a row (both are what the user waits on);
+/// local row handling and resident memory cost a fraction of that.
+struct Weights {
+    rows: f64,
+    cpu: f64,
+    net: f64,
+    mem: f64,
 }
 
-impl Default for CostWeights {
-    fn default() -> CostWeights {
-        CostWeights {
-            rows: 1.0,
-            cpu: 0.01,
-            net: 1.0,
-            mem: 0.005,
-        }
-    }
-}
-
-impl CostWeights {
-    /// Parse a `--cost-weights` argument: comma-separated `key=value`
-    /// pairs over `rows`, `cpu`, `net`, `mem`; omitted keys keep their
-    /// defaults. Example: `rows=1,net=5,cpu=0.02`.
-    pub fn parse(spec: &str) -> Result<CostWeights, String> {
-        let mut w = CostWeights::default();
-        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("cost weight '{part}' is not KEY=VALUE"))?;
-            let value: f64 = value
-                .trim()
-                .parse()
-                .map_err(|_| format!("cost weight '{part}' has a non-numeric value"))?;
-            if !value.is_finite() || value < 0.0 {
-                return Err(format!("cost weight '{part}' must be finite and >= 0"));
-            }
-            match key.trim() {
-                "rows" => w.rows = value,
-                "cpu" => w.cpu = value,
-                "net" => w.net = value,
-                "mem" | "memory" => w.mem = value,
-                other => {
-                    return Err(format!(
-                        "unknown cost weight '{other}' (expected rows/cpu/net/mem)"
-                    ))
-                }
-            }
-        }
-        Ok(w)
-    }
-}
+const WEIGHTS: Weights = Weights {
+    rows: 1.0,
+    cpu: 0.01,
+    net: 1.0,
+    mem: 0.005,
+};
 
 #[cfg(test)]
 mod tests {
@@ -151,8 +109,7 @@ mod tests {
             net: 2.0,
             memory: 200.0,
         };
-        let w = CostWeights::default();
-        let t = e.total(&w);
+        let t = e.total();
         assert!((t - (10.0 + 1.0 + 2.0 + 1.0)).abs() < 1e-9, "{t}");
     }
 
@@ -162,7 +119,7 @@ mod tests {
             rows_out: f64::NAN,
             ..Default::default()
         };
-        assert_eq!(e.total(&CostWeights::default()), f64::MAX);
+        assert_eq!(e.total(), f64::MAX);
         assert!(!e.has_rows());
     }
 
@@ -171,17 +128,5 @@ mod tests {
         assert!(!CostEstimate::rows_only(f64::MAX).has_rows());
         assert!(!CostEstimate::rows_only(0.0).has_rows());
         assert!(CostEstimate::rows_only(2.0).has_rows());
-    }
-
-    #[test]
-    fn parse_overrides_selected_keys() {
-        let w = CostWeights::parse("net=5, cpu=0.02").unwrap();
-        assert_eq!(w.net, 5.0);
-        assert_eq!(w.cpu, 0.02);
-        assert_eq!(w.rows, CostWeights::default().rows);
-        assert!(CostWeights::parse("bogus=1").is_err());
-        assert!(CostWeights::parse("net").is_err());
-        assert!(CostWeights::parse("net=-1").is_err());
-        assert_eq!(CostWeights::parse("").unwrap(), CostWeights::default());
     }
 }

@@ -99,9 +99,10 @@ pub fn render_analyze(plan: &PhysicalPlan, outcome: &ExecOutcome) -> String {
                 }
             }
             let _ = writeln!(out, "{line}");
-            // Cost-model breakdown, when the multi-objective model priced
-            // this node (the scalar baseline carries rows only). The same
-            // sentinel rule as for row estimates applies per component.
+            // Cost-model breakdown, when the model priced this node with a
+            // source call (external predicates and client-side filters
+            // carry rows only). The same sentinel rule as for row
+            // estimates applies per component.
             let sane = |v: f64| v.is_finite() && v < crate::cost::SENTINEL_THRESHOLD;
             if (m.est_cpu_rows > 0.0 || m.est_net_ms > 0.0 || m.est_mem_rows > 0.0)
                 && sane(m.est_cpu_rows)

@@ -765,13 +765,13 @@ mod tests {
         //   cs    2 → 2.0,  1 → 1.5
         //   whois 0 → 0.0,  1 → 0.5,  1 → 0.75
         // A mediator that recorded the trace twice would replay the blend
-        // and land on cs = 1.25, whois = 0.84375 instead. (Scalar
-        // enumeration pins the seed plan shape the expected chains assume;
-        // the property under test is once-per-query recording.)
+        // and land on cs = 1.25, whois = 0.84375 instead. (Forcing bind
+        // joins pins the plan shape the expected chains assume; the
+        // property under test is once-per-query recording.)
         let med = paper_mediator().with_options(MediatorOptions {
             unify_mode: UnifyMode::Minimal,
             planner: crate::planner::PlannerOptions {
-                enumeration: crate::planner::JoinEnumeration::Scalar,
+                prefer_bind_join: Some(true),
                 ..Default::default()
             },
             ..Default::default()

@@ -4,14 +4,12 @@
 //!
 //! * groups the tail's match items by source;
 //! * orders the groups by **join enumeration** over a multi-objective
-//!   [`CostEstimate`] (rows / cpu / net / memory, weighted by
-//!   [`CostWeights`]): exhaustive enumeration of every feasible order for
-//!   small rule bodies (up to `EXHAUSTIVE_LIMIT` = 6 groups), greedy
-//!   cheapest-next above it. The `net` component prices
+//!   [`CostEstimate`] (rows / cpu / net / memory, collapsed by
+//!   [`CostEstimate::total`]): exhaustive enumeration of every feasible
+//!   order for small rule bodies (up to `EXHAUSTIVE_LIMIT` = 6 groups),
+//!   greedy cheapest-next above it. The `net` component prices
 //!   round-trips with the measured per-source latency, failure-rate and
-//!   cache-hit EWMAs ([`crate::stats::StatsCache::per_call_cost_ms`]).
-//!   [`JoinEnumeration::Scalar`] restores the seed behavior — a sort by
-//!   scalar cardinality estimate — as the ablation baseline;
+//!   cache-hit EWMAs ([`crate::stats::StatsCache::per_call_cost_ms`]);
 //! * chooses, for every non-outer group, between a **parameterized query**
 //!   (bind join, the plan of Figure 3.6) and a **fetch + hash join**;
 //! * pushes every condition the source can evaluate; conditions a source
@@ -21,12 +19,12 @@
 //!   implementation is callable (§2's adornments);
 //! * appends duplicate elimination per MSL's semantics (footnote 9).
 
-use crate::cost::{CostEstimate, CostWeights};
+use crate::cost::CostEstimate;
 use crate::error::{MedError, Result};
 use crate::externals::ExternalRegistry;
 use crate::graph::{ExtractVar, Node, PhysicalPlan, RulePlan, VarKind};
 use crate::logical::LogicalProgram;
-use crate::stats::{condition_count, StatsCache, JOIN_EQ_SELECTIVITY};
+use crate::stats::{StatsCache, JOIN_EQ_SELECTIVITY};
 use engine::subst::{subst_pattern, Subst};
 use msl::{Head, PatValue, Pattern, RestSpec, Rule, SetElem, SetPattern, TailItem, Term};
 use oem::{Symbol, Value};
@@ -47,8 +45,8 @@ pub struct PlannerOptions {
     /// Apply duplicate elimination (MSL semantics; the paper's original
     /// implementation omitted it, fn. 9).
     pub dedup: bool,
-    /// Use statistics for join ordering; otherwise use only the
-    /// most-conditions-first heuristic.
+    /// Price plans with the provided and learned statistics; otherwise
+    /// with the built-in defaults only.
     pub use_stats: bool,
     /// Prune chains [`crate::analysis::SpecAnalysis::rule_infeasible`]
     /// proves empty (type-mismatched joins, labels a closed summary lacks,
@@ -56,16 +54,11 @@ pub struct PlannerOptions {
     /// Requires [`PlanContext::analysis`]; pruning never changes answers,
     /// only skips provably-empty work.
     pub prune_infeasible: bool,
-    /// How join orders are searched (and which cost model scores them).
-    pub enumeration: JoinEnumeration,
-    /// Weights collapsing a [`CostEstimate`] to one comparable number
-    /// (`--cost-weights`); ignored under [`JoinEnumeration::Scalar`].
-    pub cost_weights: CostWeights,
 }
 
 /// Rule bodies with at most this many source groups are ordered by
-/// exhaustive enumeration under [`JoinEnumeration::Auto`]; larger bodies
-/// fall back to the greedy cheapest-next heuristic.
+/// exhaustive enumeration; larger bodies fall back to the greedy
+/// cheapest-next heuristic.
 const EXHAUSTIVE_LIMIT: usize = 6;
 
 impl Default for PlannerOptions {
@@ -76,31 +69,8 @@ impl Default for PlannerOptions {
             dedup: true,
             use_stats: true,
             prune_infeasible: true,
-            enumeration: JoinEnumeration::Auto,
-            cost_weights: CostWeights::default(),
         }
     }
-}
-
-/// Join-order search strategy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum JoinEnumeration {
-    /// Exhaustive for rule bodies up to `EXHAUSTIVE_LIMIT` (6) groups,
-    /// greedy above.
-    #[default]
-    Auto,
-    /// Score every feasible permutation with the multi-objective cost
-    /// model (factorial in the group count — capped by callers via
-    /// [`JoinEnumeration::Auto`]).
-    Exhaustive,
-    /// Pick the cheapest feasible next group under the already-bound
-    /// variables, one position at a time.
-    Greedy,
-    /// The seed planner: sort by scalar cardinality estimate with the
-    /// most-conditions-first tie-breaker, naive group products, and the
-    /// seed bind-vs-hash heuristic. The baseline `experiments cost`
-    /// measures the multi-objective model against.
-    Scalar,
 }
 
 /// Everything the planner consults.
@@ -160,7 +130,16 @@ enum ClientFilter {
     Rest { var: Symbol, condition: Pattern },
 }
 
-fn plan_rule(rule: &Rule, ctx: &PlanContext) -> Result<RulePlan> {
+/// A rule body ready for join ordering: its source groups with the
+/// conditions stripped out of each, its external-predicate calls, and the
+/// variables later steps need extracted.
+struct Body {
+    processed: Vec<(Group, Vec<ClientFilter>)>,
+    externals: Vec<(Symbol, Vec<Term>)>,
+    needed: HashSet<Symbol>,
+}
+
+fn prepare_body(rule: &Rule, ctx: &PlanContext) -> Result<Body> {
     // ---- partition the tail --------------------------------------------
     let mut groups: Vec<Group> = Vec::new();
     let mut externals: Vec<(Symbol, Vec<Term>)> = Vec::new();
@@ -263,7 +242,7 @@ fn plan_rule(rule: &Rule, ctx: &PlanContext) -> Result<RulePlan> {
         }
         needed.extend(vs);
     }
-    for (g, filters) in &processed {
+    for (_, filters) in &processed {
         for f in filters {
             match f {
                 ClientFilter::ValueEq { var, .. } => {
@@ -274,7 +253,6 @@ fn plan_rule(rule: &Rule, ctx: &PlanContext) -> Result<RulePlan> {
                 }
             }
         }
-        let _ = g;
     }
     // Vars shared between groups are join/param variables → needed.
     {
@@ -295,13 +273,25 @@ fn plan_rule(rule: &Rule, ctx: &PlanContext) -> Result<RulePlan> {
             }
         }
     }
+    Ok(Body {
+        processed,
+        externals,
+        needed,
+    })
+}
+
+fn plan_rule(rule: &Rule, ctx: &PlanContext) -> Result<RulePlan> {
+    let Body {
+        processed,
+        externals,
+        needed,
+    } = prepare_body(rule, ctx)?;
 
     // ---- join order ------------------------------------------------------
     // Pick the evaluation order by simulating candidate prefixes with the
     // same cost model the chain builder prices nodes with, so the scores
     // that chose the order are exactly the estimates EXPLAIN renders.
-    // Orders that cannot fill a group's required conditions are skipped;
-    // under [`JoinEnumeration::Scalar`] this is the seed's sort instead.
+    // Orders that cannot fill a group's required conditions are skipped.
     let model = CostModel::new(ctx);
     let order = choose_join_order(&processed, &externals, &needed, &model)?;
     let mut slots: Vec<Option<(Group, Vec<ClientFilter>)>> =
@@ -395,56 +385,18 @@ fn plan_rule(rule: &Rule, ctx: &PlanContext) -> Result<RulePlan> {
 
         // A group with unmet required conditions (a form-based source's
         // mandatory field) is only evaluable as a bind join whose `$param`
-        // slots fill those conditions — verify the params cover them.
-        let forced_bind = !group.missing_required.is_empty();
-        if !group.fillable_by(caps, &param_vars) {
-            return Err(unfillable_order_error(group));
-        }
-
-        let (step_est, use_bind) = if ctx.options.enumeration == JoinEnumeration::Scalar {
-            // The seed model: one scalar running-cardinality estimate and
-            // the seed's bind-vs-hash heuristic. Bind join sends one source
-            // query per outer tuple; if the source answers parameterized
-            // lookups cheaply (indexed), compare cardinalities, else bind
-            // joins only pay off for tiny outers.
-            let pr: Vec<&Pattern> = group.patterns.iter().collect();
-            let est = if ctx.options.use_stats && ctx.stats.knows(group.source) {
-                ctx.stats.estimate_group_naive(group.source, &pr)
-            } else {
-                StatsCache::new().estimate_group_naive(group.source, &pr)
-            };
-            let use_bind = forced_bind
-                || !param_vars.is_empty()
-                    && caps.parameterized
-                    && match ctx.options.prefer_bind_join {
-                        Some(b) => b,
-                        None => {
-                            if caps.parameterized_cheap {
-                                running_est <= est
-                            } else {
-                                running_est <= 8.0
-                            }
-                        }
-                    };
-            let next = if gi == 0 {
-                est
-            } else {
-                running_est.min(est).max(1.0)
-            };
-            (CostEstimate::rows_only(next), use_bind)
-        } else {
-            model
-                .assess(
-                    group,
-                    caps,
-                    &param_vars,
-                    &gvars_set,
-                    &bound,
-                    running_est,
-                    gi == 0,
-                )
-                .ok_or_else(|| unfillable_order_error(group))?
-        };
+        // slots fill those conditions; `assess` refuses it otherwise.
+        let (step_est, use_bind) = model
+            .assess(
+                group,
+                caps,
+                &param_vars,
+                &gvars_set,
+                &bound,
+                running_est,
+                gi == 0,
+            )
+            .ok_or_else(|| unfillable_order_error(group))?;
         running_est = step_est.rows_out;
 
         if gi == 0 {
@@ -687,10 +639,7 @@ impl<'a, 'b> CostModel<'a, 'b> {
             || bind_possible
                 && match self.ctx.options.prefer_bind_join {
                     Some(b) => b,
-                    None => {
-                        bind.total(&self.ctx.options.cost_weights)
-                            <= hash.total(&self.ctx.options.cost_weights)
-                    }
+                    None => bind.total() <= hash.total(),
                 };
         Some((if use_bind { bind } else { hash }, use_bind))
     }
@@ -760,7 +709,7 @@ impl<'a, 'b> OrderSim<'a, 'b> {
             self.running,
             self.first,
         )?;
-        let cost = est.total(&ctx.options.cost_weights);
+        let cost = est.total();
         self.running = est.rows_out;
         self.first = false;
         self.bound
@@ -797,21 +746,12 @@ fn choose_join_order(
     needed: &HashSet<Symbol>,
     model: &CostModel,
 ) -> Result<Vec<usize>> {
-    let ctx = model.ctx;
     let n = processed.len();
-    if ctx.options.enumeration == JoinEnumeration::Scalar {
-        return Ok(scalar_order(processed, ctx));
-    }
     if n <= 1 {
         return Ok((0..n).collect());
     }
-    let exhaustive = match ctx.options.enumeration {
-        JoinEnumeration::Exhaustive => true,
-        JoinEnumeration::Greedy => false,
-        _ => n <= EXHAUSTIVE_LIMIT,
-    };
     let sim = OrderSim::new(model, processed, externals, needed);
-    let order = if exhaustive {
+    let order = if n <= EXHAUSTIVE_LIMIT {
         exhaustive_order(&sim, n)
     } else {
         greedy_order(sim, n)
@@ -889,53 +829,6 @@ fn greedy_order(mut sim: OrderSim, n: usize) -> Option<Vec<usize>> {
         order.push(i);
     }
     Some(order)
-}
-
-/// The seed planner's join order (the `Scalar` ablation): groups whose
-/// source demands a condition no pattern supplies sort last; within each
-/// class ascending naive cardinality estimate, most-conditions-first as
-/// the tie-breaker and as the whole story without statistics.
-fn scalar_order(processed: &[(Group, Vec<ClientFilter>)], ctx: &PlanContext) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..processed.len()).collect();
-    idx.sort_by(|&x, &y| {
-        let (a, b) = (&processed[x].0, &processed[y].0);
-        let class = a
-            .missing_required
-            .is_empty()
-            .cmp(&b.missing_required.is_empty())
-            .reverse();
-        if class != std::cmp::Ordering::Equal {
-            return class;
-        }
-        let pa: Vec<&Pattern> = a.patterns.iter().collect();
-        let pb: Vec<&Pattern> = b.patterns.iter().collect();
-        let conds_a = condition_count(&pa);
-        let conds_b = condition_count(&pb);
-        let (ka, kb) = (
-            ctx.options.use_stats && ctx.stats.knows(a.source),
-            ctx.options.use_stats && ctx.stats.knows(b.source),
-        );
-        // NaN estimates (degenerate statistics, e.g. 0.0/0.0 selectivity)
-        // must not compare as Equal: that would make the join order depend
-        // on input position. Unknown ⇒ last, same as a missing estimate,
-        // keeping the ordering total and deterministic.
-        let sanitize = |est: f64| if est.is_nan() { f64::MAX } else { est };
-        let est_a = if ka {
-            sanitize(ctx.stats.estimate_group_naive(a.source, &pa))
-        } else {
-            f64::MAX
-        };
-        let est_b = if kb {
-            sanitize(ctx.stats.estimate_group_naive(b.source, &pb))
-        } else {
-            f64::MAX
-        };
-        est_a
-            .partial_cmp(&est_b)
-            .expect("estimates are NaN-free after sanitize")
-            .then(conds_b.cmp(&conds_a))
-    });
-    idx
 }
 
 /// Is the external predicate callable given the statically-known bound
@@ -1037,7 +930,7 @@ fn build_source_query(
 ) -> Rule {
     let mut elements: Vec<SetElem> = Vec::new();
     for e in extract {
-        let carrier = Symbol::intern(&format!("bind_for_{}", e.var));
+        let carrier = crate::graph::carrier_label(e.var);
         let inner = match e.kind {
             VarKind::Scalar => Pattern::lv(
                 Term::Const(Value::Str(carrier)),
@@ -1374,9 +1267,7 @@ mod tests {
         // whenever whois is inner the planner must choose a hash join
         // rather than per-tuple scans — under the multi-objective model
         // the bind join's `net` (one priced round-trip per outer row)
-        // dwarfs the hash join's single fetch. Under the Scalar ablation
-        // the seed behavior is pinned exactly: cs (80 rows) goes outer and
-        // whois is hash-joined.
+        // dwarfs the hash join's single fetch.
         let med = MediatorSpec::parse("med", MS1).unwrap();
         let q = parse_query("P :- P:<cs_person {}>@med").unwrap();
         let program = expand(&q, &med, UnifyMode::Minimal).unwrap();
@@ -1400,48 +1291,46 @@ mod tests {
             },
         );
         let srcs = sources();
-        for enumeration in [
-            JoinEnumeration::Auto,
-            JoinEnumeration::Greedy,
-            JoinEnumeration::Scalar,
-        ] {
-            let options = PlannerOptions {
-                enumeration,
-                ..Default::default()
-            };
-            let ctx = PlanContext {
-                sources: &srcs,
-                registry: &registry,
-                stats: &stats,
-                options: &options,
-                analysis: None,
-            };
-            let plan = plan(&program, &ctx).unwrap();
-            let nodes = &plan.rules[0].nodes;
-            if enumeration == JoinEnumeration::Scalar {
-                let Node::Query { source, .. } = &nodes[0] else {
-                    panic!("expected a query first, got {nodes:?}")
-                };
-                assert_eq!(*source, sym("cs"), "seed model: small side goes outer");
-            }
-            let whois_bind_joined = nodes
-                .iter()
-                .any(|n| matches!(n, Node::ParamQuery { source, .. } if *source == sym("whois")));
-            assert!(
-                !whois_bind_joined,
-                "{enumeration:?}: scan-based whois must never be bind-joined: {nodes:?}"
-            );
-        }
+        let options = PlannerOptions::default();
+        let ctx = PlanContext {
+            sources: &srcs,
+            registry: &registry,
+            stats: &stats,
+            options: &options,
+            analysis: None,
+        };
+        let plan = plan(&program, &ctx).unwrap();
+        let nodes = &plan.rules[0].nodes;
+        let whois_bind_joined = nodes
+            .iter()
+            .any(|n| matches!(n, Node::ParamQuery { source, .. } if *source == sym("whois")));
+        assert!(
+            !whois_bind_joined,
+            "scan-based whois must never be bind-joined: {nodes:?}"
+        );
+    }
+
+    /// The first source exhaustive and greedy search each pick for the
+    /// program's first rule.
+    fn searched_first_sources(program: &LogicalProgram, ctx: &PlanContext) -> [Symbol; 2] {
+        let body = prepare_body(&program.rules[0], ctx).unwrap();
+        let model = CostModel::new(ctx);
+        let sim = OrderSim::new(&model, &body.processed, &body.externals, &body.needed);
+        let n = body.processed.len();
+        let first = |order: Option<Vec<usize>>| body.processed[order.unwrap()[0]].0.source;
+        [
+            first(exhaustive_order(&sim, n)),
+            first(greedy_order(sim.clone(), n)),
+        ]
     }
 
     #[test]
     fn shared_variable_discount_flips_join_order() {
         // Two whois patterns share X, so the whois group is an equi-join
-        // (50 × 50 × 0.1 = 250 rows), not a cross product (2500). The
-        // seed's naive product ranks whois *larger* than cs (300) and
-        // starts with cs; the fixed estimate ranks whois smaller and
-        // starts there. Satellite check for the shared-variable fix:
-        // the two models must genuinely disagree on this ordering.
+        // (50 × 50 × 0.1 = 250 rows), not a cross product (2500). A plain
+        // product would rank whois *larger* than cs (300) and start with
+        // cs; the discounted estimate ranks whois smaller, and both
+        // searches start there.
         let spec = "<v {<x X> <y Y>}> :- <a {<x X> <y Y>}>@whois \
                     AND <b {<x X>}>@whois AND <c {<y Y>}>@cs";
         let med = MediatorSpec::parse("med", spec).unwrap();
@@ -1466,27 +1355,23 @@ mod tests {
             },
         );
         let srcs = sources();
-        let first_source = |enumeration: JoinEnumeration| -> Symbol {
-            let options = PlannerOptions {
-                enumeration,
-                ..Default::default()
-            };
-            let ctx = PlanContext {
-                sources: &srcs,
-                registry: &registry,
-                stats: &stats,
-                options: &options,
-                analysis: None,
-            };
-            let plan = plan(&program, &ctx).unwrap();
-            let Node::Query { source, .. } = &plan.rules[0].nodes[0] else {
-                panic!("expected a query first: {:?}", plan.rules[0].nodes)
-            };
-            *source
+        let options = PlannerOptions::default();
+        let ctx = PlanContext {
+            sources: &srcs,
+            registry: &registry,
+            stats: &stats,
+            options: &options,
+            analysis: None,
         };
-        assert_eq!(first_source(JoinEnumeration::Scalar), sym("cs"));
-        assert_eq!(first_source(JoinEnumeration::Auto), sym("whois"));
-        assert_eq!(first_source(JoinEnumeration::Greedy), sym("whois"));
+        assert_eq!(
+            searched_first_sources(&program, &ctx),
+            [sym("whois"), sym("whois")]
+        );
+        let plan = plan(&program, &ctx).unwrap();
+        let Node::Query { source, .. } = &plan.rules[0].nodes[0] else {
+            panic!("expected a query first: {:?}", plan.rules[0].nodes)
+        };
+        assert_eq!(*source, sym("whois"));
     }
 
     #[test]
@@ -1517,29 +1402,20 @@ mod tests {
             let med = MediatorSpec::parse("med", spec).unwrap();
             let q = parse_query("V :- V:<v {}>@med").unwrap();
             let program = expand(&q, &med, UnifyMode::Minimal).unwrap();
-            for enumeration in [JoinEnumeration::Exhaustive, JoinEnumeration::Greedy] {
-                let options = PlannerOptions {
-                    enumeration,
-                    ..Default::default()
-                };
-                let ctx = PlanContext {
-                    sources: &srcs,
-                    registry: &registry,
-                    stats: &stats,
-                    options: &options,
-                    analysis: None,
-                };
-                for _ in 0..5 {
-                    let plan = plan(&program, &ctx).unwrap();
-                    let Node::Query { source, .. } = &plan.rules[0].nodes[0] else {
-                        panic!("expected a query first: {:?}", plan.rules[0].nodes)
-                    };
-                    assert_eq!(
-                        *source,
-                        sym(want_first),
-                        "{enumeration:?} must keep the input order on ties"
-                    );
-                }
+            let options = PlannerOptions::default();
+            let ctx = PlanContext {
+                sources: &srcs,
+                registry: &registry,
+                stats: &stats,
+                options: &options,
+                analysis: None,
+            };
+            for _ in 0..5 {
+                assert_eq!(
+                    searched_first_sources(&program, &ctx),
+                    [sym(want_first), sym(want_first)],
+                    "both searches must keep the input order on ties"
+                );
             }
         }
     }

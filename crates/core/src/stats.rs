@@ -215,10 +215,8 @@ impl StatsCache {
     /// estimates multiply (a cross product), but every variable a pattern
     /// *shares* with an earlier pattern of the group is an equi-join
     /// constraint, not a free cross — each shared variable discounts the
-    /// pattern's contribution by the default equality selectivity. The
-    /// seed model multiplied unconditionally, wildly overestimating
-    /// same-source joins (kept as [`StatsCache::estimate_group_naive`]
-    /// for the scalar-baseline comparison).
+    /// pattern's contribution by the default equality selectivity (a plain
+    /// product would wildly overestimate same-source joins).
     pub fn estimate_group(&self, source: Symbol, patterns: &[&Pattern]) -> f64 {
         let mut est = 1.0;
         let mut seen: std::collections::HashSet<Symbol> = std::collections::HashSet::new();
@@ -232,17 +230,6 @@ impl StatsCache {
             seen.extend(uniq);
         }
         est.max(0.01)
-    }
-
-    /// The seed scalar model's group estimate: a plain product of
-    /// per-pattern estimates, blind to shared variables. Kept only so the
-    /// `experiments cost` scorecard can compare the multi-objective model
-    /// against the exact pre-PR-9 baseline.
-    pub fn estimate_group_naive(&self, source: Symbol, patterns: &[&Pattern]) -> f64 {
-        patterns
-            .iter()
-            .map(|p| self.estimate_pattern(source, p))
-            .product()
     }
 }
 
@@ -331,13 +318,6 @@ pub fn condition_labels(pattern: &Pattern) -> Vec<(Symbol, bool)> {
         }
     }
     out
-}
-
-/// Count of constant conditions in a group of patterns (join-order
-/// tie-breaker: "the outer patterns of the join order are the ones that
-/// have the greatest number of conditions", §3.5).
-pub fn condition_count(patterns: &[&Pattern]) -> usize {
-    patterns.iter().map(|p| condition_labels(p).len()).sum()
 }
 
 #[cfg(test)]
@@ -481,7 +461,7 @@ mod tests {
         // free cross product.
         let p1 = pat("X :- <person {<name N>}>@s");
         let p2 = pat("X :- <emp {<name N>}>@s");
-        let naive = c.estimate_group_naive(sym("s"), &[&p1, &p2]);
+        let naive = c.estimate_pattern(sym("s"), &p1) * c.estimate_pattern(sym("s"), &p2);
         let joined = c.estimate_group(sym("s"), &[&p1, &p2]);
         assert_eq!(naive, 100.0 * 100.0);
         assert!(
@@ -492,7 +472,7 @@ mod tests {
         let p3 = pat("X :- <emp {<name M>}>@s");
         assert_eq!(
             c.estimate_group(sym("s"), &[&p1, &p3]),
-            c.estimate_group_naive(sym("s"), &[&p1, &p3])
+            c.estimate_pattern(sym("s"), &p1) * c.estimate_pattern(sym("s"), &p3)
         );
     }
 
@@ -557,13 +537,5 @@ mod tests {
         });
         assert_eq!(c.runtime(sym("t")).hit_rate, Some(1.0));
         assert_eq!(c.per_call_cost_ms(sym("t")), MIN_CALL_MS);
-    }
-
-    #[test]
-    fn condition_counting() {
-        let p1 = pat("X :- <person {<name 'Joe'> <dept 'CS'> <relation R> | Rest}>@s");
-        assert_eq!(condition_count(&[&p1]), 2);
-        let p2 = pat("X :- <person {<name N> | Rest:{<year 3>}}>@s");
-        assert_eq!(condition_count(&[&p2]), 1);
     }
 }

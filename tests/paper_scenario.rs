@@ -27,14 +27,14 @@ fn med_minimal() -> Mediator {
     })
 }
 
-/// Like [`med_minimal`], but pinned to the seed scalar cost model and to
-/// sources that take one value per parameter. The Fig 3.6 row-count tests
-/// below document the paper's presentation, where the inner whois group
-/// runs as a per-tuple parameterized query; the multi-objective model
-/// legitimately prefers a single-scan hash join for whois once it prices
-/// round-trips, so the paper shape is only stable under the `Scalar`
-/// ablation — and §3.4's node sends one query per binding tuple, which a
-/// source accepting value sets would not be sent.
+/// Like [`med_minimal`], but pinned to bind joins and to sources that
+/// take one value per parameter. The Fig 3.6 row-count tests below
+/// document the paper's presentation, where the inner whois group runs
+/// as a per-tuple parameterized query; the cost model legitimately
+/// prefers a single-scan hash join for whois once it prices round-trips,
+/// so the paper shape is only stable with `prefer_bind_join` forced —
+/// and §3.4's node sends one query per binding tuple, which a source
+/// accepting value sets would not be sent.
 fn med_paper_shape() -> Mediator {
     paper_shape(false)
 }
@@ -55,7 +55,7 @@ fn paper_shape(value_sets: bool) -> Mediator {
     .with_options(MediatorOptions {
         unify_mode: UnifyMode::Minimal,
         planner: medmaker::planner::PlannerOptions {
-            enumeration: medmaker::planner::JoinEnumeration::Scalar,
+            prefer_bind_join: Some(true),
             ..Default::default()
         },
         ..Default::default()
