@@ -180,7 +180,8 @@ whole-spec dataflow analysis (specflow): type inference over the view
 dependency graph against the sources' schema summaries, dead-view
 liveness, and per-view answerability matrices derived from the sources'
 capabilities (type-mismatched joins E301, unanswerable views E302,
-unknown labels W301, dead views W302). It prints every finding followed by
+unknown labels W301, dead views W302, rest conditions asking for a second
+child a source holds at most one of W303). It prints every finding followed by
 the inferred answerability of each view, and exits 0 (clean), 1
 (warnings) or 2 (errors / unreadable spec). --json prints one object with
 \"diagnostics\" and \"views\" arrays.

@@ -15,12 +15,15 @@
 //! * conditions and subpatterns on labels that a *closed* summary does not
 //!   contain can never match (`W301`, with a did-you-mean hint), and
 //!   constants whose type is incompatible with the label's value type are
-//!   provably-empty conditions (`E301`).
+//!   provably-empty conditions (`E301`);
+//! * a rest condition on a label the same set pattern already matches, at a
+//!   source whose closed summary holds at most one such child per parent,
+//!   can never match either (`W303`).
 
 use super::depgraph::ViewGraph;
 use super::SourceInfo;
 use msl::diag::{codes, Diagnostic, Span};
-use msl::{Head, PatValue, Pattern, Rule, SetElem, Spec, SpecSpans, TailItem, Term};
+use msl::{Head, PatValue, Pattern, Rule, SetElem, SetPattern, Spec, SpecSpans, TailItem, Term};
 use oem::Symbol;
 use std::collections::BTreeMap;
 use wrappers::{LabelSummary, ValueType};
@@ -100,20 +103,18 @@ impl<'a> Walker<'a> {
                 Some(s) if *s == self.mediator => (
                     format!("this mediator ('{s}')"),
                     Some(LabelSummary {
-                        value_type: ValueType::Object,
-                        children: self.views.clone(),
                         // Whether all views are known is the dead-view
                         // pass's business; here absence proves nothing.
                         open: true,
+                        ..LabelSummary::object(self.views.clone())
                     }),
                 ),
                 Some(s) => match self.sources.get(s).and_then(|i| i.summary.clone()) {
                     Some(sum) => (
                         format!("source '{s}'"),
                         Some(LabelSummary {
-                            value_type: ValueType::Object,
-                            children: sum.labels,
                             open: sum.open,
+                            ..LabelSummary::object(sum.labels)
                         }),
                     ),
                     None => (format!("source '{s}'"), None),
@@ -179,13 +180,8 @@ impl<'a> Walker<'a> {
             self.occ(*v, ValueType::Oid, format!("oid position at {src}"));
         }
 
-        let label_desc = match &p.label {
-            Term::Const(v) => v
-                .as_str_sym()
-                .map(|l| format!("'{l}'"))
-                .unwrap_or_else(|| "this label".to_string()),
-            _ => "this label".to_string(),
-        };
+        let label_desc =
+            const_label(p).map_or_else(|| "this label".to_string(), |l| format!("'{l}'"));
 
         match &p.value {
             PatValue::Term(Term::Var(v)) => {
@@ -241,6 +237,9 @@ impl<'a> Walker<'a> {
                 }
                 if let Some(rest) = &sp.rest {
                     for cond in &rest.conditions {
+                        if let Some(l) = const_label(cond) {
+                            self.consumed_rest_label(l, sp, ctx.as_ref(), src, &label_desc);
+                        }
                         self.walk_pattern(cond, inner_parent, src, false, depth - 1);
                     }
                 }
@@ -259,6 +258,49 @@ impl<'a> Walker<'a> {
             d = d.with_help(format!("did you mean '{best}'?"));
         }
         self.push_diag(d);
+    }
+
+    /// `W303`: a rest condition on label `l` needs a second `l` child when
+    /// an explicit element of the same set already matches one (a rest
+    /// holds only the children no element consumed), so it never matches
+    /// where the closed context `ctx` holds at most one `l` per parent.
+    /// Wildcards consume nothing and a label variable may match another
+    /// child, so only a constant-labelled element counts.
+    fn consumed_rest_label(
+        &mut self,
+        l: Symbol,
+        sp: &SetPattern,
+        ctx: Option<&LabelSummary>,
+        src: &str,
+        parent_desc: &str,
+    ) {
+        let Some(cx) = ctx.filter(|c| !c.open) else {
+            return;
+        };
+        let at_most_one = cx.children.get(&l).is_some_and(|c| c.at_most_one);
+        let matched = sp.elements.iter().any(|e| match e {
+            SetElem::Pattern(inner) => const_label(inner) == Some(l),
+            SetElem::Wildcard(_) | SetElem::Var(_) => false,
+        });
+        if at_most_one && matched {
+            let message = format!(
+                "{src} holds at most one '{l}' under {parent_desc}, and the pattern \
+                 already matches it"
+            );
+            self.push_diag(Diagnostic::warning(
+                codes::CONSUMED_REST_LABEL,
+                self.span,
+                message,
+            ));
+        }
+    }
+}
+
+/// The label of `p`, when it is a constant.
+fn const_label(p: &Pattern) -> Option<Symbol> {
+    match &p.label {
+        Term::Const(v) => v.as_str_sym(),
+        _ => None,
     }
 }
 
@@ -378,10 +420,11 @@ fn head_value_summary(p: &Pattern, types: &BTreeMap<Symbol, ValueType>) -> Label
 }
 
 /// Pointwise join of two label summaries (union of children, join of value
-/// types, or of openness).
+/// types, or of openness, and of the "at most one" claims).
 pub fn join_label(mut a: LabelSummary, b: &LabelSummary) -> LabelSummary {
     a.value_type = a.value_type.join(b.value_type);
     a.open |= b.open;
+    a.at_most_one &= b.at_most_one;
     for (l, cb) in &b.children {
         let merged = match a.children.remove(l) {
             Some(ca) => join_label(ca, cb),
@@ -410,8 +453,9 @@ fn truncate(s: &mut LabelSummary, depth: usize) {
 // Per-rule diagnostics (pass 3a)
 // ---------------------------------------------------------------------------
 
-/// Emit `W301`/`E301` diagnostics for every rule: unknown labels,
-/// provably-empty conditions, and type-mismatched join variables.
+/// Emit `W301`/`W303`/`E301` diagnostics for every rule: unknown labels,
+/// rest conditions on a label already matched, provably-empty conditions,
+/// and type-mismatched join variables.
 pub fn rule_diagnostics(
     spec: &Spec,
     spans: &SpecSpans,
@@ -447,10 +491,12 @@ pub fn rule_diagnostics(
 
 /// Planner-facing variant: does this (logical, post-expansion) rule
 /// provably match nothing at its sources? Returns the reason: a type
-/// conflict (`E301`), or a label the rule requires that a *closed* summary
+/// conflict (`E301`), a label the rule requires that a *closed* summary
 /// lacks (`W301`'s message) — a closed summary lists every label its
 /// source exports, so a pattern, set element or rest condition on any
-/// other label never matches. At the spec level `W301` stays a warning.
+/// other label never matches — or a rest condition asking for a second
+/// child the summary holds at most one of (`W303`'s message). At the spec
+/// level `W301` and `W303` stay warnings.
 pub fn rule_type_conflict(
     rule: &Rule,
     mediator: Symbol,
@@ -472,7 +518,7 @@ pub fn rule_type_conflict(
     }
     diags
         .into_iter()
-        .find(|d| d.code == codes::UNKNOWN_LABEL)
+        .find(|d| [codes::UNKNOWN_LABEL, codes::CONSUMED_REST_LABEL].contains(&d.code))
         .map(|d| d.message)
 }
 
@@ -661,6 +707,64 @@ mod tests {
         ] {
             assert_eq!(reason(text), None, "{text}");
         }
+    }
+
+    #[test]
+    fn a_second_child_a_closed_summary_holds_at_most_one_of_proves_a_rule_empty() {
+        let sources = scenario_sources();
+        let reason =
+            |text: &str| rule_type_conflict(&msl::parse_rule(text).unwrap(), sym("med"), &sources);
+        assert_eq!(
+            reason("X :- X:<person {<name N> <dept 'CS'> | Rest1:{<name 'Joe Chung'>}}>@whois")
+                .as_deref(),
+            Some(
+                "source 'whois' holds at most one 'name' under 'person', and the pattern \
+                 already matches it"
+            )
+        );
+        // Every cs table holds one first_name per row.
+        assert!(reason("X :- X:<R {<first_name F> | Rest2:{<first_name 'Joe'>}}>@cs").is_some());
+        // No claim: a rest label the pattern does not match, a wildcard or a
+        // label variable in place of the explicit element.
+        for text in [
+            "X :- X:<person {<name N> | Rest1:{<dept 'CS'>}}>@whois",
+            "X :- X:<person {* <name N> | Rest1:{<name 'Joe Chung'>}}>@whois",
+            "X :- X:<person {<L N> | Rest1:{<name 'Joe Chung'>}}>@whois",
+        ] {
+            assert_eq!(reason(text), None, "{text}");
+        }
+    }
+
+    #[test]
+    fn a_view_claims_no_multiplicity() {
+        // `v` is closed, but its head builds two `name`s per object.
+        let (diags, schemas) = analyze(
+            "<v {<name A> <name B>}> :- <person {<name A> <dept B>}>@whois\n\
+             <w {<n N>}> :- <v {<name N> | R:{<name 'CS'>}}>@med\n",
+        );
+        assert!(!schemas[&sym("v")].open);
+        assert!(
+            diags.iter().all(|d| d.code != codes::CONSUMED_REST_LABEL),
+            "{diags:?}"
+        );
+    }
+
+    #[test]
+    fn join_label_ands_at_most_one() {
+        let one = |at_most_one| LabelSummary {
+            at_most_one,
+            ..LabelSummary::atomic(ValueType::Str)
+        };
+        assert!(join_label(one(true), &one(true)).at_most_one);
+        assert!(!join_label(one(true), &one(false)).at_most_one);
+        assert!(!join_label(one(false), &one(true)).at_most_one);
+        // A child one side lacks keeps the other side's claim: a closed
+        // parent without it holds none.
+        let parent = |child| LabelSummary::object([(sym("name"), child)].into_iter().collect());
+        let joined = join_label(parent(one(true)), &LabelSummary::object(BTreeMap::new()));
+        assert!(joined.children[&sym("name")].at_most_one);
+        let joined = join_label(parent(one(true)), &parent(one(false)));
+        assert!(!joined.children[&sym("name")].at_most_one);
     }
 
     #[test]

@@ -18,13 +18,15 @@
 //! 3. **Cross-rule diagnostics**: type-mismatched join variables whose
 //!    occurrences have meet `⊥` (`E301` — the join is provably empty),
 //!    conditions/patterns on labels no source produces (`W301`, with a
-//!    did-you-mean edit-distance hint), dead views that can never derive
-//!    an object (`W302`), and statically unanswerable views whose
-//!    answerability matrix is empty (`E302`).
+//!    did-you-mean edit-distance hint), rest conditions asking for a second
+//!    child a source holds at most one of (`W303`), dead views that can
+//!    never derive an object (`W302`), and statically unanswerable views
+//!    whose answerability matrix is empty (`E302`).
 //! 4. **Planner integration** (`infer`, `answer`): the planner consults
 //!    [`SpecAnalysis::rule_infeasible`] to prune provably-empty chains (a
-//!    type conflict, a label a closed summary lacks) and
-//!    capability-infeasible ones before execution.
+//!    type conflict, a label a closed summary lacks, a second child it
+//!    holds at most one of) and capability-infeasible ones before
+//!    execution.
 //!
 //! The per-view **answerability matrix** records which bound/free
 //! adornments of a view's attributes are feasible given the sources'
@@ -96,8 +98,10 @@ impl SpecAnalysis {
 
     /// If this (logical, post-expansion) rule provably produces nothing —
     /// a type conflict against the source summaries, a label a closed
-    /// summary lacks, or a source whose required conditions no evaluation
-    /// order can satisfy — the reason. The planner prunes such chains.
+    /// summary lacks, a rest condition asking for a second child a closed
+    /// summary holds at most one of, or a source whose required conditions
+    /// no evaluation order can satisfy — the reason. The planner prunes
+    /// such chains.
     pub fn rule_infeasible(&self, rule: &msl::Rule) -> Option<String> {
         if let Some(reason) = infer::rule_type_conflict(rule, self.mediator, &self.sources) {
             return Some(reason);

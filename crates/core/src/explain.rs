@@ -696,8 +696,9 @@ mod tests {
 
     #[test]
     fn both_renderers_name_the_pruned_chain() {
-        // The point query expands to three rules; the one asking cs's
-        // rows for a `name` column is proved empty and printed as such.
+        // The point query expands to three rules. The one asking a whois
+        // person for a second `name` and the one asking cs's rows for a
+        // `name` column are proved empty and printed as such.
         let med = crate::Mediator::new(
             "med",
             MS1,
@@ -712,15 +713,20 @@ mod tests {
                 .map(|l| l.trim().to_string())
                 .collect()
         };
-        let expected = ["[pruned] source 'cs' produces no subobject labeled 'name' here"];
+        let expected = [
+            "[pruned] source 'whois' holds at most one 'name' under 'person', and the \
+             pattern already matches it",
+            "[pruned] source 'cs' produces no subobject labeled 'name' here",
+        ];
         let point = "JC :- JC:<cs_person {<name 'Joe Chung'>}>@med";
         let plan_text = med.explain_text(point, false).unwrap();
         assert!(plan_text.contains("(R3)"), "{plan_text}");
         assert_eq!(pruned_lines(&plan_text), expected, "{plan_text}");
+        assert!(!plan_text.contains("rule R2"), "{plan_text}");
         assert!(!plan_text.contains("rule R3"), "{plan_text}");
         let (report, trace) = med.explain_analyze(point).unwrap();
         assert_eq!(pruned_lines(&report), expected, "{report}");
-        assert_eq!((trace.rules.len(), trace.result_count), (2, 1));
+        assert_eq!((trace.rules.len(), trace.result_count), (1, 1));
         // Nothing pruned, nothing printed.
         let year = "S :- S:<cs_person {<year 3>}>@med";
         assert!(pruned_lines(&med.explain_text(year, false).unwrap()).is_empty());

@@ -271,6 +271,10 @@ pub mod codes {
     /// internal view that is itself underivable — undefined, or recursive
     /// with no base case (specflow).
     pub const DEAD_VIEW: &str = "W302";
+    /// A rest condition asks for a second child with a label the same set
+    /// pattern already matches, at a source whose closed summary holds at
+    /// most one such child per parent (specflow).
+    pub const CONSUMED_REST_LABEL: &str = "W303";
 }
 
 #[cfg(test)]

@@ -127,11 +127,13 @@ pub trait Wrapper: Send + Sync {
     ///
     /// A *closed* summary (or closed level of one) is a promise that holds
     /// for as long as the wrapper is registered: every label the source
-    /// exports there is listed, with its value type. The planner drops
-    /// chains on it without calling the source — a condition whose type
-    /// conflicts with the summary, and a label the summary lacks. A source
-    /// whose shape can change under a live mediator returns an open
-    /// summary or `None`.
+    /// exports there is listed, with its value type, and a child marked
+    /// [`crate::LabelSummary::at_most_one`] never occurs twice in one
+    /// parent. The planner drops chains on it without calling the source —
+    /// a condition whose type conflicts with the summary, a label the
+    /// summary lacks, and a rest condition asking for a second child the
+    /// pattern already matched. A source whose shape can change under a
+    /// live mediator returns an open summary or `None`.
     fn schema_summary(&self) -> Option<crate::summary::SchemaSummary> {
         None
     }

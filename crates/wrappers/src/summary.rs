@@ -12,7 +12,7 @@
 
 use minidb::{Catalog, ColType};
 use oem::{ObjId, ObjectStore, Symbol, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Depth to which [`SchemaSummary::from_store`] explores nested sets.
@@ -125,6 +125,10 @@ pub struct LabelSummary {
     /// When `true`, `children` may be incomplete (depth cap reached, or the
     /// shape is not fully known); absence of a label then proves nothing.
     pub open: bool,
+    /// A claim about this summary as a *child* of its parent: every parent
+    /// object holds at most one subobject with this label. `false` claims
+    /// nothing. It binds only under a closed parent, as `children` does.
+    pub at_most_one: bool,
 }
 
 impl LabelSummary {
@@ -134,6 +138,7 @@ impl LabelSummary {
             value_type: t,
             children: BTreeMap::new(),
             open: false,
+            at_most_one: false,
         }
     }
 
@@ -148,6 +153,7 @@ impl LabelSummary {
             value_type: ValueType::Object,
             children,
             open: false,
+            at_most_one: false,
         }
     }
 }
@@ -163,11 +169,13 @@ pub struct SchemaSummary {
 
 impl SchemaSummary {
     /// The summary of a relational catalog: one top-level (set-valued)
-    /// label per table, one atomic child per column. Exact and closed —
-    /// relational sources export precisely their schema. Closed is a
-    /// promise (see [`crate::Wrapper::schema_summary`]): the planner prunes
-    /// chains asking for a table or column not listed here, so the catalog
-    /// must not gain one while the wrapper is registered.
+    /// label per table, one atomic child per column, each claiming
+    /// [`LabelSummary::at_most_one`] (a row has one subobject per non-NULL
+    /// column). Exact and closed — relational sources export precisely
+    /// their schema. Closed is a promise (see
+    /// [`crate::Wrapper::schema_summary`]): the planner prunes chains asking
+    /// for a table or column not listed here, so the catalog must not gain
+    /// one while the wrapper is registered.
     pub fn from_catalog(catalog: &Catalog) -> SchemaSummary {
         let mut labels = BTreeMap::new();
         for table in catalog.tables() {
@@ -175,10 +183,11 @@ impl SchemaSummary {
             let children = schema
                 .columns()
                 .map(|(name, ty)| {
-                    (
-                        Symbol::intern(name),
-                        LabelSummary::atomic(ValueType::of_coltype(ty)),
-                    )
+                    let column = LabelSummary {
+                        at_most_one: true,
+                        ..LabelSummary::atomic(ValueType::of_coltype(ty))
+                    };
+                    (Symbol::intern(name), column)
                 })
                 .collect();
             labels.insert(
@@ -197,16 +206,21 @@ impl SchemaSummary {
     /// to a depth cap) its subobject labels. Closed with respect to the
     /// data the source holds *now* — except that a store that is empty
     /// right now summarizes as *open* (its future shape is unknown, so
-    /// absence proves nothing). Closed is a promise (see
-    /// [`crate::Wrapper::schema_summary`]) that the planner prunes chains
-    /// on. It holds for a [`crate::semistructured::SemiStructuredSource`]:
-    /// once registered with a mediator, behind an `Arc<dyn Wrapper>`,
-    /// nothing can reach its store mutably. A wrapper whose store can
-    /// change while it is registered must not return this summary as is.
+    /// absence proves nothing). A child label claims
+    /// [`LabelSummary::at_most_one`] when no object of its parent's label,
+    /// anywhere in the store, holds two children with that label.
+    ///
+    /// Closed is a promise (see [`crate::Wrapper::schema_summary`]) that
+    /// the planner prunes chains on, and the multiplicity claim is exactly
+    /// as durable. It holds for a
+    /// [`crate::semistructured::SemiStructuredSource`]: once registered
+    /// with a mediator, behind an `Arc<dyn Wrapper>`, nothing can reach its
+    /// store mutably. A wrapper whose store can change while it is
+    /// registered must not return this summary as is.
     pub fn from_store(store: &ObjectStore) -> SchemaSummary {
         let mut labels = BTreeMap::new();
         for &t in store.top_level() {
-            add_object(&mut labels, store, t, STORE_DEPTH_CAP);
+            add_object(&mut labels, store, t, STORE_DEPTH_CAP, false);
         }
         SchemaSummary {
             open: labels.is_empty(),
@@ -220,21 +234,37 @@ impl SchemaSummary {
     }
 }
 
+/// Join object `id` into `map`. A label first seen as a child (`child`)
+/// starts out claiming at most one per parent; its parent withdraws the
+/// claim on holding two.
 fn add_object(
     map: &mut BTreeMap<Symbol, LabelSummary>,
     store: &ObjectStore,
     id: ObjId,
     depth: usize,
+    child: bool,
 ) {
     let obj = store.get(id);
-    let entry = map.entry(obj.label).or_insert_with(LabelSummary::bottom);
+    let entry = map.entry(obj.label).or_insert_with(|| LabelSummary {
+        at_most_one: child,
+        ..LabelSummary::bottom()
+    });
     entry.value_type = entry.value_type.join(ValueType::of_value(&obj.value));
     if matches!(obj.value, Value::Set(_)) {
         if depth == 0 {
             entry.open = true;
         } else {
+            let mut seen = BTreeSet::new();
             for &c in store.children(id) {
-                add_object(&mut entry.children, store, c, depth - 1);
+                add_object(&mut entry.children, store, c, depth - 1, true);
+                let label = store.get(c).label;
+                if !seen.insert(label) {
+                    entry
+                        .children
+                        .get_mut(&label)
+                        .expect("just added")
+                        .at_most_one = false;
+                }
             }
         }
     }
@@ -283,6 +313,31 @@ mod tests {
         assert!(!student.children.contains_key(&sym("title")));
         let employee = summary.label(sym("employee")).unwrap();
         assert_eq!(employee.children.len(), 4);
+        // One subobject per column; a table is no one's child.
+        assert!(employee.children.values().all(|c| c.at_most_one));
+        assert!(!employee.at_most_one);
+    }
+
+    #[test]
+    fn at_most_one_is_derived_from_every_object() {
+        // The first person holds one name, the second two: a claim read
+        // off the first object alone would be wrong.
+        let store = parse_store(
+            "<&p1, person, set, {&n1,&d1}>
+               <&n1, name, string, 'Joe'>
+               <&d1, dept, string, 'CS'>
+             <&p2, person, set, {&n2,&a2,&d2}>
+               <&n2, name, string, 'Nick'>
+               <&a2, name, string, 'Nicky'>
+               <&d2, dept, string, 'CS'>",
+        )
+        .unwrap();
+        let summary = SchemaSummary::from_store(&store);
+        let person = summary.label(sym("person")).unwrap();
+        assert!(!person.children[&sym("name")].at_most_one);
+        assert!(person.children[&sym("dept")].at_most_one);
+        // Top-level objects repeat their label freely.
+        assert!(!person.at_most_one);
     }
 
     #[test]

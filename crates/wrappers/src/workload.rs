@@ -25,6 +25,10 @@ pub struct PersonWorkload {
     pub irregularity: f64,
     /// Fraction of persons that are students (the rest are employees).
     pub student_fraction: f64,
+    /// Probability that a whois person carries a second `name`
+    /// (`Alias{i}`) and a second `e_mail` — repeated labels, so that no
+    /// schema summary may claim "at most one" of either.
+    pub repeated: f64,
     /// RNG seed (generation is deterministic given the config).
     pub seed: u64,
 }
@@ -36,6 +40,7 @@ impl Default for PersonWorkload {
             overlap: 0.5,
             irregularity: 0.3,
             student_fraction: 0.5,
+            repeated: 0.0,
             seed: 42,
         }
     }
@@ -61,9 +66,16 @@ impl PersonWorkload {
         format!("{f} {l}")
     }
 
+    /// The second name person `i` carries when it repeats its labels.
+    pub fn alias_of(i: usize) -> String {
+        format!("Alias{i}")
+    }
+
     /// Generate the whois store.
     pub fn whois_store(&self) -> ObjectStore {
         let mut rng = StdRng::seed_from_u64(self.seed);
+        // A stream of its own, so `repeated` leaves every other draw as is.
+        let mut repeats = StdRng::seed_from_u64(!self.seed);
         let mut store = ObjectStore::with_oid_prefix("w");
         for i in 0..self.n_whois {
             let is_student = (i as f64) < self.student_fraction * self.n_whois as f64;
@@ -80,6 +92,11 @@ impl PersonWorkload {
             }
             if is_student {
                 b = b.atom("year", ((i % 5) + 1) as i64);
+            }
+            if repeats.gen_bool(self.repeated.clamp(0.0, 1.0)) {
+                b = b
+                    .atom("name", Self::alias_of(i).as_str())
+                    .atom("e_mail", format!("alias{i}@cs").as_str());
             }
             b.build_top(&mut store);
         }
@@ -313,6 +330,28 @@ mod tests {
                 .collect();
             assert!(labels.contains(&sym("e_mail")));
             assert!(!labels.contains(&sym("nickname")));
+        }
+    }
+
+    #[test]
+    fn repeated_adds_a_second_name_and_e_mail_and_nothing_else() {
+        let labels_of = |repeated| {
+            let store = PersonWorkload {
+                n_whois: 30,
+                repeated,
+                ..PersonWorkload::default()
+            }
+            .whois_store();
+            let labels = |t| store.children(t).iter().map(|&c| store.get(c).label);
+            let persons = store.top_level().iter().map(|&t| labels(t).collect());
+            persons.collect::<Vec<Vec<_>>>()
+        };
+        let (plain, doubled) = (labels_of(0.0), labels_of(1.0));
+        for (p, d) in plain.iter().zip(&doubled) {
+            assert_eq!(p.iter().filter(|&&l| l == sym("name")).count(), 1);
+            // The same irregular draws, then the two repeats appended.
+            assert_eq!(&d[..p.len()], &p[..]);
+            assert_eq!(&d[p.len()..], &[sym("name"), sym("e_mail")]);
         }
     }
 

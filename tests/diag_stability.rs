@@ -60,4 +60,5 @@ fn specflow_codes_follow_the_lint_numbering_scheme() {
     assert_eq!(codes::UNANSWERABLE_VIEW, "E302");
     assert_eq!(codes::UNKNOWN_LABEL, "W301");
     assert_eq!(codes::DEAD_VIEW, "W302");
+    assert_eq!(codes::CONSUMED_REST_LABEL, "W303");
 }

@@ -85,6 +85,7 @@ fn all_strategies_agree_on_scaled_workload() {
         overlap: 0.5,
         irregularity: 0.4,
         student_fraction: 0.5,
+        repeated: 0.0,
         seed: 7,
     };
     let build = |opts: MediatorOptions| {

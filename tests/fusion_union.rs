@@ -85,6 +85,7 @@ fn fused_object_count_follows_overlap() {
             overlap,
             irregularity: 0.2,
             student_fraction: 0.5,
+            repeated: 0.0,
             seed: 3,
         };
         let (whois, cs) = w.build();

@@ -688,11 +688,18 @@ const LOOKUP_LABELS: &[&str] = &[
 
 /// The constant a lookup on `label` compares with: shaped like what the
 /// workload stores for person `i` (`kind` 0), a string nobody holds (1),
-/// the integer `i` (2), or a student's year as a real (3: `3.0` equals an
-/// integer `3` to the matcher, so an integer label must not prune it).
+/// the integer `i` (2), a student's year as a real (3: `3.0` equals an
+/// integer `3` to the matcher, so an integer label must not prune it), or
+/// the second `name` / `e_mail` a repeating person carries (5; other labels
+/// as 0).
 fn lookup_constant(label: &str, i: usize, kind: u8) -> Value {
     use wrappers::workload::PersonWorkload;
     match kind {
+        5 => match label {
+            "name" => Value::str(&PersonWorkload::alias_of(i)),
+            "e_mail" => Value::str(&format!("alias{i}@cs")),
+            _ => lookup_constant(label, i, 0),
+        },
         0 => match label {
             "e_mail" => Value::str(&format!("p{i}@cs")),
             "nickname" => Value::str(&format!("nick{i}")),
@@ -746,7 +753,7 @@ fn lookup_mediator(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `<cs_person {<L C>}>` and `<cs_person {<L V>}>` over a generated
     /// workload print the same bytes planned with pruning and without it,
@@ -759,6 +766,12 @@ proptest! {
     /// a variable prunes none. Whois's students carry the year cs holds for
     /// them, so a wrongly pruned `Rest2:{<year …>}` chain shows in that
     /// count rather than in the answer.
+    ///
+    /// Some workloads give persons a second `name` and `e_mail`. A `name`
+    /// lookup's `Rest1:{<name …>}@whois` chain — the condition pushed past
+    /// the `<name N>` that already took one name — is pruned exactly when
+    /// no person holds two, and a lookup of a second name finds its person
+    /// through that chain alone.
     #[test]
     fn pruned_lookups_answer_like_unpruned_and_naive(
         seed in any::<u64>(),
@@ -766,9 +779,15 @@ proptest! {
         overlap in 0.6f64..1.0,
         student_fraction in 0.2f64..0.55,
         irregularity in 0.0f64..1.0,
-        label in prop::sample::select(LOOKUP_LABELS.to_vec()),
+        repeated in prop::sample::select(vec![0.0, 0.3]),
+        // `name` half the time on top: its whois chain is the one repeats
+        // decide.
+        label in prop_oneof![
+            prop::sample::select(vec!["name"]),
+            prop::sample::select(LOOKUP_LABELS.to_vec()),
+        ],
         pick in 0usize..32,
-        kind in 0u8..5,
+        kind in 0u8..6,
     ) {
         use medmaker::naive::{eval_program, SourceRef};
         use std::sync::Arc;
@@ -778,9 +797,10 @@ proptest! {
             overlap,
             irregularity,
             student_fraction,
+            repeated,
             seed,
         };
-        let constant = (kind < 4).then(|| lookup_constant(label, pick % (n + 2), kind));
+        let constant = (kind != 4).then(|| lookup_constant(label, pick % (n + 2), kind));
         let cond = match &constant {
             Some(c) => msl::printer::term(&Term::Const(c.clone()), true),
             None => "V".to_string(),
@@ -805,6 +825,22 @@ proptest! {
             .unwrap();
         prop_assert!(common::same_objects(&naive, &expected), "naive differs on <{} {}>", label, cond);
 
+        // Which names the whois persons hold.
+        let store = workload.whois_store();
+        let names = |t| {
+            let kids = store.children(t).iter().map(|&c| store.get(c));
+            kids.filter(|o| o.label == oem::sym("name")).map(|o| o.value.clone()).collect::<Vec<_>>()
+        };
+        let persons: Vec<Vec<Value>> = store.top_level().iter().map(|&t| names(t)).collect();
+        let repeats = persons.iter().any(|p| p.len() > 1);
+        if label == "name" && kind == 5 {
+            // A second name: its person, when cs holds it too.
+            let i = pick % (n + 2);
+            let held = persons.iter().any(|p| p.contains(constant.as_ref().unwrap()));
+            let in_cs = i < (overlap * n as f64) as usize;
+            prop_assert_eq!(expected.top_level().len(), usize::from(held && in_cs), "<name {}>", cond);
+        }
+
         let expected = oem::printer::print_store(&expected);
         let mut pruned = 0;
         for (prune, cache) in [(true, false), (false, true), (true, true)] {
@@ -824,6 +860,10 @@ proptest! {
         }
         if label == "year" && !matches!(constant, Some(Value::Str(_))) {
             prop_assert_eq!(pruned, 0);
+        } else if label == "name" && matches!(constant, None | Some(Value::Str(_))) {
+            // `Rest2:{<name …>}@cs` always; `Rest1:{<name …>}@whois` unless
+            // some person holds two names.
+            prop_assert_eq!(pruned, if repeats { 1 } else { 2 }, "<name {}>", cond);
         } else {
             prop_assert!(pruned >= 1, "nothing pruned for <{} {}>", label, cond);
         }

@@ -103,6 +103,7 @@ fn fixtures_trigger_pairwise_distinct_codes() {
         ("type_mismatch.msl", "E301"),
         ("unknown_label.msl", "W301"),
         ("dead_view.msl", "W302"),
+        ("consumed_rest_label.msl", "W303"),
     ] {
         let (_, diags, _) = check_text(&fixture(file), "med", &src_info()).unwrap();
         assert!(codes_of(&diags).contains(&want), "{file}: {diags:?}");
@@ -166,6 +167,9 @@ fn a_mediator_checks_every_fixture_as_check_text_does() {
             Ok(med) => {
                 assert!(errors.is_empty(), "{name}: built despite {errors:?}");
                 assert_eq!(med.lint_warnings(), &warnings[..], "{name}");
+                if name == "consumed_rest_label.msl" {
+                    assert!(warnings.iter().any(|d| d.code == "W303"), "{warnings:?}");
+                }
             }
             Err(MedError::Lint(got)) => {
                 assert_eq!(got, errors, "{name}");

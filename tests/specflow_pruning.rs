@@ -195,6 +195,54 @@ fn integers_and_reals_compare_as_the_matcher_compares_them() {
 }
 
 #[test]
+fn a_second_name_is_found_through_the_whois_rest_chain_alone() {
+    // Every whois person carries a second name, so whois's summary claims
+    // nothing for `name` and `Rest1:{<name 'Alias3'>}@whois` is planned: it
+    // is the one chain that finds person 3 by that name (decomp cannot
+    // split 'Alias3', so the chain binding `<name N>` to it builds nothing).
+    use wrappers::workload::PersonWorkload;
+    let workload = PersonWorkload {
+        n_whois: 10,
+        repeated: 1.0,
+        ..PersonWorkload::default()
+    };
+    let sources = || -> Vec<Arc<dyn Wrapper>> {
+        let (whois, cs) = workload.build();
+        vec![Arc::new(whois), Arc::new(cs)]
+    };
+    let query = "P :- P:<cs_person {<name 'Alias3'>}>@med";
+    let planned = answer_like_naive(wrappers::scenario::MS1, sources(), query, None);
+    let printed = oem::printer::print_store(&planned);
+    assert_eq!(planned.top_level().len(), 1, "{printed}");
+    assert!(printed.contains("'First3 Last3'"), "{printed}");
+    let run = |prune_infeasible| {
+        let options = MediatorOptions {
+            planner: PlannerOptions {
+                prune_infeasible,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let registry = medmaker::externals::standard_registry();
+        let med = Mediator::new_with_options(
+            "med",
+            wrappers::scenario::MS1,
+            sources(),
+            registry,
+            options,
+        );
+        med.unwrap()
+            .query_rule(&msl::parse_query(query).unwrap())
+            .unwrap()
+    };
+    let (on, off) = (run(true), run(false));
+    assert_eq!(oem::printer::print_store(&on.results), printed);
+    assert_eq!(oem::printer::print_store(&off.results), printed);
+    // Only `Rest2:{<name …>}@cs` is pruned.
+    assert_eq!((on.trace.rules.len(), off.trace.rules.len()), (2, 3));
+}
+
+#[test]
 fn a_bound_rest_condition_fills_a_required_condition() {
     // `form` answers only queries that name a person. The rule names one
     // in a rest condition, from `roster`'s member: the analysis accepts it
