@@ -237,17 +237,19 @@ struct OpMeter {
     wall_ns_inclusive: u64,
     /// Incrementally rendered output rows (trace mode only); the header is
     /// prepended at trace build, so the concatenation equals a one-shot
-    /// [`BindingTable::render`].
+    /// render of the whole table.
     rendered: String,
 }
 
 /// A partially-extracted source answer: rows already pulled out, plus the
-/// not-yet-copied remainder of the wrapper's result store.
+/// not-yet-read remainder of the wrapper's answer store. Rows are read out
+/// of the answer in place; only the objects they bind enter chain memory.
 struct ExtSource {
     ext: Vec<Vec<BoundValue>>,
-    /// `Some` while top-level results remain: the result store, the cursor
-    /// into its top level, and the persistent old-id → new-id map (chunked
-    /// copies through one map equal a one-shot `deep_copy_all`).
+    /// `Some` while top-level results remain: the answer store, the cursor
+    /// into its top level, and the persistent old-id → new-id map through
+    /// which every chunk copies its bound objects, so an object shared
+    /// across rows or chunks is copied once.
     rest: Option<(Arc<ObjectStore>, usize, HashMap<oem::ObjId, oem::ObjId>)>,
 }
 
@@ -270,8 +272,7 @@ impl ExtSource {
         self.rest.is_none()
     }
 
-    /// Copy up to `n` more result objects into the chain memory and append
-    /// their binding rows to `ext`.
+    /// Extract up to `n` more result objects' binding rows into `ext`.
     fn extract_more(
         &mut self,
         vars: &[ExtractVar],
@@ -284,11 +285,11 @@ impl ExtSource {
         };
         let top = store.top_level();
         let end = cursor.saturating_add(n.max(1)).min(top.len());
-        let roots = copy::deep_copy_all_into(store, &top[*cursor..end], memory, map);
-        counters.bindings_produced += roots.len();
+        counters.bindings_produced += end - *cursor;
         let carriers = carrier_labels(vars);
-        for root in roots {
-            self.ext.push(extract_row(memory, root, vars, &carriers)?);
+        for &root in &top[*cursor..end] {
+            self.ext
+                .push(extract_row(store, root, vars, &carriers, memory, map)?);
         }
         *cursor = end;
         if *cursor >= top.len() {
@@ -406,6 +407,9 @@ enum OpKind<'p> {
         pred: Symbol,
         args: &'p [Term],
         new_vars: &'p [Symbol],
+        /// The input columns `args` name, as (variable, position): the
+        /// only bindings a row hands the predicate.
+        arg_cols: Vec<(Symbol, usize)>,
     },
     RestFilter {
         var: Symbol,
@@ -536,6 +540,13 @@ fn build_ops(rule_plan: &RulePlan) -> Vec<OpState<'_>> {
                     pred: *pred,
                     args,
                     new_vars,
+                    arg_cols: args
+                        .iter()
+                        .filter_map(|t| match t {
+                            Term::Var(v) => in_cols.iter().position(|c| c == v).map(|i| (*v, i)),
+                            _ => None,
+                        })
+                        .collect(),
                 },
             ),
             Node::RestFilter { var, condition } => (
@@ -847,6 +858,7 @@ fn pull_inner(
             pred,
             args,
             new_vars,
+            arg_cols,
         } => {
             let mut out: Batch = Vec::new();
             while out.is_empty() {
@@ -859,7 +871,10 @@ fn pull_inner(
                         op.meter.metrics.rows_in += batch.len();
                         let mut produced = 0usize;
                         for row in &batch {
-                            let b = crate::table::bindings_for_row(&op.in_cols, row);
+                            let mut b = Bindings::new();
+                            for &(v, ci) in arg_cols.iter() {
+                                b.bind_mut(v, row[ci].clone());
+                            }
                             for nb in env.ctx.registry.evaluate(*pred, args, &b)? {
                                 let mut r = row.clone();
                                 for v in new_vars.iter() {
@@ -1541,11 +1556,12 @@ fn query_with_retry(
     })
 }
 
-/// Send a query to a source, copy the whole result into the mediator's
-/// memory (§3.4: "the result of Qw is placed in the mediator's memory"),
-/// and extract the `bind_for_*` variables from each result object — the
-/// all-at-once form the hash-join build side and parameterized queries
-/// need. The answer cache (when enabled) intercepts the round-trip, see
+/// Send a query to a source and extract the `bind_for_*` variables from
+/// each result object ([`extract_rows`]) — the all-at-once form the
+/// hash-join build side and parameterized queries need. Of the answer
+/// (§3.4: "the result of Qw is placed in the mediator's memory") only the
+/// objects bound to object and set variables enter the chain's memory.
+/// The answer cache (when enabled) intercepts the round-trip, see
 /// [`cache_probe`].
 #[allow(clippy::too_many_arguments)]
 fn run_and_extract(
@@ -1827,22 +1843,22 @@ fn query_label(query: &Rule) -> Option<Symbol> {
     })
 }
 
-/// Copy a source answer into the chain's memory and pull the binding rows
-/// out of its `bind_for_*` objects.
+/// Pull the binding rows out of a source answer's `bind_for_*` objects,
+/// reading the answer in place: one old-id → new-id map serves every row,
+/// so an object two rows bind is copied into `memory` once.
 fn extract_rows(
-    result: &ObjectStore,
+    answer: &ObjectStore,
     vars: &[ExtractVar],
     memory: &mut ObjectStore,
     counters: &mut NodeMetrics,
 ) -> Result<Vec<Vec<BoundValue>>> {
-    let roots = copy::deep_copy_all(result, result.top_level(), memory);
-    counters.bindings_produced += roots.len();
+    let top = answer.top_level();
+    counters.bindings_produced += top.len();
     let carriers = carrier_labels(vars);
-    let mut rows = Vec::with_capacity(roots.len());
-    for root in roots {
-        rows.push(extract_row(memory, root, vars, &carriers)?);
-    }
-    Ok(rows)
+    let mut map = HashMap::new();
+    top.iter()
+        .map(|&root| extract_row(answer, root, vars, &carriers, memory, &mut map))
+        .collect()
 }
 
 /// The carrier label of each extraction variable, in `vars` order.
@@ -1850,27 +1866,32 @@ fn carrier_labels(vars: &[ExtractVar]) -> Vec<Symbol> {
     vars.iter().map(|v| carrier_label(v.var)).collect()
 }
 
-/// Pull variable bindings out of one `bind_for_*` result object;
-/// `carriers` is [`carrier_labels`] of `vars`.
+/// Pull variable bindings out of one `bind_for_*` object `root` of
+/// `answer`; `carriers` is [`carrier_labels`] of `vars`. Atoms are cloned
+/// out. The objects an object or set variable binds are deep-copied into
+/// `memory` through `map`, the caller's persistent old-id → new-id map;
+/// the root and its carriers are never copied.
 fn extract_row(
-    memory: &ObjectStore,
+    answer: &ObjectStore,
     root: oem::ObjId,
     vars: &[ExtractVar],
     carriers: &[Symbol],
+    memory: &mut ObjectStore,
+    map: &mut HashMap<oem::ObjId, oem::ObjId>,
 ) -> Result<Vec<BoundValue>> {
     let mut row = Vec::with_capacity(vars.len());
     for (v, &carrier_label) in vars.iter().zip(carriers) {
-        let carrier = memory
+        let carrier = answer
             .children(root)
             .iter()
             .copied()
-            .find(|&c| memory.get(c).label == carrier_label)
+            .find(|&c| answer.get(c).label == carrier_label)
             .ok_or_else(|| {
                 MedError::Wrapper(format!(
                     "source result lacks the {carrier_label} carrier object"
                 ))
             })?;
-        let value = match (&memory.get(carrier).value, v.kind) {
+        let value = match (&answer.get(carrier).value, v.kind) {
             (oem::Value::Set(kids), VarKind::Object) => {
                 let Some(first) = kids.first() else {
                     return Err(MedError::Wrapper(format!(
@@ -1878,9 +1899,13 @@ fn extract_row(
                         v.var
                     )));
                 };
-                BoundValue::Obj(*first)
+                let copied =
+                    copy::deep_copy_all_into(answer, std::slice::from_ref(first), memory, map);
+                BoundValue::Obj(copied[0])
             }
-            (oem::Value::Set(kids), VarKind::Scalar) => BoundValue::ObjSet(kids.clone()),
+            (oem::Value::Set(kids), VarKind::Scalar) => {
+                BoundValue::ObjSet(copy::deep_copy_all_into(answer, kids, memory, map))
+            }
             (atomic, _) => BoundValue::Atom(atomic.clone()),
         };
         row.push(value);
@@ -2222,6 +2247,142 @@ mod tests {
         assert_eq!(out.trace.calls(sym("cs")), 0);
     }
 
+    // ---- in-place extraction ---------------------------------------------
+
+    /// The logical program and physical plan of `query` against the
+    /// mediator `spec` over `srcs`.
+    fn expand_and_plan(
+        spec: &str,
+        query: &str,
+        srcs: &HashMap<Symbol, Arc<dyn Wrapper>>,
+        options: &PlannerOptions,
+    ) -> (Vec<Rule>, PhysicalPlan) {
+        let med = MediatorSpec::parse("med", spec).unwrap();
+        let program = expand(&parse_query(query).unwrap(), &med, UnifyMode::Minimal).unwrap();
+        let registry = standard_registry();
+        let stats = StatsCache::new();
+        let ctx = PlanContext {
+            sources: srcs,
+            registry: &registry,
+            stats: &stats,
+            options,
+            analysis: None,
+        };
+        let physical = plan(&program, &ctx).unwrap();
+        (program.rules, physical)
+    }
+
+    /// Run one chain on its own, returning its outcome and emitted rows.
+    fn run_one_chain(
+        rule_plan: &RulePlan,
+        srcs: &HashMap<Symbol, Arc<dyn Wrapper>>,
+        batch_size: usize,
+    ) -> (ChainOutcome, Vec<Vec<BoundValue>>) {
+        let registry = standard_registry();
+        let fault = FaultRuntime::new(&FaultOptions::default());
+        let param_memo = ParamMemo::default();
+        let ctx = ChainCtx {
+            sources: srcs,
+            registry: &registry,
+            fault: &fault,
+            param_memo: &param_memo,
+            cache: None,
+            trace_on: false,
+        };
+        let mut rows = Vec::new();
+        let outcome = run_chain(rule_plan, &ctx, batch_size, &mut |b| rows.extend(b)).unwrap();
+        (outcome, rows)
+    }
+
+    #[test]
+    fn rows_binding_only_atoms_copy_nothing_into_chain_memory() {
+        let srcs = sources();
+        let (_, physical) = expand_and_plan(
+            "<who {<name N> <rel R>}> :- <person {<name N> <relation R>}>@whois",
+            "W :- W:<who {}>@med",
+            &srcs,
+            &PlannerOptions::default(),
+        );
+        assert_eq!(physical.rules.len(), 1);
+        for batch_size in [1, 1024] {
+            let (outcome, rows) = run_one_chain(&physical.rules[0], &srcs, batch_size);
+            assert!(!rows.is_empty());
+            assert!(rows.iter().flatten().all(|v| v.as_atom().is_some()));
+            // Neither the answer's roots nor its carriers were copied.
+            assert_eq!(outcome.memory.len(), 0, "batch size {batch_size}");
+        }
+    }
+
+    #[test]
+    fn an_object_two_rows_share_is_copied_once() {
+        // Two persons share one `dept` object, so the whois answer's two
+        // roots share the rest object both `Rest` carriers hold.
+        let mut store = ObjectStore::new();
+        let dept = store.atom("dept", "CS");
+        for name in ["Ann", "Bob"] {
+            let n = store.atom("name", name);
+            let person = store.set("person", vec![n, dept]);
+            store.add_top(person);
+        }
+        let mut srcs: HashMap<Symbol, Arc<dyn Wrapper>> = HashMap::new();
+        srcs.insert(
+            sym("whois"),
+            Arc::new(wrappers::SemiStructuredWrapper::new("whois", store)),
+        );
+        let (rules, physical) = expand_and_plan(
+            "<who {<name N> Rest}> :- <person {<name N> | Rest}>@whois",
+            "W :- W:<who {}>@med",
+            &srcs,
+            &PlannerOptions::default(),
+        );
+        let registry = standard_registry();
+        let printed = |opts: &ExecOptions| {
+            let out = execute(&physical, &srcs, &registry, opts).unwrap();
+            oem::printer::print_store(&out.results)
+        };
+        let cache_off = printed(&ExecOptions::default());
+        let resolve = |name: Symbol| srcs.get(&name).map(crate::naive::SourceRef::Wrapper);
+        let naive = crate::naive::eval_program(&rules, &resolve, &registry).unwrap();
+        let sorted = |s: &ObjectStore| {
+            let mut all: Vec<String> = s.top_level().iter().map(|&t| compact(s, t)).collect();
+            all.sort();
+            all
+        };
+        let planned = execute(&physical, &srcs, &registry, &ExecOptions::default()).unwrap();
+        assert_eq!(sorted(&planned.results), sorted(&naive));
+        for batch_size in [1, 7, 1024] {
+            let (outcome, rows) = run_one_chain(&physical.rules[0], &srcs, batch_size);
+            assert_eq!(rows.len(), 2);
+            // The rest variable's column (expansion renames the variable).
+            let rest = rows[0]
+                .iter()
+                .position(|v| v.as_obj_set().is_some())
+                .unwrap();
+            let [a, b] = [&rows[0][rest], &rows[1][rest]].map(|v| v.as_obj_set().unwrap());
+            assert_eq!(
+                a, b,
+                "batch size {batch_size}: one memory id for the shared object"
+            );
+            assert_eq!(outcome.memory.len(), 1);
+            let opts = ExecOptions {
+                batch_size,
+                ..Default::default()
+            };
+            assert_eq!(printed(&opts), cache_off, "batch size {batch_size}");
+            // A cache hit copies each bound object on its own, so it
+            // answers the same objects without the sharing.
+            let cache = Arc::new(AnswerCache::new(CacheOptions::enabled()));
+            let opts = ExecOptions {
+                batch_size,
+                ..cache_opts(&cache)
+            };
+            for _ in 0..2 {
+                let out = execute(&physical, &srcs, &registry, &opts).unwrap();
+                assert_eq!(sorted(&out.results), sorted(&naive));
+            }
+        }
+    }
+
     // ---- fault tolerance -------------------------------------------------
 
     use crate::retry::{OnSourceFailure, RetryPolicy};
@@ -2254,19 +2415,7 @@ mod tests {
         srcs: &HashMap<Symbol, Arc<dyn Wrapper>>,
         options: &PlannerOptions,
     ) -> PhysicalPlan {
-        let med = MediatorSpec::parse("med", MS1).unwrap();
-        let q = parse_query(query).unwrap();
-        let program = expand(&q, &med, UnifyMode::Minimal).unwrap();
-        let registry = standard_registry();
-        let stats = StatsCache::new();
-        let ctx = PlanContext {
-            sources: srcs,
-            registry: &registry,
-            stats: &stats,
-            options,
-            analysis: None,
-        };
-        plan(&program, &ctx).unwrap()
+        expand_and_plan(MS1, query, srcs, options).1
     }
 
     /// The whole view with the bind join pinned (whois outer, one cs

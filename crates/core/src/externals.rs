@@ -42,6 +42,13 @@ impl ExternalImpl {
             .filter(|a| **a == Adornment::Bound)
             .count()
     }
+
+    /// Can this implementation be called on `args`, given which of them
+    /// are `bound` (every Bound position must be)?
+    pub(crate) fn accepts(&self, args: &[Term], bound: impl Fn(&Term) -> bool) -> bool {
+        self.adornment.len() == args.len()
+            && (self.adornment.iter().zip(args)).all(|(a, t)| *a == Adornment::Free || bound(t))
+    }
 }
 
 /// The registry of external predicate implementations.
@@ -92,14 +99,9 @@ impl ExternalRegistry {
             return bound == args.len()
                 || (pred == Symbol::intern("eq") && bound + 1 == args.len());
         }
-        self.impls_for(pred).iter().any(|imp| {
-            imp.adornment.len() == args.len()
-                && imp
-                    .adornment
-                    .iter()
-                    .zip(args)
-                    .all(|(a, t)| *a == Adornment::Free || term_value(t, b).is_some())
-        })
+        self.impls_for(pred)
+            .iter()
+            .any(|imp| imp.accepts(args, |t| term_value(t, b).is_some()))
     }
 
     /// Evaluate `pred(args)` under `bindings`, returning the extended
@@ -111,21 +113,14 @@ impl ExternalRegistry {
         }
 
         // Prefer the implementation with the most bound positions among the
-        // callable ones (an all-bound check beats a generator, §2 fn. 2).
-        let mut candidates: Vec<&ExternalImpl> = self
+        // callable ones (an all-bound check beats a generator, §2 fn. 2);
+        // among equals, the first registered.
+        let Some(imp) = self
             .impls_for(pred)
             .into_iter()
-            .filter(|imp| {
-                imp.adornment.len() == args.len()
-                    && imp
-                        .adornment
-                        .iter()
-                        .zip(args)
-                        .all(|(a, t)| *a == Adornment::Free || term_value(t, b).is_some())
-            })
-            .collect();
-        candidates.sort_by_key(|imp| std::cmp::Reverse(imp.bound_count()));
-        let Some(imp) = candidates.first() else {
+            .filter(|imp| imp.accepts(args, |t| term_value(t, b).is_some()))
+            .min_by_key(|imp| std::cmp::Reverse(imp.bound_count()))
+        else {
             return Err(MedError::External(format!(
                 "no callable implementation of {pred}/{} for the available bindings",
                 args.len()
@@ -143,33 +138,27 @@ impl ExternalRegistry {
 
         // For each output tuple, unify the free positions (a "free" arg that
         // happens to be bound acts as a filter).
+        let free_args = || {
+            (imp.adornment.iter().zip(args))
+                .filter(|(a, _)| **a == Adornment::Free)
+                .map(|(_, t)| t)
+        };
         let mut out = Vec::new();
         'tuple: for tuple in tuples {
-            if tuple.len()
-                != imp
-                    .adornment
-                    .iter()
-                    .filter(|a| **a == Adornment::Free)
-                    .count()
-            {
+            if tuple.len() != free_args().count() {
                 return Err(MedError::External(format!(
                     "implementation {} returned a tuple of wrong arity",
                     imp.func
                 )));
             }
             let mut next = b.clone();
-            let mut ti = 0;
-            for (a, t) in imp.adornment.iter().zip(args) {
-                if *a != Adornment::Free {
-                    continue;
-                }
-                let produced = &tuple[ti];
-                ti += 1;
+            for (t, produced) in free_args().zip(&tuple) {
                 match t {
-                    Term::Var(v) => match next.bind(*v, BoundValue::Atom(produced.clone())) {
-                        Some(nb) => next = nb,
-                        None => continue 'tuple,
-                    },
+                    Term::Var(v) => {
+                        if !next.bind_mut(*v, BoundValue::Atom(produced.clone())) {
+                            continue 'tuple;
+                        }
+                    }
                     Term::Const(c) => {
                         if !engine::matcher::atomic_eq(c, produced) {
                             continue 'tuple;
@@ -396,6 +385,40 @@ mod tests {
             .evaluate(sym("decomp"), &args, &Bindings::new())
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn argument_columns_alone_evaluate_like_the_whole_row() {
+        // decomp(N, LN, FN) with FN bound: name_to_lnfn generates, and the
+        // bound "free" FN keeps only an agreeing tuple. The row's other
+        // columns, a set among them, change nothing.
+        let reg = standard_registry();
+        let args = [Term::var("N"), Term::var("LN"), Term::var("FN")];
+        let rest = BoundValue::ObjSet(vec![oem::ObjId::from_raw(2), oem::ObjId::from_raw(1)]);
+        let new_values = |b: &Bindings| -> Vec<Option<BoundValue>> {
+            reg.evaluate(sym("decomp"), &args, b)
+                .unwrap()
+                .iter()
+                .map(|nb| nb.get(sym("LN")).cloned())
+                .collect()
+        };
+        for (first, kept) in [("Joe", 1), ("Bob", 0)] {
+            let only_args = bind("N", Value::str("Joe Chung"))
+                .bind(sym("FN"), BoundValue::Atom(Value::str(first)))
+                .unwrap();
+            let whole_row = only_args
+                .bind(sym("Rest1"), rest.clone())
+                .unwrap()
+                .bind(sym("R"), BoundValue::Atom(Value::str("employee")))
+                .unwrap();
+            let got = new_values(&only_args);
+            assert_eq!(got, new_values(&whole_row), "FN = {first}");
+            assert_eq!(got.len(), kept, "FN = {first}");
+        }
+        assert_eq!(
+            new_values(&bind("N", Value::str("Joe Chung"))),
+            [Some(BoundValue::Atom(Value::str("Chung")))]
+        );
     }
 
     #[test]

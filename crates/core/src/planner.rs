@@ -848,14 +848,10 @@ fn callable_static(
         let n = args.iter().filter(|t| arg_bound(t)).count();
         return n == args.len() || (pred == Symbol::intern("eq") && n + 1 == args.len());
     }
-    registry.impls_for(pred).iter().any(|imp| {
-        imp.adornment.len() == args.len()
-            && imp
-                .adornment
-                .iter()
-                .zip(args)
-                .all(|(a, t)| *a == msl::Adornment::Free || arg_bound(t))
-    })
+    registry
+        .impls_for(pred)
+        .iter()
+        .any(|imp| imp.accepts(args, arg_bound))
 }
 
 /// Object variables appearing anywhere in the patterns.

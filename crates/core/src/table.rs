@@ -37,38 +37,16 @@ impl BindingTable {
         self.rows.is_empty()
     }
 
-    /// Convert a row to a [`Bindings`] environment.
+    /// Convert a row to a [`Bindings`] environment: one map, each column
+    /// extending it in place.
     pub fn row_bindings(&self, i: usize) -> Bindings {
-        bindings_for_row(&self.cols, &self.rows[i])
+        let mut b = Bindings::new();
+        for (c, v) in self.cols.iter().zip(&self.rows[i]) {
+            let consistent = b.bind_mut(*c, v.clone());
+            assert!(consistent, "table rows are internally consistent");
+        }
+        b
     }
-
-    /// Append a row from a bindings environment (missing variables are an
-    /// error — the planner guarantees coverage).
-    pub fn push_bindings(&mut self, b: &Bindings) {
-        let row: Vec<BoundValue> = self
-            .cols
-            .iter()
-            .map(|c| {
-                b.get(*c)
-                    .cloned()
-                    .unwrap_or_else(|| panic!("binding for column {c} missing"))
-            })
-            .collect();
-        self.rows.push(row);
-    }
-}
-
-/// Build a [`Bindings`] environment from parallel column/row slices — the
-/// row-at-a-time form of [`BindingTable::row_bindings`] for callers that
-/// hold batches of rows rather than a whole table.
-pub fn bindings_for_row(cols: &[Symbol], row: &[BoundValue]) -> Bindings {
-    let mut b = Bindings::new();
-    for (c, v) in cols.iter().zip(row) {
-        b = b
-            .bind(*c, v.clone())
-            .expect("table rows are internally consistent");
-    }
-    b
 }
 
 /// Render a table's header in the style of Figure 3.6's tables: one line
@@ -147,20 +125,14 @@ mod tests {
     }
 
     #[test]
-    fn push_and_row_bindings() {
+    fn row_bindings_bind_every_column() {
         let mut t = BindingTable::new(vec![sym("A"), sym("B")]);
-        let b = Bindings::new()
-            .bind(sym("A"), atom(1))
-            .unwrap()
-            .bind(sym("B"), atom(2))
-            .unwrap()
-            .bind(sym("C"), atom(3))
-            .unwrap();
-        t.push_bindings(&b);
+        t.rows.push(vec![atom(1), atom(2)]);
         assert_eq!(t.len(), 1);
         let back = t.row_bindings(0);
         assert_eq!(back.len(), 2);
         assert_eq!(back.get(sym("A")), Some(&atom(1)));
+        assert_eq!(back.get(sym("B")), Some(&atom(2)));
     }
 
     #[test]

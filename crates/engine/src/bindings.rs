@@ -183,6 +183,11 @@ impl Bindings {
         out
     }
 
+    /// [`Bindings::project`] in place: drop every variable not in `vars`.
+    pub fn retain(&mut self, vars: &[Symbol]) {
+        self.map.retain(|v, _| vars.contains(v));
+    }
+
     /// Iterate over (variable, value) pairs in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &BoundValue)> {
         self.map.iter().map(|(k, v)| (*k, v))
@@ -209,17 +214,18 @@ impl fmt::Display for Bindings {
 
 /// Eliminate duplicate binding sets, preserving first-occurrence order.
 /// Hash-based: linear in the input (the paper's dedup semantics applied to
-/// potentially large intermediate solution sets).
+/// potentially large intermediate solution sets). First occurrences are
+/// marked over borrowed bindings, so no binding is cloned.
 pub fn dedup_bindings(list: Vec<Bindings>) -> Vec<Bindings> {
-    let mut seen: std::collections::HashSet<Bindings> =
-        std::collections::HashSet::with_capacity(list.len());
-    let mut out = Vec::with_capacity(list.len());
-    for b in list {
-        if seen.insert(b.clone()) {
-            out.push(b);
-        }
-    }
-    out
+    let first: Vec<bool> = {
+        let mut seen: std::collections::HashSet<&Bindings> =
+            std::collections::HashSet::with_capacity(list.len());
+        list.iter().map(|b| seen.insert(b)).collect()
+    };
+    list.into_iter()
+        .zip(first)
+        .filter_map(|(b, first)| first.then_some(b))
+        .collect()
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@ use msl::{Head, PatValue, Pattern, SetElem, Term};
 use oem::{ObjId, ObjectStore, Symbol, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Errors during head instantiation.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -48,6 +49,13 @@ impl fmt::Display for ConstructError {
 }
 
 impl std::error::Error for ConstructError {}
+
+/// The label of an object built for a head that is a bare variable bound to
+/// an atom or a set, interned once.
+fn result_label() -> Symbol {
+    static RESULT: OnceLock<Symbol> = OnceLock::new();
+    *RESULT.get_or_init(|| Symbol::intern("result"))
+}
 
 /// A constructor instantiates rule heads into a destination store,
 /// remembering semantic oids so repeated constructions fuse.
@@ -91,13 +99,10 @@ impl<'a> Constructor<'a> {
         let id = match head {
             Head::Var(v) => match b.get(*v) {
                 Some(BoundValue::Obj(src_id)) => self.copy_obj(*src_id, dst),
-                Some(BoundValue::Atom(value)) => {
-                    dst.insert_auto(Symbol::intern("result"), value.clone())
-                }
+                Some(BoundValue::Atom(value)) => dst.insert_auto(result_label(), value.clone()),
                 Some(BoundValue::ObjSet(ids)) => {
-                    let kids: Vec<ObjId> =
-                        ids.clone().iter().map(|&i| self.copy_obj(i, dst)).collect();
-                    dst.insert_auto(Symbol::intern("result"), Value::Set(kids))
+                    let kids: Vec<ObjId> = ids.iter().map(|&i| self.copy_obj(i, dst)).collect();
+                    dst.insert_auto(result_label(), Value::Set(kids))
                 }
                 None => return Err(ConstructError::UnboundVariable(*v)),
             },
@@ -210,8 +215,7 @@ impl<'a> Constructor<'a> {
                 Term::Var(var) => match b.get(*var) {
                     Some(BoundValue::Atom(c)) => Ok(c.clone()),
                     Some(BoundValue::ObjSet(ids)) => {
-                        let kids: Vec<ObjId> =
-                            ids.clone().iter().map(|&i| self.copy_obj(i, dst)).collect();
+                        let kids: Vec<ObjId> = ids.iter().map(|&i| self.copy_obj(i, dst)).collect();
                         Ok(Value::Set(kids))
                     }
                     Some(BoundValue::Obj(id)) => {
@@ -242,7 +246,7 @@ impl<'a> Constructor<'a> {
                             // Set-bound variables are flattened one level
                             // (§2, "Creation of the Virtual Objects").
                             Some(BoundValue::ObjSet(ids)) => {
-                                for &i in &ids.clone() {
+                                for &i in ids {
                                     kids.push(self.copy_obj(i, dst));
                                 }
                             }

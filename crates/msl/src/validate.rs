@@ -11,6 +11,7 @@ use crate::ast::*;
 use crate::diag::Diagnostic;
 use crate::error::{MslError, Result};
 use oem::Symbol;
+use std::sync::OnceLock;
 
 /// Built-in comparison predicates, available without declaration.
 pub const BUILTIN_PREDICATES: &[(&str, usize)] = &[
@@ -24,9 +25,15 @@ pub const BUILTIN_PREDICATES: &[(&str, usize)] = &[
 
 /// Is `name` a built-in comparison predicate?
 pub fn is_builtin(name: Symbol) -> bool {
-    BUILTIN_PREDICATES
-        .iter()
-        .any(|(n, _)| Symbol::intern(n) == name)
+    static BUILTINS: OnceLock<Vec<Symbol>> = OnceLock::new();
+    BUILTINS
+        .get_or_init(|| {
+            BUILTIN_PREDICATES
+                .iter()
+                .map(|(n, _)| Symbol::intern(n))
+                .collect()
+        })
+        .contains(&name)
 }
 
 fn first_error(diags: Vec<Diagnostic>) -> Result<()> {

@@ -60,8 +60,10 @@ pub(crate) fn answer_patterns(
     // Project onto the head variables, then eliminate duplicate bindings.
     let mut head_vars = Vec::new();
     q.head.collect_vars(&mut head_vars);
-    let projected: Vec<Bindings> = states.iter().map(|b| b.project(&head_vars)).collect();
-    let surviving = dedup_bindings(projected);
+    for b in &mut states {
+        b.retain(&head_vars);
+    }
+    let surviving = dedup_bindings(states);
 
     // Construct results.
     let mut out = ObjectStore::with_oid_prefix(&format!("{name}_r"));

@@ -27,7 +27,7 @@
 use crate::api::{own_patterns, SourceStats, ValueSets, Wrapper, WrapperError};
 use crate::capabilities::Capabilities;
 use crate::metrics::{WrapperCounters, WrapperMetrics};
-use minidb::{Catalog, Condition, Datum, InCondition, Predicate, TableStats};
+use minidb::{Catalog, Condition, Datum, InCondition, Predicate, Table, TableStats};
 use msl::{PatValue, Pattern, Rule, SetElem, Term};
 use oem::{ObjectStore, Symbol, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -144,31 +144,32 @@ impl RelationalWrapper {
         Some(pred)
     }
 
-    /// Materialize a row as a top-level OEM object (memoized per query so a
-    /// row referenced by several tail patterns is built once).
+    /// Materialize row `rid` of `t` as a top-level OEM object labelled
+    /// `table` whose subobjects take the labels `cols` (the table's name
+    /// and column names, interned once per query). Memoized per query so a
+    /// row referenced by several tail patterns is built once.
     fn materialize_row(
-        &self,
-        table: &str,
+        t: &Table,
+        table: Symbol,
+        cols: &[Symbol],
         rid: usize,
         store: &mut ObjectStore,
-        memo: &mut HashMap<(String, usize), oem::ObjId>,
+        memo: &mut HashMap<(Symbol, usize), oem::ObjId>,
     ) -> oem::ObjId {
-        if let Some(&done) = memo.get(&(table.to_string(), rid)) {
+        if let Some(&done) = memo.get(&(table, rid)) {
             return done;
         }
-        let t = self.catalog.table(table).expect("table exists");
         let row = t.row(rid);
         let mut kids = Vec::with_capacity(row.len());
-        for (i, d) in row.iter().enumerate() {
+        for (d, &col) in row.iter().zip(cols) {
             if d.is_null() {
                 continue; // NULL ⇒ absent subobject (OEM irregularity)
             }
-            let col = t.schema().column_name(i).unwrap();
-            kids.push(store.insert_auto(Symbol::intern(col), datum_to_value(d)));
+            kids.push(store.insert_auto(col, datum_to_value(d)));
         }
-        let top = store.insert_auto(Symbol::intern(table), Value::Set(kids));
+        let top = store.insert_auto(table, Value::Set(kids));
         store.add_top(top);
-        memo.insert((table.to_string(), rid), top);
+        memo.insert((table, rid), top);
         top
     }
 }
@@ -253,7 +254,7 @@ impl Wrapper for RelationalWrapper {
 
         // Materialize, per tail pattern, only rows surviving pushdown.
         let mut view = ObjectStore::with_oid_prefix(&format!("{}_t", self.name));
-        let mut memo: HashMap<(String, usize), oem::ObjId> = HashMap::new();
+        let mut memo: HashMap<(Symbol, usize), oem::ObjId> = HashMap::new();
         for pattern in &patterns {
             for table in self.candidate_tables(pattern, &sets) {
                 let Some(pred) = self.pushdown(&table, pattern, &sets) else {
@@ -262,8 +263,10 @@ impl Wrapper for RelationalWrapper {
                 let t = self.catalog.table(&table).expect("candidate exists");
                 let rids =
                     minidb::select(t, &pred).map_err(|e| WrapperError::BadQuery(e.to_string()))?;
+                let label = Symbol::intern(&table);
+                let cols: Vec<Symbol> = t.schema().column_names().map(Symbol::intern).collect();
                 for rid in rids {
-                    self.materialize_row(&table, rid, &mut view, &mut memo);
+                    Self::materialize_row(t, label, &cols, rid, &mut view, &mut memo);
                 }
             }
         }

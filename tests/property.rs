@@ -4,6 +4,7 @@
 //! * OEM printer/parser round-trip;
 //! * structural equality is an equivalence relation consistent with
 //!   fingerprints; deep copies are structurally equal; dedup is idempotent;
+//! * binding lists dedup keep-first, and `Bindings::retain` is `project`;
 //! * MSL printer/parser round-trip over generated rules;
 //! * matcher invariants: openness (extra subobjects never remove
 //!   solutions) and the rest-variable partition property;
@@ -118,6 +119,28 @@ fn dedup_by_brute_force(store: &ObjectStore, roots: &[oem::ObjId]) -> Vec<oem::O
     kept
 }
 
+fn arb_binding_var() -> impl Strategy<Value = &'static str> {
+    prop::sample::select(vec!["N", "R", "Rest", "X", "Y"])
+}
+
+/// A binding of a few variables to atoms, objects and object sets drawn
+/// from small pools, so that equal bindings recur.
+fn arb_bindings() -> impl Strategy<Value = Bindings> {
+    let id = (0u32..3).prop_map(oem::ObjId::from_raw);
+    let value = prop_oneof![
+        (0i64..3).prop_map(|i| BoundValue::Atom(Value::Int(i))),
+        id.clone().prop_map(BoundValue::Obj),
+        prop::collection::vec(id, 0..3).prop_map(BoundValue::ObjSet),
+    ];
+    prop::collection::vec((arb_binding_var(), value), 0..4).prop_map(|pairs| {
+        let mut b = Bindings::new();
+        for (var, v) in pairs {
+            b.bind_mut(oem::sym(var), v);
+        }
+        b
+    })
+}
+
 // ---------------------------------------------------------------------
 // OEM properties
 
@@ -189,6 +212,34 @@ proptest! {
                 "roots={:?}", roots
             );
         }
+    }
+
+    /// Binding-list dedup keeps exactly the first of each binding, in input
+    /// order.
+    #[test]
+    fn dedup_bindings_is_brute_force_keep_first(
+        pool in prop::collection::vec(arb_bindings(), 1..5),
+        picks in prop::collection::vec(0usize..8, 0..16),
+    ) {
+        let list: Vec<Bindings> = picks.iter().map(|&p| pool[p % pool.len()].clone()).collect();
+        let mut kept: Vec<Bindings> = Vec::new();
+        for b in &list {
+            if !kept.contains(b) {
+                kept.push(b.clone());
+            }
+        }
+        prop_assert_eq!(engine::bindings::dedup_bindings(list), kept);
+    }
+
+    #[test]
+    fn retain_is_project(
+        b in arb_bindings(),
+        vars in prop::collection::vec(arb_binding_var(), 0..4),
+    ) {
+        let vars: Vec<oem::Symbol> = vars.into_iter().map(oem::sym).collect();
+        let mut kept = b.clone();
+        kept.retain(&vars);
+        prop_assert_eq!(kept, b.project(&vars));
     }
 
     #[test]
