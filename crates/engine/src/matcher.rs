@@ -277,9 +277,21 @@ pub fn atomic_key(v: &Value) -> Value {
 /// assert_eq!(solutions.len(), 1);
 /// ```
 pub fn match_top_level(store: &ObjectStore, pat: &Pattern, base: &Bindings) -> Vec<Bindings> {
+    match_objects(store, store.top_level().iter().copied(), pat, base)
+}
+
+/// Match a pattern against the objects `ids`, in order. Solutions are
+/// deduplicated (keep-first), so a subsequence of `top_level()` holding
+/// every object that matches gives [`match_top_level`]'s answer.
+pub fn match_objects(
+    store: &ObjectStore,
+    ids: impl IntoIterator<Item = ObjId>,
+    pat: &Pattern,
+    base: &Bindings,
+) -> Vec<Bindings> {
     let mut out = Vec::new();
-    for &t in store.top_level() {
-        out.extend(match_pattern(store, t, pat, base));
+    for id in ids {
+        out.extend(match_pattern(store, id, pat, base));
     }
     dedup_bindings(out)
 }

@@ -9,12 +9,20 @@
 //! [`crate::api::ValueSets`]): membership is tested as each pattern's
 //! matches arrive, so a query for twenty names is one pass over the source
 //! that keeps twenty names' objects — not twenty passes.
+//!
+//! Given the value index a [`crate::semistructured::SemiStructuredSource`]
+//! keeps, a pattern that names a child's value (`<person {<name 'Joe
+//! Chung'>}>`, or `<name N>` with `N` bound by an earlier pattern) is
+//! matched against the index's candidates only, in `top_level()` order, so
+//! the answer is the scan's byte for byte. Without one every pattern
+//! scans: [`answer_msl_query`] is that reference.
 
 use crate::api::{own_patterns, ValueSets, WrapperError};
 use crate::capabilities::Capabilities;
+use crate::index::ValueIndex;
 use engine::bindings::{dedup_bindings, Bindings};
 use engine::construct::Constructor;
-use engine::matcher::match_top_level;
+use engine::matcher::{match_objects, match_top_level};
 use msl::{Pattern, Rule};
 use oem::{ObjectStore, Symbol};
 
@@ -29,13 +37,15 @@ pub fn answer_msl_query(
     q: &Rule,
 ) -> Result<ObjectStore, WrapperError> {
     let (patterns, sets) = own_patterns(name, caps, q)?;
-    answer_patterns(name, store, &patterns, &sets, q)
+    answer_patterns(name, store, None, &patterns, &sets, q)
 }
 
-/// [`answer_msl_query`] over an already validated query.
+/// [`answer_msl_query`] over an already validated query, narrowed by
+/// `index` (built over `store`) where a pattern allows.
 pub(crate) fn answer_patterns(
     name: Symbol,
     store: &ObjectStore,
+    index: Option<&ValueIndex>,
     patterns: &[&Pattern],
     sets: &ValueSets,
     q: &Rule,
@@ -45,11 +55,14 @@ pub(crate) fn answer_patterns(
     for pat in patterns {
         let mut next = Vec::new();
         for b in &states {
-            next.extend(
-                match_top_level(store, pat, b)
-                    .into_iter()
-                    .filter_map(|m| sets.admit(m)),
-            );
+            let matches = match index.and_then(|index| index.candidates(pat, b)) {
+                Some(hits) => {
+                    let top = store.top_level();
+                    match_objects(store, hits.iter().map(|h| top[h.pos as usize]), pat, b)
+                }
+                None => match_top_level(store, pat, b),
+            };
+            next.extend(matches.into_iter().filter_map(|m| sets.admit(m)));
         }
         states = next;
         if states.is_empty() {

@@ -25,7 +25,8 @@
 //!   with equality conditions and value sets pushed down to the
 //!   relational engine.
 //! * [`semistructured`] — wraps a native [`oem::ObjectStore`] (the paper's
-//!   "whois" facility, Figure 2.3), evaluating full MSL patterns.
+//!   "whois" facility, Figure 2.3), evaluating full MSL patterns; a lookup
+//!   on a child's value confirms only the candidates of a value index.
 //! * [`scenario`] — the paper's exact `cs` and `whois` sources plus the
 //!   MS1 specification text.
 //! * [`summary`] — per-source shape summaries ([`summary::SchemaSummary`])
@@ -39,6 +40,7 @@ pub mod api;
 pub mod capabilities;
 pub mod eval;
 pub mod fault;
+mod index;
 pub mod metrics;
 pub mod relational;
 pub mod scenario;

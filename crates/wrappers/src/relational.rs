@@ -272,7 +272,7 @@ impl Wrapper for RelationalWrapper {
         }
 
         // Finish with generic MSL matching over the materialized view.
-        let out = crate::eval::answer_patterns(self.name, &view, &patterns, &sets, q)?;
+        let out = crate::eval::answer_patterns(self.name, &view, None, &patterns, &sets, q)?;
         self.counters.objects_exported(out.top_level().len());
         Ok(out)
     }

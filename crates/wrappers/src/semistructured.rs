@@ -4,16 +4,23 @@
 //! the paper's university "whois" facility (Figure 2.3). Evaluation is
 //! full MSL pattern matching, optionally restricted by a
 //! [`Capabilities`] profile (e.g. "cannot evaluate conditions on `year`",
-//! the §3.5 example). A query restricting variables to value sets
-//! (`one_of`, [`crate::api::ValueSets`]) is one pass over the store.
+//! the §3.5 example). A pattern naming a child's value
+//! (`<person {<name 'Joe Chung'>}>`) takes its candidates from a value
+//! index over the top-level objects' atomic children, built by the first
+//! query that can use it and dropped by [`SemiStructuredSource::store_mut`];
+//! any other pattern is one pass over the store. A query restricting
+//! variables to value sets (`one_of`, [`crate::api::ValueSets`]) is tested
+//! as matches arrive, in the same pass.
 
-use crate::api::{SourceStats, Wrapper, WrapperError};
+use crate::api::{own_patterns, SourceStats, Wrapper, WrapperError};
 use crate::capabilities::Capabilities;
-use crate::eval::answer_msl_query;
+use crate::eval::answer_patterns;
+use crate::index::{can_narrow, ValueIndex};
 use crate::metrics::{WrapperCounters, WrapperMetrics};
 use msl::Rule;
 use oem::{ObjectStore, Symbol};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// A source holding OEM objects directly.
 pub struct SemiStructuredSource {
@@ -22,6 +29,9 @@ pub struct SemiStructuredSource {
     caps: Capabilities,
     provide_stats: bool,
     counters: WrapperCounters,
+    /// Built on first use, never in [`SemiStructuredSource::new`]: a
+    /// source asked once pays for it only if it is asked a lookup.
+    index: OnceLock<ValueIndex>,
 }
 
 /// Alias used throughout docs/tests.
@@ -38,6 +48,7 @@ impl SemiStructuredSource {
             caps: Capabilities::full(),
             provide_stats: false,
             counters: WrapperCounters::new(),
+            index: OnceLock::new(),
         }
     }
 
@@ -67,8 +78,14 @@ impl SemiStructuredSource {
     }
 
     /// Mutable access (schema-evolution demos add attributes at runtime).
+    /// Drops the value index; the next lookup rebuilds it.
     pub fn store_mut(&mut self) -> &mut ObjectStore {
+        self.index.take();
         &mut self.store
+    }
+
+    fn index(&self) -> &ValueIndex {
+        self.index.get_or_init(|| ValueIndex::build(&self.store))
     }
 
     fn compute_stats(&self) -> SourceStats {
@@ -76,24 +93,14 @@ impl SemiStructuredSource {
         for &t in self.store.top_level() {
             *label_counts.entry(self.store.get(t).label).or_insert(0) += 1;
         }
-        // Distinct values per subobject label across top-level children.
-        let mut values: BTreeMap<Symbol, std::collections::HashSet<oem::Value>> = BTreeMap::new();
-        for &t in self.store.top_level() {
-            for &c in self.store.children(t) {
-                let obj = self.store.get(c);
-                if obj.value.is_atomic() {
-                    values
-                        .entry(obj.label)
-                        .or_default()
-                        .insert(obj.value.clone());
-                }
-            }
-        }
         // Uniform assumption: an equality condition on label l keeps
-        // 1/distinct(l) of the objects.
-        let eq_selectivity = values
+        // 1/distinct(l) of the objects, values compared as the matcher
+        // compares them.
+        let eq_selectivity = self
+            .index()
+            .distinct_values()
             .into_iter()
-            .map(|(l, set)| (l, 1.0 / set.len().max(1) as f64))
+            .map(|(l, n)| (l, 1.0 / n as f64))
             .collect();
         SourceStats {
             top_level_count: self.store.top_level().len(),
@@ -134,7 +141,9 @@ impl Wrapper for SemiStructuredSource {
             self.counters.capability_rejected();
             return Err(WrapperError::Unsupported(e));
         }
-        let result = answer_msl_query(self.name, &self.caps, &self.store, q)?;
+        let (patterns, sets) = own_patterns(self.name, &self.caps, q)?;
+        let index = can_narrow(&patterns).then(|| self.index());
+        let result = answer_patterns(self.name, &self.store, index, &patterns, &sets, q)?;
         self.counters.objects_exported(result.top_level().len());
         Ok(result)
     }
@@ -204,6 +213,39 @@ mod tests {
         assert_eq!(s.label_counts.get(&sym("person")), Some(&2));
         // Two distinct names → selectivity 1/2.
         assert!((s.selectivity(sym("name")) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stats_count_numerically_equal_values_once() {
+        let store = parse_store(
+            "<&p1, person, set, {<&y1, year, 3>}>
+             <&p2, person, set, {<&y2, year, 3.0>}>",
+        )
+        .unwrap();
+        let s = SemiStructuredSource::new("whois", store)
+            .with_stats()
+            .stats()
+            .unwrap();
+        // The matcher takes 3 for 3.0: one value, selectivity 1.
+        assert!((s.selectivity(sym("year")) - 1.0).abs() < 1e-9);
+        assert_eq!(s.top_level_count, 2);
+        assert_eq!(s.label_counts.get(&sym("person")), Some(&2));
+    }
+
+    #[test]
+    fn store_mut_drops_the_index() {
+        let mut w = whois();
+        let q = parse_query("X :- X:<person {<e_mail 'nick@cs'>}>@whois").unwrap();
+        assert!(w.query(&q).unwrap().top_level().is_empty());
+        assert!(w.index.get().is_some(), "the lookup built the index");
+        let store = w.store_mut();
+        let nick = store.by_oid(sym("p2")).unwrap();
+        let e_mail = store.atom("e_mail", "nick@cs");
+        store.add_child(nick, e_mail).unwrap();
+        let res = w.query(&q).unwrap();
+        assert_eq!(res.top_level().len(), 1);
+        let printed = compact(&res, res.top_level()[0]);
+        assert!(printed.contains("<name 'Nick Naive'>"), "{printed}");
     }
 
     #[test]

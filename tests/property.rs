@@ -11,7 +11,8 @@
 //! * a bind join that ships its tuples as value sets answers with the
 //!   bytes of one that ships them one by one;
 //! * pruning the chains the sources' summaries prove empty never changes
-//!   a lookup's answer.
+//!   a lookup's answer;
+//! * the semi-structured source's value index answers like a scan.
 
 mod common;
 
@@ -917,6 +918,168 @@ proptest! {
             prop_assert_eq!(pruned, if repeats { 1 } else { 2 }, "<name {}>", cond);
         } else {
             prop_assert!(pruned >= 1, "nothing pruned for <{} {}>", label, cond);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The semi-structured source's value index: a lookup narrowed to the
+// index's candidates answers with the bytes of a scan over every object
+
+/// Child values where numbers the matcher equates recur in both kinds
+/// (`3` and `3.0`, `0` and `-0.0`), next to a string spelled like one.
+fn arb_index_atom() -> impl Strategy<Value = Value> {
+    prop::sample::select(vec![
+        Value::Int(3),
+        Value::real(3.0),
+        Value::Int(0),
+        Value::real(-0.0),
+        Value::real(0.5),
+        Value::str("3"),
+        Value::str("a"),
+        Value::str("b"),
+        Value::Bool(true),
+    ])
+}
+
+/// Up to nine top-level objects, `person` or `group`: a set of up to five
+/// children from three labels (so a label repeats within an object), each
+/// an atom or a set holding one `year` atom; or an atom itself. `shared`
+/// make a set also hold a child another object holds.
+fn arb_indexed_store() -> impl Strategy<Value = ObjectStore> {
+    let child = (
+        prop::sample::select(vec!["name", "year", "tag"]),
+        arb_index_atom(),
+        prop::sample::select(vec![false, false, false, true]),
+    );
+    let top = (
+        prop::sample::select(vec!["person", "group"]),
+        prop::option::of(prop::collection::vec(child, 0..6)),
+        arb_index_atom(),
+    );
+    (
+        prop::collection::vec(top, 0..10),
+        prop::collection::vec((0usize..64, 0usize..64), 0..4),
+    )
+        .prop_map(|(tops, shared)| {
+            let mut store = ObjectStore::new();
+            for (label, children, atom) in tops {
+                let top = match children {
+                    Some(children) => {
+                        let ids = children
+                            .into_iter()
+                            .map(|(label, value, nested)| {
+                                let atom = store.atom(if nested { "year" } else { label }, value);
+                                if nested {
+                                    store.set(label, vec![atom])
+                                } else {
+                                    atom
+                                }
+                            })
+                            .collect();
+                        store.set(label, ids)
+                    }
+                    None => store.atom(label, atom),
+                };
+                store.add_top(top);
+            }
+            let tops = store.top_level().to_vec();
+            let sets: Vec<oem::ObjId> = tops
+                .iter()
+                .copied()
+                .filter(|&t| store.get(t).value.as_set().is_some())
+                .collect();
+            let children: Vec<oem::ObjId> = sets
+                .iter()
+                .flat_map(|&t| store.children(t).to_vec())
+                .collect();
+            if !children.is_empty() {
+                for (p, c) in shared {
+                    let child = children[c % children.len()];
+                    store.add_child(sets[p % sets.len()], child).unwrap();
+                }
+            }
+            store
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Lookups on constants the store holds (or a numerically equal one
+    /// of the other kind), next to patterns the index cannot narrow —
+    /// label variables, wildcards, a top label variable, a value variable
+    /// — rest conditions, and a second pattern narrowed by a variable the
+    /// first binds: the source answers each twice (the index built by the
+    /// first lookup, then read) with the bytes of the unindexed scan.
+    #[test]
+    fn indexed_lookups_answer_like_a_scan(
+        store in arb_indexed_store(),
+        picks in (0usize..64, 0usize..64),
+        from_pool in prop::sample::select(vec![false, false, true]),
+        pooled in arb_index_atom(),
+        top in prop::sample::select(vec!["person", "group"]),
+    ) {
+        use wrappers::{Capabilities, SemiStructuredWrapper, Wrapper};
+        // The store's atomic children, as (label, value).
+        let held: Vec<(String, Value)> = store
+            .top_level()
+            .iter()
+            .flat_map(|&t| store.children(t).iter().map(|&c| store.get(c)))
+            .filter(|o| o.value.is_atomic())
+            .map(|o| (o.label.as_str(), o.value.clone()))
+            .collect();
+        let pick = |i: usize| {
+            held.get(i % held.len().max(1))
+                .cloned()
+                .unwrap_or_else(|| ("name".to_string(), Value::str("a")))
+        };
+        let (l1, c1) = pick(picks.0);
+        let (l2, c2) = pick(picks.1);
+        let c2 = if from_pool { pooled } else { c2 };
+        let c1 = msl::printer::term(&Term::Const(c1), true);
+        let c2 = msl::printer::term(&Term::Const(c2), true);
+        let queries = [
+            format!("X :- X:<{top} {{<{l1} {c1}>}}>@s"),
+            format!("X :- X:<{top} {{<{l1} {c1}> <{l2} {c2}>}}>@s"),
+            format!("<out {{<v V>}}> :- <{top} {{<{l1} {c1}> <{l2} V>}}>@s"),
+            format!("<out {{<l L>}}> :- <{top} {{<L {c1}>}}>@s"),
+            format!("<out {{<l L> <v V>}}> :- <{top} {{<{l1} {c1}> <L V>}}>@s"),
+            format!("X :- X:<{top} {{* <year {c2}>}}>@s"),
+            format!("X :- X:<{top} {{* <year {c2}> <{l1} {c1}>}}>@s"),
+            format!("X :- X:<T {{<{l1} {c1}>}}>@s"),
+            format!("<out {{<v V>}}> :- <{top} V>@s"),
+            format!("<out {{<v V> R}}> :- <{top} {{<{l1} V> | R:{{<{l2} {c2}>}}}}>@s"),
+            format!("X :- X:<{top} {{<{l1} {c1}> | R:{{<{l2} {c2}>}}}}>@s"),
+            format!(
+                "<pair {{<v V> <w W>}}> :- <{top} {{<{l1} V>}}>@s \
+                 AND <T {{<{l2} V> <L W>}}>@s"
+            ),
+            format!(
+                "<pair {{X Y}}> :- X:<{top} {{<{l1} {c1}> <{l2} V>}}>@s \
+                 AND Y:<group {{<{l1} V>}}>@s"
+            ),
+        ];
+        let source = SemiStructuredWrapper::new("s", store.clone());
+        let printed = |answer: Result<ObjectStore, wrappers::WrapperError>| {
+            answer.map(|a| oem::printer::print_store(&a))
+        };
+        for q in &queries {
+            let rule = msl::parse_query(q).unwrap();
+            let scan = printed(wrappers::eval::answer_msl_query(
+                oem::sym("s"),
+                &Capabilities::full(),
+                &store,
+                &rule,
+            ));
+            prop_assert!(scan.is_ok(), "{}: {:?}", q, scan);
+            if q.starts_with("X :- X:<T ") && !held.is_empty() {
+                // A constant the store holds, under any top label: a hit.
+                prop_assert!(scan.as_ref().unwrap().contains('<'), "{} missed", q);
+            }
+            for pass in 0..2 {
+                prop_assert_eq!(&printed(source.query(&rule)), &scan, "{} pass={}", q, pass);
+            }
         }
     }
 }
