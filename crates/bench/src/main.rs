@@ -233,7 +233,7 @@ fn theta1() {
     let q = msl::parse_query("JC :- JC:<cs_person {<name 'Joe Chung'>}>@med").unwrap();
     let program = med.expand(&q).unwrap();
     assert_eq!(program.len(), 1);
-    println!("unifier θ1: {}", program.unifier_notes[0]);
+    println!("unifier θ1: {}", program.unifier_note(0));
     println!("logical datamerge rule (paper's R2):");
     println!("  {}", msl::printer::rule(&program.rules[0]));
     println!("[ok] one unifier: N ↦ 'Joe Chung' plus the JC ⇒ definition");
@@ -248,8 +248,8 @@ fn pushdown() {
     let q = msl::parse_query("S :- S:<cs_person {<year 3>}>@med").unwrap();
     let program = med.expand(&q).unwrap();
     assert_eq!(program.len(), 2);
-    for (i, (r, note)) in program.rules.iter().zip(&program.unifier_notes).enumerate() {
-        println!("τ{} : {note}", i + 1);
+    for (i, r) in program.rules.iter().enumerate() {
+        println!("τ{} : {}", i + 1, program.unifier_note(i));
         println!("(Q{}) {}", i + 3, msl::printer::rule(r));
     }
     println!("[ok] <year 3> pushes into Rest1 (whois) or Rest2 (cs): two rules");

@@ -57,9 +57,10 @@ use wrappers::{Wrapper, WrapperError};
 /// Execution options.
 #[derive(Clone, Debug)]
 pub struct ExecOptions {
-    /// Render the binding table every node emits into its trace entry
-    /// (Figure 3.6's rectangles). Counters and timings are collected
-    /// regardless — only the table rendering is costly enough to gate.
+    /// Render the binding table every node emits, and the node's source
+    /// query or operation, into its trace entry (Figure 3.6's rectangles).
+    /// Counters and timings are collected regardless — only text is
+    /// costly enough to gate.
     pub trace: bool,
     /// Execute the per-rule chains on separate threads (crossbeam scoped).
     /// The chains of a logical program are independent until construction,
@@ -104,9 +105,9 @@ impl Default for ExecOptions {
     }
 }
 
-/// Key of the parameterized-query memo: source, printed unfilled query,
-/// bound parameter tuple.
-type ParamMemoKey = (Symbol, String, Vec<Value>);
+/// Key of the parameterized-query memo: the unfilled query's id
+/// ([`ParamMemo::query_id`]) and the bound parameter tuple.
+type ParamMemoKey = (usize, Vec<Value>);
 
 /// One memo slot per parameter tuple. The slot's own lock is held across
 /// the fetch — chains racing on the *same* tuple block and then reuse the
@@ -116,17 +117,34 @@ type ParamMemoKey = (Symbol, String, Vec<Value>);
 type ParamSlot = Arc<Mutex<Option<Arc<ObjectStore>>>>;
 
 /// The parameterized-query memo of one execution: the answers to bound
-/// parameter tuples its chains have already fetched, keyed by `(source,
+/// parameter tuples its chains have already fetched, keyed by `(source and
 /// unfilled query, tuple)`. Chains that fill the same parameterized query
 /// with the same tuple pay one round-trip between them, in sequence or in
 /// parallel. It is dropped with the execution: between queries a source
 /// answer lives in the [`AnswerCache`] and nowhere else.
 #[derive(Debug, Default)]
 pub struct ParamMemo {
+    /// Every `(source, unfilled query)` a slot was asked for; its position
+    /// is its id. Nodes whose source and query are structurally equal
+    /// share one id, so they share slots.
+    queries: Mutex<Vec<(Symbol, Rule)>>,
     slots: Mutex<HashMap<ParamMemoKey, ParamSlot>>,
 }
 
 impl ParamMemo {
+    /// The id of the parameterized `query` at `source`, assigned on first
+    /// sight.
+    fn query_id(&self, source: Symbol, query: &Rule) -> usize {
+        let mut queries = self.queries.lock();
+        match queries.iter().position(|(s, q)| *s == source && q == query) {
+            Some(id) => id,
+            None => {
+                queries.push((source, query.clone()));
+                queries.len() - 1
+            }
+        }
+    }
+
     /// The slot for `key`, created empty if absent. Only the map lock is
     /// held here; callers lock the returned slot across their fetch.
     fn slot(&self, key: ParamMemoKey) -> ParamSlot {
@@ -390,10 +408,10 @@ enum OpKind<'p> {
         /// sends such a batch in one call, `None` keeps §3.4's one query
         /// per tuple.
         batch: std::cell::OnceCell<Option<Box<Rule>>>,
-        /// `query` printed, the part of a [`ParamMemo`] key every tuple of
-        /// this node has in common; filled by the first tuple that needs a
-        /// slot (one the answer cache does not serve).
-        unfilled: std::cell::OnceCell<String>,
+        /// `query`'s [`ParamMemo::query_id`], the part of a memo key every
+        /// tuple of this node has in common; filled by the first tuple that
+        /// needs a slot (one the answer cache does not serve).
+        query_id: std::cell::OnceCell<usize>,
         /// Per-chain tuple memo; `Rc` so repeated tuples share one
         /// extraction (the cross-chain memo lives in [`ChainCtx`]).
         memo: HashMap<Vec<Value>, MemoRows>,
@@ -519,7 +537,7 @@ fn build_ops(rule_plan: &RulePlan) -> Vec<OpState<'_>> {
                     params,
                     vars,
                     batch: std::cell::OnceCell::new(),
-                    unfilled: std::cell::OnceCell::new(),
+                    query_id: std::cell::OnceCell::new(),
                     memo: HashMap::new(),
                     pending: std::collections::VecDeque::new(),
                     cur: None,
@@ -746,7 +764,7 @@ fn pull_inner(
             params,
             vars,
             batch,
-            unfilled,
+            query_id,
             memo,
             pending,
             cur,
@@ -781,7 +799,7 @@ fn pull_inner(
                                     *source,
                                     query,
                                     batch,
-                                    unfilled,
+                                    query_id,
                                     params,
                                     vars,
                                     param_idx.as_ref().expect("resolved above"),
@@ -821,7 +839,9 @@ fn pull_inner(
                                 env.ctx,
                                 env.stats,
                                 &mut op.meter.metrics,
-                                Some(&|| shared_key(*source, query, unfilled, &key)),
+                                Some(&|| {
+                                    shared_key(env.ctx.param_memo, *source, query, query_id, &key)
+                                }),
                             ) {
                                 Ok(e) => std::rc::Rc::new(e),
                                 Err(e @ MedError::SourceUnavailable { .. }) => {
@@ -1163,7 +1183,11 @@ fn run_chain(
         metrics.est_mem_rows = est.memory;
         nodes.push(NodeTrace {
             op: node.op_name().to_string(),
-            detail: node_detail(node),
+            detail: if ctx.trace_on {
+                node_detail(node)
+            } else {
+                String::new()
+            },
             metrics,
             table: if ctx.trace_on {
                 format!(
@@ -1437,6 +1461,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Fill each traced node's `detail` from the plan it ran — what an
+/// untraced execution leaves empty. Node traces are a prefix of their
+/// chain's plan nodes, and chains keep their plan positions.
+pub(crate) fn fill_details(plan: &PhysicalPlan, trace: &mut QueryTrace) {
+    for (rule_plan, rule) in plan.rules.iter().zip(&mut trace.rules) {
+        for (node, t) in rule_plan.nodes.iter().zip(&mut rule.nodes) {
+            t.detail = node_detail(node);
+        }
+    }
+}
+
 fn node_detail(node: &Node) -> String {
     match node {
         Node::Query { source, query, .. } => {
@@ -1598,15 +1633,16 @@ fn run_and_extract(
 }
 
 /// The [`ParamMemo`] key of `tuple` under the parameterized `query`, whose
-/// printed form `unfilled` keeps for the operator's lifetime.
+/// id `query_id` keeps for the operator's lifetime.
 fn shared_key(
+    memo: &ParamMemo,
     source: Symbol,
     query: &Rule,
-    unfilled: &std::cell::OnceCell<String>,
+    query_id: &std::cell::OnceCell<usize>,
     tuple: &[Value],
 ) -> ParamMemoKey {
-    let unfilled = unfilled.get_or_init(|| msl::printer::rule(query));
-    (source, unfilled.clone(), tuple.to_vec())
+    let id = *query_id.get_or_init(|| memo.query_id(source, query));
+    (id, tuple.to_vec())
 }
 
 /// The atomic parameter values of `row`, or `None` if some parameter
@@ -1666,7 +1702,7 @@ fn prefetch_tuples(
     source: Symbol,
     query: &Rule,
     batch: &std::cell::OnceCell<Option<Box<Rule>>>,
-    unfilled: &std::cell::OnceCell<String>,
+    query_id: &std::cell::OnceCell<usize>,
     params: &[Symbol],
     vars: &[ExtractVar],
     idxs: &[usize],
@@ -1706,7 +1742,7 @@ fn prefetch_tuples(
         .iter()
         .map(|(tuple, _)| {
             ctx.param_memo
-                .slot(shared_key(source, query, unfilled, tuple))
+                .slot(shared_key(ctx.param_memo, source, query, query_id, tuple))
         })
         .collect();
     let mut order: Vec<usize> = (0..open.len()).collect();

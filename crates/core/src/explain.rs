@@ -13,8 +13,9 @@ use std::fmt::Write;
 pub fn render_logical(program: &LogicalProgram) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Logical datamerge program ({} rules):", program.len());
-    for (i, (r, note)) in program.rules.iter().zip(&program.unifier_notes).enumerate() {
+    for (i, r) in program.rules.iter().enumerate() {
         let _ = writeln!(out, "  (R{}) {}", i + 1, msl::printer::rule(r));
+        let note = program.unifier_note(i);
         if !note.is_empty() {
             let _ = writeln!(out, "       unifier: {note}");
         }
@@ -300,6 +301,21 @@ mod tests {
     use std::sync::Arc;
     use wrappers::scenario::{cs_wrapper, whois_wrapper, MS1};
     use wrappers::Wrapper;
+
+    #[test]
+    fn a_program_without_unifiers_still_prints_every_rule() {
+        let program = LogicalProgram {
+            rules: vec![
+                msl::parse_rule("X :- X:<a {}>@s").unwrap(),
+                msl::parse_rule("Y :- Y:<b {}>@t").unwrap(),
+            ],
+            unifiers: Vec::new(),
+        };
+        let text = render_logical(&program);
+        assert!(text.contains("(R1) X :- X:<a {}>@s"), "{text}");
+        assert!(text.contains("(R2) Y :- Y:<b {}>@t"), "{text}");
+        assert!(!text.contains("unifier:"), "{text}");
+    }
 
     #[test]
     fn summaries_cover_every_node_kind() {

@@ -5,6 +5,7 @@
 //! examples are R2 (for Q1) and the two-rule program Q3/Q4 (for the year-3
 //! query).
 
+use engine::unify::Unifier;
 use msl::Rule;
 use std::fmt;
 
@@ -13,10 +14,10 @@ use std::fmt;
 pub struct LogicalProgram {
     /// One datamerge rule per unifier combination.
     pub rules: Vec<Rule>,
-    /// Human-readable renderings of the unifiers that justified each rule
-    /// (same order as `rules`) — used by `explain` and the θ1/τ1/τ2
-    /// experiments.
-    pub unifier_notes: Vec<String>,
+    /// The unifiers that justified each rule, one per expanded query
+    /// condition (same order as `rules`). Kept as data: only a reader of
+    /// [`LogicalProgram::unifier_note`] pays for rendering them.
+    pub unifiers: Vec<Vec<Unifier>>,
 }
 
 impl LogicalProgram {
@@ -28,6 +29,20 @@ impl LogicalProgram {
     /// Number of rules.
     pub fn len(&self) -> usize {
         self.rules.len()
+    }
+
+    /// The unifiers behind rule `i`, rendered the way the paper writes
+    /// them and joined by `; ` — empty when the program records none for
+    /// that rule. Used by `explain` and the θ1/τ1/τ2 experiments.
+    pub fn unifier_note(&self, i: usize) -> String {
+        let notes: Vec<String> = self
+            .unifiers
+            .get(i)
+            .into_iter()
+            .flatten()
+            .map(crate::veao::render_unifier)
+            .collect();
+        notes.join("; ")
     }
 }
 
@@ -51,12 +66,13 @@ mod tests {
                 msl::parse_rule("X :- X:<a {}>@s").unwrap(),
                 msl::parse_rule("Y :- Y:<b {}>@t").unwrap(),
             ],
-            unifier_notes: vec![String::new(), String::new()],
+            unifiers: Vec::new(),
         };
         let s = p.to_string();
         assert!(s.contains("(R1)"));
         assert!(s.contains("(R2)"));
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
+        assert_eq!(p.unifier_note(1), "");
     }
 }

@@ -35,7 +35,9 @@ pub struct MediatorOptions {
     pub unify_mode: UnifyMode,
     /// Evaluate recursive specifications by fixpoint materialization.
     pub allow_recursion: bool,
-    /// Record per-node execution traces (explain).
+    /// Record per-node execution traces (explain): the binding tables,
+    /// each node's detail and the trace's query text. Off, a query
+    /// renders none of that text.
     pub trace: bool,
     /// Execute independent rule chains on separate threads.
     pub parallel: bool,
@@ -337,8 +339,12 @@ impl Mediator {
             return self.query_recursive(query);
         }
 
-        self.plan_and_run(query, self.options.trace, self.options.parallel, limits)
-            .map(|(_, outcome)| outcome)
+        let (_, mut outcome) =
+            self.plan_and_run(query, self.options.trace, self.options.parallel, limits)?;
+        if self.options.trace {
+            outcome.trace.query = msl::printer::rule(query);
+        }
+        Ok(outcome)
     }
 
     /// Plan an expanded query against the statistics learned so far.
@@ -387,9 +393,10 @@ impl Mediator {
         )
     }
 
-    /// Expand, plan and execute a validated non-recursive query, stamp the
-    /// trace with the query text and, with `learn_stats` on, feed its
-    /// observations back into the statistics cache.
+    /// Expand, plan and execute a validated non-recursive query and, with
+    /// `learn_stats` on, feed its observations back into the statistics
+    /// cache. The trace carries no query text: the callers that present
+    /// it stamp it.
     fn plan_and_run(
         &self,
         query: &Rule,
@@ -398,8 +405,7 @@ impl Mediator {
         limits: &QueryLimits,
     ) -> Result<(PhysicalPlan, ExecOutcome)> {
         let physical = self.plan_program(&self.expand(query)?)?;
-        let mut outcome = self.execute_plan(&physical, trace, parallel, limits)?;
-        outcome.trace.query = msl::printer::rule(query);
+        let outcome = self.execute_plan(&physical, trace, parallel, limits)?;
         if self.options.learn_stats {
             self.stats.record_trace(&outcome.trace);
         }
@@ -479,12 +485,16 @@ impl Mediator {
             );
             return Ok((report, outcome.trace));
         }
-        let (physical, outcome) = self.plan_and_run(
+        let (physical, mut outcome) = self.plan_and_run(
             &query,
             false,
             self.options.parallel,
             &QueryLimits::default(),
         )?;
+        // The run was untraced: the text the report and the returned
+        // trace present is rendered here, from the query and the plan.
+        outcome.trace.query = msl::printer::rule(&query);
+        crate::exec::fill_details(&physical, &mut outcome.trace);
         let report = crate::explain::render_analyze(&physical, &outcome);
         Ok((report, outcome.trace))
     }

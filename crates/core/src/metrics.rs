@@ -234,7 +234,9 @@ record! {
         /// Operator name (`query`, `parameterized query`, `external pred`,
         /// `filter`, `hash join`, `dup elim`).
         op: String = required,
-        /// Human-readable operator summary (source, query text, predicate...).
+        /// Human-readable operator summary (source, query text, predicate...),
+        /// rendered only for a reader: on a traced run, and by EXPLAIN
+        /// ANALYZE. Empty otherwise.
         detail: String = required,
         /// The counters recorded while the node ran.
         metrics: NodeMetrics = required,
@@ -300,8 +302,9 @@ record! {
     /// statistics observations, per-source call counts, and result totals.
     #[derive(Clone, Debug, Default, PartialEq)]
     pub struct QueryTrace {
-        /// The query text (filled in by [`crate::Mediator::query_rule`];
-        /// empty when the engine is driven directly).
+        /// The query text, filled in by [`crate::Mediator::query_rule`] with
+        /// [`crate::MediatorOptions::trace`] on and by
+        /// [`crate::Mediator::explain_analyze`]; empty otherwise.
         query: String = required,
         /// One trace per rule chain, in plan order.
         rules: Vec<RuleTrace> = required,

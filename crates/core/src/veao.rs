@@ -43,13 +43,11 @@ pub fn expand(query: &Rule, spec: &MediatorSpec, mode: UnifyMode) -> Result<Logi
         subst: Subst,
         tail: Vec<TailItem>,
         unifiers: Vec<Unifier>,
-        notes: Vec<String>,
     }
     let mut states = vec![St {
         subst: Subst::new(),
         tail: Vec::new(),
         unifiers: Vec::new(),
-        notes: Vec::new(),
     }];
 
     let mut renamer = Renamer::new();
@@ -75,13 +73,10 @@ pub fn expand(query: &Rule, spec: &MediatorSpec, mode: UnifyMode) -> Result<Logi
                             }
                             let mut unifiers = st.unifiers.clone();
                             unifiers.push(u.clone());
-                            let mut notes = st.notes.clone();
-                            notes.push(render_unifier(&u));
                             next.push(St {
                                 subst: merged,
                                 tail,
                                 unifiers,
-                                notes,
                             });
                         }
                     }
@@ -114,7 +109,7 @@ pub fn expand(query: &Rule, spec: &MediatorSpec, mode: UnifyMode) -> Result<Logi
         // Dedup identical rules (different choices can coincide).
         if !program.rules.contains(&rule) {
             program.rules.push(rule);
-            program.unifier_notes.push(st.notes.join("; "));
+            program.unifiers.push(st.unifiers);
         }
     }
     Ok(program)
@@ -301,7 +296,8 @@ fn splice_defs(p: &Pattern, unifiers: &[Unifier]) -> Pattern {
 }
 
 /// Render a unifier the way the paper writes them: mappings `v ↦ t`, then
-/// definitions `v ⇒ structure`.
+/// definitions `v ⇒ structure`. Expansion keeps unifiers as data; this
+/// runs only where one is presented ([`LogicalProgram::unifier_note`]).
 pub fn render_unifier(u: &Unifier) -> String {
     let mut parts: Vec<String> = Vec::new();
     let mut mappings: Vec<(Symbol, String)> = u
@@ -352,8 +348,8 @@ mod tests {
         assert!(printed.contains("<R_r1 {<first_name FN_r1> <last_name LN_r1> | Rest2_r1}>@cs"));
         assert!(printed.contains("decomp('Joe Chung', LN_r1, FN_r1)"));
         // The unifier note matches θ1's shape.
-        assert!(program.unifier_notes[0].contains("'Joe Chung'"));
-        assert!(program.unifier_notes[0].contains("JC =>"));
+        assert!(program.unifier_note(0).contains("'Joe Chung'"));
+        assert!(program.unifier_note(0).contains("JC =>"));
     }
 
     #[test]
@@ -469,7 +465,7 @@ mod tests {
         let q = parse_query("S :- S:<cs_person {}>@med").unwrap();
         let program = expand(&q, &med(), UnifyMode::Minimal).unwrap();
         assert_eq!(program.len(), 1);
-        assert!(program.unifier_notes[0].contains("S =>"));
+        assert!(program.unifier_note(0).contains("S =>"));
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn theta1_and_r2() {
     let q = msl::parse_query("JC :- JC:<cs_person {<name 'Joe Chung'>}>@med").unwrap();
     let program = med.expand(&q).unwrap();
     assert_eq!(program.len(), 1);
-    let note = &program.unifier_notes[0];
+    let note = program.unifier_note(0);
     assert!(note.contains("N_r1 -> 'Joe Chung'"), "{note}");
     assert!(note.contains("JC =>"), "{note}");
     let rule = msl::printer::rule(&program.rules[0]);
