@@ -25,7 +25,9 @@ use super::SourceInfo;
 use msl::diag::{codes, Diagnostic, Span};
 use msl::{Head, PatValue, Pattern, Rule, SetElem, SetPattern, Spec, SpecSpans, TailItem, Term};
 use oem::Symbol;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt;
 use wrappers::{LabelSummary, ValueType};
 
 /// Maximum nesting depth of inferred view schemas (prevents unbounded
@@ -39,98 +41,340 @@ const WALK_DEPTH_CAP: usize = 8;
 /// bounds the lattice height).
 const FIXPOINT_CAP: usize = 16;
 
-/// One typed occurrence of a variable in a rule tail.
-#[derive(Clone, Debug)]
-struct Occurrence {
-    var: Symbol,
-    ty: ValueType,
-    /// Where the type came from, for E301 messages — e.g. "value of
-    /// 'year' at source 'cs'".
-    what: String,
+/// Where a tail pattern is matched — what a finding names it by.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(super) enum Place {
+    /// No source annotation: nothing is known there.
+    Unknown,
+    /// A self-reference: the mediator's own views.
+    Mediator(Symbol),
+    /// A registered source.
+    Source(Symbol),
 }
 
-/// Walks rule tails against summaries, collecting occurrences and
-/// (optionally) label/constant diagnostics.
+impl fmt::Display for Place {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Place::Unknown => Ok(()),
+            Place::Mediator(s) => write!(f, "this mediator ('{s}')"),
+            Place::Source(s) => write!(f, "source '{s}'"),
+        }
+    }
+}
+
+/// A pattern's label as a finding names it: `'l'` for a constant,
+/// `this label` otherwise.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(super) struct LabelName(Option<Symbol>);
+
+impl fmt::Display for LabelName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(l) => write!(f, "'{l}'"),
+            None => f.write_str("this label"),
+        }
+    }
+}
+
+/// The position a variable occurs in.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(super) enum Position {
+    Label,
+    Object,
+    Oid,
+    Value(LabelName),
+}
+
+/// One typed occurrence of a variable in a rule tail.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(super) struct Occurrence {
+    var: Symbol,
+    ty: ValueType,
+    position: Position,
+    place: Place,
+}
+
+/// `type (where)`, as an E301 join conflict names each side — e.g.
+/// `integer (value of 'year' at source 'cs')`.
+impl fmt::Display for Occurrence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (ty, place) = (self.ty, self.place);
+        match self.position {
+            Position::Label => write!(f, "{ty} (label position at {place})"),
+            Position::Object => write!(f, "{ty} (object matched at {place})"),
+            Position::Oid => write!(f, "{ty} (oid position at {place})"),
+            Position::Value(label) => write!(f, "{ty} (value of {label} at {place})"),
+        }
+    }
+}
+
+/// What the walk proves about a rule, as data. [`fmt::Display`] renders
+/// the message `medmaker check` and EXPLAIN print for it; nothing else
+/// formats it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(super) enum Finding {
+    /// `E301`: a constant of a type the label's values never have.
+    ConstantType {
+        label: LabelName,
+        place: Place,
+        constant: ValueType,
+        held: ValueType,
+    },
+    /// `E301`: a set pattern under a label holding atomic values.
+    SetOnAtomic {
+        label: LabelName,
+        place: Place,
+        held: ValueType,
+    },
+    /// `E301`: two occurrences of one variable whose types never meet.
+    JoinConflict {
+        first: Occurrence,
+        second: Occurrence,
+    },
+    /// `W301`: a label a closed summary lacks.
+    UnknownLabel {
+        label: Symbol,
+        place: Place,
+        top: bool,
+    },
+    /// `W303`: a rest condition asking for a second child a closed
+    /// summary holds at most one of.
+    ConsumedRest {
+        label: Symbol,
+        place: Place,
+        parent: LabelName,
+    },
+}
+
+impl Finding {
+    fn code(&self) -> &'static str {
+        match self {
+            Finding::ConstantType { .. }
+            | Finding::SetOnAtomic { .. }
+            | Finding::JoinConflict { .. } => codes::TYPE_MISMATCH,
+            Finding::UnknownLabel { .. } => codes::UNKNOWN_LABEL,
+            Finding::ConsumedRest { .. } => codes::CONSUMED_REST_LABEL,
+        }
+    }
+
+    fn is_error(&self) -> bool {
+        self.code() == codes::TYPE_MISMATCH
+    }
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Finding::ConstantType {
+                label,
+                place,
+                constant,
+                held,
+            } => write!(
+                f,
+                "condition on {label} compares a constant of type {constant}, but {place} \
+                 holds {held} values there — it can never match"
+            ),
+            Finding::SetOnAtomic { label, place, held } => write!(
+                f,
+                "pattern expects subobjects under {label}, but {place} holds atomic {held} \
+                 values there — it can never match"
+            ),
+            Finding::JoinConflict { first, second } => write!(
+                f,
+                "join variable '{}' has incompatible types: {first} and {second}",
+                first.var
+            ),
+            Finding::UnknownLabel {
+                label,
+                place,
+                top: true,
+            } => write!(f, "{place} produces no top-level object labeled '{label}'"),
+            Finding::UnknownLabel { label, place, .. } => {
+                write!(f, "{place} produces no subobject labeled '{label}' here")
+            }
+            Finding::ConsumedRest {
+                label,
+                place,
+                parent,
+            } => write!(
+                f,
+                "{place} holds at most one '{label}' under {parent}, and the pattern \
+                 already matches it"
+            ),
+        }
+    }
+}
+
+/// A finding where the walk made it, with `check`'s did-you-mean help.
+struct Found {
+    finding: Finding,
+    span: Span,
+    help: Option<String>,
+}
+
+impl Found {
+    fn into_diagnostic(self) -> Diagnostic {
+        let (code, message) = (self.finding.code(), self.finding.to_string());
+        let d = if self.finding.is_error() {
+            Diagnostic::error(code, self.span, message)
+        } else {
+            Diagnostic::warning(code, self.span, message)
+        };
+        match self.help {
+            Some(help) => d.with_help(help),
+            None => d,
+        }
+    }
+}
+
+/// The pseudo-object a top-level pattern is matched in: its children are
+/// a source's top-level labels, or the mediator's views.
+#[derive(Clone, Debug)]
+struct Top {
+    object: LabelSummary,
+    /// What a top-level label variable ranges over: every child, joined.
+    any_child: LabelSummary,
+}
+
+impl Top {
+    fn new(object: LabelSummary) -> Top {
+        Top {
+            any_child: any_child(&object),
+            object,
+        }
+    }
+
+    /// The views' pseudo-object. Whether all views are known is the
+    /// dead-view pass's business; here absence proves nothing.
+    fn views(views: &BTreeMap<Symbol, LabelSummary>) -> Top {
+        Top::new(LabelSummary {
+            open: true,
+            ..LabelSummary::object(views.clone())
+        })
+    }
+}
+
+/// The join of every child of `parent`: what a label variable under it
+/// ranges over.
+fn any_child(parent: &LabelSummary) -> LabelSummary {
+    let mut merged = LabelSummary::bottom();
+    merged.open = parent.open;
+    for ls in parent.children.values() {
+        merged = join_label(merged, ls);
+    }
+    merged
+}
+
+/// The contexts rule tails are walked in, built once and borrowed by
+/// every walk: one [`Top`] per source that exports a summary, one for the
+/// mediator's views.
+#[derive(Clone, Debug)]
+pub(super) struct Tops {
+    sources: BTreeMap<Symbol, Top>,
+    views: Top,
+}
+
+impl Tops {
+    pub(super) fn new(
+        sources: &BTreeMap<Symbol, SourceInfo>,
+        views: &BTreeMap<Symbol, LabelSummary>,
+    ) -> Tops {
+        let sources = sources
+            .iter()
+            .filter_map(|(s, info)| {
+                let sum = info.summary.as_ref()?;
+                let object = LabelSummary {
+                    open: sum.open,
+                    ..LabelSummary::object(sum.labels.clone())
+                };
+                Some((*s, Top::new(object)))
+            })
+            .collect();
+        Tops {
+            sources,
+            views: Top::views(views),
+        }
+    }
+}
+
+/// Walks rule tails against summaries, collecting typed occurrences and
+/// findings.
 struct Walker<'a> {
-    sources: &'a BTreeMap<Symbol, SourceInfo>,
-    views: &'a BTreeMap<Symbol, LabelSummary>,
+    tops: &'a Tops,
     mediator: Symbol,
     occurrences: Vec<Occurrence>,
-    diags: Option<&'a mut Vec<Diagnostic>>,
+    findings: Vec<Found>,
+    /// Work out did-you-mean help for unknown labels: only `check`
+    /// presents it.
+    hints: bool,
     span: Span,
 }
 
 impl<'a> Walker<'a> {
-    fn new(
-        sources: &'a BTreeMap<Symbol, SourceInfo>,
-        views: &'a BTreeMap<Symbol, LabelSummary>,
-        mediator: Symbol,
-        diags: Option<&'a mut Vec<Diagnostic>>,
-    ) -> Walker<'a> {
+    fn new(tops: &'a Tops, mediator: Symbol, hints: bool) -> Walker<'a> {
         Walker {
-            sources,
-            views,
+            tops,
             mediator,
             occurrences: Vec::new(),
-            diags,
+            findings: Vec::new(),
+            hints,
             span: Span::default(),
         }
     }
 
-    fn occ(&mut self, var: Symbol, ty: ValueType, what: String) {
+    fn occ(&mut self, var: Symbol, ty: ValueType, position: Position, place: Place) {
         if ty != ValueType::Top {
-            self.occurrences.push(Occurrence { var, ty, what });
+            self.occurrences.push(Occurrence {
+                var,
+                ty,
+                position,
+                place,
+            });
         }
     }
 
-    fn push_diag(&mut self, d: Diagnostic) {
-        if let Some(out) = self.diags.as_deref_mut() {
-            out.push(d);
-        }
+    fn found(&mut self, finding: Finding, help: Option<String>) {
+        self.findings.push(Found {
+            finding,
+            span: self.span,
+            help,
+        });
     }
 
     fn walk_rule(&mut self, rule: &Rule, spans: Option<(&SpecSpans, usize)>) {
+        let tops = self.tops;
         for (ti, item) in rule.tail.iter().enumerate() {
             let TailItem::Match { pattern, source } = item else {
                 continue;
             };
             self.span = spans.map(|(s, ri)| s.tail_item(ri, ti)).unwrap_or_default();
-            // Resolve the "parent" context the top-level pattern is matched
-            // in: a pseudo-object whose children are the source's top-level
-            // labels (or the mediator's views, for self-references).
-            let (src_desc, parent) = match source {
-                None => (String::new(), None),
-                Some(s) if *s == self.mediator => (
-                    format!("this mediator ('{s}')"),
-                    Some(LabelSummary {
-                        // Whether all views are known is the dead-view
-                        // pass's business; here absence proves nothing.
-                        open: true,
-                        ..LabelSummary::object(self.views.clone())
-                    }),
-                ),
-                Some(s) => match self.sources.get(s).and_then(|i| i.summary.clone()) {
-                    Some(sum) => (
-                        format!("source '{s}'"),
-                        Some(LabelSummary {
-                            open: sum.open,
-                            ..LabelSummary::object(sum.labels)
-                        }),
-                    ),
-                    None => (format!("source '{s}'"), None),
-                },
+            // The "parent" context the top-level pattern is matched in.
+            let (place, top) = match source {
+                None => (Place::Unknown, None),
+                Some(s) if *s == self.mediator => (Place::Mediator(*s), Some(&tops.views)),
+                Some(s) => (Place::Source(*s), tops.sources.get(s)),
             };
-            self.walk_pattern(pattern, parent.as_ref(), &src_desc, true, WALK_DEPTH_CAP);
+            self.walk_pattern(
+                pattern,
+                top.map(|t| &t.object),
+                top.map(|t| &t.any_child),
+                place,
+                true,
+                WALK_DEPTH_CAP,
+            );
         }
     }
 
     /// Walk one pattern whose enclosing object is described by `parent`
-    /// (`None` when nothing is known about the context).
-    fn walk_pattern(
+    /// (`None` when nothing is known about the context). `parent_any` is
+    /// [`any_child`] of `parent` when already known.
+    fn walk_pattern<'p>(
         &mut self,
         p: &Pattern,
-        parent: Option<&LabelSummary>,
-        src: &str,
+        parent: Option<&'p LabelSummary>,
+        parent_any: Option<&'p LabelSummary>,
+        place: Place,
         top: bool,
         depth: usize,
     ) {
@@ -138,33 +382,26 @@ impl<'a> Walker<'a> {
             return;
         }
         // The label position: resolve this pattern's own context from the
-        // parent's children, diagnosing labels a closed parent lacks.
-        let ctx: Option<LabelSummary> = match &p.label {
-            Term::Const(v) => match v.as_str_sym() {
-                Some(l) => match parent {
-                    Some(par) => match par.children.get(&l) {
-                        Some(ls) => Some(ls.clone()),
-                        None => {
-                            if !par.open {
-                                self.unknown_label(l, par, src, top);
-                            }
-                            None
+        // parent's children, noting labels a closed parent lacks.
+        let ctx: Option<Cow<'p, LabelSummary>> = match &p.label {
+            Term::Const(v) => match (v.as_str_sym(), parent) {
+                (Some(l), Some(par)) => match par.children.get(&l) {
+                    Some(ls) => Some(Cow::Borrowed(ls)),
+                    None => {
+                        if !par.open {
+                            self.unknown_label(l, par, place, top);
                         }
-                    },
-                    None => None,
+                        None
+                    }
                 },
-                None => None,
+                _ => None,
             },
             Term::Var(v) => {
-                self.occ(*v, ValueType::Str, format!("label position at {src}"));
+                self.occ(*v, ValueType::Str, Position::Label, place);
                 // A label variable ranges over every known sibling label.
-                parent.map(|par| {
-                    let mut merged = LabelSummary::bottom();
-                    merged.open = par.open;
-                    for ls in par.children.values() {
-                        merged = join_label(merged, ls);
-                    }
-                    merged
+                parent.map(|par| match parent_any {
+                    Some(any) => Cow::Borrowed(any),
+                    None => Cow::Owned(any_child(par)),
                 })
             }
             Term::Param(_) | Term::Func(..) => None,
@@ -173,36 +410,34 @@ impl<'a> Walker<'a> {
 
         if let Some(v) = p.obj_var {
             if let Some(c) = &ctx {
-                self.occ(v, c.value_type, format!("object matched at {src}"));
+                self.occ(v, c.value_type, Position::Object, place);
             }
         }
         if let Some(Term::Var(v)) = &p.oid {
-            self.occ(*v, ValueType::Oid, format!("oid position at {src}"));
+            self.occ(*v, ValueType::Oid, Position::Oid, place);
         }
 
-        let label_desc =
-            const_label(p).map_or_else(|| "this label".to_string(), |l| format!("'{l}'"));
-
+        let label = LabelName(const_label(p));
         match &p.value {
             PatValue::Term(Term::Var(v)) => {
                 if let Some(c) = &ctx {
-                    self.occ(*v, c.value_type, format!("value of {label_desc} at {src}"));
+                    self.occ(*v, c.value_type, Position::Value(label), place);
                 }
             }
             PatValue::Term(Term::Const(c)) => {
                 if let Some(cx) = &ctx {
-                    let vt = ValueType::of_value(c);
-                    if !vt.compatible(cx.value_type) {
-                        let d = Diagnostic::error(
-                            codes::TYPE_MISMATCH,
-                            self.span,
-                            format!(
-                                "condition on {label_desc} compares a constant of type \
-                                 {vt}, but {src} holds {} values there — it can never match",
-                                cx.value_type
-                            ),
+                    let constant = ValueType::of_value(c);
+                    if !constant.compatible(cx.value_type) {
+                        let held = cx.value_type;
+                        self.found(
+                            Finding::ConstantType {
+                                label,
+                                place,
+                                constant,
+                                held,
+                            },
+                            None,
                         );
-                        self.push_diag(d);
                     }
                 }
             }
@@ -210,27 +445,19 @@ impl<'a> Walker<'a> {
             PatValue::Set(sp) => {
                 if let Some(cx) = &ctx {
                     if !ValueType::Object.compatible(cx.value_type) {
-                        let d = Diagnostic::error(
-                            codes::TYPE_MISMATCH,
-                            self.span,
-                            format!(
-                                "pattern expects subobjects under {label_desc}, but {src} \
-                                 holds atomic {} values there — it can never match",
-                                cx.value_type
-                            ),
-                        );
-                        self.push_diag(d);
+                        let held = cx.value_type;
+                        self.found(Finding::SetOnAtomic { label, place, held }, None);
                     }
                 }
-                let inner_parent = ctx.as_ref();
+                let inner_parent = ctx.as_deref();
                 for e in &sp.elements {
                     match e {
                         SetElem::Pattern(inner) => {
-                            self.walk_pattern(inner, inner_parent, src, false, depth - 1);
+                            self.walk_pattern(inner, inner_parent, None, place, false, depth - 1);
                         }
                         // Wildcards match at any depth: no schema claims.
                         SetElem::Wildcard(inner) => {
-                            self.walk_pattern(inner, None, src, false, depth - 1);
+                            self.walk_pattern(inner, None, None, place, false, depth - 1);
                         }
                         SetElem::Var(_) => {}
                     }
@@ -238,26 +465,23 @@ impl<'a> Walker<'a> {
                 if let Some(rest) = &sp.rest {
                     for cond in &rest.conditions {
                         if let Some(l) = const_label(cond) {
-                            self.consumed_rest_label(l, sp, ctx.as_ref(), src, &label_desc);
+                            self.consumed_rest_label(l, sp, inner_parent, place, label);
                         }
-                        self.walk_pattern(cond, inner_parent, src, false, depth - 1);
+                        self.walk_pattern(cond, inner_parent, None, place, false, depth - 1);
                     }
                 }
             }
         }
     }
 
-    fn unknown_label(&mut self, l: Symbol, parent: &LabelSummary, src: &str, top: bool) {
-        let message = if top {
-            format!("{src} produces no top-level object labeled '{l}'")
+    fn unknown_label(&mut self, label: Symbol, parent: &LabelSummary, place: Place, top: bool) {
+        let help = if self.hints {
+            did_you_mean(&label.as_str(), parent.children.keys().map(|k| k.as_str()))
+                .map(|best| format!("did you mean '{best}'?"))
         } else {
-            format!("{src} produces no subobject labeled '{l}' here")
+            None
         };
-        let mut d = Diagnostic::warning(codes::UNKNOWN_LABEL, self.span, message);
-        if let Some(best) = did_you_mean(&l.as_str(), parent.children.keys().map(|k| k.as_str())) {
-            d = d.with_help(format!("did you mean '{best}'?"));
-        }
-        self.push_diag(d);
+        self.found(Finding::UnknownLabel { label, place, top }, help);
     }
 
     /// `W303`: a rest condition on label `l` needs a second `l` child when
@@ -271,8 +495,8 @@ impl<'a> Walker<'a> {
         l: Symbol,
         sp: &SetPattern,
         ctx: Option<&LabelSummary>,
-        src: &str,
-        parent_desc: &str,
+        place: Place,
+        parent: LabelName,
     ) {
         let Some(cx) = ctx.filter(|c| !c.open) else {
             return;
@@ -283,15 +507,14 @@ impl<'a> Walker<'a> {
             SetElem::Wildcard(_) | SetElem::Var(_) => false,
         });
         if at_most_one && matched {
-            let message = format!(
-                "{src} holds at most one '{l}' under {parent_desc}, and the pattern \
-                 already matches it"
+            self.found(
+                Finding::ConsumedRest {
+                    label: l,
+                    place,
+                    parent,
+                },
+                None,
             );
-            self.push_diag(Diagnostic::warning(
-                codes::CONSUMED_REST_LABEL,
-                self.span,
-                message,
-            ));
         }
     }
 }
@@ -315,10 +538,10 @@ fn var_types(occurrences: &[Occurrence]) -> BTreeMap<Symbol, ValueType> {
 }
 
 /// The first pair of occurrences of one variable whose types are
-/// incompatible, if any.
-fn first_conflict(occurrences: &[Occurrence]) -> Option<(Occurrence, Occurrence)> {
-    let mut running: BTreeMap<Symbol, (ValueType, &Occurrence)> = BTreeMap::new();
-    for o in occurrences {
+/// incompatible, if any, as an `E301` finding.
+fn first_conflict(occurrences: &[Occurrence]) -> Option<Finding> {
+    let mut running: BTreeMap<Symbol, (ValueType, Occurrence)> = BTreeMap::new();
+    for &o in occurrences {
         match running.get(&o.var) {
             None => {
                 running.insert(o.var, (o.ty, o));
@@ -326,7 +549,10 @@ fn first_conflict(occurrences: &[Occurrence]) -> Option<(Occurrence, Occurrence)
             Some(&(ty, prev)) => {
                 let met = ty.meet(o.ty);
                 if met == ValueType::Bottom {
-                    return Some((prev.clone(), o.clone()));
+                    return Some(Finding::JoinConflict {
+                        first: prev,
+                        second: o,
+                    });
                 }
                 // Remember the occurrence that narrowed the type, so the
                 // eventual conflict names the informative pair.
@@ -350,6 +576,7 @@ pub fn infer_view_schemas(
     graph: &ViewGraph,
 ) -> BTreeMap<Symbol, LabelSummary> {
     let mut schemas: BTreeMap<Symbol, LabelSummary> = BTreeMap::new();
+    let mut tops = Tops::new(sources, &schemas);
     for scc in &graph.sccs {
         for _ in 0..FIXPOINT_CAP {
             let mut changed = false;
@@ -357,7 +584,7 @@ pub fn infer_view_schemas(
                 let mut joined = LabelSummary::bottom();
                 for &ri in &graph.views[&v] {
                     let rule = &spec.rules[ri];
-                    let mut w = Walker::new(sources, &schemas, mediator, None);
+                    let mut w = Walker::new(&tops, mediator, false);
                     w.walk_rule(rule, None);
                     let types = var_types(&w.occurrences);
                     if let Head::Pattern(p) = &rule.head {
@@ -368,6 +595,7 @@ pub fn infer_view_schemas(
                 truncate(&mut joined, SCHEMA_DEPTH_CAP);
                 if schemas.get(&v) != Some(&joined) {
                     schemas.insert(v, joined);
+                    tops.views = Top::views(&schemas);
                     changed = true;
                 }
             }
@@ -464,62 +692,46 @@ pub fn rule_diagnostics(
     view_schemas: &BTreeMap<Symbol, LabelSummary>,
     out: &mut Vec<Diagnostic>,
 ) {
+    let tops = Tops::new(sources, view_schemas);
     for (ri, rule) in spec.rules.iter().enumerate() {
-        let mut diags = Vec::new();
-        let mut w = Walker::new(sources, view_schemas, mediator, Some(&mut diags));
+        let mut w = Walker::new(&tops, mediator, true);
         w.walk_rule(rule, Some((spans, ri)));
-        let occurrences = std::mem::take(&mut w.occurrences);
-        out.append(&mut diags);
-        if let Some((a, b)) = first_conflict(&occurrences) {
+        out.extend(w.findings.into_iter().map(Found::into_diagnostic));
+        if let Some(conflict) = first_conflict(&w.occurrences) {
             out.push(
-                Diagnostic::error(
-                    codes::TYPE_MISMATCH,
-                    spans.rule(ri),
-                    format!(
-                        "join variable '{}' has incompatible types: {} ({}) and {} ({})",
-                        a.var, a.ty, a.what, b.ty, b.what
+                Diagnostic::error(codes::TYPE_MISMATCH, spans.rule(ri), conflict.to_string())
+                    .with_help(
+                        "the two occurrences can never bind the same value, so this \
+                         rule never produces results",
                     ),
-                )
-                .with_help(
-                    "the two occurrences can never bind the same value, so this \
-                     rule never produces results",
-                ),
             );
         }
     }
 }
 
 /// Planner-facing variant: does this (logical, post-expansion) rule
-/// provably match nothing at its sources? Returns the reason: a type
-/// conflict (`E301`), a label the rule requires that a *closed* summary
-/// lacks (`W301`'s message) — a closed summary lists every label its
-/// source exports, so a pattern, set element or rest condition on any
+/// provably match nothing at its sources? Returns the finding that proves
+/// it, as data: a type conflict (`E301`), a label the rule requires that a
+/// *closed* summary lacks (`W301`) — a closed summary lists every label
+/// its source exports, so a pattern, set element or rest condition on any
 /// other label never matches — or a rest condition asking for a second
-/// child the summary holds at most one of (`W303`'s message). At the spec
-/// level `W301` and `W303` stay warnings.
-pub fn rule_type_conflict(
-    rule: &Rule,
-    mediator: Symbol,
-    sources: &BTreeMap<Symbol, SourceInfo>,
-) -> Option<String> {
-    let empty_views = BTreeMap::new();
-    let mut diags = Vec::new();
-    let mut w = Walker::new(sources, &empty_views, mediator, Some(&mut diags));
+/// child the summary holds at most one of (`W303`). At the spec level
+/// `W301` and `W303` stay warnings. Nothing is formatted here.
+pub(super) fn rule_type_conflict(rule: &Rule, mediator: Symbol, tops: &Tops) -> Option<Finding> {
+    let mut w = Walker::new(tops, mediator, false);
     w.walk_rule(rule, None);
-    let occurrences = std::mem::take(&mut w.occurrences);
-    if let Some(d) = diags.iter().find(|d| d.is_error()) {
-        return Some(d.message.clone());
+    let mut findings = w.findings.iter().map(|f| f.finding);
+    if let Some(error) = findings.clone().find(Finding::is_error) {
+        return Some(error);
     }
-    if let Some((a, b)) = first_conflict(&occurrences) {
-        return Some(format!(
-            "join variable '{}' has incompatible types: {} ({}) and {} ({})",
-            a.var, a.ty, a.what, b.ty, b.what
-        ));
-    }
-    diags
-        .into_iter()
-        .find(|d| [codes::UNKNOWN_LABEL, codes::CONSUMED_REST_LABEL].contains(&d.code))
-        .map(|d| d.message)
+    first_conflict(&w.occurrences).or_else(|| {
+        findings.find(|f| {
+            matches!(
+                f,
+                Finding::UnknownLabel { .. } | Finding::ConsumedRest { .. }
+            )
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -576,6 +788,13 @@ mod tests {
         ]
         .into_iter()
         .collect()
+    }
+
+    /// [`rule_type_conflict`] of a rule text, rendered.
+    fn conflict(text: &str, sources: &BTreeMap<Symbol, SourceInfo>) -> Option<String> {
+        let tops = Tops::new(sources, &BTreeMap::new());
+        rule_type_conflict(&msl::parse_rule(text).unwrap(), sym("med"), &tops)
+            .map(|f| f.to_string())
     }
 
     fn analyze(text: &str) -> (Vec<Diagnostic>, BTreeMap<Symbol, LabelSummary>) {
@@ -678,8 +897,7 @@ mod tests {
                 summary: None,
             },
         );
-        let reason =
-            |text: &str| rule_type_conflict(&msl::parse_rule(text).unwrap(), sym("med"), &sources);
+        let reason = |text: &str| conflict(text, &sources);
         // A rest condition, a set element and a top-level pattern.
         assert_eq!(
             reason("X :- X:<R {<first_name F> | Rest2:{<name 'Joe'>}}>@cs").as_deref(),
@@ -712,8 +930,7 @@ mod tests {
     #[test]
     fn a_second_child_a_closed_summary_holds_at_most_one_of_proves_a_rule_empty() {
         let sources = scenario_sources();
-        let reason =
-            |text: &str| rule_type_conflict(&msl::parse_rule(text).unwrap(), sym("med"), &sources);
+        let reason = |text: &str| conflict(text, &sources);
         assert_eq!(
             reason("X :- X:<person {<name N> <dept 'CS'> | Rest1:{<name 'Joe Chung'>}}>@whois")
                 .as_deref(),

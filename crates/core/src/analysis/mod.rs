@@ -51,6 +51,7 @@ use msl::diag::Diagnostic;
 use msl::{Spec, SpecSpans};
 use oem::Symbol;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use wrappers::{Capabilities, LabelSummary, SchemaSummary, Wrapper};
 
 /// What the analysis knows about one registered source: its declared
@@ -88,6 +89,33 @@ pub struct SpecAnalysis {
     pub matrices: BTreeMap<Symbol, AnswerMatrix>,
     /// What we know about each registered source.
     sources: BTreeMap<Symbol, SourceInfo>,
+    /// The sources' top-level contexts, built once for every
+    /// [`SpecAnalysis::rule_infeasible`] walk to borrow.
+    tops: infer::Tops,
+}
+
+/// Why the planner dropped a chain without running it, kept as data:
+/// [`fmt::Display`] renders the reason EXPLAIN prints, and only a reader
+/// of the plan pays for it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PruneReason(Why);
+
+#[derive(Clone, Debug, PartialEq)]
+enum Why {
+    /// A type conflict, a label a closed summary lacks, or a second child
+    /// it holds at most one of.
+    Shape(infer::Finding),
+    /// Required conditions no evaluation order can satisfy.
+    Unsatisfiable(String),
+}
+
+impl fmt::Display for PruneReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Why::Shape(finding) => finding.fmt(f),
+            Why::Unsatisfiable(reason) => f.write_str(reason),
+        }
+    }
 }
 
 impl SpecAnalysis {
@@ -102,11 +130,12 @@ impl SpecAnalysis {
     /// summary holds at most one of, or a source whose required conditions
     /// no evaluation order can satisfy — the reason. The planner prunes
     /// such chains.
-    pub fn rule_infeasible(&self, rule: &msl::Rule) -> Option<String> {
-        if let Some(reason) = infer::rule_type_conflict(rule, self.mediator, &self.sources) {
-            return Some(reason);
+    pub fn rule_infeasible(&self, rule: &msl::Rule) -> Option<PruneReason> {
+        if let Some(finding) = infer::rule_type_conflict(rule, self.mediator, &self.tops) {
+            return Some(PruneReason(Why::Shape(finding)));
         }
         answer::rule_unsatisfiable(rule, self.mediator, &self.sources)
+            .map(|reason| PruneReason(Why::Unsatisfiable(reason)))
     }
 }
 
@@ -146,6 +175,7 @@ pub fn analyze_spec(
             dead_views,
             matrices,
             sources: sources.clone(),
+            tops: infer::Tops::new(sources, &BTreeMap::new()),
         },
         diags,
     )

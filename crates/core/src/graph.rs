@@ -165,8 +165,9 @@ pub struct PhysicalPlan {
     /// Apply final structural duplicate elimination across rule outputs.
     pub dedup_results: bool,
     /// Chains the planner pruned because static analysis proved them empty
-    /// or capability-infeasible — one reason per pruned logical rule.
-    pub pruned: Vec<String>,
+    /// or capability-infeasible — one reason per pruned logical rule, kept
+    /// as data until EXPLAIN prints it.
+    pub pruned: Vec<crate::analysis::PruneReason>,
 }
 
 impl PhysicalPlan {
