@@ -332,15 +332,15 @@ impl Mediator {
     pub fn query_rule_with(&self, query: &Rule, limits: &QueryLimits) -> Result<ExecOutcome> {
         msl::validate::validate_rule(query, &self.spec.spec.externals)?;
 
-        if self.spec.is_recursive() {
+        let mut outcome = if self.spec.is_recursive() {
             if !self.options.allow_recursion {
                 return Err(MedError::RecursionDisabled(self.spec.name.as_str()));
             }
-            return self.query_recursive(query);
-        }
-
-        let (_, mut outcome) =
-            self.plan_and_run(query, self.options.trace, self.options.parallel, limits)?;
+            self.query_recursive(query)?
+        } else {
+            self.plan_and_run(query, self.options.trace, self.options.parallel, limits)?
+                .1
+        };
         if self.options.trace {
             outcome.trace.query = msl::printer::rule(query);
         }
@@ -424,7 +424,6 @@ impl Mediator {
         let view_wrapper = wrappers::SemiStructuredWrapper::new(&self.spec.name.as_str(), view);
         let results = view_wrapper.query(query)?;
         let trace = crate::metrics::QueryTrace {
-            query: msl::printer::rule(query),
             result_count: results.top_level().len(),
             ..Default::default()
         };
@@ -476,7 +475,8 @@ impl Mediator {
         let query = msl::parse_query(text)?;
         msl::validate::validate_rule(&query, &self.spec.spec.externals)?;
         if self.spec.is_recursive() {
-            let outcome = self.query_rule(&query)?;
+            let mut outcome = self.query_rule(&query)?;
+            outcome.trace.query = msl::printer::rule(&query);
             let report = format!(
                 "specification of '{}' is recursive: evaluated by fixpoint \
                  materialization, no per-node datamerge metrics\n\
