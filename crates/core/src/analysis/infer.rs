@@ -42,7 +42,7 @@ const WALK_DEPTH_CAP: usize = 8;
 const FIXPOINT_CAP: usize = 16;
 
 /// Where a tail pattern is matched — what a finding names it by.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub(super) enum Place {
     /// No source annotation: nothing is known there.
     Unknown,
@@ -64,7 +64,7 @@ impl fmt::Display for Place {
 
 /// A pattern's label as a finding names it: `'l'` for a constant,
 /// `this label` otherwise.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub(super) struct LabelName(Option<Symbol>);
 
 impl fmt::Display for LabelName {
@@ -77,7 +77,7 @@ impl fmt::Display for LabelName {
 }
 
 /// The position a variable occurs in.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub(super) enum Position {
     Label,
     Object,
@@ -86,7 +86,7 @@ pub(super) enum Position {
 }
 
 /// One typed occurrence of a variable in a rule tail.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub(super) struct Occurrence {
     var: Symbol,
     ty: ValueType,
@@ -111,7 +111,7 @@ impl fmt::Display for Occurrence {
 /// What the walk proves about a rule, as data. [`fmt::Display`] renders
 /// the message `medmaker check` and EXPLAIN print for it; nothing else
 /// formats it.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub(super) enum Finding {
     /// `E301`: a constant of a type the label's values never have.
     ConstantType {

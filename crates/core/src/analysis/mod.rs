@@ -97,10 +97,10 @@ pub struct SpecAnalysis {
 /// Why the planner dropped a chain without running it, kept as data:
 /// [`fmt::Display`] renders the reason EXPLAIN prints, and only a reader
 /// of the plan pays for it.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct PruneReason(Why);
 
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 enum Why {
     /// A type conflict, a label a closed summary lacks, or a second child
     /// it holds at most one of.

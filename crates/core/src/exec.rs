@@ -117,8 +117,8 @@ type ParamMemoKey = (usize, Vec<Value>);
 type ParamSlot = Arc<Mutex<Option<Arc<ObjectStore>>>>;
 
 /// The parameterized-query memo of one execution: the answers to bound
-/// parameter tuples its chains have already fetched, keyed by `(source and
-/// unfilled query, tuple)`. Chains that fill the same parameterized query
+/// parameter tuples its chains have already fetched, keyed by the
+/// unfilled query at its source and the tuple. Chains that fill the same parameterized query
 /// with the same tuple pay one round-trip between them, in sequence or in
 /// parallel. It is dropped with the execution: between queries a source
 /// answer lives in the [`AnswerCache`] and nowhere else.

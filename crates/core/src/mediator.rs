@@ -338,8 +338,9 @@ impl Mediator {
             }
             self.query_recursive(query)?
         } else {
-            self.plan_and_run(query, self.options.trace, self.options.parallel, limits)?
-                .1
+            let (_, outcome) =
+                self.plan_and_run(query, self.options.trace, self.options.parallel, limits)?;
+            outcome
         };
         if self.options.trace {
             outcome.trace.query = msl::printer::rule(query);
