@@ -19,6 +19,12 @@
 //! * a rest condition on a label the same set pattern already matches, at a
 //!   source whose closed summary holds at most one such child per parent,
 //!   can never match either (`W303`).
+//!
+//! Occurrences and findings are data. A finding's message is its
+//! `Display`, rendered only where it is presented — the spec-level check
+//! and EXPLAIN's `[pruned]` lines — and did-you-mean help is worked out
+//! for the spec-level check alone, so the planner's per-query walk
+//! formats nothing.
 
 use super::depgraph::ViewGraph;
 use super::SourceInfo;

@@ -10,6 +10,9 @@
 //! * each reason reads as pinned in `tests/golden/prune_reasons.txt`;
 //! * `medmaker check`'s rendered diagnostics for each fixture read as
 //!   pinned there too.
+//!
+//! A failure prints the whole actual text after `actual:`; when a change
+//! to that text is intended, that block is the new golden file.
 
 use medmaker::analysis::check_text;
 use medmaker::{Mediator, MediatorOptions, SourceInfo};
