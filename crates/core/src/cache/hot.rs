@@ -25,35 +25,33 @@
 //! containment hit that pins a variable (`<name 'Joe Chung'>` against the
 //! cached `<name N>`) wants the few objects whose `bind_for_N` carrier
 //! holds that value, not a walk over the whole answer, so each entry's
-//! `CachedAnswer` keeps, per pinned variable, a map from the carrier's
-//! [`atomic_key`] to the positions in `top_level()` that hold it. The map
-//! is built by the first probe that pins that variable and lives in the
-//! same struct as the store it describes: whatever replaces, evicts,
-//! expires or invalidates the entry drops both, and there is no second
-//! invalidation path to forget.
+//! `CachedAnswer` keeps a [`ValueIndex`] over its store: the one the
+//! semi-structured source narrows lookups with, keyed by the same
+//! [`engine::matcher::atomic_key`]. The first probe that pins anything
+//! builds it, looking at each object once, and it lives in the same struct
+//! as the store it describes: whatever replaces, evicts, expires or
+//! invalidates the entry drops both, and there is no second invalidation
+//! path to forget.
 
-use super::{find_carrier, Entry};
-use crate::graph::carrier_label;
-use engine::matcher::atomic_key;
-use oem::{ObjectStore, Symbol, Value};
-use std::collections::{BTreeMap, HashMap};
+use super::Entry;
+use oem::{ObjectStore, Symbol};
+use std::cell::OnceCell;
+use std::collections::BTreeMap;
 use std::sync::Arc;
+use wrappers::ValueIndex;
 
-/// A resident answer with the indexes built over it so far.
+/// A resident answer with the value index built over it, once a probe
+/// has asked for one.
 pub(crate) struct CachedAnswer {
     store: Arc<ObjectStore>,
-    /// Pinned variable → [`atomic_key`] of its carrier → ascending
-    /// positions in `store.top_level()`. `None` for a variable some
-    /// object carries no atom for: the entry refuses every probe that
-    /// pins it.
-    by_pin: HashMap<Symbol, Option<HashMap<Value, Vec<usize>>>>,
+    index: OnceCell<ValueIndex>,
 }
 
 impl CachedAnswer {
     pub(crate) fn new(store: Arc<ObjectStore>) -> CachedAnswer {
         CachedAnswer {
             store,
-            by_pin: HashMap::new(),
+            index: OnceCell::new(),
         }
     }
 
@@ -62,52 +60,13 @@ impl CachedAnswer {
         &self.store
     }
 
-    /// Build the index of every variable `pins` pins that has none yet.
-    /// Returns the number of top-level objects the builds looked at (0
-    /// when there was nothing to do).
-    pub(crate) fn index_pins(&mut self, pins: &HashMap<Symbol, Value>) -> usize {
-        let store = &*self.store;
-        let mut looked_at = 0;
-        for &var in pins.keys() {
-            self.by_pin.entry(var).or_insert_with(|| {
-                let label = carrier_label(var);
-                store.top_level().iter().enumerate().try_fold(
-                    HashMap::<Value, Vec<usize>>::new(),
-                    |mut index, (pos, &top)| {
-                        looked_at += 1;
-                        match &store.get(find_carrier(store, top, label)?).value {
-                            Value::Set(_) => None,
-                            atom => {
-                                index.entry(atomic_key(atom)).or_default().push(pos);
-                                Some(index)
-                            }
-                        }
-                    },
-                )
-            });
-        }
-        looked_at
-    }
-
-    /// The objects a probe pinning each variable of `pins` to its value
-    /// can return, as ascending positions in `top_level()`: the shortest
-    /// of the pins' lists, every one of which holds all the objects whose
-    /// carrier equals the pinned value. They are candidates to confirm
-    /// with [`engine::matcher::atomic_eq`], pin by pin, since unequal
-    /// values can share a key. `None` when the entry cannot answer the
-    /// probe: for one of the variables some object lacks the carrier or
-    /// holds a set there (or [`Self::index_pins`] has not run), or `pins`
-    /// is empty.
-    pub(crate) fn candidates(&self, pins: &HashMap<Symbol, Value>) -> Option<&[usize]> {
-        let mut shortest: Option<&[usize]> = None;
-        for (var, value) in pins {
-            let index = self.by_pin.get(var)?.as_ref()?;
-            let listed = index.get(&atomic_key(value)).map_or(&[][..], Vec::as_slice);
-            if shortest.is_none_or(|s| listed.len() < s.len()) {
-                shortest = Some(listed);
-            }
-        }
-        shortest
+    /// The value index over the store's top-level objects, built on the
+    /// first call, which adds the objects it looks at to `examined`.
+    pub(crate) fn index(&self, examined: &mut usize) -> &ValueIndex {
+        self.index.get_or_init(|| {
+            *examined += self.store.top_level().len();
+            ValueIndex::build(&self.store)
+        })
     }
 }
 
@@ -124,7 +83,7 @@ impl HotTier {
         self.shards.get(&source)
     }
 
-    /// Mutable shard access (probing builds indexes; hit bookkeeping).
+    /// Mutable shard access (hit bookkeeping).
     pub(crate) fn shard_mut(&mut self, source: Symbol) -> Option<&mut Vec<Entry>> {
         self.shards.get_mut(&source)
     }

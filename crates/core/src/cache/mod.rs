@@ -16,16 +16,19 @@
 //! locally, `wrappers/eval.rs`-style, against the extra constants and
 //! conditions instead of paying a round-trip.
 //!
-//! What that filtering costs is the number of cached objects it visits,
-//! and `serve` — the one loop both tiers are served by — visits as few
-//! as it can prove sufficient. A probe that pins nothing (an exact
-//! repeat, a rest-only specialization) visits the whole answer. A probe
-//! that pins variables to constants asks the hot entry's
-//! `hot::CachedAnswer` for the positions listed under a pinned value —
-//! an index built by the first probe that pins that variable, owned by
-//! the entry and dropped with it — and runs the same checks on those
-//! objects only, in the answer's order. A bind join over a cached table
-//! is made of such probes, one per tuple; before the index each cost as
+//! A hit is served in two steps. `serve` — the one loop both tiers run —
+//! decides which of the cached answer's objects the new query keeps, and
+//! visits as few as it can prove sufficient: a probe that pins nothing
+//! (an exact repeat, a rest-only specialization) visits the whole answer;
+//! a probe that pins variables to constants asks the hot entry's
+//! [`wrappers::ValueIndex`] — built by the first pinned probe, owned by
+//! the entry and dropped with it — for the objects listed under a pinned
+//! value, and runs the same checks on those only, in the answer's order.
+//! The executor's own extraction then copies the kept objects' bindings,
+//! exactly as it copies a live answer's: one old-id → new-id map per
+//! served answer, so an object two rows share is copied once and a hit
+//! prints the bytes a round-trip would. A bind join over a cached table is
+//! made of pinned probes, one per tuple; before the index each cost as
 //! much as the table is long. [`CacheCounters::objects_examined`] counts
 //! the visits.
 //!
@@ -49,7 +52,7 @@
 //! The store is split in two (submodules [`hot`] and [`warm`]):
 //!
 //! * the **hot tier** holds recently useful answers in memory, each with
-//!   the pin indexes built over it so far, evicted cost-aware past
+//!   its value index once a pinned probe has built it, evicted cost-aware past
 //!   capacity (value score = source latency × per-entry hit EWMA over
 //!   bytes, ties oldest-first);
 //! * the **warm tier** (enabled by [`CacheOptions::cache_dir`]) is an
@@ -92,19 +95,21 @@ pub mod warm;
 pub use keyidx::{rule_labels, LabelFootprint, SourceDelta};
 pub use warm::{CompactStats, WarmStats, WarmTier};
 
-use crate::graph::{carrier_label, ExtractVar, VarKind};
+use crate::exec::extract_rows;
+use crate::graph::{carrier_label, find_carrier, ExtractVar, VarKind};
 use crate::stats::SharedStats;
 use engine::bindings::{Bindings, BoundValue};
 use engine::matcher::{atomic_eq, match_pattern};
 use hot::{CachedAnswer, HotTier};
 use msl::{Head, PatValue, Pattern, RestSpec, Rule, SetElem, SetPattern, TailItem, Term};
-use oem::{copy, ObjectStore, Symbol, Value};
+use oem::{ObjId, ObjectStore, Symbol, Value};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 use wrappers::fault::{Clock, SystemClock};
+use wrappers::ValueIndex;
 
 /// Configuration of the source-answer cache. Carried in
 /// [`crate::MediatorOptions`]; disabled by default so a mediator without
@@ -266,7 +271,7 @@ pub(crate) struct Entry {
     extract: Vec<ExtractVar>,
     /// Label footprint of the query, for delta-driven invalidation.
     footprint: LabelFootprint,
-    /// The wrapper's exported answer, as returned, and its pin indexes.
+    /// The wrapper's exported answer, as returned, and its value index.
     answer: CachedAnswer,
     /// Insertion time on the cache clock, for TTL expiry.
     inserted_ms: u64,
@@ -379,9 +384,9 @@ impl AnswerCache {
     }
 
     /// Look up an answer for `query` against `source`. On a hit, the
-    /// needed `bind_for_*` carriers are deep-copied into `memory` and
-    /// returned as binding rows ready for the executor's table — exactly
-    /// what extraction from a live answer would have produced.
+    /// rows the cached answer serves are extracted into `memory` by the
+    /// executor's own extraction, exactly as a live answer's are, and
+    /// returned ready for the executor's table.
     ///
     /// The hot tier is probed first (exact keys, then containment,
     /// newest first); on a hot miss the warm tier's index is probed the
@@ -411,9 +416,9 @@ impl AnswerCache {
         // Hot probe: exact keys first (newest first), then containment.
         let mut hot_hit: Option<(usize, Vec<Vec<BoundValue>>, CacheHit)> = None;
         let examined = &mut inner.counts.objects_examined;
-        if let Some(shard) = inner.hot.shard_mut(source) {
+        if let Some(shard) = inner.hot.shard(source) {
             'probe: for kind in [CacheHit::Exact, CacheHit::Containment] {
-                for (i, entry) in shard.iter_mut().enumerate().rev() {
+                for (i, entry) in shard.iter().enumerate().rev() {
                     if (entry.key == key) != (kind == CacheHit::Exact) {
                         continue;
                     }
@@ -422,28 +427,13 @@ impl AnswerCache {
                     };
                     // A probe that pins variables visits only the objects
                     // the entry's index lists under a pinned value.
-                    let positions = if m.sigma.is_empty() {
-                        None
-                    } else {
-                        *examined += entry.answer.index_pins(&m.sigma);
-                        match entry.answer.candidates(&m.sigma) {
-                            Some(positions) => Some(positions),
-                            None => continue, // the entry refuses these pins
-                        }
-                    };
+                    let index = (!m.sigma.is_empty()).then(|| entry.answer.index(examined));
                     let answer = entry.answer.store();
-                    let Some(rows) = serve(
-                        &entry.extract,
-                        answer,
-                        positions,
-                        &m,
-                        vars,
-                        memory,
-                        examined,
-                    ) else {
+                    let Some(kept) = serve(&entry.extract, answer, index, &m, vars, examined)
+                    else {
                         continue;
                     };
-                    hot_hit = Some((i, rows, kind));
+                    hot_hit = Some((i, kept.extract(answer, memory), kind));
                     break 'probe;
                 }
             }
@@ -485,8 +475,7 @@ impl AnswerCache {
                     };
                     // Nothing resident to index: the store was just re-read.
                     let examined = &mut inner.counts.objects_examined;
-                    let Some(rows) = serve(&we.extract, &store, None, &m, vars, memory, examined)
-                    else {
+                    let Some(kept) = serve(&we.extract, &store, None, &m, vars, examined) else {
                         continue;
                     };
                     let kind = if we.key == key {
@@ -494,6 +483,7 @@ impl AnswerCache {
                     } else {
                         CacheHit::Containment
                     };
+                    let rows = kept.extract(&store, memory);
                     warm_hit = Some((k.clone(), store, rows, kind));
                     break;
                 }
@@ -1275,157 +1265,131 @@ fn match_conditions(
 
 // ---- serving ------------------------------------------------------------
 
-/// What pass 1 of [`serve`] resolved for one extraction slot of one
-/// surviving row; pass 2 turns it into a [`BoundValue`] infallibly.
-enum Extraction {
-    /// Object-kind carrier: the (validated non-empty) set's first member.
-    Obj(oem::ObjId),
-    /// Scalar-kind set carrier: every member.
-    Set(Vec<oem::ObjId>),
-    /// Atomic carrier value.
-    Atom(Value),
+/// What [`serve`] keeps of a cached answer.
+struct Kept {
+    /// The entry's variables to extract, one per variable the new query
+    /// extracts.
+    vars: Vec<ExtractVar>,
+    /// The roots to extract them from, in the answer's order.
+    roots: Vec<ObjId>,
 }
 
-/// Filter a cached answer through the mapping and extract binding rows
-/// for the new query's variables, deep-copying the surviving carriers
-/// into the chain's memory. `None` on any structural surprise — the
-/// caller treats that as "this entry cannot serve the query". Tier-
-/// agnostic: the hot path passes the resident answer, the warm path the
-/// store it just re-read off disk.
+impl Kept {
+    /// The kept rows, extracted into `memory` as a live answer's are.
+    fn extract(&self, answer: &ObjectStore, memory: &mut ObjectStore) -> Vec<Vec<BoundValue>> {
+        extract_rows(answer, &self.roots, &self.vars, memory)
+            .expect("serve checked every carrier extraction reads")
+    }
+}
+
+/// Filter a cached answer through the mapping: the objects it keeps for
+/// the new query, after checking every carrier their extraction will
+/// read. `None` on any structural surprise — the caller treats that as
+/// "this entry cannot serve the query", and nothing has been copied; on
+/// the live path an empty object-variable carrier raises the error it
+/// always did. Tier-agnostic: the hot path passes the resident answer,
+/// the warm path the store it just re-read off disk.
 ///
-/// `positions` narrows the objects visited to those places in
-/// `answer.top_level()` (ascending, so rows leave in the answer's order);
-/// `None` visits them all. A narrowed call runs every check a full one
-/// does on the objects it visits, so it is sound for any list that holds
-/// every object the σ filter would keep — what
-/// [`hot::CachedAnswer::candidates`] returns for the mapping's pins. Each
-/// object visited adds one to `examined`.
-///
-/// Two passes: every row is filtered and validated *before* anything is
-/// copied, so a structural surprise in a late row cannot leave earlier
-/// rows' objects orphaned in the chain's memory. (A bail-out here sends
-/// the query to the live path, where e.g. an empty Object-kind carrier
-/// raises the same hard error it always did.)
+/// With an `index` over `answer`, only the shortest posting list among the
+/// pins is visited, and each pin is still confirmed with [`atomic_eq`]
+/// (unequal values can share a key). Without one every object is visited.
+/// Each object visited adds one to `examined`.
 fn serve(
     extract: &[ExtractVar],
     answer: &ObjectStore,
-    positions: Option<&[usize]>,
+    index: Option<&ValueIndex>,
     m: &Mapping,
     vars: &[ExtractVar],
-    memory: &mut ObjectStore,
     examined: &mut usize,
-) -> Option<Vec<Vec<BoundValue>>> {
+) -> Option<Kept> {
     // Carrier labels are resolved here, once per call: formatting and
     // interning one per object is what used to dominate a pinned probe.
     let exported = |var: Symbol| extract.iter().find(|e| e.var == var);
     // Every variable the new query extracts must map onto one the cached
     // answer exported, with the same kind.
-    let mut carrier_for: Vec<(Symbol, VarKind)> = Vec::with_capacity(vars.len());
-    for v in vars {
-        let cached = exported(*m.rho_inv.get(&v.var)?)?;
-        if cached.kind != v.kind {
-            return None;
-        }
-        carrier_for.push((carrier_label(cached.var), v.kind));
-    }
+    let entry_vars = vars
+        .iter()
+        .map(|v| {
+            exported(*m.rho_inv.get(&v.var)?)
+                .filter(|e| e.kind == v.kind)
+                .cloned()
+        })
+        .collect::<Option<Vec<_>>>()?;
+    let carriers: Vec<(Symbol, VarKind)> = entry_vars
+        .iter()
+        .map(|e| (carrier_label(e.var), e.kind))
+        .collect();
     // Every pinned variable and rest-filter variable must have a carrier.
-    let mut pins: Vec<(Symbol, &Value)> = Vec::with_capacity(m.sigma.len());
-    for (pinned, value) in &m.sigma {
-        exported(*pinned)?;
-        pins.push((carrier_label(*pinned), value));
-    }
-    let mut rest_filters: Vec<(Symbol, &Pattern)> = Vec::with_capacity(m.extra_rest.len());
-    for (rest_var, cond) in &m.extra_rest {
-        exported(*rest_var)?;
-        rest_filters.push((carrier_label(*rest_var), cond));
-    }
-    // Pass 1: filter and validate, touching nothing but the cached answer.
+    let carrier_of = |var: Symbol| exported(var).map(|e| carrier_label(e.var));
+    let pins: Vec<(Symbol, &Value)> = m
+        .sigma
+        .iter()
+        .map(|(pinned, value)| Some((carrier_of(*pinned)?, value)))
+        .collect::<Option<_>>()?;
+    let rest_filters: Vec<(Symbol, &Pattern)> = m
+        .extra_rest
+        .iter()
+        .map(|(rest_var, cond)| Some((carrier_of(*rest_var)?, cond)))
+        .collect::<Option<_>>()?;
     let tops = answer.top_level();
-    let visited = positions.map_or(tops.len(), <[usize]>::len);
-    let mut kept: Vec<Vec<Extraction>> = Vec::new();
-    for k in 0..visited {
-        let top = match positions {
-            Some(listed) => tops[listed[k]],
-            None => tops[k],
-        };
+    let visit: Box<dyn Iterator<Item = usize>> = match index {
+        // A posting list holds every object the σ filter keeps only if
+        // each object holds its pinned carrier once, as an atom.
+        Some(index) => {
+            if !pins.iter().all(|&(label, _)| index.holds_one_atom(label)) {
+                return None;
+            }
+            let lists = pins
+                .iter()
+                .map(|&(label, value)| index.positions(label, value));
+            Box::new(lists.min_by_key(ExactSizeIterator::len)?)
+        }
+        None => Box::new(0..tops.len()),
+    };
+    let mut roots = Vec::new();
+    for top in visit.map(|pos| tops[pos]) {
         *examined += 1;
         // σ filter: the carrier for a pinned variable must hold exactly
         // the pinned constant.
         let mut keep = true;
         for &(label, value) in &pins {
-            let carrier = find_carrier(answer, top, label)?;
-            match &answer.get(carrier).value {
+            match &answer.get(find_carrier(answer, top, label)?).value {
                 Value::Set(_) => return None, // non-atomic pin: cannot filter
-                atomic => {
-                    if !atomic_eq(atomic, value) {
-                        keep = false;
-                        break;
-                    }
-                }
+                atomic => keep &= atomic_eq(atomic, value),
             }
         }
         // Rest filters: some member of the carrier set must match each
         // extra condition (`wrappers/eval.rs`-style tail matching, the
         // same semantics as the executor's RestFilter node; sound under
         // empty bindings because the probe rejected non-local variables).
-        if keep {
-            for &(label, cond) in &rest_filters {
-                let carrier = find_carrier(answer, top, label)?;
-                let Value::Set(ids) = &answer.get(carrier).value else {
-                    return None;
-                };
-                let matches = ids
-                    .iter()
-                    .any(|&id| !match_pattern(answer, id, cond, &Bindings::new()).is_empty());
-                if !matches {
-                    keep = false;
-                    break;
-                }
+        for &(label, cond) in &rest_filters {
+            if !keep {
+                break;
             }
+            let Value::Set(ids) = &answer.get(find_carrier(answer, top, label)?).value else {
+                return None;
+            };
+            keep = ids
+                .iter()
+                .any(|&id| !match_pattern(answer, id, cond, &Bindings::new()).is_empty());
         }
         if !keep {
             continue;
         }
-        let mut row = Vec::with_capacity(carrier_for.len());
-        for &(label, kind) in &carrier_for {
-            let carrier = find_carrier(answer, top, label)?;
-            let extraction = match (&answer.get(carrier).value, kind) {
-                (Value::Set(kids), VarKind::Object) => Extraction::Obj(*kids.first()?),
-                (Value::Set(kids), VarKind::Scalar) => Extraction::Set(kids.clone()),
-                (atomic, _) => Extraction::Atom(atomic.clone()),
-            };
-            row.push(extraction);
+        // What extraction reads: every carrier, an object variable's
+        // non-empty.
+        for &(label, kind) in &carriers {
+            let carrier = &answer.get(find_carrier(answer, top, label)?).value;
+            if let (Value::Set(kids), VarKind::Object) = (carrier, kind) {
+                kids.first()?;
+            }
         }
-        kept.push(row);
+        roots.push(top);
     }
-    // Pass 2: every row validated — now copy into the chain's memory.
-    let rows = kept
-        .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|e| match e {
-                    Extraction::Obj(id) => BoundValue::Obj(copy::deep_copy(answer, id, memory)),
-                    Extraction::Set(kids) => BoundValue::ObjSet(
-                        kids.iter()
-                            .map(|&k| copy::deep_copy(answer, k, memory))
-                            .collect(),
-                    ),
-                    Extraction::Atom(v) => BoundValue::Atom(v),
-                })
-                .collect()
-        })
-        .collect();
-    Some(rows)
-}
-
-/// The child of a top-level answer object labelled `label` (a
-/// [`carrier_label`]).
-fn find_carrier(store: &ObjectStore, top: oem::ObjId, label: Symbol) -> Option<oem::ObjId> {
-    store
-        .children(top)
-        .iter()
-        .copied()
-        .find(|&c| store.get(c).label == label)
+    Some(Kept {
+        vars: entry_vars,
+        roots,
+    })
 }
 
 #[cfg(test)]

@@ -863,13 +863,14 @@ fn narrow_people(name: &str, year: &str, rest: &str) -> (Rule, Vec<ExtractVar>) 
     (query, scalars(&vars))
 }
 
-/// What [`serve`] returns.
+/// What [`serve`] keeps, extracted.
 type Served = Option<Vec<Vec<BoundValue>>>;
 
-/// [`serve`] over `answer` for `narrow`: scanning every object, and
-/// narrowed to the index's candidates for the probe's pins (`None` where
-/// the entry refuses them). Each call gets a fresh memory, so equal
-/// rows hold equal object ids.
+/// [`serve`] over `answer` for `narrow`, its rows extracted: scanning
+/// every object, and narrowed by the entry's value index to the shortest
+/// posting list among the probe's pins (`None` where the entry refuses
+/// them). Each extraction gets a fresh memory, so equal rows hold equal
+/// object ids.
 fn serve_both_ways(
     answer: &ObjectStore,
     narrow: &Rule,
@@ -877,30 +878,13 @@ fn serve_both_ways(
 ) -> (Served, Served, usize) {
     let extract = extract_nyr();
     let m = specialize_match_rule(narrow, &people_query()).expect("contained");
-    let (mut scan_examined, mut examined) = (0, 0);
-    let scanned = serve(
-        &extract,
-        answer,
-        None,
-        &m,
-        vars,
-        &mut ObjectStore::new(),
-        &mut scan_examined,
-    );
+    let rows = |kept: Kept| kept.extract(answer, &mut ObjectStore::new());
+    let (mut scan_examined, mut built, mut examined) = (0, 0, 0);
+    let scanned = serve(&extract, answer, None, &m, vars, &mut scan_examined).map(rows);
     assert!(!m.sigma.is_empty(), "the probe pins a variable");
-    let mut cached = CachedAnswer::new(Arc::new(answer.clone()));
-    cached.index_pins(&m.sigma);
-    let indexed = cached.candidates(&m.sigma).and_then(|positions| {
-        serve(
-            &extract,
-            answer,
-            Some(positions),
-            &m,
-            vars,
-            &mut ObjectStore::new(),
-            &mut examined,
-        )
-    });
+    let cached = CachedAnswer::new(Arc::new(answer.clone()));
+    let index = cached.index(&mut built);
+    let indexed = serve(&extract, answer, Some(index), &m, vars, &mut examined).map(rows);
     (scanned, indexed, examined)
 }
 

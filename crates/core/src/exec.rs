@@ -36,7 +36,9 @@
 use crate::cache::{AnswerCache, CacheHit};
 use crate::error::{MedError, Result};
 use crate::externals::ExternalRegistry;
-use crate::graph::{carrier_label, ExtractVar, Node, PhysicalPlan, RulePlan, VarKind};
+use crate::graph::{
+    carrier_label, find_carrier, ExtractVar, Node, PhysicalPlan, RulePlan, VarKind,
+};
 use crate::metrics::{NodeMetrics, NodeTrace, Observation, QueryTrace, RuleTrace};
 use crate::retry::{CircuitBreaker, FaultOptions, OnSourceFailure, Sleeper, ThreadSleeper};
 use crate::table::BindingTable;
@@ -1616,20 +1618,22 @@ fn run_and_extract(
     // may already have fetched this exact tuple. Only the tuple's own
     // slot lock is held across the fetch — chains after the same tuple
     // wait for the one round-trip; everything else proceeds.
-    if let Some(shared_key) = shared_key {
-        let slot = ctx.param_memo.slot(shared_key());
-        let mut filled = slot.lock();
-        if let Some(store) = filled.clone() {
-            drop(filled);
-            return extract_rows(&store, vars, memory, counters);
+    let result = match shared_key {
+        Some(shared_key) => {
+            let slot = ctx.param_memo.slot(shared_key());
+            let mut filled = slot.lock();
+            match &mut *filled {
+                Some(store) => Arc::clone(store),
+                empty => {
+                    let result = fetch_store(source, query, vars, 1, ctx, stats, counters)?;
+                    Arc::clone(empty.insert(Arc::new(result)))
+                }
+            }
         }
-        let result = Arc::new(fetch_store(source, query, vars, 1, ctx, stats, counters)?);
-        *filled = Some(Arc::clone(&result));
-        drop(filled);
-        return extract_rows(&result, vars, memory, counters);
-    }
-    let result = fetch_store(source, query, vars, 0, ctx, stats, counters)?;
-    extract_rows(&result, vars, memory, counters)
+        None => Arc::new(fetch_store(source, query, vars, 0, ctx, stats, counters)?),
+    };
+    counters.bindings_produced += result.top_level().len();
+    extract_rows(&result, result.top_level(), vars, memory)
 }
 
 /// The [`ParamMemo`] key of `tuple` under the parameterized `query`, whose
@@ -1759,7 +1763,8 @@ fn prefetch_tuples(
         match slot.clone() {
             Some(store) => {
                 held[k] = None;
-                let rows = extract_rows(&store, vars, env.memory, counters)?;
+                counters.bindings_produced += store.top_level().len();
+                let rows = extract_rows(&store, store.top_level(), vars, env.memory)?;
                 memo.insert(tuple.clone(), std::rc::Rc::new(rows));
             }
             None => fetch.push(k),
@@ -1786,7 +1791,8 @@ fn prefetch_tuples(
         let mut slot = held[k].take().expect("an open tuple's slot is still held");
         *slot = Some(Arc::clone(&answer));
         drop(slot);
-        let rows = extract_rows(&answer, vars, env.memory, counters)?;
+        counters.bindings_produced += answer.top_level().len();
+        let rows = extract_rows(&answer, answer.top_level(), vars, env.memory)?;
         memo.insert(open[k].0.clone(), std::rc::Rc::new(rows));
     }
     Ok(())
@@ -1879,20 +1885,20 @@ fn query_label(query: &Rule) -> Option<Symbol> {
     })
 }
 
-/// Pull the binding rows out of a source answer's `bind_for_*` objects,
-/// reading the answer in place: one old-id → new-id map serves every row,
-/// so an object two rows bind is copied into `memory` once.
-fn extract_rows(
+/// Pull the binding rows out of `roots`, `bind_for_*` objects of a source
+/// answer, reading the answer in place: one old-id → new-id map serves
+/// every row, so an object two rows bind is copied into `memory` once. A
+/// live answer passes its `top_level()`; a cache hit, the roots it keeps.
+pub(crate) fn extract_rows(
     answer: &ObjectStore,
+    roots: &[oem::ObjId],
     vars: &[ExtractVar],
     memory: &mut ObjectStore,
-    counters: &mut NodeMetrics,
 ) -> Result<Vec<Vec<BoundValue>>> {
-    let top = answer.top_level();
-    counters.bindings_produced += top.len();
     let carriers = carrier_labels(vars);
     let mut map = HashMap::new();
-    top.iter()
+    roots
+        .iter()
         .map(|&root| extract_row(answer, root, vars, &carriers, memory, &mut map))
         .collect()
 }
@@ -1917,16 +1923,11 @@ fn extract_row(
 ) -> Result<Vec<BoundValue>> {
     let mut row = Vec::with_capacity(vars.len());
     for (v, &carrier_label) in vars.iter().zip(carriers) {
-        let carrier = answer
-            .children(root)
-            .iter()
-            .copied()
-            .find(|&c| answer.get(c).label == carrier_label)
-            .ok_or_else(|| {
-                MedError::Wrapper(format!(
-                    "source result lacks the {carrier_label} carrier object"
-                ))
-            })?;
+        let carrier = find_carrier(answer, root, carrier_label).ok_or_else(|| {
+            MedError::Wrapper(format!(
+                "source result lacks the {carrier_label} carrier object"
+            ))
+        })?;
         let value = match (&answer.get(carrier).value, v.kind) {
             (oem::Value::Set(kids), VarKind::Object) => {
                 let Some(first) = kids.first() else {
@@ -2371,12 +2372,21 @@ mod tests {
             &srcs,
             &PlannerOptions::default(),
         );
+        // A rest-only specialization, served out of the unrestricted answer.
+        let (_, dept_cs) = expand_and_plan(
+            "<who {<name N> Rest}> :- <person {<name N> | Rest}>@whois",
+            "W :- W:<who {<dept 'CS'>}>@med",
+            &srcs,
+            &PlannerOptions::default(),
+        );
         let registry = standard_registry();
-        let printed = |opts: &ExecOptions| {
-            let out = execute(&physical, &srcs, &registry, opts).unwrap();
+        let run = |physical: &PhysicalPlan, opts: &ExecOptions| {
+            let out = execute(physical, &srcs, &registry, opts).unwrap();
             oem::printer::print_store(&out.results)
         };
+        let printed = |opts: &ExecOptions| run(&physical, opts);
         let cache_off = printed(&ExecOptions::default());
+        let dept_cs_off = run(&dept_cs, &ExecOptions::default());
         let resolve = |name: Symbol| srcs.get(&name).map(crate::naive::SourceRef::Wrapper);
         let naive = crate::naive::eval_program(&rules, &resolve, &registry).unwrap();
         let sorted = |s: &ObjectStore| {
@@ -2405,8 +2415,10 @@ mod tests {
                 ..Default::default()
             };
             assert_eq!(printed(&opts), cache_off, "batch size {batch_size}");
-            // A cache hit copies each bound object on its own, so it
-            // answers the same objects without the sharing.
+            // A cache hit is extracted by the same code as a live answer,
+            // through one old-id → new-id map per served answer, so it
+            // keeps the sharing and prints the cache-off bytes: an exact
+            // hit, a containment hit, and a warm hit after a restart.
             let cache = Arc::new(AnswerCache::new(CacheOptions::enabled()));
             let opts = ExecOptions {
                 batch_size,
@@ -2415,7 +2427,32 @@ mod tests {
             for _ in 0..2 {
                 let out = execute(&physical, &srcs, &registry, &opts).unwrap();
                 assert_eq!(sorted(&out.results), sorted(&naive));
+                let printed = oem::printer::print_store(&out.results);
+                assert_eq!(printed, cache_off, "batch size {batch_size}");
             }
+            assert_eq!(cache.counters().hits, 1, "batch size {batch_size}");
+            assert_eq!(run(&dept_cs, &opts), dept_cs_off, "batch size {batch_size}");
+            assert_eq!(cache.counters().containment_hits, 1);
+            let dir = std::env::temp_dir().join(format!(
+                "medmaker-exec-{}-shared-{batch_size}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let tiered = || {
+                Arc::new(AnswerCache::new(CacheOptions {
+                    cache_dir: Some(dir.clone()),
+                    ..CacheOptions::enabled()
+                }))
+            };
+            run(&physical, &cache_opts(&tiered()));
+            let restarted = tiered();
+            let opts = ExecOptions {
+                batch_size,
+                ..cache_opts(&restarted)
+            };
+            assert_eq!(printed(&opts), cache_off, "batch size {batch_size}");
+            assert_eq!(restarted.counters().warm_hits, 1);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

@@ -8,7 +8,7 @@
 //! nodes.
 
 use msl::{Head, Pattern, Rule, Term};
-use oem::Symbol;
+use oem::{ObjId, ObjectStore, Symbol};
 
 /// How a variable's binding is recovered from a `bind_for_<var>` subobject
 /// of a source result object.
@@ -35,6 +35,16 @@ pub struct ExtractVar {
 /// Formats and interns: resolve it once per answer, not once per object.
 pub(crate) fn carrier_label(var: Symbol) -> Symbol {
     Symbol::intern(&format!("bind_for_{var}"))
+}
+
+/// The child of `root` labelled `label`: the carrier, named by
+/// [`carrier_label`], of one variable's binding in a source answer object.
+pub(crate) fn find_carrier(store: &ObjectStore, root: ObjId, label: Symbol) -> Option<ObjId> {
+    store
+        .children(root)
+        .iter()
+        .copied()
+        .find(|&c| store.get(c).label == label)
 }
 
 /// One operator of the datamerge graph.

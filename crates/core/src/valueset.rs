@@ -15,7 +15,7 @@
 //! [`split_answer`] drops objects of combinations nobody asked for.
 
 use crate::error::{MedError, Result};
-use crate::graph::carrier_label;
+use crate::graph::{carrier_label, find_carrier};
 use engine::matcher::{atomic_eq, atomic_key};
 use engine::subst::{fill_params_rule, Subst};
 use msl::{Head, PatValue, Pattern, Rule, SetElem, Term};
@@ -91,13 +91,10 @@ pub(crate) fn split_answer(
         let kids = answer.children(top);
         let mut found: Vec<&Value> = Vec::with_capacity(carriers.len());
         for label in &carriers {
-            let carrier = kids
-                .iter()
-                .find(|&&k| answer.get(k).label == *label)
-                .ok_or_else(|| {
-                    MedError::Wrapper(format!("source result lacks the {label} carrier object"))
-                })?;
-            found.push(&answer.get(*carrier).value);
+            let carrier = find_carrier(answer, top, *label).ok_or_else(|| {
+                MedError::Wrapper(format!("source result lacks the {label} carrier object"))
+            })?;
+            found.push(&answer.get(carrier).value);
         }
         let key: Vec<Value> = found.iter().map(|v| atomic_key(v)).collect();
         let Some(candidates) = wanted.get(&key) else {

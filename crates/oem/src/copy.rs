@@ -11,16 +11,11 @@ use crate::store::{ObjId, ObjectStore};
 use crate::value::Value;
 use std::collections::HashMap;
 
-/// Copy the structure rooted at `root` from `src` into `dst`.
+/// Copy the structures rooted at `roots` from `src` into `dst`.
 ///
-/// Returns the id of the copied root in `dst`. Oids are regenerated with
-/// `dst`'s generator; sharing within the copied structure is preserved.
-pub fn deep_copy(src: &ObjectStore, root: ObjId, dst: &mut ObjectStore) -> ObjId {
-    let mut map: HashMap<ObjId, ObjId> = HashMap::new();
-    copy_rec(src, root, dst, &mut map)
-}
-
-/// Copy several roots, preserving sharing *across* the roots too.
+/// Returns the ids of the copied roots in `dst`. Oids are regenerated with
+/// `dst`'s generator; sharing is preserved, within a structure and across
+/// the roots.
 pub fn deep_copy_all(src: &ObjectStore, roots: &[ObjId], dst: &mut ObjectStore) -> Vec<ObjId> {
     let mut map: HashMap<ObjId, ObjId> = HashMap::new();
     roots
@@ -103,7 +98,7 @@ mod tests {
             .build_top(&mut src);
 
         let mut dst = ObjectStore::with_oid_prefix("m");
-        let copied = deep_copy(&src, root, &mut dst);
+        let copied = deep_copy_all(&src, &[root], &mut dst)[0];
         assert!(struct_eq_cross(&src, root, &dst, copied));
         assert_eq!(dst.oid(copied), sym("m1"));
     }
@@ -138,7 +133,7 @@ mod tests {
         src.add_child(a, b).unwrap();
 
         let mut dst = ObjectStore::new();
-        let ca = deep_copy(&src, a, &mut dst);
+        let ca = deep_copy_all(&src, &[a], &mut dst)[0];
         let cb = dst.children(ca)[0];
         assert_eq!(dst.children(cb), &[ca]);
         dst.validate().unwrap();
@@ -179,7 +174,7 @@ mod tests {
         dst.insert(sym("&same"), sym("y"), crate::Value::Int(2))
             .unwrap();
         let root = src.by_oid(sym("&same")).unwrap();
-        let copied = deep_copy(&src, root, &mut dst);
+        let copied = deep_copy_all(&src, &[root], &mut dst)[0];
         assert_ne!(dst.oid(copied), sym("&same"));
         dst.validate().unwrap();
     }

@@ -27,7 +27,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Index of an object within one [`ObjectStore`].
 ///
 /// `ObjId`s are only meaningful relative to the store that issued them;
-/// [`crate::copy::deep_copy`] translates between stores.
+/// [`crate::copy::deep_copy_all`] translates between stores.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct ObjId(u32);
 

@@ -51,6 +51,7 @@ pub mod workload;
 pub use api::{SourceStats, Wrapper, WrapperError};
 pub use capabilities::{CapViolation, Capabilities};
 pub use fault::{Clock, FaultInjectingWrapper, FaultKind, FaultPlan, SystemClock, VirtualClock};
+pub use index::ValueIndex;
 pub use metrics::{WrapperCounters, WrapperMetrics};
 pub use relational::RelationalWrapper;
 pub use semistructured::SemiStructuredWrapper;

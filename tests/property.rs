@@ -607,7 +607,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The answer cache's pin index: a probe narrowed to the index's candidates
+// The answer cache's value index: a probe narrowed to the index's candidates
 // returns the rows of a scan over the whole entry, in the same order
 
 /// The payloads a lookup of `<item {<k1 a> <k2 b> <payload P>}>` gets

@@ -542,9 +542,10 @@ fn bind_join_over_a_cached_table_matches_the_sources() {
         assert_eq!(node.metrics.rows_in, 60, "batch={batch}");
         assert_eq!(node.metrics.source_calls, 0, "batch={batch}");
         assert!(node.metrics.containment_hits >= 50, "batch={batch}");
-        // One build per pinned variable (R, FN, LN) over the 62 cs rows,
-        // then each probe looks at the rows of one last name: 244 in
-        // all, where a scan per tuple makes it 60 x 62.
+        // One index build looks at each of the 62 cs rows once, however
+        // many variables (R, FN, LN) are pinned, then each probe looks at
+        // the rows of one last name: 122 in all, where a scan per tuple
+        // makes it 60 x 62.
         let c = med.cache_counters();
         let examined = c.objects_examined - primed.objects_examined;
         let cs_rows = 60 - 9 + 11;
