@@ -14,20 +14,31 @@
 //! query; `.explain <q>`, `.spec`, `.sources`, `.help`, `.quit` are
 //! commands. Repeating `--csv NAME=file` with the same NAME adds tables to
 //! one relational source (one catalog per source name).
+//!
+//! A first argument of `check`, `explain`, `serve`, `cache` or `invalidate`
+//! names another [`Command`]; `medmaker explain [flags] QUERY` prints the
+//! plan instead of the answer. Every flag is one row of a table that says
+//! which commands read it, and a flag the command does not read is refused
+//! (`FLAG does not apply to COMMAND`, exit 2) rather than ignored.
 
 #![warn(missing_docs)]
 
 use medmaker::planner::PlannerOptions;
 use medmaker::{Mediator, MediatorOptions};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::Arc;
 use wrappers::{RelationalWrapper, SemiStructuredWrapper, Wrapper};
 
-/// Parsed command line.
+/// Parsed command line: the command, and the values its flags set.
 #[derive(Debug, Default, Clone)]
 pub struct Config {
+    /// What to run; the first argument names it (default: [`Command::Session`]).
+    pub command: Command,
     /// Mediator name (`--name`, default `med`).
     pub name: String,
     /// Path to the MSL specification (`--spec`, required).
@@ -40,24 +51,17 @@ pub struct Config {
     pub minimal: bool,
     /// Disable duplicate elimination (`--no-dedup`).
     pub no_dedup: bool,
-    /// Print the logical program + plan instead of running (`--explain`).
-    pub explain: bool,
     /// Treat QUERY (and session lines) as LOREL instead of MSL (`--lorel`).
     pub lorel: bool,
     /// One-shot query; absent = interactive session.
     pub query: Option<String>,
-    /// Run every static pass on the specification instead of querying
-    /// (`medmaker check SPEC`).
-    pub check: bool,
-    /// Emit diagnostics as JSON (`--json`, check mode only).
+    /// Emit diagnostics as JSON (`--json`).
     pub json: bool,
-    /// Explain subcommand (`medmaker explain --spec FILE ... QUERY`).
-    pub explain_cmd: bool,
     /// EXPLAIN ANALYZE: execute and annotate with observed metrics
-    /// (`--analyze`, explain mode only).
+    /// (`--analyze`).
     pub analyze: bool,
-    /// Write the QueryTrace as JSON to this path (`--trace-json PATH`,
-    /// explain mode only; implies `--analyze`).
+    /// Write the QueryTrace as JSON to this path (`--trace-json PATH`;
+    /// implies `--analyze`).
     pub trace_json: Option<PathBuf>,
     /// Retry each failing source call up to N more times (`--retries N`).
     pub retries: Option<usize>,
@@ -80,32 +84,44 @@ pub struct Config {
     /// Warm-tier byte budget (`--cache-warm-bytes N`, default 64 MiB);
     /// compaction drops the lowest-value entries past it.
     pub cache_warm_bytes: Option<u64>,
-    /// Offline warm-tier maintenance
-    /// (`medmaker cache stats|clear|compact --cache-dir DIR`).
-    pub cache_cmd: Option<CacheCmd>,
-    /// Invalidate subcommand: push a source delta to a running daemon
-    /// (`medmaker invalidate --source NAME [--addr HOST:PORT]`).
-    pub invalidate: bool,
     /// Source whose cached answers the delta invalidates (`--source`).
     pub source: Option<String>,
-    /// Labels scoping the delta (`--label L`, repeatable;
-    /// invalidate mode only).
+    /// Labels scoping the delta (`--label L`, repeatable).
     pub labels: Vec<String>,
-    /// Canonical keys scoping the delta (`--key K`, repeatable;
-    /// invalidate mode only).
+    /// Canonical keys scoping the delta (`--key K`, repeatable).
     pub keys: Vec<String>,
     /// Rows per batch flowing between operators (`--batch-size N`).
     pub batch_size: Option<usize>,
-    /// Serve subcommand: run the resident mediator daemon
-    /// (`medmaker serve --spec FILE ...`).
-    pub serve: bool,
-    /// Bind address for serve mode (`--addr HOST:PORT`,
-    /// default `127.0.0.1:7070`; port 0 picks a free port).
+    /// Bind or connect address (`--addr HOST:PORT`, default
+    /// `127.0.0.1:7070`; port 0 picks a free port for `serve`).
     pub addr: Option<String>,
     /// Concurrent query executions in serve mode (`--workers N`).
     pub workers: Option<usize>,
     /// Admission queue length in serve mode (`--queue N`).
     pub queue: Option<usize>,
+}
+
+/// What a command line runs. Each command reads only the flags whose
+/// `FLAGS` row names it; any other flag is refused.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub enum Command {
+    /// No subcommand: answer QUERY, or run the interactive session.
+    #[default]
+    Session,
+    /// `medmaker check SPEC`: every static pass over the specification.
+    Check,
+    /// `medmaker explain ... QUERY`: the expansion, plan and a traced run,
+    /// or the EXPLAIN ANALYZE report with `--analyze`.
+    Explain,
+    /// `medmaker serve ...`: the resident mediator daemon.
+    Serve,
+    /// `medmaker cache stats|clear|compact --cache-dir DIR`.
+    Cache(CacheCmd),
+    /// `medmaker invalidate --source NAME ...`: push a source delta to a
+    /// running daemon.
+    Invalidate,
+    /// `--help` / `-h`: print [`USAGE`].
+    Help,
 }
 
 /// The `medmaker cache` maintenance actions (offline: they open the
@@ -121,10 +137,90 @@ pub enum CacheCmd {
     Compact,
 }
 
+// A flag's command set is a union of these bits, one per command.
+const SESSION: u8 = 1;
+const CHECK: u8 = 1 << 1;
+const EXPLAIN: u8 = 1 << 2;
+const SERVE: u8 = 1 << 3;
+const CACHE: u8 = 1 << 4;
+const INVALIDATE: u8 = 1 << 5;
+/// The commands that build a mediator ([`build_mediator`]).
+const MEDIATOR: u8 = SESSION | EXPLAIN | SERVE;
+
+impl Command {
+    fn bit(self) -> u8 {
+        match self {
+            Command::Session => SESSION,
+            Command::Check => CHECK,
+            Command::Explain => EXPLAIN,
+            Command::Serve => SERVE,
+            Command::Cache(_) => CACHE,
+            Command::Invalidate => INVALIDATE,
+            Command::Help => 0,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Command::Session => "a query or session",
+            Command::Check => "check",
+            Command::Explain => "explain",
+            Command::Serve => "serve",
+            Command::Cache(_) => "cache",
+            Command::Invalidate => "invalidate",
+            Command::Help => "--help",
+        }
+    }
+}
+
+/// One row of `FLAGS`: the flag; what its argument is called in
+/// [`USAGE`] (`None` for a switch); the commands that read it; and a setter
+/// that stores the argument (`""` for a switch), whose error the parser
+/// completes with the flag's name.
+struct Flag(
+    &'static str,
+    Option<&'static str>,
+    u8,
+    fn(&mut Config, &str) -> Result<(), String>,
+);
+
+/// Every flag, with the commands that read it. [`USAGE`] documents exactly
+/// these (a test holds the two together).
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag("--spec", Some("FILE"), MEDIATOR | CHECK, |c, v| { c.spec_path = Some(v.into()); Ok(()) }),
+    Flag("--name", Some("NAME"), MEDIATOR | CHECK, |c, v| { c.name = v.into(); Ok(()) }),
+    Flag("--oem", Some("NAME=FILE"), MEDIATOR | CHECK, |c, v| { c.oem_sources.push(named(v)?); Ok(()) }),
+    Flag("--csv", Some("NAME=FILE"), MEDIATOR | CHECK, |c, v| { c.csv_sources.push(named(v)?); Ok(()) }),
+    Flag("--minimal", None, MEDIATOR, |c, _| { c.minimal = true; Ok(()) }),
+    Flag("--no-dedup", None, MEDIATOR, |c, _| { c.no_dedup = true; Ok(()) }),
+    Flag("--lorel", None, SESSION | EXPLAIN, |c, _| { c.lorel = true; Ok(()) }),
+    Flag("--json", None, CHECK, |c, _| { c.json = true; Ok(()) }),
+    Flag("--analyze", None, EXPLAIN, |c, _| { c.analyze = true; Ok(()) }),
+    Flag("--trace-json", Some("PATH"), EXPLAIN, |c, v| { c.trace_json = Some(v.into()); c.analyze = true; Ok(()) }),
+    Flag("--retries", Some("N"), MEDIATOR, |c, v| { c.retries = Some(number(v, 0)?); Ok(()) }),
+    Flag("--source-deadline-ms", Some("MS"), MEDIATOR, |c, v| { c.source_deadline_ms = Some(number(v, 0)?); Ok(()) }),
+    Flag("--partial", None, MEDIATOR, |c, _| { c.partial = true; Ok(()) }),
+    Flag("--cache", None, MEDIATOR, |c, _| { c.cache = true; Ok(()) }),
+    Flag("--cache-capacity", Some("N"), MEDIATOR, |c, v| { c.cache_capacity = Some(number(v, 0)?); Ok(()) }),
+    Flag("--cache-ttl-ms", Some("MS"), MEDIATOR, |c, v| { c.cache_ttl_ms = Some(number(v, 0)?); Ok(()) }),
+    Flag("--cache-stale-ok", None, MEDIATOR, |c, _| { c.cache_stale_ok = true; Ok(()) }),
+    // Persistence without caching makes no sense: the flag implies --cache.
+    Flag("--cache-dir", Some("DIR"), MEDIATOR | CACHE, |c, v| { c.cache_dir = Some(v.into()); c.cache = true; Ok(()) }),
+    Flag("--cache-warm-bytes", Some("N"), MEDIATOR | CACHE, |c, v| { c.cache_warm_bytes = Some(number(v, 1)?); Ok(()) }),
+    Flag("--batch-size", Some("N"), MEDIATOR, |c, v| { c.batch_size = Some(number(v, 1)?); Ok(()) }),
+    Flag("--addr", Some("HOST:PORT"), SERVE | INVALIDATE, |c, v| { c.addr = Some(v.into()); Ok(()) }),
+    Flag("--workers", Some("N"), SERVE, |c, v| { c.workers = Some(number(v, 1)?); Ok(()) }),
+    Flag("--queue", Some("N"), SERVE, |c, v| { c.queue = Some(number(v, 0)?); Ok(()) }),
+    Flag("--source", Some("NAME"), INVALIDATE, |c, v| { c.source = Some(v.into()); Ok(()) }),
+    Flag("--label", Some("L"), INVALIDATE, |c, v| { c.labels.push(v.into()); Ok(()) }),
+    Flag("--key", Some("K"), INVALIDATE, |c, v| { c.keys.push(v.into()); Ok(()) }),
+];
+
 /// Usage text.
 pub const USAGE: &str = "\
 usage: medmaker --spec FILE [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]...
-                [--minimal] [--no-dedup] [--explain]
+                [--minimal] [--no-dedup] [--lorel]
                 [--retries N] [--source-deadline-ms MS] [--partial]
                 [--cache] [--cache-capacity N] [--cache-ttl-ms MS]
                 [--cache-stale-ok] [--cache-dir DIR] [--cache-warm-bytes N]
@@ -144,7 +240,6 @@ usage: medmaker --spec FILE [--name NAME] [--oem NAME=FILE]... [--csv NAME=FILE]
                     (header: col:type,...; repeat NAME to add tables)
   --minimal         paper-style minimal unifier enumeration
   --no-dedup        disable MSL duplicate elimination
-  --explain         print the expansion + plan for QUERY instead of results
   --lorel           QUERY/session lines are LOREL (select/from/where), not MSL
   --analyze         (explain mode) EXPLAIN ANALYZE: annotate the executed
                     plan with observed rows, estimate drift and timings
@@ -213,231 +308,118 @@ the optimizer's estimate (drift), source round-trips and per-node timing.
 --trace-json writes the raw QueryTrace as JSON to PATH (implies --analyze).
 ";
 
-/// Parse command-line arguments (no external crates).
+/// Parse command-line arguments (no external crates): the first argument
+/// may name a [`Command`]; every flag must be a row of `FLAGS` that the
+/// command reads.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Config, String> {
+    let mut it = args.into_iter().peekable();
+    let command = match it.peek().map(String::as_str) {
+        Some("lint") => {
+            return Err("medmaker lint was removed: run medmaker check SPEC".to_string())
+        }
+        Some("check") => Command::Check,
+        Some("explain") => Command::Explain,
+        Some("serve") => Command::Serve,
+        Some("invalidate") => Command::Invalidate,
+        Some("cache") => {
+            it.next();
+            Command::Cache(match it.peek().map(String::as_str) {
+                Some("stats") => CacheCmd::Stats,
+                Some("clear") => CacheCmd::Clear,
+                Some("compact") => CacheCmd::Compact,
+                Some(other) => {
+                    return Err(format!(
+                        "unknown cache action '{other}' (expected stats, clear or compact)\n{USAGE}"
+                    ))
+                }
+                None => {
+                    return Err(format!(
+                        "cache needs an action: stats, clear or compact\n{USAGE}"
+                    ))
+                }
+            })
+        }
+        _ => Command::Session,
+    };
+    if command != Command::Session {
+        it.next();
+    }
     let mut cfg = Config {
+        command,
         name: "med".to_string(),
         ..Default::default()
     };
-    let mut it = args.into_iter().peekable();
-    if it.peek().map(String::as_str) == Some("lint") {
-        return Err("medmaker lint was removed: run medmaker check SPEC".to_string());
-    } else if it.peek().map(String::as_str) == Some("check") {
-        it.next();
-        cfg.check = true;
-    } else if it.peek().map(String::as_str) == Some("explain") {
-        it.next();
-        cfg.explain_cmd = true;
-    } else if it.peek().map(String::as_str) == Some("serve") {
-        it.next();
-        cfg.serve = true;
-    } else if it.peek().map(String::as_str) == Some("cache") {
-        it.next();
-        cfg.cache_cmd = Some(match it.next().as_deref() {
-            Some("stats") => CacheCmd::Stats,
-            Some("clear") => CacheCmd::Clear,
-            Some("compact") => CacheCmd::Compact,
-            Some(other) => {
-                return Err(format!(
-                    "unknown cache action '{other}' (expected stats, clear or compact)\n{USAGE}"
-                ))
-            }
-            None => {
-                return Err(format!(
-                    "cache needs an action: stats, clear or compact\n{USAGE}"
-                ))
-            }
-        });
-    } else if it.peek().map(String::as_str) == Some("invalidate") {
-        it.next();
-        cfg.invalidate = true;
-    }
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--spec" => {
-                let v = it.next().ok_or("--spec needs a file argument")?;
-                cfg.spec_path = Some(PathBuf::from(v));
-            }
-            "--name" => {
-                cfg.name = it.next().ok_or("--name needs an argument")?;
-            }
-            "--oem" => {
-                let v = it.next().ok_or("--oem needs NAME=FILE")?;
-                cfg.oem_sources.push(parse_named(&v, "--oem")?);
-            }
-            "--csv" => {
-                let v = it.next().ok_or("--csv needs NAME=FILE")?;
-                cfg.csv_sources.push(parse_named(&v, "--csv")?);
-            }
-            "--minimal" => cfg.minimal = true,
-            "--no-dedup" => cfg.no_dedup = true,
-            "--retries" => {
-                let v = it.next().ok_or("--retries needs a number argument")?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--retries expects a number, got '{v}'"))?;
-                cfg.retries = Some(n);
-            }
-            "--source-deadline-ms" => {
-                let v = it
-                    .next()
-                    .ok_or("--source-deadline-ms needs a number argument")?;
-                let ms = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--source-deadline-ms expects a number, got '{v}'"))?;
-                cfg.source_deadline_ms = Some(ms);
-            }
-            "--partial" => cfg.partial = true,
-            "--cache" => cfg.cache = true,
-            "--cache-capacity" => {
-                let v = it
-                    .next()
-                    .ok_or("--cache-capacity needs a number argument")?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--cache-capacity expects a number, got '{v}'"))?;
-                cfg.cache_capacity = Some(n);
-            }
-            "--cache-ttl-ms" => {
-                let v = it.next().ok_or("--cache-ttl-ms needs a number argument")?;
-                let ms = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--cache-ttl-ms expects a number, got '{v}'"))?;
-                cfg.cache_ttl_ms = Some(ms);
-            }
-            "--cache-stale-ok" => cfg.cache_stale_ok = true,
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir needs a DIR argument")?;
-                cfg.cache_dir = Some(PathBuf::from(v));
-                // Persistence without caching makes no sense; the flag
-                // implies --cache.
-                cfg.cache = true;
-            }
-            "--cache-warm-bytes" => {
-                let v = it
-                    .next()
-                    .ok_or("--cache-warm-bytes needs a number argument")?;
-                let n = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--cache-warm-bytes expects a number, got '{v}'"))?;
-                if n == 0 {
-                    return Err("--cache-warm-bytes must be at least 1".to_string());
-                }
-                cfg.cache_warm_bytes = Some(n);
-            }
-            "--batch-size" => {
-                let v = it.next().ok_or("--batch-size needs a number argument")?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--batch-size expects a number, got '{v}'"))?;
-                if n == 0 {
-                    return Err("--batch-size must be at least 1".to_string());
-                }
-                cfg.batch_size = Some(n);
-            }
-            "--addr" if cfg.serve || cfg.invalidate => {
-                cfg.addr = Some(it.next().ok_or("--addr needs a HOST:PORT argument")?);
-            }
-            "--source" if cfg.invalidate => {
-                cfg.source = Some(it.next().ok_or("--source needs a NAME argument")?);
-            }
-            "--label" if cfg.invalidate => {
-                cfg.labels
-                    .push(it.next().ok_or("--label needs a LABEL argument")?);
-            }
-            "--key" if cfg.invalidate => {
-                cfg.keys
-                    .push(it.next().ok_or("--key needs a KEY argument")?);
-            }
-            "--workers" if cfg.serve => {
-                let v = it.next().ok_or("--workers needs a number argument")?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--workers expects a number, got '{v}'"))?;
-                if n == 0 {
-                    return Err("--workers must be at least 1".to_string());
-                }
-                cfg.workers = Some(n);
-            }
-            "--queue" if cfg.serve => {
-                let v = it.next().ok_or("--queue needs a number argument")?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--queue expects a number, got '{v}'"))?;
-                cfg.queue = Some(n);
-            }
-            "--explain" => cfg.explain = true,
-            "--lorel" => cfg.lorel = true,
-            "--json" if cfg.check => cfg.json = true,
-            "--analyze" if cfg.explain_cmd => cfg.analyze = true,
-            "--trace-json" if cfg.explain_cmd => {
-                let v = it.next().ok_or("--trace-json needs a PATH argument")?;
-                cfg.trace_json = Some(PathBuf::from(v));
-                cfg.analyze = true;
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            q if !q.starts_with("--") => {
-                // In check mode the positional argument is the spec file.
-                if cfg.check {
-                    if cfg.spec_path.is_some() {
-                        return Err("more than one spec file given".to_string());
-                    }
-                    cfg.spec_path = Some(PathBuf::from(q));
-                    continue;
-                }
-                if cfg.query.is_some() {
-                    return Err("more than one query given".to_string());
-                }
-                cfg.query = Some(q.to_string());
-            }
-            other => return Err(format!("unknown option '{other}'\n{USAGE}")),
+        if arg == "--help" || arg == "-h" {
+            cfg.command = Command::Help;
+            return Ok(cfg);
         }
-    }
-    if cfg.cache_cmd.is_some() || cfg.invalidate {
-        // Offline/remote maintenance: no spec, no query.
-        if cfg.query.is_some() {
-            let cmd = if cfg.invalidate {
-                "invalidate"
-            } else {
-                "cache"
-            };
-            return Err(format!("{cmd} takes no QUERY argument\n{USAGE}"));
+        if !arg.starts_with('-') {
+            positional(&mut cfg, arg)?;
+            continue;
         }
-        if cfg.cache_cmd.is_some() && cfg.cache_dir.is_none() {
-            return Err(format!("cache needs --cache-dir DIR\n{USAGE}"));
-        }
-        if cfg.invalidate && cfg.source.is_none() {
-            return Err(format!("invalidate needs --source NAME\n{USAGE}"));
-        }
-        return Ok(cfg);
-    }
-    if cfg.spec_path.is_none() {
-        let what = if cfg.check {
-            "check needs a SPEC file"
-        } else {
-            "--spec is required"
+        let Some(&Flag(_, takes, commands, set)) = FLAGS.iter().find(|f| f.0 == arg) else {
+            return Err(format!("unknown option '{arg}'\n{USAGE}"));
         };
-        return Err(format!("{what}\n{USAGE}"));
+        if commands & command.bit() == 0 {
+            return Err(format!("{arg} does not apply to {}", command.name()));
+        }
+        let value = match takes {
+            Some(what) => it.next().ok_or_else(|| format!("{arg} needs {what}"))?,
+            None => String::new(),
+        };
+        set(&mut cfg, &value).map_err(|e| format!("{arg} {e}"))?;
     }
-    if cfg.explain_cmd && cfg.query.is_none() {
-        return Err(format!("explain needs a QUERY argument\n{USAGE}"));
-    }
-    if cfg.serve && cfg.query.is_some() {
-        return Err(format!(
-            "serve takes no QUERY argument (clients send queries over TCP)\n{USAGE}"
-        ));
-    }
-    Ok(cfg)
+    let missing = match command {
+        Command::Cache(_) if cfg.cache_dir.is_none() => "cache needs --cache-dir DIR",
+        Command::Invalidate if cfg.source.is_none() => "invalidate needs --source NAME",
+        Command::Check if cfg.spec_path.is_none() => "check needs a SPEC file",
+        _ if command.bit() & MEDIATOR != 0 && cfg.spec_path.is_none() => "--spec is required",
+        Command::Explain if cfg.query.is_none() => "explain needs a QUERY argument",
+        _ => return Ok(cfg),
+    };
+    Err(format!("{missing}\n{USAGE}"))
 }
 
-fn parse_named(v: &str, flag: &str) -> Result<(String, PathBuf), String> {
-    let (name, file) = v
-        .split_once('=')
-        .ok_or_else(|| format!("{flag} expects NAME=FILE, got '{v}'"))?;
-    if name.is_empty() || file.is_empty() {
-        return Err(format!("{flag} expects NAME=FILE, got '{v}'"));
+/// A non-flag argument: the spec file of `check`, else the query.
+fn positional(cfg: &mut Config, arg: String) -> Result<(), String> {
+    match cfg.command {
+        Command::Check if cfg.spec_path.is_some() => Err("more than one spec file given".into()),
+        Command::Check => {
+            cfg.spec_path = Some(arg.into());
+            Ok(())
+        }
+        Command::Session | Command::Explain if cfg.query.is_some() => {
+            Err("more than one query given".into())
+        }
+        Command::Session | Command::Explain => {
+            cfg.query = Some(arg);
+            Ok(())
+        }
+        Command::Serve => Err(format!(
+            "serve takes no QUERY argument (clients send queries over TCP)\n{USAGE}"
+        )),
+        other => Err(format!("{} takes no QUERY argument\n{USAGE}", other.name())),
     }
-    Ok((name.to_string(), PathBuf::from(file)))
+}
+
+/// A numeric flag's argument, refused below `min`.
+fn number<T: FromStr + PartialOrd + Display>(v: &str, min: T) -> Result<T, String> {
+    match v.parse::<T>() {
+        Ok(n) if n >= min => Ok(n),
+        Ok(_) => Err(format!("must be at least {min}")),
+        Err(_) => Err(format!("expects a number, got '{v}'")),
+    }
+}
+
+/// A `NAME=FILE` source argument.
+fn named(v: &str) -> Result<(String, PathBuf), String> {
+    match v.split_once('=') {
+        Some((name, file)) if !name.is_empty() && !file.is_empty() => {
+            Ok((name.to_string(), PathBuf::from(file)))
+        }
+        _ => Err(format!("expects NAME=FILE, got '{v}'")),
+    }
 }
 
 /// Load the `--oem` / `--csv` sources named on the command line.
@@ -684,19 +666,12 @@ pub fn run_check(cfg: &Config, out: &mut impl Write) -> Result<i32, String> {
 pub fn run_explain(cfg: &Config, out: &mut impl Write) -> Result<i32, String> {
     use serde::Serialize;
     let med = build_mediator(cfg)?;
-    let query = cfg.query.as_ref().expect("validated by parse_args");
-    let query = if cfg.lorel {
-        let msl_text = lorel_to_msl_text(&med, query)?;
-        writeln!(out, ";; MSL: {msl_text}").map_err(|e| e.to_string())?;
-        msl_text
-    } else {
-        query.clone()
-    };
+    let query = cfg.query.as_deref().expect("validated by parse_args");
     if !cfg.analyze {
-        let text = med.explain_text(&query, true).map_err(|e| e.to_string())?;
-        write!(out, "{text}").map_err(|e| e.to_string())?;
+        explain(&med, query, cfg.lorel, out)?;
         return Ok(0);
     }
+    let query = to_msl(&med, query, cfg.lorel, out)?;
     let (report, trace) = med.explain_analyze(&query).map_err(|e| e.to_string())?;
     write!(out, "{report}").map_err(|e| e.to_string())?;
     if let Some(path) = &cfg.trace_json {
@@ -742,8 +717,10 @@ pub fn run_serve(cfg: &Config, out: &mut impl Write) -> Result<i32, String> {
 /// what was found, freed or compacted. Returns the process exit code
 /// (0 on success).
 pub fn run_cache(cfg: &Config, out: &mut impl Write) -> Result<i32, String> {
+    let Command::Cache(cmd) = cfg.command else {
+        return Err("not a cache command".to_string());
+    };
     let dir = cfg.cache_dir.as_ref().expect("validated by parse_args");
-    let cmd = cfg.cache_cmd.expect("validated by parse_args");
     let mut tier = medmaker::WarmTier::open(dir)
         .map_err(|e| format!("cannot open cache dir {}: {e}", dir.display()))?;
     let int = |n: u64| serde::Value::Int(n as i64);
@@ -836,42 +813,41 @@ pub fn run_invalidate(cfg: &Config, out: &mut impl Write) -> Result<i32, String>
     Ok(if status_ok { 0 } else { 1 })
 }
 
-/// Translate a LOREL query to MSL text for a mediator.
-pub fn lorel_to_msl_text(med: &Mediator, query: &str) -> Result<String, String> {
-    let rule = lorel::to_msl(query, &med.spec().name.as_str()).map_err(|e| e.to_string())?;
-    Ok(msl::printer::rule(&rule))
-}
-
-/// Run one query (or explain it), writing results to `out`. `lorel`
-/// translates the query from LOREL first.
-pub fn run_query_in(
+/// QUERY as MSL text: translated from LOREL when `lorel` is set, in which
+/// case the translation is echoed to `out` as a `;; MSL:` line.
+fn to_msl<'q>(
     med: &Mediator,
-    query: &str,
-    explain: bool,
+    query: &'q str,
     lorel: bool,
     out: &mut impl Write,
-) -> Result<(), String> {
-    if lorel {
-        let msl_text = lorel_to_msl_text(med, query)?;
-        writeln!(out, ";; MSL: {msl_text}").map_err(|e| e.to_string())?;
-        return run_query(med, &msl_text, explain, out);
+) -> Result<Cow<'q, str>, String> {
+    if !lorel {
+        return Ok(Cow::Borrowed(query));
     }
-    run_query(med, query, explain, out)
+    let rule = lorel::to_msl(query, &med.spec().name.as_str()).map_err(|e| e.to_string())?;
+    let msl_text = msl::printer::rule(&rule);
+    writeln!(out, ";; MSL: {msl_text}").map_err(|e| e.to_string())?;
+    Ok(Cow::Owned(msl_text))
 }
 
-/// Run one query (or explain it), writing results to `out`.
+/// Print QUERY's logical program, physical plan and a traced run: what
+/// `medmaker explain` and the session's `.explain` print.
+fn explain(med: &Mediator, query: &str, lorel: bool, out: &mut impl Write) -> Result<(), String> {
+    let query = to_msl(med, query, lorel, out)?;
+    let text = med.explain_text(&query, true).map_err(|e| e.to_string())?;
+    write!(out, "{text}").map_err(|e| e.to_string())
+}
+
+/// Run one query, writing its answer to `out`. `lorel` translates the
+/// query from LOREL first.
 pub fn run_query(
     med: &Mediator,
     query: &str,
-    explain: bool,
+    lorel: bool,
     out: &mut impl Write,
 ) -> Result<(), String> {
-    if explain {
-        let text = med.explain_text(query, true).map_err(|e| e.to_string())?;
-        write!(out, "{text}").map_err(|e| e.to_string())?;
-        return Ok(());
-    }
-    let rule = msl::parse_query(query).map_err(|e| e.to_string())?;
+    let query = to_msl(med, query, lorel, out)?;
+    let rule = msl::parse_query(&query).map_err(|e| e.to_string())?;
     let outcome = med.query_rule(&rule).map_err(|e| e.to_string())?;
     let results = &outcome.results;
     write!(out, "{}", oem::printer::print_store(results)).map_err(|e| e.to_string())?;
@@ -894,14 +870,9 @@ pub fn run_query(
     Ok(())
 }
 
-/// The interactive session loop.
-pub fn repl(med: &Mediator, input: impl BufRead, out: &mut impl Write) -> Result<(), String> {
-    repl_in(med, false, input, out)
-}
-
 /// The interactive session loop; `lorel` switches the default query
 /// language of plain lines.
-pub fn repl_in(
+pub fn repl(
     med: &Mediator,
     lorel: bool,
     input: impl BufRead,
@@ -943,18 +914,18 @@ pub fn repl_in(
             }
             _ if line.starts_with(".explain") => {
                 let q = line.trim_start_matches(".explain").trim();
-                if let Err(e) = run_query_in(med, q, true, lorel, out) {
+                if let Err(e) = explain(med, q, lorel, out) {
                     writeln!(out, "error: {e}").map_err(|e| e.to_string())?;
                 }
             }
             _ if line.starts_with(".lorel") => {
                 let q = line.trim_start_matches(".lorel").trim();
-                if let Err(e) = run_query_in(med, q, false, true, out) {
+                if let Err(e) = run_query(med, q, true, out) {
                     writeln!(out, "error: {e}").map_err(|e| e.to_string())?;
                 }
             }
             query => {
-                if let Err(e) = run_query_in(med, query, false, lorel, out) {
+                if let Err(e) = run_query(med, query, lorel, out) {
                     writeln!(out, "error: {e}").map_err(|e| e.to_string())?;
                 }
             }
@@ -974,15 +945,15 @@ mod tests {
     #[test]
     fn parse_full_command_line() {
         let cfg = parse_args(argv(
-            "--spec med.msl --name m --oem whois=w.oem --csv cs=emp.csv --csv cs=stu.csv \
-             --minimal --no-dedup --explain QUERY",
+            "explain --spec med.msl --name m --oem whois=w.oem --csv cs=emp.csv --csv cs=stu.csv \
+             --minimal --no-dedup QUERY",
         ))
         .unwrap();
         assert_eq!(cfg.name, "m");
         assert_eq!(cfg.spec_path.as_ref().unwrap().to_str(), Some("med.msl"));
         assert_eq!(cfg.oem_sources.len(), 1);
         assert_eq!(cfg.csv_sources.len(), 2);
-        assert!(cfg.minimal && cfg.no_dedup && cfg.explain);
+        assert!(cfg.minimal && cfg.no_dedup && cfg.command == Command::Explain);
         assert_eq!(cfg.query.as_deref(), Some("QUERY"));
     }
 
@@ -1042,8 +1013,13 @@ mod tests {
         assert!(parse_args(argv("--spec s.msl --batch-size 0")).is_err());
         assert!(parse_args(argv("--spec s.msl --batch-size")).is_err());
         // The flags that chose a second executor, an eviction policy or
-        // cost weights are gone.
-        for retired in ["--materialize", "--cache-fifo", "--cost-weights"] {
+        // cost weights are gone, and so is the second way to explain.
+        for retired in [
+            "--materialize",
+            "--cache-fifo",
+            "--cost-weights",
+            "--explain",
+        ] {
             let err = parse_args(argv(&format!("--spec s.msl {retired} QUERY"))).unwrap_err();
             assert!(
                 err.contains(&format!("unknown option '{retired}'")),
@@ -1058,7 +1034,7 @@ mod tests {
             "serve --spec med.msl --addr 0.0.0.0:7070 --workers 8 --queue 16 --cache --partial",
         ))
         .unwrap();
-        assert!(cfg.serve);
+        assert_eq!(cfg.command, Command::Serve);
         assert_eq!(cfg.addr.as_deref(), Some("0.0.0.0:7070"));
         assert_eq!(cfg.workers, Some(8));
         assert_eq!(cfg.queue, Some(16));
@@ -1066,7 +1042,7 @@ mod tests {
         assert!(cfg.cache && cfg.partial);
         // Defaults: all None (run_serve fills in 127.0.0.1:7070, 4, 64).
         let cfg = parse_args(argv("serve --spec med.msl")).unwrap();
-        assert!(cfg.serve);
+        assert_eq!(cfg.command, Command::Serve);
         assert!(cfg.addr.is_none() && cfg.workers.is_none() && cfg.queue.is_none());
         // serve takes no positional query; serve-only flags need serve.
         assert!(parse_args(argv("serve --spec med.msl QUERY")).is_err());
@@ -1099,12 +1075,12 @@ mod tests {
     #[test]
     fn cache_subcommand_parsed() {
         let cfg = parse_args(argv("cache stats --cache-dir /tmp/warm")).unwrap();
-        assert_eq!(cfg.cache_cmd, Some(CacheCmd::Stats));
+        assert_eq!(cfg.command, Command::Cache(CacheCmd::Stats));
         assert_eq!(cfg.cache_dir.as_ref().unwrap().to_str(), Some("/tmp/warm"));
         let cfg = parse_args(argv("cache clear --cache-dir d")).unwrap();
-        assert_eq!(cfg.cache_cmd, Some(CacheCmd::Clear));
+        assert_eq!(cfg.command, Command::Cache(CacheCmd::Clear));
         let cfg = parse_args(argv("cache compact --cache-dir d --cache-warm-bytes 4096")).unwrap();
-        assert_eq!(cfg.cache_cmd, Some(CacheCmd::Compact));
+        assert_eq!(cfg.command, Command::Cache(CacheCmd::Compact));
         assert_eq!(cfg.cache_warm_bytes, Some(4096));
         // The action and the directory are both required; no extras.
         assert!(parse_args(argv("cache")).is_err());
@@ -1119,7 +1095,7 @@ mod tests {
             "invalidate --addr 127.0.0.1:9 --source whois --label head --label dept --key k1",
         ))
         .unwrap();
-        assert!(cfg.invalidate);
+        assert_eq!(cfg.command, Command::Invalidate);
         assert_eq!(cfg.addr.as_deref(), Some("127.0.0.1:9"));
         assert_eq!(cfg.source.as_deref(), Some("whois"));
         assert_eq!(cfg.labels, vec!["head".to_string(), "dept".to_string()]);
@@ -1319,7 +1295,7 @@ mod tests {
             "explain --spec s.msl --analyze --trace-json t.json QUERY",
         ))
         .unwrap();
-        assert!(cfg.explain_cmd && cfg.analyze);
+        assert!(cfg.command == Command::Explain && cfg.analyze);
         assert_eq!(cfg.trace_json.as_ref().unwrap().to_str(), Some("t.json"));
         assert_eq!(cfg.query.as_deref(), Some("QUERY"));
         // --trace-json alone implies --analyze.
@@ -1375,7 +1351,7 @@ mod tests {
     #[test]
     fn check_subcommand_parsed() {
         let cfg = parse_args(argv("check spec.msl --json --name m")).unwrap();
-        assert!(cfg.check && cfg.json);
+        assert!(cfg.command == Command::Check && cfg.json);
         assert_eq!(cfg.spec_path.as_ref().unwrap().to_str(), Some("spec.msl"));
         assert_eq!(cfg.name, "m");
         // The spec file is required, and --json needs check mode.
@@ -1597,11 +1573,122 @@ mod tests {
         let med = build_mediator(&cfg).unwrap();
         let input = b".help\n.spec\n.sources\nX :- X:<v {}>@m\nbad query\n.quit\n";
         let mut out = Vec::new();
-        repl(&med, &input[..], &mut out).unwrap();
+        repl(&med, false, &input[..], &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains(".explain QUERY"), "{text}");
         assert!(text.contains("@src"), "{text}");
         assert!(text.contains("'Ann'"), "{text}");
         assert!(text.contains("error:"), "{text}");
+    }
+
+    #[test]
+    fn a_flag_a_command_never_reads_is_refused() {
+        for (args, flag, command) in [
+            ("check s.msl --cache", "--cache", "check"),
+            ("check s.msl --lorel", "--lorel", "check"),
+            ("cache stats --cache-dir d --spec s.msl", "--spec", "cache"),
+            (
+                "invalidate --source s --batch-size 2",
+                "--batch-size",
+                "invalidate",
+            ),
+            ("serve --spec s.msl --lorel", "--lorel", "serve"),
+        ] {
+            let err = parse_args(argv(args)).unwrap_err();
+            assert!(
+                err.contains(&format!("{flag} does not apply to {command}")),
+                "{args}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn usage_documents_exactly_the_flag_table() {
+        for Flag(name, takes, _, _) in FLAGS {
+            let shown = match takes {
+                Some(what) => format!("{name} {what}"),
+                None => format!("[{name}]"),
+            };
+            assert!(USAGE.contains(&shown), "USAGE lacks {shown}");
+        }
+        for token in USAGE.split("--").skip(1) {
+            let word: String = token
+                .chars()
+                .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                .collect();
+            let word = format!("--{word}");
+            assert!(
+                FLAGS.iter().any(|f| f.0 == word),
+                "USAGE names {word}, which is no flag"
+            );
+        }
+    }
+
+    /// Split a shell command line into words: `'…'` and `"…"` quote, `\`
+    /// escapes one character, and a `#` starting a word starts a comment.
+    fn shell_words(line: &str) -> Vec<String> {
+        let mut words = Vec::new();
+        let mut word: Option<String> = None;
+        let mut chars = line.chars();
+        while let Some(c) = chars.next() {
+            match c {
+                '#' if word.is_none() => break,
+                c if c.is_whitespace() => words.extend(word.take()),
+                '\'' | '"' => word
+                    .get_or_insert_with(String::new)
+                    .extend(chars.by_ref().take_while(|&q| q != c)),
+                '\\' => word.get_or_insert_with(String::new).extend(chars.next()),
+                c => word.get_or_insert_with(String::new).push(c),
+            }
+        }
+        words.extend(word);
+        words
+    }
+
+    #[test]
+    fn every_documented_invocation_parses() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut seen = 0;
+        for doc in ["README.md", "docs/OPERATIONS.md"] {
+            let text = std::fs::read_to_string(root.join(doc)).unwrap();
+            let mut shell = false;
+            let mut line = String::new();
+            for raw in text.lines() {
+                if let Some(info) = raw.strip_prefix("```") {
+                    shell = !shell && matches!(info, "bash" | "sh");
+                    continue;
+                }
+                if !shell {
+                    continue;
+                }
+                // Join `\` continuations into one command line.
+                if let Some(head) = raw.strip_suffix('\\') {
+                    line.push_str(head);
+                    continue;
+                }
+                line.push_str(raw);
+                let command = std::mem::take(&mut line);
+                let command = command.trim_start().trim_start_matches("$ ");
+                let words = shell_words(command);
+                let args = if let Some(i) = words
+                    .windows(3)
+                    .position(|w| w == ["--bin", "medmaker", "--"])
+                {
+                    &words[i + 3..]
+                } else if matches!(
+                    words.first().map(String::as_str),
+                    Some("medmaker" | "target/release/medmaker")
+                ) {
+                    &words[1..]
+                } else {
+                    continue;
+                };
+                seen += 1;
+                if let Err(e) = parse_args(args.to_vec()) {
+                    panic!("{doc}: `{command}` does not parse: {e}");
+                }
+            }
+        }
+        assert!(seen >= 15, "found only {seen} invocations");
     }
 }

@@ -1,6 +1,6 @@
 //! The `medmaker` binary. See [`medmaker_cli`] for the full description.
 
-use medmaker_cli::{self as cli, Config};
+use medmaker_cli::{self as cli, Command, Config};
 use std::io::{self, Write};
 
 /// Stdout that remembers whether its reader went away, so that `main`
@@ -33,9 +33,16 @@ impl Write for Stdout {
 fn run_session(cfg: &Config, out: &mut Stdout) -> Result<i32, String> {
     let med = cli::build_mediator(cfg)?;
     match &cfg.query {
-        Some(q) => cli::run_query_in(&med, q, cfg.explain, cfg.lorel, out)?,
-        None => cli::repl_in(&med, cfg.lorel, io::stdin().lock(), out)?,
+        Some(q) => cli::run_query(&med, q, cfg.lorel, out)?,
+        None => cli::repl(&med, cfg.lorel, io::stdin().lock(), out)?,
     }
+    Ok(0)
+}
+
+/// `--help`: the usage text on stdout, and success.
+fn print_usage(_: &Config, out: &mut Stdout) -> Result<i32, String> {
+    out.write_all(cli::USAGE.as_bytes())
+        .map_err(|e| e.to_string())?;
     Ok(0)
 }
 
@@ -46,25 +53,21 @@ fn main() {
     };
     let cfg = match cli::parse_args(std::env::args().skip(1)) {
         Ok(cfg) => cfg,
-        // `--help` is the one "error" that was asked for.
-        Err(msg) if msg == cli::USAGE => {
-            let _ = out.write_all(msg.as_bytes());
-            std::process::exit(0);
-        }
         Err(msg) => {
             let _ = writeln!(io::stderr(), "{msg}");
             std::process::exit(2);
         }
     };
-    // Each subcommand with the status a runtime error in it exits with.
+    // Each command with the status a runtime error in it exits with.
     type Run = fn(&Config, &mut Stdout) -> Result<i32, String>;
-    let (run, on_error): (Run, i32) = match () {
-        _ if cfg.check => (cli::run_check, 2),
-        _ if cfg.explain_cmd => (cli::run_explain, 1),
-        _ if cfg.serve => (cli::run_serve, 1),
-        _ if cfg.cache_cmd.is_some() => (cli::run_cache, 1),
-        _ if cfg.invalidate => (cli::run_invalidate, 1),
-        _ => (run_session, 1),
+    let (run, on_error): (Run, i32) = match cfg.command {
+        Command::Session => (run_session, 1),
+        Command::Check => (cli::run_check, 2),
+        Command::Explain => (cli::run_explain, 1),
+        Command::Serve => (cli::run_serve, 1),
+        Command::Cache(_) => (cli::run_cache, 1),
+        Command::Invalidate => (cli::run_invalidate, 1),
+        Command::Help => (print_usage, 1),
     };
     let result = run(&cfg, &mut out);
     let _ = out.flush();

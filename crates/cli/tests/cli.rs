@@ -8,9 +8,16 @@ fn demo_dir() -> PathBuf {
 }
 
 fn base_cmd() -> Command {
+    with_demo_sources(&[])
+}
+
+/// `medmaker ARGS…` over the demo spec and sources; ARGS may name a
+/// subcommand, which must come first.
+fn with_demo_sources(args: &[&str]) -> Command {
     let demo = demo_dir();
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_medmaker"));
-    cmd.arg("--spec")
+    cmd.args(args)
+        .arg("--spec")
         .arg(demo.join("med.msl"))
         .arg("--oem")
         .arg(format!("whois={}", demo.join("whois.oem").display()))
@@ -47,8 +54,7 @@ fn one_shot_query_reproduces_figure_2_4() {
 
 #[test]
 fn explain_mode_prints_plan() {
-    let out = base_cmd()
-        .arg("--explain")
+    let out = with_demo_sources(&["explain"])
         .arg("--minimal")
         .arg("S :- S:<cs_person {<year 3>}>@med")
         .output()

@@ -70,3 +70,17 @@ fn unknown_flag_is_a_usage_error() {
     assert!(out.stdout.is_empty());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option '--no-such-flag'"));
 }
+
+#[test]
+fn a_single_dash_argument_is_an_unknown_option_not_a_query() {
+    let demo = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../demo");
+    let out = medmaker()
+        .arg("--spec")
+        .arg(demo.join("med.msl"))
+        .arg("-v")
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option '-v'"));
+}

@@ -64,7 +64,7 @@ pub struct ExecOptions {
     /// Counters and timings are collected regardless — only text is
     /// costly enough to gate.
     pub trace: bool,
-    /// Execute the per-rule chains on separate threads (crossbeam scoped).
+    /// Execute the per-rule chains on separate threads (`std::thread::scope`).
     /// The chains of a logical program are independent until construction,
     /// so this is safe for any plan — construction is sequential and one
     /// constructor serves every chain, preserving cross-rule semantic-oid
@@ -1282,16 +1282,16 @@ pub fn execute(
         // surface before slow sources finish rather than after a
         // whole-table join at the end of each thread.
         let n = plan.rules.len();
-        let (results, rows_acc, firsts) = crossbeam::thread::scope(|scope| {
+        let (results, rows_acc, firsts) = std::thread::scope(|scope| {
             let ctx = &ctx;
-            let (tx, rx) = crossbeam::channel::bounded::<(usize, Batch)>(n.max(2) * 2);
+            let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Batch)>(n.max(2) * 2);
             let handles: Vec<_> = plan
                 .rules
                 .iter()
                 .enumerate()
                 .map(|(ci, rule_plan)| {
                     let tx = tx.clone();
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut emit = |batch: Batch| {
                             // A hung-up receiver only means the scope is
                             // unwinding; dropping the batch is fine.
@@ -1322,8 +1322,7 @@ pub fn execute(
                 })
                 .collect();
             (results, rows_acc, firsts)
-        })
-        .expect("crossbeam scope");
+        });
         results
             .into_iter()
             .zip(rows_acc)
