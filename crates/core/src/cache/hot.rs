@@ -56,7 +56,7 @@ impl CachedAnswer {
     }
 
     /// The wrapper's exported answer, as returned.
-    pub(crate) fn store(&self) -> &ObjectStore {
+    pub(crate) fn store(&self) -> &Arc<ObjectStore> {
         &self.store
     }
 

@@ -24,10 +24,11 @@
 //! [`wrappers::ValueIndex`] — built by the first pinned probe, owned by
 //! the entry and dropped with it — for the objects listed under a pinned
 //! value, and runs the same checks on those only, in the answer's order.
-//! The executor's own extraction then copies the kept objects' bindings,
-//! exactly as it copies a live answer's: one old-id → new-id map per
-//! served answer, so an object two rows share is copied once and a hit
-//! prints the bytes a round-trip would. A bind join over a cached table is
+//! The carrier reader ([`wrappers::api::read_carriers`]) then reads the
+//! kept objects' rows in place, and the executor absorbs them exactly as
+//! it absorbs a live answer's rows: one old-id → new-id map per served
+//! answer, so an object two rows share is copied once and a hit prints
+//! the bytes a round-trip would. A bind join over a cached table is
 //! made of pinned probes, one per tuple; before the index each cost as
 //! much as the table is long. [`CacheCounters::objects_examined`] counts
 //! the visits.
@@ -95,7 +96,7 @@ pub mod warm;
 pub use keyidx::{rule_labels, LabelFootprint, SourceDelta};
 pub use warm::{CompactStats, WarmStats, WarmTier};
 
-use crate::exec::extract_rows;
+use crate::exec::absorb_all;
 use crate::graph::{carrier_label, find_carrier, ExtractVar, VarKind};
 use crate::stats::SharedStats;
 use engine::bindings::{Bindings, BoundValue};
@@ -108,6 +109,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
+use wrappers::api::{construct_answer, read_carriers, Rows};
 use wrappers::fault::{Clock, SystemClock};
 use wrappers::ValueIndex;
 
@@ -383,15 +385,8 @@ impl AnswerCache {
         }
     }
 
-    /// Look up an answer for `query` against `source`. On a hit, the
-    /// rows the cached answer serves are extracted into `memory` by the
-    /// executor's own extraction, exactly as a live answer's are, and
-    /// returned ready for the executor's table.
-    ///
-    /// The hot tier is probed first (exact keys, then containment,
-    /// newest first); on a hot miss the warm tier's index is probed the
-    /// same way, the winning record re-read and re-checksummed off disk,
-    /// and the entry promoted back into the hot tier.
+    /// [`AnswerCache::lookup_rows`], with the rows absorbed into `memory`
+    /// as the executor absorbs every answer's.
     pub fn lookup(
         &self,
         source: Symbol,
@@ -399,6 +394,25 @@ impl AnswerCache {
         vars: &[ExtractVar],
         memory: &mut ObjectStore,
     ) -> Option<(Vec<Vec<BoundValue>>, CacheHit)> {
+        let (rows, kind) = self.lookup_rows(source, query, vars)?;
+        Some((absorb_all(&rows.store, rows.rows, memory), kind))
+    }
+
+    /// Look up an answer for `query` against `source`. On a hit, the
+    /// rows of `vars` the cached answer serves are read out of its kept
+    /// objects' carriers in place, over the cached store, exactly as a
+    /// live answer's carriers are read.
+    ///
+    /// The hot tier is probed first (exact keys, then containment,
+    /// newest first); on a hot miss the warm tier's index is probed the
+    /// same way, the winning record re-read and re-checksummed off disk,
+    /// and the entry promoted back into the hot tier.
+    pub fn lookup_rows(
+        &self,
+        source: Symbol,
+        query: &Rule,
+        vars: &[ExtractVar],
+    ) -> Option<(Rows, CacheHit)> {
         if !self.enabled_for(source) {
             return None;
         }
@@ -414,7 +428,7 @@ impl AnswerCache {
         self.expire(inner, source, now);
 
         // Hot probe: exact keys first (newest first), then containment.
-        let mut hot_hit: Option<(usize, Vec<Vec<BoundValue>>, CacheHit)> = None;
+        let mut hot_hit: Option<(usize, Rows, CacheHit)> = None;
         let examined = &mut inner.counts.objects_examined;
         if let Some(shard) = inner.hot.shard(source) {
             'probe: for kind in [CacheHit::Exact, CacheHit::Containment] {
@@ -429,11 +443,12 @@ impl AnswerCache {
                     // the entry's index lists under a pinned value.
                     let index = (!m.sigma.is_empty()).then(|| entry.answer.index(examined));
                     let answer = entry.answer.store();
-                    let Some(kept) = serve(&entry.extract, answer, index, &m, vars, examined)
+                    let Some(rows) = serve(&entry.extract, answer, index, &m, vars, examined)
+                        .and_then(|kept| kept.rows(answer))
                     else {
                         continue;
                     };
-                    hot_hit = Some((i, kept.extract(answer, memory), kind));
+                    hot_hit = Some((i, rows, kind));
                     break 'probe;
                 }
             }
@@ -451,7 +466,7 @@ impl AnswerCache {
         }
 
         // Warm probe.
-        let mut warm_hit: Option<(String, ObjectStore, Vec<Vec<BoundValue>>, CacheHit)> = None;
+        let mut warm_hit: Option<(String, Rows, CacheHit)> = None;
         if let Some(warm) = &inner.warm {
             if let Some(shard) = warm.entries(source) {
                 let order = shard
@@ -473,9 +488,12 @@ impl AnswerCache {
                     let Some(store) = warm.read_answer(we) else {
                         continue;
                     };
+                    let store = Arc::new(store);
                     // Nothing resident to index: the store was just re-read.
                     let examined = &mut inner.counts.objects_examined;
-                    let Some(kept) = serve(&we.extract, &store, None, &m, vars, examined) else {
+                    let Some(rows) = serve(&we.extract, &store, None, &m, vars, examined)
+                        .and_then(|kept| kept.rows(&store))
+                    else {
                         continue;
                     };
                     let kind = if we.key == key {
@@ -483,13 +501,12 @@ impl AnswerCache {
                     } else {
                         CacheHit::Containment
                     };
-                    let rows = kept.extract(&store, memory);
-                    warm_hit = Some((k.clone(), store, rows, kind));
+                    warm_hit = Some((k.clone(), rows, kind));
                     break;
                 }
             }
         }
-        if let Some((k, store, rows, kind)) = warm_hit {
+        if let Some((k, rows, kind)) = warm_hit {
             match kind {
                 CacheHit::Exact => inner.counts.hits += 1,
                 CacheHit::Containment => inner.counts.containment_hits += 1,
@@ -509,7 +526,7 @@ impl AnswerCache {
                     query: we.query.clone(),
                     extract: we.extract.clone(),
                     footprint: we.footprint.clone(),
-                    answer: CachedAnswer::new(Arc::new(store)),
+                    answer: CachedAnswer::new(Arc::clone(&rows.store)),
                     inserted_ms: we.inserted_ms,
                     size_bytes: we.size_bytes,
                     unit_cost_ms: we.unit_cost_ms,
@@ -529,6 +546,22 @@ impl AnswerCache {
         None
     }
 
+    /// Cache a freshly fetched answer given as rows: the answer store it
+    /// keeps is built from them — `query`'s head constructed once per row,
+    /// as the wrapper's own [`wrappers::Wrapper::query`] builds it — so
+    /// the entry holds the bytes a stored answer would.
+    pub fn insert_rows(&self, source: Symbol, query: &Rule, vars: &[ExtractVar], rows: &Rows) {
+        if !self.enabled_for(source) || self.opts.capacity == 0 {
+            return;
+        }
+        let names: Vec<Symbol> = vars.iter().map(|v| v.var).collect();
+        // A head the rows cannot rebuild is not cached: a later miss only
+        // costs a round-trip.
+        if let Ok(answer) = construct_answer(source, &query.head, &names, &rows.store, &rows.rows) {
+            self.insert_store(source, query, vars, answer);
+        }
+    }
+
     /// Cache a freshly fetched answer. Replaces an existing entry with
     /// the same canonical key; evicts the shard's lowest-value entry past
     /// capacity (losers demote when a warm tier is configured). With a
@@ -538,8 +571,12 @@ impl AnswerCache {
         if !self.enabled_for(source) || self.opts.capacity == 0 {
             return;
         }
+        self.insert_store(source, query, vars, answer.clone());
+    }
+
+    fn insert_store(&self, source: Symbol, query: &Rule, vars: &[ExtractVar], answer: ObjectStore) {
         let key = canonical_key(query);
-        let answer_text = oem::printer::print_store(answer);
+        let answer_text = oem::printer::print_store(&answer);
         let size_bytes = answer_text.len();
         let (unit_cost_ms, hit_boost) = self.value_inputs(source);
         let inserted_ms = self.clock.now_ms();
@@ -548,7 +585,7 @@ impl AnswerCache {
             query: query.clone(),
             extract: vars.to_vec(),
             footprint: rule_labels(query),
-            answer: CachedAnswer::new(Arc::new(answer.clone())),
+            answer: CachedAnswer::new(Arc::new(answer)),
             inserted_ms,
             size_bytes,
             unit_cost_ms,
@@ -1275,10 +1312,13 @@ struct Kept {
 }
 
 impl Kept {
-    /// The kept rows, extracted into `memory` as a live answer's are.
-    fn extract(&self, answer: &ObjectStore, memory: &mut ObjectStore) -> Vec<Vec<BoundValue>> {
-        extract_rows(answer, &self.roots, &self.vars, memory)
-            .expect("serve checked every carrier extraction reads")
+    /// The kept rows, read out of `answer`'s carriers in place as a live
+    /// answer's are. `serve` checked every carrier the reader reads.
+    fn rows(&self, answer: &Arc<ObjectStore>) -> Option<Rows> {
+        Some(Rows {
+            rows: read_carriers(answer, &self.roots, &self.vars).ok()?,
+            store: Arc::clone(answer),
+        })
     }
 }
 

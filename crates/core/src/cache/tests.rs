@@ -878,7 +878,10 @@ fn serve_both_ways(
 ) -> (Served, Served, usize) {
     let extract = extract_nyr();
     let m = specialize_match_rule(narrow, &people_query()).expect("contained");
-    let rows = |kept: Kept| kept.extract(answer, &mut ObjectStore::new());
+    let rows = |kept: Kept| {
+        let read = read_carriers(answer, &kept.roots, &kept.vars).unwrap();
+        absorb_all(answer, read, &mut ObjectStore::new())
+    };
     let (mut scan_examined, mut built, mut examined) = (0, 0, 0);
     let scanned = serve(&extract, answer, None, &m, vars, &mut scan_examined).map(rows);
     assert!(!m.sigma.is_empty(), "the probe pins a variable");

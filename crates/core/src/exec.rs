@@ -35,10 +35,8 @@
 
 use crate::cache::{AnswerCache, CacheHit};
 use crate::error::{MedError, Result};
-use crate::externals::ExternalRegistry;
-use crate::graph::{
-    carrier_label, find_carrier, ExtractVar, Node, PhysicalPlan, RulePlan, VarKind,
-};
+use crate::externals::{Callee, ExternalRegistry};
+use crate::graph::{ExtractVar, Node, PhysicalPlan, RulePlan, VarKind};
 use crate::metrics::{NodeMetrics, NodeTrace, Observation, QueryTrace, RuleTrace};
 use crate::retry::{CircuitBreaker, FaultOptions, OnSourceFailure, Sleeper, ThreadSleeper};
 use crate::table::BindingTable;
@@ -48,13 +46,13 @@ use engine::construct::Constructor;
 use engine::matcher::{atomic_eq, atomic_key};
 use engine::subst::{fill_params_rule, Subst};
 use msl::{Rule, TailItem, Term};
-use oem::{copy, ObjectStore, Symbol, Value};
+use oem::{copy, ObjId, ObjectStore, Symbol, Value};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 use wrappers::fault::{Clock, SystemClock};
-use wrappers::{Wrapper, WrapperError};
+use wrappers::{Rows, Wrapper, WrapperError};
 
 /// Execution options.
 #[derive(Clone, Debug)]
@@ -116,7 +114,7 @@ type ParamMemoKey = (usize, Vec<Value>);
 /// one answer — while the map lock is released before any I/O, so
 /// distinct tuples and distinct sources fetch concurrently. A failed
 /// fetch leaves the slot empty; the next chain to need the tuple retries.
-type ParamSlot = Arc<Mutex<Option<Arc<ObjectStore>>>>;
+type ParamSlot = Arc<Mutex<Option<Arc<Rows>>>>;
 
 /// The parameterized-query memo of one execution: the answers to bound
 /// parameter tuples its chains have already fetched, keyed by the
@@ -261,16 +259,15 @@ struct OpMeter {
     rendered: String,
 }
 
-/// A partially-extracted source answer: rows already pulled out, plus the
-/// not-yet-read remainder of the wrapper's answer store. Rows are read out
-/// of the answer in place; only the objects they bind enter chain memory.
+/// A partially-absorbed source answer: rows already absorbed into chain
+/// memory, plus the not-yet-absorbed remainder of the wrapper's rows.
 struct ExtSource {
     ext: Vec<Vec<BoundValue>>,
-    /// `Some` while top-level results remain: the answer store, the cursor
-    /// into its top level, and the persistent old-id → new-id map through
-    /// which every chunk copies its bound objects, so an object shared
-    /// across rows or chunks is copied once.
-    rest: Option<(Arc<ObjectStore>, usize, HashMap<oem::ObjId, oem::ObjId>)>,
+    /// `Some` while answer rows remain: the rows, the cursor into them,
+    /// and the answer's one old-id → new-id map through which every chunk
+    /// is absorbed, so an object shared across rows or chunks is copied
+    /// once.
+    rest: Option<(Rows, usize, HashMap<ObjId, ObjId>)>,
 }
 
 impl ExtSource {
@@ -281,10 +278,10 @@ impl ExtSource {
         }
     }
 
-    fn from_store(store: Arc<ObjectStore>) -> ExtSource {
+    fn from_answer(answer: Rows) -> ExtSource {
         ExtSource {
             ext: Vec::new(),
-            rest: Some((store, 0, HashMap::new())),
+            rest: Some((answer, 0, HashMap::new())),
         }
     }
 
@@ -292,35 +289,26 @@ impl ExtSource {
         self.rest.is_none()
     }
 
-    /// Extract up to `n` more result objects' binding rows into `ext`.
-    fn extract_more(
-        &mut self,
-        vars: &[ExtractVar],
-        memory: &mut ObjectStore,
-        counters: &mut NodeMetrics,
-        n: usize,
-    ) -> Result<()> {
-        let Some((store, cursor, map)) = &mut self.rest else {
-            return Ok(());
+    /// Absorb up to `n` more answer rows into `ext`.
+    fn extract_more(&mut self, memory: &mut ObjectStore, counters: &mut NodeMetrics, n: usize) {
+        let Some((answer, cursor, map)) = &mut self.rest else {
+            return;
         };
-        let top = store.top_level();
-        let end = cursor.saturating_add(n.max(1)).min(top.len());
+        let end = cursor.saturating_add(n.max(1)).min(answer.rows.len());
         counters.bindings_produced += end - *cursor;
-        let carriers = carrier_labels(vars);
-        for &root in &top[*cursor..end] {
-            self.ext
-                .push(extract_row(store, root, vars, &carriers, memory, map)?);
+        for row in &mut answer.rows[*cursor..end] {
+            let row = std::mem::take(row);
+            self.ext.push(absorb(&answer.store, row, memory, map));
         }
         *cursor = end;
-        if *cursor >= top.len() {
+        if *cursor >= answer.rows.len() {
             self.rest = None;
         }
-        Ok(())
     }
 }
 
-/// Probe the answer cache for `query`. A hit serves the cached rows
-/// straight into `memory` and counts as an exact or containment hit. Its
+/// Probe the answer cache for `query`. A hit's rows are absorbed into
+/// `memory` and it counts as an exact or containment hit. Its
 /// row count is a real cardinality the source once returned for this
 /// query, so it *is* recorded as a §3.5 observation — otherwise a
 /// cache-heavy workload starves the EWMA feed. What a hit must never feed
@@ -336,7 +324,8 @@ fn cache_probe(
     counters: &mut NodeMetrics,
 ) -> Option<Vec<Vec<BoundValue>>> {
     let cache = ctx.cache.filter(|c| c.enabled_for(source))?;
-    let (rows, kind) = cache.lookup(source, query, vars, memory)?;
+    let (answer, kind) = cache.lookup_rows(source, query, vars)?;
+    let rows = absorb_all(&answer.store, answer.rows, memory);
     match kind {
         CacheHit::Exact => {
             counters.cache_hits += 1;
@@ -357,8 +346,8 @@ fn cache_probe(
 }
 
 /// Resolve a non-parameterized source query to an [`ExtSource`]. Cache
-/// hits arrive fully extracted; a fresh round-trip keeps the result store
-/// so rows are extracted chunk by chunk as downstream ops pull.
+/// hits arrive fully absorbed; a fresh round-trip keeps the answer's rows
+/// so they are absorbed chunk by chunk as downstream ops pull.
 fn open_ext_source(
     source: Symbol,
     query: &Rule,
@@ -371,8 +360,8 @@ fn open_ext_source(
     if let Some(rows) = cache_probe(source, query, vars, memory, ctx, stats, counters) {
         return Ok(ExtSource::from_rows(rows));
     }
-    let result = fetch_store(source, query, vars, 0, ctx, stats, counters)?;
-    Ok(ExtSource::from_store(Arc::new(result)))
+    let answer = fetch_rows(source, query, vars, 0, ctx, stats, counters)?;
+    Ok(ExtSource::from_answer(answer))
 }
 
 /// The inner-side state a hash join builds on first input.
@@ -427,9 +416,14 @@ enum OpKind<'p> {
         pred: Symbol,
         args: &'p [Term],
         new_vars: &'p [Symbol],
-        /// The input columns `args` name, as (variable, position): the
-        /// only bindings a row hands the predicate.
-        arg_cols: Vec<(Symbol, usize)>,
+        /// Where each argument's value comes from in a row.
+        arg_src: Vec<ArgSrc<'p>>,
+        /// Per new variable, the argument position it is read from.
+        new_pos: Vec<Option<usize>>,
+        /// The implementation resolved for each bound/free mask met so
+        /// far: a column can hold an atom in one row and an object in
+        /// another.
+        resolved: Vec<(Vec<bool>, Callee)>,
     },
     RestFilter {
         var: Symbol,
@@ -458,6 +452,18 @@ enum OpKind<'p> {
         /// across batches.
         seen: std::collections::HashSet<Vec<BoundValue>>,
     },
+}
+
+/// Where an external predicate's argument comes from in an input row.
+enum ArgSrc<'p> {
+    /// A constant of the call.
+    Const(&'p Value),
+    /// An input column: its atom, or nothing when it holds an object.
+    Col(usize),
+    /// A variable the row does not bind, at the first position it takes.
+    Unbound(usize),
+    /// A term no row can give a value.
+    Other,
 }
 
 /// One op in a chain pipeline. `ops[0]` is the synthetic unit
@@ -489,7 +495,7 @@ struct StreamEnv<'a, 'b> {
 /// Build the op pipeline for one rule plan. Each op's output columns are
 /// its input columns followed by the variables the node newly binds;
 /// dup-elim instead projects onto its variable list.
-fn build_ops(rule_plan: &RulePlan) -> Vec<OpState<'_>> {
+fn build_ops(rule_plan: &RulePlan) -> Result<Vec<OpState<'_>>> {
     let mut ops: Vec<OpState<'_>> = Vec::with_capacity(rule_plan.nodes.len() + 1);
     ops.push(OpState {
         in_cols: Vec::new(),
@@ -560,13 +566,22 @@ fn build_ops(rule_plan: &RulePlan) -> Vec<OpState<'_>> {
                     pred: *pred,
                     args,
                     new_vars,
-                    arg_cols: args
-                        .iter()
-                        .filter_map(|t| match t {
-                            Term::Var(v) => in_cols.iter().position(|c| c == v).map(|i| (*v, i)),
-                            _ => None,
+                    arg_src: (args.iter().enumerate())
+                        .map(|(k, t)| match t {
+                            Term::Const(c) => ArgSrc::Const(c),
+                            Term::Var(v) => match in_cols.iter().position(|c| c == v) {
+                                Some(ci) => ArgSrc::Col(ci),
+                                None => {
+                                    ArgSrc::Unbound(args.iter().position(|a| a == t).unwrap_or(k))
+                                }
+                            },
+                            _ => ArgSrc::Other,
                         })
                         .collect(),
+                    new_pos: (new_vars.iter())
+                        .map(|v| args.iter().position(|a| *a == Term::Var(*v)))
+                        .collect(),
+                    resolved: Vec::new(),
                 },
             ),
             Node::RestFilter { var, condition } => (
@@ -587,11 +602,13 @@ fn build_ops(rule_plan: &RulePlan) -> Vec<OpState<'_>> {
                 let inner_key_idx: Vec<usize> = join_vars
                     .iter()
                     .map(|v| {
-                        vars.iter()
-                            .position(|e| e.var == *v)
-                            .expect("planner included join vars in extraction")
+                        vars.iter().position(|e| e.var == *v).ok_or_else(|| {
+                            MedError::Planning(format!(
+                                "join variable {v} missing from the @{source} extraction"
+                            ))
+                        })
                     })
-                    .collect();
+                    .collect::<Result<_>>()?;
                 let keep_inner: Vec<usize> = (0..vars.len())
                     .filter(|i| !inner_key_idx.contains(i))
                     .collect();
@@ -641,7 +658,7 @@ fn build_ops(rule_plan: &RulePlan) -> Vec<OpState<'_>> {
             kind,
         });
     }
-    ops
+    Ok(ops)
 }
 
 /// Pull the next batch from `ops[i]`, with per-op bookkeeping (inclusive
@@ -741,7 +758,7 @@ fn pull_inner(
                 let s = src.as_mut().expect("source opened above");
                 let (row, idx) = cur.as_mut().expect("current row ensured above");
                 while *idx >= s.ext.len() && !s.fully_extracted() {
-                    s.extract_more(vars, env.memory, &mut op.meter.metrics, cap)?;
+                    s.extract_more(env.memory, &mut op.meter.metrics, cap);
                 }
                 if *idx >= s.ext.len() {
                     *cur = None; // row fully crossed with the extraction
@@ -880,9 +897,13 @@ fn pull_inner(
             pred,
             args,
             new_vars,
-            arg_cols,
+            arg_src,
+            new_pos,
+            resolved,
         } => {
             let mut out: Batch = Vec::new();
+            let registry = env.ctx.registry;
+            let mut values: Vec<Option<Value>> = Vec::with_capacity(args.len());
             while out.is_empty() {
                 if op.upstream_done {
                     break;
@@ -893,18 +914,47 @@ fn pull_inner(
                         op.meter.metrics.rows_in += batch.len();
                         let mut produced = 0usize;
                         for row in &batch {
-                            let mut b = Bindings::new();
-                            for &(v, ci) in arg_cols.iter() {
-                                b.bind_mut(v, row[ci].clone());
-                            }
-                            for nb in env.ctx.registry.evaluate(*pred, args, &b)? {
+                            values.clear();
+                            values.extend(arg_src.iter().map(|src| match src {
+                                ArgSrc::Const(c) => Some((*c).clone()),
+                                ArgSrc::Col(ci) => row[*ci].as_atom().cloned(),
+                                ArgSrc::Unbound(_) | ArgSrc::Other => None,
+                            }));
+                            let same_mask = |(mask, _): &&(Vec<bool>, Callee)| {
+                                mask.iter().copied().eq(values.iter().map(Option::is_some))
+                            };
+                            let callee = match resolved.iter().find(same_mask) {
+                                Some(&(_, callee)) => callee,
+                                None => {
+                                    let mask: Vec<bool> =
+                                        values.iter().map(Option::is_some).collect();
+                                    let callee = registry.resolve(*pred, args, &mask)?;
+                                    resolved.push((mask, callee));
+                                    callee
+                                }
+                            };
+                            'answer: for full in registry.call(callee, *pred, args, &values)? {
+                                // A produced value must agree with a column
+                                // holding an object (never) and with the
+                                // variable's first position.
+                                for (k, src) in arg_src.iter().enumerate() {
+                                    let agrees = match src {
+                                        ArgSrc::Col(_) => values[k].is_some(),
+                                        ArgSrc::Unbound(first) => full[k] == full[*first],
+                                        ArgSrc::Const(_) | ArgSrc::Other => true,
+                                    };
+                                    if !agrees {
+                                        continue 'answer;
+                                    }
+                                }
                                 let mut r = row.clone();
-                                for v in new_vars.iter() {
-                                    r.push(nb.get(*v).cloned().ok_or_else(|| {
-                                        MedError::External(format!(
+                                for (v, pos) in new_vars.iter().zip(new_pos.iter()) {
+                                    let Some(pos) = pos else {
+                                        return Err(MedError::External(format!(
                                             "{pred} did not bind {v} as planned"
-                                        ))
-                                    })?);
+                                        )));
+                                    };
+                                    r.push(BoundValue::Atom(full[*pos].clone()));
                                 }
                                 if out.len() < cap {
                                     out.push(r);
@@ -1145,7 +1195,7 @@ fn run_chain(
     let chain_start = Instant::now();
     let mut memory = ObjectStore::with_oid_prefix("x");
     let mut stats = ChainStats::default();
-    let mut ops = build_ops(rule_plan);
+    let mut ops = build_ops(rule_plan)?;
     let last = ops.len() - 1;
     let failed;
     {
@@ -1530,9 +1580,10 @@ fn query_with_retry(
     wrapper: &Arc<dyn Wrapper>,
     source: Symbol,
     query: &Rule,
+    vars: &[ExtractVar],
     ctx: &ChainCtx<'_>,
     stats: &mut ChainStats,
-) -> Result<ObjectStore> {
+) -> Result<Rows> {
     let rt = ctx.fault;
     if rt.circuit.is_open(source) {
         return Err(MedError::SourceUnavailable {
@@ -1551,7 +1602,7 @@ fn query_with_retry(
             *stats.trace.retries.entry(source).or_insert(0) += 1;
         }
         let started = rt.clock.now_ms();
-        let mut outcome = wrapper.query(query);
+        let mut outcome = wrapper.query_rows(query, vars);
         if let Some(deadline) = rt.opts.source_deadline_ms {
             let elapsed = rt.clock.now_ms().saturating_sub(started);
             if outcome.is_ok() && elapsed > deadline {
@@ -1592,13 +1643,12 @@ fn query_with_retry(
     })
 }
 
-/// Send a query to a source and extract the `bind_for_*` variables from
-/// each result object ([`extract_rows`]) — the all-at-once form the
-/// hash-join build side and parameterized queries need. Of the answer
-/// (§3.4: "the result of Qw is placed in the mediator's memory") only the
-/// objects bound to object and set variables enter the chain's memory.
-/// The answer cache (when enabled) intercepts the round-trip, see
-/// [`cache_probe`].
+/// Send a query to a source and absorb its rows ([`absorb_all`]) — the
+/// all-at-once form the hash-join build side and parameterized queries
+/// need. Of the answer (§3.4: "the result of Qw is placed in the
+/// mediator's memory") only the objects bound to object and set variables
+/// enter the chain's memory. The answer cache (when enabled) intercepts
+/// the round-trip, see [`cache_probe`].
 #[allow(clippy::too_many_arguments)]
 fn run_and_extract(
     source: Symbol,
@@ -1617,22 +1667,27 @@ fn run_and_extract(
     // may already have fetched this exact tuple. Only the tuple's own
     // slot lock is held across the fetch — chains after the same tuple
     // wait for the one round-trip; everything else proceeds.
-    let result = match shared_key {
+    let answer = match shared_key {
         Some(shared_key) => {
             let slot = ctx.param_memo.slot(shared_key());
             let mut filled = slot.lock();
-            match &mut *filled {
-                Some(store) => Arc::clone(store),
+            let answer = match &mut *filled {
+                Some(answer) => Arc::clone(answer),
                 empty => {
-                    let result = fetch_store(source, query, vars, 1, ctx, stats, counters)?;
-                    Arc::clone(empty.insert(Arc::new(result)))
+                    let answer = fetch_rows(source, query, vars, 1, ctx, stats, counters)?;
+                    Arc::clone(empty.insert(Arc::new(answer)))
                 }
-            }
+            };
+            drop(filled);
+            absorb_all(&answer.store, answer.rows.iter().cloned(), memory)
         }
-        None => Arc::new(fetch_store(source, query, vars, 0, ctx, stats, counters)?),
+        None => {
+            let answer = fetch_rows(source, query, vars, 0, ctx, stats, counters)?;
+            absorb_all(&answer.store, answer.rows, memory)
+        }
     };
-    counters.bindings_produced += result.top_level().len();
-    extract_rows(&result, result.top_level(), vars, memory)
+    counters.bindings_produced += answer.len();
+    Ok(answer)
 }
 
 /// The [`ParamMemo`] key of `tuple` under the parameterized `query`, whose
@@ -1760,25 +1815,41 @@ fn prefetch_tuples(
     for (k, (tuple, _)) in open.iter().enumerate() {
         let slot = held[k].as_deref().expect("every slot locked above");
         match slot.clone() {
-            Some(store) => {
+            Some(answer) => {
                 held[k] = None;
-                counters.bindings_produced += store.top_level().len();
-                let rows = extract_rows(&store, store.top_level(), vars, env.memory)?;
+                counters.bindings_produced += answer.rows.len();
+                let rows = absorb_all(&answer.store, answer.rows.iter().cloned(), env.memory);
                 memo.insert(tuple.clone(), std::rc::Rc::new(rows));
             }
             None => fetch.push(k),
         }
     }
-    let answers: Vec<ObjectStore> = match fetch[..] {
+    let answers: Vec<Rows> = match fetch[..] {
         [] => return Ok(()),
-        [k] => vec![fetch_store(
+        [k] => vec![fetch_rows(
             source, &open[k].1, vars, 1, ctx, env.stats, counters,
         )?],
         _ => {
             let asked: Vec<&[Value]> = fetch.iter().map(|&k| open[k].0.as_slice()).collect();
             let batched = valueset::restrict(template, params, &asked);
-            let answer = call_source(source, &batched, asked.len(), ctx, env.stats, counters)?;
-            let answers = valueset::split_answer(&answer, source, params, &asked)?;
+            // The batched query exports each parameter after the node's own
+            // variables, so its answer says which tuple each row belongs to.
+            let carried: Vec<ExtractVar> = (vars.iter().cloned())
+                .chain(params.iter().map(|&var| ExtractVar {
+                    var,
+                    kind: VarKind::Scalar,
+                }))
+                .collect();
+            let answer = call_source(
+                source,
+                &batched,
+                &carried,
+                asked.len(),
+                ctx,
+                env.stats,
+                counters,
+            )?;
+            let answers = valueset::split_answer(&answer, vars.len(), &asked);
             for (&k, answer) in fetch.iter().zip(&answers) {
                 record_answer(source, &open[k].1, vars, answer, ctx, env.stats);
             }
@@ -1790,8 +1861,8 @@ fn prefetch_tuples(
         let mut slot = held[k].take().expect("an open tuple's slot is still held");
         *slot = Some(Arc::clone(&answer));
         drop(slot);
-        counters.bindings_produced += answer.top_level().len();
-        let rows = extract_rows(&answer, answer.top_level(), vars, env.memory)?;
+        counters.bindings_produced += answer.rows.len();
+        let rows = absorb_all(&answer.store, answer.rows.iter().cloned(), env.memory);
         memo.insert(open[k].0.clone(), std::rc::Rc::new(rows));
     }
     Ok(())
@@ -1804,11 +1875,12 @@ fn prefetch_tuples(
 fn call_source(
     source: Symbol,
     query: &Rule,
+    vars: &[ExtractVar],
     tuples: usize,
     ctx: &ChainCtx<'_>,
     stats: &mut ChainStats,
     counters: &mut NodeMetrics,
-) -> Result<ObjectStore> {
+) -> Result<Rows> {
     let wrapper = ctx
         .sources
         .get(&source)
@@ -1825,7 +1897,7 @@ fn call_source(
         counters.cache_misses += lookups;
         *stats.trace.cache_misses.entry(source).or_insert(0) += lookups;
     }
-    let outcome = query_with_retry(wrapper, source, query, ctx, stats);
+    let outcome = query_with_retry(wrapper, source, query, vars, ctx, stats);
     if let Some(cache) = ctx.cache {
         match &outcome {
             Ok(_) => cache.mark_ok(source),
@@ -1842,23 +1914,23 @@ fn record_answer(
     source: Symbol,
     query: &Rule,
     vars: &[ExtractVar],
-    answer: &ObjectStore,
+    answer: &Rows,
     ctx: &ChainCtx<'_>,
     stats: &mut ChainStats,
 ) {
     if let Some(cache) = ctx.cache {
-        cache.insert(source, query, vars, answer);
+        cache.insert_rows(source, query, vars, answer);
     }
     // Keyed by the first tail pattern's label.
     stats.trace.observations.push(Observation {
         source,
         label: query_label(query),
-        count: answer.top_level().len(),
+        count: answer.rows.len(),
     });
 }
 
 /// The round-trip for one query: [`call_source`], then [`record_answer`].
-fn fetch_store(
+fn fetch_rows(
     source: Symbol,
     query: &Rule,
     vars: &[ExtractVar],
@@ -1866,10 +1938,10 @@ fn fetch_store(
     ctx: &ChainCtx<'_>,
     stats: &mut ChainStats,
     counters: &mut NodeMetrics,
-) -> Result<ObjectStore> {
-    let result = call_source(source, query, tuples, ctx, stats, counters)?;
-    record_answer(source, query, vars, &result, ctx, stats);
-    Ok(result)
+) -> Result<Rows> {
+    let answer = call_source(source, query, vars, tuples, ctx, stats, counters)?;
+    record_answer(source, query, vars, &answer, ctx, stats);
+    Ok(answer)
 }
 
 /// The first tail pattern's constant label — the key §3.5 cardinality
@@ -1884,69 +1956,42 @@ fn query_label(query: &Rule) -> Option<Symbol> {
     })
 }
 
-/// Pull the binding rows out of `roots`, `bind_for_*` objects of a source
-/// answer, reading the answer in place: one old-id → new-id map serves
-/// every row, so an object two rows bind is copied into `memory` once. A
-/// live answer passes its `top_level()`; a cache hit, the roots it keeps.
-pub(crate) fn extract_rows(
-    answer: &ObjectStore,
-    roots: &[oem::ObjId],
-    vars: &[ExtractVar],
+/// Absorb an answer's rows into chain memory: [`absorb`] through one
+/// old-id → new-id map for all of them, so an object two rows bind is
+/// copied into `memory` once. Every answer enters a chain this way — a
+/// live one, a memo slot's, a split tuple's, a cache hit's.
+pub(crate) fn absorb_all(
+    store: &ObjectStore,
+    rows: impl IntoIterator<Item = Vec<BoundValue>>,
     memory: &mut ObjectStore,
-) -> Result<Vec<Vec<BoundValue>>> {
-    let carriers = carrier_labels(vars);
+) -> Vec<Vec<BoundValue>> {
     let mut map = HashMap::new();
-    roots
-        .iter()
-        .map(|&root| extract_row(answer, root, vars, &carriers, memory, &mut map))
+    rows.into_iter()
+        .map(|row| absorb(store, row, memory, &mut map))
         .collect()
 }
 
-/// The carrier label of each extraction variable, in `vars` order.
-fn carrier_labels(vars: &[ExtractVar]) -> Vec<Symbol> {
-    vars.iter().map(|v| carrier_label(v.var)).collect()
-}
-
-/// Pull variable bindings out of one `bind_for_*` object `root` of
-/// `answer`; `carriers` is [`carrier_labels`] of `vars`. Atoms are cloned
-/// out. The objects an object or set variable binds are deep-copied into
-/// `memory` through `map`, the caller's persistent old-id → new-id map;
-/// the root and its carriers are never copied.
-fn extract_row(
-    answer: &ObjectStore,
-    root: oem::ObjId,
-    vars: &[ExtractVar],
-    carriers: &[Symbol],
+/// One answer row into chain memory: the objects an object or set
+/// variable binds are deep-copied out of `store` through `map`, the
+/// answer's persistent old-id → new-id map, and the row now names the
+/// copies; atoms stay as they are.
+fn absorb(
+    store: &ObjectStore,
+    mut row: Vec<BoundValue>,
     memory: &mut ObjectStore,
-    map: &mut HashMap<oem::ObjId, oem::ObjId>,
-) -> Result<Vec<BoundValue>> {
-    let mut row = Vec::with_capacity(vars.len());
-    for (v, &carrier_label) in vars.iter().zip(carriers) {
-        let carrier = find_carrier(answer, root, carrier_label).ok_or_else(|| {
-            MedError::Wrapper(format!(
-                "source result lacks the {carrier_label} carrier object"
-            ))
-        })?;
-        let value = match (&answer.get(carrier).value, v.kind) {
-            (oem::Value::Set(kids), VarKind::Object) => {
-                let Some(first) = kids.first() else {
-                    return Err(MedError::Wrapper(format!(
-                        "empty carrier for object variable {}",
-                        v.var
-                    )));
-                };
-                let copied =
-                    copy::deep_copy_all_into(answer, std::slice::from_ref(first), memory, map);
-                BoundValue::Obj(copied[0])
-            }
-            (oem::Value::Set(kids), VarKind::Scalar) => {
-                BoundValue::ObjSet(copy::deep_copy_all_into(answer, kids, memory, map))
-            }
-            (atomic, _) => BoundValue::Atom(atomic.clone()),
+    map: &mut HashMap<ObjId, ObjId>,
+) -> Vec<BoundValue> {
+    for value in &mut row {
+        let ids = match value {
+            BoundValue::Atom(_) => continue,
+            BoundValue::Obj(id) => std::slice::from_mut(id),
+            BoundValue::ObjSet(ids) => ids.as_mut_slice(),
         };
-        row.push(value);
+        for id in ids {
+            *id = copy::deep_copy_into(store, *id, memory, map);
+        }
     }
-    Ok(row)
+    row
 }
 
 #[cfg(test)]
@@ -2281,6 +2326,105 @@ mod tests {
         assert!(out.results.top_level().is_empty());
         // cs should never be contacted: the whois result was empty.
         assert_eq!(out.trace.calls(sym("cs")), 0);
+    }
+
+    #[test]
+    fn a_hand_built_join_missing_its_key_is_an_error_not_a_panic() {
+        // The hash join's key `N` is not among the variables its query
+        // extracts: planning never builds this, a hand-built plan can.
+        let scalar = |v: &str| ExtractVar {
+            var: sym(v),
+            kind: VarKind::Scalar,
+        };
+        let plan = PhysicalPlan {
+            rules: vec![RulePlan {
+                nodes: vec![
+                    Node::Query {
+                        source: sym("whois"),
+                        query: msl::parse_rule(
+                            "<bind_for_whois {<bind_for_N N>}> :- <person {<name N>}>@whois",
+                        )
+                        .unwrap(),
+                        vars: vec![scalar("N")],
+                    },
+                    Node::HashJoin {
+                        source: sym("cs"),
+                        query: msl::parse_rule(
+                            "<bind_for_cs {<bind_for_FN FN>}> :- <R {<first_name FN>}>@cs",
+                        )
+                        .unwrap(),
+                        vars: vec![scalar("FN")],
+                        join_vars: vec![sym("N")],
+                    },
+                ],
+                estimates: Vec::new(),
+                head: msl::parse_rule("<x {<n N>}> :- <p {<n N>}>@s")
+                    .unwrap()
+                    .head,
+            }],
+            ..PhysicalPlan::default()
+        };
+        let err = execute(
+            &plan,
+            &sources(),
+            &standard_registry(),
+            &ExecOptions::default(),
+        )
+        .err()
+        .expect("the plan cannot run");
+        assert!(
+            matches!(&err, MedError::Planning(m) if m.contains("join variable N")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn dup_elim_drops_rows_equal_after_projection() {
+        // `A` holds two `k`s, each met once at `t`: the joined rows differ
+        // in K until the projection onto the head's N. The final
+        // structural dedup would hide a DupElim that kept them; its own
+        // counters do not.
+        let source = |name: &str, text: &str| -> Arc<dyn Wrapper> {
+            let store = oem::parser::parse_store(text).unwrap();
+            Arc::new(wrappers::SemiStructuredWrapper::new(name, store))
+        };
+        let mut srcs: HashMap<Symbol, Arc<dyn Wrapper>> = HashMap::new();
+        srcs.insert(
+            sym("s"),
+            source(
+                "s",
+                "<&a1, p, set, {<&n1, n, 'A'> <&k1, k, 1>}>
+                 <&a2, p, set, {<&n2, n, 'A'> <&k2, k, 2>}>",
+            ),
+        );
+        srcs.insert(
+            sym("t"),
+            source(
+                "t",
+                "<&b1, q, set, {<&j1, k, 1>}> <&b2, q, set, {<&j2, k, 2>}>",
+            ),
+        );
+        let (_, physical) = expand_and_plan(
+            "<who {<n N>}> :- <p {<n N> <k K>}>@s AND <q {<k K>}>@t",
+            "W :- W:<who {}>@med",
+            &srcs,
+            &PlannerOptions::default(),
+        );
+        let out = execute(
+            &physical,
+            &srcs,
+            &standard_registry(),
+            &ExecOptions::default(),
+        )
+        .unwrap();
+        let dup_elim = out.trace.rules[0].nodes.last().unwrap();
+        assert_eq!(dup_elim.op, "dup elim");
+        assert_eq!(
+            (dup_elim.metrics.rows_in, dup_elim.metrics.rows_out),
+            (2, 1)
+        );
+        assert_eq!(out.trace.result_dedup_removed, 0);
+        assert_eq!(out.results.top_level().len(), 1);
     }
 
     // ---- in-place extraction ---------------------------------------------

@@ -42,13 +42,6 @@ impl ExternalImpl {
             .filter(|a| **a == Adornment::Bound)
             .count()
     }
-
-    /// Can this implementation be called on `args`, given which of them
-    /// are `bound` (every Bound position must be)?
-    pub(crate) fn accepts(&self, args: &[Term], bound: impl Fn(&Term) -> bool) -> bool {
-        self.adornment.len() == args.len()
-            && (self.adornment.iter().zip(args)).all(|(a, t)| *a == Adornment::Free || bound(t))
-    }
 }
 
 /// The registry of external predicate implementations.
@@ -85,89 +78,133 @@ impl ExternalRegistry {
         self.impls.iter().find(|i| i.func == func)
     }
 
-    /// All implementations of a predicate.
-    pub fn impls_for(&self, pred: Symbol) -> Vec<&ExternalImpl> {
-        self.impls.iter().filter(|i| i.pred == pred).collect()
-    }
-
     /// Can `pred(args)` be evaluated under `bindings` (some implementation
     /// has every Bound position available)? Built-ins need both arguments
     /// bound, except `eq` which can bind one side.
     pub fn callable(&self, pred: Symbol, args: &[Term], b: &Bindings) -> bool {
+        let bound: Vec<bool> = args.iter().map(|t| term_value(t, b).is_some()).collect();
+        self.resolve(pred, args, &bound).is_ok()
+    }
+
+    /// Which implementation answers `pred(args)` when exactly the
+    /// positions `bound` marks hold values: a built-in needs both sides
+    /// (`eq` one); otherwise the callable implementation with the most
+    /// bound positions (an all-bound check beats a generator, §2 fn. 2),
+    /// among equals the first registered.
+    pub fn resolve(&self, pred: Symbol, args: &[Term], bound: &[bool]) -> Result<Callee> {
         if is_builtin(pred) {
-            let bound = args.iter().filter(|t| term_value(t, b).is_some()).count();
-            return bound == args.len()
-                || (pred == Symbol::intern("eq") && bound + 1 == args.len());
+            let n = bound.iter().filter(|b| **b).count();
+            return if n == args.len() || (pred == Symbol::intern("eq") && n + 1 == args.len()) {
+                Ok(Callee::Builtin)
+            } else {
+                Err(MedError::External(format!(
+                    "{pred} requires bound arguments"
+                )))
+            };
         }
-        self.impls_for(pred)
+        let callable = |imp: &ExternalImpl| {
+            imp.pred == pred
+                && imp.adornment.len() == args.len()
+                && (imp.adornment.iter().zip(bound)).all(|(a, b)| *a == Adornment::Free || *b)
+        };
+        (self.impls.iter().enumerate())
+            .filter(|(_, imp)| callable(imp))
+            .min_by_key(|(_, imp)| std::cmp::Reverse(imp.bound_count()))
+            .map(|(i, _)| Callee::Impl(i))
+            .ok_or_else(|| {
+                MedError::External(format!(
+                    "no callable implementation of {pred}/{} for the available bindings",
+                    args.len()
+                ))
+            })
+    }
+
+    /// Call what [`ExternalRegistry::resolve`] chose on `values`, one per
+    /// argument (`None` where unbound). Returns one full argument tuple
+    /// per answer: bound positions as given, free ones as produced. A free
+    /// position given a value, or holding a constant, keeps only answers
+    /// that agree with it; a variable at two free positions is the
+    /// caller's to check.
+    pub fn call(
+        &self,
+        callee: Callee,
+        pred: Symbol,
+        args: &[Term],
+        values: &[Option<Value>],
+    ) -> Result<Vec<Vec<Value>>> {
+        let imp = match callee {
+            Callee::Builtin => return call_builtin(pred, args, values),
+            Callee::Impl(i) => &self.impls[i],
+        };
+        let mut inputs = Vec::new();
+        for (k, a) in imp.adornment.iter().enumerate() {
+            if *a == Adornment::Bound {
+                let Some(v) = &values[k] else {
+                    return Err(MedError::External(format!(
+                        "{} takes argument {} bound",
+                        imp.func,
+                        k + 1
+                    )));
+                };
+                inputs.push(v.clone());
+            }
+        }
+        let free = imp
+            .adornment
             .iter()
-            .any(|imp| imp.accepts(args, |t| term_value(t, b).is_some()))
+            .filter(|a| **a == Adornment::Free)
+            .count();
+        let mut out = Vec::new();
+        'tuple: for tuple in (imp.f)(&inputs) {
+            if tuple.len() != free {
+                return Err(MedError::External(format!(
+                    "implementation {} returned a tuple of wrong arity",
+                    imp.func
+                )));
+            }
+            let mut produced = tuple.into_iter();
+            let mut full = Vec::with_capacity(args.len());
+            for ((a, t), given) in imp.adornment.iter().zip(args).zip(values) {
+                let Some(v) = given.as_ref().filter(|_| *a == Adornment::Bound) else {
+                    // A free position: what the implementation produced.
+                    let v = produced.next().expect("arity checked above");
+                    let agrees = match (t, given) {
+                        (Term::Const(c), _) => engine::matcher::atomic_eq(c, &v),
+                        (Term::Var(_), Some(given)) => *given == v,
+                        (Term::Var(_), None) => true,
+                        _ => {
+                            return Err(MedError::External(format!(
+                                "unsupported argument term in {pred}"
+                            )))
+                        }
+                    };
+                    if !agrees {
+                        continue 'tuple;
+                    }
+                    full.push(v);
+                    continue;
+                };
+                full.push(v.clone());
+            }
+            out.push(full);
+        }
+        Ok(out)
     }
 
     /// Evaluate `pred(args)` under `bindings`, returning the extended
     /// binding sets (empty = predicate fails; singleton identity = check
     /// succeeded).
     pub fn evaluate(&self, pred: Symbol, args: &[Term], b: &Bindings) -> Result<Vec<Bindings>> {
-        if is_builtin(pred) {
-            return eval_builtin(pred, args, b);
-        }
-
-        // Prefer the implementation with the most bound positions among the
-        // callable ones (an all-bound check beats a generator, §2 fn. 2);
-        // among equals, the first registered.
-        let Some(imp) = self
-            .impls_for(pred)
-            .into_iter()
-            .filter(|imp| imp.accepts(args, |t| term_value(t, b).is_some()))
-            .min_by_key(|imp| std::cmp::Reverse(imp.bound_count()))
-        else {
-            return Err(MedError::External(format!(
-                "no callable implementation of {pred}/{} for the available bindings",
-                args.len()
-            )));
-        };
-
-        // Gather bound inputs.
-        let mut inputs = Vec::new();
-        for (a, t) in imp.adornment.iter().zip(args) {
-            if *a == Adornment::Bound {
-                inputs.push(term_value(t, b).expect("callable implies bound"));
-            }
-        }
-        let tuples = (imp.f)(&inputs);
-
-        // For each output tuple, unify the free positions (a "free" arg that
-        // happens to be bound acts as a filter).
-        let free_args = || {
-            (imp.adornment.iter().zip(args))
-                .filter(|(a, _)| **a == Adornment::Free)
-                .map(|(_, t)| t)
-        };
+        let values: Vec<Option<Value>> = args.iter().map(|t| term_value(t, b)).collect();
+        let bound: Vec<bool> = values.iter().map(Option::is_some).collect();
+        let callee = self.resolve(pred, args, &bound)?;
         let mut out = Vec::new();
-        'tuple: for tuple in tuples {
-            if tuple.len() != free_args().count() {
-                return Err(MedError::External(format!(
-                    "implementation {} returned a tuple of wrong arity",
-                    imp.func
-                )));
-            }
+        'answer: for full in self.call(callee, pred, args, &values)? {
             let mut next = b.clone();
-            for (t, produced) in free_args().zip(&tuple) {
-                match t {
-                    Term::Var(v) => {
-                        if !next.bind_mut(*v, BoundValue::Atom(produced.clone())) {
-                            continue 'tuple;
-                        }
-                    }
-                    Term::Const(c) => {
-                        if !engine::matcher::atomic_eq(c, produced) {
-                            continue 'tuple;
-                        }
-                    }
-                    _ => {
-                        return Err(MedError::External(format!(
-                            "unsupported argument term in {pred}"
-                        )))
+            for ((t, given), v) in args.iter().zip(&values).zip(full) {
+                if let (Term::Var(var), None) = (t, given) {
+                    if !next.bind_mut(*var, BoundValue::Atom(v)) {
+                        continue 'answer;
                     }
                 }
             }
@@ -175,6 +212,17 @@ impl ExternalRegistry {
         }
         Ok(out)
     }
+}
+
+/// Which implementation a call goes to: what this registry's
+/// [`ExternalRegistry::resolve`] returned, for its own
+/// [`ExternalRegistry::call`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Callee {
+    /// A built-in comparison.
+    Builtin,
+    /// The registry's implementation at this position.
+    Impl(usize),
 }
 
 /// Is this one of MSL's built-in comparison predicates?
@@ -193,44 +241,26 @@ fn term_value(t: &Term, b: &Bindings) -> Option<Value> {
     }
 }
 
-fn eval_builtin(pred: Symbol, args: &[Term], b: &Bindings) -> Result<Vec<Bindings>> {
-    if args.len() != 2 {
+/// A built-in comparison on its two argument values: the full tuple when
+/// it holds. `eq` with one side unbound binds it to the other.
+fn call_builtin(pred: Symbol, args: &[Term], values: &[Option<Value>]) -> Result<Vec<Vec<Value>>> {
+    let [va, vb] = values else {
         return Err(MedError::External(format!("{pred} expects 2 arguments")));
-    }
-    let va = term_value(&args[0], b);
-    let vb = term_value(&args[1], b);
+    };
     let name = pred.as_str();
-
-    // eq with one free side binds it.
-    if name == "eq" {
-        match (&va, &vb) {
-            (Some(x), None) => {
-                if let Term::Var(v) = &args[1] {
-                    return Ok(b
-                        .bind(*v, BoundValue::Atom(x.clone()))
-                        .into_iter()
-                        .collect());
-                }
-            }
-            (None, Some(y)) => {
-                if let Term::Var(v) = &args[0] {
-                    return Ok(b
-                        .bind(*v, BoundValue::Atom(y.clone()))
-                        .into_iter()
-                        .collect());
-                }
-            }
-            _ => {}
+    let (x, y) = match (va, vb, args) {
+        (Some(x), Some(y), _) => (x, y),
+        (Some(v), None, [_, Term::Var(_)]) | (None, Some(v), [Term::Var(_), _]) if name == "eq" => {
+            return Ok(vec![vec![v.clone(), v.clone()]])
         }
-    }
-
-    let (Some(x), Some(y)) = (va, vb) else {
-        return Err(MedError::External(format!(
-            "{pred} requires bound arguments"
-        )));
+        _ => {
+            return Err(MedError::External(format!(
+                "{pred} requires bound arguments"
+            )))
+        }
     };
     use std::cmp::Ordering::{Equal, Greater, Less};
-    let ord = x.compare_atomic(&y);
+    let ord = x.compare_atomic(y);
     let holds = match (name.as_str(), ord) {
         ("eq", Some(Equal)) => true,
         ("neq", Some(Less | Greater)) => true,
@@ -242,7 +272,11 @@ fn eval_builtin(pred: Symbol, args: &[Term], b: &Bindings) -> Result<Vec<Binding
         // errors, it just fails to match (§2).
         _ => false,
     };
-    Ok(if holds { vec![b.clone()] } else { Vec::new() })
+    Ok(if holds {
+        vec![vec![x.clone(), y.clone()]]
+    } else {
+        Vec::new()
+    })
 }
 
 /// The standard library: the paper's `decomp` predicate, implemented by

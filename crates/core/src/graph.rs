@@ -8,44 +8,12 @@
 //! nodes.
 
 use msl::{Head, Pattern, Rule, Term};
-use oem::{ObjId, ObjectStore, Symbol};
+use oem::Symbol;
 
-/// How a variable's binding is recovered from a `bind_for_<var>` subobject
-/// of a source result object.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum VarKind {
-    /// Atomic subobject → atom binding; set subobject → object-set binding
-    /// (rest variables and set-valued value variables).
-    Scalar,
-    /// The variable was an object variable (`X:`); its carrier subobject is
-    /// a singleton set holding the object itself.
-    Object,
-}
-
-/// A variable extracted from source results.
-#[derive(Clone, PartialEq, Debug)]
-pub struct ExtractVar {
-    /// The variable's name.
-    pub var: Symbol,
-    /// How its binding is recovered from the carrier subobject.
-    pub kind: VarKind,
-}
-
-/// Label of the subobject that carries `var`'s binding in a source result.
-/// Formats and interns: resolve it once per answer, not once per object.
-pub(crate) fn carrier_label(var: Symbol) -> Symbol {
-    Symbol::intern(&format!("bind_for_{var}"))
-}
-
-/// The child of `root` labelled `label`: the carrier, named by
-/// [`carrier_label`], of one variable's binding in a source answer object.
-pub(crate) fn find_carrier(store: &ObjectStore, root: ObjId, label: Symbol) -> Option<ObjId> {
-    store
-        .children(root)
-        .iter()
-        .copied()
-        .find(|&c| store.get(c).label == label)
-}
+/// The `bind_for_*` convention the planner's source queries export their
+/// bindings through, and the carrier reader, live with the wrapper
+/// interface ([`wrappers::api`]).
+pub use wrappers::api::{carrier_label, find_carrier, ExtractVar, VarKind};
 
 /// One operator of the datamerge graph.
 #[derive(Clone, Debug)]

@@ -839,19 +839,15 @@ fn callable_static(
     bound: &HashSet<Symbol>,
     registry: &ExternalRegistry,
 ) -> bool {
-    let arg_bound = |t: &Term| match t {
-        Term::Const(_) => true,
-        Term::Var(v) => bound.contains(v),
-        _ => false,
-    };
-    if crate::externals::is_builtin(pred) {
-        let n = args.iter().filter(|t| arg_bound(t)).count();
-        return n == args.len() || (pred == Symbol::intern("eq") && n + 1 == args.len());
-    }
-    registry
-        .impls_for(pred)
+    let bound: Vec<bool> = args
         .iter()
-        .any(|imp| imp.accepts(args, arg_bound))
+        .map(|t| match t {
+            Term::Const(_) => true,
+            Term::Var(v) => bound.contains(v),
+            _ => false,
+        })
+        .collect();
+    registry.resolve(pred, args, &bound).is_ok()
 }
 
 /// Object variables appearing anywhere in the patterns.

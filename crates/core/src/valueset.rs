@@ -6,21 +6,23 @@
 //! tuples in one call instead. The batch travels inside the query: every
 //! `$V` becomes the variable `V`, restricted by `one_of(V, v1, v2, …)` to
 //! the distinct values the batch holds for it and exported through a
-//! `bind_for_V` carrier, so the answer says which tuple each object
-//! belongs to. This module builds that query and splits its answer; the
+//! `bind_for_V` carrier, so each row of the answer says which tuple it
+//! belongs to. This module builds that query and splits its rows; the
 //! operator that decides when to send one lives in [`crate::exec`].
 //!
 //! Per-variable sets describe a *superset* of the tuples: asking for
 //! (`Ann`, `Able`) and (`Bob`, `Busy`) also admits an (`Ann`, `Busy`).
-//! [`split_answer`] drops objects of combinations nobody asked for.
+//! [`split_answer`] drops rows of combinations nobody asked for.
 
-use crate::error::{MedError, Result};
-use crate::graph::{carrier_label, find_carrier};
+use crate::graph::carrier_label;
+use engine::bindings::BoundValue;
 use engine::matcher::{atomic_eq, atomic_key};
 use engine::subst::{fill_params_rule, Subst};
 use msl::{Head, PatValue, Pattern, Rule, SetElem, Term};
-use oem::{copy, ObjId, ObjectStore, Symbol, Value};
+use oem::{Symbol, Value};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+use wrappers::Rows;
 
 /// `query` with every `$V` of `params` turned into the variable `V` and
 /// `<bind_for_V V>` added to its head — the set-valued query less its
@@ -57,18 +59,13 @@ pub(crate) fn restrict(template: &Rule, params: &[Symbol], tuples: &[&[Value]]) 
     rule
 }
 
-/// Split the answer to a set-valued query into one store per requested
-/// tuple, each holding what the query filled with that tuple would have
-/// returned: the objects whose carriers equal the tuple (as the matcher
-/// compares: 3 is 3.0), in the answer's order, less the carriers. A tuple
-/// the source found nothing for gets an empty store.
-pub(crate) fn split_answer(
-    answer: &ObjectStore,
-    source: Symbol,
-    params: &[Symbol],
-    tuples: &[&[Value]],
-) -> Result<Vec<ObjectStore>> {
-    let carriers: Vec<Symbol> = params.iter().map(|p| carrier_label(*p)).collect();
+/// Split the rows of a set-valued query's answer into one answer per
+/// requested tuple, each holding the rows the query filled with that tuple
+/// would have returned: the rows whose parameter columns — the ones after
+/// the first `kept` — equal the tuple (as the matcher compares: 3 is 3.0),
+/// in the answer's order, less those columns. A tuple the source found
+/// nothing for gets no rows. Every part shares the answer's store.
+pub(crate) fn split_answer(answer: &Rows, kept: usize, tuples: &[&[Value]]) -> Vec<Rows> {
     let mut wanted: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
     for (ti, t) in tuples.iter().enumerate() {
         wanted
@@ -76,47 +73,33 @@ pub(crate) fn split_answer(
             .or_default()
             .push(ti);
     }
-    // Each store with the old-id → new-id map of what it has copied, so
-    // objects shared between a tuple's results stay shared.
-    let mut out: Vec<(ObjectStore, HashMap<ObjId, ObjId>)> = tuples
-        .iter()
-        .map(|_| {
-            (
-                ObjectStore::with_oid_prefix(&format!("{source}_r")),
-                HashMap::new(),
-            )
-        })
-        .collect();
-    for &top in answer.top_level() {
-        let kids = answer.children(top);
-        let mut found: Vec<&Value> = Vec::with_capacity(carriers.len());
-        for label in &carriers {
-            let carrier = find_carrier(answer, top, *label).ok_or_else(|| {
-                MedError::Wrapper(format!("source result lacks the {label} carrier object"))
-            })?;
-            found.push(&answer.get(carrier).value);
-        }
+    let mut out: Vec<Vec<Vec<BoundValue>>> = vec![Vec::new(); tuples.len()];
+    for row in &answer.rows {
+        let (own, params) = row.split_at(kept);
+        let Some(found) = params
+            .iter()
+            .map(BoundValue::as_atom)
+            .collect::<Option<Vec<&Value>>>()
+        else {
+            continue; // a parameter bound to an object matches no tuple
+        };
         let key: Vec<Value> = found.iter().map(|v| atomic_key(v)).collect();
         let Some(candidates) = wanted.get(&key) else {
             continue; // a combination of listed values nobody asked for
         };
-        let own: Vec<ObjId> = kids
-            .iter()
-            .copied()
-            .filter(|&k| !carriers.contains(&answer.get(k).label))
-            .collect();
         for &ti in candidates {
             let asked = tuples[ti].iter().zip(&found);
-            if !asked.into_iter().all(|(want, got)| atomic_eq(want, got)) {
-                continue;
+            if asked.into_iter().all(|(want, got)| atomic_eq(want, got)) {
+                out[ti].push(own.to_vec());
             }
-            let (store, map) = &mut out[ti];
-            let copied = copy::deep_copy_all_into(answer, &own, store, map);
-            let result = store.insert_auto(answer.get(top).label, Value::Set(copied));
-            store.add_top(result);
         }
     }
-    Ok(out.into_iter().map(|(store, _)| store).collect())
+    out.into_iter()
+        .map(|rows| Rows {
+            rows,
+            store: Arc::clone(&answer.store),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -126,7 +109,7 @@ mod tests {
     use oem::printer::compact;
     use oem::sym;
     use wrappers::scenario::cs_wrapper;
-    use wrappers::Wrapper;
+    use wrappers::{ExtractVar, VarKind, Wrapper};
 
     fn qcs() -> Rule {
         parse_rule(
@@ -156,10 +139,28 @@ mod tests {
         assert!(super::template(&odd, &[sym("R")]).is_none());
     }
 
+    /// Each row of `answer` as text: atoms rendered, objects printed.
+    fn print(answer: &Rows) -> Vec<String> {
+        let store = &answer.store;
+        let value = |v: &BoundValue| match v {
+            BoundValue::Atom(a) => a.render_atomic(),
+            BoundValue::Obj(id) => compact(store, *id),
+            BoundValue::ObjSet(ids) => ids.iter().map(|&id| compact(store, id)).collect(),
+        };
+        let row = |r: &Vec<BoundValue>| r.iter().map(value).collect::<Vec<_>>().join(" | ");
+        answer.rows.iter().map(row).collect()
+    }
+
     #[test]
     fn split_equals_the_per_tuple_answers() {
         let cs = cs_wrapper();
         let params = [sym("R"), sym("FN"), sym("LN")];
+        let scalar = |v: &str| ExtractVar {
+            var: sym(v),
+            kind: VarKind::Scalar,
+        };
+        let vars = [scalar("Rest2")];
+        let carried = ["Rest2", "R", "FN", "LN"].map(scalar);
         let tuples: Vec<Vec<Value>> = [
             ["employee", "Joe", "Chung"],
             ["student", "Nick", "Naive"],
@@ -173,46 +174,39 @@ mod tests {
         .collect();
         let asked: Vec<&[Value]> = tuples.iter().map(Vec::as_slice).collect();
         let batched = restrict(&template(&qcs(), &params).unwrap(), &params, &asked);
-        let answer = cs.query(&batched).unwrap();
-        assert_eq!(answer.top_level().len(), 2, "one round-trip, both people");
-        let stores = split_answer(&answer, sym("cs"), &params, &asked).unwrap();
-        for (tuple, store) in tuples.iter().zip(&stores) {
+        let answer = cs.query_rows(&batched, &carried).unwrap();
+        assert_eq!(answer.rows.len(), 2, "one round-trip, both people");
+        let parts = split_answer(&answer, vars.len(), &asked);
+        for (tuple, part) in tuples.iter().zip(&parts) {
             let filled: Subst = params
                 .iter()
                 .zip(tuple)
                 .map(|(p, v)| (*p, Term::Const(v.clone())))
                 .collect();
-            let alone = cs.query(&fill_params_rule(&qcs(), &filled)).unwrap();
-            let print = |s: &ObjectStore| -> Vec<String> {
-                s.top_level().iter().map(|&t| compact(s, t)).collect()
-            };
-            assert_eq!(print(store), print(&alone), "{tuple:?}");
+            let alone = cs
+                .query_rows(&fill_params_rule(&qcs(), &filled), &vars)
+                .unwrap();
+            assert_eq!(print(part), print(&alone), "{tuple:?}");
         }
-        assert!(stores[2].top_level().is_empty() && stores[3].top_level().is_empty());
+        assert!(parts[2].rows.is_empty() && parts[3].rows.is_empty());
     }
 
     #[test]
     fn split_compares_as_the_matcher_does() {
         // The source answers with its own 3.0 for a requested 3; both a
-        // requested 3 and a requested 3.0 own that object.
-        let mut answer = ObjectStore::new();
-        let kept = answer.atom("bind_for_T", "t");
-        let carrier = answer.insert_auto(sym("bind_for_Y"), Value::real(3.0));
-        let top = answer.set("bind_for_s", vec![kept, carrier]);
-        answer.add_top(top);
+        // requested 3 and a requested 3.0 own that row.
+        let answer = Rows {
+            rows: vec![vec![
+                BoundValue::Atom(Value::str("t")),
+                BoundValue::Atom(Value::real(3.0)),
+            ]],
+            store: Arc::new(oem::ObjectStore::new()),
+        };
         let tuples = [[Value::Int(3)], [Value::real(3.0)], [Value::str("3")]];
         let asked: Vec<&[Value]> = tuples.iter().map(|t| t.as_slice()).collect();
-        let stores = split_answer(&answer, sym("s"), &[sym("Y")], &asked).unwrap();
-        let sizes: Vec<usize> = stores.iter().map(|s| s.top_level().len()).collect();
+        let parts = split_answer(&answer, 1, &asked);
+        let sizes: Vec<usize> = parts.iter().map(|p| p.rows.len()).collect();
         assert_eq!(sizes, [1, 1, 0]);
-        assert_eq!(
-            compact(&stores[0], stores[0].top_level()[0]),
-            "<bind_for_s {<bind_for_T 't'>}>"
-        );
-        // An answer without the carrier cannot be attributed to a tuple.
-        let mut bare = ObjectStore::new();
-        let top = bare.set("bind_for_s", vec![]);
-        bare.add_top(top);
-        assert!(split_answer(&bare, sym("s"), &[sym("Y")], &asked).is_err());
+        assert_eq!(print(&parts[0]), ["'t'"]);
     }
 }

@@ -152,6 +152,38 @@ impl Bindings {
         }
     }
 
+    /// [`Bindings::bind_mut`] for a depth-first search: a fresh binding is
+    /// recorded on `trail`, so [`Bindings::undo`] can take it back when the
+    /// search backtracks.
+    pub fn bind_trailed(
+        &mut self,
+        var: Symbol,
+        value: BoundValue,
+        trail: &mut Vec<Symbol>,
+    ) -> bool {
+        match self.map.entry(var) {
+            std::collections::btree_map::Entry::Occupied(e) => *e.get() == value.normalized(),
+            std::collections::btree_map::Entry::Vacant(e) => {
+                e.insert(value.normalized());
+                trail.push(var);
+                true
+            }
+        }
+    }
+
+    /// Unbind every variable `trail` recorded after its first `mark`
+    /// entries.
+    pub fn undo(&mut self, trail: &mut Vec<Symbol>, mark: usize) {
+        for var in trail.drain(mark..) {
+            self.map.remove(&var);
+        }
+    }
+
+    /// Rebind an already bound `var` to `value`, returning what it held.
+    pub fn replace(&mut self, var: Symbol, value: BoundValue) -> Option<BoundValue> {
+        self.map.insert(var, value.normalized())
+    }
+
     /// Merge two bindings, failing if they disagree on a common variable.
     /// This is the binding-match step of §2: a whois binding matches a cs
     /// binding if they agree on the shared variables.

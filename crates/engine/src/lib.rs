@@ -31,5 +31,5 @@ pub mod unify;
 pub use batch::FlatCond;
 pub use bindings::{Bindings, BoundValue};
 pub use construct::{ConstructError, Constructor};
-pub use matcher::{match_objects, match_pattern, match_tail_patterns, match_top_level};
+pub use matcher::{match_each, match_objects, match_pattern, match_tail_patterns, match_top_level};
 pub use unify::{unify_query_with_head, Unifier};

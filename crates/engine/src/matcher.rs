@@ -15,8 +15,38 @@
 
 use crate::bindings::{dedup_bindings, Bindings, BoundValue};
 use msl::{PatValue, Pattern, SetElem, SetPattern, Term};
-use oem::{path, ObjId, ObjectStore, Value};
-use std::collections::BTreeSet;
+use oem::{path, ObjId, ObjectStore, Symbol, Value};
+
+// ---- the depth-first kernel ----------------------------------------------
+//
+// One search extends one `Bindings` in place. Every binding it makes is
+// recorded on a trail and taken back when the search backtracks, so a
+// solution costs no clone until its sink copies what it needs. A set
+// pattern records the children its subpatterns consumed as a bitmask, one
+// word per 64 children; the rest variable binds the unmarked ones.
+// Solutions arrive in the order the element-by-element enumeration lists
+// them: by the first element's choice, then the second's, and so on.
+
+/// What a search calls with each solution. It may extend the bindings,
+/// and must take back what it added before it returns.
+type Cont<'c> = dyn FnMut(&mut Bindings, &mut Vec<Symbol>) + 'c;
+
+/// Match `pat` against each object of `ids` in order, extending `b` in
+/// place, and hand every solution to `sink`. The sink may extend the
+/// bindings (a join matching its next pattern does) if it takes the
+/// extension back before it returns; `b` is as it was when this returns.
+pub fn match_each(
+    store: &ObjectStore,
+    ids: impl IntoIterator<Item = ObjId>,
+    pat: &Pattern,
+    b: &mut Bindings,
+    sink: &mut dyn FnMut(&mut Bindings),
+) {
+    let mut trail = Vec::new();
+    for id in ids {
+        match_obj(store, id, pat, b, &mut trail, &mut |b, _| sink(b));
+    }
+}
 
 /// Match `pat` against the object `id` in `store`, extending `base`.
 /// Returns every consistent binding (empty vector = no match).
@@ -26,215 +56,220 @@ pub fn match_pattern(
     pat: &Pattern,
     base: &Bindings,
 ) -> Vec<Bindings> {
+    let mut out = Vec::new();
+    match_each(store, [id], pat, &mut base.clone(), &mut |s| {
+        out.push(s.clone())
+    });
+    out
+}
+
+fn match_obj(
+    store: &ObjectStore,
+    id: ObjId,
+    pat: &Pattern,
+    b: &mut Bindings,
+    trail: &mut Vec<Symbol>,
+    k: &mut Cont<'_>,
+) {
     let obj = store.get(id);
 
-    // Constant-field pre-checks reject before any allocation — the
+    // Constant-field pre-checks reject before any binding is made: the
     // overwhelmingly common outcome when scanning a candidate set is a
-    // label mismatch, which must not cost a clone of the base bindings.
+    // label mismatch.
     if let Term::Const(c) = &pat.label {
         if !atomic_eq(c, &Value::Str(obj.label)) {
-            return Vec::new();
+            return;
         }
     }
     if let Some(Term::Const(c)) = &pat.oid {
         // Only a string equals an oid; looking it up interns nothing.
         if !matches!(c, Value::Str(s) if store.by_oid(*s) == Some(id)) {
-            return Vec::new();
+            return;
         }
     }
     if let PatValue::Term(Term::Const(c)) = &pat.value {
         if !atomic_eq(c, &obj.value) {
-            return Vec::new();
+            return;
         }
     }
 
-    // One clone of the base; every field below extends it in place.
-    let mut b = base.clone();
-
-    // Object variable: X:<...> binds X to the object itself.
-    if let Some(ov) = pat.obj_var {
-        if !b.bind_mut(ov, BoundValue::Obj(id)) {
-            return Vec::new();
-        }
-    }
-
-    // Oid field: variables bind to the oid as a string value; a constant
-    // was checked above.
-    if let Some(oid_term) = pat.oid.as_ref().filter(|t| !matches!(t, Term::Const(_))) {
-        if !unify_term_value(oid_term, &Value::Str(store.oid(id)), &mut b) {
-            return Vec::new();
-        }
-    }
-
-    // Label field: labels are matched as string values so that the same
-    // variable can bind a label here and a value elsewhere (schematic
+    let mark = trail.len();
+    // Object variable: X:<...> binds X to the object itself. Oid field:
+    // variables bind to the oid as a string value; a constant was checked
+    // above. Label field: labels are matched as string values so that the
+    // same variable can bind a label here and a value elsewhere (schematic
     // discrepancy, §2).
-    if !unify_term_value(&pat.label, &Value::Str(obj.label), &mut b) {
-        return Vec::new();
-    }
-
-    // Type field.
-    if let Some(typ_term) = &pat.typ {
-        let tv = Value::str(obj.oem_type().keyword());
-        if !unify_term_value(typ_term, &tv, &mut b) {
-            return Vec::new();
-        }
-    }
-
-    // Value field.
-    match (&pat.value, &obj.value) {
-        (PatValue::Term(t), Value::Set(children)) => {
+    let fields =
+        pat.obj_var
+            .is_none_or(|ov| b.bind_trailed(ov, BoundValue::Obj(id), trail))
+            && pat
+                .oid
+                .as_ref()
+                .filter(|t| !matches!(t, Term::Const(_)))
+                .is_none_or(|t| unify_term_value(t, &Value::Str(store.oid(id)), b, trail))
+            && unify_term_value(&pat.label, &Value::Str(obj.label), b, trail)
+            && pat.typ.as_ref().is_none_or(|t| {
+                unify_term_value(t, &Value::str(obj.oem_type().keyword()), b, trail)
+            });
+    if fields {
+        match (&pat.value, &obj.value) {
             // A variable in value position binds the set of subobjects.
-            match t {
-                Term::Var(v) => {
-                    if b.bind_mut(*v, BoundValue::ObjSet(children.clone())) {
-                        vec![b]
-                    } else {
-                        Vec::new()
-                    }
-                }
-                _ => Vec::new(),
-            }
-        }
-        (PatValue::Term(t), atomic) => {
-            if unify_term_value(t, atomic, &mut b) {
-                vec![b]
-            } else {
-                Vec::new()
-            }
-        }
-        (PatValue::Set(sp), Value::Set(children)) => match_set(store, id, children, sp, &b),
-        (PatValue::Set(_), _) => Vec::new(),
-    }
-}
-
-/// Match a set pattern against the children of an object.
-fn match_set(
-    store: &ObjectStore,
-    parent: ObjId,
-    children: &[ObjId],
-    sp: &SetPattern,
-    base: &Bindings,
-) -> Vec<Bindings> {
-    // Each state: bindings so far + the set of child indices consumed by
-    // explicit subpatterns (needed to compute the rest).
-    let mut states: Vec<(Bindings, BTreeSet<usize>)> = vec![(base.clone(), BTreeSet::new())];
-
-    for elem in &sp.elements {
-        let mut next_states = Vec::new();
-        for (b, consumed) in &states {
-            match elem {
-                SetElem::Pattern(p) => {
-                    for (i, &c) in children.iter().enumerate() {
-                        for nb in match_pattern(store, c, p, b) {
-                            let mut nc = consumed.clone();
-                            nc.insert(i);
-                            next_states.push((nb, nc));
-                        }
-                    }
-                }
-                SetElem::Wildcard(p) => {
-                    // Any object strictly below the parent, at any depth.
-                    // Wildcard matches do not consume direct children, so
-                    // they do not affect the rest variable.
-                    for d in path::descendants(store, parent).skip(1) {
-                        for nb in match_pattern(store, d, p, b) {
-                            next_states.push((nb, consumed.clone()));
-                        }
-                    }
-                }
-                SetElem::Var(v) => {
-                    // A set-valued variable: its bound contents must all be
-                    // present among the children; they are consumed.
-                    let Some(BoundValue::ObjSet(ids)) = b.get(*v) else {
-                        // Unbound set variables cannot be matched against
-                        // data (they only make sense in rule heads).
-                        continue;
-                    };
-                    let mut nc = consumed.clone();
-                    let mut ok = true;
-                    for idv in ids {
-                        match children.iter().position(|c| c == idv) {
-                            Some(i) => {
-                                nc.insert(i);
-                            }
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if ok {
-                        next_states.push((b.clone(), nc));
-                    }
+            (PatValue::Term(Term::Var(v)), Value::Set(children)) => {
+                if b.bind_trailed(*v, BoundValue::ObjSet(children.clone()), trail) {
+                    k(b, trail);
                 }
             }
-        }
-        states = next_states;
-        if states.is_empty() {
-            return Vec::new();
-        }
-    }
-
-    // Rest variable: binds the unconsumed children; attached conditions
-    // must each be satisfied by some object in the rest.
-    let mut out = Vec::new();
-    'state: for (b, consumed) in states {
-        match &sp.rest {
-            None => out.push(b),
-            Some(rest) => {
-                let rest_ids: Vec<ObjId> = children
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !consumed.contains(i))
-                    .map(|(_, &c)| c)
-                    .collect();
-                let Some(with_rest) = b.bind(rest.var, BoundValue::ObjSet(rest_ids.clone())) else {
-                    continue 'state;
+            (PatValue::Term(_), Value::Set(_)) => {}
+            (PatValue::Term(t), atomic) => {
+                if unify_term_value(t, atomic, b, trail) {
+                    k(b, trail);
+                }
+            }
+            (PatValue::Set(sp), Value::Set(children)) => {
+                let mut word = [0u64];
+                let mut words = Vec::new();
+                let consumed: &mut [u64] = if children.len() <= 64 {
+                    &mut word
+                } else {
+                    words.resize(children.len().div_ceil(64), 0);
+                    &mut words
                 };
-                // Conditions pushed into the rest (§3.3): each must match
-                // some member of the rest set.
-                let mut cond_states = vec![with_rest];
-                for cond in &rest.conditions {
-                    // Var-free flat conditions bind nothing, so they
-                    // collapse to a membership test: the state either
-                    // survives unchanged or dies. (The recursive path
-                    // would yield one identical state per witness; callers
-                    // deduplicate, so only the multiplicity differs.)
-                    if let Some(flat) = crate::batch::FlatCond::compile(cond) {
-                        if rest_ids.iter().any(|&rid| flat.matches(store, rid)) {
-                            continue;
-                        }
-                        continue 'state;
-                    }
-                    let mut next = Vec::new();
-                    for cb in &cond_states {
-                        for &rid in &rest_ids {
-                            next.extend(match_pattern(store, rid, cond, cb));
-                        }
-                    }
-                    cond_states = next;
-                    if cond_states.is_empty() {
-                        continue 'state;
-                    }
+                let set = SetMatch {
+                    store,
+                    parent: id,
+                    children,
+                    sp,
+                };
+                set.elements(0, consumed, b, trail, k);
+            }
+            (PatValue::Set(_), _) => {}
+        }
+    }
+    b.undo(trail, mark);
+}
+
+/// A set pattern being matched against the children of `parent`.
+struct SetMatch<'a> {
+    store: &'a ObjectStore,
+    parent: ObjId,
+    children: &'a [ObjId],
+    sp: &'a SetPattern,
+}
+
+impl SetMatch<'_> {
+    /// Match the elements from `ei` on, then the rest.
+    fn elements(
+        &self,
+        ei: usize,
+        consumed: &mut [u64],
+        b: &mut Bindings,
+        trail: &mut Vec<Symbol>,
+        k: &mut Cont<'_>,
+    ) {
+        let Some(elem) = self.sp.elements.get(ei) else {
+            return self.rest(consumed, b, trail, k);
+        };
+        match elem {
+            SetElem::Pattern(p) => {
+                for (i, &c) in self.children.iter().enumerate() {
+                    let (w, bit) = (i / 64, 1u64 << (i % 64));
+                    match_obj(self.store, c, p, b, trail, &mut |b, trail| {
+                        let before = consumed[w];
+                        consumed[w] |= bit;
+                        self.elements(ei + 1, consumed, b, trail, k);
+                        consumed[w] = before;
+                    });
                 }
-                out.extend(cond_states);
+            }
+            SetElem::Wildcard(p) => {
+                // Any object strictly below the parent, at any depth.
+                // Wildcard matches do not consume direct children, so they
+                // do not affect the rest variable.
+                for d in path::descendants(self.store, self.parent).skip(1) {
+                    match_obj(self.store, d, p, b, trail, &mut |b, trail| {
+                        self.elements(ei + 1, consumed, b, trail, k)
+                    });
+                }
+            }
+            SetElem::Var(v) => {
+                // A set-valued variable: its bound contents must all be
+                // present among the children; they are consumed. Unbound
+                // set variables cannot be matched against data (they only
+                // make sense in rule heads).
+                let Some(BoundValue::ObjSet(ids)) = b.get(*v) else {
+                    return;
+                };
+                let saved = consumed.to_vec();
+                for idv in ids {
+                    let Some(i) = self.children.iter().position(|c| c == idv) else {
+                        consumed.copy_from_slice(&saved);
+                        return;
+                    };
+                    consumed[i / 64] |= 1 << (i % 64);
+                }
+                self.elements(ei + 1, consumed, b, trail, k);
+                consumed.copy_from_slice(&saved);
             }
         }
     }
-    out
+
+    /// Rest variable: binds the unconsumed children; attached conditions
+    /// must each be satisfied by some object in the rest.
+    fn rest(&self, consumed: &[u64], b: &mut Bindings, trail: &mut Vec<Symbol>, k: &mut Cont<'_>) {
+        let Some(rest) = &self.sp.rest else {
+            return k(b, trail);
+        };
+        let rest_ids: Vec<ObjId> = (self.children.iter().enumerate())
+            .filter(|(i, _)| consumed[i / 64] & (1 << (i % 64)) == 0)
+            .map(|(_, &c)| c)
+            .collect();
+        let mark = trail.len();
+        if b.bind_trailed(rest.var, BoundValue::ObjSet(rest_ids.clone()), trail) {
+            conditions(self.store, &rest_ids, &rest.conditions, b, trail, k);
+        }
+        b.undo(trail, mark);
+    }
 }
 
-/// Unify a term with an atomic OEM value, extending `b` in place. Returns
-/// `false` (bindings possibly left partially extended — callers discard on
-/// failure) when the term cannot unify.
-fn unify_term_value(term: &Term, value: &Value, b: &mut Bindings) -> bool {
+/// Conditions pushed into a rest (§3.3): each must match some member of
+/// the rest set, in the order listed.
+fn conditions(
+    store: &ObjectStore,
+    rest_ids: &[ObjId],
+    conds: &[Pattern],
+    b: &mut Bindings,
+    trail: &mut Vec<Symbol>,
+    k: &mut Cont<'_>,
+) {
+    let Some((cond, later)) = conds.split_first() else {
+        return k(b, trail);
+    };
+    // Var-free flat conditions bind nothing, so they collapse to a
+    // membership test: the search goes on once, or stops. (Enumerating
+    // would yield one identical solution per witness; callers deduplicate,
+    // so only the multiplicity differs.)
+    if let Some(flat) = crate::batch::FlatCond::compile(cond) {
+        if rest_ids.iter().any(|&rid| flat.matches(store, rid)) {
+            conditions(store, rest_ids, later, b, trail, k);
+        }
+        return;
+    }
+    for &rid in rest_ids {
+        match_obj(store, rid, cond, b, trail, &mut |b, trail| {
+            conditions(store, rest_ids, later, b, trail, k)
+        });
+    }
+}
+
+/// Unify a term with an atomic OEM value, extending `b` in place and
+/// recording a fresh binding on `trail`.
+fn unify_term_value(term: &Term, value: &Value, b: &mut Bindings, trail: &mut Vec<Symbol>) -> bool {
     match term {
         Term::Const(c) => atomic_eq(c, value),
         Term::Var(v) => match b.get(*v) {
             Some(BoundValue::Atom(existing)) => atomic_eq(existing, value),
             Some(_) => false,
-            None => b.bind_mut(*v, BoundValue::Atom(value.clone())),
+            None => b.bind_trailed(*v, BoundValue::Atom(value.clone()), trail),
         },
         // Parameters must be substituted before matching; function terms
         // never match data.
@@ -290,9 +325,9 @@ pub fn match_objects(
     base: &Bindings,
 ) -> Vec<Bindings> {
     let mut out = Vec::new();
-    for id in ids {
-        out.extend(match_pattern(store, id, pat, base));
-    }
+    match_each(store, ids, pat, &mut base.clone(), &mut |s| {
+        out.push(s.clone())
+    });
     dedup_bindings(out)
 }
 

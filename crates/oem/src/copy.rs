@@ -41,6 +41,16 @@ pub fn deep_copy_all_into(
     roots.iter().map(|&r| copy_rec(src, r, dst, map)).collect()
 }
 
+/// [`deep_copy_all_into`] for one root: the id of its copy in `dst`.
+pub fn deep_copy_into(
+    src: &ObjectStore,
+    root: ObjId,
+    dst: &mut ObjectStore,
+    map: &mut HashMap<ObjId, ObjId>,
+) -> ObjId {
+    copy_rec(src, root, dst, map)
+}
+
 /// Copy every top-level structure of `src` into `dst`, marking the copies
 /// top-level in `dst`.
 pub fn copy_top_level(src: &ObjectStore, dst: &mut ObjectStore) -> Vec<ObjId> {

@@ -5,14 +5,32 @@
 //! are the constructed results. This mirrors the paper's architecture: the
 //! MSI's query and parameterized-query nodes send source queries like `Qw`
 //! and `Qcs` (§3.4) and receive OEM objects back.
+//!
+//! ## Answers as rows
+//!
+//! The queries the mediator's planner sends export variable bindings: the
+//! head `<bind_for_whois {<bind_for_N N> <bind_for_Rest1 Rest1>}>` builds
+//! one *carrier* subobject per variable, labelled `bind_for_<var>`
+//! ([`carrier_label`]), and the datamerge engine reads each variable's
+//! binding back out of it. [`Wrapper::query_rows`] asks for those bindings
+//! directly: one [`Rows`] row per answer object, one value per
+//! [`ExtractVar`] in order, over the store its object ids point into. The
+//! provided method builds the answer and reads the carriers in place
+//! ([`read_carriers`]); a wrapper that evaluates into bindings anyway
+//! overrides it and never builds the carrier objects, and its
+//! [`Wrapper::query`] is the same rows constructed through
+//! [`construct_answer`]. The two forms agree value for value: what a
+//! carrier holds is what the row holds.
 
 use crate::capabilities::Capabilities;
 use engine::bindings::{Bindings, BoundValue};
+use engine::construct::Constructor;
 use engine::matcher::{atomic_eq, atomic_key};
-use msl::{Rule, TailItem, Term};
-use oem::{ObjectStore, Symbol, Value};
+use msl::{Head, Rule, TailItem, Term};
+use oem::{ObjId, ObjectStore, Symbol, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors a wrapper can raise.
 ///
@@ -144,6 +162,144 @@ pub trait Wrapper: Send + Sync {
     /// reserved [`ONE_OF`], which a source declaring
     /// [`Capabilities::parameterized_sets`] must honour.
     fn query(&self, q: &Rule) -> Result<ObjectStore, WrapperError>;
+
+    /// Answer a query whose head exports `vars` through carriers (see the
+    /// module docs) as rows of those variables' values: what
+    /// [`read_carriers`] reads out of [`Wrapper::query`]'s answer, row for
+    /// row and in order. The provided method does exactly that; a wrapper
+    /// may override it to skip building the carriers, as long as the rows
+    /// stay the same.
+    fn query_rows(&self, q: &Rule, vars: &[ExtractVar]) -> Result<Rows, WrapperError> {
+        let answer = self.query(q)?;
+        let rows = read_carriers(&answer, answer.top_level(), vars)?;
+        Ok(Rows {
+            rows,
+            store: Arc::new(answer),
+        })
+    }
+}
+
+/// How a variable's binding is recovered from its `bind_for_<var>`
+/// carrier in a source answer object.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum VarKind {
+    /// Atomic carrier → atom binding; set carrier → object-set binding
+    /// (rest variables and set-valued value variables). The head exports
+    /// it as `<bind_for_V V>`.
+    Scalar,
+    /// The variable was an object variable (`X:`); its carrier is a
+    /// singleton set holding the object itself, `<bind_for_X {X}>`.
+    Object,
+}
+
+/// A variable extracted from source answers.
+#[derive(Clone, PartialEq, Debug)]
+pub struct ExtractVar {
+    /// The variable's name.
+    pub var: Symbol,
+    /// How its binding is recovered from the carrier subobject.
+    pub kind: VarKind,
+}
+
+/// A source answer as binding rows: per answer object, the values of the
+/// extraction variables in order. Atoms are values; an object variable
+/// holds an [`BoundValue::Obj`] and a set variable an
+/// [`BoundValue::ObjSet`], whose ids point into `store` — the source's own
+/// objects, or the answer [`Wrapper::query`] built. Sets list their
+/// members in the carrier's order.
+#[derive(Clone)]
+pub struct Rows {
+    /// One row per answer object, in the answer's order.
+    pub rows: Vec<Vec<BoundValue>>,
+    /// The store the rows' object ids point into.
+    pub store: Arc<ObjectStore>,
+}
+
+impl fmt::Debug for Rows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Rows")
+            .field("rows", &self.rows)
+            .field("store_objects", &self.store.len())
+            .finish()
+    }
+}
+
+/// Label of the subobject that carries `var`'s binding in a source answer.
+/// Formats and interns: resolve it once per answer, not once per object.
+pub fn carrier_label(var: Symbol) -> Symbol {
+    Symbol::intern(&format!("bind_for_{var}"))
+}
+
+/// The child of `root` labelled `label`: the carrier, named by
+/// [`carrier_label`], of one variable's binding in a source answer object.
+pub fn find_carrier(store: &ObjectStore, root: ObjId, label: Symbol) -> Option<ObjId> {
+    store
+        .children(root)
+        .iter()
+        .copied()
+        .find(|&c| store.get(c).label == label)
+}
+
+/// The carrier reader: the rows of `vars` the answer objects `roots` of
+/// `store` carry, read in place — nothing is copied, the rows' object ids
+/// are `store`'s. An object variable takes the first member of its
+/// carrier, any other variable the carrier's atom or its members.
+pub fn read_carriers(
+    store: &ObjectStore,
+    roots: &[ObjId],
+    vars: &[ExtractVar],
+) -> Result<Vec<Vec<BoundValue>>, WrapperError> {
+    let carriers: Vec<Symbol> = vars.iter().map(|v| carrier_label(v.var)).collect();
+    let mut rows = Vec::with_capacity(roots.len());
+    for &root in roots {
+        let mut row = Vec::with_capacity(vars.len());
+        for (v, &label) in vars.iter().zip(&carriers) {
+            let Some(carrier) = find_carrier(store, root, label) else {
+                return Err(WrapperError::Construct(format!(
+                    "source result lacks the {label} carrier object"
+                )));
+            };
+            row.push(match (&store.get(carrier).value, v.kind) {
+                (Value::Set(kids), VarKind::Object) => match kids.first() {
+                    Some(&first) => BoundValue::Obj(first),
+                    None => {
+                        return Err(WrapperError::Construct(format!(
+                            "empty carrier for object variable {}",
+                            v.var
+                        )))
+                    }
+                },
+                (Value::Set(kids), VarKind::Scalar) => BoundValue::ObjSet(kids.clone()),
+                (atomic, _) => BoundValue::Atom(atomic.clone()),
+            });
+        }
+        rows.push(row);
+    }
+    Ok(rows)
+}
+
+/// Construct `head` once per row of `vars` over `store`, into a fresh
+/// answer store whose generated oids carry `name`: what a wrapper's
+/// [`Wrapper::query`] returns, and what the mediator's answer cache keeps
+/// for a row answer.
+pub fn construct_answer(
+    name: Symbol,
+    head: &Head,
+    vars: &[Symbol],
+    store: &ObjectStore,
+    rows: &[Vec<BoundValue>],
+) -> Result<ObjectStore, WrapperError> {
+    let mut out = ObjectStore::with_oid_prefix(&format!("{name}_r"));
+    let mut ctor = Constructor::new(store);
+    for row in rows {
+        let mut b = Bindings::new();
+        for (&var, value) in vars.iter().zip(row) {
+            b.bind_mut(var, value.clone());
+        }
+        ctor.construct_head(head, &b, &mut out)
+            .map_err(|e| WrapperError::Construct(e.to_string()))?;
+    }
+    Ok(out)
 }
 
 /// The reserved tail predicate that carries a value set into a source
@@ -191,20 +347,28 @@ impl ValueSets {
     /// listed 3 must then deduplicate with a 3 found elsewhere, as it would
     /// in the answer to the query for that one value.
     pub fn admit(&self, mut b: Bindings) -> Option<Bindings> {
+        self.admit_mut(&mut b, &mut Vec::new()).then_some(b)
+    }
+
+    /// [`ValueSets::admit`] in place: `false` rejects `b`; otherwise each
+    /// rebound variable's found value is pushed on `displaced`, for the
+    /// caller to put back (a rejected `b` may have some rebound too).
+    pub fn admit_mut(&self, b: &mut Bindings, displaced: &mut Vec<(Symbol, BoundValue)>) -> bool {
         for (var, set) in &self.sets {
             let found = match b.get(*var) {
                 Some(BoundValue::Atom(found)) => found,
-                Some(_) => return None,
+                Some(_) => return false,
                 None => continue, // bound by a later pattern
             };
-            let want = listed(set, found)?;
+            let Some(want) = listed(set, found) else {
+                return false;
+            };
             if want != found {
                 let want = BoundValue::Atom(want.clone());
-                let others: Vec<Symbol> = b.variables().into_iter().filter(|v| v != var).collect();
-                b = b.project(&others).bind(*var, want)?;
+                displaced.extend(b.replace(*var, want).map(|old| (*var, old)));
             }
         }
-        Some(b)
+        true
     }
 }
 

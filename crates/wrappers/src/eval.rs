@@ -1,9 +1,11 @@
 //! Generic MSL query evaluation over one object store.
 //!
 //! Both concrete wrappers reduce to this routine: match the query's tail
-//! patterns against (a materialized view of) the source, project the
-//! bindings onto the head variables, eliminate duplicates (§2 footnote 3),
-//! and construct one result object per surviving binding.
+//! patterns against (a materialized view of) the source, project each
+//! solution onto the head variables as a row, and eliminate duplicate rows
+//! (§2 footnote 3). [`crate::Wrapper::query`] constructs one result object
+//! per row; [`crate::Wrapper::query_rows`] hands the rows over as they
+//! are, over the source's own objects.
 //!
 //! A query may restrict variables to value sets (`one_of`, see
 //! [`crate::api::ValueSets`]): membership is tested as each pattern's
@@ -17,14 +19,17 @@
 //! the answer is the scan's byte for byte. Without one every pattern
 //! scans: [`answer_msl_query`] is that reference.
 
-use crate::api::{own_patterns, ValueSets, WrapperError};
+use crate::api::{
+    construct_answer, own_patterns, read_carriers, ExtractVar, Rows, ValueSets, VarKind,
+    WrapperError,
+};
 use crate::capabilities::Capabilities;
 use crate::index::ValueIndex;
-use engine::bindings::{dedup_bindings, Bindings};
-use engine::construct::Constructor;
-use engine::matcher::{match_objects, match_top_level};
-use msl::{Pattern, Rule};
+use engine::bindings::{Bindings, BoundValue};
+use engine::matcher::match_each;
+use msl::{Head, PatValue, Pattern, Rule, SetElem, Term};
 use oem::{ObjectStore, Symbol};
+use std::sync::Arc;
 
 /// Evaluate `q` against `store` and construct its head objects into a
 /// fresh result store (top-level). `name` is the answering source (used
@@ -37,55 +42,226 @@ pub fn answer_msl_query(
     q: &Rule,
 ) -> Result<ObjectStore, WrapperError> {
     let (patterns, sets) = own_patterns(name, caps, q)?;
-    answer_patterns(name, store, None, &patterns, &sets, q)
+    HeadRows::eval(store, None, &patterns, &sets, &q.head)?.construct(name, &q.head, store)
 }
 
-/// [`answer_msl_query`] over an already validated query, narrowed by
-/// `index` (built over `store`) where a pattern allows.
-pub(crate) fn answer_patterns(
-    name: Symbol,
+/// The evaluator every wrapper ends in: the values of a query's head
+/// variables, one row per solution, over the store the query was matched
+/// against.
+pub(crate) struct HeadRows {
+    /// The head's variables, each once, in order of appearance.
+    vars: Vec<Symbol>,
+    /// Distinct rows of `vars`, first occurrences in solution order.
+    rows: Vec<Vec<BoundValue>>,
+}
+
+impl HeadRows {
+    /// Join `patterns` left to right over `store`, narrowed by `index`
+    /// (built over `store`) where a pattern allows, and project each
+    /// solution onto the head variables (§2 footnote 3) straight into its
+    /// row; then eliminate duplicate rows.
+    pub(crate) fn eval(
+        store: &ObjectStore,
+        index: Option<&ValueIndex>,
+        patterns: &[&Pattern],
+        sets: &ValueSets,
+        head: &Head,
+    ) -> Result<HeadRows, WrapperError> {
+        let mut all = Vec::new();
+        head.collect_vars(&mut all);
+        let mut vars: Vec<Symbol> = Vec::with_capacity(all.len());
+        for v in all {
+            if !vars.contains(&v) {
+                vars.push(v);
+            }
+        }
+        let mut rows = Vec::new();
+        let mut unbound = None;
+        let mut emit = |b: &mut Bindings| {
+            let mut row = Vec::with_capacity(vars.len());
+            for &v in &vars {
+                let Some(value) = b.get(v) else {
+                    unbound = Some(v);
+                    return;
+                };
+                row.push(value.clone());
+            }
+            rows.push(row);
+        };
+        join(
+            store,
+            index,
+            patterns,
+            sets,
+            &mut Bindings::new(),
+            &mut emit,
+        );
+        if let Some(v) = unbound {
+            return Err(WrapperError::Construct(
+                engine::ConstructError::UnboundVariable(v).to_string(),
+            ));
+        }
+        Ok(HeadRows {
+            vars,
+            rows: dedup_rows(rows),
+        })
+    }
+
+    /// How many rows, i.e. answer objects.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The answer [`crate::Wrapper::query`] returns: `head` constructed
+    /// once per row.
+    pub(crate) fn construct(
+        &self,
+        name: Symbol,
+        head: &Head,
+        store: &ObjectStore,
+    ) -> Result<ObjectStore, WrapperError> {
+        construct_answer(name, head, &self.vars, store, &self.rows)
+    }
+
+    /// The rows [`crate::Wrapper::query_rows`] returns: each extraction
+    /// variable's column, over `store` itself. A head that does not carry
+    /// every variable in the shape its kind reads is constructed and its
+    /// carriers read, so the rows are the carrier reader's in every case.
+    pub(crate) fn extract(
+        self,
+        store: Arc<ObjectStore>,
+        name: Symbol,
+        head: &Head,
+        vars: &[ExtractVar],
+    ) -> Result<Rows, WrapperError> {
+        let columns = carrier_columns(head, vars).and_then(|carried| {
+            (carried.iter())
+                .map(|v| self.vars.iter().position(|h| h == v))
+                .collect::<Option<Vec<usize>>>()
+        });
+        // What a carrier of that kind holds unchanged.
+        let readable = |row: &[BoundValue], columns: &[usize]| {
+            (columns.iter().zip(vars)).all(|(&c, v)| {
+                matches!(
+                    (&row[c], v.kind),
+                    (BoundValue::Obj(_), VarKind::Object)
+                        | (BoundValue::Atom(_) | BoundValue::ObjSet(_), VarKind::Scalar)
+                )
+            })
+        };
+        match columns {
+            Some(columns) if self.rows.iter().all(|row| readable(row, &columns)) => {
+                let rows = if columns.iter().copied().eq(0..self.vars.len()) {
+                    self.rows
+                } else {
+                    let pick =
+                        |row: &Vec<BoundValue>| columns.iter().map(|&c| row[c].clone()).collect();
+                    self.rows.iter().map(pick).collect()
+                };
+                Ok(Rows { rows, store })
+            }
+            _ => {
+                let answer = self.construct(name, head, &store)?;
+                let rows = read_carriers(&answer, answer.top_level(), vars)?;
+                Ok(Rows {
+                    rows,
+                    store: Arc::new(answer),
+                })
+            }
+        }
+    }
+}
+
+/// Match `patterns` left to right, each against the top-level objects (or
+/// the index's candidates for it), handing every admitted solution of the
+/// last to `emit`.
+fn join(
     store: &ObjectStore,
     index: Option<&ValueIndex>,
     patterns: &[&Pattern],
     sets: &ValueSets,
-    q: &Rule,
-) -> Result<ObjectStore, WrapperError> {
-    // Join the tail patterns left to right.
-    let mut states = vec![Bindings::new()];
-    for pat in patterns {
-        let mut next = Vec::new();
-        for b in &states {
-            let matches = match index.and_then(|index| index.candidates(pat, b)) {
-                Some(hits) => {
-                    let top = store.top_level();
-                    match_objects(store, hits.iter().map(|h| top[h.pos as usize]), pat, b)
-                }
-                None => match_top_level(store, pat, b),
-            };
-            next.extend(matches.into_iter().filter_map(|m| sets.admit(m)));
+    b: &mut Bindings,
+    emit: &mut dyn FnMut(&mut Bindings),
+) {
+    let Some((pat, later)) = patterns.split_first() else {
+        return emit(b);
+    };
+    let mut displaced = Vec::new();
+    let mut step = |b: &mut Bindings| {
+        if sets.admit_mut(b, &mut displaced) {
+            join(store, index, later, sets, b, emit);
         }
-        states = next;
-        if states.is_empty() {
-            break;
+        for (var, found) in displaced.drain(..).rev() {
+            b.replace(var, found);
         }
+    };
+    let top = store.top_level();
+    match index.and_then(|index| index.candidates(pat, b)) {
+        Some(hits) => {
+            let ids = hits.iter().map(|h| top[h.pos as usize]);
+            match_each(store, ids, pat, b, &mut step)
+        }
+        None => match_each(store, top.iter().copied(), pat, b, &mut step),
     }
+}
 
-    // Project onto the head variables, then eliminate duplicate bindings.
-    let mut head_vars = Vec::new();
-    q.head.collect_vars(&mut head_vars);
-    for b in &mut states {
-        b.retain(&head_vars);
+/// Keep the first occurrence of every row, in order.
+fn dedup_rows(rows: Vec<Vec<BoundValue>>) -> Vec<Vec<BoundValue>> {
+    if rows.len() < 2 {
+        return rows;
     }
-    let surviving = dedup_bindings(states);
+    let first: Vec<bool> = {
+        let mut seen = std::collections::HashSet::with_capacity(rows.len());
+        rows.iter().map(|r| seen.insert(r)).collect()
+    };
+    rows.into_iter()
+        .zip(first)
+        .filter_map(|(r, first)| first.then_some(r))
+        .collect()
+}
 
-    // Construct results.
-    let mut out = ObjectStore::with_oid_prefix(&format!("{name}_r"));
-    let mut ctor = Constructor::new(store);
-    for b in &surviving {
-        ctor.construct_head(&q.head, b, &mut out)
-            .map_err(|e| WrapperError::Construct(e.to_string()))?;
+/// The head variable each of `vars` is exported through, when `head` is
+/// the planner's carrier set: `<bind_for_V V>` for a scalar, `<bind_for_X
+/// {X}>` for an object variable, and nothing else.
+fn carrier_columns(head: &Head, vars: &[ExtractVar]) -> Option<Vec<Symbol>> {
+    // A semantic oid on the answer object would fuse rows.
+    let Head::Pattern(Pattern {
+        value: PatValue::Set(carriers),
+        oid: None,
+        ..
+    }) = head
+    else {
+        return None;
+    };
+    if carriers.rest.is_some() {
+        return None;
     }
-    Ok(out)
+    let exported = (carriers.elements.iter())
+        .map(|e| match e {
+            SetElem::Pattern(p) if p.obj_var.is_none() && p.oid.is_none() && p.typ.is_none() => {
+                let Term::Const(label) = &p.label else {
+                    return None;
+                };
+                let (var, kind) = match &p.value {
+                    PatValue::Term(Term::Var(v)) => (*v, VarKind::Scalar),
+                    PatValue::Set(s) => match (&s.elements[..], &s.rest) {
+                        ([SetElem::Var(v)], None) => (*v, VarKind::Object),
+                        _ => return None,
+                    },
+                    PatValue::Term(_) => return None,
+                };
+                Some((label.as_str_sym()?, var, kind))
+            }
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    vars.iter()
+        .map(|v| {
+            let label = crate::api::carrier_label(v.var);
+            let &(_, var, kind) = exported.iter().find(|(l, ..)| *l == label)?;
+            (kind == v.kind).then_some(var)
+        })
+        .collect()
 }
 
 #[cfg(test)]

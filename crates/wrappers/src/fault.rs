@@ -17,7 +17,7 @@
 //! `Arc<VirtualClock>` into both, making "a source that takes 80ms against
 //! a 50ms deadline" an instant, deterministic scenario.
 
-use crate::api::{SourceStats, Wrapper, WrapperError};
+use crate::api::{ExtractVar, Rows, SourceStats, Wrapper, WrapperError};
 use crate::capabilities::Capabilities;
 use crate::metrics::{WrapperCounters, WrapperMetrics};
 use msl::Rule;
@@ -272,6 +272,24 @@ impl Wrapper for FaultInjectingWrapper {
     }
 
     fn query(&self, q: &Rule) -> Result<ObjectStore, WrapperError> {
+        self.arrive()?;
+        let result = self.inner.query(q)?;
+        self.counters.objects_exported(result.top_level().len());
+        Ok(result)
+    }
+
+    fn query_rows(&self, q: &Rule, vars: &[ExtractVar]) -> Result<Rows, WrapperError> {
+        self.arrive()?;
+        let rows = self.inner.query_rows(q, vars)?;
+        self.counters.objects_exported(rows.rows.len());
+        Ok(rows)
+    }
+}
+
+impl FaultInjectingWrapper {
+    /// What every query meets before the inner source sees it: the plan's
+    /// latency, then its fault for this call.
+    fn arrive(&self) -> Result<(), WrapperError> {
         let call_index = self.calls.fetch_add(1, Ordering::Relaxed);
         self.counters.query_received();
         if self.plan.latency_ms > 0 {
@@ -284,9 +302,7 @@ impl Wrapper for FaultInjectingWrapper {
             self.counters.fault_injected();
             return Err(self.plan.error(self.inner.name(), call_index));
         }
-        let result = self.inner.query(q)?;
-        self.counters.objects_exported(result.top_level().len());
-        Ok(result)
+        Ok(())
     }
 }
 

@@ -48,7 +48,7 @@ pub mod semistructured;
 pub mod summary;
 pub mod workload;
 
-pub use api::{SourceStats, Wrapper, WrapperError};
+pub use api::{ExtractVar, Rows, SourceStats, VarKind, Wrapper, WrapperError};
 pub use capabilities::{CapViolation, Capabilities};
 pub use fault::{Clock, FaultInjectingWrapper, FaultKind, FaultPlan, SystemClock, VirtualClock};
 pub use index::ValueIndex;

@@ -24,13 +24,15 @@
 //! pattern binds `R` to `employee`/`student`, turning schema into data
 //! (schematic discrepancy, §2).
 
-use crate::api::{own_patterns, SourceStats, ValueSets, Wrapper, WrapperError};
+use crate::api::{own_patterns, ExtractVar, Rows, SourceStats, ValueSets, Wrapper, WrapperError};
 use crate::capabilities::Capabilities;
+use crate::eval::HeadRows;
 use crate::metrics::{WrapperCounters, WrapperMetrics};
 use minidb::{Catalog, Condition, Datum, InCondition, Predicate, Table, TableStats};
 use msl::{PatValue, Pattern, Rule, SetElem, Term};
 use oem::{ObjectStore, Symbol, Value};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// A relational database behind an OEM wrapper.
 pub struct RelationalWrapper {
@@ -84,24 +86,16 @@ impl RelationalWrapper {
 
     /// Candidate tables for a top-level pattern: the named one, or all
     /// that a label variable may take.
-    fn candidate_tables(&self, pattern: &Pattern, sets: &ValueSets) -> Vec<String> {
+    fn candidate_tables(&self, pattern: &Pattern, sets: &ValueSets) -> Vec<&Table> {
         match &pattern.label {
-            Term::Const(v) => match v.as_str_sym() {
-                Some(s) => {
-                    let name = s.as_str();
-                    if self.catalog.table_names().any(|t| t == name) {
-                        vec![name]
-                    } else {
-                        Vec::new()
-                    }
-                }
-                None => Vec::new(),
-            },
+            Term::Const(v) => (v.as_str_sym())
+                .and_then(|s| self.catalog.table(&s.as_str()).ok())
+                .into_iter()
+                .collect(),
             Term::Var(v) => self
                 .catalog
-                .table_names()
-                .filter(|t| sets.allows(*v, &Value::str(t)))
-                .map(|s| s.to_string())
+                .tables()
+                .filter(|t| sets.allows(*v, &Value::str(t.schema().name())))
                 .collect(),
             Term::Param(_) | Term::Func(..) => Vec::new(),
         }
@@ -112,8 +106,8 @@ impl RelationalWrapper {
     /// variable restricted to a value set (`IN`). Returns `None` if some
     /// pushable condition references a column the table lacks — the
     /// pattern can never match a row of that table.
-    fn pushdown(&self, table: &str, pattern: &Pattern, sets: &ValueSets) -> Option<Predicate> {
-        let schema = self.catalog.table(table).ok()?.schema();
+    fn pushdown(table: &Table, pattern: &Pattern, sets: &ValueSets) -> Option<Predicate> {
+        let schema = table.schema();
         // A required column that is absent means no row matches.
         let column = |label: &Value| -> Option<String> {
             let name = label.as_str_sym()?.as_str();
@@ -245,36 +239,50 @@ impl Wrapper for RelationalWrapper {
     }
 
     fn query(&self, q: &Rule) -> Result<ObjectStore, WrapperError> {
+        let (view, rows) = self.evaluate(q)?;
+        let out = rows.construct(self.name, &q.head, &view)?;
+        self.counters.objects_exported(rows.len());
+        Ok(out)
+    }
+
+    fn query_rows(&self, q: &Rule, vars: &[ExtractVar]) -> Result<Rows, WrapperError> {
+        let (view, rows) = self.evaluate(q)?;
+        let exported = rows.len();
+        let rows = rows.extract(Arc::new(view), self.name, &q.head, vars)?;
+        self.counters.objects_exported(exported);
+        Ok(rows)
+    }
+}
+
+impl RelationalWrapper {
+    /// The one evaluator behind both answers: materialize, per tail
+    /// pattern, only the rows surviving pushdown, then finish with generic
+    /// MSL matching over that view — the store the rows point into.
+    fn evaluate(&self, q: &Rule) -> Result<(ObjectStore, HeadRows), WrapperError> {
         self.counters.query_received();
         if let Err(e) = self.caps.check_query(q) {
             self.counters.capability_rejected();
             return Err(WrapperError::Unsupported(e));
         }
         let (patterns, sets) = own_patterns(self.name, &self.caps, q)?;
-
-        // Materialize, per tail pattern, only rows surviving pushdown.
         let mut view = ObjectStore::with_oid_prefix(&format!("{}_t", self.name));
         let mut memo: HashMap<(Symbol, usize), oem::ObjId> = HashMap::new();
         for pattern in &patterns {
-            for table in self.candidate_tables(pattern, &sets) {
-                let Some(pred) = self.pushdown(&table, pattern, &sets) else {
+            for t in self.candidate_tables(pattern, &sets) {
+                let Some(pred) = Self::pushdown(t, pattern, &sets) else {
                     continue;
                 };
-                let t = self.catalog.table(&table).expect("candidate exists");
                 let rids =
                     minidb::select(t, &pred).map_err(|e| WrapperError::BadQuery(e.to_string()))?;
-                let label = Symbol::intern(&table);
+                let label = Symbol::intern(t.schema().name());
                 let cols: Vec<Symbol> = t.schema().column_names().map(Symbol::intern).collect();
                 for rid in rids {
                     Self::materialize_row(t, label, &cols, rid, &mut view, &mut memo);
                 }
             }
         }
-
-        // Finish with generic MSL matching over the materialized view.
-        let out = crate::eval::answer_patterns(self.name, &view, None, &patterns, &sets, q)?;
-        self.counters.objects_exported(out.top_level().len());
-        Ok(out)
+        let rows = HeadRows::eval(&view, None, &patterns, &sets, &q.head)?;
+        Ok((view, rows))
     }
 }
 

@@ -12,20 +12,21 @@
 //! variables to value sets (`one_of`, [`crate::api::ValueSets`]) is tested
 //! as matches arrive, in the same pass.
 
-use crate::api::{own_patterns, SourceStats, Wrapper, WrapperError};
+use crate::api::{own_patterns, ExtractVar, Rows, SourceStats, Wrapper, WrapperError};
 use crate::capabilities::Capabilities;
-use crate::eval::answer_patterns;
+use crate::eval::HeadRows;
 use crate::index::{can_narrow, ValueIndex};
 use crate::metrics::{WrapperCounters, WrapperMetrics};
 use msl::Rule;
 use oem::{ObjectStore, Symbol};
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A source holding OEM objects directly.
 pub struct SemiStructuredSource {
     name: Symbol,
-    store: ObjectStore,
+    /// Shared with the row answers ([`Rows`]) whose ids point into it.
+    store: Arc<ObjectStore>,
     caps: Capabilities,
     provide_stats: bool,
     counters: WrapperCounters,
@@ -44,7 +45,7 @@ impl SemiStructuredSource {
     pub fn new(name: &str, store: ObjectStore) -> SemiStructuredSource {
         SemiStructuredSource {
             name: Symbol::intern(name),
-            store,
+            store: Arc::new(store),
             caps: Capabilities::full(),
             provide_stats: false,
             counters: WrapperCounters::new(),
@@ -78,10 +79,11 @@ impl SemiStructuredSource {
     }
 
     /// Mutable access (schema-evolution demos add attributes at runtime).
-    /// Drops the value index; the next lookup rebuilds it.
+    /// Drops the value index; the next lookup rebuilds it. Row answers
+    /// handed out earlier keep the store they were read from.
     pub fn store_mut(&mut self) -> &mut ObjectStore {
         self.index.take();
-        &mut self.store
+        Arc::make_mut(&mut self.store)
     }
 
     fn index(&self) -> &ValueIndex {
@@ -136,6 +138,26 @@ impl Wrapper for SemiStructuredSource {
     }
 
     fn query(&self, q: &Rule) -> Result<ObjectStore, WrapperError> {
+        let rows = self.evaluate(q)?;
+        let result = rows.construct(self.name, &q.head, &self.store)?;
+        self.counters.objects_exported(rows.len());
+        Ok(result)
+    }
+
+    fn query_rows(&self, q: &Rule, vars: &[ExtractVar]) -> Result<Rows, WrapperError> {
+        let rows = self.evaluate(q)?;
+        let exported = rows.len();
+        let rows = rows.extract(Arc::clone(&self.store), self.name, &q.head, vars)?;
+        self.counters.objects_exported(exported);
+        Ok(rows)
+    }
+}
+
+impl SemiStructuredSource {
+    /// The one evaluator behind both answers: validate `q` against the
+    /// capability profile, then match it, through the value index where a
+    /// pattern names a child's value.
+    fn evaluate(&self, q: &Rule) -> Result<HeadRows, WrapperError> {
         self.counters.query_received();
         if let Err(e) = self.caps.check_query(q) {
             self.counters.capability_rejected();
@@ -143,9 +165,7 @@ impl Wrapper for SemiStructuredSource {
         }
         let (patterns, sets) = own_patterns(self.name, &self.caps, q)?;
         let index = can_narrow(&patterns).then(|| self.index());
-        let result = answer_patterns(self.name, &self.store, index, &patterns, &sets, q)?;
-        self.counters.objects_exported(result.top_level().len());
-        Ok(result)
+        HeadRows::eval(&self.store, index, &patterns, &sets, &q.head)
     }
 }
 

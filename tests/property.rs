@@ -1083,3 +1083,261 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Row answers: a wrapper that answers in rows (`Wrapper::query_rows`)
+// returns what the carrier reader reads out of its constructed answer
+
+/// The rows the provided `query_rows` would return: the carrier reader
+/// over the constructed answer.
+fn carrier_rows(
+    w: &dyn wrappers::Wrapper,
+    q: &Rule,
+    vars: &[wrappers::ExtractVar],
+) -> Result<wrappers::Rows, wrappers::WrapperError> {
+    let answer = w.query(q)?;
+    let rows = wrappers::api::read_carriers(&answer, answer.top_level(), vars)?;
+    Ok(wrappers::Rows {
+        rows,
+        store: std::sync::Arc::new(answer),
+    })
+}
+
+/// Do two row answers hold the same rows, in the same order? Atoms compare
+/// as the matcher compares them; objects, each in its own store,
+/// structurally.
+fn same_rows(a: &wrappers::Rows, b: &wrappers::Rows) -> bool {
+    let same_obj =
+        |x: &oem::ObjId, y: &oem::ObjId| oem::eq::struct_eq_cross(&a.store, *x, &b.store, *y);
+    let same = |x: &BoundValue, y: &BoundValue| match (x, y) {
+        (BoundValue::Atom(x), BoundValue::Atom(y)) => engine::matcher::atomic_eq(x, y),
+        (BoundValue::Obj(x), BoundValue::Obj(y)) => same_obj(x, y),
+        (BoundValue::ObjSet(xs), BoundValue::ObjSet(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_obj(x, y))
+        }
+        _ => false,
+    };
+    a.rows.len() == b.rows.len()
+        && a.rows
+            .iter()
+            .zip(&b.rows)
+            .all(|(r, s)| r.len() == s.len() && r.iter().zip(s).all(|(x, y)| same(x, y)))
+}
+
+/// A source, a query sent to it, and its extraction variables (`true`
+/// for an object variable).
+type RowQuery = (&'static str, String, Vec<(&'static str, bool)>);
+
+/// The source queries the planner sends MS1's sources, as (source, query,
+/// extraction variables; `O` marks an object variable): the scan's two,
+/// a name lookup, a pushed-down rest condition, the label variable `R`
+/// restricted by a value set, and value sets mixing `3` and `3.0`; then
+/// two a lower mediator answers as a source.
+fn row_queries(name: &str) -> Vec<RowQuery> {
+    let whois_scan = "<bind_for_whois {<bind_for_N N> <bind_for_R R> <bind_for_Rest1 Rest1>}> :- \
+         <person {<name N> <dept 'CS'> <relation R> | Rest1}>@whois";
+    vec![
+        ("whois", whois_scan.to_string(), vec![("N", false), ("R", false), ("Rest1", false)]),
+        (
+            "cs",
+            "<bind_for_cs {<bind_for_FN FN> <bind_for_LN LN> <bind_for_R R> <bind_for_Rest2 Rest2>}> \
+             :- <R {<first_name FN> <last_name LN> | Rest2}>@cs"
+                .to_string(),
+            vec![("FN", false), ("LN", false), ("R", false), ("Rest2", false)],
+        ),
+        (
+            "whois",
+            format!(
+                "<bind_for_whois {{<bind_for_R R> <bind_for_Rest1 Rest1>}}> :- \
+                 <person {{<name '{name}'> <dept 'CS'> <relation R> | Rest1}}>@whois"
+            ),
+            vec![("R", false), ("Rest1", false)],
+        ),
+        (
+            "whois",
+            format!("<bind_for_whois {{<bind_for_P {{P}}>}}> :- P:<person {{<name '{name}'>}}>@whois"),
+            vec![("P", true)],
+        ),
+        (
+            "whois",
+            "<bind_for_whois {<bind_for_N N> <bind_for_R R> <bind_for_Rest1 Rest1>}> :- \
+             <person {<name N> <dept 'CS'> <relation R> | Rest1:{<year 3>}}>@whois"
+                .to_string(),
+            vec![("N", false), ("R", false), ("Rest1", false)],
+        ),
+        (
+            "cs",
+            "<bind_for_cs {<bind_for_Rest2 Rest2> <bind_for_R R> <bind_for_LN LN>}> :- \
+             <R {<last_name LN> | Rest2}>@cs AND one_of(R, 'student')"
+                .to_string(),
+            vec![("Rest2", false), ("R", false), ("LN", false)],
+        ),
+        (
+            "whois",
+            "<bind_for_whois {<bind_for_N N> <bind_for_Y Y>}> :- \
+             <person {<name N> <year Y>}>@whois AND one_of(Y, 3, 3.0, 4)"
+                .to_string(),
+            vec![("N", false), ("Y", false)],
+        ),
+        (
+            "cs",
+            "<bind_for_cs {<bind_for_FN FN> <bind_for_Y Y> <bind_for_S {S}>}> :- \
+             S:<student {<first_name FN> <year Y>}>@cs AND one_of(Y, 3.0, 3, 2)"
+                .to_string(),
+            vec![("FN", false), ("Y", false), ("S", true)],
+        ),
+        (
+            "med",
+            "<bind_for_med {<bind_for_N N> <bind_for_R R>}> :- <cs_person {<name N> <rel R>}>@med"
+                .to_string(),
+            vec![("N", false), ("R", false)],
+        ),
+        (
+            "med",
+            "<bind_for_med {<bind_for_N N> <bind_for_Y Y>}> :- <cs_person {<name N> <year Y>}>@med"
+                .to_string(),
+            vec![("N", false), ("Y", false)],
+        ),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Over generated workloads, every source — whois, cs, each behind a
+    /// fault injector that injects nothing, and a mediator over both used
+    /// as a source — answers each query the planner sends it with the
+    /// rows the carrier reader reads out of its constructed answer: same
+    /// length, same order, equal atoms and structurally equal objects.
+    #[test]
+    fn row_answers_are_the_carrier_readers_rows(
+        seed in any::<u64>(),
+        n in 1usize..60,
+        irregularity in 0.0f64..1.0,
+        repeated in prop::sample::select(vec![0.0, 0.3]),
+        pick in 0usize..64,
+    ) {
+        use std::sync::Arc;
+        use wrappers::{ExtractVar, FaultInjectingWrapper, FaultPlan, VarKind, Wrapper};
+        let workload = wrappers::workload::PersonWorkload {
+            n_whois: n,
+            irregularity,
+            repeated,
+            seed,
+            ..Default::default()
+        };
+        let (whois, cs) = workload.build();
+        let (whois, cs): (Arc<dyn Wrapper>, Arc<dyn Wrapper>) = (Arc::new(whois), Arc::new(cs));
+        let med = medmaker::Mediator::new(
+            "med",
+            wrappers::scenario::MS1,
+            vec![Arc::clone(&whois), Arc::clone(&cs)],
+            medmaker::externals::standard_registry(),
+        )
+        .unwrap();
+        let faultless = |w: &Arc<dyn Wrapper>| -> Arc<dyn Wrapper> {
+            Arc::new(FaultInjectingWrapper::new(Arc::clone(w), FaultPlan::none()))
+        };
+        let sources: Vec<(&str, Arc<dyn Wrapper>)> = vec![
+            ("whois", Arc::clone(&whois)),
+            ("cs", Arc::clone(&cs)),
+            ("whois", faultless(&whois)),
+            ("cs", faultless(&cs)),
+            ("med", Arc::new(med)),
+        ];
+        let name = wrappers::workload::PersonWorkload::full_name_of(pick % (n + 1));
+        for (source, query, vars) in row_queries(&name) {
+            let q = msl::parse_rule(&query).unwrap();
+            let vars: Vec<ExtractVar> = vars
+                .iter()
+                .map(|&(v, object)| ExtractVar {
+                    var: oem::sym(v),
+                    kind: if object { VarKind::Object } else { VarKind::Scalar },
+                })
+                .collect();
+            for (_, w) in sources.iter().filter(|(s, _)| *s == source) {
+                let expected = carrier_rows(w.as_ref(), &q, &vars).unwrap();
+                let rows = w.query_rows(&q, &vars).unwrap();
+                prop_assert!(same_rows(&rows, &expected), "{}", query);
+            }
+        }
+    }
+}
+
+/// The golden answers (`tests/golden_answers.rs`) hold at every batch
+/// size, cache off and on: however many rows an answer is absorbed in at
+/// a time, the bytes are the same.
+#[test]
+fn golden_answers_hold_at_every_batch_size() {
+    use medmaker::{CacheOptions, Mediator, MediatorOptions};
+    use std::sync::Arc;
+    const GOLDEN: &str = include_str!("golden/person_200_seed_11.txt");
+    let queries = [
+        ("scan", "P :- P:<cs_person {}>@med"),
+        (
+            "point.msl.3",
+            "P :- P:<cs_person {<name 'First3 Last3'>}>@med",
+        ),
+        (
+            "point.msl.42",
+            "P :- P:<cs_person {<name 'First42 Last42'>}>@med",
+        ),
+        ("rel", "P :- P:<cs_person {<rel 'student'>}>@med"),
+        ("year", "S :- S:<cs_person {<year 3>}>@med"),
+    ];
+    let fnv1a = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    for batch_size in [1, 7, 1024] {
+        for cache in [false, true] {
+            let (whois, cs) = wrappers::workload::PersonWorkload {
+                n_whois: 200,
+                seed: 11,
+                ..Default::default()
+            }
+            .build();
+            let med = Mediator::new_with_options(
+                "med",
+                wrappers::scenario::MS1,
+                vec![Arc::new(whois), Arc::new(cs)],
+                medmaker::externals::standard_registry(),
+                MediatorOptions {
+                    learn_stats: false,
+                    batch_size,
+                    cache: if cache {
+                        CacheOptions::enabled()
+                    } else {
+                        CacheOptions::default()
+                    },
+                    ..MediatorOptions::default()
+                },
+            )
+            .unwrap();
+            let modes: &[&str] = if cache {
+                &["cache-on", "cache-on-again"]
+            } else {
+                &["cache-off"]
+            };
+            for mode in modes {
+                for (name, text) in queries {
+                    let results = med
+                        .query_rule(&msl::parse_query(text).unwrap())
+                        .unwrap()
+                        .results;
+                    let printed = oem::printer::print_store(&results);
+                    let line = format!(
+                        "{mode} {name} {} {:016x}",
+                        results.top_level().len(),
+                        fnv1a(printed.as_bytes())
+                    );
+                    assert!(
+                        GOLDEN.lines().any(|l| l == line),
+                        "batch size {batch_size}: {line} is not golden"
+                    );
+                }
+            }
+        }
+    }
+}
