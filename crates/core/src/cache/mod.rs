@@ -385,8 +385,16 @@ impl AnswerCache {
         }
     }
 
-    /// [`AnswerCache::lookup_rows`], with the rows absorbed into `memory`
-    /// as the executor absorbs every answer's.
+    /// Look up an answer for `query` against `source`. On a hit, the
+    /// rows of `vars` the cached answer serves are read out of its kept
+    /// objects' carriers in place, over the cached store, exactly as a
+    /// live answer's carriers are read, and absorbed into `memory` as the
+    /// executor absorbs every answer's rows.
+    ///
+    /// The hot tier is probed first (exact keys, then containment,
+    /// newest first); on a hot miss the warm tier's index is probed the
+    /// same way, the winning record re-read and re-checksummed off disk,
+    /// and the entry promoted back into the hot tier.
     pub fn lookup(
         &self,
         source: Symbol,
@@ -398,16 +406,8 @@ impl AnswerCache {
         Some((absorb_all(&rows.store, rows.rows, memory), kind))
     }
 
-    /// Look up an answer for `query` against `source`. On a hit, the
-    /// rows of `vars` the cached answer serves are read out of its kept
-    /// objects' carriers in place, over the cached store, exactly as a
-    /// live answer's carriers are read.
-    ///
-    /// The hot tier is probed first (exact keys, then containment,
-    /// newest first); on a hot miss the warm tier's index is probed the
-    /// same way, the winning record re-read and re-checksummed off disk,
-    /// and the entry promoted back into the hot tier.
-    pub fn lookup_rows(
+    /// [`AnswerCache::lookup`] up to the rows, over the cached store.
+    fn lookup_rows(
         &self,
         source: Symbol,
         query: &Rule,
@@ -562,8 +562,11 @@ impl AnswerCache {
         }
     }
 
-    /// Cache a freshly fetched answer. Replaces an existing entry with
-    /// the same canonical key; evicts the shard's lowest-value entry past
+    /// Cache a freshly fetched answer, given as the store to keep: the
+    /// executor files one tuple's part of a split set-valued answer this
+    /// way (numbered as a copy out of the batch), and a lone answer through
+    /// [`AnswerCache::insert_rows`]. Replaces an existing entry with the
+    /// same canonical key; evicts the shard's lowest-value entry past
     /// capacity (losers demote when a warm tier is configured). With a
     /// warm tier the answer is also written through to disk, and
     /// compaction runs when the segments outgrow the byte budget.

@@ -19,10 +19,11 @@ use engine::bindings::BoundValue;
 use engine::matcher::{atomic_eq, atomic_key};
 use engine::subst::{fill_params_rule, Subst};
 use msl::{Head, PatValue, Pattern, Rule, SetElem, Term};
-use oem::{Symbol, Value};
+use oem::{copy, ObjectStore, Symbol, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use wrappers::Rows;
+use wrappers::api::construct_answer;
+use wrappers::{ExtractVar, Rows};
 
 /// `query` with every `$V` of `params` turned into the variable `V` and
 /// `<bind_for_V V>` added to its head — the set-valued query less its
@@ -102,6 +103,32 @@ pub(crate) fn split_answer(answer: &Rows, kept: usize, tuples: &[&[Value]]) -> V
         .collect()
 }
 
+/// The store the answer cache files for one tuple's `part` of a split
+/// answer: `query`, the set-valued query filled with that tuple, has its
+/// head constructed once per row as for a lone answer, and each answer
+/// object is then copied out child by child — depth-first, an object
+/// before its children, the answer object after them. That is the order
+/// a copy out of the set-valued answer's own objects numbers oids in, so
+/// the entry's text does not depend on whether the tuple travelled alone
+/// or in a batch. `None` if the rows cannot build the head.
+pub(crate) fn part_store(
+    source: Symbol,
+    query: &Rule,
+    vars: &[ExtractVar],
+    part: &Rows,
+) -> Option<ObjectStore> {
+    let names: Vec<Symbol> = vars.iter().map(|v| v.var).collect();
+    let built = construct_answer(source, &query.head, &names, &part.store, &part.rows).ok()?;
+    let mut store = ObjectStore::with_oid_prefix(&format!("{source}_r"));
+    let mut map = HashMap::new();
+    for &top in built.top_level() {
+        let kids = copy::deep_copy_all_into(&built, built.children(top), &mut store, &mut map);
+        let copied = store.insert_auto(built.get(top).label, Value::Set(kids));
+        store.add_top(copied);
+    }
+    Some(store)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,7 +136,7 @@ mod tests {
     use oem::printer::compact;
     use oem::sym;
     use wrappers::scenario::cs_wrapper;
-    use wrappers::{ExtractVar, VarKind, Wrapper};
+    use wrappers::{VarKind, Wrapper};
 
     fn qcs() -> Rule {
         parse_rule(
@@ -208,5 +235,46 @@ mod tests {
         let sizes: Vec<usize> = parts.iter().map(|p| p.rows.len()).collect();
         assert_eq!(sizes, [1, 1, 0]);
         assert_eq!(print(&parts[0]), ["'t'"]);
+    }
+
+    #[test]
+    fn a_tuple_entry_numbers_oids_as_a_copy_out_of_the_batch() {
+        let cs = cs_wrapper();
+        let params = [sym("R"), sym("FN"), sym("LN")];
+        let scalar = |v: &str| ExtractVar {
+            var: sym(v),
+            kind: VarKind::Scalar,
+        };
+        let vars = [scalar("Rest2")];
+        let carried = ["Rest2", "R", "FN", "LN"].map(scalar);
+        let tuples =
+            [["employee", "Joe", "Chung"], ["student", "Nick", "Naive"]].map(|t| t.map(Value::str));
+        let asked: Vec<&[Value]> = tuples.iter().map(|t| t.as_slice()).collect();
+        let batched = restrict(&template(&qcs(), &params).unwrap(), &params, &asked);
+        let answer = cs.query_rows(&batched, &carried).unwrap();
+        let parts = split_answer(&answer, vars.len(), &asked);
+        let filed: Vec<String> = (tuples.iter().zip(&parts))
+            .map(|(tuple, part)| {
+                let filled: Subst = (params.iter().zip(tuple))
+                    .map(|(p, v)| (*p, Term::Const(v.clone())))
+                    .collect();
+                let query = fill_params_rule(&qcs(), &filled);
+                let store = part_store(sym("cs"), &query, &vars, part).unwrap();
+                oem::printer::print_store(&store)
+            })
+            .collect();
+        // The entry text, warm-tier record included, of each tuple.
+        assert_eq!(
+            filed,
+            [
+                "<&cs_r4, bind_for_cs, set, {&cs_r1}>\n  \
+                 <&cs_r1, bind_for_Rest2, set, {&cs_r2,&cs_r3}>\n    \
+                 <&cs_r2, title, string, 'professor'>\n    \
+                 <&cs_r3, reports_to, string, 'John Hennessy'>\n",
+                "<&cs_r3, bind_for_cs, set, {&cs_r1}>\n  \
+                 <&cs_r1, bind_for_Rest2, set, {&cs_r2}>\n    \
+                 <&cs_r2, year, integer, 3>\n",
+            ]
+        );
     }
 }

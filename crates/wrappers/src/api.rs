@@ -163,12 +163,14 @@ pub trait Wrapper: Send + Sync {
     /// [`Capabilities::parameterized_sets`] must honour.
     fn query(&self, q: &Rule) -> Result<ObjectStore, WrapperError>;
 
-    /// Answer a query whose head exports `vars` through carriers (see the
+    /// Answer a query whose head is the carrier set of `vars` (see the
     /// module docs) as rows of those variables' values: what
     /// [`read_carriers`] reads out of [`Wrapper::query`]'s answer, row for
-    /// row and in order. The provided method does exactly that; a wrapper
-    /// may override it to skip building the carriers, as long as the rows
-    /// stay the same.
+    /// row and in order. The provided method does exactly that, for any
+    /// head; a wrapper may override it to skip building the carriers, as
+    /// long as the rows stay the same. An override reads each variable's
+    /// binding by name, so it may refuse a head that does not export
+    /// every one of `vars`.
     fn query_rows(&self, q: &Rule, vars: &[ExtractVar]) -> Result<Rows, WrapperError> {
         let answer = self.query(q)?;
         let rows = read_carriers(&answer, answer.top_level(), vars)?;
@@ -522,6 +524,74 @@ mod tests {
         assert!(sets.admit(bind(Value::Int(4))).is_none());
         // Not bound yet: a later pattern may still bind it.
         assert_eq!(sets.admit(Bindings::new()), Some(Bindings::new()));
+    }
+
+    #[test]
+    fn the_carrier_reader_refuses_what_it_cannot_read() {
+        let mut answer = ObjectStore::new();
+        let atom = answer.atom("bind_for_N", "n");
+        let empty = answer.set("bind_for_X", vec![]);
+        let top = answer.set("bind_for_s", vec![atom, empty]);
+        answer.add_top(top);
+        let var = |v: &str, kind| ExtractVar { var: sym(v), kind };
+        let read = |v: ExtractVar| read_carriers(&answer, &[top], &[v]);
+        assert_eq!(
+            read(var("N", VarKind::Scalar)).unwrap(),
+            [[BoundValue::Atom(Value::str("n"))]]
+        );
+        assert_eq!(
+            read(var("X", VarKind::Scalar)).unwrap(),
+            [[BoundValue::ObjSet(vec![])]]
+        );
+        // An answer without the carrier cannot be attributed to a binding.
+        let err = read(var("Y", VarKind::Scalar)).unwrap_err();
+        assert!(matches!(err, WrapperError::Construct(_)), "{err}");
+        assert!(
+            err.to_string().contains("lacks the bind_for_Y carrier"),
+            "{err}"
+        );
+        // An object variable's carrier holds the object.
+        let err = read(var("X", VarKind::Object)).unwrap_err();
+        assert!(matches!(err, WrapperError::Construct(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("empty carrier for object variable X"),
+            "{err}"
+        );
+    }
+
+    /// A source whose every answer object lacks its carriers.
+    struct Bare(Capabilities);
+
+    impl Wrapper for Bare {
+        fn name(&self) -> Symbol {
+            sym("s")
+        }
+        fn capabilities(&self) -> &Capabilities {
+            &self.0
+        }
+        fn query(&self, _: &Rule) -> Result<ObjectStore, WrapperError> {
+            let mut answer = ObjectStore::new();
+            let top = answer.set("bind_for_s", vec![]);
+            answer.add_top(top);
+            Ok(answer)
+        }
+    }
+
+    #[test]
+    fn the_provided_rows_refuse_an_answer_without_its_carrier() {
+        let q = parse_query("<bind_for_s {<bind_for_Y Y>}> :- <p {<y Y>}>@s").unwrap();
+        let vars = [ExtractVar {
+            var: sym("Y"),
+            kind: VarKind::Scalar,
+        }];
+        let err = Bare(Capabilities::full())
+            .query_rows(&q, &vars)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("lacks the bind_for_Y carrier"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -20,14 +20,13 @@
 //! scans: [`answer_msl_query`] is that reference.
 
 use crate::api::{
-    construct_answer, own_patterns, read_carriers, ExtractVar, Rows, ValueSets, VarKind,
-    WrapperError,
+    construct_answer, own_patterns, ExtractVar, Rows, ValueSets, VarKind, WrapperError,
 };
 use crate::capabilities::Capabilities;
 use crate::index::ValueIndex;
 use engine::bindings::{Bindings, BoundValue};
 use engine::matcher::match_each;
-use msl::{Head, PatValue, Pattern, Rule, SetElem, Term};
+use msl::{Head, Pattern, Rule};
 use oem::{ObjectStore, Symbol};
 use std::sync::Arc;
 
@@ -107,11 +106,6 @@ impl HeadRows {
         })
     }
 
-    /// How many rows, i.e. answer objects.
-    pub(crate) fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The answer [`crate::Wrapper::query`] returns: `head` constructed
     /// once per row.
     pub(crate) fn construct(
@@ -124,51 +118,44 @@ impl HeadRows {
     }
 
     /// The rows [`crate::Wrapper::query_rows`] returns: each extraction
-    /// variable's column, over `store` itself. A head that does not carry
-    /// every variable in the shape its kind reads is constructed and its
-    /// carriers read, so the rows are the carrier reader's in every case.
+    /// variable's column, over `store` itself. The head is the carrier
+    /// set of `vars` the planner sends (see [`crate::api`]), so a row is
+    /// one answer object and each value what its carrier holds. A
+    /// variable the head does not export, or one bound in a form its
+    /// carrier does not read back, is an error.
     pub(crate) fn extract(
         self,
         store: Arc<ObjectStore>,
-        name: Symbol,
-        head: &Head,
         vars: &[ExtractVar],
     ) -> Result<Rows, WrapperError> {
-        let columns = carrier_columns(head, vars).and_then(|carried| {
-            (carried.iter())
-                .map(|v| self.vars.iter().position(|h| h == v))
-                .collect::<Option<Vec<usize>>>()
-        });
-        // What a carrier of that kind holds unchanged.
-        let readable = |row: &[BoundValue], columns: &[usize]| {
-            (columns.iter().zip(vars)).all(|(&c, v)| {
-                matches!(
+        let columns = (vars.iter())
+            .map(|v| {
+                (self.vars.iter().position(|&h| h == v.var)).ok_or_else(|| {
+                    WrapperError::BadQuery(format!("the head does not export {}", v.var))
+                })
+            })
+            .collect::<Result<Vec<usize>, _>>()?;
+        for row in &self.rows {
+            for (&c, v) in columns.iter().zip(vars) {
+                if !matches!(
                     (&row[c], v.kind),
                     (BoundValue::Obj(_), VarKind::Object)
                         | (BoundValue::Atom(_) | BoundValue::ObjSet(_), VarKind::Scalar)
-                )
-            })
-        };
-        match columns {
-            Some(columns) if self.rows.iter().all(|row| readable(row, &columns)) => {
-                let rows = if columns.iter().copied().eq(0..self.vars.len()) {
-                    self.rows
-                } else {
-                    let pick =
-                        |row: &Vec<BoundValue>| columns.iter().map(|&c| row[c].clone()).collect();
-                    self.rows.iter().map(pick).collect()
-                };
-                Ok(Rows { rows, store })
-            }
-            _ => {
-                let answer = self.construct(name, head, &store)?;
-                let rows = read_carriers(&answer, answer.top_level(), vars)?;
-                Ok(Rows {
-                    rows,
-                    store: Arc::new(answer),
-                })
+                ) {
+                    return Err(WrapperError::Construct(format!(
+                        "{} is bound in a form its {:?} carrier does not hold",
+                        v.var, v.kind
+                    )));
+                }
             }
         }
+        let rows = if columns.iter().copied().eq(0..self.vars.len()) {
+            self.rows
+        } else {
+            let pick = |row: &Vec<BoundValue>| columns.iter().map(|&c| row[c].clone()).collect();
+            self.rows.iter().map(pick).collect()
+        };
+        Ok(Rows { rows, store })
     }
 }
 
@@ -217,50 +204,6 @@ fn dedup_rows(rows: Vec<Vec<BoundValue>>) -> Vec<Vec<BoundValue>> {
     rows.into_iter()
         .zip(first)
         .filter_map(|(r, first)| first.then_some(r))
-        .collect()
-}
-
-/// The head variable each of `vars` is exported through, when `head` is
-/// the planner's carrier set: `<bind_for_V V>` for a scalar, `<bind_for_X
-/// {X}>` for an object variable, and nothing else.
-fn carrier_columns(head: &Head, vars: &[ExtractVar]) -> Option<Vec<Symbol>> {
-    // A semantic oid on the answer object would fuse rows.
-    let Head::Pattern(Pattern {
-        value: PatValue::Set(carriers),
-        oid: None,
-        ..
-    }) = head
-    else {
-        return None;
-    };
-    if carriers.rest.is_some() {
-        return None;
-    }
-    let exported = (carriers.elements.iter())
-        .map(|e| match e {
-            SetElem::Pattern(p) if p.obj_var.is_none() && p.oid.is_none() && p.typ.is_none() => {
-                let Term::Const(label) = &p.label else {
-                    return None;
-                };
-                let (var, kind) = match &p.value {
-                    PatValue::Term(Term::Var(v)) => (*v, VarKind::Scalar),
-                    PatValue::Set(s) => match (&s.elements[..], &s.rest) {
-                        ([SetElem::Var(v)], None) => (*v, VarKind::Object),
-                        _ => return None,
-                    },
-                    PatValue::Term(_) => return None,
-                };
-                Some((label.as_str_sym()?, var, kind))
-            }
-            _ => None,
-        })
-        .collect::<Option<Vec<_>>>()?;
-    vars.iter()
-        .map(|v| {
-            let label = crate::api::carrier_label(v.var);
-            let &(_, var, kind) = exported.iter().find(|(l, ..)| *l == label)?;
-            (kind == v.kind).then_some(var)
-        })
         .collect()
 }
 

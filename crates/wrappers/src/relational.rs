@@ -241,15 +241,14 @@ impl Wrapper for RelationalWrapper {
     fn query(&self, q: &Rule) -> Result<ObjectStore, WrapperError> {
         let (view, rows) = self.evaluate(q)?;
         let out = rows.construct(self.name, &q.head, &view)?;
-        self.counters.objects_exported(rows.len());
+        self.counters.objects_exported(out.top_level().len());
         Ok(out)
     }
 
     fn query_rows(&self, q: &Rule, vars: &[ExtractVar]) -> Result<Rows, WrapperError> {
         let (view, rows) = self.evaluate(q)?;
-        let exported = rows.len();
-        let rows = rows.extract(Arc::new(view), self.name, &q.head, vars)?;
-        self.counters.objects_exported(exported);
+        let rows = rows.extract(Arc::new(view), vars)?;
+        self.counters.objects_exported(rows.rows.len());
         Ok(rows)
     }
 }

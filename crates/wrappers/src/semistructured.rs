@@ -138,17 +138,16 @@ impl Wrapper for SemiStructuredSource {
     }
 
     fn query(&self, q: &Rule) -> Result<ObjectStore, WrapperError> {
-        let rows = self.evaluate(q)?;
-        let result = rows.construct(self.name, &q.head, &self.store)?;
-        self.counters.objects_exported(rows.len());
+        let result = self
+            .evaluate(q)?
+            .construct(self.name, &q.head, &self.store)?;
+        self.counters.objects_exported(result.top_level().len());
         Ok(result)
     }
 
     fn query_rows(&self, q: &Rule, vars: &[ExtractVar]) -> Result<Rows, WrapperError> {
-        let rows = self.evaluate(q)?;
-        let exported = rows.len();
-        let rows = rows.extract(Arc::clone(&self.store), self.name, &q.head, vars)?;
-        self.counters.objects_exported(exported);
+        let rows = self.evaluate(q)?.extract(Arc::clone(&self.store), vars)?;
+        self.counters.objects_exported(rows.rows.len());
         Ok(rows)
     }
 }
@@ -293,5 +292,37 @@ mod tests {
         assert_eq!(res.top_level().len(), 1);
         let printed = compact(&res, res.top_level()[0]);
         assert!(printed.contains("<e_mail 'chung@cs'>"), "{printed}");
+    }
+
+    #[test]
+    fn rows_are_read_by_name_from_the_carrier_head() {
+        let w = whois();
+        use crate::api::VarKind;
+        use engine::bindings::BoundValue;
+        let var = |v: &str, kind| ExtractVar { var: sym(v), kind };
+        let q = parse_query(
+            "<bind_for_whois {<bind_for_N N> <bind_for_P {P}>}> :- \
+             P:<person {<name N> <relation 'student'>}>@whois",
+        )
+        .unwrap();
+        let vars = [var("P", VarKind::Object), var("N", VarKind::Scalar)];
+        let rows = w.query_rows(&q, &vars).unwrap();
+        let [row] = &rows.rows[..] else {
+            panic!("one student: {rows:?}")
+        };
+        let [BoundValue::Obj(p), BoundValue::Atom(n)] = &row[..] else {
+            panic!("an object and an atom: {row:?}")
+        };
+        assert_eq!(
+            compact(&rows.store, *p),
+            compact(&w.store, w.store.top_level()[1])
+        );
+        assert_eq!(n, &oem::Value::str("Nick Naive"));
+        // A variable the head does not export, and one its carrier would
+        // not hold in that form, are refused rather than guessed at.
+        let err = w.query_rows(&q, &[var("Y", VarKind::Scalar)]).unwrap_err();
+        assert!(matches!(err, WrapperError::BadQuery(_)), "{err}");
+        let err = w.query_rows(&q, &[var("N", VarKind::Object)]).unwrap_err();
+        assert!(matches!(err, WrapperError::Construct(_)), "{err}");
     }
 }
