@@ -1600,10 +1600,14 @@ fn query_with_retry(
             rt.sleeper.sleep_ms(rt.opts.retry.backoff_ms(attempt - 1));
             *stats.trace.retries.entry(source).or_insert(0) += 1;
         }
-        let started = rt.clock.now_ms();
+        let started = rt.clock.now_us();
         let mut outcome = wrapper.query_rows(query, vars);
+        // Whole milliseconds, rounded up. Truncating two millisecond
+        // readings would measure a sub-millisecond call as 0 or 1 by where
+        // the ticks fell, and the latency the planner learns from it would
+        // tip the plan one way or the other from run to run.
+        let elapsed = rt.clock.now_us().saturating_sub(started).div_ceil(1000);
         if let Some(deadline) = rt.opts.source_deadline_ms {
-            let elapsed = rt.clock.now_ms().saturating_sub(started);
             if outcome.is_ok() && elapsed > deadline {
                 // The source did answer, but too late: a mediator serving
                 // interactive queries treats the answer as missed.
@@ -1614,7 +1618,6 @@ fn query_with_retry(
         }
         match outcome {
             Ok(result) => {
-                let elapsed = rt.clock.now_ms().saturating_sub(started);
                 *stats.trace.latency_ms.entry(source).or_insert(0) += elapsed as usize;
                 *stats.trace.latency_calls.entry(source).or_insert(0) += 1;
                 rt.circuit.record_success(source);
@@ -2845,6 +2848,45 @@ mod tests {
             .expect("whois must be recorded as failed");
         assert!(why.contains("deadline"), "{why}");
         assert_eq!(out.trace.failures_for(sym("whois")), 1);
+    }
+
+    #[test]
+    fn a_sub_millisecond_call_is_measured_as_one_millisecond() {
+        // Every reading is 300µs after the one before, so each source call
+        // lasts 0.3 ms: two truncated millisecond readings would make it
+        // 0 ms or 1 ms by where the ticks fell.
+        struct Ticking(std::sync::atomic::AtomicU64);
+        impl Clock for Ticking {
+            fn now_ms(&self) -> u64 {
+                self.now_us() / 1000
+            }
+            fn now_us(&self) -> u64 {
+                self.0.fetch_add(300, std::sync::atomic::Ordering::Relaxed)
+            }
+        }
+        let srcs = sources();
+        let physical = planned("P :- P:<cs_person {}>@med", &srcs);
+        let out = execute(
+            &physical,
+            &srcs,
+            &standard_registry(),
+            &ExecOptions {
+                fault: FaultOptions {
+                    clock: Some(Arc::new(Ticking(Default::default()))),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        for source in [sym("whois"), sym("cs")] {
+            let calls = out.trace.latency_calls[&source];
+            assert!(calls > 0, "{source} was called");
+            assert_eq!(
+                out.trace.latency_ms[&source], calls,
+                "{source}: 1 ms a call"
+            );
+        }
     }
 
     // ---- answer cache ----------------------------------------------------

@@ -33,6 +33,12 @@ use std::time::Instant;
 pub trait Clock: Send + Sync {
     /// Milliseconds since an arbitrary (fixed) origin.
     fn now_ms(&self) -> u64;
+
+    /// Microseconds since the same origin. The default scales
+    /// [`Clock::now_ms`], for clocks that count whole milliseconds only.
+    fn now_us(&self) -> u64 {
+        self.now_ms().saturating_mul(1000)
+    }
 }
 
 /// Wall-clock time via [`Instant`], origin = construction.
@@ -59,6 +65,10 @@ impl Default for SystemClock {
 impl Clock for SystemClock {
     fn now_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
+    }
+
+    fn now_us(&self) -> u64 {
+        self.start.elapsed().as_micros() as u64
     }
 }
 
@@ -400,5 +410,16 @@ mod tests {
         let a = c.now_ms();
         let b = c.now_ms();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn microseconds_agree_with_milliseconds() {
+        let v = VirtualClock::new();
+        v.advance(7);
+        assert_eq!(v.now_us(), 7_000);
+        let c = SystemClock::new();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let (us, ms) = (c.now_us(), c.now_ms());
+        assert!(us >= 2_000 && us / 1000 <= ms, "{us}µs, {ms}ms");
     }
 }
