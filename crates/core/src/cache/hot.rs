@@ -1,9 +1,8 @@
 //! The hot tier: in-memory per-source shards with cost-aware eviction.
 //!
-//! This is the seed cache's store, factored out of the facade and taught
-//! a better eviction policy. Each source keeps a `Vec` of entries in
-//! insertion order (oldest first); lookups probe exact keys before
-//! containment candidates, newest first, exactly as before.
+//! Each source keeps a `Vec` of entries in insertion order (oldest
+//! first); lookups probe exact keys before containment candidates, newest
+//! first.
 //!
 //! **Eviction** past the per-source capacity is where the tiers earn
 //! their keep: the entry with the lowest *value score* goes — what one
@@ -21,51 +20,83 @@
 //! caller drops it from memory knowing the warm tier already holds it)
 //! instead of vanishing; without one it is simply gone.
 //!
+//! **An entry holds rows.** `CachedAnswer::new` makes an entry's answer
+//! out of the answer store it was built from, once: the carrier reader
+//! reads one row per top-level object. The rows point into that store,
+//! which the entry owns; no hit reads a carrier again.
+//!
 //! **Pinned probes** are what a resident answer is indexed for. A
 //! containment hit that pins a variable (`<name 'Joe Chung'>` against the
-//! cached `<name N>`) wants the few objects whose `bind_for_N` carrier
-//! holds that value, not a walk over the whole answer, so each entry's
-//! `CachedAnswer` keeps a [`ValueIndex`] over its store: the one the
-//! semi-structured source narrows lookups with, keyed by the same
-//! [`engine::matcher::atomic_key`]. The first probe that pins anything
-//! builds it, looking at each object once, and it lives in the same struct
-//! as the store it describes: whatever replaces, evicts, expires or
-//! invalidates the entry drops both, and there is no second invalidation
-//! path to forget.
+//! cached `<name N>`) wants the few rows whose `N` column holds that
+//! value, not a walk over the whole answer, so each entry can keep a
+//! [`ValueIndex`] over its atom columns: the one the semi-structured
+//! source narrows lookups with, keyed by the same
+//! [`engine::matcher::atomic_key`], a column's variable standing for the
+//! label. The first probe that pins anything builds it, looking at each
+//! row once, and it lives in the same struct as the rows it describes:
+//! whatever replaces, evicts, expires or invalidates the entry drops both,
+//! and there is no second invalidation path to forget.
 
 use super::Entry;
+use crate::graph::ExtractVar;
+use engine::bindings::BoundValue;
 use oem::{ObjectStore, Symbol};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use wrappers::ValueIndex;
+use wrappers::api::read_carriers;
+use wrappers::{Rows, ValueIndex};
 
-/// A resident answer with the value index built over it, once a probe
+/// A cached answer as rows, with the index built over them once a probe
 /// has asked for one.
 pub(crate) struct CachedAnswer {
-    store: Arc<ObjectStore>,
-    index: OnceCell<ValueIndex>,
+    /// One row per top-level object of the entry's own answer store, in
+    /// order; object ids point into that store.
+    pub(crate) rows: Rows,
+    index: OnceCell<ColumnIndex>,
+}
+
+/// The index of a cached answer's atom columns.
+pub(crate) struct ColumnIndex {
+    /// The rows' atoms, each column labelled by its variable.
+    pub(crate) values: ValueIndex,
+    /// Per column: whether every row holds an atom there. Only then does
+    /// `values` list every row under the one value it holds there.
+    pub(crate) atoms: Vec<bool>,
 }
 
 impl CachedAnswer {
-    pub(crate) fn new(store: Arc<ObjectStore>) -> CachedAnswer {
-        CachedAnswer {
-            store,
+    /// The answer `store` carries for `extract`: one row per top-level
+    /// object, read by the carrier reader. `None` when the reader rejects
+    /// an object; such an answer is never cached.
+    pub(crate) fn new(store: ObjectStore, extract: &[ExtractVar]) -> Option<CachedAnswer> {
+        let rows = read_carriers(&store, store.top_level(), extract).ok()?;
+        Some(CachedAnswer {
+            rows: Rows {
+                rows,
+                store: Arc::new(store),
+            },
             index: OnceCell::new(),
-        }
+        })
     }
 
-    /// The wrapper's exported answer, as returned.
-    pub(crate) fn store(&self) -> &Arc<ObjectStore> {
-        &self.store
-    }
-
-    /// The value index over the store's top-level objects, built on the
-    /// first call, which adds the objects it looks at to `examined`.
-    pub(crate) fn index(&self, examined: &mut usize) -> &ValueIndex {
+    /// The index over the atom columns, each labelled by its variable in
+    /// `extract`; built on the first call, which adds the rows it looks at
+    /// to `examined`.
+    pub(crate) fn index(&self, extract: &[ExtractVar], examined: &mut usize) -> &ColumnIndex {
         self.index.get_or_init(|| {
-            *examined += self.store.top_level().len();
-            ValueIndex::build(&self.store)
+            let rows = &self.rows.rows;
+            *examined += rows.len();
+            let cells = rows.iter().enumerate().flat_map(|(pos, row)| {
+                (row.iter().zip(extract))
+                    .filter_map(move |(cell, e)| Some((pos, e.var, cell.as_atom()?)))
+            });
+            ColumnIndex {
+                values: ValueIndex::from_triples(cells),
+                atoms: (0..extract.len())
+                    .map(|c| rows.iter().all(|row| matches!(row[c], BoundValue::Atom(_))))
+                    .collect(),
+            }
         })
     }
 }

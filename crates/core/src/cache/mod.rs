@@ -1,12 +1,11 @@
 //! Source-answer cache: containment-aware, tiered reuse of wrapper answers.
 //!
-//! Every mediator query used to re-fetch from the wrapped sources cold,
-//! even though MedMaker's MSI design (§3.4–3.6) makes source round-trips
-//! the dominant cost of both the fetch-and-join and parameterized-query
-//! strategies. The [`AnswerCache`] keeps the wrapper's exported
-//! `ObjectStore` answer for every source query the executor sends, keyed
-//! by a *canonicalized* form of the query (variable names normalized,
-//! conditions sorted), and serves repeats without touching the source.
+//! MedMaker's MSI design (§3.4–3.6) makes source round-trips the dominant
+//! cost of both the fetch-and-join and parameterized-query strategies.
+//! The [`AnswerCache`] keeps the rows of every source answer the executor
+//! receives, keyed by a *canonicalized* form of the query (variable names
+//! normalized, conditions sorted), and serves repeats without touching the
+//! source.
 //!
 //! Lookup goes beyond exact repetition: a **containment probe** (§3.2's
 //! query-containment notion, see [`engine::containment`]) finds a cached
@@ -16,22 +15,26 @@
 //! locally, `wrappers/eval.rs`-style, against the extra constants and
 //! conditions instead of paying a round-trip.
 //!
-//! A hit is served in two steps. `serve` — the one loop both tiers run —
-//! decides which of the cached answer's objects the new query keeps, and
-//! visits as few as it can prove sufficient: a probe that pins nothing
-//! (an exact repeat, a rest-only specialization) visits the whole answer;
-//! a probe that pins variables to constants asks the hot entry's
-//! [`wrappers::ValueIndex`] — built by the first pinned probe, owned by
-//! the entry and dropped with it — for the objects listed under a pinned
-//! value, and runs the same checks on those only, in the answer's order.
-//! The carrier reader ([`wrappers::api::read_carriers`]) then reads the
-//! kept objects' rows in place, and the executor absorbs them exactly as
-//! it absorbs a live answer's rows: one old-id → new-id map per served
-//! answer, so an object two rows share is copied once and a hit prints
-//! the bytes a round-trip would. A bind join over a cached table is
-//! made of pinned probes, one per tuple; before the index each cost as
-//! much as the table is long. [`CacheCounters::objects_examined`] counts
-//! the visits.
+//! An entry's rows are read once, by the carrier reader, out of the answer
+//! store the query's `bind_for_*` head builds over the live rows
+//! (`hot::CachedAnswer::new`); the insert prints that store once for the
+//! entry's size and its warm-tier text. A warm hit makes its entry the
+//! same way, from the store it parses off disk. After that nothing reads
+//! a carrier: a hit runs `serve` — the one loop both tiers run — over
+//! those rows: pins compare a column's atom ([`atomic_eq`]), rest filters
+//! match a column's object set, and the kept rows are projected onto the
+//! new query's columns. A probe that pins nothing (an exact repeat, a
+//! rest-only specialization) visits every row; a probe that pins
+//! variables to constants asks the hot entry's [`wrappers::ValueIndex`] —
+//! built over the atom columns by the first pinned probe, owned by the
+//! entry and dropped with it — for the rows listed under a pinned value,
+//! and runs the same checks on those only, in the answer's order. The
+//! executor absorbs the kept rows exactly as it absorbs a live answer's:
+//! one old-id → new-id map per served answer, so an object two rows share
+//! is copied once and a hit prints the bytes a round-trip would. A bind
+//! join over a cached table is made of pinned probes, one per tuple, each
+//! costing what it returns. [`CacheCounters::objects_examined`] counts the
+//! rows visited.
 //!
 //! Keys are computed over the *post-capability-strip* node queries (the
 //! planner already removed conditions the source cannot evaluate), so the
@@ -39,14 +42,14 @@
 //! mediator filters afterwards.
 //!
 //! Soundness rule: a probe that meets *any* structural surprise — a
-//! pinned variable the cached query never exported or that some object
-//! of the answer carries no atom for (anywhere in the entry, not only
-//! among the objects the probe would return), a rest condition whose
-//! carrier is missing, a rest condition referencing a variable the
-//! query binds elsewhere (local filtering cannot thread bindings the way
-//! the live matcher does), mismatched extraction kinds — rejects the
-//! entry and falls back to a miss. A containment false-positive can never
-//! serve a wrong answer; the worst case is a redundant round-trip.
+//! pinned variable the cached query never exported or that some row of
+//! the answer holds no atom for (anywhere in the entry, not only among
+//! the rows the probe would return), a rest condition over a column that
+//! holds no object set, a rest condition referencing a variable the query
+//! binds elsewhere (local filtering cannot thread bindings the way the
+//! live matcher does), mismatched extraction kinds — rejects the entry
+//! and falls back to a miss. A containment false-positive can never serve
+//! a wrong answer; the worst case is a redundant round-trip.
 //!
 //! ## Tiers
 //!
@@ -60,9 +63,9 @@
 //!   append-only checksummed disk log that every insert writes through,
 //!   so hot-tier losers *demote* (drop from memory, stay on disk) instead
 //!   of vanishing, and a restarted process reopens yesterday's answers
-//!   without re-paying the source round-trips. A warm hit re-reads,
-//!   re-verifies and *promotes* the entry back to hot; the store it
-//!   filters was parsed a moment ago and is scanned, not indexed.
+//!   without re-paying the source round-trips. A warm hit re-reads and
+//!   re-verifies the record, makes an entry of the store it parses the way
+//!   an insert does, serves it unindexed and *promotes* it back to hot.
 //!
 //! Invalidation is tiered too: beyond whole-source
 //! ([`AnswerCache::invalidate_source`]), a scoped [`SourceDelta`]
@@ -83,11 +86,11 @@
 //! estimates. What a hit must **never** feed is the round-trip
 //! accounting: no `source_calls`, no latency samples, no failure-rate
 //! samples. The cost model's `net` component prices what talking to the
-//! source costs; serving from memory says nothing about that, and before
-//! this rule cache-heavy workloads starved latency learning with
-//! zero-cost samples. The dependency runs the *other* way now: eviction
-//! reads the per-source latency EWMA from [`crate::stats`] (snapshotted
-//! at insert, outside the cache lock) to price what an entry saves.
+//! source costs; serving from memory says nothing about that, and
+//! zero-cost samples would starve latency learning. The dependency runs
+//! the *other* way: eviction reads the per-source latency EWMA from
+//! [`crate::stats`] (snapshotted at insert, outside the cache lock) to
+//! price what an entry saves.
 
 pub mod hot;
 pub mod keyidx;
@@ -97,21 +100,21 @@ pub use keyidx::{rule_labels, LabelFootprint, SourceDelta};
 pub use warm::{CompactStats, WarmStats, WarmTier};
 
 use crate::exec::absorb_all;
-use crate::graph::{carrier_label, find_carrier, ExtractVar, VarKind};
+use crate::graph::ExtractVar;
 use crate::stats::SharedStats;
 use engine::bindings::{Bindings, BoundValue};
 use engine::matcher::{atomic_eq, match_pattern};
-use hot::{CachedAnswer, HotTier};
+use hot::{CachedAnswer, ColumnIndex, HotTier};
 use msl::{Head, PatValue, Pattern, RestSpec, Rule, SetElem, SetPattern, TailItem, Term};
-use oem::{ObjId, ObjectStore, Symbol, Value};
+use oem::{ObjectStore, Symbol, Value};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
-use wrappers::api::{construct_answer, read_carriers, Rows};
+use wrappers::api::construct_answer;
 use wrappers::fault::{Clock, SystemClock};
-use wrappers::ValueIndex;
+use wrappers::Rows;
 
 /// Configuration of the source-answer cache. Carried in
 /// [`crate::MediatorOptions`]; disabled by default so a mediator without
@@ -233,10 +236,11 @@ pub struct CacheCounters {
     pub warm_entries: usize,
     /// Live answer bytes in the warm tier (garbage excluded).
     pub warm_bytes: usize,
-    /// Top-level cached objects looked at to answer lookups: every object
-    /// a hit or a refused entry was filtered over, plus every object an
-    /// index build visited. Per pinned containment hit it stays near the
-    /// number of rows returned, whatever the entry holds.
+    /// Cached rows, one per top-level object of an entry's answer, looked
+    /// at to answer lookups: every row a hit or a refused entry was
+    /// filtered over, plus every row an index build visited. Per pinned
+    /// containment hit it stays near the number of rows returned,
+    /// whatever the entry holds.
     pub objects_examined: usize,
 }
 
@@ -269,15 +273,15 @@ pub(crate) struct Entry {
     key: String,
     /// The original (post-strip) source query, for containment probes.
     query: Rule,
-    /// The variables the cached answer's `bind_for_*` carriers export.
+    /// The variables the cached query exports: the answer's columns.
     extract: Vec<ExtractVar>,
     /// Label footprint of the query, for delta-driven invalidation.
     footprint: LabelFootprint,
-    /// The wrapper's exported answer, as returned, and its value index.
+    /// The answer's rows, and their value index once built.
     answer: CachedAnswer,
     /// Insertion time on the cache clock, for TTL expiry.
     inserted_ms: u64,
-    /// Approximate size of the answer (printed form), for accounting.
+    /// Size of the answer's printed store, for accounting.
     size_bytes: usize,
     /// Source per-call latency EWMA at insert (ms): what a miss would
     /// re-pay. Snapshotted outside the cache lock.
@@ -307,6 +311,23 @@ struct CacheInner {
     /// `warm_entries`, `warm_bytes`) stay 0 here; [`AnswerCache::counters`]
     /// fills them in.
     counts: CacheCounters,
+}
+
+impl CacheInner {
+    /// Put `entry` into the hot tier, replacing its key, and settle the
+    /// byte gauge. Entries evicted past `capacity` demote when the warm
+    /// tier holds them and are gone otherwise.
+    fn admit(&mut self, source: Symbol, entry: Entry, capacity: usize) {
+        let size = entry.size_bytes;
+        let (freed, evicted) = self.hot.insert(source, entry, capacity);
+        let evicted_bytes: usize = evicted.iter().map(|e| e.size_bytes).sum();
+        if self.warm.is_some() {
+            self.counts.demotions += evicted.len();
+        } else {
+            self.counts.evictions += evicted.len();
+        }
+        self.counts.bytes_cached = self.counts.bytes_cached + size - freed - evicted_bytes;
+    }
 }
 
 /// The mediator-level source-answer cache. One instance lives on a
@@ -385,11 +406,9 @@ impl AnswerCache {
         }
     }
 
-    /// Look up an answer for `query` against `source`. On a hit, the
-    /// rows of `vars` the cached answer serves are read out of its kept
-    /// objects' carriers in place, over the cached store, exactly as a
-    /// live answer's carriers are read, and absorbed into `memory` as the
-    /// executor absorbs every answer's rows.
+    /// Look up an answer for `query` against `source`. On a hit, the rows
+    /// of `vars` the cached answer serves are absorbed into `memory` as
+    /// the executor absorbs every answer's rows.
     ///
     /// The hot tier is probed first (exact keys, then containment,
     /// newest first); on a hot miss the warm tier's index is probed the
@@ -439,12 +458,12 @@ impl AnswerCache {
                     let Some(m) = specialize_match_rule(query, &entry.query) else {
                         continue;
                     };
-                    // A probe that pins variables visits only the objects
-                    // the entry's index lists under a pinned value.
-                    let index = (!m.sigma.is_empty()).then(|| entry.answer.index(examined));
-                    let answer = entry.answer.store();
-                    let Some(rows) = serve(&entry.extract, answer, index, &m, vars, examined)
-                        .and_then(|kept| kept.rows(answer))
+                    // A probe that pins variables visits only the rows the
+                    // entry's index lists under a pinned value.
+                    let index =
+                        (!m.sigma.is_empty()).then(|| entry.answer.index(&entry.extract, examined));
+                    let Some(rows) =
+                        serve(&entry.extract, &entry.answer, index, &m, vars, examined)
                     else {
                         continue;
                     };
@@ -466,7 +485,7 @@ impl AnswerCache {
         }
 
         // Warm probe.
-        let mut warm_hit: Option<(String, Rows, CacheHit)> = None;
+        let mut warm_hit: Option<(String, CachedAnswer, Rows, CacheHit)> = None;
         if let Some(warm) = &inner.warm {
             if let Some(shard) = warm.entries(source) {
                 let order = shard
@@ -485,15 +504,15 @@ impl AnswerCache {
                     };
                     // Disk gate: re-read and re-verify the checksum; a
                     // record gone bad since open is a miss, never an error.
-                    let Some(store) = warm.read_answer(we) else {
+                    let Some(answer) = warm
+                        .read_answer(we)
+                        .and_then(|store| CachedAnswer::new(store, &we.extract))
+                    else {
                         continue;
                     };
-                    let store = Arc::new(store);
-                    // Nothing resident to index: the store was just re-read.
+                    // Nothing resident to index: the rows were just read.
                     let examined = &mut inner.counts.objects_examined;
-                    let Some(rows) = serve(&we.extract, &store, None, &m, vars, examined)
-                        .and_then(|kept| kept.rows(&store))
-                    else {
+                    let Some(rows) = serve(&we.extract, &answer, None, &m, vars, examined) else {
                         continue;
                     };
                     let kind = if we.key == key {
@@ -501,12 +520,12 @@ impl AnswerCache {
                     } else {
                         CacheHit::Containment
                     };
-                    warm_hit = Some((k.clone(), rows, kind));
+                    warm_hit = Some((k.clone(), answer, rows, kind));
                     break;
                 }
             }
         }
-        if let Some((k, rows, kind)) = warm_hit {
+        if let Some((k, answer, rows, kind)) = warm_hit {
             match kind {
                 CacheHit::Exact => inner.counts.hits += 1,
                 CacheHit::Containment => inner.counts.containment_hits += 1,
@@ -515,8 +534,8 @@ impl AnswerCache {
             if self.opts.capacity == 0 {
                 return Some((rows, kind));
             }
-            // Promote: refresh the hit EWMA and copy the entry back into
-            // the hot tier (keeping its original insert time for TTL).
+            // Promote: refresh the hit EWMA and move the entry into the
+            // hot tier (keeping its original insert time for TTL).
             let entry = {
                 let warm = inner.warm.as_mut().expect("warm tier present on warm hit");
                 let we = warm.entry_mut(source, &k).expect("warm entry present");
@@ -526,19 +545,15 @@ impl AnswerCache {
                     query: we.query.clone(),
                     extract: we.extract.clone(),
                     footprint: we.footprint.clone(),
-                    answer: CachedAnswer::new(Arc::clone(&rows.store)),
+                    answer,
                     inserted_ms: we.inserted_ms,
                     size_bytes: we.size_bytes,
                     unit_cost_ms: we.unit_cost_ms,
                     hit_boost: we.hit_boost,
                 }
             };
-            let size = entry.size_bytes;
-            let (freed, evicted) = inner.hot.insert(source, entry, self.opts.capacity);
-            let evicted_bytes: usize = evicted.iter().map(|e| e.size_bytes).sum();
             inner.counts.promotions += 1;
-            inner.counts.demotions += evicted.len(); // warm is present: losers demote
-            inner.counts.bytes_cached = inner.counts.bytes_cached + size - freed - evicted_bytes;
+            inner.admit(source, entry, self.opts.capacity);
             return Some((rows, kind));
         }
 
@@ -546,10 +561,15 @@ impl AnswerCache {
         None
     }
 
-    /// Cache a freshly fetched answer given as rows: the answer store it
-    /// keeps is built from them — `query`'s head constructed once per row,
-    /// as the wrapper's own [`wrappers::Wrapper::query`] builds it — so
-    /// the entry holds the bytes a stored answer would.
+    /// Cache a freshly fetched answer given as rows. The entry is made
+    /// from the store `query`'s head builds over them — constructed once
+    /// per row, as the wrapper's own [`wrappers::Wrapper::query`] builds
+    /// it — so its size and its warm-tier text are a stored answer's.
+    /// Replaces an existing entry with the same canonical key; evicts the
+    /// shard's lowest-value entry past capacity (losers demote when a warm
+    /// tier is configured). With a warm tier the answer is also written
+    /// through to disk, and compaction runs when the segments outgrow the
+    /// byte budget.
     pub fn insert_rows(&self, source: Symbol, query: &Rule, vars: &[ExtractVar], rows: &Rows) {
         if !self.enabled_for(source) || self.opts.capacity == 0 {
             return;
@@ -562,47 +582,19 @@ impl AnswerCache {
         }
     }
 
-    /// Cache a freshly fetched answer, given as the store to keep: the
-    /// executor files one tuple's part of a split set-valued answer this
-    /// way (numbered as a copy out of the batch), and a lone answer through
-    /// [`AnswerCache::insert_rows`]. Replaces an existing entry with the
-    /// same canonical key; evicts the shard's lowest-value entry past
-    /// capacity (losers demote when a warm tier is configured). With a
-    /// warm tier the answer is also written through to disk, and
-    /// compaction runs when the segments outgrow the byte budget.
-    pub fn insert(&self, source: Symbol, query: &Rule, vars: &[ExtractVar], answer: &ObjectStore) {
-        if !self.enabled_for(source) || self.opts.capacity == 0 {
-            return;
-        }
-        self.insert_store(source, query, vars, answer.clone());
-    }
-
+    /// File `answer`, the store a source's answer to `query` was built
+    /// into, as an entry ([`CachedAnswer::new`]). The store printed once is
+    /// the entry's size and its warm-tier text.
     fn insert_store(&self, source: Symbol, query: &Rule, vars: &[ExtractVar], answer: ObjectStore) {
+        let Some(answer) = CachedAnswer::new(answer, vars) else {
+            return;
+        };
+        let answer_text = oem::printer::print_store(&answer.rows.store);
         let key = canonical_key(query);
-        let answer_text = oem::printer::print_store(&answer);
         let size_bytes = answer_text.len();
         let (unit_cost_ms, hit_boost) = self.value_inputs(source);
         let inserted_ms = self.clock.now_ms();
-        let entry = Entry {
-            key: key.clone(),
-            query: query.clone(),
-            extract: vars.to_vec(),
-            footprint: rule_labels(query),
-            answer: CachedAnswer::new(Arc::new(answer)),
-            inserted_ms,
-            size_bytes,
-            unit_cost_ms,
-            hit_boost,
-        };
         let inner = &mut *self.inner.lock();
-        let (freed, evicted) = inner.hot.insert(source, entry, self.opts.capacity);
-        let evicted_bytes: usize = evicted.iter().map(|e| e.size_bytes).sum();
-        if inner.warm.is_some() {
-            inner.counts.demotions += evicted.len();
-        } else {
-            inner.counts.evictions += evicted.len();
-        }
-        inner.counts.bytes_cached = inner.counts.bytes_cached + size_bytes - freed - evicted_bytes;
         if let Some(warm) = &mut inner.warm {
             // Write-through. Warm I/O errors degrade the tier (the entry
             // just won't survive a restart), never the query.
@@ -623,6 +615,18 @@ impl AnswerCache {
                 }
             }
         }
+        let entry = Entry {
+            key,
+            query: query.clone(),
+            extract: vars.to_vec(),
+            footprint: rule_labels(query),
+            answer,
+            inserted_ms,
+            size_bytes,
+            unit_cost_ms,
+            hit_boost,
+        };
+        inner.admit(source, entry, self.opts.capacity);
     }
 
     /// Record that `source` failed its fault policy: its cached answers
@@ -1305,133 +1309,98 @@ fn match_conditions(
 
 // ---- serving ------------------------------------------------------------
 
-/// What [`serve`] keeps of a cached answer.
-struct Kept {
-    /// The entry's variables to extract, one per variable the new query
-    /// extracts.
-    vars: Vec<ExtractVar>,
-    /// The roots to extract them from, in the answer's order.
-    roots: Vec<ObjId>,
-}
-
-impl Kept {
-    /// The kept rows, read out of `answer`'s carriers in place as a live
-    /// answer's are. `serve` checked every carrier the reader reads.
-    fn rows(&self, answer: &Arc<ObjectStore>) -> Option<Rows> {
-        Some(Rows {
-            rows: read_carriers(answer, &self.roots, &self.vars).ok()?,
-            store: Arc::clone(answer),
-        })
-    }
-}
-
-/// Filter a cached answer through the mapping: the objects it keeps for
-/// the new query, after checking every carrier their extraction will
-/// read. `None` on any structural surprise — the caller treats that as
-/// "this entry cannot serve the query", and nothing has been copied; on
-/// the live path an empty object-variable carrier raises the error it
-/// always did. Tier-agnostic: the hot path passes the resident answer,
-/// the warm path the store it just re-read off disk.
+/// Filter a cached answer through the mapping: the rows it keeps for the
+/// new query, in the answer's order, each holding the new query's
+/// columns. `None` on any structural surprise — the caller treats that as
+/// "this entry cannot serve the query", and nothing has been copied.
+/// Tier-agnostic: hot and warm hits pass an entry's answer alike.
 ///
 /// With an `index` over `answer`, only the shortest posting list among the
 /// pins is visited, and each pin is still confirmed with [`atomic_eq`]
-/// (unequal values can share a key). Without one every object is visited.
-/// Each object visited adds one to `examined`.
+/// (unequal values can share a key). Without one every row is visited.
+/// Each row visited adds one to `examined`.
 fn serve(
     extract: &[ExtractVar],
-    answer: &ObjectStore,
-    index: Option<&ValueIndex>,
+    answer: &CachedAnswer,
+    index: Option<&ColumnIndex>,
     m: &Mapping,
     vars: &[ExtractVar],
     examined: &mut usize,
-) -> Option<Kept> {
-    // Carrier labels are resolved here, once per call: formatting and
-    // interning one per object is what used to dominate a pinned probe.
-    let exported = |var: Symbol| extract.iter().find(|e| e.var == var);
+) -> Option<Rows> {
+    let column = |var: Symbol| extract.iter().position(|e| e.var == var);
     // Every variable the new query extracts must map onto one the cached
     // answer exported, with the same kind.
-    let entry_vars = vars
+    let columns = vars
         .iter()
-        .map(|v| {
-            exported(*m.rho_inv.get(&v.var)?)
-                .filter(|e| e.kind == v.kind)
-                .cloned()
-        })
+        .map(|v| column(*m.rho_inv.get(&v.var)?).filter(|&c| extract[c].kind == v.kind))
         .collect::<Option<Vec<_>>>()?;
-    let carriers: Vec<(Symbol, VarKind)> = entry_vars
-        .iter()
-        .map(|e| (carrier_label(e.var), e.kind))
-        .collect();
-    // Every pinned variable and rest-filter variable must have a carrier.
-    let carrier_of = |var: Symbol| exported(var).map(|e| carrier_label(e.var));
-    let pins: Vec<(Symbol, &Value)> = m
+    // Every pinned variable and rest-filter variable must be a column.
+    let pins: Vec<(usize, &Value)> = m
         .sigma
         .iter()
-        .map(|(pinned, value)| Some((carrier_of(*pinned)?, value)))
+        .map(|(pinned, value)| Some((column(*pinned)?, value)))
         .collect::<Option<_>>()?;
-    let rest_filters: Vec<(Symbol, &Pattern)> = m
+    let rest_filters: Vec<(usize, &Pattern)> = m
         .extra_rest
         .iter()
-        .map(|(rest_var, cond)| Some((carrier_of(*rest_var)?, cond)))
+        .map(|(rest_var, cond)| Some((column(*rest_var)?, cond)))
         .collect::<Option<_>>()?;
-    let tops = answer.top_level();
-    let visit: Box<dyn Iterator<Item = usize>> = match index {
-        // A posting list holds every object the σ filter keeps only if
-        // each object holds its pinned carrier once, as an atom.
+    let Rows { rows, store } = &answer.rows;
+    let (mut listed, mut every);
+    let visit: &mut dyn Iterator<Item = usize> = match index {
+        // A posting list holds every row the σ filter keeps only if every
+        // row holds an atom in the pinned column.
         Some(index) => {
-            if !pins.iter().all(|&(label, _)| index.holds_one_atom(label)) {
+            if !pins.iter().all(|&(c, _)| index.atoms[c]) {
                 return None;
             }
             let lists = pins
                 .iter()
-                .map(|&(label, value)| index.positions(label, value));
-            Box::new(lists.min_by_key(ExactSizeIterator::len)?)
+                .map(|&(c, value)| index.values.positions(extract[c].var, value));
+            listed = lists.min_by_key(ExactSizeIterator::len)?;
+            &mut listed
         }
-        None => Box::new(0..tops.len()),
+        None => {
+            every = 0..rows.len();
+            &mut every
+        }
     };
-    let mut roots = Vec::new();
-    for top in visit.map(|pos| tops[pos]) {
+    // Every row visited is kept when no filter can drop one: an exact
+    // repeat, or pins the index already narrowed to. Size for them then.
+    let all_kept = rest_filters.is_empty() && (pins.is_empty() || index.is_some());
+    let mut kept = Vec::with_capacity(if all_kept { visit.size_hint().0 } else { 0 });
+    for row in visit.map(|pos| &rows[pos]) {
         *examined += 1;
-        // σ filter: the carrier for a pinned variable must hold exactly
-        // the pinned constant.
+        // σ filter: a pinned column must hold exactly the pinned constant.
         let mut keep = true;
-        for &(label, value) in &pins {
-            match &answer.get(find_carrier(answer, top, label)?).value {
-                Value::Set(_) => return None, // non-atomic pin: cannot filter
-                atomic => keep &= atomic_eq(atomic, value),
-            }
+        for &(c, value) in &pins {
+            let BoundValue::Atom(atom) = &row[c] else {
+                return None; // non-atomic pin: cannot filter
+            };
+            keep &= atomic_eq(atom, value);
         }
-        // Rest filters: some member of the carrier set must match each
+        // Rest filters: some member of the column's set must match each
         // extra condition (`wrappers/eval.rs`-style tail matching, the
         // same semantics as the executor's RestFilter node; sound under
         // empty bindings because the probe rejected non-local variables).
-        for &(label, cond) in &rest_filters {
+        for &(c, cond) in &rest_filters {
             if !keep {
                 break;
             }
-            let Value::Set(ids) = &answer.get(find_carrier(answer, top, label)?).value else {
+            let BoundValue::ObjSet(ids) = &row[c] else {
                 return None;
             };
             keep = ids
                 .iter()
-                .any(|&id| !match_pattern(answer, id, cond, &Bindings::new()).is_empty());
+                .any(|&id| !match_pattern(store, id, cond, &Bindings::new()).is_empty());
         }
-        if !keep {
-            continue;
+        if keep {
+            kept.push(columns.iter().map(|&c| row[c].clone()).collect());
         }
-        // What extraction reads: every carrier, an object variable's
-        // non-empty.
-        for &(label, kind) in &carriers {
-            let carrier = &answer.get(find_carrier(answer, top, label)?).value;
-            if let (Value::Set(kids), VarKind::Object) = (carrier, kind) {
-                kids.first()?;
-            }
-        }
-        roots.push(top);
     }
-    Some(Kept {
-        vars: entry_vars,
-        roots,
+    Some(Rows {
+        rows: kept,
+        store: Arc::clone(store),
     })
 }
 

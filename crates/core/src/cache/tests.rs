@@ -2,12 +2,23 @@
 //! delta invalidation, crash recovery, and byte accounting.
 
 use super::*;
+use crate::graph::VarKind;
 use msl::parse_rule;
 use oem::sym;
 use wrappers::fault::VirtualClock;
 
 fn q(src: &str) -> Rule {
     parse_rule(src).unwrap()
+}
+
+impl AnswerCache {
+    /// File `answer`, given as the store a source built for `query`,
+    /// through the entry constructor every insert goes through.
+    fn insert(&self, source: Symbol, query: &Rule, vars: &[ExtractVar], answer: &ObjectStore) {
+        if self.enabled_for(source) && self.opts.capacity > 0 {
+            self.insert_store(source, query, vars, answer.clone());
+        }
+    }
 }
 
 /// The shape the planner's `build_source_query` emits for a whois
@@ -726,6 +737,59 @@ fn compaction_drops_lowest_value_past_budget() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// FNV-1a, 64 bits.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn warm_segments_keep_their_bytes() {
+    // The rows of two MS1 source queries, a whois point lookup and the cs
+    // scan, filed on a virtual clock with no statistics wired, so every
+    // field of every record is fixed.
+    let dir = tmp_dir("format");
+    let cache = AnswerCache::new(CacheOptions {
+        clock: Some(Arc::new(VirtualClock::new())),
+        ..tiered_opts(&dir)
+    });
+    let whois = wrappers::scenario::whois_wrapper();
+    let cs = wrappers::scenario::cs_wrapper();
+    let filed: [(&str, &dyn wrappers::Wrapper, &str, &[&str]); 2] = [
+        (
+            "whois",
+            &whois,
+            "<bind_for_whois {<bind_for_R R> <bind_for_Rest1 Rest1>}> :- \
+             <person {<name 'Joe Chung'> <dept 'CS'> <relation R> | Rest1}>@whois",
+            &["R", "Rest1"],
+        ),
+        (
+            "cs",
+            &cs,
+            "<bind_for_cs {<bind_for_R R> <bind_for_FN FN> <bind_for_LN LN> \
+             <bind_for_Rest2 Rest2>}> :- <R {<first_name FN> <last_name LN> | Rest2}>@cs",
+            &["R", "FN", "LN", "Rest2"],
+        ),
+    ];
+    for (source, wrapper, query, vars) in filed {
+        let (query, vars) = (q(query), scalars(vars));
+        let rows = wrapper.query_rows(&query, &vars).unwrap();
+        cache.insert_rows(sym(source), &query, &vars, &rows);
+    }
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    segments.sort();
+    let bytes: Vec<u8> = segments
+        .iter()
+        .flat_map(|p| std::fs::read(p).unwrap())
+        .collect();
+    assert_eq!(format!("{:016x}", fnv1a(&bytes)), "3ec86cfd196fabdc");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---- byte-accounting property test -----------------------------------
 
 /// The `bytes_cached` gauge must equal the sum of hot-resident entry
@@ -866,11 +930,11 @@ fn narrow_people(name: &str, year: &str, rest: &str) -> (Rule, Vec<ExtractVar>) 
 /// What [`serve`] keeps, extracted.
 type Served = Option<Vec<Vec<BoundValue>>>;
 
-/// [`serve`] over `answer` for `narrow`, its rows extracted: scanning
-/// every object, and narrowed by the entry's value index to the shortest
-/// posting list among the probe's pins (`None` where the entry refuses
-/// them). Each extraction gets a fresh memory, so equal rows hold equal
-/// object ids.
+/// [`serve`] over the entry made of `answer` for `narrow`, its rows
+/// absorbed: scanning every row, and narrowed by the entry's value index
+/// to the shortest posting list among the probe's pins (`None` where the
+/// entry refuses them). Each absorption gets a fresh memory, so equal rows
+/// hold equal object ids.
 fn serve_both_ways(
     answer: &ObjectStore,
     narrow: &Rule,
@@ -878,16 +942,13 @@ fn serve_both_ways(
 ) -> (Served, Served, usize) {
     let extract = extract_nyr();
     let m = specialize_match_rule(narrow, &people_query()).expect("contained");
-    let rows = |kept: Kept| {
-        let read = read_carriers(answer, &kept.roots, &kept.vars).unwrap();
-        absorb_all(answer, read, &mut ObjectStore::new())
-    };
+    let cached = CachedAnswer::new(answer.clone(), &extract).expect("every carrier read");
+    let rows = |kept: Rows| absorb_all(&kept.store, kept.rows, &mut ObjectStore::new());
     let (mut scan_examined, mut built, mut examined) = (0, 0, 0);
-    let scanned = serve(&extract, answer, None, &m, vars, &mut scan_examined).map(rows);
+    let scanned = serve(&extract, &cached, None, &m, vars, &mut scan_examined).map(rows);
     assert!(!m.sigma.is_empty(), "the probe pins a variable");
-    let cached = CachedAnswer::new(Arc::new(answer.clone()));
-    let index = cached.index(&mut built);
-    let indexed = serve(&extract, answer, Some(index), &m, vars, &mut examined).map(rows);
+    let index = cached.index(&extract, &mut built);
+    let indexed = serve(&extract, &cached, Some(index), &m, vars, &mut examined).map(rows);
     (scanned, indexed, examined)
 }
 
@@ -942,42 +1003,53 @@ fn integers_sharing_an_index_key_are_told_apart() {
 }
 
 #[test]
-fn non_atomic_or_missing_pinned_carrier_refuses_the_probe() {
-    let mut with_set = two_hundred();
-    let kid = with_set.atom("alias", "Zed");
-    let name_c = with_set.set("bind_for_N", vec![kid]);
-    let year_c = with_set.insert_auto(sym("bind_for_Y"), Value::real(9.0));
-    let rest_c = with_set.set("bind_for_Rest1", vec![]);
-    let top = with_set.set("bind_for_whois", vec![name_c, year_c, rest_c]);
-    with_set.add_top(top);
+fn non_atomic_pinned_column_refuses_the_probe() {
+    let mut answer = two_hundred();
+    let kid = answer.atom("alias", "Zed");
+    let name_c = answer.set("bind_for_N", vec![kid]);
+    let year_c = answer.insert_auto(sym("bind_for_Y"), Value::real(9.0));
+    let rest_c = answer.set("bind_for_Rest1", vec![]);
+    let top = answer.set("bind_for_whois", vec![name_c, year_c, rest_c]);
+    answer.add_top(top);
+
+    // P17 itself is a well-formed row; the entry still refuses, because
+    // it cannot tell what the odd row's name is.
+    let (narrow, vars) = narrow_people("'P17'", "Y", "");
+    let (scanned, indexed, _) = serve_both_ways(&answer, &narrow, &vars);
+    assert!(scanned.is_none() && indexed.is_none());
+    let cache = AnswerCache::new(CacheOptions::enabled());
+    cache_people(&cache, &answer);
+    let mut memory = ObjectStore::new();
+    for _ in 0..2 {
+        assert!(cache
+            .lookup(sym("whois"), &narrow, &vars, &mut memory)
+            .is_none());
+    }
+    assert_eq!(cache.counters().misses, 2);
+    assert_eq!(memory.len(), 0, "a refused probe copies nothing");
+    // The year column is all atoms, so a probe pinning only it is served.
+    let (by_year, vars) = narrow_people("N", "1", "");
+    assert!(cache
+        .lookup(sym("whois"), &by_year, &vars, &mut memory)
+        .is_some());
+}
+
+#[test]
+fn an_answer_the_carrier_reader_rejects_is_never_cached() {
+    // One object lacks the name carrier: no row can be read for it.
     let mut without = two_hundred();
     let year_c = without.insert_auto(sym("bind_for_Y"), Value::real(9.0));
     let rest_c = without.set("bind_for_Rest1", vec![]);
     let top = without.set("bind_for_whois", vec![year_c, rest_c]);
     without.add_top(top);
-
-    for answer in [with_set, without] {
-        // P17 itself is a well-formed object; the entry still refuses,
-        // because it cannot tell what the odd object's name is.
-        let (narrow, vars) = narrow_people("'P17'", "Y", "");
-        let (scanned, indexed, _) = serve_both_ways(&answer, &narrow, &vars);
-        assert!(scanned.is_none() && indexed.is_none());
-        let cache = AnswerCache::new(CacheOptions::enabled());
-        cache_people(&cache, &answer);
-        let mut memory = ObjectStore::new();
-        for _ in 0..2 {
-            assert!(cache
-                .lookup(sym("whois"), &narrow, &vars, &mut memory)
-                .is_none());
-        }
-        assert_eq!(cache.counters().misses, 2);
-        assert_eq!(memory.len(), 0, "a refused probe copies nothing");
-        // The year carrier is sound, so a probe pinning only it is served.
-        let (by_year, vars) = narrow_people("N", "1", "");
-        assert!(cache
-            .lookup(sym("whois"), &by_year, &vars, &mut memory)
-            .is_some());
-    }
+    let cache = AnswerCache::new(CacheOptions::enabled());
+    cache_people(&cache, &without);
+    assert_eq!(cache.entry_count(sym("whois")), 0);
+    assert_eq!(cache.counters().bytes_cached, 0);
+    let (by_year, vars) = narrow_people("N", "1", "");
+    assert!(cache
+        .lookup(sym("whois"), &by_year, &vars, &mut ObjectStore::new())
+        .is_none());
 }
 
 /// The `Y` and rest-relation a pinned lookup of `name` returns, per row.

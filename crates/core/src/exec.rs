@@ -1853,7 +1853,7 @@ fn prefetch_tuples(
             )?;
             let answers = valueset::split_answer(&answer, vars.len(), &asked);
             for (&k, answer) in fetch.iter().zip(&answers) {
-                record_answer(source, &open[k].1, vars, answer, true, ctx, env.stats);
+                record_answer(source, &open[k].1, vars, answer, ctx, env.stats);
             }
             answers
         }
@@ -1912,25 +1912,18 @@ fn call_source(
 /// File a fresh answer to `query`: into the answer cache, and as a §3.5
 /// observation. Only an answer that survived retries AND its deadline
 /// gets here: `query_with_retry` converts a too-late Ok into a Timeout.
-/// A `part` is one tuple's rows of a split set-valued answer; its entry
-/// is the store [`valueset::part_store`] builds.
+/// One tuple's rows of a split set-valued answer are filed like a lone
+/// answer, so its entry does not depend on how the tuple travelled.
 fn record_answer(
     source: Symbol,
     query: &Rule,
     vars: &[ExtractVar],
     answer: &Rows,
-    part: bool,
     ctx: &ChainCtx<'_>,
     stats: &mut ChainStats,
 ) {
-    match ctx.cache.filter(|c| c.enabled_for(source)) {
-        Some(cache) if part => {
-            if let Some(store) = valueset::part_store(source, query, vars, answer) {
-                cache.insert(source, query, vars, &store);
-            }
-        }
-        Some(cache) => cache.insert_rows(source, query, vars, answer),
-        None => {}
+    if let Some(cache) = ctx.cache {
+        cache.insert_rows(source, query, vars, answer);
     }
     // Keyed by the first tail pattern's label.
     stats.trace.observations.push(Observation {
@@ -1951,7 +1944,7 @@ fn fetch_rows(
     counters: &mut NodeMetrics,
 ) -> Result<Rows> {
     let answer = call_source(source, query, vars, tuples, ctx, stats, counters)?;
-    record_answer(source, query, vars, &answer, false, ctx, stats);
+    record_answer(source, query, vars, &answer, ctx, stats);
     Ok(answer)
 }
 

@@ -11,9 +11,8 @@ use msl::{Head, Pattern, Rule, Term};
 use oem::Symbol;
 
 /// The `bind_for_*` convention the planner's source queries export their
-/// bindings through, and the carrier reader, live with the wrapper
-/// interface ([`wrappers::api`]).
-pub use wrappers::api::{carrier_label, find_carrier, ExtractVar, VarKind};
+/// bindings through lives with the wrapper interface ([`wrappers::api`]).
+pub use wrappers::api::{carrier_label, ExtractVar, VarKind};
 
 /// One operator of the datamerge graph.
 #[derive(Clone, Debug)]

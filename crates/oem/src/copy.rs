@@ -24,24 +24,13 @@ pub fn deep_copy_all(src: &ObjectStore, roots: &[ObjId], dst: &mut ObjectStore) 
         .collect()
 }
 
-/// Copy `roots` from `src` into `dst`, reusing (and extending) a caller-held
-/// old-id → new-id map.
+/// Copy the structure rooted at `root` from `src` into `dst`, reusing (and
+/// extending) a caller-held old-id → new-id map: the id of its copy in
+/// `dst`.
 ///
-/// This is the incremental form of [`deep_copy_all`]: a streaming consumer
-/// can copy a result store chunk by chunk, passing the same `map` each time,
-/// and objects shared *across* chunks are still copied exactly once — the
-/// final contents of `dst` are identical to a single [`deep_copy_all`] over
-/// the concatenated roots.
-pub fn deep_copy_all_into(
-    src: &ObjectStore,
-    roots: &[ObjId],
-    dst: &mut ObjectStore,
-    map: &mut HashMap<ObjId, ObjId>,
-) -> Vec<ObjId> {
-    roots.iter().map(|&r| copy_rec(src, r, dst, map)).collect()
-}
-
-/// [`deep_copy_all_into`] for one root: the id of its copy in `dst`.
+/// This is the incremental form of [`deep_copy_all`]: a consumer can copy
+/// a result store root by root, passing the same `map` each time, and
+/// objects shared *across* roots are still copied exactly once.
 pub fn deep_copy_into(
     src: &ObjectStore,
     root: ObjId,
@@ -147,32 +136,6 @@ mod tests {
         let cb = dst.children(ca)[0];
         assert_eq!(dst.children(cb), &[ca]);
         dst.validate().unwrap();
-    }
-
-    #[test]
-    fn chunked_copy_matches_one_shot() {
-        let mut src = ObjectStore::new();
-        let shared = src.atom("addr", "Gates");
-        let a = src.set("person", vec![shared]);
-        let b = src.set("person", vec![shared]);
-        let c = src.atom("dept", "CS");
-
-        // One-shot copy of all three roots.
-        let mut whole = ObjectStore::new();
-        let whole_roots = deep_copy_all(&src, &[a, b, c], &mut whole);
-
-        // Chunked copy: [a], then [b, c], sharing the map.
-        let mut chunked = ObjectStore::new();
-        let mut map = HashMap::new();
-        let mut roots = deep_copy_all_into(&src, &[a], &mut chunked, &mut map);
-        roots.extend(deep_copy_all_into(&src, &[b, c], &mut chunked, &mut map));
-
-        assert_eq!(chunked.len(), whole.len());
-        for (&w, &k) in whole_roots.iter().zip(&roots) {
-            assert!(struct_eq_cross(&whole, w, &chunked, k));
-        }
-        // Cross-chunk sharing preserved: both persons point at one address.
-        assert_eq!(chunked.children(roots[0])[0], chunked.children(roots[1])[0]);
     }
 
     #[test]

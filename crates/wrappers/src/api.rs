@@ -234,7 +234,7 @@ pub fn carrier_label(var: Symbol) -> Symbol {
 
 /// The child of `root` labelled `label`: the carrier, named by
 /// [`carrier_label`], of one variable's binding in a source answer object.
-pub fn find_carrier(store: &ObjectStore, root: ObjId, label: Symbol) -> Option<ObjId> {
+fn find_carrier(store: &ObjectStore, root: ObjId, label: Symbol) -> Option<ObjId> {
     store
         .children(root)
         .iter()

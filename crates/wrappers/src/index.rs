@@ -10,9 +10,9 @@
 //! It is one flat sorted vector searched with `partition_point`: smaller
 //! than a map of posting lists, and a posting list is a slice of it.
 //!
-//! The answer cache indexes a cached answer's `bind_for_*` carriers the
-//! same way; [`ValueIndex::holds_one_atom`] tells it which labels every
-//! object holds exactly once, as an atom.
+//! The answer cache indexes the atom columns of a cached answer's rows
+//! through the same builder ([`ValueIndex::from_triples`]), a column's
+//! variable standing for the label.
 
 use engine::bindings::{Bindings, BoundValue};
 use engine::matcher::atomic_key;
@@ -59,62 +59,40 @@ pub(crate) struct Posting {
 pub struct ValueIndex {
     /// Sorted by (label, key, position), without repeats.
     postings: Vec<Posting>,
-    /// The child labels every top-level object holds exactly one child
-    /// of, an atomic one; sorted.
-    single: Vec<Symbol>,
-    /// How many top-level objects the store has.
-    objects: usize,
 }
 
 impl ValueIndex {
     /// Index every atomic child of every top-level object of `store`.
     pub fn build(store: &ObjectStore) -> ValueIndex {
-        let tops = store.top_level();
-        let keyed = |top| {
-            store.children(top).iter().filter_map(|&c| {
+        let tops = store.top_level().iter().enumerate();
+        ValueIndex::from_triples(tops.flat_map(|(pos, &top)| {
+            store.children(top).iter().map(move |&c| {
                 let child = store.get(c);
-                Some((child.label, Key::of(&child.value)?))
+                (pos, child.label, &child.value)
             })
-        };
-        // Sized once: growing by doubling would hold two copies at a time.
-        let len = tops.iter().map(|&t| keyed(t).count()).sum();
-        let mut postings = Vec::with_capacity(len);
-        // Per child label: how many children it labels, the last object
-        // holding one, and whether each is an atom no sibling shares the
-        // label with. Read off the children: postings merge equal values.
-        let mut tally: BTreeMap<Symbol, (usize, Option<u32>, bool)> = BTreeMap::new();
-        for (pos, &top) in tops.iter().enumerate() {
-            let pos = u32::try_from(pos).expect("positions fit a u32, as object ids do");
-            for (label, key) in keyed(top) {
-                postings.push(Posting { label, key, pos });
-            }
-            for &c in store.children(top) {
-                let child = store.get(c);
-                let (children, last, sole) = tally.entry(child.label).or_insert((0, None, true));
-                *sole &= *last != Some(pos) && child.value.is_atomic();
-                (*children, *last) = (*children + 1, Some(pos));
-            }
-        }
-        postings.sort_unstable();
-        postings.dedup();
-        let single = tally
-            .into_iter()
-            .filter(|&(_, (children, _, sole))| sole && children == tops.len())
-            .map(|(label, _)| label)
-            .collect();
-        ValueIndex {
-            postings,
-            single,
-            objects: tops.len(),
-        }
+        }))
     }
 
-    /// Whether every top-level object holds exactly one child `label`, an
-    /// atomic one (true of any label when there are no objects). Only then
-    /// is each object listed by [`Self::positions`] under the one value it
-    /// holds there, and under no other.
-    pub fn holds_one_atom(&self, label: Symbol) -> bool {
-        self.objects == 0 || self.single.binary_search(&label).is_ok()
+    /// Index `(position, label, value)` triples, each saying the object at
+    /// `position` holds `value` under `label`. Sets are not indexed.
+    pub fn from_triples<'a, I>(triples: I) -> ValueIndex
+    where
+        I: Iterator<Item = (usize, Symbol, &'a Value)> + Clone,
+    {
+        let keyed = triples.filter_map(|(pos, label, value)| {
+            let pos = u32::try_from(pos).expect("positions fit a u32, as object ids do");
+            Some(Posting {
+                label,
+                key: Key::of(value)?,
+                pos,
+            })
+        });
+        // Sized once: growing by doubling would hold two copies at a time.
+        let mut postings = Vec::with_capacity(keyed.clone().count());
+        postings.extend(keyed);
+        postings.sort_unstable();
+        postings.dedup();
+        ValueIndex { postings }
     }
 
     /// The ascending positions in `top_level()` of the objects holding a
@@ -249,39 +227,6 @@ mod tests {
         let distinct = index.distinct_values();
         assert_eq!(distinct.get(&sym("year")), Some(&2));
         assert_eq!(distinct.get(&sym("tag")), None);
-    }
-
-    #[test]
-    fn holds_one_atom_is_read_off_every_child() {
-        let store = parse_store(
-            "<&a, r, set, {<&a1, one, 1> <&a2, twice, 'x'> <&a3, twice, 'x'> <&a4, some, 1>}>
-             <&b, r, set, {<&b1, one, 2> <&b2, twice, 'y'> <&b3, set, set, {}>}>
-             <&c, r, set, {<&c1, one, 3> <&c3, set, 4>}>",
-        )
-        .unwrap();
-        let index = ValueIndex::build(&store);
-        assert!(index.holds_one_atom(sym("one")));
-        // Three `twice` children over three objects, but &a holds two
-        // (equal ones, which make one posting) and &c none.
-        assert_eq!(
-            positions(index.postings(sym("twice"), &Value::str("x"))),
-            [0]
-        );
-        assert!(!index.holds_one_atom(sym("twice")));
-        assert!(!index.holds_one_atom(sym("some")), "missing from &b and &c");
-        assert!(
-            !index.holds_one_atom(sym("set")),
-            "missing from &a, a set in &b"
-        );
-        assert!(!index.holds_one_atom(sym("absent")));
-        assert_eq!(
-            index
-                .positions(sym("one"), &Value::real(2.0))
-                .collect::<Vec<_>>(),
-            [1]
-        );
-        // No objects: nothing any label could be missing from.
-        assert!(ValueIndex::build(&ObjectStore::new()).holds_one_atom(sym("absent")));
     }
 
     #[test]

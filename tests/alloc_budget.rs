@@ -1,0 +1,219 @@
+//! Allocation budget of the answer cache's paths: heap allocations and
+//! bytes allocated per query, counted by a std-only `#[global_allocator]`,
+//! for five cases over MS1 and a 200-person workload:
+//!
+//! - `control`: a cache-off MSL point lookup;
+//! - `exact`: the same lookup repeated, served by exact hits;
+//! - `pinned`: a lookup served by a containment hit that pins the name in
+//!   the cached scan's answer;
+//! - `warm`: the first lookup after a reopen, served off the warm tier;
+//! - `insert`: a first lookup that misses and files its answers.
+//!
+//! Each line of `tests/golden/alloc_budget.txt` is
+//! `<case> <allocations per query> <bytes per query>`, the most of 12 runs
+//! at the commit that blessed it. A count may fall below its line but not
+//! rise above it by more than counts spread between runs. Every
+//! measurement runs in the one test of this file, so no other test's
+//! thread allocates meanwhile.
+
+use medmaker::{CacheCounters, CacheOptions, Mediator, MediatorOptions};
+use msl::Rule;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use wrappers::fault::VirtualClock;
+use wrappers::scenario::MS1;
+use wrappers::workload::PersonWorkload;
+
+const BUDGET: &str = include_str!("golden/alloc_budget.txt");
+
+/// How far a count may exceed its budget line and not have risen: the
+/// spread of a count between runs of one build. Some maps iterate in
+/// per-process hash order, and the order moves a vector's growth by an
+/// allocation or a few bytes per query.
+const SLACK_ALLOCATIONS: u64 = 1;
+const SLACK_BYTES: u64 = 8;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting every allocation and the bytes it asks
+/// for (a reallocation counts as one allocation of its new size).
+struct Counting;
+
+// SAFETY: every method hands its arguments unchanged to `System`, which
+// meets `GlobalAlloc`'s contract; the counting beside it touches only
+// atomics and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn mediator(cache: CacheOptions) -> Mediator {
+    let (whois, cs) = PersonWorkload {
+        n_whois: 200,
+        seed: 11,
+        ..PersonWorkload::default()
+    }
+    .build();
+    Mediator::new_with_options(
+        "med",
+        MS1,
+        vec![Arc::new(whois), Arc::new(cs)],
+        medmaker::externals::standard_registry(),
+        MediatorOptions {
+            parallel: false,
+            learn_stats: false,
+            cache,
+            ..MediatorOptions::default()
+        },
+    )
+    .unwrap()
+}
+
+/// A cache on a virtual clock, so the write-through's insert times are
+/// fixed; on disk under `dir` when given.
+fn cache(dir: Option<PathBuf>) -> CacheOptions {
+    CacheOptions {
+        clock: Some(Arc::new(VirtualClock::new())),
+        cache_dir: dir,
+        ..CacheOptions::enabled()
+    }
+}
+
+fn point(i: usize) -> Rule {
+    msl::parse_query(&format!(
+        "P :- P:<cs_person {{<name 'First{i} Last{i}'>}}>@med"
+    ))
+    .unwrap()
+}
+
+fn scan() -> Rule {
+    msl::parse_query("P :- P:<cs_person {}>@med").unwrap()
+}
+
+/// Allocations and bytes counted so far.
+fn counted() -> (u64, u64) {
+    (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    )
+}
+
+/// Allocations and bytes per query of running `queries` on `med`, answers
+/// dropped included.
+fn per_query(med: &Mediator, queries: &[Rule]) -> (u64, u64) {
+    let (a0, b0) = counted();
+    for q in queries {
+        drop(med.query_rule(q).unwrap());
+    }
+    let (a1, b1) = counted();
+    let n = queries.len() as u64;
+    ((a1 - a0) / n, (b1 - b0) / n)
+}
+
+/// The counters `run` moved on `med`'s cache.
+fn moved(med: &Mediator, run: impl FnOnce()) -> CacheCounters {
+    let before = med.cache_counters();
+    run();
+    let after = med.cache_counters();
+    CacheCounters {
+        hits: after.hits - before.hits,
+        containment_hits: after.containment_hits - before.containment_hits,
+        misses: after.misses - before.misses,
+        warm_hits: after.warm_hits - before.warm_hits,
+        ..CacheCounters::default()
+    }
+}
+
+#[test]
+fn cache_paths_allocate_within_the_budget() {
+    // Lookups of people both sources hold, so every one has an answer.
+    let names: Vec<usize> = (0..200).step_by(10).collect();
+    let lookups: Vec<Rule> = names.iter().map(|&i| point(i)).collect();
+    let others: Vec<Rule> = names.iter().map(|&i| point(i + 5)).collect();
+    let mut measured = Vec::new();
+    let mut measure = |case, med: &Mediator, queries: &[Rule]| {
+        let mut cost = (0, 0);
+        let counts = moved(med, || cost = per_query(med, queries));
+        measured.push((case, cost));
+        counts
+    };
+
+    let med = mediator(CacheOptions::default());
+    per_query(&med, &lookups); // warm-up: interned symbols, lazy indexes
+    measure("control", &med, &lookups);
+
+    let med = mediator(cache(None));
+    per_query(&med, &lookups); // the first pass files every answer
+    let c = measure("exact", &med, &lookups);
+    assert_eq!((c.containment_hits, c.misses), (0, 0), "{c:?}");
+
+    let med = mediator(cache(None));
+    per_query(&med, &[scan()]);
+    per_query(&med, &lookups);
+    let c = measure("pinned", &med, &others);
+    assert_eq!((c.containment_hits, c.misses), (others.len(), 0), "{c:?}");
+
+    // The warm tier lives in a relative directory, so its paths are as
+    // long in every checkout.
+    let tmp = std::env::temp_dir().join(format!("medmaker-alloc-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    std::fs::create_dir_all(&tmp).unwrap();
+    std::env::set_current_dir(&tmp).unwrap();
+    let warm = PathBuf::from("warm");
+    per_query(&mediator(cache(Some(warm.clone()))), &lookups);
+    let med = mediator(cache(Some(warm)));
+    let c = measure("warm", &med, &lookups);
+    assert!(c.warm_hits >= lookups.len() && c.misses == 0, "{c:?}");
+    std::env::set_current_dir(std::env::temp_dir()).unwrap();
+    let _ = std::fs::remove_dir_all(&tmp);
+
+    let med = mediator(cache(None));
+    per_query(&med, &lookups);
+    let c = measure("insert", &med, &others);
+    assert!(c.misses >= others.len(), "{c:?}");
+
+    let actual: String = measured
+        .iter()
+        .map(|(case, (allocs, bytes))| format!("{case} {allocs} {bytes}\n"))
+        .collect();
+    let budget: Vec<(&str, u64, u64)> = BUDGET
+        .lines()
+        .map(|line| {
+            let f: Vec<&str> = line.split(' ').collect();
+            (f[0], f[1].parse().unwrap(), f[2].parse().unwrap())
+        })
+        .collect();
+    assert_eq!(budget.len(), measured.len(), "one budget line per case");
+    for ((case, (allocs, bytes)), (name, max_allocs, max_bytes)) in measured.iter().zip(&budget) {
+        assert_eq!(case, name);
+        assert!(
+            *allocs <= max_allocs + SLACK_ALLOCATIONS && *bytes <= max_bytes + SLACK_BYTES,
+            "{case} rose above its budget {max_allocs} {max_bytes}; actual:\n{actual}"
+        );
+    }
+}

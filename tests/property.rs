@@ -681,16 +681,20 @@ proptest! {
             .iter()
             .map(|v| ExtractVar { var: oem::sym(v), kind: VarKind::Scalar })
             .collect();
-        let mut answer = ObjectStore::with_oid_prefix("s_r");
-        for (i, (k1, k2)) in items.iter().enumerate() {
-            ObjectBuilder::set("bind_for_s")
-                .atom("bind_for_A", k1.clone())
-                .atom("bind_for_B", k2.clone())
-                .atom("bind_for_P", i as i64)
-                .build_top(&mut answer);
-        }
+        let answer = wrappers::Rows {
+            rows: items
+                .iter()
+                .enumerate()
+                .map(|(i, (k1, k2))| {
+                    [k1.clone(), k2.clone(), Value::Int(i as i64)]
+                        .map(BoundValue::Atom)
+                        .to_vec()
+                })
+                .collect(),
+            store: std::sync::Arc::new(ObjectStore::new()),
+        };
         let resident = AnswerCache::new(opts(4));
-        resident.insert(oem::sym("s"), &whole, &exported, &answer);
+        resident.insert_rows(oem::sym("s"), &whole, &exported, &answer);
         let on_disk = AnswerCache::new(opts(0));
 
         for (pin_a, a, pin_b, b) in &probes {
