@@ -1,13 +1,15 @@
 //! Allocation budget of the answer cache's paths: heap allocations and
 //! bytes allocated per query, counted by a std-only `#[global_allocator]`,
-//! for five cases over MS1 and a 200-person workload:
+//! for seven cases over MS1 and a 200-person workload:
 //!
 //! - `control`: a cache-off MSL point lookup;
 //! - `exact`: the same lookup repeated, served by exact hits;
 //! - `pinned`: a lookup served by a containment hit that pins the name in
 //!   the cached scan's answer;
 //! - `warm`: the first lookup after a reopen, served off the warm tier;
-//! - `insert`: a first lookup that misses and files its answers.
+//! - `insert`: a first lookup that misses and files its answers;
+//! - `scan`: the cache-off scan `P :- P:<cs_person {}>@med`;
+//! - `print`: `print_store` of the scan's answer.
 //!
 //! Each line of `tests/golden/alloc_budget.txt` is
 //! `<case> <allocations per query> <bytes per query>`, the most of 12 runs
@@ -166,6 +168,7 @@ fn cache_paths_allocate_within_the_budget() {
     let med = mediator(CacheOptions::default());
     per_query(&med, &lookups); // warm-up: interned symbols, lazy indexes
     measure("control", &med, &lookups);
+    let cold = med;
 
     let med = mediator(cache(None));
     per_query(&med, &lookups); // the first pass files every answer
@@ -196,6 +199,16 @@ fn cache_paths_allocate_within_the_budget() {
     per_query(&med, &lookups);
     let c = measure("insert", &med, &others);
     assert!(c.misses >= others.len(), "{c:?}");
+
+    let scans = [scan(), scan(), scan()];
+    per_query(&cold, &scans[..1]);
+    measure("scan", &cold, &scans);
+    let answer = cold.query_rule(&scans[0]).unwrap().results;
+    let (a0, b0) = counted();
+    let text = oem::printer::print_store(&answer);
+    let (a1, b1) = counted();
+    assert_eq!(text.matches("\n<&").count() + 1, answer.top_level().len());
+    measured.push(("print", (a1 - a0, b1 - b0)));
 
     let actual: String = measured
         .iter()
