@@ -764,9 +764,7 @@ fn pull_inner(
                     continue 'fill;
                 }
                 while *idx < s.ext.len() && out.len() < cap {
-                    let mut r = row.clone();
-                    r.extend(s.ext[*idx].iter().cloned());
-                    out.push(r);
+                    out.push(widened(row, s.ext[*idx].iter().cloned()));
                     *idx += 1;
                 }
             }
@@ -880,9 +878,7 @@ fn pull_inner(
                     continue 'fill;
                 }
                 while *idx < ext.len() && out.len() < cap {
-                    let mut r = row.clone();
-                    r.extend(ext[*idx].iter().cloned());
-                    out.push(r);
+                    out.push(widened(row, ext[*idx].iter().cloned()));
                     *idx += 1;
                 }
             }
@@ -946,7 +942,8 @@ fn pull_inner(
                                         continue 'answer;
                                     }
                                 }
-                                let mut r = row.clone();
+                                let mut r = Vec::with_capacity(row.len() + new_vars.len());
+                                r.extend_from_slice(row);
                                 for (v, pos) in new_vars.iter().zip(new_pos.iter()) {
                                     let Some(pos) = pos else {
                                         return Err(MedError::External(format!(
@@ -1089,10 +1086,11 @@ fn pull_inner(
                                 }
                                 Err(e) => return Err(e),
                             };
-                            let mut index: HashMap<Vec<BoundValue>, Vec<usize>> = HashMap::new();
+                            let mut index: HashMap<Vec<BoundValue>, Vec<usize>> =
+                                HashMap::with_capacity(extracted.len());
                             for (ri, row) in extracted.iter().enumerate() {
                                 index
-                                    .entry(join_key(row, inner_key_idx))
+                                    .entry(join_key(row, inner_key_idx).collect())
                                     .or_default()
                                     .push(ri);
                             }
@@ -1113,9 +1111,11 @@ fn pull_inner(
                             });
                         }
                         let jb = build.as_ref().expect("build side indexed above");
+                        let mut key = Vec::with_capacity(jb.outer_key_idx.len());
                         for row in &batch {
-                            let key = join_key(row, &jb.outer_key_idx);
-                            if let Some(matches) = jb.index.get(&key) {
+                            key.clear();
+                            key.extend(join_key(row, &jb.outer_key_idx));
+                            if let Some(matches) = jb.index.get(key.as_slice()) {
                                 for &ri in matches {
                                     let inner = &jb.rows[ri];
                                     let confirmed = jb
@@ -1126,8 +1126,8 @@ fn pull_inner(
                                     if !confirmed {
                                         continue;
                                     }
-                                    let mut r = row.clone();
-                                    r.extend(keep_inner.iter().map(|&k| jb.rows[ri][k].clone()));
+                                    let r =
+                                        widened(row, keep_inner.iter().map(|&k| inner[k].clone()));
                                     if out.len() < cap {
                                         out.push(r);
                                     } else {
@@ -1553,13 +1553,19 @@ fn node_detail(node: &Node) -> String {
 /// A hash-join key over the columns `idx`: atoms by [`atomic_key`], so
 /// `3` and `3.0` share one. Unequal integers past 2^53 can share one too,
 /// so a hit is a candidate to confirm with [`same_value`].
-fn join_key(row: &[BoundValue], idx: &[usize]) -> Vec<BoundValue> {
-    idx.iter()
-        .map(|&k| match &row[k] {
-            BoundValue::Atom(v) => BoundValue::Atom(atomic_key(v)),
-            other => other.clone(),
-        })
-        .collect()
+fn join_key<'a>(row: &'a [BoundValue], idx: &'a [usize]) -> impl Iterator<Item = BoundValue> + 'a {
+    idx.iter().map(|&k| match &row[k] {
+        BoundValue::Atom(v) => BoundValue::Atom(atomic_key(v)),
+        other => other.clone(),
+    })
+}
+
+/// `row` followed by `tail`, allocated once at its final width.
+fn widened(row: &[BoundValue], tail: impl ExactSizeIterator<Item = BoundValue>) -> Vec<BoundValue> {
+    let mut r = Vec::with_capacity(row.len() + tail.len());
+    r.extend_from_slice(row);
+    r.extend(tail);
+    r
 }
 
 /// Do two join values match as the matcher compares them?

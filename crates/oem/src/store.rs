@@ -137,12 +137,23 @@ pub struct OidDisplay<'a> {
     oid: Oid,
 }
 
+impl OidDisplay<'_> {
+    /// Write the oid to `out`: a named one as its symbol, a generated one
+    /// as the store's prefix followed by its number.
+    pub(crate) fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        match self.oid {
+            Oid::Named(s) => s.with_str(|s| out.write_str(s)),
+            Oid::Gen(n) => {
+                out.write_str(self.prefix)?;
+                crate::value::write_decimal(out, n)
+            }
+        }
+    }
+}
+
 impl fmt::Display for OidDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.oid {
-            Oid::Named(s) => fmt::Display::fmt(&s, f),
-            Oid::Gen(n) => write!(f, "{}{n}", self.prefix),
-        }
+        self.write_to(f)
     }
 }
 

@@ -217,23 +217,61 @@ impl Value {
     /// Render an atomic value in the textual syntax (`'CS'`, `3`, `2.5`,
     /// `true`). Panics on sets — callers render sets structurally.
     pub fn render_atomic(&self) -> String {
+        let mut out = String::new();
+        let _ = self.write_atomic(&mut out);
+        out
+    }
+
+    /// Write [`Value::render_atomic`]'s text to `out`, piece by piece: a
+    /// string is quoted with `\` and `'` escaped, a real that is a whole
+    /// number keeps one decimal (`3.0`). Panics on sets.
+    pub fn write_atomic<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Value::Str(s) => {
-                s.with_str(|v| format!("'{}'", v.replace('\\', "\\\\").replace('\'', "\\'")))
+            Value::Str(s) => s.with_str(|v| {
+                out.write_char('\'')?;
+                let mut rest = v;
+                while let Some(at) = rest.find(['\\', '\'']) {
+                    out.write_str(&rest[..at])?;
+                    out.write_char('\\')?;
+                    out.write_str(&rest[at..=at])?;
+                    rest = &rest[at + 1..];
+                }
+                out.write_str(rest)?;
+                out.write_char('\'')
+            }),
+            Value::Int(i) => {
+                if *i < 0 {
+                    out.write_char('-')?;
+                }
+                write_decimal(out, i.unsigned_abs())
             }
-            Value::Int(i) => i.to_string(),
             Value::RealBits(b) => {
                 let x = f64::from_bits(*b);
                 if x == x.trunc() && x.is_finite() {
-                    format!("{x:.1}")
+                    write!(out, "{x:.1}")
                 } else {
-                    format!("{x}")
+                    write!(out, "{x}")
                 }
             }
-            Value::Bool(b) => b.to_string(),
+            Value::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
             Value::Set(_) => panic!("render_atomic called on a set value"),
         }
     }
+}
+
+/// Write `n` in decimal, without the formatting machinery.
+pub(crate) fn write_decimal<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
 }
 
 impl From<&str> for Value {
@@ -359,6 +397,9 @@ mod tests {
     #[test]
     fn render_escapes_quotes() {
         assert_eq!(Value::str("O'Neil").render_atomic(), "'O\\'Neil'");
+        assert_eq!(Value::str("\\'x\\").render_atomic(), "'\\\\\\'x\\\\'");
+        assert_eq!(Value::Int(i64::MIN).render_atomic(), i64::MIN.to_string());
+        assert_eq!(Value::Int(0).render_atomic(), "0");
     }
 
     #[test]
