@@ -173,16 +173,17 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                         break;
                     }
                 }
+                let bad = |what: &str| LorelError::Lex {
+                    msg: format!("bad {what} '{s}'"),
+                    pos,
+                };
                 let kind = if real {
-                    Tok::Real(s.parse().map_err(|_| LorelError::Lex {
-                        msg: format!("bad real '{s}'"),
-                        pos,
-                    })?)
+                    match s.parse::<f64>() {
+                        Ok(x) if x.is_finite() => Tok::Real(x),
+                        _ => return Err(bad("real")),
+                    }
                 } else {
-                    Tok::Int(s.parse().map_err(|_| LorelError::Lex {
-                        msg: format!("bad integer '{s}'"),
-                        pos,
-                    })?)
+                    Tok::Int(s.parse().map_err(|_| bad("integer"))?)
                 };
                 out.push(Token { kind, pos });
             }
@@ -280,5 +281,14 @@ mod tests {
     fn lex_errors() {
         assert!(tokenize("select 'open").is_err());
         assert!(tokenize("select #").is_err());
+    }
+
+    #[test]
+    fn non_finite_real_is_a_bad_real() {
+        // LOREL has no exponent, so a real past f64's range is all digits.
+        let huge = format!("1{}.0", "0".repeat(400));
+        let err = tokenize(&format!("P.year = {huge}")).unwrap_err();
+        assert!(err.to_string().contains("bad real"), "{err}");
+        assert!(tokenize(&format!("P.year = {}", &huge[100..])).is_ok());
     }
 }

@@ -58,10 +58,14 @@ pub fn load_csv(name: &str, text: &str) -> Result<Table> {
                     .parse::<i64>()
                     .map(Datum::Int)
                     .map_err(|_| bad_cell(name, raw, "integer"))?,
+                // `inf` and `NaN` parse as f64 but print as no OEM reader
+                // accepts, so a real cell must be finite.
                 ColType::Real => raw
                     .parse::<f64>()
+                    .ok()
+                    .filter(|x| x.is_finite())
                     .map(Datum::real)
-                    .map_err(|_| bad_cell(name, raw, "real"))?,
+                    .ok_or_else(|| bad_cell(name, raw, "real"))?,
                 ColType::Bool => match raw {
                     "true" | "1" => Datum::Bool(true),
                     "false" | "0" => Datum::Bool(false),
@@ -160,6 +164,20 @@ mod tests {
         assert!(load_csv("x", "n:int\nnotanint\n").is_err());
         assert!(load_csv("x", "b:bool\nmaybe\n").is_err());
         assert!(load_csv("x", "n:frobnicate\n1\n").is_err());
+    }
+
+    #[test]
+    fn non_finite_reals_are_refused() {
+        for raw in ["inf", "-inf", "NaN", "infinity", "1e999"] {
+            let err = load_csv("x", &format!("r:real\n{raw}\n")).unwrap_err();
+            assert!(
+                err.to_string().contains("is not a valid real"),
+                "{raw}: {err}"
+            );
+        }
+        let t = load_csv("x", "r:real\n-0.0\n1e300\n").unwrap();
+        assert_eq!(t.row(0)[0], Datum::real(-0.0));
+        assert_eq!(t.row(1)[0], Datum::real(1e300));
     }
 
     #[test]

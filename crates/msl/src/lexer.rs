@@ -329,8 +329,10 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 }
                 let kind = if is_real {
                     TokenKind::Real(
-                        s.parse()
-                            .map_err(|_| MslError::lex(format!("bad real '{s}'"), pos))?,
+                        s.parse::<f64>()
+                            .ok()
+                            .filter(|x| x.is_finite())
+                            .ok_or_else(|| MslError::lex(format!("bad real '{s}'"), pos))?,
                     )
                 } else {
                     TokenKind::Int(
@@ -499,6 +501,13 @@ mod tests {
     #[test]
     fn unterminated_string_is_error() {
         assert!(tokenize("'abc").is_err());
+    }
+
+    #[test]
+    fn non_finite_real_is_a_bad_real() {
+        let err = tokenize("<year 1e999>").unwrap_err();
+        assert!(err.to_string().contains("bad real '1e999'"), "{err}");
+        assert!(tokenize("<year 1e300>").is_ok());
     }
 
     #[test]

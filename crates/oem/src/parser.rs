@@ -483,9 +483,12 @@ impl<'a> Parser<'a> {
             }
         }
         if is_real {
-            s.parse::<f64>()
-                .map(Value::real)
-                .or_else(|_| self.err(format!("bad real literal '{s}'")))
+            // A literal past f64's range parses as infinite, which no
+            // printed store can hold.
+            match s.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(Value::real(x)),
+                _ => self.err(format!("bad real literal '{s}'")),
+            }
         } else {
             s.parse::<i64>()
                 .map(Value::Int)
@@ -577,6 +580,17 @@ mod tests {
         let store = parse_store(r"<a, 'O\'Neil \\ line\n'>").unwrap();
         let (_, obj) = store.iter().next().unwrap();
         assert_eq!(obj.value, Value::str("O'Neil \\ line\n"));
+    }
+
+    #[test]
+    fn non_finite_real_is_a_bad_literal() {
+        let err = parse_store("<&a, x, real, 1e999>").unwrap_err();
+        assert!(
+            err.to_string().contains("bad real literal '1e999'"),
+            "{err}"
+        );
+        assert!(parse_store("<&a, x, real, -1e999>").is_err());
+        assert!(parse_store("<&a, x, real, 1e300>").is_ok());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants:
 //!
-//! * OEM printer/parser round-trip;
+//! * OEM printer/parser round-trip, finite reals bit for bit;
 //! * structural equality is an equivalence relation consistent with
 //!   fingerprints; deep copies are structurally equal; dedup is idempotent;
 //! * binding lists dedup keep-first, and `Bindings::retain` is `project`;
@@ -156,6 +156,26 @@ proptest! {
         for (&a, &b) in store.top_level().iter().zip(reparsed.top_level()) {
             prop_assert!(oem::eq::struct_eq_cross(&store, a, &reparsed, b));
         }
+    }
+
+    /// Every finite real atom reads back bit for bit from its printed text.
+    #[test]
+    fn finite_reals_print_and_parse_bit_for_bit(bits in prop::collection::vec(any::<u64>(), 0..8)) {
+        let mut reals = vec![-0.0, 5e-324, 1e300, 2.5];
+        reals.extend(bits.into_iter().map(f64::from_bits).filter(|x| x.is_finite()));
+        let mut store = ObjectStore::new();
+        let kids = reals.iter().map(|&x| store.atom("r", x)).collect();
+        let top = store.set("reals", kids);
+        store.add_top(top);
+        let text = oem::printer::print_store(&store);
+        let back = oem::parser::parse_store(&text).unwrap();
+        let read: Vec<Option<u64>> = back
+            .children(back.top_level()[0])
+            .iter()
+            .map(|&c| back.get(c).value.as_real().map(f64::to_bits))
+            .collect();
+        let want: Vec<Option<u64>> = reals.iter().map(|x| Some(x.to_bits())).collect();
+        prop_assert_eq!(read, want, "{}", text);
     }
 
     #[test]
