@@ -1,6 +1,6 @@
 //! Allocation budget of the answer cache's paths: heap allocations and
 //! bytes allocated per query, counted by a std-only `#[global_allocator]`,
-//! for seven cases over MS1 and a 200-person workload:
+//! for nine cases over MS1 and a 200-person workload:
 //!
 //! - `control`: a cache-off MSL point lookup;
 //! - `exact`: the same lookup repeated, served by exact hits;
@@ -9,7 +9,12 @@
 //! - `warm`: the first lookup after a reopen, served off the warm tier;
 //! - `insert`: a first lookup that misses and files its answers;
 //! - `scan`: the cache-off scan `P :- P:<cs_person {}>@med`;
-//! - `print`: `print_store` of the scan's answer.
+//! - `print`: `print_store` of the scan's answer;
+//! - `lorel`: the cache-off point lookup written in LOREL, compiled per
+//!   query;
+//! - `served`: one `QueryService::run` reply to a point lookup the primed
+//!   cache answers, as `served_http` serves it: parse, coalescing key,
+//!   execution and the printed answer.
 //!
 //! Each line of `tests/golden/alloc_budget.txt` is
 //! `<case> <allocations per query> <bytes per query>`, the most of 12 runs
@@ -18,7 +23,8 @@
 //! measurement runs in the one test of this file, so no other test's
 //! thread allocates meanwhile.
 
-use medmaker::{CacheCounters, CacheOptions, Mediator, MediatorOptions};
+use medmaker::{CacheCounters, CacheOptions, Mediator, MediatorOptions, QueryLimits};
+use medmaker_server::{QueryService, ReplyStatus};
 use msl::Rule;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
@@ -107,10 +113,15 @@ fn cache(dir: Option<PathBuf>) -> CacheOptions {
 }
 
 fn point(i: usize) -> Rule {
-    msl::parse_query(&format!(
-        "P :- P:<cs_person {{<name 'First{i} Last{i}'>}}>@med"
-    ))
-    .unwrap()
+    msl::parse_query(&point_text(i)).unwrap()
+}
+
+fn point_text(i: usize) -> String {
+    format!("P :- P:<cs_person {{<name 'First{i} Last{i}'>}}>@med")
+}
+
+fn lorel_point(i: usize) -> String {
+    format!("select * from cs_person P where P.name = 'First{i} Last{i}'")
 }
 
 fn scan() -> Rule {
@@ -125,16 +136,35 @@ fn counted() -> (u64, u64) {
     )
 }
 
+/// Allocations and bytes per item of running `one` on each of `items`.
+fn per_item<T>(items: &[T], mut one: impl FnMut(&T)) -> (u64, u64) {
+    let (a0, b0) = counted();
+    items.iter().for_each(&mut one);
+    let (a1, b1) = counted();
+    let n = items.len() as u64;
+    ((a1 - a0) / n, (b1 - b0) / n)
+}
+
 /// Allocations and bytes per query of running `queries` on `med`, answers
 /// dropped included.
 fn per_query(med: &Mediator, queries: &[Rule]) -> (u64, u64) {
-    let (a0, b0) = counted();
-    for q in queries {
-        drop(med.query_rule(q).unwrap());
-    }
-    let (a1, b1) = counted();
-    let n = queries.len() as u64;
-    ((a1 - a0) / n, (b1 - b0) / n)
+    per_item(queries, |q| drop(med.query_rule(q).unwrap()))
+}
+
+/// The same, for LOREL texts compiled against `med` inside the count.
+fn per_lorel_query(med: &Mediator, texts: &[String]) -> (u64, u64) {
+    per_item(texts, |t| {
+        drop(med.query_rule(&lorel::to_msl(t, "med").unwrap()).unwrap())
+    })
+}
+
+/// The same, for replies of `service` to MSL texts.
+fn per_reply(service: &QueryService, texts: &[String]) -> (u64, u64) {
+    per_item(texts, |t| {
+        let reply = service.run(t, &QueryLimits::default());
+        assert_eq!(reply.status, ReplyStatus::Ok, "{:?}", reply.error);
+        assert_eq!(reply.objects, 1, "{t}");
+    })
 }
 
 /// The counters `run` moved on `med`'s cache.
@@ -153,7 +183,8 @@ fn moved(med: &Mediator, run: impl FnOnce()) -> CacheCounters {
 
 #[test]
 fn cache_paths_allocate_within_the_budget() {
-    // Lookups of people both sources hold, so every one has an answer.
+    // Lookups over the whole workload: cs holds the first half of whois's
+    // people, so the lookups of the second half answer nothing.
     let names: Vec<usize> = (0..200).step_by(10).collect();
     let lookups: Vec<Rule> = names.iter().map(|&i| point(i)).collect();
     let others: Vec<Rule> = names.iter().map(|&i| point(i + 5)).collect();
@@ -209,6 +240,22 @@ fn cache_paths_allocate_within_the_budget() {
     let (a1, b1) = counted();
     assert_eq!(text.matches("\n<&").count() + 1, answer.top_level().len());
     measured.push(("print", (a1 - a0, b1 - b0)));
+
+    // People both sources hold, so every one has an answer.
+    let held: Vec<usize> = (0..100).step_by(5).collect();
+    let texts: Vec<String> = held.iter().map(|&i| lorel_point(i)).collect();
+    per_lorel_query(&cold, &texts);
+    measured.push(("lorel", per_lorel_query(&cold, &texts)));
+
+    let texts: Vec<String> = held.iter().map(|&i| point_text(i)).collect();
+    let service = QueryService::new(
+        Arc::new(mediator(cache(None))),
+        1,
+        0,
+        QueryLimits::default(),
+    );
+    per_reply(&service, &texts); // primes the cache, as `served_http` does
+    measured.push(("served", per_reply(&service, &texts)));
 
     let actual: String = measured
         .iter()
