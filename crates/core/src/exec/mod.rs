@@ -33,26 +33,30 @@
 //! tables are additionally rendered, which is how the Figure 3.6
 //! walkthrough is regenerated.
 
-use crate::cache::{AnswerCache, CacheHit};
+mod absorb;
+mod fetch;
+mod ops;
+
+use crate::cache::AnswerCache;
 use crate::error::{MedError, Result};
-use crate::externals::{Callee, ExternalRegistry};
-use crate::graph::{ExtractVar, Node, PhysicalPlan, RulePlan, VarKind};
-use crate::metrics::{NodeMetrics, NodeTrace, Observation, QueryTrace, RuleTrace};
+use crate::externals::ExternalRegistry;
+use crate::graph::{Node, PhysicalPlan, RulePlan};
+use crate::metrics::{NodeTrace, QueryTrace, RuleTrace};
 use crate::retry::{CircuitBreaker, FaultOptions, OnSourceFailure, Sleeper, ThreadSleeper};
 use crate::table::BindingTable;
-use crate::valueset;
-use engine::bindings::{Bindings, BoundValue};
+use engine::bindings::BoundValue;
 use engine::construct::Constructor;
-use engine::matcher::{atomic_eq, atomic_key};
-use engine::subst::{fill_params_rule, Subst};
-use msl::{Rule, TailItem, Term};
-use oem::{copy, ObjId, ObjectStore, Symbol, Value};
+use msl::Rule;
+use oem::{ObjectStore, Symbol, Value};
+use ops::{build_ops, pull, Batch, StreamEnv};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 use wrappers::fault::{Clock, SystemClock};
-use wrappers::{Rows, Wrapper, WrapperError};
+use wrappers::{Rows, Wrapper};
+
+pub(crate) use absorb::absorb_all;
 
 /// Execution options.
 #[derive(Clone, Debug)]
@@ -225,957 +229,6 @@ struct ChainOutcome {
     /// `Some` when a source stayed failed and the chain was abandoned —
     /// Partial mode drops just this chain, Fail mode aborts the query.
     failed: Option<MedError>,
-}
-
-// ---- the chain pipeline (pull-based bounded batches) --------------------
-//
-// Every batch size produces byte-identical answers: construction copies
-// what the final table references in row order, so the order in which
-// objects arrived in a chain's memory is invisible to the result.
-
-/// A batch of binding rows flowing between pipeline ops. Ops never emit
-/// empty batches; a `None` pull result means permanently exhausted.
-type Batch = Vec<Vec<BoundValue>>;
-
-/// Extracted rows for one parameter tuple, shared between the memo table
-/// and the cursor currently crossing them.
-type MemoRows = std::rc::Rc<Vec<Vec<BoundValue>>>;
-
-/// What one op accumulates across pulls.
-#[derive(Default)]
-struct OpMeter {
-    /// The counters the op's trace entry will report, incremented in
-    /// place; `wall_ns`, the estimates and `dedup_hits` are filled in
-    /// when the chain ends.
-    metrics: NodeMetrics,
-    /// Inclusive wall time: every nanosecond spent inside this op's pull,
-    /// including time spent pulling upstream. The chain is linear and only
-    /// the next op pulls this one, so the trace recovers each op's
-    /// exclusive time as `inclusive[i] - inclusive[i-1]`.
-    wall_ns_inclusive: u64,
-    /// Incrementally rendered output rows (trace mode only); the header is
-    /// prepended at trace build, so the concatenation equals a one-shot
-    /// render of the whole table.
-    rendered: String,
-}
-
-/// A partially-absorbed source answer: rows already absorbed into chain
-/// memory, plus the not-yet-absorbed remainder of the wrapper's rows.
-struct ExtSource {
-    ext: Vec<Vec<BoundValue>>,
-    /// `Some` while answer rows remain: the rows, the cursor into them,
-    /// and the answer's one old-id → new-id map through which every chunk
-    /// is absorbed, so an object shared across rows or chunks is copied
-    /// once.
-    rest: Option<(Rows, usize, HashMap<ObjId, ObjId>)>,
-}
-
-impl ExtSource {
-    fn from_rows(rows: Vec<Vec<BoundValue>>) -> ExtSource {
-        ExtSource {
-            ext: rows,
-            rest: None,
-        }
-    }
-
-    fn from_answer(answer: Rows) -> ExtSource {
-        ExtSource {
-            ext: Vec::new(),
-            rest: Some((answer, 0, HashMap::new())),
-        }
-    }
-
-    fn fully_extracted(&self) -> bool {
-        self.rest.is_none()
-    }
-
-    /// Absorb up to `n` more answer rows into `ext`.
-    fn extract_more(&mut self, memory: &mut ObjectStore, counters: &mut NodeMetrics, n: usize) {
-        let Some((answer, cursor, map)) = &mut self.rest else {
-            return;
-        };
-        let end = cursor.saturating_add(n.max(1)).min(answer.rows.len());
-        counters.bindings_produced += end - *cursor;
-        for row in &mut answer.rows[*cursor..end] {
-            let row = std::mem::take(row);
-            self.ext.push(absorb(&answer.store, row, memory, map));
-        }
-        *cursor = end;
-        if *cursor >= answer.rows.len() {
-            self.rest = None;
-        }
-    }
-}
-
-/// Probe the answer cache for `query`. A hit's rows are absorbed into
-/// `memory` and it counts as an exact or containment hit. Its
-/// row count is a real cardinality the source once returned for this
-/// query, so it *is* recorded as a §3.5 observation — otherwise a
-/// cache-heavy workload starves the EWMA feed. What a hit must never feed
-/// is the round-trip accounting (source_calls, latency, failures): serving
-/// from cache says nothing about the source's speed or health.
-fn cache_probe(
-    source: Symbol,
-    query: &Rule,
-    vars: &[ExtractVar],
-    memory: &mut ObjectStore,
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
-    counters: &mut NodeMetrics,
-) -> Option<Vec<Vec<BoundValue>>> {
-    let cache = ctx.cache.filter(|c| c.enabled_for(source))?;
-    let (rows, kind) = cache.lookup(source, query, vars, memory)?;
-    match kind {
-        CacheHit::Exact => {
-            counters.cache_hits += 1;
-            *stats.trace.cache_hits.entry(source).or_insert(0) += 1;
-        }
-        CacheHit::Containment => {
-            counters.containment_hits += 1;
-            *stats.trace.containment_hits.entry(source).or_insert(0) += 1;
-        }
-    }
-    stats.trace.observations.push(Observation {
-        source,
-        label: query_label(query),
-        count: rows.len(),
-    });
-    counters.bindings_produced += rows.len();
-    Some(rows)
-}
-
-/// Resolve a non-parameterized source query to an [`ExtSource`]. Cache
-/// hits arrive fully absorbed; a fresh round-trip keeps the answer's rows
-/// so they are absorbed chunk by chunk as downstream ops pull.
-fn open_ext_source(
-    source: Symbol,
-    query: &Rule,
-    vars: &[ExtractVar],
-    memory: &mut ObjectStore,
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
-    counters: &mut NodeMetrics,
-) -> Result<ExtSource> {
-    if let Some(rows) = cache_probe(source, query, vars, memory, ctx, stats, counters) {
-        return Ok(ExtSource::from_rows(rows));
-    }
-    let answer = fetch_rows(source, query, vars, 0, ctx, stats, counters)?;
-    Ok(ExtSource::from_answer(answer))
-}
-
-/// The inner-side state a hash join builds on first input.
-struct JoinBuild {
-    /// Join key → indices into `rows`, in extraction order.
-    index: HashMap<Vec<BoundValue>, Vec<usize>>,
-    rows: Vec<Vec<BoundValue>>,
-    outer_key_idx: Vec<usize>,
-}
-
-/// Per-node pipeline state. Lifetimes borrow the plan.
-enum OpKind<'p> {
-    /// The unit table as a stream: one empty row, once.
-    Unit { emitted: bool },
-    Query {
-        source: Symbol,
-        query: &'p Rule,
-        vars: &'p [ExtractVar],
-        /// `None` until the first non-empty input batch — an empty
-        /// upstream never pays the round-trip.
-        src: Option<ExtSource>,
-        /// Input rows waiting to be crossed with the extraction.
-        pending: std::collections::VecDeque<Vec<BoundValue>>,
-        /// The input row currently being crossed, with its cursor into
-        /// the extracted rows.
-        cur: Option<(Vec<BoundValue>, usize)>,
-    },
-    ParamQuery {
-        source: Symbol,
-        query: &'p Rule,
-        params: &'p [Symbol],
-        vars: &'p [ExtractVar],
-        /// [`set_valued_form`] of `query`, worked out by the first input
-        /// batch that holds two new tuples ([`prefetch_tuples`]): `Some`
-        /// sends such a batch in one call, `None` keeps §3.4's one query
-        /// per tuple.
-        batch: std::cell::OnceCell<Option<Box<Rule>>>,
-        /// `query`'s [`ParamMemo::query_id`], the part of a memo key every
-        /// tuple of this node has in common; filled by the first tuple that
-        /// needs a slot (one the answer cache does not serve).
-        query_id: std::cell::OnceCell<usize>,
-        /// Per-chain tuple memo; `Rc` so repeated tuples share one
-        /// extraction (the cross-chain memo lives in [`ChainCtx`]).
-        memo: HashMap<Vec<Value>, MemoRows>,
-        pending: std::collections::VecDeque<Vec<BoundValue>>,
-        cur: Option<(Vec<BoundValue>, MemoRows, usize)>,
-        /// Parameter column positions, resolved on the first row: a
-        /// missing parameter is an execution error, not a plan-build one.
-        param_idx: Option<Vec<usize>>,
-    },
-    External {
-        pred: Symbol,
-        args: &'p [Term],
-        new_vars: &'p [Symbol],
-        /// Where each argument's value comes from in a row.
-        arg_src: Vec<ArgSrc<'p>>,
-        /// Per new variable, the argument position it is read from.
-        new_pos: Vec<Option<usize>>,
-        /// The implementation resolved for each bound/free mask met so
-        /// far: a column can hold an atom in one row and an object in
-        /// another.
-        resolved: Vec<(Vec<bool>, Callee)>,
-    },
-    RestFilter {
-        var: Symbol,
-        condition: &'p msl::Pattern,
-        /// Column of `var`, resolved on the first non-empty batch.
-        idx: Option<usize>,
-        /// Compiled flat condition when the pattern is a constant
-        /// label/value pair — the whole batch then runs through the
-        /// columnar equality kernel instead of per-row matching.
-        flat: Option<engine::batch::FlatCond>,
-    },
-    HashJoin {
-        source: Symbol,
-        query: &'p Rule,
-        vars: &'p [ExtractVar],
-        join_vars: &'p [Symbol],
-        inner_key_idx: Vec<usize>,
-        keep_inner: Vec<usize>,
-        /// `None` until the first non-empty input batch.
-        build: Option<JoinBuild>,
-    },
-    DupElim {
-        /// Projection column positions (vars ∩ input columns, vars order).
-        proj: Vec<usize>,
-        /// Pipeline breaker: rows ever emitted, for first-occurrence dedup
-        /// across batches.
-        seen: std::collections::HashSet<Vec<BoundValue>>,
-    },
-}
-
-/// Where an external predicate's argument comes from in an input row.
-enum ArgSrc<'p> {
-    /// A constant of the call.
-    Const(&'p Value),
-    /// An input column: its atom, or nothing when it holds an object.
-    Col(usize),
-    /// A variable the row does not bind, at the first position it takes.
-    Unbound(usize),
-    /// A term no row can give a value.
-    Other,
-}
-
-/// One op in a chain pipeline. `ops[0]` is the synthetic unit
-/// source; `ops[k]` executes `rule_plan.nodes[k - 1]`.
-struct OpState<'p> {
-    in_cols: Vec<Symbol>,
-    out_cols: Vec<Symbol>,
-    meter: OpMeter,
-    /// Output rows produced beyond the batch cap, drained by later pulls.
-    carry: std::collections::VecDeque<Vec<BoundValue>>,
-    /// The op returned `None`; every later pull is terminal.
-    exhausted: bool,
-    /// Upstream returned `None`.
-    upstream_done: bool,
-    kind: OpKind<'p>,
-}
-
-/// Everything the pulls of one chain share.
-struct StreamEnv<'a, 'b> {
-    memory: &'a mut ObjectStore,
-    ctx: &'a ChainCtx<'b>,
-    stats: &'a mut ChainStats,
-    batch: usize,
-    /// Index of the op whose source went unavailable, with the error. The
-    /// chain is dead: the driver stops pulling and discards all rows.
-    failed: Option<(usize, MedError)>,
-}
-
-/// Build the op pipeline for one rule plan. Each op's output columns are
-/// its input columns followed by the variables the node newly binds;
-/// dup-elim instead projects onto its variable list.
-fn build_ops(rule_plan: &RulePlan) -> Result<Vec<OpState<'_>>> {
-    let mut ops: Vec<OpState<'_>> = Vec::with_capacity(rule_plan.nodes.len() + 1);
-    ops.push(OpState {
-        in_cols: Vec::new(),
-        out_cols: Vec::new(),
-        meter: OpMeter::default(),
-        carry: std::collections::VecDeque::new(),
-        exhausted: false,
-        upstream_done: false,
-        kind: OpKind::Unit { emitted: false },
-    });
-    for node in &rule_plan.nodes {
-        let in_cols = ops.last().expect("unit op present").out_cols.clone();
-        let (out_cols, kind): (Vec<Symbol>, OpKind<'_>) = match node {
-            Node::Query {
-                source,
-                query,
-                vars,
-            } => (
-                in_cols
-                    .iter()
-                    .copied()
-                    .chain(vars.iter().map(|v| v.var))
-                    .collect(),
-                OpKind::Query {
-                    source: *source,
-                    query,
-                    vars,
-                    src: None,
-                    pending: std::collections::VecDeque::new(),
-                    cur: None,
-                },
-            ),
-            Node::ParamQuery {
-                source,
-                query,
-                params,
-                vars,
-            } => (
-                in_cols
-                    .iter()
-                    .copied()
-                    .chain(vars.iter().map(|v| v.var))
-                    .collect(),
-                OpKind::ParamQuery {
-                    source: *source,
-                    query,
-                    params,
-                    vars,
-                    batch: std::cell::OnceCell::new(),
-                    query_id: std::cell::OnceCell::new(),
-                    memo: HashMap::new(),
-                    pending: std::collections::VecDeque::new(),
-                    cur: None,
-                    param_idx: None,
-                },
-            ),
-            Node::ExternalPred {
-                pred,
-                args,
-                new_vars,
-            } => (
-                in_cols
-                    .iter()
-                    .copied()
-                    .chain(new_vars.iter().copied())
-                    .collect(),
-                OpKind::External {
-                    pred: *pred,
-                    args,
-                    new_vars,
-                    arg_src: (args.iter().enumerate())
-                        .map(|(k, t)| match t {
-                            Term::Const(c) => ArgSrc::Const(c),
-                            Term::Var(v) => match in_cols.iter().position(|c| c == v) {
-                                Some(ci) => ArgSrc::Col(ci),
-                                None => {
-                                    ArgSrc::Unbound(args.iter().position(|a| a == t).unwrap_or(k))
-                                }
-                            },
-                            _ => ArgSrc::Other,
-                        })
-                        .collect(),
-                    new_pos: (new_vars.iter())
-                        .map(|v| args.iter().position(|a| *a == Term::Var(*v)))
-                        .collect(),
-                    resolved: Vec::new(),
-                },
-            ),
-            Node::RestFilter { var, condition } => (
-                in_cols.clone(),
-                OpKind::RestFilter {
-                    var: *var,
-                    condition,
-                    idx: None,
-                    flat: engine::batch::FlatCond::compile(condition),
-                },
-            ),
-            Node::HashJoin {
-                source,
-                query,
-                vars,
-                join_vars,
-            } => {
-                let inner_key_idx: Vec<usize> = join_vars
-                    .iter()
-                    .map(|v| {
-                        vars.iter().position(|e| e.var == *v).ok_or_else(|| {
-                            MedError::Planning(format!(
-                                "join variable {v} missing from the @{source} extraction"
-                            ))
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                let keep_inner: Vec<usize> = (0..vars.len())
-                    .filter(|i| !inner_key_idx.contains(i))
-                    .collect();
-                (
-                    in_cols
-                        .iter()
-                        .copied()
-                        .chain(keep_inner.iter().map(|&i| vars[i].var))
-                        .collect(),
-                    OpKind::HashJoin {
-                        source: *source,
-                        query,
-                        vars,
-                        join_vars,
-                        inner_key_idx,
-                        keep_inner,
-                        build: None,
-                    },
-                )
-            }
-            Node::DupElim { vars } => {
-                let proj: Vec<usize> = vars
-                    .iter()
-                    .filter_map(|v| in_cols.iter().position(|c| c == v))
-                    .collect();
-                let out_cols: Vec<Symbol> = vars
-                    .iter()
-                    .filter(|v| in_cols.contains(v))
-                    .copied()
-                    .collect();
-                (
-                    out_cols,
-                    OpKind::DupElim {
-                        proj,
-                        seen: std::collections::HashSet::new(),
-                    },
-                )
-            }
-        };
-        ops.push(OpState {
-            in_cols,
-            out_cols,
-            meter: OpMeter::default(),
-            carry: std::collections::VecDeque::new(),
-            exhausted: false,
-            upstream_done: false,
-            kind,
-        });
-    }
-    Ok(ops)
-}
-
-/// Pull the next batch from `ops[i]`, with per-op bookkeeping (inclusive
-/// wall time, rows out, peak residency, incremental table rendering).
-fn pull(ops: &mut [OpState<'_>], i: usize, env: &mut StreamEnv<'_, '_>) -> Result<Option<Batch>> {
-    let start = Instant::now();
-    let out = pull_inner(ops, i, env);
-    let op = &mut ops[i];
-    op.meter.wall_ns_inclusive += start.elapsed().as_nanos() as u64;
-    if let Ok(Some(batch)) = &out {
-        let m = &mut op.meter.metrics;
-        m.rows_out += batch.len();
-        m.peak_batch_rows = m.peak_batch_rows.max(batch.len());
-        m.peak_bytes_resident = m
-            .peak_bytes_resident
-            .max(crate::table::approx_batch_bytes(batch));
-        if env.ctx.trace_on {
-            op.meter
-                .rendered
-                .push_str(&crate::table::render_rows(batch, env.memory));
-        }
-    }
-    out
-}
-
-fn pull_inner(
-    ops: &mut [OpState<'_>],
-    i: usize,
-    env: &mut StreamEnv<'_, '_>,
-) -> Result<Option<Batch>> {
-    if ops[i].exhausted {
-        return Ok(None);
-    }
-    let cap = env.batch.max(1);
-    // Drain overflow from an earlier pull before producing anything new.
-    if !ops[i].carry.is_empty() {
-        let n = ops[i].carry.len().min(cap);
-        return Ok(Some(ops[i].carry.drain(..n).collect()));
-    }
-    let (head, tail) = ops.split_at_mut(i);
-    let op = &mut tail[0];
-    let out: Option<Batch> = match &mut op.kind {
-        OpKind::Unit { emitted } => {
-            if *emitted {
-                None
-            } else {
-                *emitted = true;
-                Some(vec![Vec::new()])
-            }
-        }
-        OpKind::Query {
-            source,
-            query,
-            vars,
-            src,
-            pending,
-            cur,
-        } => {
-            let mut out: Batch = Vec::new();
-            'fill: while out.len() < cap {
-                if cur.is_none() {
-                    match pending.pop_front() {
-                        Some(row) => *cur = Some((row, 0)),
-                        None => {
-                            if op.upstream_done {
-                                break 'fill;
-                            }
-                            match pull(head, i - 1, env)? {
-                                Some(batch) => {
-                                    op.meter.metrics.rows_in += batch.len();
-                                    pending.extend(batch);
-                                }
-                                None => op.upstream_done = true,
-                            }
-                            continue 'fill;
-                        }
-                    }
-                }
-                if src.is_none() {
-                    match open_ext_source(
-                        *source,
-                        query,
-                        vars,
-                        env.memory,
-                        env.ctx,
-                        env.stats,
-                        &mut op.meter.metrics,
-                    ) {
-                        Ok(s) => *src = Some(s),
-                        Err(e @ MedError::SourceUnavailable { .. }) => {
-                            env.failed = Some((i, e));
-                            break 'fill;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                let s = src.as_mut().expect("source opened above");
-                let (row, idx) = cur.as_mut().expect("current row ensured above");
-                while *idx >= s.ext.len() && !s.fully_extracted() {
-                    s.extract_more(env.memory, &mut op.meter.metrics, cap);
-                }
-                if *idx >= s.ext.len() {
-                    *cur = None; // row fully crossed with the extraction
-                    continue 'fill;
-                }
-                while *idx < s.ext.len() && out.len() < cap {
-                    out.push(widened(row, s.ext[*idx].iter().cloned()));
-                    *idx += 1;
-                }
-            }
-            if env.failed.is_some() || out.is_empty() {
-                None
-            } else {
-                Some(out)
-            }
-        }
-        OpKind::ParamQuery {
-            source,
-            query,
-            params,
-            vars,
-            batch,
-            query_id,
-            memo,
-            pending,
-            cur,
-            param_idx,
-        } => {
-            let mut out: Batch = Vec::new();
-            'fill: while out.len() < cap {
-                if cur.is_none() {
-                    let Some(row) = pending.pop_front() else {
-                        if op.upstream_done {
-                            break 'fill;
-                        }
-                        match pull(head, i - 1, env)? {
-                            Some(rows) => {
-                                op.meter.metrics.rows_in += rows.len();
-                                if param_idx.is_none() {
-                                    let idx: Vec<usize> = params
-                                        .iter()
-                                        .map(|p| {
-                                            op.in_cols.iter().position(|c| c == p).ok_or_else(
-                                                || {
-                                                    MedError::Planning(format!(
-                                                        "parameter {p} missing from table"
-                                                    ))
-                                                },
-                                            )
-                                        })
-                                        .collect::<Result<_>>()?;
-                                    *param_idx = Some(idx);
-                                }
-                                match prefetch_tuples(
-                                    *source,
-                                    query,
-                                    batch,
-                                    query_id,
-                                    params,
-                                    vars,
-                                    param_idx.as_ref().expect("resolved above"),
-                                    &rows,
-                                    memo,
-                                    env,
-                                    &mut op.meter.metrics,
-                                ) {
-                                    Ok(()) => {}
-                                    Err(e @ MedError::SourceUnavailable { .. }) => {
-                                        env.failed = Some((i, e));
-                                        break 'fill;
-                                    }
-                                    Err(e) => return Err(e),
-                                }
-                                pending.extend(rows);
-                            }
-                            None => op.upstream_done = true,
-                        }
-                        continue 'fill;
-                    };
-                    let idxs = param_idx.as_ref().expect("resolved with the first batch");
-                    // A non-atomic parameter cannot parameterize the query:
-                    // the row yields nothing.
-                    let Some(key) = param_tuple(&row, idxs) else {
-                        continue 'fill;
-                    };
-                    let ext = match memo.get(&key) {
-                        Some(e) => std::rc::Rc::clone(e),
-                        None => {
-                            let filled = fill_tuple(query, params, &key);
-                            let e = match run_and_extract(
-                                *source,
-                                &filled,
-                                vars,
-                                env.memory,
-                                env.ctx,
-                                env.stats,
-                                &mut op.meter.metrics,
-                                Some(&|| {
-                                    shared_key(env.ctx.param_memo, *source, query, query_id, &key)
-                                }),
-                            ) {
-                                Ok(e) => std::rc::Rc::new(e),
-                                Err(e @ MedError::SourceUnavailable { .. }) => {
-                                    env.failed = Some((i, e));
-                                    break 'fill;
-                                }
-                                Err(e) => return Err(e),
-                            };
-                            memo.insert(key, std::rc::Rc::clone(&e));
-                            e
-                        }
-                    };
-                    *cur = Some((row, ext, 0));
-                }
-                let (row, ext, idx) = cur.as_mut().expect("current row ensured above");
-                if *idx >= ext.len() {
-                    *cur = None;
-                    continue 'fill;
-                }
-                while *idx < ext.len() && out.len() < cap {
-                    out.push(widened(row, ext[*idx].iter().cloned()));
-                    *idx += 1;
-                }
-            }
-            if env.failed.is_some() || out.is_empty() {
-                None
-            } else {
-                Some(out)
-            }
-        }
-        OpKind::External {
-            pred,
-            args,
-            new_vars,
-            arg_src,
-            new_pos,
-            resolved,
-        } => {
-            let mut out: Batch = Vec::new();
-            let registry = env.ctx.registry;
-            let mut values: Vec<Option<Value>> = Vec::with_capacity(args.len());
-            while out.is_empty() {
-                if op.upstream_done {
-                    break;
-                }
-                match pull(head, i - 1, env)? {
-                    None => op.upstream_done = true,
-                    Some(batch) => {
-                        op.meter.metrics.rows_in += batch.len();
-                        let mut produced = 0usize;
-                        for row in &batch {
-                            values.clear();
-                            values.extend(arg_src.iter().map(|src| match src {
-                                ArgSrc::Const(c) => Some((*c).clone()),
-                                ArgSrc::Col(ci) => row[*ci].as_atom().cloned(),
-                                ArgSrc::Unbound(_) | ArgSrc::Other => None,
-                            }));
-                            let same_mask = |(mask, _): &&(Vec<bool>, Callee)| {
-                                mask.iter().copied().eq(values.iter().map(Option::is_some))
-                            };
-                            let callee = match resolved.iter().find(same_mask) {
-                                Some(&(_, callee)) => callee,
-                                None => {
-                                    let mask: Vec<bool> =
-                                        values.iter().map(Option::is_some).collect();
-                                    let callee = registry.resolve(*pred, args, &mask)?;
-                                    resolved.push((mask, callee));
-                                    callee
-                                }
-                            };
-                            'answer: for full in registry.call(callee, *pred, args, &values)? {
-                                // A produced value must agree with a column
-                                // holding an object (never) and with the
-                                // variable's first position.
-                                for (k, src) in arg_src.iter().enumerate() {
-                                    let agrees = match src {
-                                        ArgSrc::Col(_) => values[k].is_some(),
-                                        ArgSrc::Unbound(first) => full[k] == full[*first],
-                                        ArgSrc::Const(_) | ArgSrc::Other => true,
-                                    };
-                                    if !agrees {
-                                        continue 'answer;
-                                    }
-                                }
-                                let mut r = Vec::with_capacity(row.len() + new_vars.len());
-                                r.extend_from_slice(row);
-                                for (v, pos) in new_vars.iter().zip(new_pos.iter()) {
-                                    let Some(pos) = pos else {
-                                        return Err(MedError::External(format!(
-                                            "{pred} did not bind {v} as planned"
-                                        )));
-                                    };
-                                    r.push(BoundValue::Atom(full[*pos].clone()));
-                                }
-                                if out.len() < cap {
-                                    out.push(r);
-                                } else {
-                                    op.carry.push_back(r);
-                                }
-                                produced += 1;
-                            }
-                        }
-                        if !new_vars.is_empty() {
-                            op.meter.metrics.bindings_produced += produced;
-                        }
-                    }
-                }
-            }
-            if out.is_empty() {
-                None
-            } else {
-                Some(out)
-            }
-        }
-        OpKind::RestFilter {
-            var,
-            condition,
-            idx,
-            flat,
-        } => {
-            let mut out: Batch = Vec::new();
-            while out.is_empty() {
-                if op.upstream_done {
-                    break;
-                }
-                match pull(head, i - 1, env)? {
-                    None => op.upstream_done = true,
-                    Some(batch) => {
-                        op.meter.metrics.rows_in += batch.len();
-                        let ci = match *idx {
-                            Some(ci) => ci,
-                            None => {
-                                let ci =
-                                    op.in_cols.iter().position(|c| c == var).ok_or_else(|| {
-                                        MedError::Planning(format!(
-                                            "filter variable {var} missing from table"
-                                        ))
-                                    })?;
-                                *idx = Some(ci);
-                                ci
-                            }
-                        };
-                        match flat {
-                            Some(f) => {
-                                // Vectorized: one condition across the whole
-                                // batch over columnar member views. Rows whose
-                                // cell is not an object set keep no members
-                                // and therefore drop — same as the per-row
-                                // path skipping them.
-                                let sets: Vec<&[oem::ObjId]> = batch
-                                    .iter()
-                                    .map(|row| row[ci].as_obj_set().unwrap_or(&[]))
-                                    .collect();
-                                let keep = f.filter_batch(env.memory, &sets);
-                                for (row, k) in batch.iter().zip(keep) {
-                                    if k {
-                                        out.push(row.clone());
-                                    }
-                                }
-                            }
-                            None => {
-                                for row in &batch {
-                                    let BoundValue::ObjSet(ids) = &row[ci] else {
-                                        continue;
-                                    };
-                                    let passes = ids.iter().any(|&id| {
-                                        !engine::matcher::match_pattern(
-                                            env.memory,
-                                            id,
-                                            condition,
-                                            &Bindings::new(),
-                                        )
-                                        .is_empty()
-                                    });
-                                    if passes {
-                                        out.push(row.clone());
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if out.is_empty() {
-                None
-            } else {
-                Some(out)
-            }
-        }
-        OpKind::HashJoin {
-            source,
-            query,
-            vars,
-            join_vars,
-            inner_key_idx,
-            keep_inner,
-            build,
-        } => {
-            let mut out: Batch = Vec::new();
-            'fill: while out.is_empty() {
-                if op.upstream_done {
-                    break;
-                }
-                match pull(head, i - 1, env)? {
-                    None => op.upstream_done = true,
-                    Some(batch) => {
-                        op.meter.metrics.rows_in += batch.len();
-                        if build.is_none() {
-                            // First non-empty input: fetch and index the
-                            // whole inner side — the probe needs all of it,
-                            // so the build side is a pipeline breaker.
-                            let extracted = match run_and_extract(
-                                *source,
-                                query,
-                                vars,
-                                env.memory,
-                                env.ctx,
-                                env.stats,
-                                &mut op.meter.metrics,
-                                None,
-                            ) {
-                                Ok(e) => e,
-                                Err(e @ MedError::SourceUnavailable { .. }) => {
-                                    env.failed = Some((i, e));
-                                    break 'fill;
-                                }
-                                Err(e) => return Err(e),
-                            };
-                            let mut index: HashMap<Vec<BoundValue>, Vec<usize>> =
-                                HashMap::with_capacity(extracted.len());
-                            for (ri, row) in extracted.iter().enumerate() {
-                                index
-                                    .entry(join_key(row, inner_key_idx).collect())
-                                    .or_default()
-                                    .push(ri);
-                            }
-                            let outer_key_idx: Vec<usize> = join_vars
-                                .iter()
-                                .map(|v| {
-                                    op.in_cols.iter().position(|c| c == v).ok_or_else(|| {
-                                        MedError::Planning(format!(
-                                            "join variable {v} missing from table"
-                                        ))
-                                    })
-                                })
-                                .collect::<Result<_>>()?;
-                            *build = Some(JoinBuild {
-                                index,
-                                rows: extracted,
-                                outer_key_idx,
-                            });
-                        }
-                        let jb = build.as_ref().expect("build side indexed above");
-                        let mut key = Vec::with_capacity(jb.outer_key_idx.len());
-                        for row in &batch {
-                            key.clear();
-                            key.extend(join_key(row, &jb.outer_key_idx));
-                            if let Some(matches) = jb.index.get(key.as_slice()) {
-                                for &ri in matches {
-                                    let inner = &jb.rows[ri];
-                                    let confirmed = jb
-                                        .outer_key_idx
-                                        .iter()
-                                        .zip(inner_key_idx.iter())
-                                        .all(|(&o, &k)| same_value(&row[o], &inner[k]));
-                                    if !confirmed {
-                                        continue;
-                                    }
-                                    let r =
-                                        widened(row, keep_inner.iter().map(|&k| inner[k].clone()));
-                                    if out.len() < cap {
-                                        out.push(r);
-                                    } else {
-                                        op.carry.push_back(r);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if env.failed.is_some() || out.is_empty() {
-                None
-            } else {
-                Some(out)
-            }
-        }
-        OpKind::DupElim { proj, seen } => {
-            let mut out: Batch = Vec::new();
-            while out.is_empty() {
-                if op.upstream_done {
-                    break;
-                }
-                match pull(head, i - 1, env)? {
-                    None => op.upstream_done = true,
-                    Some(batch) => {
-                        op.meter.metrics.rows_in += batch.len();
-                        for row in &batch {
-                            let projected: Vec<BoundValue> =
-                                proj.iter().map(|&k| row[k].clone()).collect();
-                            if seen.insert(projected.clone()) {
-                                out.push(projected);
-                            }
-                        }
-                    }
-                }
-            }
-            if out.is_empty() {
-                None
-            } else {
-                Some(out)
-            }
-        }
-    };
-    if out.is_none() && op.carry.is_empty() {
-        op.exhausted = true;
-    }
-    Ok(out)
 }
 
 /// Execute one rule chain as a pull-based pipeline of bounded batches.
@@ -1550,464 +603,11 @@ fn node_detail(node: &Node) -> String {
     }
 }
 
-/// A hash-join key over the columns `idx`: atoms by [`atomic_key`], so
-/// `3` and `3.0` share one. Unequal integers past 2^53 can share one too,
-/// so a hit is a candidate to confirm with [`same_value`].
-fn join_key<'a>(row: &'a [BoundValue], idx: &'a [usize]) -> impl Iterator<Item = BoundValue> + 'a {
-    idx.iter().map(|&k| match &row[k] {
-        BoundValue::Atom(v) => BoundValue::Atom(atomic_key(v)),
-        other => other.clone(),
-    })
-}
-
-/// `row` followed by `tail`, allocated once at its final width.
-fn widened(row: &[BoundValue], tail: impl ExactSizeIterator<Item = BoundValue>) -> Vec<BoundValue> {
-    let mut r = Vec::with_capacity(row.len() + tail.len());
-    r.extend_from_slice(row);
-    r.extend(tail);
-    r
-}
-
-/// Do two join values match as the matcher compares them?
-fn same_value(a: &BoundValue, b: &BoundValue) -> bool {
-    match (a, b) {
-        (BoundValue::Atom(x), BoundValue::Atom(y)) => atomic_eq(x, y),
-        _ => a == b,
-    }
-}
-
-/// One source call under the fault policy: circuit-breaker check, bounded
-/// retries with exponential backoff on transient errors, and a per-call
-/// deadline measured on the injectable clock. Retry/failure counts land in
-/// `stats`; an exhausted policy (or open circuit) becomes
-/// [`MedError::SourceUnavailable`].
-fn query_with_retry(
-    wrapper: &Arc<dyn Wrapper>,
-    source: Symbol,
-    query: &Rule,
-    vars: &[ExtractVar],
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
-) -> Result<Rows> {
-    let rt = ctx.fault;
-    if rt.circuit.is_open(source) {
-        return Err(MedError::SourceUnavailable {
-            source: source.as_str(),
-            reason: format!(
-                "circuit open after {} consecutive failures",
-                rt.opts.circuit_threshold
-            ),
-        });
-    }
-    let max_attempts = rt.opts.retry.max_attempts.max(1);
-    let mut last_err: Option<WrapperError> = None;
-    for attempt in 0..max_attempts {
-        if attempt > 0 {
-            rt.sleeper.sleep_ms(rt.opts.retry.backoff_ms(attempt - 1));
-            *stats.trace.retries.entry(source).or_insert(0) += 1;
-        }
-        let started = rt.clock.now_us();
-        let mut outcome = wrapper.query_rows(query, vars);
-        // Whole milliseconds, rounded up. Truncating two millisecond
-        // readings would measure a sub-millisecond call as 0 or 1 by where
-        // the ticks fell, and the latency the planner learns from it would
-        // tip the plan one way or the other from run to run.
-        let elapsed = rt.clock.now_us().saturating_sub(started).div_ceil(1000);
-        if let Some(deadline) = rt.opts.source_deadline_ms {
-            if outcome.is_ok() && elapsed > deadline {
-                // The source did answer, but too late: a mediator serving
-                // interactive queries treats the answer as missed.
-                outcome = Err(WrapperError::Timeout(format!(
-                    "{elapsed}ms > {deadline}ms deadline"
-                )));
-            }
-        }
-        match outcome {
-            Ok(result) => {
-                *stats.trace.latency_ms.entry(source).or_insert(0) += elapsed as usize;
-                *stats.trace.latency_calls.entry(source).or_insert(0) += 1;
-                rt.circuit.record_success(source);
-                stats.sources_ok.insert(source);
-                return Ok(result);
-            }
-            Err(e) if e.is_transient() => {
-                *stats.trace.failures.entry(source).or_insert(0) += 1;
-                let opened = rt.circuit.record_failure(source);
-                last_err = Some(e);
-                if opened {
-                    break; // no point retrying a tripped source
-                }
-            }
-            // Permanent errors (unsupported, malformed, construction) are
-            // not retried: the same query would fail the same way.
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Err(MedError::SourceUnavailable {
-        source: source.as_str(),
-        reason: last_err
-            .map(|e| e.to_string())
-            .unwrap_or_else(|| "no attempts permitted".to_string()),
-    })
-}
-
-/// Send a query to a source and absorb its rows ([`absorb_all`]) — the
-/// all-at-once form the hash-join build side and parameterized queries
-/// need. Of the answer (§3.4: "the result of Qw is placed in the
-/// mediator's memory") only the objects bound to object and set variables
-/// enter the chain's memory. The answer cache (when enabled) intercepts
-/// the round-trip, see [`cache_probe`].
-#[allow(clippy::too_many_arguments)]
-fn run_and_extract(
-    source: Symbol,
-    query: &Rule,
-    vars: &[ExtractVar],
-    memory: &mut ObjectStore,
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
-    counters: &mut NodeMetrics,
-    shared_key: Option<&dyn Fn() -> ParamMemoKey>,
-) -> Result<Vec<Vec<BoundValue>>> {
-    if let Some(rows) = cache_probe(source, query, vars, memory, ctx, stats, counters) {
-        return Ok(rows);
-    }
-    // Parameterized queries consult the execution's memo: a sibling chain
-    // may already have fetched this exact tuple. Only the tuple's own
-    // slot lock is held across the fetch — chains after the same tuple
-    // wait for the one round-trip; everything else proceeds.
-    let answer = match shared_key {
-        Some(shared_key) => {
-            let slot = ctx.param_memo.slot(shared_key());
-            let mut filled = slot.lock();
-            let answer = match &mut *filled {
-                Some(answer) => Arc::clone(answer),
-                empty => {
-                    let answer = fetch_rows(source, query, vars, 1, ctx, stats, counters)?;
-                    Arc::clone(empty.insert(Arc::new(answer)))
-                }
-            };
-            drop(filled);
-            absorb_all(&answer.store, answer.rows.iter().cloned(), memory)
-        }
-        None => {
-            let answer = fetch_rows(source, query, vars, 0, ctx, stats, counters)?;
-            absorb_all(&answer.store, answer.rows, memory)
-        }
-    };
-    counters.bindings_produced += answer.len();
-    Ok(answer)
-}
-
-/// The [`ParamMemo`] key of `tuple` under the parameterized `query`, whose
-/// id `query_id` keeps for the operator's lifetime.
-fn shared_key(
-    memo: &ParamMemo,
-    source: Symbol,
-    query: &Rule,
-    query_id: &std::cell::OnceCell<usize>,
-    tuple: &[Value],
-) -> ParamMemoKey {
-    let id = *query_id.get_or_init(|| memo.query_id(source, query));
-    (id, tuple.to_vec())
-}
-
-/// The atomic parameter values of `row`, or `None` if some parameter
-/// column holds an object or a set.
-fn param_tuple(row: &[BoundValue], idxs: &[usize]) -> Option<Vec<Value>> {
-    idxs.iter()
-        .map(|&ci| row[ci].as_atom().cloned())
-        .collect::<Option<Vec<_>>>()
-}
-
-/// `query` with its `$param` slots filled from `tuple` (§3.4: `Qcs`
-/// instantiated into `Qc2`).
-fn fill_tuple(query: &Rule, params: &[Symbol], tuple: &[Value]) -> Rule {
-    let consts: Subst = params
-        .iter()
-        .zip(tuple)
-        .map(|(p, v)| (*p, Term::Const(v.clone())))
-        .collect();
-    fill_params_rule(query, &consts)
-}
-
-/// The form of a parameterized `query` that takes a set of values per
-/// `$param` ([`valueset::template`]), if `source` accepts value sets and
-/// can evaluate that form. Whatever its profile refuses of it — the set
-/// itself, the label variable a label `$param` turns into, a mandatory
-/// form field left to a variable — keeps the node on one query per tuple.
-fn set_valued_form(
-    source: Symbol,
-    query: &Rule,
-    params: &[Symbol],
-    ctx: &ChainCtx<'_>,
-) -> Option<Box<Rule>> {
-    let caps = ctx.sources.get(&source)?.capabilities();
-    if !caps.parameterized_sets {
-        return None;
-    }
-    let template = valueset::template(query, params)?;
-    caps.check_query(&template)
-        .is_ok()
-        .then(|| Box::new(template))
-}
-
-/// Answer the distinct parameter tuples of a fresh input batch that this
-/// chain has not seen, leaving their rows in `memo` for the row loop. Each
-/// tuple is looked up exactly as it would be alone — the answer cache
-/// under its own filled query, then its slot in the execution's memo —
-/// and what is still open goes to the source in **one** round-trip: a
-/// set-valued query ([`valueset`]) for two or more tuples, the plain
-/// filled query for one.
-/// The answer is filed per tuple (memo slot, cache entry, §3.5
-/// observation), so later reuse finds the keys a per-tuple fetch would
-/// have left; the set-valued query itself is never cached. A batch with
-/// fewer than two new tuples, or for a source that takes one value per
-/// parameter, is left to the row loop.
-#[allow(clippy::too_many_arguments)]
-fn prefetch_tuples(
-    source: Symbol,
-    query: &Rule,
-    batch: &std::cell::OnceCell<Option<Box<Rule>>>,
-    query_id: &std::cell::OnceCell<usize>,
-    params: &[Symbol],
-    vars: &[ExtractVar],
-    idxs: &[usize],
-    rows: &[Vec<BoundValue>],
-    memo: &mut HashMap<Vec<Value>, MemoRows>,
-    env: &mut StreamEnv<'_, '_>,
-    counters: &mut NodeMetrics,
-) -> Result<()> {
-    let mut tuples: Vec<Vec<Value>> = Vec::new();
-    let mut seen: std::collections::HashSet<Vec<Value>> = std::collections::HashSet::new();
-    for tuple in rows.iter().filter_map(|row| param_tuple(row, idxs)) {
-        if !memo.contains_key(&tuple) && seen.insert(tuple.clone()) {
-            tuples.push(tuple);
-        }
-    }
-    if tuples.len() < 2 {
-        return Ok(());
-    }
-    let ctx = env.ctx;
-    let Some(template) = batch.get_or_init(|| set_valued_form(source, query, params, ctx)) else {
-        return Ok(());
-    };
-    let mut open: Vec<(Vec<Value>, Rule)> = Vec::new();
-    for tuple in tuples {
-        let filled = fill_tuple(query, params, &tuple);
-        match cache_probe(source, &filled, vars, env.memory, ctx, env.stats, counters) {
-            Some(rows) => {
-                memo.insert(tuple, std::rc::Rc::new(rows));
-            }
-            None => open.push((tuple, filled)),
-        }
-    }
-    // Every open tuple's slot is held across the fetch, as a lone tuple's
-    // is. Locking in one global order (the rendered tuple) keeps two
-    // parallel chains that batch overlapping tuples from deadlocking.
-    let slots: Vec<_> = open
-        .iter()
-        .map(|(tuple, _)| {
-            ctx.param_memo
-                .slot(shared_key(ctx.param_memo, source, query, query_id, tuple))
-        })
-        .collect();
-    let mut order: Vec<usize> = (0..open.len()).collect();
-    order.sort_by_cached_key(|&k| -> Vec<String> {
-        open[k].0.iter().map(Value::render_atomic).collect()
-    });
-    let mut held: Vec<_> = slots.iter().map(|_| None).collect();
-    for k in order {
-        held[k] = Some(slots[k].lock());
-    }
-    let mut fetch: Vec<usize> = Vec::new();
-    for (k, (tuple, _)) in open.iter().enumerate() {
-        let slot = held[k].as_deref().expect("every slot locked above");
-        match slot.clone() {
-            Some(answer) => {
-                held[k] = None;
-                counters.bindings_produced += answer.rows.len();
-                let rows = absorb_all(&answer.store, answer.rows.iter().cloned(), env.memory);
-                memo.insert(tuple.clone(), std::rc::Rc::new(rows));
-            }
-            None => fetch.push(k),
-        }
-    }
-    let answers: Vec<Rows> = match fetch[..] {
-        [] => return Ok(()),
-        [k] => vec![fetch_rows(
-            source, &open[k].1, vars, 1, ctx, env.stats, counters,
-        )?],
-        _ => {
-            let asked: Vec<&[Value]> = fetch.iter().map(|&k| open[k].0.as_slice()).collect();
-            let batched = valueset::restrict(template, params, &asked);
-            // The batched query exports each parameter after the node's own
-            // variables, so its answer says which tuple each row belongs to.
-            let carried: Vec<ExtractVar> = (vars.iter().cloned())
-                .chain(params.iter().map(|&var| ExtractVar {
-                    var,
-                    kind: VarKind::Scalar,
-                }))
-                .collect();
-            let answer = call_source(
-                source,
-                &batched,
-                &carried,
-                asked.len(),
-                ctx,
-                env.stats,
-                counters,
-            )?;
-            let answers = valueset::split_answer(&answer, vars.len(), &asked);
-            for (&k, answer) in fetch.iter().zip(&answers) {
-                record_answer(source, &open[k].1, vars, answer, ctx, env.stats);
-            }
-            answers
-        }
-    };
-    for (k, answer) in fetch.into_iter().zip(answers) {
-        let answer = Arc::new(answer);
-        let mut slot = held[k].take().expect("an open tuple's slot is still held");
-        *slot = Some(Arc::clone(&answer));
-        drop(slot);
-        counters.bindings_produced += answer.rows.len();
-        let rows = absorb_all(&answer.store, answer.rows.iter().cloned(), env.memory);
-        memo.insert(open[k].0.clone(), std::rc::Rc::new(rows));
-    }
-    Ok(())
-}
-
-/// One round-trip under the fault policy, counted once whatever it
-/// carries: `tuples` says how many parameter tuples ride in `query` (0
-/// for an unparameterized one). Failures mark the source in the cache so
-/// stale answers are embargoed.
-fn call_source(
-    source: Symbol,
-    query: &Rule,
-    vars: &[ExtractVar],
-    tuples: usize,
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
-    counters: &mut NodeMetrics,
-) -> Result<Rows> {
-    let wrapper = ctx
-        .sources
-        .get(&source)
-        .ok_or_else(|| MedError::UnknownSource(source.as_str()))?;
-    *stats.trace.source_calls.entry(source).or_insert(0) += 1;
-    counters.source_calls += 1;
-    counters.tuples_sent += tuples;
-    // A cache miss is a lookup that ended in a round-trip, counted here
-    // rather than at lookup time: a tuple a sibling chain already fetched
-    // pays no fetch and must not inflate the trace's miss counters. Every
-    // tuple of a set-valued query was looked up on its own.
-    if ctx.cache.is_some_and(|c| c.enabled_for(source)) {
-        let lookups = tuples.max(1);
-        counters.cache_misses += lookups;
-        *stats.trace.cache_misses.entry(source).or_insert(0) += lookups;
-    }
-    let outcome = query_with_retry(wrapper, source, query, vars, ctx, stats);
-    if let Some(cache) = ctx.cache {
-        match &outcome {
-            Ok(_) => cache.mark_ok(source),
-            Err(_) => cache.mark_failed(source),
-        }
-    }
-    outcome
-}
-
-/// File a fresh answer to `query`: into the answer cache, and as a §3.5
-/// observation. Only an answer that survived retries AND its deadline
-/// gets here: `query_with_retry` converts a too-late Ok into a Timeout.
-/// One tuple's rows of a split set-valued answer are filed like a lone
-/// answer, so its entry does not depend on how the tuple travelled.
-fn record_answer(
-    source: Symbol,
-    query: &Rule,
-    vars: &[ExtractVar],
-    answer: &Rows,
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
-) {
-    if let Some(cache) = ctx.cache {
-        cache.insert_rows(source, query, vars, answer);
-    }
-    // Keyed by the first tail pattern's label.
-    stats.trace.observations.push(Observation {
-        source,
-        label: query_label(query),
-        count: answer.rows.len(),
-    });
-}
-
-/// The round-trip for one query: [`call_source`], then [`record_answer`].
-fn fetch_rows(
-    source: Symbol,
-    query: &Rule,
-    vars: &[ExtractVar],
-    tuples: usize,
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
-    counters: &mut NodeMetrics,
-) -> Result<Rows> {
-    let answer = call_source(source, query, vars, tuples, ctx, stats, counters)?;
-    record_answer(source, query, vars, &answer, ctx, stats);
-    Ok(answer)
-}
-
-/// The first tail pattern's constant label — the key §3.5 cardinality
-/// observations are filed under.
-fn query_label(query: &Rule) -> Option<Symbol> {
-    query.tail.iter().find_map(|t| match t {
-        TailItem::Match { pattern, .. } => match &pattern.label {
-            Term::Const(v) => v.as_str_sym(),
-            _ => None,
-        },
-        _ => None,
-    })
-}
-
-/// Absorb an answer's rows into chain memory: [`absorb`] through one
-/// old-id → new-id map for all of them, so an object two rows bind is
-/// copied into `memory` once. Every answer enters a chain this way — a
-/// live one, a memo slot's, a split tuple's, a cache hit's.
-pub(crate) fn absorb_all(
-    store: &ObjectStore,
-    rows: impl IntoIterator<Item = Vec<BoundValue>>,
-    memory: &mut ObjectStore,
-) -> Vec<Vec<BoundValue>> {
-    let mut map = HashMap::new();
-    rows.into_iter()
-        .map(|row| absorb(store, row, memory, &mut map))
-        .collect()
-}
-
-/// One answer row into chain memory: the objects an object or set
-/// variable binds are deep-copied out of `store` through `map`, the
-/// answer's persistent old-id → new-id map, and the row now names the
-/// copies; atoms stay as they are.
-fn absorb(
-    store: &ObjectStore,
-    mut row: Vec<BoundValue>,
-    memory: &mut ObjectStore,
-    map: &mut HashMap<ObjId, ObjId>,
-) -> Vec<BoundValue> {
-    for value in &mut row {
-        let ids = match value {
-            BoundValue::Atom(_) => continue,
-            BoundValue::Obj(id) => std::slice::from_mut(id),
-            BoundValue::ObjSet(ids) => ids.as_mut_slice(),
-        };
-        for id in ids {
-            *id = copy::deep_copy_into(store, *id, memory, map);
-        }
-    }
-    row
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::externals::standard_registry;
+    use crate::graph::{ExtractVar, VarKind};
     use crate::planner::{plan, PlanContext, PlannerOptions};
     use crate::spec::MediatorSpec;
     use crate::stats::StatsCache;
@@ -2017,6 +617,7 @@ mod tests {
     use oem::printer::compact;
     use oem::sym;
     use wrappers::scenario::{cs_wrapper, whois_wrapper, MS1};
+    use wrappers::WrapperError;
 
     fn sources() -> HashMap<Symbol, Arc<dyn Wrapper>> {
         let mut m: HashMap<Symbol, Arc<dyn Wrapper>> = HashMap::new();

@@ -3,7 +3,7 @@
 # `#[cfg(test)] mod tests` (the whole file when it has none). The number the
 # simplicity PRs quote; informational, never fails.
 #
-#   scripts/loc.sh crates/core/src/metrics.rs crates/core/src/exec.rs
+#   scripts/loc.sh crates/core/src/metrics.rs crates/core/src/exec/*.rs
 set -u
 total=0
 for path in "$@"; do
