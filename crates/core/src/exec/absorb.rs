@@ -4,58 +4,72 @@ use crate::metrics::NodeMetrics;
 use engine::bindings::BoundValue;
 use oem::{copy, ObjId, ObjectStore};
 use std::collections::HashMap;
+use std::sync::Arc;
 use wrappers::Rows;
 
-/// A partially-absorbed source answer: rows already absorbed into chain
-/// memory, plus the not-yet-absorbed remainder of the wrapper's rows.
+/// A source answer absorbed into chain memory as downstream ops pull:
+/// its rows, of which those before `absorbed` name chain memory, each
+/// absorbed in place.
 pub(super) struct ExtSource {
-    pub(super) ext: Vec<Vec<BoundValue>>,
-    /// `Some` while answer rows remain: the rows, the cursor into them,
-    /// and the answer's one old-id → new-id map through which every chunk
-    /// is absorbed, so an object shared across rows or chunks is copied
-    /// once.
-    rest: Option<(Rows, usize, HashMap<ObjId, ObjId>)>,
+    rows: Vec<Vec<BoundValue>>,
+    absorbed: usize,
+    /// While rows remain to absorb: the answer's store, and its one
+    /// old-id → new-id map through which every chunk is absorbed, so an
+    /// object shared across rows or chunks is copied once.
+    rest: Option<(Arc<ObjectStore>, HashMap<ObjId, ObjId>)>,
 }
 
 impl ExtSource {
+    /// Rows already in chain memory (a cache hit's).
     pub(super) fn from_rows(rows: Vec<Vec<BoundValue>>) -> ExtSource {
         ExtSource {
-            ext: rows,
+            absorbed: rows.len(),
+            rows,
             rest: None,
         }
     }
 
+    /// A fresh answer, none of whose rows is absorbed yet.
     pub(super) fn from_answer(answer: Rows) -> ExtSource {
         ExtSource {
-            ext: Vec::new(),
-            rest: Some((answer, 0, HashMap::new())),
+            rows: answer.rows,
+            absorbed: 0,
+            rest: Some((answer.store, HashMap::new())),
         }
     }
 
-    pub(super) fn fully_extracted(&self) -> bool {
-        self.rest.is_none()
+    /// The rows absorbed so far.
+    pub(super) fn ext(&self) -> &[Vec<BoundValue>] {
+        &self.rows[..self.absorbed]
     }
 
-    /// Absorb up to `n` more answer rows into `ext`.
+    /// The absorbed rows, taken whole.
+    pub(super) fn into_ext(mut self) -> Vec<Vec<BoundValue>> {
+        self.rows.truncate(self.absorbed);
+        self.rows
+    }
+
+    /// Absorb up to `n` more answer rows; `false` when every row was
+    /// already absorbed.
     pub(super) fn extract_more(
         &mut self,
         memory: &mut ObjectStore,
         counters: &mut NodeMetrics,
         n: usize,
-    ) {
-        let Some((answer, cursor, map)) = &mut self.rest else {
-            return;
+    ) -> bool {
+        let Some((store, map)) = &mut self.rest else {
+            return false;
         };
-        let end = cursor.saturating_add(n.max(1)).min(answer.rows.len());
-        counters.bindings_produced += end - *cursor;
-        for row in &mut answer.rows[*cursor..end] {
-            let row = std::mem::take(row);
-            self.ext.push(absorb(&answer.store, row, memory, map));
+        let end = self.absorbed.saturating_add(n.max(1)).min(self.rows.len());
+        counters.bindings_produced += end - self.absorbed;
+        for row in &mut self.rows[self.absorbed..end] {
+            *row = absorb(store, std::mem::take(row), memory, map);
         }
-        *cursor = end;
-        if *cursor >= answer.rows.len() {
+        self.absorbed = end;
+        if end == self.rows.len() {
             self.rest = None;
         }
+        true
     }
 }
 

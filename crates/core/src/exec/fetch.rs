@@ -2,8 +2,8 @@
 //! parameterized-query memo and value-set batching.
 
 use super::absorb::{absorb_all, ExtSource};
-use super::ops::{MemoRows, StreamEnv};
-use super::{ChainCtx, ChainStats, ParamMemo, ParamMemoKey};
+use super::ops::{Batch, MemoRows};
+use super::{ChainCtx, ParamMemoKey, SourceQuery, StreamEnv};
 use crate::cache::CacheHit;
 use crate::error::{MedError, Result};
 use crate::graph::{ExtractVar, VarKind};
@@ -13,80 +13,68 @@ use engine::bindings::BoundValue;
 use engine::subst::{fill_params_rule, Subst};
 use msl::{Rule, TailItem, Term};
 use oem::{ObjectStore, Symbol, Value};
-use std::collections::HashMap;
+use std::cell::OnceCell;
+use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 use std::sync::Arc;
 use wrappers::{Rows, Wrapper, WrapperError};
 
-/// Probe the answer cache for `query`. A hit's rows are absorbed into
-/// `memory` and it counts as an exact or containment hit. Its
+/// Probe the answer cache for `q`. A hit's rows are absorbed into chain
+/// memory and it counts as an exact or containment hit. Its
 /// row count is a real cardinality the source once returned for this
 /// query, so it *is* recorded as a §3.5 observation — otherwise a
 /// cache-heavy workload starves the EWMA feed. What a hit must never feed
 /// is the round-trip accounting (source_calls, latency, failures): serving
 /// from cache says nothing about the source's speed or health.
 fn cache_probe(
-    source: Symbol,
-    query: &Rule,
-    vars: &[ExtractVar],
-    memory: &mut ObjectStore,
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
+    q: SourceQuery<'_>,
+    env: &mut StreamEnv<'_, '_>,
     counters: &mut NodeMetrics,
-) -> Option<Vec<Vec<BoundValue>>> {
-    let cache = ctx.cache.filter(|c| c.enabled_for(source))?;
-    let (rows, kind) = cache.lookup(source, query, vars, memory)?;
-    match kind {
-        CacheHit::Exact => {
-            counters.cache_hits += 1;
-            *stats.trace.cache_hits.entry(source).or_insert(0) += 1;
-        }
-        CacheHit::Containment => {
-            counters.containment_hits += 1;
-            *stats.trace.containment_hits.entry(source).or_insert(0) += 1;
-        }
-    }
-    stats.trace.observations.push(Observation {
-        source,
-        label: query_label(query),
+) -> Option<Batch> {
+    let cache = env.ctx.cache.filter(|c| c.enabled_for(q.source))?;
+    let (rows, kind) = cache.lookup(q.source, q.query, q.vars, env.memory)?;
+    let trace = &mut env.stats.trace;
+    let (node, per_source) = match kind {
+        CacheHit::Exact => (&mut counters.cache_hits, &mut trace.cache_hits),
+        CacheHit::Containment => (&mut counters.containment_hits, &mut trace.containment_hits),
+    };
+    *node += 1;
+    *per_source.entry(q.source).or_insert(0) += 1;
+    trace.observations.push(Observation {
+        source: q.source,
+        label: query_label(q.query),
         count: rows.len(),
     });
     counters.bindings_produced += rows.len();
     Some(rows)
 }
 
-/// Resolve a non-parameterized source query to an [`ExtSource`]. Cache
-/// hits arrive fully absorbed; a fresh round-trip keeps the answer's rows
-/// so they are absorbed chunk by chunk as downstream ops pull.
+/// Resolve a source query to an [`ExtSource`]: how a query op and a hash
+/// join's build side open their source. Cache hits arrive fully absorbed;
+/// a fresh round-trip keeps the answer's rows so they are absorbed chunk
+/// by chunk as downstream ops pull.
 pub(super) fn open_ext_source(
-    source: Symbol,
-    query: &Rule,
-    vars: &[ExtractVar],
-    memory: &mut ObjectStore,
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
+    q: SourceQuery<'_>,
+    env: &mut StreamEnv<'_, '_>,
     counters: &mut NodeMetrics,
 ) -> Result<ExtSource> {
-    if let Some(rows) = cache_probe(source, query, vars, memory, ctx, stats, counters) {
+    if let Some(rows) = cache_probe(q, env, counters) {
         return Ok(ExtSource::from_rows(rows));
     }
-    let answer = fetch_rows(source, query, vars, 0, ctx, stats, counters)?;
-    Ok(ExtSource::from_answer(answer))
+    Ok(ExtSource::from_answer(fetch_rows(q, 0, env, counters)?))
 }
 
 /// One source call under the fault policy: circuit-breaker check, bounded
 /// retries with exponential backoff on transient errors, and a per-call
 /// deadline measured on the injectable clock. Retry/failure counts land in
-/// `stats`; an exhausted policy (or open circuit) becomes
+/// the chain's stats; an exhausted policy (or open circuit) becomes
 /// [`MedError::SourceUnavailable`].
 fn query_with_retry(
     wrapper: &Arc<dyn Wrapper>,
-    source: Symbol,
-    query: &Rule,
-    vars: &[ExtractVar],
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
+    q: SourceQuery<'_>,
+    env: &mut StreamEnv<'_, '_>,
 ) -> Result<Rows> {
-    let rt = ctx.fault;
+    let (rt, stats, source) = (env.ctx.fault, &mut *env.stats, q.source);
     if rt.circuit.is_open(source) {
         return Err(MedError::SourceUnavailable {
             source: source.as_str(),
@@ -104,7 +92,7 @@ fn query_with_retry(
             *stats.trace.retries.entry(source).or_insert(0) += 1;
         }
         let started = rt.clock.now_us();
-        let mut outcome = wrapper.query_rows(query, vars);
+        let mut outcome = wrapper.query_rows(q.query, q.vars);
         // Whole milliseconds, rounded up. Truncating two millisecond
         // readings would measure a sub-millisecond call as 0 or 1 by where
         // the ticks fell, and the latency the planner learns from it would
@@ -148,249 +136,248 @@ fn query_with_retry(
     })
 }
 
-/// Send a query to a source and absorb its rows ([`absorb_all`]) — the
-/// all-at-once form the hash-join build side and parameterized queries
-/// need. Of the answer (§3.4: "the result of Qw is placed in the
-/// mediator's memory") only the objects bound to object and set variables
-/// enter the chain's memory. The answer cache (when enabled) intercepts
-/// the round-trip, see [`cache_probe`].
-#[allow(clippy::too_many_arguments)]
-pub(super) fn run_and_extract(
-    source: Symbol,
-    query: &Rule,
-    vars: &[ExtractVar],
-    memory: &mut ObjectStore,
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
-    counters: &mut NodeMetrics,
-    shared_key: Option<&dyn Fn() -> ParamMemoKey>,
-) -> Result<Vec<Vec<BoundValue>>> {
-    if let Some(rows) = cache_probe(source, query, vars, memory, ctx, stats, counters) {
-        return Ok(rows);
+/// A parameterized-query node's side of its source (§3.4's `Qcs`): the
+/// query with its `$param` slots, where each parameter is read in an
+/// input row, and what the node's first tuples work out about the query.
+pub(super) struct ParamSource<'p> {
+    q: SourceQuery<'p>,
+    params: &'p [Symbol],
+    /// Each parameter's column in the op's input rows.
+    idx: Vec<usize>,
+    /// [`ParamSource::set_valued_form`] of the query, worked out by the
+    /// first input batch that holds two new tuples
+    /// ([`ParamSource::prefetch`]): `Some` sends such a batch in one call,
+    /// `None` keeps §3.4's one query per tuple.
+    batch: OnceCell<Option<Box<Rule>>>,
+    /// The query's [`super::ParamMemo::query_id`], the part of a memo key
+    /// every tuple of this node has in common; filled by the first tuple
+    /// that needs a slot (one the answer cache does not serve).
+    query_id: OnceCell<usize>,
+}
+
+impl<'p> ParamSource<'p> {
+    pub(super) fn new(q: SourceQuery<'p>, params: &'p [Symbol], idx: Vec<usize>) -> Self {
+        ParamSource {
+            q,
+            params,
+            idx,
+            batch: OnceCell::new(),
+            query_id: OnceCell::new(),
+        }
     }
-    // Parameterized queries consult the execution's memo: a sibling chain
-    // may already have fetched this exact tuple. Only the tuple's own
-    // slot lock is held across the fetch — chains after the same tuple
-    // wait for the one round-trip; everything else proceeds.
-    let answer = match shared_key {
-        Some(shared_key) => {
-            let slot = ctx.param_memo.slot(shared_key());
-            let mut filled = slot.lock();
-            let answer = match &mut *filled {
-                Some(answer) => Arc::clone(answer),
-                empty => {
-                    let answer = fetch_rows(source, query, vars, 1, ctx, stats, counters)?;
-                    Arc::clone(empty.insert(Arc::new(answer)))
-                }
+
+    /// The atomic parameter values of `row`, or `None` if some parameter
+    /// column holds an object or a set.
+    pub(super) fn tuple(&self, row: &[BoundValue]) -> Option<Vec<Value>> {
+        self.idx
+            .iter()
+            .map(|&ci| row[ci].as_atom().cloned())
+            .collect()
+    }
+
+    /// The query with its `$param` slots filled from `tuple` (§3.4: `Qcs`
+    /// instantiated into `Qc2`).
+    fn fill(&self, tuple: &[Value]) -> Rule {
+        let consts: Subst = (self.params.iter().zip(tuple))
+            .map(|(p, v)| (*p, Term::Const(v.clone())))
+            .collect();
+        fill_params_rule(self.q.query, &consts)
+    }
+
+    /// The [`super::ParamMemo`] key of `tuple`.
+    fn shared_key(&self, ctx: &ChainCtx<'_>, tuple: &[Value]) -> ParamMemoKey {
+        let memo = ctx.param_memo;
+        let id = *(self.query_id).get_or_init(|| memo.query_id(self.q.source, self.q.query));
+        (id, tuple.to_vec())
+    }
+
+    /// The rows of one tuple, absorbed into chain memory — §3.4's one query
+    /// per tuple. Of the answer ("the result of Qw is placed in the
+    /// mediator's memory") only the objects bound to object and set
+    /// variables enter the chain's memory. The answer cache under the
+    /// filled query comes first, then the execution's memo: a sibling chain
+    /// may already have fetched this exact tuple. Only the tuple's own
+    /// slot lock is held across the fetch — chains after the same tuple
+    /// wait for the one round-trip; everything else proceeds.
+    pub(super) fn run_and_extract(
+        &self,
+        tuple: &[Value],
+        env: &mut StreamEnv<'_, '_>,
+        counters: &mut NodeMetrics,
+    ) -> Result<Batch> {
+        let filled = self.fill(tuple);
+        let q = SourceQuery {
+            query: &filled,
+            ..self.q
+        };
+        if let Some(rows) = cache_probe(q, env, counters) {
+            return Ok(rows);
+        }
+        let slot = env.ctx.param_memo.slot(self.shared_key(env.ctx, tuple));
+        let mut held = slot.lock();
+        let answer = match &mut *held {
+            Some(answer) => Arc::clone(answer),
+            empty => Arc::clone(empty.insert(Arc::new(fetch_rows(q, 1, env, counters)?))),
+        };
+        drop(held);
+        Ok(absorb_counted(&answer, env.memory, counters))
+    }
+
+    /// The form of the query that takes a set of values per `$param`
+    /// ([`valueset::template`]), if the source accepts value sets and
+    /// can evaluate that form. Whatever its profile refuses of it — the set
+    /// itself, the label variable a label `$param` turns into, a mandatory
+    /// form field left to a variable — keeps the node on one query per
+    /// tuple.
+    fn set_valued_form(&self, ctx: &ChainCtx<'_>) -> Option<Box<Rule>> {
+        let caps = ctx.sources.get(&self.q.source)?.capabilities();
+        if !caps.parameterized_sets {
+            return None;
+        }
+        let template = valueset::template(self.q.query, self.params)?;
+        caps.check_query(&template)
+            .is_ok()
+            .then(|| Box::new(template))
+    }
+
+    /// Answer the distinct parameter tuples of a fresh input batch that
+    /// this chain has not seen, leaving their rows in `memo` for the row
+    /// loop. Each tuple is looked up exactly as it would be alone — the
+    /// answer cache under its own filled query, then its slot in the
+    /// execution's memo — and what is still open goes to the source in
+    /// **one** round-trip: a set-valued query ([`valueset`]) for two or
+    /// more tuples, the plain filled query for one.
+    /// The answer is filed per tuple (memo slot, cache entry, §3.5
+    /// observation), so later reuse finds the keys a per-tuple fetch would
+    /// have left; the set-valued query itself is never cached. A batch with
+    /// fewer than two new tuples, or for a source that takes one value per
+    /// parameter, is left to the row loop.
+    pub(super) fn prefetch(
+        &self,
+        rows: &[Vec<BoundValue>],
+        memo: &mut HashMap<Vec<Value>, MemoRows>,
+        env: &mut StreamEnv<'_, '_>,
+        counters: &mut NodeMetrics,
+    ) -> Result<()> {
+        let mut tuples: Vec<Vec<Value>> = Vec::new();
+        let mut seen: HashSet<Vec<Value>> = HashSet::new();
+        for tuple in rows.iter().filter_map(|row| self.tuple(row)) {
+            if !memo.contains_key(&tuple) && seen.insert(tuple.clone()) {
+                tuples.push(tuple);
+            }
+        }
+        if tuples.len() < 2 {
+            return Ok(());
+        }
+        let ctx = env.ctx;
+        let Some(template) = self.batch.get_or_init(|| self.set_valued_form(ctx)) else {
+            return Ok(());
+        };
+        let mut open: Vec<(Vec<Value>, Rule)> = Vec::new();
+        for tuple in tuples {
+            let filled = self.fill(&tuple);
+            let q = SourceQuery {
+                query: &filled,
+                ..self.q
             };
-            drop(filled);
-            absorb_all(&answer.store, answer.rows.iter().cloned(), memory)
-        }
-        None => {
-            let answer = fetch_rows(source, query, vars, 0, ctx, stats, counters)?;
-            absorb_all(&answer.store, answer.rows, memory)
-        }
-    };
-    counters.bindings_produced += answer.len();
-    Ok(answer)
-}
-
-/// The [`ParamMemo`] key of `tuple` under the parameterized `query`, whose
-/// id `query_id` keeps for the operator's lifetime.
-pub(super) fn shared_key(
-    memo: &ParamMemo,
-    source: Symbol,
-    query: &Rule,
-    query_id: &std::cell::OnceCell<usize>,
-    tuple: &[Value],
-) -> ParamMemoKey {
-    let id = *query_id.get_or_init(|| memo.query_id(source, query));
-    (id, tuple.to_vec())
-}
-
-/// The atomic parameter values of `row`, or `None` if some parameter
-/// column holds an object or a set.
-pub(super) fn param_tuple(row: &[BoundValue], idxs: &[usize]) -> Option<Vec<Value>> {
-    idxs.iter()
-        .map(|&ci| row[ci].as_atom().cloned())
-        .collect::<Option<Vec<_>>>()
-}
-
-/// `query` with its `$param` slots filled from `tuple` (§3.4: `Qcs`
-/// instantiated into `Qc2`).
-pub(super) fn fill_tuple(query: &Rule, params: &[Symbol], tuple: &[Value]) -> Rule {
-    let consts: Subst = params
-        .iter()
-        .zip(tuple)
-        .map(|(p, v)| (*p, Term::Const(v.clone())))
-        .collect();
-    fill_params_rule(query, &consts)
-}
-
-/// The form of a parameterized `query` that takes a set of values per
-/// `$param` ([`valueset::template`]), if `source` accepts value sets and
-/// can evaluate that form. Whatever its profile refuses of it — the set
-/// itself, the label variable a label `$param` turns into, a mandatory
-/// form field left to a variable — keeps the node on one query per tuple.
-fn set_valued_form(
-    source: Symbol,
-    query: &Rule,
-    params: &[Symbol],
-    ctx: &ChainCtx<'_>,
-) -> Option<Box<Rule>> {
-    let caps = ctx.sources.get(&source)?.capabilities();
-    if !caps.parameterized_sets {
-        return None;
-    }
-    let template = valueset::template(query, params)?;
-    caps.check_query(&template)
-        .is_ok()
-        .then(|| Box::new(template))
-}
-
-/// Answer the distinct parameter tuples of a fresh input batch that this
-/// chain has not seen, leaving their rows in `memo` for the row loop. Each
-/// tuple is looked up exactly as it would be alone — the answer cache
-/// under its own filled query, then its slot in the execution's memo —
-/// and what is still open goes to the source in **one** round-trip: a
-/// set-valued query ([`valueset`]) for two or more tuples, the plain
-/// filled query for one.
-/// The answer is filed per tuple (memo slot, cache entry, §3.5
-/// observation), so later reuse finds the keys a per-tuple fetch would
-/// have left; the set-valued query itself is never cached. A batch with
-/// fewer than two new tuples, or for a source that takes one value per
-/// parameter, is left to the row loop.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn prefetch_tuples(
-    source: Symbol,
-    query: &Rule,
-    batch: &std::cell::OnceCell<Option<Box<Rule>>>,
-    query_id: &std::cell::OnceCell<usize>,
-    params: &[Symbol],
-    vars: &[ExtractVar],
-    idxs: &[usize],
-    rows: &[Vec<BoundValue>],
-    memo: &mut HashMap<Vec<Value>, MemoRows>,
-    env: &mut StreamEnv<'_, '_>,
-    counters: &mut NodeMetrics,
-) -> Result<()> {
-    let mut tuples: Vec<Vec<Value>> = Vec::new();
-    let mut seen: std::collections::HashSet<Vec<Value>> = std::collections::HashSet::new();
-    for tuple in rows.iter().filter_map(|row| param_tuple(row, idxs)) {
-        if !memo.contains_key(&tuple) && seen.insert(tuple.clone()) {
-            tuples.push(tuple);
-        }
-    }
-    if tuples.len() < 2 {
-        return Ok(());
-    }
-    let ctx = env.ctx;
-    let Some(template) = batch.get_or_init(|| set_valued_form(source, query, params, ctx)) else {
-        return Ok(());
-    };
-    let mut open: Vec<(Vec<Value>, Rule)> = Vec::new();
-    for tuple in tuples {
-        let filled = fill_tuple(query, params, &tuple);
-        match cache_probe(source, &filled, vars, env.memory, ctx, env.stats, counters) {
-            Some(rows) => {
-                memo.insert(tuple, std::rc::Rc::new(rows));
+            match cache_probe(q, env, counters) {
+                Some(rows) => {
+                    memo.insert(tuple, Rc::new(rows));
+                }
+                None => open.push((tuple, filled)),
             }
-            None => open.push((tuple, filled)),
         }
-    }
-    // Every open tuple's slot is held across the fetch, as a lone tuple's
-    // is. Locking in one global order (the rendered tuple) keeps two
-    // parallel chains that batch overlapping tuples from deadlocking.
-    let slots: Vec<_> = open
-        .iter()
-        .map(|(tuple, _)| {
-            ctx.param_memo
-                .slot(shared_key(ctx.param_memo, source, query, query_id, tuple))
-        })
-        .collect();
-    let mut order: Vec<usize> = (0..open.len()).collect();
-    order.sort_by_cached_key(|&k| -> Vec<String> {
-        open[k].0.iter().map(Value::render_atomic).collect()
-    });
-    let mut held: Vec<_> = slots.iter().map(|_| None).collect();
-    for k in order {
-        held[k] = Some(slots[k].lock());
-    }
-    let mut fetch: Vec<usize> = Vec::new();
-    for (k, (tuple, _)) in open.iter().enumerate() {
-        let slot = held[k].as_deref().expect("every slot locked above");
-        match slot.clone() {
-            Some(answer) => {
-                held[k] = None;
-                counters.bindings_produced += answer.rows.len();
-                let rows = absorb_all(&answer.store, answer.rows.iter().cloned(), env.memory);
-                memo.insert(tuple.clone(), std::rc::Rc::new(rows));
+        // Every open tuple's slot is held across the fetch, as a lone
+        // tuple's is. Locking in one global order (the rendered tuple)
+        // keeps two parallel chains that batch overlapping tuples from
+        // deadlocking.
+        let slots: Vec<_> = (open.iter())
+            .map(|(tuple, _)| ctx.param_memo.slot(self.shared_key(ctx, tuple)))
+            .collect();
+        let mut order: Vec<usize> = (0..open.len()).collect();
+        order.sort_by_cached_key(|&k| -> Vec<String> {
+            open[k].0.iter().map(Value::render_atomic).collect()
+        });
+        let mut held: Vec<_> = order.into_iter().map(|k| (k, slots[k].lock())).collect();
+        held.sort_by_key(|&(k, _)| k);
+        // A slot a sibling chain filled meanwhile is read; the rest are
+        // fetched, their slots still held.
+        let mut fetch = Vec::new();
+        for (k, slot) in held {
+            match slot.clone() {
+                Some(answer) => {
+                    drop(slot);
+                    let rows = absorb_counted(&answer, env.memory, counters);
+                    memo.insert(open[k].0.clone(), Rc::new(rows));
+                }
+                None => fetch.push((k, slot)),
             }
-            None => fetch.push(k),
         }
-    }
-    let answers: Vec<Rows> = match fetch[..] {
-        [] => return Ok(()),
-        [k] => vec![fetch_rows(
-            source, &open[k].1, vars, 1, ctx, env.stats, counters,
-        )?],
-        _ => {
-            let asked: Vec<&[Value]> = fetch.iter().map(|&k| open[k].0.as_slice()).collect();
-            let batched = valueset::restrict(template, params, &asked);
-            // The batched query exports each parameter after the node's own
-            // variables, so its answer says which tuple each row belongs to.
-            let carried: Vec<ExtractVar> = (vars.iter().cloned())
-                .chain(params.iter().map(|&var| ExtractVar {
-                    var,
-                    kind: VarKind::Scalar,
-                }))
-                .collect();
-            let answer = call_source(
-                source,
-                &batched,
-                &carried,
-                asked.len(),
-                ctx,
-                env.stats,
-                counters,
-            )?;
-            let answers = valueset::split_answer(&answer, vars.len(), &asked);
-            for (&k, answer) in fetch.iter().zip(&answers) {
-                record_answer(source, &open[k].1, vars, answer, ctx, env.stats);
+        let tuple_query = |k: usize| SourceQuery {
+            query: &open[k].1,
+            ..self.q
+        };
+        let answers: Vec<Rows> = match fetch[..] {
+            [] => return Ok(()),
+            [(k, _)] => vec![fetch_rows(tuple_query(k), 1, env, counters)?],
+            _ => {
+                let asked: Vec<&[Value]> =
+                    fetch.iter().map(|(k, _)| open[*k].0.as_slice()).collect();
+                let batched = valueset::restrict(template, self.params, &asked);
+                // The batched query exports each parameter after the
+                // node's own variables, so its answer says which tuple each
+                // row belongs to.
+                let carried: Vec<ExtractVar> = (self.q.vars.iter().cloned())
+                    .chain(self.params.iter().map(|&var| ExtractVar {
+                        var,
+                        kind: VarKind::Scalar,
+                    }))
+                    .collect();
+                let q = SourceQuery {
+                    source: self.q.source,
+                    query: &batched,
+                    vars: &carried,
+                };
+                let answer = call_source(q, asked.len(), env, counters)?;
+                let answers = valueset::split_answer(&answer, self.q.vars.len(), &asked);
+                for ((k, _), answer) in fetch.iter().zip(&answers) {
+                    record_answer(tuple_query(*k), answer, env);
+                }
+                answers
             }
-            answers
+        };
+        for ((k, mut slot), answer) in fetch.into_iter().zip(answers) {
+            let answer = Arc::new(answer);
+            *slot = Some(Arc::clone(&answer));
+            drop(slot);
+            let rows = absorb_counted(&answer, env.memory, counters);
+            memo.insert(open[k].0.clone(), Rc::new(rows));
         }
-    };
-    for (k, answer) in fetch.into_iter().zip(answers) {
-        let answer = Arc::new(answer);
-        let mut slot = held[k].take().expect("an open tuple's slot is still held");
-        *slot = Some(Arc::clone(&answer));
-        drop(slot);
-        counters.bindings_produced += answer.rows.len();
-        let rows = absorb_all(&answer.store, answer.rows.iter().cloned(), env.memory);
-        memo.insert(open[k].0.clone(), std::rc::Rc::new(rows));
+        Ok(())
     }
-    Ok(())
+}
+
+/// A shared answer's rows absorbed into chain memory ([`absorb_all`] over
+/// copies of them), counted as bindings the node produced.
+fn absorb_counted(answer: &Rows, memory: &mut ObjectStore, counters: &mut NodeMetrics) -> Batch {
+    counters.bindings_produced += answer.rows.len();
+    absorb_all(&answer.store, answer.rows.iter().cloned(), memory)
 }
 
 /// One round-trip under the fault policy, counted once whatever it
-/// carries: `tuples` says how many parameter tuples ride in `query` (0
+/// carries: `tuples` says how many parameter tuples ride in the query (0
 /// for an unparameterized one). Failures mark the source in the cache so
 /// stale answers are embargoed.
 fn call_source(
-    source: Symbol,
-    query: &Rule,
-    vars: &[ExtractVar],
+    q: SourceQuery<'_>,
     tuples: usize,
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
+    env: &mut StreamEnv<'_, '_>,
     counters: &mut NodeMetrics,
 ) -> Result<Rows> {
-    let wrapper = ctx
-        .sources
-        .get(&source)
-        .ok_or_else(|| MedError::UnknownSource(source.as_str()))?;
-    *stats.trace.source_calls.entry(source).or_insert(0) += 1;
+    let (ctx, source) = (env.ctx, q.source);
+    let wrapper =
+        (ctx.sources.get(&source)).ok_or_else(|| MedError::UnknownSource(source.as_str()))?;
+    *env.stats.trace.source_calls.entry(source).or_insert(0) += 1;
     counters.source_calls += 1;
     counters.tuples_sent += tuples;
     // A cache miss is a lookup that ended in a round-trip, counted here
@@ -400,9 +387,9 @@ fn call_source(
     if ctx.cache.is_some_and(|c| c.enabled_for(source)) {
         let lookups = tuples.max(1);
         counters.cache_misses += lookups;
-        *stats.trace.cache_misses.entry(source).or_insert(0) += lookups;
+        *env.stats.trace.cache_misses.entry(source).or_insert(0) += lookups;
     }
-    let outcome = query_with_retry(wrapper, source, query, vars, ctx, stats);
+    let outcome = query_with_retry(wrapper, q, env);
     if let Some(cache) = ctx.cache {
         match &outcome {
             Ok(_) => cache.mark_ok(source),
@@ -412,42 +399,32 @@ fn call_source(
     outcome
 }
 
-/// File a fresh answer to `query`: into the answer cache, and as a §3.5
+/// File a fresh answer to `q`: into the answer cache, and as a §3.5
 /// observation. Only an answer that survived retries AND its deadline
 /// gets here: `query_with_retry` converts a too-late Ok into a Timeout.
 /// One tuple's rows of a split set-valued answer are filed like a lone
 /// answer, so its entry does not depend on how the tuple travelled.
-fn record_answer(
-    source: Symbol,
-    query: &Rule,
-    vars: &[ExtractVar],
-    answer: &Rows,
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
-) {
-    if let Some(cache) = ctx.cache {
-        cache.insert_rows(source, query, vars, answer);
+fn record_answer(q: SourceQuery<'_>, answer: &Rows, env: &mut StreamEnv<'_, '_>) {
+    if let Some(cache) = env.ctx.cache {
+        cache.insert_rows(q.source, q.query, q.vars, answer);
     }
     // Keyed by the first tail pattern's label.
-    stats.trace.observations.push(Observation {
-        source,
-        label: query_label(query),
+    env.stats.trace.observations.push(Observation {
+        source: q.source,
+        label: query_label(q.query),
         count: answer.rows.len(),
     });
 }
 
 /// The round-trip for one query: [`call_source`], then [`record_answer`].
 fn fetch_rows(
-    source: Symbol,
-    query: &Rule,
-    vars: &[ExtractVar],
+    q: SourceQuery<'_>,
     tuples: usize,
-    ctx: &ChainCtx<'_>,
-    stats: &mut ChainStats,
+    env: &mut StreamEnv<'_, '_>,
     counters: &mut NodeMetrics,
 ) -> Result<Rows> {
-    let answer = call_source(source, query, vars, tuples, ctx, stats, counters)?;
-    record_answer(source, query, vars, &answer, ctx, stats);
+    let answer = call_source(q, tuples, env, counters)?;
+    record_answer(q, &answer, env);
     Ok(answer)
 }
 

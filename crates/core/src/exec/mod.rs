@@ -22,8 +22,8 @@
 //! §3.4's parameterized-query node sends its source one query per binding
 //! tuple. Against a source that accepts value sets
 //! ([`wrappers::Capabilities::parameterized_sets`]) the op sends one per
-//! *input batch* instead — `prefetch_tuples` here, the `valueset` module
-//! beside it — and files the answer per tuple, so memo, cache and
+//! *input batch* instead — `fetch`'s `ParamSource::prefetch`, with the
+//! `valueset` module beside it — and files the answer per tuple, so memo, cache and
 //! statistics cannot tell the difference; any other source keeps the
 //! per-tuple path.
 //!
@@ -40,7 +40,7 @@ mod ops;
 use crate::cache::AnswerCache;
 use crate::error::{MedError, Result};
 use crate::externals::ExternalRegistry;
-use crate::graph::{Node, PhysicalPlan, RulePlan};
+use crate::graph::{ExtractVar, Node, PhysicalPlan, RulePlan};
 use crate::metrics::{NodeTrace, QueryTrace, RuleTrace};
 use crate::retry::{CircuitBreaker, FaultOptions, OnSourceFailure, Sleeper, ThreadSleeper};
 use crate::table::BindingTable;
@@ -48,7 +48,7 @@ use engine::bindings::BoundValue;
 use engine::construct::Constructor;
 use msl::Rule;
 use oem::{ObjectStore, Symbol, Value};
-use ops::{build_ops, pull, Batch, StreamEnv};
+use ops::{build_ops, pull, Batch};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -195,6 +195,27 @@ struct ChainCtx<'a> {
     param_memo: &'a ParamMemo,
     cache: Option<&'a AnswerCache>,
     trace_on: bool,
+}
+
+/// A query a node sends: the source it goes to, the query, and the
+/// variables each answer row binds.
+#[derive(Clone, Copy)]
+struct SourceQuery<'q> {
+    source: Symbol,
+    query: &'q Rule,
+    vars: &'q [ExtractVar],
+}
+
+/// Everything the pulls of one chain share.
+struct StreamEnv<'a, 'b> {
+    memory: &'a mut ObjectStore,
+    ctx: &'a ChainCtx<'b>,
+    stats: &'a mut ChainStats,
+    /// Rows per batch, at least 1.
+    batch: usize,
+    /// Index of the op whose source went unavailable, with the error. The
+    /// chain is dead: the driver stops pulling and discards all rows.
+    failed: Option<(usize, MedError)>,
 }
 
 /// Execution result.
@@ -607,7 +628,7 @@ fn node_detail(node: &Node) -> String {
 mod tests {
     use super::*;
     use crate::externals::standard_registry;
-    use crate::graph::{ExtractVar, VarKind};
+    use crate::graph::VarKind;
     use crate::planner::{plan, PlanContext, PlannerOptions};
     use crate::spec::MediatorSpec;
     use crate::stats::StatsCache;

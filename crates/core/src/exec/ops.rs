@@ -1,19 +1,19 @@
-//! The chain pipeline's operators and the pull that drives them.
+//! The chain pipeline's operators and the one pull loop that drives them.
 
 use super::absorb::ExtSource;
-use super::fetch::{
-    fill_tuple, open_ext_source, param_tuple, prefetch_tuples, run_and_extract, shared_key,
-};
-use super::{ChainCtx, ChainStats};
+use super::fetch::{open_ext_source, ParamSource};
+use super::{SourceQuery, StreamEnv};
 use crate::error::{MedError, Result};
 use crate::externals::Callee;
-use crate::graph::{ExtractVar, Node, RulePlan};
+use crate::graph::{Node, RulePlan};
 use crate::metrics::NodeMetrics;
 use engine::bindings::{Bindings, BoundValue};
 use engine::matcher::{atomic_eq, atomic_key};
-use msl::{Rule, Term};
+use msl::Term;
 use oem::{ObjectStore, Symbol, Value};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::rc::Rc;
 use std::time::Instant;
 
 // ---- the chain pipeline (pull-based bounded batches) --------------------
@@ -28,7 +28,7 @@ pub(super) type Batch = Vec<Vec<BoundValue>>;
 
 /// Extracted rows for one parameter tuple, shared between the memo table
 /// and the cursor currently crossing them.
-pub(super) type MemoRows = std::rc::Rc<Vec<Vec<BoundValue>>>;
+pub(super) type MemoRows = Rc<Vec<Vec<BoundValue>>>;
 
 /// What one op accumulates across pulls.
 #[derive(Default)]
@@ -48,85 +48,132 @@ pub(super) struct OpMeter {
     pub(super) rendered: String,
 }
 
-/// The inner-side state a hash join builds on first input.
+/// The inner side a hash join fetches and indexes on its first input.
 struct JoinBuild {
     /// Join key → indices into `rows`, in extraction order.
     index: HashMap<Vec<BoundValue>, Vec<usize>>,
     rows: Vec<Vec<BoundValue>>,
-    outer_key_idx: Vec<usize>,
 }
 
-/// Per-node pipeline state. Lifetimes borrow the plan.
+impl JoinBuild {
+    /// Absorb all of `src` and index it on the columns `key_idx`.
+    fn new(
+        mut src: ExtSource,
+        key_idx: &[usize],
+        memory: &mut ObjectStore,
+        counters: &mut NodeMetrics,
+    ) -> JoinBuild {
+        src.extract_more(memory, counters, usize::MAX);
+        let rows = src.into_ext();
+        let mut index: HashMap<Vec<BoundValue>, Vec<usize>> = HashMap::with_capacity(rows.len());
+        for (ri, row) in rows.iter().enumerate() {
+            index
+                .entry(join_key(row, key_idx).collect())
+                .or_default()
+                .push(ri);
+        }
+        JoinBuild { index, rows }
+    }
+}
+
+/// The cursor of a query op: input rows waiting to be crossed with
+/// extracted rows, and the row being crossed — with its own rows (a
+/// parameterized query's rows for the row's tuple) or, when `None`, the
+/// rows of the op's one extraction — and the position reached in them.
+#[derive(Default)]
+struct Crossing {
+    pending: VecDeque<Vec<BoundValue>>,
+    cur: Option<(Vec<BoundValue>, Option<MemoRows>, usize)>,
+}
+
+impl Crossing {
+    /// Append the current row widened by each of its rows from the cursor
+    /// on (`shared` when it has none of its own) while `out` holds fewer
+    /// than `cap` rows. A row already crossed to the end leaves.
+    fn cross(&mut self, shared: &[Vec<BoundValue>], out: &mut Batch, cap: usize) {
+        let Some((row, own, idx)) = &mut self.cur else {
+            return;
+        };
+        let ext = own.as_deref().map_or(shared, Vec::as_slice);
+        if *idx >= ext.len() {
+            self.cur = None;
+            return;
+        }
+        while *idx < ext.len() && out.len() < cap {
+            out.push(widened(row, ext[*idx].iter().cloned()));
+            *idx += 1;
+        }
+    }
+}
+
+/// Where a step puts its rows: the batch the pull returns, up to `cap`
+/// rows, and past it the op's carry.
+struct Sink<'c> {
+    out: Batch,
+    carry: &'c mut VecDeque<Vec<BoundValue>>,
+    cap: usize,
+}
+
+impl Sink<'_> {
+    fn push(&mut self, row: Vec<BoundValue>) {
+        if self.out.len() < self.cap {
+            self.out.push(row);
+        } else {
+            self.carry.push_back(row);
+        }
+    }
+
+    fn full(&self) -> bool {
+        self.out.len() >= self.cap
+    }
+}
+
+/// Per-node pipeline state. Lifetimes borrow the plan. Every column an op
+/// reads was resolved when the pipeline was built.
 enum OpKind<'p> {
     /// The unit table as a stream: one empty row, once.
     Unit { emitted: bool },
     Query {
-        source: Symbol,
-        query: &'p Rule,
-        vars: &'p [ExtractVar],
-        /// `None` until the first non-empty input batch — an empty
-        /// upstream never pays the round-trip.
+        q: SourceQuery<'p>,
+        /// `None` until the first input row — an empty upstream never
+        /// pays the round-trip.
         src: Option<ExtSource>,
-        /// Input rows waiting to be crossed with the extraction.
-        pending: std::collections::VecDeque<Vec<BoundValue>>,
-        /// The input row currently being crossed, with its cursor into
-        /// the extracted rows.
-        cur: Option<(Vec<BoundValue>, usize)>,
+        crossing: Crossing,
     },
     ParamQuery {
-        source: Symbol,
-        query: &'p Rule,
-        params: &'p [Symbol],
-        vars: &'p [ExtractVar],
-        /// [`set_valued_form`] of `query`, worked out by the first input
-        /// batch that holds two new tuples ([`prefetch_tuples`]): `Some`
-        /// sends such a batch in one call, `None` keeps §3.4's one query
-        /// per tuple.
-        batch: std::cell::OnceCell<Option<Box<Rule>>>,
-        /// `query`'s [`ParamMemo::query_id`], the part of a memo key every
-        /// tuple of this node has in common; filled by the first tuple that
-        /// needs a slot (one the answer cache does not serve).
-        query_id: std::cell::OnceCell<usize>,
+        p: ParamSource<'p>,
         /// Per-chain tuple memo; `Rc` so repeated tuples share one
-        /// extraction (the cross-chain memo lives in [`ChainCtx`]).
+        /// extraction (the cross-chain memo lives in [`super::ChainCtx`]).
         memo: HashMap<Vec<Value>, MemoRows>,
-        pending: std::collections::VecDeque<Vec<BoundValue>>,
-        cur: Option<(Vec<BoundValue>, MemoRows, usize)>,
-        /// Parameter column positions, resolved on the first row: a
-        /// missing parameter is an execution error, not a plan-build one.
-        param_idx: Option<Vec<usize>>,
+        crossing: Crossing,
     },
     External {
         pred: Symbol,
         args: &'p [Term],
-        new_vars: &'p [Symbol],
         /// Where each argument's value comes from in a row.
         arg_src: Vec<ArgSrc<'p>>,
         /// Per new variable, the argument position it is read from.
-        new_pos: Vec<Option<usize>>,
+        new_pos: Vec<usize>,
         /// The implementation resolved for each bound/free mask met so
         /// far: a column can hold an atom in one row and an object in
         /// another.
         resolved: Vec<(Vec<bool>, Callee)>,
     },
     RestFilter {
-        var: Symbol,
+        /// Column of the rest variable.
+        idx: usize,
         condition: &'p msl::Pattern,
-        /// Column of `var`, resolved on the first non-empty batch.
-        idx: Option<usize>,
         /// Compiled flat condition when the pattern is a constant
         /// label/value pair — the whole batch then runs through the
         /// columnar equality kernel instead of per-row matching.
         flat: Option<engine::batch::FlatCond>,
     },
     HashJoin {
-        source: Symbol,
-        query: &'p Rule,
-        vars: &'p [ExtractVar],
-        join_vars: &'p [Symbol],
+        q: SourceQuery<'p>,
         inner_key_idx: Vec<usize>,
+        outer_key_idx: Vec<usize>,
         keep_inner: Vec<usize>,
-        /// `None` until the first non-empty input batch.
+        /// `None` until the first input batch.
         build: Option<JoinBuild>,
     },
     DupElim {
@@ -134,7 +181,7 @@ enum OpKind<'p> {
         proj: Vec<usize>,
         /// Pipeline breaker: rows ever emitted, for first-occurrence dedup
         /// across batches.
-        seen: std::collections::HashSet<Vec<BoundValue>>,
+        seen: HashSet<Vec<BoundValue>>,
     },
 }
 
@@ -150,66 +197,291 @@ enum ArgSrc<'p> {
     Other,
 }
 
+impl OpKind<'_> {
+    /// Does the op fill its batch up to the cap? A query op crosses rows
+    /// and does; every other op returns as soon as it has any rows.
+    fn fills(&self) -> bool {
+        matches!(self, OpKind::Query { .. } | OpKind::ParamQuery { .. })
+    }
+
+    /// The op's own work: the rows it makes from one input batch, or with
+    /// `None` from its cursor alone.
+    fn step(
+        &mut self,
+        input: Option<Batch>,
+        sink: &mut Sink<'_>,
+        env: &mut StreamEnv<'_, '_>,
+        counters: &mut NodeMetrics,
+    ) -> Result<()> {
+        match self {
+            OpKind::Unit { emitted } => {
+                if !*emitted {
+                    *emitted = true;
+                    sink.push(Vec::new());
+                }
+            }
+            OpKind::Query { q, src, crossing } => {
+                if let Some(batch) = input {
+                    crossing.pending.extend(batch);
+                }
+                while !sink.full() {
+                    let idx = match &crossing.cur {
+                        Some((_, _, idx)) => *idx,
+                        None => {
+                            let Some(row) = crossing.pending.pop_front() else {
+                                break;
+                            };
+                            crossing.cur = Some((row, None, 0));
+                            0
+                        }
+                    };
+                    let s = match src {
+                        Some(s) => s,
+                        None => src.insert(open_ext_source(*q, env, counters)?),
+                    };
+                    while idx >= s.ext().len() && s.extract_more(env.memory, counters, sink.cap) {}
+                    crossing.cross(s.ext(), &mut sink.out, sink.cap);
+                }
+            }
+            OpKind::ParamQuery { p, memo, crossing } => {
+                if let Some(batch) = input {
+                    p.prefetch(&batch, memo, env, counters)?;
+                    crossing.pending.extend(batch);
+                }
+                while !sink.full() {
+                    if crossing.cur.is_none() {
+                        let Some(row) = crossing.pending.pop_front() else {
+                            break;
+                        };
+                        // A non-atomic parameter cannot parameterize the
+                        // query: the row yields nothing.
+                        let Some(tuple) = p.tuple(&row) else {
+                            continue;
+                        };
+                        let rows = match memo.entry(tuple) {
+                            Entry::Occupied(e) => Rc::clone(e.get()),
+                            Entry::Vacant(e) => {
+                                let rows = Rc::new(p.run_and_extract(e.key(), env, counters)?);
+                                Rc::clone(e.insert(rows))
+                            }
+                        };
+                        crossing.cur = Some((row, Some(rows), 0));
+                    }
+                    crossing.cross(&[], &mut sink.out, sink.cap);
+                }
+            }
+            OpKind::External {
+                pred,
+                args,
+                arg_src,
+                new_pos,
+                resolved,
+            } => {
+                let Some(batch) = input else {
+                    return Ok(());
+                };
+                let registry = env.ctx.registry;
+                let mut values: Vec<Option<Value>> = Vec::with_capacity(args.len());
+                let mut produced = 0usize;
+                for row in &batch {
+                    values.clear();
+                    values.extend(arg_src.iter().map(|src| match src {
+                        ArgSrc::Const(c) => Some((*c).clone()),
+                        ArgSrc::Col(ci) => row[*ci].as_atom().cloned(),
+                        ArgSrc::Unbound(_) | ArgSrc::Other => None,
+                    }));
+                    let same_mask = |(mask, _): &&(Vec<bool>, Callee)| {
+                        mask.iter().copied().eq(values.iter().map(Option::is_some))
+                    };
+                    let callee = match resolved.iter().find(same_mask) {
+                        Some(&(_, callee)) => callee,
+                        None => {
+                            let mask: Vec<bool> = values.iter().map(Option::is_some).collect();
+                            let callee = registry.resolve(*pred, args, &mask)?;
+                            resolved.push((mask, callee));
+                            callee
+                        }
+                    };
+                    'answer: for full in registry.call(callee, *pred, args, &values)? {
+                        // A produced value must agree with a column holding
+                        // an object (never) and with the variable's first
+                        // position.
+                        for (k, src) in arg_src.iter().enumerate() {
+                            let agrees = match src {
+                                ArgSrc::Col(_) => values[k].is_some(),
+                                ArgSrc::Unbound(first) => full[k] == full[*first],
+                                ArgSrc::Const(_) | ArgSrc::Other => true,
+                            };
+                            if !agrees {
+                                continue 'answer;
+                            }
+                        }
+                        let new = new_pos
+                            .iter()
+                            .map(|&pos| BoundValue::Atom(full[pos].clone()));
+                        sink.push(widened(row, new));
+                        produced += 1;
+                    }
+                }
+                if !new_pos.is_empty() {
+                    counters.bindings_produced += produced;
+                }
+            }
+            OpKind::RestFilter {
+                idx,
+                condition,
+                flat,
+            } => {
+                let Some(batch) = input else {
+                    return Ok(());
+                };
+                let ci = *idx;
+                match flat {
+                    Some(f) => {
+                        // Vectorized: one condition across the whole batch
+                        // over columnar member views. Rows whose cell is
+                        // not an object set keep no members and therefore
+                        // drop — same as the per-row path skipping them.
+                        let sets: Vec<&[oem::ObjId]> = batch
+                            .iter()
+                            .map(|row| row[ci].as_obj_set().unwrap_or(&[]))
+                            .collect();
+                        let keep = f.filter_batch(env.memory, &sets);
+                        for (row, k) in batch.into_iter().zip(keep) {
+                            if k {
+                                sink.push(row);
+                            }
+                        }
+                    }
+                    None => {
+                        for row in batch {
+                            let BoundValue::ObjSet(ids) = &row[ci] else {
+                                continue;
+                            };
+                            let passes = ids.iter().any(|&id| {
+                                !engine::matcher::match_pattern(
+                                    env.memory,
+                                    id,
+                                    condition,
+                                    &Bindings::new(),
+                                )
+                                .is_empty()
+                            });
+                            if passes {
+                                sink.push(row);
+                            }
+                        }
+                    }
+                }
+            }
+            OpKind::HashJoin {
+                q,
+                inner_key_idx,
+                outer_key_idx,
+                keep_inner,
+                build,
+            } => {
+                let Some(batch) = input else {
+                    return Ok(());
+                };
+                // The probe needs the whole inner side, so the build side
+                // is a pipeline breaker, fetched on the first input.
+                let jb = match build {
+                    Some(jb) => jb,
+                    None => {
+                        let src = open_ext_source(*q, env, counters)?;
+                        build.insert(JoinBuild::new(src, inner_key_idx, env.memory, counters))
+                    }
+                };
+                let mut key = Vec::with_capacity(outer_key_idx.len());
+                for row in &batch {
+                    key.clear();
+                    key.extend(join_key(row, outer_key_idx));
+                    let Some(matches) = jb.index.get(key.as_slice()) else {
+                        continue;
+                    };
+                    for &ri in matches {
+                        let inner = &jb.rows[ri];
+                        let confirmed = (outer_key_idx.iter().zip(inner_key_idx.iter()))
+                            .all(|(&o, &k)| same_value(&row[o], &inner[k]));
+                        if confirmed {
+                            sink.push(widened(row, keep_inner.iter().map(|&k| inner[k].clone())));
+                        }
+                    }
+                }
+            }
+            OpKind::DupElim { proj, seen } => {
+                let Some(batch) = input else {
+                    return Ok(());
+                };
+                for row in &batch {
+                    let projected: Vec<BoundValue> = proj.iter().map(|&k| row[k].clone()).collect();
+                    if seen.insert(projected.clone()) {
+                        sink.push(projected);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// One op in a chain pipeline. `ops[0]` is the synthetic unit
 /// source; `ops[k]` executes `rule_plan.nodes[k - 1]`.
 pub(super) struct OpState<'p> {
-    in_cols: Vec<Symbol>,
     pub(super) out_cols: Vec<Symbol>,
     pub(super) meter: OpMeter,
     /// Output rows produced beyond the batch cap, drained by later pulls.
-    carry: std::collections::VecDeque<Vec<BoundValue>>,
+    carry: VecDeque<Vec<BoundValue>>,
     /// The op returned `None`; every later pull is terminal.
     exhausted: bool,
-    /// Upstream returned `None`.
+    /// Upstream returned `None`; the unit op has none.
     upstream_done: bool,
     kind: OpKind<'p>,
 }
 
-/// Everything the pulls of one chain share.
-pub(super) struct StreamEnv<'a, 'b> {
-    pub(super) memory: &'a mut ObjectStore,
-    pub(super) ctx: &'a ChainCtx<'b>,
-    pub(super) stats: &'a mut ChainStats,
-    pub(super) batch: usize,
-    /// Index of the op whose source went unavailable, with the error. The
-    /// chain is dead: the driver stops pulling and discards all rows.
-    pub(super) failed: Option<(usize, MedError)>,
+impl<'p> OpState<'p> {
+    fn new(out_cols: Vec<Symbol>, kind: OpKind<'p>) -> OpState<'p> {
+        OpState {
+            out_cols,
+            meter: OpMeter::default(),
+            carry: VecDeque::new(),
+            exhausted: false,
+            upstream_done: matches!(kind, OpKind::Unit { .. }),
+            kind,
+        }
+    }
 }
 
-/// Build the op pipeline for one rule plan. Each op's output columns are
+/// Build the op pipeline for one rule plan, resolving every column an op
+/// reads: a variable the plan expects and its input lacks is a planning
+/// error here, before any source is asked. Each op's output columns are
 /// its input columns followed by the variables the node newly binds;
 /// dup-elim instead projects onto its variable list.
 pub(super) fn build_ops(rule_plan: &RulePlan) -> Result<Vec<OpState<'_>>> {
     let mut ops: Vec<OpState<'_>> = Vec::with_capacity(rule_plan.nodes.len() + 1);
-    ops.push(OpState {
-        in_cols: Vec::new(),
-        out_cols: Vec::new(),
-        meter: OpMeter::default(),
-        carry: std::collections::VecDeque::new(),
-        exhausted: false,
-        upstream_done: false,
-        kind: OpKind::Unit { emitted: false },
-    });
+    ops.push(OpState::new(Vec::new(), OpKind::Unit { emitted: false }));
     for node in &rule_plan.nodes {
-        let in_cols = ops.last().expect("unit op present").out_cols.clone();
-        let (out_cols, kind): (Vec<Symbol>, OpKind<'_>) = match node {
+        let cols: &[Symbol] = ops.last().map_or(&[], |op| &op.out_cols);
+        let column = |v: &Symbol, what: &str| {
+            (cols.iter().position(|c| c == v))
+                .ok_or_else(|| MedError::Planning(format!("{what} {v} missing from table")))
+        };
+        let (out_cols, kind) = match node {
             Node::Query {
                 source,
                 query,
                 vars,
             } => (
-                in_cols
-                    .iter()
-                    .copied()
-                    .chain(vars.iter().map(|v| v.var))
-                    .collect(),
+                widen(cols, vars.iter().map(|v| v.var)),
                 OpKind::Query {
-                    source: *source,
-                    query,
-                    vars,
+                    q: SourceQuery {
+                        source: *source,
+                        query,
+                        vars,
+                    },
                     src: None,
-                    pending: std::collections::VecDeque::new(),
-                    cur: None,
+                    crossing: Crossing::default(),
                 },
             ),
             Node::ParamQuery {
@@ -217,43 +489,37 @@ pub(super) fn build_ops(rule_plan: &RulePlan) -> Result<Vec<OpState<'_>>> {
                 query,
                 params,
                 vars,
-            } => (
-                in_cols
-                    .iter()
-                    .copied()
-                    .chain(vars.iter().map(|v| v.var))
-                    .collect(),
-                OpKind::ParamQuery {
+            } => {
+                let q = SourceQuery {
                     source: *source,
                     query,
-                    params,
                     vars,
-                    batch: std::cell::OnceCell::new(),
-                    query_id: std::cell::OnceCell::new(),
-                    memo: HashMap::new(),
-                    pending: std::collections::VecDeque::new(),
-                    cur: None,
-                    param_idx: None,
-                },
-            ),
+                };
+                let idx = (params.iter())
+                    .map(|p| column(p, "parameter"))
+                    .collect::<Result<_>>()?;
+                (
+                    widen(cols, vars.iter().map(|v| v.var)),
+                    OpKind::ParamQuery {
+                        p: ParamSource::new(q, params, idx),
+                        memo: HashMap::new(),
+                        crossing: Crossing::default(),
+                    },
+                )
+            }
             Node::ExternalPred {
                 pred,
                 args,
                 new_vars,
             } => (
-                in_cols
-                    .iter()
-                    .copied()
-                    .chain(new_vars.iter().copied())
-                    .collect(),
+                widen(cols, new_vars.iter().copied()),
                 OpKind::External {
                     pred: *pred,
                     args,
-                    new_vars,
                     arg_src: (args.iter().enumerate())
                         .map(|(k, t)| match t {
                             Term::Const(c) => ArgSrc::Const(c),
-                            Term::Var(v) => match in_cols.iter().position(|c| c == v) {
+                            Term::Var(v) => match cols.iter().position(|c| c == v) {
                                 Some(ci) => ArgSrc::Col(ci),
                                 None => {
                                     ArgSrc::Unbound(args.iter().position(|a| a == t).unwrap_or(k))
@@ -263,17 +529,20 @@ pub(super) fn build_ops(rule_plan: &RulePlan) -> Result<Vec<OpState<'_>>> {
                         })
                         .collect(),
                     new_pos: (new_vars.iter())
-                        .map(|v| args.iter().position(|a| *a == Term::Var(*v)))
-                        .collect(),
+                        .map(|v| {
+                            (args.iter().position(|a| *a == Term::Var(*v))).ok_or_else(|| {
+                                MedError::External(format!("{pred} did not bind {v} as planned"))
+                            })
+                        })
+                        .collect::<Result<_>>()?,
                     resolved: Vec::new(),
                 },
             ),
             Node::RestFilter { var, condition } => (
-                in_cols.clone(),
+                cols.to_vec(),
                 OpKind::RestFilter {
-                    var: *var,
+                    idx: column(var, "filter variable")?,
                     condition,
-                    idx: None,
                     flat: engine::batch::FlatCond::compile(condition),
                 },
             ),
@@ -283,8 +552,7 @@ pub(super) fn build_ops(rule_plan: &RulePlan) -> Result<Vec<OpState<'_>>> {
                 vars,
                 join_vars,
             } => {
-                let inner_key_idx: Vec<usize> = join_vars
-                    .iter()
+                let inner_key_idx: Vec<usize> = (join_vars.iter())
                     .map(|v| {
                         vars.iter().position(|e| e.var == *v).ok_or_else(|| {
                             MedError::Planning(format!(
@@ -297,52 +565,40 @@ pub(super) fn build_ops(rule_plan: &RulePlan) -> Result<Vec<OpState<'_>>> {
                     .filter(|i| !inner_key_idx.contains(i))
                     .collect();
                 (
-                    in_cols
-                        .iter()
-                        .copied()
-                        .chain(keep_inner.iter().map(|&i| vars[i].var))
-                        .collect(),
+                    widen(cols, keep_inner.iter().map(|&i| vars[i].var)),
                     OpKind::HashJoin {
-                        source: *source,
-                        query,
-                        vars,
-                        join_vars,
+                        q: SourceQuery {
+                            source: *source,
+                            query,
+                            vars,
+                        },
+                        outer_key_idx: (join_vars.iter())
+                            .map(|v| column(v, "join variable"))
+                            .collect::<Result<_>>()?,
                         inner_key_idx,
                         keep_inner,
                         build: None,
                     },
                 )
             }
-            Node::DupElim { vars } => {
-                let proj: Vec<usize> = vars
-                    .iter()
-                    .filter_map(|v| in_cols.iter().position(|c| c == v))
-                    .collect();
-                let out_cols: Vec<Symbol> = vars
-                    .iter()
-                    .filter(|v| in_cols.contains(v))
-                    .copied()
-                    .collect();
-                (
-                    out_cols,
-                    OpKind::DupElim {
-                        proj,
-                        seen: std::collections::HashSet::new(),
-                    },
-                )
-            }
+            Node::DupElim { vars } => (
+                vars.iter().filter(|v| cols.contains(v)).copied().collect(),
+                OpKind::DupElim {
+                    proj: (vars.iter())
+                        .filter_map(|v| cols.iter().position(|c| c == v))
+                        .collect(),
+                    seen: HashSet::new(),
+                },
+            ),
         };
-        ops.push(OpState {
-            in_cols,
-            out_cols,
-            meter: OpMeter::default(),
-            carry: std::collections::VecDeque::new(),
-            exhausted: false,
-            upstream_done: false,
-            kind,
-        });
+        ops.push(OpState::new(out_cols, kind));
     }
     Ok(ops)
+}
+
+/// `cols` followed by `new`.
+fn widen(cols: &[Symbol], new: impl Iterator<Item = Symbol>) -> Vec<Symbol> {
+    cols.iter().copied().chain(new).collect()
 }
 
 /// Pull the next batch from `ops[i]`, with per-op bookkeeping (inclusive
@@ -372,495 +628,58 @@ pub(super) fn pull(
     out
 }
 
+/// The one loop every op shares. Overflow from an earlier pull drains
+/// first. Otherwise the op's step runs on its cursor, then on each
+/// upstream batch in turn, until it has a full batch (an op that
+/// [`OpKind::fills`]) or any rows (every other op), or upstream ends. A
+/// source the step finds unavailable kills the chain: `env.failed` names
+/// the op, and from then on no op returns rows.
 fn pull_inner(
     ops: &mut [OpState<'_>],
     i: usize,
     env: &mut StreamEnv<'_, '_>,
 ) -> Result<Option<Batch>> {
-    if ops[i].exhausted {
-        return Ok(None);
-    }
-    let cap = env.batch.max(1);
-    // Drain overflow from an earlier pull before producing anything new.
-    if !ops[i].carry.is_empty() {
-        let n = ops[i].carry.len().min(cap);
-        return Ok(Some(ops[i].carry.drain(..n).collect()));
-    }
     let (head, tail) = ops.split_at_mut(i);
     let op = &mut tail[0];
-    let out: Option<Batch> = match &mut op.kind {
-        OpKind::Unit { emitted } => {
-            if *emitted {
-                None
-            } else {
-                *emitted = true;
-                Some(vec![Vec::new()])
-            }
-        }
-        OpKind::Query {
-            source,
-            query,
-            vars,
-            src,
-            pending,
-            cur,
-        } => {
-            let mut out: Batch = Vec::new();
-            'fill: while out.len() < cap {
-                if cur.is_none() {
-                    match pending.pop_front() {
-                        Some(row) => *cur = Some((row, 0)),
-                        None => {
-                            if op.upstream_done {
-                                break 'fill;
-                            }
-                            match pull(head, i - 1, env)? {
-                                Some(batch) => {
-                                    op.meter.metrics.rows_in += batch.len();
-                                    pending.extend(batch);
-                                }
-                                None => op.upstream_done = true,
-                            }
-                            continue 'fill;
-                        }
-                    }
-                }
-                if src.is_none() {
-                    match open_ext_source(
-                        *source,
-                        query,
-                        vars,
-                        env.memory,
-                        env.ctx,
-                        env.stats,
-                        &mut op.meter.metrics,
-                    ) {
-                        Ok(s) => *src = Some(s),
-                        Err(e @ MedError::SourceUnavailable { .. }) => {
-                            env.failed = Some((i, e));
-                            break 'fill;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                let s = src.as_mut().expect("source opened above");
-                let (row, idx) = cur.as_mut().expect("current row ensured above");
-                while *idx >= s.ext.len() && !s.fully_extracted() {
-                    s.extract_more(env.memory, &mut op.meter.metrics, cap);
-                }
-                if *idx >= s.ext.len() {
-                    *cur = None; // row fully crossed with the extraction
-                    continue 'fill;
-                }
-                while *idx < s.ext.len() && out.len() < cap {
-                    out.push(widened(row, s.ext[*idx].iter().cloned()));
-                    *idx += 1;
-                }
-            }
-            if env.failed.is_some() || out.is_empty() {
-                None
-            } else {
-                Some(out)
-            }
-        }
-        OpKind::ParamQuery {
-            source,
-            query,
-            params,
-            vars,
-            batch,
-            query_id,
-            memo,
-            pending,
-            cur,
-            param_idx,
-        } => {
-            let mut out: Batch = Vec::new();
-            'fill: while out.len() < cap {
-                if cur.is_none() {
-                    let Some(row) = pending.pop_front() else {
-                        if op.upstream_done {
-                            break 'fill;
-                        }
-                        match pull(head, i - 1, env)? {
-                            Some(rows) => {
-                                op.meter.metrics.rows_in += rows.len();
-                                if param_idx.is_none() {
-                                    let idx: Vec<usize> = params
-                                        .iter()
-                                        .map(|p| {
-                                            op.in_cols.iter().position(|c| c == p).ok_or_else(
-                                                || {
-                                                    MedError::Planning(format!(
-                                                        "parameter {p} missing from table"
-                                                    ))
-                                                },
-                                            )
-                                        })
-                                        .collect::<Result<_>>()?;
-                                    *param_idx = Some(idx);
-                                }
-                                match prefetch_tuples(
-                                    *source,
-                                    query,
-                                    batch,
-                                    query_id,
-                                    params,
-                                    vars,
-                                    param_idx.as_ref().expect("resolved above"),
-                                    &rows,
-                                    memo,
-                                    env,
-                                    &mut op.meter.metrics,
-                                ) {
-                                    Ok(()) => {}
-                                    Err(e @ MedError::SourceUnavailable { .. }) => {
-                                        env.failed = Some((i, e));
-                                        break 'fill;
-                                    }
-                                    Err(e) => return Err(e),
-                                }
-                                pending.extend(rows);
-                            }
-                            None => op.upstream_done = true,
-                        }
-                        continue 'fill;
-                    };
-                    let idxs = param_idx.as_ref().expect("resolved with the first batch");
-                    // A non-atomic parameter cannot parameterize the query:
-                    // the row yields nothing.
-                    let Some(key) = param_tuple(&row, idxs) else {
-                        continue 'fill;
-                    };
-                    let ext = match memo.get(&key) {
-                        Some(e) => std::rc::Rc::clone(e),
-                        None => {
-                            let filled = fill_tuple(query, params, &key);
-                            let e = match run_and_extract(
-                                *source,
-                                &filled,
-                                vars,
-                                env.memory,
-                                env.ctx,
-                                env.stats,
-                                &mut op.meter.metrics,
-                                Some(&|| {
-                                    shared_key(env.ctx.param_memo, *source, query, query_id, &key)
-                                }),
-                            ) {
-                                Ok(e) => std::rc::Rc::new(e),
-                                Err(e @ MedError::SourceUnavailable { .. }) => {
-                                    env.failed = Some((i, e));
-                                    break 'fill;
-                                }
-                                Err(e) => return Err(e),
-                            };
-                            memo.insert(key, std::rc::Rc::clone(&e));
-                            e
-                        }
-                    };
-                    *cur = Some((row, ext, 0));
-                }
-                let (row, ext, idx) = cur.as_mut().expect("current row ensured above");
-                if *idx >= ext.len() {
-                    *cur = None;
-                    continue 'fill;
-                }
-                while *idx < ext.len() && out.len() < cap {
-                    out.push(widened(row, ext[*idx].iter().cloned()));
-                    *idx += 1;
-                }
-            }
-            if env.failed.is_some() || out.is_empty() {
-                None
-            } else {
-                Some(out)
-            }
-        }
-        OpKind::External {
-            pred,
-            args,
-            new_vars,
-            arg_src,
-            new_pos,
-            resolved,
-        } => {
-            let mut out: Batch = Vec::new();
-            let registry = env.ctx.registry;
-            let mut values: Vec<Option<Value>> = Vec::with_capacity(args.len());
-            while out.is_empty() {
-                if op.upstream_done {
-                    break;
-                }
-                match pull(head, i - 1, env)? {
-                    None => op.upstream_done = true,
-                    Some(batch) => {
-                        op.meter.metrics.rows_in += batch.len();
-                        let mut produced = 0usize;
-                        for row in &batch {
-                            values.clear();
-                            values.extend(arg_src.iter().map(|src| match src {
-                                ArgSrc::Const(c) => Some((*c).clone()),
-                                ArgSrc::Col(ci) => row[*ci].as_atom().cloned(),
-                                ArgSrc::Unbound(_) | ArgSrc::Other => None,
-                            }));
-                            let same_mask = |(mask, _): &&(Vec<bool>, Callee)| {
-                                mask.iter().copied().eq(values.iter().map(Option::is_some))
-                            };
-                            let callee = match resolved.iter().find(same_mask) {
-                                Some(&(_, callee)) => callee,
-                                None => {
-                                    let mask: Vec<bool> =
-                                        values.iter().map(Option::is_some).collect();
-                                    let callee = registry.resolve(*pred, args, &mask)?;
-                                    resolved.push((mask, callee));
-                                    callee
-                                }
-                            };
-                            'answer: for full in registry.call(callee, *pred, args, &values)? {
-                                // A produced value must agree with a column
-                                // holding an object (never) and with the
-                                // variable's first position.
-                                for (k, src) in arg_src.iter().enumerate() {
-                                    let agrees = match src {
-                                        ArgSrc::Col(_) => values[k].is_some(),
-                                        ArgSrc::Unbound(first) => full[k] == full[*first],
-                                        ArgSrc::Const(_) | ArgSrc::Other => true,
-                                    };
-                                    if !agrees {
-                                        continue 'answer;
-                                    }
-                                }
-                                let mut r = Vec::with_capacity(row.len() + new_vars.len());
-                                r.extend_from_slice(row);
-                                for (v, pos) in new_vars.iter().zip(new_pos.iter()) {
-                                    let Some(pos) = pos else {
-                                        return Err(MedError::External(format!(
-                                            "{pred} did not bind {v} as planned"
-                                        )));
-                                    };
-                                    r.push(BoundValue::Atom(full[*pos].clone()));
-                                }
-                                if out.len() < cap {
-                                    out.push(r);
-                                } else {
-                                    op.carry.push_back(r);
-                                }
-                                produced += 1;
-                            }
-                        }
-                        if !new_vars.is_empty() {
-                            op.meter.metrics.bindings_produced += produced;
-                        }
-                    }
-                }
-            }
-            if out.is_empty() {
-                None
-            } else {
-                Some(out)
-            }
-        }
-        OpKind::RestFilter {
-            var,
-            condition,
-            idx,
-            flat,
-        } => {
-            let mut out: Batch = Vec::new();
-            while out.is_empty() {
-                if op.upstream_done {
-                    break;
-                }
-                match pull(head, i - 1, env)? {
-                    None => op.upstream_done = true,
-                    Some(batch) => {
-                        op.meter.metrics.rows_in += batch.len();
-                        let ci = match *idx {
-                            Some(ci) => ci,
-                            None => {
-                                let ci =
-                                    op.in_cols.iter().position(|c| c == var).ok_or_else(|| {
-                                        MedError::Planning(format!(
-                                            "filter variable {var} missing from table"
-                                        ))
-                                    })?;
-                                *idx = Some(ci);
-                                ci
-                            }
-                        };
-                        match flat {
-                            Some(f) => {
-                                // Vectorized: one condition across the whole
-                                // batch over columnar member views. Rows whose
-                                // cell is not an object set keep no members
-                                // and therefore drop — same as the per-row
-                                // path skipping them.
-                                let sets: Vec<&[oem::ObjId]> = batch
-                                    .iter()
-                                    .map(|row| row[ci].as_obj_set().unwrap_or(&[]))
-                                    .collect();
-                                let keep = f.filter_batch(env.memory, &sets);
-                                for (row, k) in batch.iter().zip(keep) {
-                                    if k {
-                                        out.push(row.clone());
-                                    }
-                                }
-                            }
-                            None => {
-                                for row in &batch {
-                                    let BoundValue::ObjSet(ids) = &row[ci] else {
-                                        continue;
-                                    };
-                                    let passes = ids.iter().any(|&id| {
-                                        !engine::matcher::match_pattern(
-                                            env.memory,
-                                            id,
-                                            condition,
-                                            &Bindings::new(),
-                                        )
-                                        .is_empty()
-                                    });
-                                    if passes {
-                                        out.push(row.clone());
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if out.is_empty() {
-                None
-            } else {
-                Some(out)
-            }
-        }
-        OpKind::HashJoin {
-            source,
-            query,
-            vars,
-            join_vars,
-            inner_key_idx,
-            keep_inner,
-            build,
-        } => {
-            let mut out: Batch = Vec::new();
-            'fill: while out.is_empty() {
-                if op.upstream_done {
-                    break;
-                }
-                match pull(head, i - 1, env)? {
-                    None => op.upstream_done = true,
-                    Some(batch) => {
-                        op.meter.metrics.rows_in += batch.len();
-                        if build.is_none() {
-                            // First non-empty input: fetch and index the
-                            // whole inner side — the probe needs all of it,
-                            // so the build side is a pipeline breaker.
-                            let extracted = match run_and_extract(
-                                *source,
-                                query,
-                                vars,
-                                env.memory,
-                                env.ctx,
-                                env.stats,
-                                &mut op.meter.metrics,
-                                None,
-                            ) {
-                                Ok(e) => e,
-                                Err(e @ MedError::SourceUnavailable { .. }) => {
-                                    env.failed = Some((i, e));
-                                    break 'fill;
-                                }
-                                Err(e) => return Err(e),
-                            };
-                            let mut index: HashMap<Vec<BoundValue>, Vec<usize>> =
-                                HashMap::with_capacity(extracted.len());
-                            for (ri, row) in extracted.iter().enumerate() {
-                                index
-                                    .entry(join_key(row, inner_key_idx).collect())
-                                    .or_default()
-                                    .push(ri);
-                            }
-                            let outer_key_idx: Vec<usize> = join_vars
-                                .iter()
-                                .map(|v| {
-                                    op.in_cols.iter().position(|c| c == v).ok_or_else(|| {
-                                        MedError::Planning(format!(
-                                            "join variable {v} missing from table"
-                                        ))
-                                    })
-                                })
-                                .collect::<Result<_>>()?;
-                            *build = Some(JoinBuild {
-                                index,
-                                rows: extracted,
-                                outer_key_idx,
-                            });
-                        }
-                        let jb = build.as_ref().expect("build side indexed above");
-                        let mut key = Vec::with_capacity(jb.outer_key_idx.len());
-                        for row in &batch {
-                            key.clear();
-                            key.extend(join_key(row, &jb.outer_key_idx));
-                            if let Some(matches) = jb.index.get(key.as_slice()) {
-                                for &ri in matches {
-                                    let inner = &jb.rows[ri];
-                                    let confirmed = jb
-                                        .outer_key_idx
-                                        .iter()
-                                        .zip(inner_key_idx.iter())
-                                        .all(|(&o, &k)| same_value(&row[o], &inner[k]));
-                                    if !confirmed {
-                                        continue;
-                                    }
-                                    let r =
-                                        widened(row, keep_inner.iter().map(|&k| inner[k].clone()));
-                                    if out.len() < cap {
-                                        out.push(r);
-                                    } else {
-                                        op.carry.push_back(r);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if env.failed.is_some() || out.is_empty() {
-                None
-            } else {
-                Some(out)
-            }
-        }
-        OpKind::DupElim { proj, seen } => {
-            let mut out: Batch = Vec::new();
-            while out.is_empty() {
-                if op.upstream_done {
-                    break;
-                }
-                match pull(head, i - 1, env)? {
-                    None => op.upstream_done = true,
-                    Some(batch) => {
-                        op.meter.metrics.rows_in += batch.len();
-                        for row in &batch {
-                            let projected: Vec<BoundValue> =
-                                proj.iter().map(|&k| row[k].clone()).collect();
-                            if seen.insert(projected.clone()) {
-                                out.push(projected);
-                            }
-                        }
-                    }
-                }
-            }
-            if out.is_empty() {
-                None
-            } else {
-                Some(out)
-            }
-        }
+    if op.exhausted {
+        return Ok(None);
+    }
+    let cap = env.batch;
+    if !op.carry.is_empty() {
+        let n = op.carry.len().min(cap);
+        return Ok(Some(op.carry.drain(..n).collect()));
+    }
+    let fills = op.kind.fills();
+    let mut sink = Sink {
+        out: Batch::new(),
+        carry: &mut op.carry,
+        cap,
     };
+    let mut input = None;
+    loop {
+        match op
+            .kind
+            .step(input.take(), &mut sink, env, &mut op.meter.metrics)
+        {
+            Ok(()) => {}
+            Err(e @ MedError::SourceUnavailable { .. }) => {
+                env.failed = Some((i, e));
+                break;
+            }
+            Err(e) => return Err(e),
+        }
+        if sink.full() || (!fills && !sink.out.is_empty()) || op.upstream_done {
+            break;
+        }
+        match pull(head, i - 1, env)? {
+            Some(batch) => {
+                op.meter.metrics.rows_in += batch.len();
+                input = Some(batch);
+            }
+            None => op.upstream_done = true,
+        }
+    }
+    let out = Some(sink.out).filter(|out| env.failed.is_none() && !out.is_empty());
     if out.is_none() && op.carry.is_empty() {
         op.exhausted = true;
     }
