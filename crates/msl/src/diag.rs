@@ -340,4 +340,47 @@ mod tests {
         assert!(r.contains("a :- b"), "{r}");
         assert!(!r.contains("second\n  |"), "{r}");
     }
+
+    #[test]
+    fn docs_table_every_diagnostic_code() {
+        // DESIGN.md §5 and §5.1 restate `codes` as tables, one row per
+        // code with its severity; this holds the tables to the
+        // declarations in both directions (the shape of the metrics' docs
+        // test). A code added, renamed or dropped here fails until the
+        // tables follow.
+        let source = include_str!("diag.rs");
+        let start = source.find("pub mod codes {").unwrap();
+        let end = start + source[start..].find("\n}").unwrap();
+        let mut declared: Vec<&str> = (source[start..end].lines())
+            .filter_map(|l| l.trim().strip_prefix("pub const "))
+            .map(|l| l.split('"').nth(1).expect("a code literal"))
+            .collect();
+        declared.sort_unstable();
+
+        let design = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+        let design = std::fs::read_to_string(design).unwrap();
+        let start = design.find("## 5. Static analysis").unwrap();
+        let end = start + design[start..].find("\n## 6.").unwrap();
+        let mut tabled: Vec<&str> = Vec::new();
+        for row in design[start..end].lines() {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let [_, code, severity, ..] = cells[..] else {
+                continue;
+            };
+            let expected = match code.as_bytes() {
+                [b'E', ..] => "error",
+                [b'W', ..] => "warning",
+                _ => continue,
+            };
+            if code.len() == 4 && code[1..].bytes().all(|b| b.is_ascii_digit()) {
+                assert_eq!(severity, expected, "DESIGN.md §5, the {code} row");
+                tabled.push(code);
+            }
+        }
+        tabled.sort_unstable();
+        assert_eq!(
+            tabled, declared,
+            "DESIGN.md §5/§5.1 against msl::diag::codes"
+        );
+    }
 }
