@@ -74,7 +74,9 @@ fn query_with_retry(
     q: SourceQuery<'_>,
     env: &mut StreamEnv<'_, '_>,
 ) -> Result<Rows> {
-    let (rt, stats, source) = (env.ctx.fault, &mut *env.stats, q.source);
+    let rt = env.ctx.fault;
+    let stats = &mut *env.stats;
+    let source = q.source;
     if rt.circuit.is_open(source) {
         return Err(MedError::SourceUnavailable {
             source: source.as_str(),
@@ -187,7 +189,9 @@ impl<'p> ParamSource<'p> {
     /// The [`super::ParamMemo`] key of `tuple`.
     fn shared_key(&self, ctx: &ChainCtx<'_>, tuple: &[Value]) -> ParamMemoKey {
         let memo = ctx.param_memo;
-        let id = *(self.query_id).get_or_init(|| memo.query_id(self.q.source, self.q.query));
+        let id = *self
+            .query_id
+            .get_or_init(|| memo.query_id(self.q.source, self.q.query));
         (id, tuple.to_vec())
     }
 
@@ -374,7 +378,8 @@ fn call_source(
     env: &mut StreamEnv<'_, '_>,
     counters: &mut NodeMetrics,
 ) -> Result<Rows> {
-    let (ctx, source) = (env.ctx, q.source);
+    let ctx = env.ctx;
+    let source = q.source;
     let wrapper =
         (ctx.sources.get(&source)).ok_or_else(|| MedError::UnknownSource(source.as_str()))?;
     *env.stats.trace.source_calls.entry(source).or_insert(0) += 1;

@@ -23,9 +23,9 @@
 //! tuple. Against a source that accepts value sets
 //! ([`wrappers::Capabilities::parameterized_sets`]) the op sends one per
 //! *input batch* instead — `fetch`'s `ParamSource::prefetch`, with the
-//! `valueset` module beside it — and files the answer per tuple, so memo, cache and
-//! statistics cannot tell the difference; any other source keeps the
-//! per-tuple path.
+//! `valueset` module beside it — and files the answer per tuple, so memo,
+//! cache and statistics cannot tell the difference; any other source keeps
+//! the per-tuple path.
 //!
 //! Every op records a [`crate::metrics::NodeMetrics`] while it runs —
 //! rows in/out, source round-trips, timing — into a per-query
@@ -1057,6 +1057,67 @@ mod tests {
         );
         assert_eq!(out.trace.result_dedup_removed, 0);
         assert_eq!(out.results.top_level().len(), 1);
+    }
+
+    #[test]
+    fn a_join_fanning_out_past_the_batch_carries_the_rest() {
+        // One `p` meets three `q`s on K. At batch size 1 the hash join
+        // makes three rows from its one input row: the two past the cap
+        // wait in its carry and surface on the next pulls.
+        let source = |name: &str, text: &str| -> Arc<dyn Wrapper> {
+            let store = oem::parser::parse_store(text).unwrap();
+            Arc::new(wrappers::SemiStructuredWrapper::new(name, store))
+        };
+        let mut srcs: HashMap<Symbol, Arc<dyn Wrapper>> = HashMap::new();
+        srcs.insert(sym("s"), source("s", "<&a1, p, set, {<&k1, k, 1>}>"));
+        srcs.insert(
+            sym("t"),
+            source(
+                "t",
+                "<&b1, q, set, {<&j1, k, 1> <&m1, m, 'x'>}>
+                 <&b2, q, set, {<&j2, k, 1> <&m2, m, 'y'>}>
+                 <&b3, q, set, {<&j3, k, 1> <&m3, m, 'z'>}>",
+            ),
+        );
+        let scalar = |v: &str| ExtractVar {
+            var: sym(v),
+            kind: VarKind::Scalar,
+        };
+        let rule_plan = RulePlan {
+            nodes: vec![
+                Node::Query {
+                    source: sym("s"),
+                    query: msl::parse_rule("<bind_for_s {<bind_for_K K>}> :- <p {<k K>}>@s")
+                        .unwrap(),
+                    vars: vec![scalar("K")],
+                },
+                Node::HashJoin {
+                    source: sym("t"),
+                    query: msl::parse_rule(
+                        "<bind_for_t {<bind_for_K K> <bind_for_M M>}> :- <q {<k K> <m M>}>@t",
+                    )
+                    .unwrap(),
+                    vars: vec![scalar("K"), scalar("M")],
+                    join_vars: vec![sym("K")],
+                },
+            ],
+            estimates: Vec::new(),
+            head: msl::parse_rule("<x {<m M>}> :- <q {<m M>}>@t")
+                .unwrap()
+                .head,
+        };
+        for batch_size in [1, 7, 1024] {
+            let (outcome, rows) = run_one_chain(&rule_plan, &srcs, batch_size);
+            let mut ms: Vec<String> = rows.iter().map(|r| r[1].to_string()).collect();
+            ms.sort();
+            assert_eq!(ms, ["'x'", "'y'", "'z'"], "batch size {batch_size}");
+            let join = &outcome.trace.nodes[1].metrics;
+            assert_eq!(
+                (join.rows_in, join.rows_out, join.peak_batch_rows),
+                (1, 3, batch_size.min(3)),
+                "batch size {batch_size}"
+            );
+        }
     }
 
     // ---- in-place extraction ---------------------------------------------
