@@ -66,14 +66,7 @@ impl HeadRows {
         sets: &ValueSets,
         head: &Head,
     ) -> Result<HeadRows, WrapperError> {
-        let mut all = Vec::new();
-        head.collect_vars(&mut all);
-        let mut vars: Vec<Symbol> = Vec::with_capacity(all.len());
-        for v in all {
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
+        let vars = head_vars(head);
         let mut rows = Vec::new();
         let mut unbound = None;
         let mut emit = |b: &mut Bindings| {
@@ -100,10 +93,17 @@ impl HeadRows {
                 engine::ConstructError::UnboundVariable(v).to_string(),
             ));
         }
-        Ok(HeadRows {
+        Ok(HeadRows::new(vars, rows))
+    }
+
+    /// The rows of `vars` a wrapper bound itself, one per solution in
+    /// solution order: duplicates are eliminated here, as
+    /// [`HeadRows::eval`] eliminates them.
+    pub(crate) fn new(vars: Vec<Symbol>, rows: Vec<Vec<BoundValue>>) -> HeadRows {
+        HeadRows {
             vars,
             rows: dedup_rows(rows),
-        })
+        }
     }
 
     /// The answer [`crate::Wrapper::query`] returns: `head` constructed
@@ -157,6 +157,20 @@ impl HeadRows {
         };
         Ok(Rows { rows, store })
     }
+}
+
+/// The head's variables, each once, in order of appearance: the columns
+/// of a query's [`HeadRows`].
+pub(crate) fn head_vars(head: &Head) -> Vec<Symbol> {
+    let mut all = Vec::new();
+    head.collect_vars(&mut all);
+    let mut vars: Vec<Symbol> = Vec::with_capacity(all.len());
+    for v in all {
+        if !vars.contains(&v) {
+            vars.push(v);
+        }
+    }
+    vars
 }
 
 /// Match `patterns` left to right, each against the top-level objects (or
