@@ -1,14 +1,13 @@
 //! `experiments` — regenerates every figure and worked artifact of the
 //! MedMaker paper (see DESIGN.md §3 for the index and EXPERIMENTS.md for
 //! the recorded outcomes) and asserts each one in counts: objects, rows,
-//! source round-trips, cache hits, byte identity. It writes no file and,
-//! `streaming` aside, reads no clock: time is `BENCHMARK.json`'s to measure.
+//! source round-trips, byte identity. It writes no file and reads no
+//! clock: time is `BENCHMARK.json`'s to measure.
 //!
 //! Usage: `cargo run -p medmaker-bench --bin experiments -- <id|all>`
 //! where `<id>` is one of: architecture fig22 fig23 ms1 bindings fig24
 //! pipeline theta1 pushdown fig36 schema_query wildcard fusion recursion
-//! dupelim capabilities stats analyze prune lorel faults cache cache_tiered
-//! cost streaming serve
+//! dupelim capabilities stats analyze prune lorel
 
 use engine::bindings::Bindings;
 use engine::matcher::match_top_level;
@@ -51,12 +50,6 @@ fn main() {
         ("analyze", analyze),
         ("prune", prune),
         ("lorel", lorel_frontend),
-        ("faults", faults),
-        ("cache", cache),
-        ("cache_tiered", cache_tiered),
-        ("cost", cost),
-        ("streaming", streaming),
-        ("serve", serve),
     ];
     let mut ran = false;
     for (name, f) in &experiments {
@@ -563,820 +556,5 @@ fn prune() {
         "[ok] the rules asking cs for a `name` column and whois for a second `name` \
          are pruned before any source is called; one cs and one whois round-trip \
          fewer, byte-identical answers"
-    );
-}
-
-/// Fault tolerance: the Figure 3.6 scenario re-run with the whois source
-/// down. Fail mode reports the dead source as an error; `--partial` mode
-/// degrades — rule chains that need whois are dropped and the cs-side
-/// answer still comes back, annotated incomplete. A third run shows the
-/// retry policy riding out a flaky source (all on virtual time: no sleeps).
-fn faults() {
-    use medmaker::{FaultOptions, OnSourceFailure, RetryPolicy};
-    use wrappers::fault::{FaultInjectingWrapper, FaultPlan};
-
-    // The fusion union view (one rule per source) is where degradation is
-    // visible: with whois dead, the cs rule alone still answers.
-    let union_spec = "\
-<person_id(N) all_person {<name N> <src 'whois'> Rest}> :-
-    <person {<name N> | Rest}>@whois
-<person_id(N) all_person {<name N> <src 'cs'> <first FN> <last LN> Rest2}> :-
-    <R {<first_name FN> <last_name LN> | Rest2}>@cs
-    AND decomp(N, LN, FN)
-
-decomp(bound, free, free) by name_to_lnfn
-decomp(free, bound, bound) by lnfn_to_name
-";
-    let build = |plan: FaultPlan, fault: FaultOptions| {
-        let whois: Arc<dyn Wrapper> =
-            Arc::new(FaultInjectingWrapper::new(Arc::new(whois_wrapper()), plan));
-        Mediator::new(
-            "m",
-            union_spec,
-            vec![whois, Arc::new(cs_wrapper())],
-            registry(),
-        )
-        .unwrap()
-        .with_options(MediatorOptions {
-            trace: true,
-            fault,
-            ..Default::default()
-        })
-    };
-    let q = msl::parse_query("P :- P:<all_person {}>@m").unwrap();
-
-    println!("whois down, fail mode (the default): the query fails closed");
-    let med = build(FaultPlan::always_down(), FaultOptions::default());
-    let err = med.query_rule(&q).err().expect("dead source must error");
-    println!("  error: {err}");
-    assert!(matches!(err, medmaker::MedError::SourceUnavailable { .. }));
-
-    println!("whois down, --partial: the cs side of the union still answers");
-    let med = build(
-        FaultPlan::always_down(),
-        FaultOptions {
-            on_source_failure: OnSourceFailure::Partial,
-            ..Default::default()
-        },
-    );
-    let outcome = med.query_rule(&q).unwrap();
-    print!("{}", print_store(&outcome.results));
-    assert_eq!(
-        outcome.results.top_level().len(),
-        2,
-        "Joe and Nick from cs alone"
-    );
-    let printed = print_store(&outcome.results);
-    assert!(printed.contains("'cs'"), "cs contributions survive");
-    assert!(!printed.contains("'whois'"), "no whois contribution");
-    let c = &outcome.trace.completeness;
-    assert!(!c.is_complete());
-    assert!(c.sources_failed.contains_key(&sym("whois")));
-    println!(
-        "  completeness: PARTIAL — failed: {:?}, {} chain(s) dropped",
-        c.sources_failed.keys().collect::<Vec<_>>(),
-        c.skipped_chains.len()
-    );
-
-    println!("whois flaky (first 2 calls fail), --retries 3: full answer returns");
-    let clock = Arc::new(wrappers::fault::VirtualClock::new());
-    let med = build(
-        FaultPlan::none().fail_first(2),
-        FaultOptions {
-            retry: RetryPolicy::retries(3),
-            ..Default::default()
-        }
-        .on_virtual_time(clock),
-    );
-    let outcome = med.query_rule(&q).unwrap();
-    assert_eq!(outcome.results.top_level().len(), 2, "fused answer is back");
-    assert!(outcome.trace.completeness.is_complete());
-    assert_eq!(outcome.trace.retries_for(sym("whois")), 2);
-    println!(
-        "  retries: whois={}, failed attempts: whois={} (virtual time, no sleeping)",
-        outcome.trace.retries_for(sym("whois")),
-        outcome.trace.failures_for(sym("whois"))
-    );
-    println!(
-        "[ok] fail mode surfaces the dead source; --partial degrades to the \
-         cs-only answer with the trace naming what's missing; bounded retry \
-         rides out transient faults"
-    );
-}
-
-/// Source-answer cache: the Figure 3.6 workload replayed N times against
-/// twin mediators — cache off (the seed behavior: every iteration pays
-/// full round-trips) and cache on (iteration 1 fills the cache, every
-/// later iteration is answered without touching a source). Also shows a
-/// containment hit: a name-pinned query served by locally filtering the
-/// cached answer to the broad view query — and that such a probe examines
-/// as many cached objects as it returns, at either of two table sizes.
-fn cache() {
-    use medmaker::CacheOptions;
-
-    const N: usize = 10;
-    let opts = |cache: CacheOptions| MediatorOptions {
-        // A frozen plan across iterations makes round-trip counts
-        // comparable; Minimal mode is the paper's Fig 3.6 presentation.
-        learn_stats: false,
-        unify_mode: UnifyMode::Minimal,
-        cache,
-        ..Default::default()
-    };
-    let off = paper_mediator_with(opts(CacheOptions::default()));
-    let on = paper_mediator_with(opts(CacheOptions::enabled()));
-    let q = msl::parse_query("S :- S:<cs_person {<year 3>}>@med").unwrap();
-
-    let mut calls_off = Vec::new();
-    let mut calls_on = Vec::new();
-    for i in 0..N {
-        let a = off.query_rule(&q).unwrap();
-        let b = on.query_rule(&q).unwrap();
-        assert_eq!(
-            print_store(&a.results),
-            print_store(&b.results),
-            "iteration {i}: cache-on answer must be byte-identical"
-        );
-        calls_off.push(a.trace.total_source_calls());
-        calls_on.push(b.trace.total_source_calls());
-    }
-    println!("round-trips per iteration, cache off: {calls_off:?}");
-    println!("round-trips per iteration, cache on:  {calls_on:?}");
-    assert!(calls_on[0] > 0, "iteration 1 must pay the cold round-trips");
-    assert!(
-        calls_on.iter().skip(1).all(|&c| c == 0),
-        "iterations 2..N are served entirely from the cache: {calls_on:?}"
-    );
-    let total_off: usize = calls_off.iter().sum();
-    let total_on: usize = calls_on.iter().sum();
-    assert!(
-        total_off >= 5 * total_on,
-        "expected >=5x round-trip reduction, got {total_off} vs {total_on}"
-    );
-
-    // Containment: warm with the broad view query, then pin the name —
-    // the narrower answer is filtered locally from the cached broad one.
-    // Fetch-all plans keep whois an outer (pushdown) query: with bind
-    // joins the pinned query collapses to an exact repeat instead.
-    let med = paper_mediator_with(MediatorOptions {
-        planner: PlannerOptions {
-            prefer_bind_join: Some(false),
-            ..Default::default()
-        },
-        ..opts(CacheOptions::enabled())
-    });
-    med.query_text("P :- P:<cs_person {}>@med").unwrap();
-    let narrow = med
-        .query_rule(&msl::parse_query("JC :- JC:<cs_person {<name 'Joe Chung'>}>@med").unwrap())
-        .unwrap();
-    let containment = narrow
-        .trace
-        .containment_hits
-        .get(&sym("whois"))
-        .copied()
-        .unwrap_or(0);
-    assert_eq!(narrow.trace.calls(sym("whois")), 0, "no whois round-trip");
-    assert!(containment >= 1, "{:?}", narrow.trace.containment_hits);
-    println!(
-        "containment: name-pinned query served from the broad cached answer \
-         ({containment} containment hit(s), 0 whois round-trips)"
-    );
-
-    // Shape: a pinned containment hit costs what it returns, not what the
-    // entry holds. The whole person table is cached at two sizes; the
-    // same PROBES name-pinned queries are then answered from it. The
-    // first builds the entry's index over every object, each later one
-    // looks at the object it returns — the same count at both sizes.
-    const PEOPLE: usize = 100;
-    const PROBES: usize = 50;
-    let mut per_probe = Vec::new();
-    for size in [PEOPLE, 2 * PEOPLE] {
-        let build = |cache: CacheOptions| {
-            let (whois, _) = wrappers::workload::PersonWorkload::sized(size).build();
-            Mediator::new(
-                "m",
-                "<p {<n N> <r R>}> :- <person {<name N> <relation R>}>@whois",
-                vec![Arc::new(whois)],
-                registry(),
-            )
-            .unwrap()
-            .with_options(opts(cache))
-        };
-        let (off, on) = (
-            build(CacheOptions::default()),
-            build(CacheOptions::enabled()),
-        );
-        let table = on.query_text("X :- X:<p {}>@m").unwrap();
-        assert_eq!(table.top_level().len(), size);
-        let probe = |i: usize| {
-            let name = wrappers::workload::PersonWorkload::full_name_of(i);
-            let q = msl::parse_query(&format!("X :- X:<p {{<n '{name}'>}}>@m")).unwrap();
-            let served = on.query_rule(&q).unwrap();
-            assert_eq!(
-                served.trace.total_source_calls(),
-                0,
-                "{name}: no round-trip"
-            );
-            assert_eq!(
-                print_store(&served.results),
-                print_store(&off.query_rule(&q).unwrap().results),
-                "{name}: byte-identical to the cache-off twin"
-            );
-        };
-        let examined = || on.cache_counters().objects_examined;
-        probe(size - 1);
-        let built = examined();
-        assert!(built >= size, "the first pinned probe indexes the entry");
-        for i in 0..PROBES {
-            probe(i);
-        }
-        let c = on.cache_counters();
-        assert_eq!((c.containment_hits, c.misses), (PROBES + 1, 1));
-        println!(
-            "pinned probes over a cached table of {size}: the first examined {built} objects \
-             (index build), the next {PROBES} examined {} in all",
-            examined() - built
-        );
-        per_probe.push((examined() - built) as f64 / PROBES as f64);
-    }
-    assert_eq!(
-        per_probe[0], per_probe[1],
-        "objects examined per pinned probe must not grow with the entry"
-    );
-    assert!(per_probe[0] <= 2.0, "{per_probe:?}");
-
-    println!(
-        "[ok] repeated Fig 3.6 workload collapses from {total_off} to {total_on} \
-         source round-trips ({:.1}x) with byte-identical answers; a pinned \
-         containment probe examines {} object(s) whether the cached table \
-         holds {PEOPLE} or {}",
-        total_off as f64 / total_on as f64,
-        per_probe[0],
-        2 * PEOPLE
-    );
-}
-
-/// Tiered persistent answer cache, four scenarios.
-///
-/// 1. **Restart warmth** — the Fig 3.6 workload across 10 process
-///    "restarts" (a fresh mediator per restart). Memory-only caching
-///    pays the cold round-trips on every restart; with `--cache-dir`
-///    only the first restart touches a source — everything after is
-///    served from the warm tier on disk (>=5x fewer round-trips).
-/// 2. **Cost-aware eviction** — a capacity-constrained hot tier (2
-///    slots, 4 distinct queries) under a skewed access pattern:
-///    cost-aware keeps the frequently-hit entry resident and pays
-///    strictly fewer source calls than oldest-first eviction did on the
-///    same workload (that count is a literal below; the FIFO policy
-///    itself is retired).
-/// 3. **Scoped delta selectivity** — a label-scoped `SourceDelta`
-///    invalidates only the cached answers whose label footprint
-///    intersects it; sibling entries over the same source keep serving.
-/// 4. **Byte identity** — the same query answered through
-///    tiers-on/tiers-off x unbounded/default batch x parallel returns
-///    byte-identical stores, warm-tier round-trips included.
-fn cache_tiered() {
-    use medmaker::{CacheOptions, SourceDelta};
-    use std::path::PathBuf;
-    use wrappers::workload::PersonWorkload;
-
-    const RESTARTS: usize = 10;
-    const Q: &str = "S :- S:<cs_person {<year 3>}>@med";
-    let dir = std::env::temp_dir().join(format!("medmaker-bench-tiered-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let tiered_opts = |cache_dir: Option<PathBuf>, capacity: usize| MediatorOptions {
-        learn_stats: false,
-        unify_mode: UnifyMode::Minimal,
-        cache: CacheOptions {
-            enabled: true,
-            capacity,
-            cache_dir,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-
-    // 1 — restart warmth. Each iteration is one process lifetime: build
-    // a mediator, answer the Fig 3.6 query, exit. The memory-only twin
-    // forgets everything at every restart; the tiered twin reopens the
-    // warm directory and never touches a source again.
-    let q = msl::parse_query(Q).unwrap();
-    let mut cold_calls = Vec::new();
-    let mut warm_calls = Vec::new();
-    let mut expected = String::new();
-    for restart in 0..RESTARTS {
-        let cold = paper_mediator_with(tiered_opts(None, 64));
-        let warm = paper_mediator_with(tiered_opts(Some(dir.clone()), 64));
-        let a = cold.query_rule(&q).unwrap();
-        let b = warm.query_rule(&q).unwrap();
-        assert_eq!(
-            print_store(&a.results),
-            print_store(&b.results),
-            "restart {restart}: warm-tier answer must be byte-identical"
-        );
-        expected = print_store(&a.results);
-        cold_calls.push(a.trace.total_source_calls());
-        warm_calls.push(b.trace.total_source_calls());
-    }
-    let cold_total: usize = cold_calls.iter().sum();
-    let warm_total: usize = warm_calls.iter().sum();
-    println!("round-trips per restart, memory-only: {cold_calls:?}");
-    println!("round-trips per restart, --cache-dir: {warm_calls:?}");
-    assert!(
-        warm_calls.iter().skip(1).all(|&c| c == 0),
-        "restarts 2..N must be served from the warm tier: {warm_calls:?}"
-    );
-    assert!(
-        cold_total >= 5 * warm_total,
-        "expected >=5x fewer round-trips across restarts, got {cold_total} vs {warm_total}"
-    );
-    // Deterministic counts, 30 -> 3, as PR 10 measured them.
-    assert!(
-        warm_total <= 3,
-        "warm-restart round-trips {warm_total} regressed past 3 (cold {cold_total})"
-    );
-    let reduction = cold_total as f64 / warm_total.max(1) as f64;
-
-    // 2 — cost-aware eviction under capacity-constrained skew. Four
-    // name-pinned queries compete for a 2-slot hot shard; query A is
-    // touched every other access. Cost-aware eviction learns A's hit
-    // rate and keeps it resident; oldest-first evicted it whenever it was
-    // oldest and paid 18 source calls on this workload — PR 10's
-    // measurement of the FIFO policy, which PR 14 retired.
-    const OLDEST_FIRST_CALLS: usize = 18;
-    let names: Vec<String> = (0..4).map(PersonWorkload::full_name_of).collect();
-    let skewed: Vec<&str> = (0..12)
-        .flat_map(|round| [names[0].as_str(), names[1 + round % 3].as_str()])
-        .collect();
-    let (whois, _) = PersonWorkload::sized(8).build();
-    let eviction_med = Mediator::new(
-        "m",
-        "<p {<n N> <r R>}> :- <person {<name N> <relation R>}>@whois",
-        vec![Arc::new(whois)],
-        registry(),
-    )
-    .unwrap()
-    .with_options(tiered_opts(None, 2));
-    let mut cost_aware_calls = 0;
-    for name in &skewed {
-        let rule = msl::parse_query(&format!("X :- X:<p {{<n '{name}'>}}>@m")).unwrap();
-        let out = eviction_med.query_rule(&rule).unwrap();
-        assert_eq!(out.results.top_level().len(), 1, "{name} must resolve");
-        cost_aware_calls += out.trace.total_source_calls();
-    }
-    println!(
-        "skewed workload ({} accesses, capacity 2): cost-aware {cost_aware_calls} \
-         source calls, oldest-first paid {OLDEST_FIRST_CALLS}",
-        skewed.len()
-    );
-    assert!(
-        cost_aware_calls < OLDEST_FIRST_CALLS,
-        "cost-aware eviction must beat the recorded oldest-first count on \
-         skew: {cost_aware_calls} vs {OLDEST_FIRST_CALLS}"
-    );
-    // 13 is what cost-aware eviction paid when PR 10 introduced it.
-    assert!(
-        cost_aware_calls <= 13,
-        "cost-aware source calls {cost_aware_calls} regressed past 13"
-    );
-
-    // 3 — scoped delta selectivity. Two views over whois with disjoint
-    // label footprints (no rest variables, so no wildcard): a delta
-    // scoped to <dept> drops only the dept-reading entry.
-    let med = Mediator::new(
-        "m",
-        "<by_dept {<n N> <d D>}> :- <person {<name N> <dept D>}>@whois\n\
-         <by_rel {<n N> <r R>}> :- <person {<name N> <relation R>}>@whois",
-        vec![Arc::new(whois_wrapper())],
-        registry(),
-    )
-    .unwrap()
-    .with_options(tiered_opts(None, 64));
-    let dept_q = msl::parse_query("X :- X:<by_dept {}>@m").unwrap();
-    let rel_q = msl::parse_query("X :- X:<by_rel {}>@m").unwrap();
-    med.query_rule(&dept_q).unwrap();
-    med.query_rule(&rel_q).unwrap();
-    let invalidated = med.apply_delta(&SourceDelta::labels(sym("whois"), [sym("dept")]));
-    let dept_again = med.query_rule(&dept_q).unwrap();
-    let rel_again = med.query_rule(&rel_q).unwrap();
-    println!(
-        "label-scoped delta <dept>@whois: {invalidated} entry dropped; re-run \
-         round-trips: by_dept {} (refetch), by_rel {} (still cached)",
-        dept_again.trace.total_source_calls(),
-        rel_again.trace.total_source_calls()
-    );
-    assert_eq!(invalidated, 1, "exactly the dept-reading entry drops");
-    assert!(
-        dept_again.trace.total_source_calls() > 0,
-        "scoped view refetches"
-    );
-    assert_eq!(
-        rel_again.trace.total_source_calls(),
-        0,
-        "the sibling entry must keep serving"
-    );
-
-    // 4 — byte identity across execution modes, warm tier included. The
-    // tiered runs reuse the restart directory, so the second one answers
-    // from disk.
-    let modes: Vec<(&str, MediatorOptions)> = vec![
-        (
-            "tiers-off unbounded batch",
-            MediatorOptions {
-                learn_stats: false,
-                unify_mode: UnifyMode::Minimal,
-                batch_size: usize::MAX,
-                ..Default::default()
-            },
-        ),
-        (
-            "tiers-off",
-            MediatorOptions {
-                learn_stats: false,
-                unify_mode: UnifyMode::Minimal,
-                ..Default::default()
-            },
-        ),
-        (
-            "tiered unbounded batch",
-            MediatorOptions {
-                batch_size: usize::MAX,
-                ..tiered_opts(Some(dir.clone()), 64)
-            },
-        ),
-        ("tiered (warm)", tiered_opts(Some(dir.clone()), 64)),
-        (
-            "tiered parallel",
-            MediatorOptions {
-                parallel: true,
-                ..tiered_opts(Some(dir.clone()), 64)
-            },
-        ),
-    ];
-    for (label, options) in modes {
-        let med = paper_mediator_with(options);
-        let out = med.query_rule(&q).unwrap();
-        assert_eq!(
-            print_store(&out.results),
-            expected,
-            "{label}: answer must be byte-identical"
-        );
-    }
-    println!("byte identity: 5 execution modes returned the same store");
-
-    std::fs::remove_dir_all(&dir).ok();
-    println!(
-        "[ok] warm restarts cut {cold_total} round-trips to {warm_total} \
-         ({reduction:.1}x); cost-aware eviction paid {cost_aware_calls} source \
-         calls on skew; a <dept>-scoped delta dropped exactly 1 entry"
-    );
-}
-
-/// The cost model's cardinality drift on three pinned workloads — the
-/// Fig 3.6 replay, a flaky-whois run (injected latency and periodic
-/// failures, retried on virtual time) and a fully-cached replay — each
-/// run by one mediator. Scores `mean |log2((rows_out+1)/(est+1))|` over
-/// every estimated plan node; the drift must stay within what PR 9
-/// measured for the model.
-fn cost() {
-    use medmaker::metrics::QueryTrace;
-    use medmaker::{CacheOptions, FaultOptions, RetryPolicy};
-    use wrappers::fault::{FaultInjectingWrapper, FaultPlan, VirtualClock};
-
-    // Mean absolute log2 cardinality drift across a trace's estimated
-    // nodes (sentinel and filter-only estimates excluded by
-    // `has_estimate`). +1 keeps empty tables finite.
-    fn node_drifts(trace: &QueryTrace) -> Vec<f64> {
-        trace
-            .rules
-            .iter()
-            .flat_map(|r| &r.nodes)
-            .filter(|n| n.metrics.has_estimate())
-            .map(|n| {
-                ((n.metrics.rows_out as f64 + 1.0) / (n.metrics.est_rows + 1.0))
-                    .log2()
-                    .abs()
-            })
-            .collect()
-    }
-    fn mean(xs: &[f64]) -> f64 {
-        xs.iter().sum::<f64>() / xs.len().max(1) as f64
-    }
-
-    let base_opts = || MediatorOptions {
-        trace: true,
-        unify_mode: UnifyMode::Minimal,
-        ..Default::default()
-    };
-    // Fresh mediator per workload: each lives with its own feedback loop.
-    let build = |workload: &str| -> Mediator {
-        match workload {
-            "fig36" => paper_mediator_with(base_opts()),
-            "fault" => {
-                let clock = Arc::new(VirtualClock::new());
-                let whois: Arc<dyn Wrapper> = Arc::new(
-                    FaultInjectingWrapper::new(
-                        Arc::new(whois_wrapper()),
-                        FaultPlan::none().fail_every(3).latency_ms(5),
-                    )
-                    .with_virtual_clock(clock.clone()),
-                );
-                Mediator::new("med", MS1, vec![whois, Arc::new(cs_wrapper())], registry())
-                    .unwrap()
-                    .with_options(MediatorOptions {
-                        fault: FaultOptions {
-                            retry: RetryPolicy::retries(3),
-                            ..Default::default()
-                        }
-                        .on_virtual_time(clock),
-                        ..base_opts()
-                    })
-            }
-            "cache" => paper_mediator_with(MediatorOptions {
-                cache: CacheOptions::enabled(),
-                ..base_opts()
-            }),
-            other => panic!("unknown workload {other}"),
-        }
-    };
-    // Pinned query mixes. Each repeats so the §3.5 feedback loop has
-    // observations to converge on; the cache workload is 100% hits from
-    // iteration 2 on (cardinality learning must continue regardless).
-    let queries: Vec<&str> = vec![
-        "S :- S:<cs_person {<year 3>}>@med",
-        "P :- P:<cs_person {}>@med",
-        "JC :- JC:<cs_person {<name 'Joe Chung'>}>@med",
-        "S :- S:<cs_person {<year 3>}>@med",
-        "P :- P:<cs_person {}>@med",
-        "S :- S:<cs_person {<year 3>}>@med",
-    ];
-
-    for workload in ["fig36", "fault", "cache"] {
-        let med = build(workload);
-        let mut drift = Vec::new();
-        for q in &queries {
-            let out = med.query_rule(&msl::parse_query(q).unwrap()).unwrap();
-            drift.extend(node_drifts(&out.trace));
-        }
-        let m = mean(&drift);
-        println!(
-            "{workload:>6}: mean |log2 drift| {m:.3}  ({} estimated nodes)",
-            drift.len()
-        );
-        // Drift is deterministic: PR 9 measured 0.6034 on all three
-        // workloads; the gate is that number rounded up.
-        assert!(m <= 0.61, "{workload}: drift {m:.3} regressed past 0.61");
-    }
-    println!("[ok] cost-model drift stays within 0.61 on all three workloads");
-}
-
-/// Bounded batches against slow sources: an open scan over the scaled
-/// person view with 2 ms injected latency per round-trip on *both*
-/// sources (the shape of real network wrappers), so whichever source the
-/// optimizer puts on the inner side of the bind join pays it.
-///
-/// Two runs against sources that take one value per parameter (§3.4's
-/// node: one query per binding tuple) show pipelining. With an unbounded
-/// batch every operator hands on its whole table, so the first answer
-/// arrives with the last round-trip; with a batch of 32 the pipeline
-/// surfaces the first rows after about one batch of round-trips and no
-/// operator holds more than one batch.
-///
-/// Two more against sources that accept value sets show what a
-/// round-trip then carries: each refill of the parameterized node sends
-/// its distinct tuples in one call, so 400 tuples cost 1 call unbounded
-/// and ceil(400 / 32) = 13 at batch 32 — and the answers are the bytes
-/// the per-tuple runs printed.
-///
-/// This is the one experiment that reads a clock, because what it times
-/// is sleep it injected itself (at least 802 of some 866 ms per per-tuple
-/// run), not the host: `wall >= source_calls x 2 ms`, the first answer at
-/// least 2x sooner at batch 32, and peak resident 32 against 400 rows. The
-/// host's speed is `BENCHMARK.json`'s (`exec.first_rows_ms`,
-/// `exec.peak_batch_rows`).
-fn streaming() {
-    use std::time::Instant;
-    use wrappers::fault::{FaultInjectingWrapper, FaultPlan};
-    use wrappers::workload::PersonWorkload;
-
-    const N: usize = 400;
-    const LATENCY_MS: u64 = 2;
-    const BATCH: usize = 32;
-    let build = |batch_size: usize, value_sets: bool| {
-        let (mut whois, mut cs) = PersonWorkload::sized(N).build();
-        if !value_sets {
-            whois = whois.without_parameterized_sets();
-            cs = cs.without_parameterized_sets();
-        }
-        let slow = |w: Arc<dyn Wrapper>| -> Arc<dyn Wrapper> {
-            Arc::new(FaultInjectingWrapper::new(
-                w,
-                FaultPlan::none().latency_ms(LATENCY_MS),
-            ))
-        };
-        Mediator::new(
-            "med",
-            MS1,
-            vec![slow(Arc::new(whois)), slow(Arc::new(cs))],
-            registry(),
-        )
-        .unwrap()
-        .with_options(MediatorOptions {
-            planner: PlannerOptions {
-                // Bind joins make the inner source a parameterized
-                // query: per tuple the latency cost is proportional to
-                // the rows consumed, so pipelining is visible in
-                // time-to-first-answer.
-                prefer_bind_join: Some(true),
-                ..Default::default()
-            },
-            batch_size,
-            learn_stats: false,
-            ..Default::default()
-        })
-    };
-    let q = msl::parse_query("P :- P:<cs_person {}>@med").unwrap();
-
-    let run = |label: &str, batch_size: usize, value_sets: bool| {
-        let med = build(batch_size, value_sets);
-        let start = Instant::now();
-        let outcome = med.query_rule(&q).unwrap();
-        let wall = start.elapsed();
-        let calls = outcome.trace.total_source_calls();
-        let per_source: Vec<String> = outcome
-            .trace
-            .source_calls
-            .iter()
-            .map(|(s, n)| format!("{s}: {n}"))
-            .collect();
-        println!(
-            "{label}: wall {:.1} ms, first answer {:.1} ms, peak {} rows \
-             (~{} bytes), {calls} source round-trips ({})",
-            wall.as_secs_f64() * 1e3,
-            outcome.trace.first_rows_ns as f64 / 1e6,
-            outcome.trace.peak_batch_rows,
-            outcome.trace.peak_bytes_resident,
-            per_source.join(", ")
-        );
-        // Every round-trip really waited: if the plan stops calling the
-        // slow side as often as it reports, the latency floor gives it away.
-        assert!(
-            wall.as_millis() as u64 >= calls as u64 * LATENCY_MS,
-            "{label}: {calls} round-trips at {LATENCY_MS} ms each cannot \
-             finish in {} ms",
-            wall.as_millis()
-        );
-        outcome
-    };
-    let unbounded = run("one tuple a call, unbounded batch", usize::MAX, false);
-    let bounded = run("one tuple a call, batch 32       ", BATCH, false);
-    let sets_unbounded = run("value sets, unbounded batch      ", usize::MAX, true);
-    let sets_bounded = run("value sets, batch 32             ", BATCH, true);
-
-    let answer = print_store(&unbounded.results);
-    for other in [&bounded, &sets_unbounded, &sets_bounded] {
-        assert_eq!(
-            print_store(&other.results),
-            answer,
-            "neither the batch size nor what a call carries may change the answer"
-        );
-    }
-    let calls = bounded.trace.total_source_calls();
-    assert_eq!(calls, unbounded.trace.total_source_calls());
-    assert!(
-        calls > N / 2,
-        "the per-tuple side must be called per tuple, got {calls} round-trips"
-    );
-    assert!(unbounded.trace.first_rows_ns > 0 && bounded.trace.first_rows_ns > 0);
-    let speedup = unbounded.trace.first_rows_ns as f64 / bounded.trace.first_rows_ns as f64;
-    assert!(
-        speedup >= 2.0,
-        "expected >=2x time-to-first-answer, got {speedup:.2}x \
-         ({} ns vs {} ns)",
-        unbounded.trace.first_rows_ns,
-        bounded.trace.first_rows_ns
-    );
-    for b in [&bounded, &sets_bounded] {
-        assert!(
-            b.trace.peak_batch_rows <= BATCH,
-            "no operator may hold more than one batch: peak {}",
-            b.trace.peak_batch_rows
-        );
-    }
-    assert!(
-        unbounded.trace.peak_batch_rows >= 4 * bounded.trace.peak_batch_rows,
-        "an unbounded batch holds whole tables ({} rows) — the bounded \
-         peak {} should be far below",
-        unbounded.trace.peak_batch_rows,
-        bounded.trace.peak_batch_rows
-    );
-    // One call for the outer side, one per refill of the inner.
-    assert_eq!(sets_unbounded.trace.total_source_calls(), 2);
-    assert_eq!(
-        sets_bounded.trace.total_source_calls(),
-        1 + N.div_ceil(BATCH)
-    );
-
-    println!(
-        "[ok] first answer {speedup:.1}x sooner at batch {BATCH}; peak resident \
-         {} rows vs {} unbounded; {calls} round-trips become {} with value sets \
-         ({} unbounded), byte-identical answers",
-        bounded.trace.peak_batch_rows,
-        unbounded.trace.peak_batch_rows,
-        sets_bounded.trace.total_source_calls(),
-        sets_unbounded.trace.total_source_calls()
-    );
-}
-
-/// The resident server vs per-process mediation: the Fig 3.6 workload
-/// repeated x10. A one-shot CLI run pays spec parse + lint + analysis +
-/// a cold cache on every query; `medmaker serve` pays them once, so
-/// iterations 2..N are served from the resident answer cache with zero
-/// source round-trips — over a real loopback socket, full wire protocol
-/// included. Counts only: what a served query costs in time is the
-/// `served_http` workload of `BENCHMARK.json`.
-fn serve() {
-    use medmaker::CacheOptions;
-    use medmaker_server::{Server, ServerOptions};
-    use serde::Value;
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-
-    const N: usize = 10;
-    const Q: &str = "S :- S:<cs_person {<year 3>}>@med";
-    let opts = || MediatorOptions {
-        learn_stats: false,
-        unify_mode: UnifyMode::Minimal,
-        cache: CacheOptions::enabled(),
-        ..Default::default()
-    };
-
-    // Per-process baseline: a fresh mediator per query, the way one-shot
-    // CLI runs work. Every iteration repeats construction and the cold
-    // round-trips.
-    let q = msl::parse_query(Q).unwrap();
-    let mut oneshot_calls = Vec::new();
-    let mut expected = String::new();
-    for _ in 0..N {
-        let med = paper_mediator_with(opts());
-        let out = med.query_rule(&q).unwrap();
-        oneshot_calls.push(out.trace.total_source_calls());
-        expected = print_store(&out.results);
-    }
-
-    // Resident server: one mediator behind `medmaker serve`, queried over
-    // a real loopback connection with the HTTP wire protocol.
-    let handle = Server::start(
-        Arc::new(paper_mediator_with(opts())),
-        ServerOptions::default(),
-    )
-    .unwrap();
-    let body = format!("{{\"query\": \"{Q}\"}}");
-    let request = format!(
-        "POST /query HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    for i in 0..N {
-        let mut s = TcpStream::connect(handle.addr()).unwrap();
-        s.write_all(request.as_bytes()).unwrap();
-        let mut reply = String::new();
-        s.read_to_string(&mut reply).unwrap();
-        assert!(reply.starts_with("HTTP/1.1 200"), "iteration {i}: {reply}");
-        // The served bytes must match the one-shot runs exactly.
-        let body = reply.split_once("\r\n\r\n").unwrap().1;
-        let v: Value = serde_json::from_str(body.trim()).unwrap();
-        let answer = v.get("answer").and_then(|a| a.as_str()).unwrap();
-        assert_eq!(answer, expected, "iteration {i}: resident answer drifted");
-    }
-    let service = Arc::clone(handle.service());
-    let executions = service.metrics().executions();
-    // Every request after the first is answered from the resident cache:
-    // N requests, but cold source traffic only once.
-    let cache = service.mediator().cache_counters();
-    handle.shutdown();
-
-    let total_oneshot: usize = oneshot_calls.iter().sum();
-    println!("one-shot: {total_oneshot} source round-trips");
-    println!(
-        "resident: {executions} executions, {} cache hits",
-        cache.hits
-    );
-    assert_eq!(
-        executions as usize, N,
-        "every request executes (sequential arrivals never coalesce)"
-    );
-    assert!(
-        cache.hits as usize >= N - 1,
-        "iterations 2..N must be served from the resident cache: {} hits",
-        cache.hits
-    );
-    assert!(
-        total_oneshot >= N * oneshot_calls[0],
-        "every one-shot run pays cold round-trips"
-    );
-    println!(
-        "[ok] resident serve amortizes startup and source round-trips: \
-         {total_oneshot} one-shot round-trips vs cold-once resident ({} cache hits)",
-        cache.hits
     );
 }

@@ -37,6 +37,14 @@
 //! order and dropping the lowest-value ones past the byte budget.
 //! Appends after open always start a fresh segment, so a torn tail is
 //! never appended onto.
+//!
+//! ## Durability
+//!
+//! Every append (records and tombstones alike) is flushed to the
+//! operating system and never synced to the device. The tier therefore
+//! survives a process exit or crash, `SIGKILL` included, but not an OS
+//! crash or a power loss: those can drop or tear the appends the device
+//! had not yet written, and recovery then keeps the valid prefix.
 
 use super::keyidx::{rule_labels, LabelFootprint};
 use crate::graph::{ExtractVar, VarKind};
@@ -304,7 +312,7 @@ impl WarmTier {
 
     /// Append a tombstone undoing earlier records: one key, or the whole
     /// source when `key` is `None`. The caller has already dropped the
-    /// index entries; this makes the removal durable across reopen.
+    /// index entries; this makes the removal survive a reopen.
     pub(crate) fn append_tombstone(
         &mut self,
         source: Symbol,

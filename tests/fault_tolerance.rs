@@ -218,6 +218,8 @@ fn cs_down_partial_mode_returns_the_whois_side() {
 
 #[test]
 fn flaky_whois_recovers_under_retry_in_both_modes() {
+    // Two retries spend the whole budget; three leave one unspent, and
+    // retrying stops at the first success all the same.
     for fault in [
         FaultOptions {
             retry: RetryPolicy::retries(2),
@@ -226,6 +228,10 @@ fn flaky_whois_recovers_under_retry_in_both_modes() {
         FaultOptions {
             retry: RetryPolicy::retries(2),
             on_source_failure: OnSourceFailure::Partial,
+            ..Default::default()
+        },
+        FaultOptions {
+            retry: RetryPolicy::retries(3),
             ..Default::default()
         },
     ] {
