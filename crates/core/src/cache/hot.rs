@@ -1,8 +1,8 @@
 //! The hot tier: in-memory per-source shards with cost-aware eviction.
 //!
 //! Each source keeps a `Vec` of entries in insertion order (oldest
-//! first); lookups probe exact keys before containment candidates, newest
-//! first.
+//! first); lookups probe an equal shape before containment candidates,
+//! newest first.
 //!
 //! **Eviction** past the per-source capacity is where the tiers earn
 //! their keep: the entry with the lowest *value score* goes — what one
@@ -124,7 +124,7 @@ impl HotTier {
         self.shards.values().map(Vec::len).sum()
     }
 
-    /// Insert `entry`, replacing any same-key entry, then evict the
+    /// Insert `entry`, replacing any entry of its shape, then evict the
     /// lowest value scores down to `capacity`, ties oldest-first. Returns
     /// `(freed_bytes_of_replaced, evicted_entries)`: the caller settles
     /// the byte gauge and decides whether evicted losers demote (warm
@@ -137,7 +137,7 @@ impl HotTier {
     ) -> (usize, Vec<Entry>) {
         let shard = self.shards.entry(source).or_default();
         let mut freed = 0;
-        if let Some(pos) = shard.iter().position(|e| e.key == entry.key) {
+        if let Some(pos) = shard.iter().position(|e| e.shape == entry.shape) {
             freed += shard.remove(pos).size_bytes;
         }
         shard.push(entry);
@@ -153,23 +153,6 @@ impl HotTier {
             evicted.push(shard.remove(victim));
         }
         (freed, evicted)
-    }
-
-    /// Drop expired entries of one shard; returns `(count, freed_bytes)`.
-    pub(crate) fn expire(&mut self, source: Symbol, ttl_ms: u64, now: u64) -> (usize, usize) {
-        let Some(shard) = self.shards.get_mut(&source) else {
-            return (0, 0);
-        };
-        let before = shard.len();
-        let mut freed = 0;
-        shard.retain(|e| {
-            let live = now.saturating_sub(e.inserted_ms) <= ttl_ms;
-            if !live {
-                freed += e.size_bytes;
-            }
-            live
-        });
-        (before - shard.len(), freed)
     }
 
     /// Remove a whole source shard; returns `(count, freed_bytes)`.

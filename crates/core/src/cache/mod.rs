@@ -4,8 +4,9 @@
 //! cost of both the fetch-and-join and parameterized-query strategies.
 //! The [`AnswerCache`] keeps the rows of every source answer the executor
 //! receives, keyed by a *canonicalized* form of the query (variable names
-//! normalized, conditions sorted), and serves repeats without touching the
-//! source.
+//! normalized, conditions sorted) — its [`QueryShape`] in memory, its
+//! printed [`canonical_key`] on disk — and serves repeats without touching
+//! the source.
 //!
 //! Lookup goes beyond exact repetition: a **containment probe** (§3.2's
 //! query-containment notion, see [`engine::containment`]) finds a cached
@@ -94,9 +95,11 @@
 
 pub mod hot;
 pub mod keyidx;
+pub mod shape;
 pub mod warm;
 
 pub use keyidx::{rule_labels, LabelFootprint, SourceDelta};
+pub use shape::QueryShape;
 pub use warm::{CompactStats, WarmStats, WarmTier};
 
 use crate::exec::absorb_all;
@@ -105,7 +108,7 @@ use crate::stats::SharedStats;
 use engine::bindings::{Bindings, BoundValue};
 use engine::matcher::{atomic_eq, match_pattern};
 use hot::{CachedAnswer, ColumnIndex, HotTier};
-use msl::{Head, PatValue, Pattern, RestSpec, Rule, SetElem, SetPattern, TailItem, Term};
+use msl::{Head, PatValue, Pattern, Rule, SetElem, SetPattern, TailItem, Term};
 use oem::{ObjectStore, Symbol, Value};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -269,8 +272,8 @@ impl CacheCounters {
 
 /// One cached source answer (hot tier).
 pub(crate) struct Entry {
-    /// Canonical key — the printed canonicalized query.
-    key: String,
+    /// The query's structural key: what probes and replacement compare.
+    shape: QueryShape,
     /// The original (post-strip) source query, for containment probes.
     query: Rule,
     /// The variables the cached query exports: the answer's columns.
@@ -406,22 +409,24 @@ impl AnswerCache {
         }
     }
 
-    /// Look up an answer for `query` against `source`. On a hit, the rows
-    /// of `vars` the cached answer serves are absorbed into `memory` as
-    /// the executor absorbs every answer's rows.
+    /// Look up an answer for `query`, whose shape is `shape`, against
+    /// `source`. On a hit, the rows of `vars` the cached answer serves are
+    /// absorbed into `memory` as the executor absorbs every answer's rows.
     ///
-    /// The hot tier is probed first (exact keys, then containment,
-    /// newest first); on a hot miss the warm tier's index is probed the
-    /// same way, the winning record re-read and re-checksummed off disk,
-    /// and the entry promoted back into the hot tier.
+    /// The hot tier is probed first (an equal shape, then containment,
+    /// newest first); on a hot miss the warm tier's index is probed by the
+    /// printed key the same way, the winning record re-read and
+    /// re-checksummed off disk, and the entry promoted back into the hot
+    /// tier.
     pub fn lookup(
         &self,
         source: Symbol,
         query: &Rule,
+        shape: &QueryShape,
         vars: &[ExtractVar],
         memory: &mut ObjectStore,
     ) -> Option<(Vec<Vec<BoundValue>>, CacheHit)> {
-        let (rows, kind) = self.lookup_rows(source, query, vars)?;
+        let (rows, kind) = self.lookup_rows(source, query, shape, vars)?;
         Some((absorb_all(&rows.store, rows.rows, memory), kind))
     }
 
@@ -430,12 +435,12 @@ impl AnswerCache {
         &self,
         source: Symbol,
         query: &Rule,
+        shape: &QueryShape,
         vars: &[ExtractVar],
     ) -> Option<(Rows, CacheHit)> {
         if !self.enabled_for(source) {
             return None;
         }
-        let key = canonical_key(query);
         let now = self.clock.now_ms();
         let inner = &mut *self.inner.lock();
         if inner.failed.contains(&source) && !self.opts.stale_ok {
@@ -446,17 +451,25 @@ impl AnswerCache {
         }
         self.expire(inner, source, now);
 
-        // Hot probe: exact keys first (newest first), then containment.
+        // Hot probe: an equal shape first, then containment (newest first).
         let mut hot_hit: Option<(usize, Rows, CacheHit)> = None;
         let examined = &mut inner.counts.objects_examined;
         if let Some(shard) = inner.hot.shard(source) {
             'probe: for kind in [CacheHit::Exact, CacheHit::Containment] {
                 for (i, entry) in shard.iter().enumerate().rev() {
-                    if (entry.key == key) != (kind == CacheHit::Exact) {
+                    let exact = entry.shape == *shape;
+                    if exact != (kind == CacheHit::Exact) {
                         continue;
                     }
-                    let Some(m) = specialize_match_rule(query, &entry.query) else {
-                        continue;
+                    // An equal shape maps onto the entry by zipping the
+                    // two variable lists, and pins nothing.
+                    let m = if exact {
+                        Mapping::zip(shape, &entry.shape)
+                    } else {
+                        let Some(m) = specialize_match_rule(query, &entry.query) else {
+                            continue;
+                        };
+                        m
                     };
                     // A probe that pins variables visits only the rows the
                     // entry's index lists under a pinned value.
@@ -488,6 +501,8 @@ impl AnswerCache {
         let mut warm_hit: Option<(String, CachedAnswer, Rows, CacheHit)> = None;
         if let Some(warm) = &inner.warm {
             if let Some(shard) = warm.entries(source) {
+                // The warm tier files its records under the printed key.
+                let key = canonical_key(query);
                 let order = shard
                     .keys()
                     .filter(|k| **k == key)
@@ -541,7 +556,7 @@ impl AnswerCache {
                 let we = warm.entry_mut(source, &k).expect("warm entry present");
                 we.hit_boost = 0.5 * we.hit_boost + 0.5;
                 Entry {
-                    key: k,
+                    shape: QueryShape::of(&we.query),
                     query: we.query.clone(),
                     extract: we.extract.clone(),
                     footprint: we.footprint.clone(),
@@ -561,16 +576,23 @@ impl AnswerCache {
         None
     }
 
-    /// Cache a freshly fetched answer given as rows. The entry is made
-    /// from the store `query`'s head builds over them — constructed once
-    /// per row, as the wrapper's own [`wrappers::Wrapper::query`] builds
-    /// it — so its size and its warm-tier text are a stored answer's.
-    /// Replaces an existing entry with the same canonical key; evicts the
-    /// shard's lowest-value entry past capacity (losers demote when a warm
-    /// tier is configured). With a warm tier the answer is also written
-    /// through to disk, and compaction runs when the segments outgrow the
-    /// byte budget.
-    pub fn insert_rows(&self, source: Symbol, query: &Rule, vars: &[ExtractVar], rows: &Rows) {
+    /// Cache a freshly fetched answer to `query`, whose shape is `shape`,
+    /// given as rows. The entry is made from the store `query`'s head
+    /// builds over them — constructed once per row, as the wrapper's own
+    /// [`wrappers::Wrapper::query`] builds it — so its size and its
+    /// warm-tier text are a stored answer's. Replaces an existing entry of
+    /// the same shape; evicts the shard's lowest-value entry past capacity
+    /// (losers demote when a warm tier is configured). With a warm tier
+    /// the answer is also written through to disk under the printed key,
+    /// and compaction runs when the segments outgrow the byte budget.
+    pub fn insert_rows(
+        &self,
+        source: Symbol,
+        query: &Rule,
+        shape: &QueryShape,
+        vars: &[ExtractVar],
+        rows: &Rows,
+    ) {
         if !self.enabled_for(source) || self.opts.capacity == 0 {
             return;
         }
@@ -578,35 +600,47 @@ impl AnswerCache {
         // A head the rows cannot rebuild is not cached: a later miss only
         // costs a round-trip.
         if let Ok(answer) = construct_answer(source, &query.head, &names, &rows.store, &rows.rows) {
-            self.insert_store(source, query, vars, answer);
+            self.insert_store(source, query, shape.clone(), vars, answer);
         }
     }
 
     /// File `answer`, the store a source's answer to `query` was built
-    /// into, as an entry ([`CachedAnswer::new`]). The store printed once is
-    /// the entry's size and its warm-tier text.
-    fn insert_store(&self, source: Symbol, query: &Rule, vars: &[ExtractVar], answer: ObjectStore) {
+    /// into, as an entry ([`CachedAnswer::new`]). The store's printed
+    /// length is the entry's size; with a warm tier, its text is the
+    /// record written through.
+    fn insert_store(
+        &self,
+        source: Symbol,
+        query: &Rule,
+        shape: QueryShape,
+        vars: &[ExtractVar],
+        answer: ObjectStore,
+    ) {
         let Some(answer) = CachedAnswer::new(answer, vars) else {
             return;
         };
-        let answer_text = oem::printer::print_store(&answer.rows.store);
-        let key = canonical_key(query);
-        let size_bytes = answer_text.len();
+        let store = &answer.rows.store;
+        let record = (self.inner.lock().warm.is_some())
+            .then(|| (canonical_key(query), oem::printer::print_store(store)));
+        let size_bytes = match &record {
+            Some((_, text)) => text.len(),
+            None => oem::printer::printed_len(store),
+        };
         let (unit_cost_ms, hit_boost) = self.value_inputs(source);
         let inserted_ms = self.clock.now_ms();
         let inner = &mut *self.inner.lock();
-        if let Some(warm) = &mut inner.warm {
+        if let (Some(warm), Some((key, text))) = (&mut inner.warm, &record) {
             // Write-through. Warm I/O errors degrade the tier (the entry
             // just won't survive a restart), never the query.
             let _ = warm.append(
                 source,
-                &key,
+                key,
                 query,
                 vars,
                 inserted_ms,
                 unit_cost_ms,
                 hit_boost,
-                &answer_text,
+                text,
             );
             if warm.disk_bytes() > self.opts.warm_bytes {
                 if let Ok(st) = warm.compact(self.opts.warm_bytes) {
@@ -616,7 +650,7 @@ impl AnswerCache {
             }
         }
         let entry = Entry {
-            key,
+            shape,
             query: query.clone(),
             extract: vars.to_vec(),
             footprint: rule_labels(query),
@@ -651,7 +685,7 @@ impl AnswerCache {
         let inner = &mut *self.inner.lock();
         let mut keys: BTreeSet<String> = BTreeSet::new();
         if let Some(shard) = inner.hot.shard(source) {
-            keys.extend(shard.iter().map(|e| e.key.clone()));
+            keys.extend(shard.iter().map(|e| canonical_key(&e.query)));
         }
         let (_, freed) = inner.hot.remove_source(source);
         inner.counts.bytes_cached -= freed;
@@ -682,9 +716,10 @@ impl AnswerCache {
         let inner = &mut *self.inner.lock();
         let mut keys: BTreeSet<String> = BTreeSet::new();
         let (_, freed) = inner.hot.retain(source, |e| {
-            let stale = delta.matches(&e.key, &e.footprint);
+            let key = canonical_key(&e.query);
+            let stale = delta.matches(&key, &e.footprint);
             if stale {
-                keys.insert(e.key.clone());
+                keys.insert(key);
             }
             !stale
         });
@@ -754,7 +789,9 @@ impl AnswerCache {
         let Some(ttl) = self.opts.ttl_ms else {
             return;
         };
-        let (hot_n, freed) = inner.hot.expire(source, ttl, now);
+        let (hot_n, freed) = inner
+            .hot
+            .retain(source, |e| now.saturating_sub(e.inserted_ms) <= ttl);
         inner.counts.bytes_cached -= freed;
         let mut warm_n = 0;
         if let Some(warm) = &mut inner.warm {
@@ -769,49 +806,86 @@ impl AnswerCache {
 /// The cache key of a source query: conditions sorted structurally and
 /// every variable renamed positionally, then printed. Two source queries
 /// that differ only in variable names or condition order share a key.
+/// The warm tier files its records under it; probes compare the
+/// [`QueryShape`], which is equal exactly where this text is.
 pub fn canonical_key(query: &Rule) -> String {
-    msl::printer::rule(&canonical_rule(query))
-}
-
-/// The canonicalized form behind [`canonical_key`].
-fn canonical_rule(query: &Rule) -> Rule {
     let vars: HashSet<Symbol> = query.variables().into_iter().collect();
     let mut rule = query.clone();
     // Pass 1: sort set elements / rest conditions / tail items by their
     // variable-masked printed form, bottom-up, so condition order cannot
     // influence the key (renaming below is positional over this order).
-    sort_head(&mut rule.head, &vars);
-    for t in &mut rule.tail {
-        sort_tail_item(t, &vars);
+    if let Head::Pattern(p) = &mut rule.head {
+        sort_pattern(p, &vars);
     }
-    rule.tail
-        .sort_by_cached_key(|t| masked_print_tail(t, &vars));
+    for t in &mut rule.tail {
+        if let TailItem::Match { pattern, .. } = t {
+            sort_pattern(pattern, &vars);
+        }
+    }
+    rule.tail.sort_by_cached_key(|t| {
+        let mut t = t.clone();
+        rename_tail_item(&mut t, &vars, &mut |_| Symbol::intern("MASKED"));
+        match t {
+            TailItem::Match { pattern, source } => format!(
+                "m:{}@{}",
+                msl::printer::pattern(&pattern),
+                source.map(|s| s.as_str()).unwrap_or_default()
+            ),
+            TailItem::External { name, args } => {
+                let args: Vec<String> = args.iter().map(|a| msl::printer::term(a, true)).collect();
+                format!("e:{name}({})", args.join(","))
+            }
+        }
+    });
     // Pass 2: rename every variable (and the `bind_for_<var>` carrier
     // labels that embed one) to CV0, CV1, ... in traversal order.
-    let mut namer = Namer {
-        vars,
-        map: HashMap::new(),
-    };
-    rename_head(&mut rule.head, &mut namer);
-    for t in &mut rule.tail {
-        rename_tail_item(t, &mut namer);
-    }
-    rule
-}
-
-struct Namer {
-    vars: HashSet<Symbol>,
-    map: HashMap<Symbol, Symbol>,
-}
-
-impl Namer {
-    fn rename(&mut self, v: Symbol) -> Symbol {
-        let next = self.map.len();
-        *self
-            .map
+    let mut names: HashMap<Symbol, Symbol> = HashMap::new();
+    let mut rename = |v: Symbol| {
+        let next = names.len();
+        *names
             .entry(v)
             .or_insert_with(|| Symbol::intern(&format!("CV{next}")))
+    };
+    match &mut rule.head {
+        Head::Var(v) => *v = rename(*v),
+        Head::Pattern(p) => rename_pattern(p, &vars, &mut rename),
     }
+    for t in &mut rule.tail {
+        rename_tail_item(t, &vars, &mut rename);
+    }
+    msl::printer::rule(&rule)
+}
+
+/// Sort `p`'s set elements and rest conditions by their masked printed
+/// form, innermost sets first.
+fn sort_pattern(p: &mut Pattern, vars: &HashSet<Symbol>) {
+    let PatValue::Set(sp) = &mut p.value else {
+        return;
+    };
+    for e in &mut sp.elements {
+        if let SetElem::Pattern(q) | SetElem::Wildcard(q) = e {
+            sort_pattern(q, vars);
+        }
+    }
+    sp.elements.sort_by_cached_key(|e| match e {
+        SetElem::Pattern(q) => format!("p:{}", masked(q, vars)),
+        SetElem::Wildcard(q) => format!("w:{}", masked(q, vars)),
+        SetElem::Var(_) => "v:".to_string(),
+    });
+    if let Some(r) = &mut sp.rest {
+        for c in &mut r.conditions {
+            sort_pattern(c, vars);
+        }
+        r.conditions.sort_by_cached_key(|c| masked(c, vars));
+    }
+}
+
+/// `p` printed with every variable, and every carrier label of one,
+/// masked.
+fn masked(p: &Pattern, vars: &HashSet<Symbol>) -> String {
+    let mut p = p.clone();
+    rename_pattern(&mut p, vars, &mut |_| Symbol::intern("MASKED"));
+    msl::printer::pattern(&p)
 }
 
 /// Rewrite a `bind_for_<var>` carrier-label constant through `f` when its
@@ -832,142 +906,59 @@ fn map_bind_for(
     Some(Value::str(&format!("bind_for_{}", f(sym))))
 }
 
-fn sort_head(head: &mut Head, vars: &HashSet<Symbol>) {
-    if let Head::Pattern(p) = head {
-        sort_pattern(p, vars);
-    }
-}
-
-fn sort_tail_item(t: &mut TailItem, vars: &HashSet<Symbol>) {
-    if let TailItem::Match { pattern, .. } = t {
-        sort_pattern(pattern, vars);
-    }
-}
-
-fn sort_pattern(p: &mut Pattern, vars: &HashSet<Symbol>) {
-    if let PatValue::Set(sp) = &mut p.value {
-        for e in &mut sp.elements {
-            if let SetElem::Pattern(q) | SetElem::Wildcard(q) = e {
-                sort_pattern(q, vars);
+/// Rewrite every variable of `t` through `f`, carrier labels included.
+fn rename_term(t: &mut Term, vars: &HashSet<Symbol>, f: &mut impl FnMut(Symbol) -> Symbol) {
+    match t {
+        Term::Var(v) => *v = f(*v),
+        Term::Const(c) => {
+            if let Some(mapped) = map_bind_for(c, vars, f) {
+                *c = mapped;
             }
         }
-        sp.elements
-            .sort_by_cached_key(|e| masked_print_elem(e, vars));
-        if let Some(r) = &mut sp.rest {
-            for c in &mut r.conditions {
-                sort_pattern(c, vars);
+        Term::Param(_) => {}
+        Term::Func(_, args) => args.iter_mut().for_each(|a| rename_term(a, vars, f)),
+    }
+}
+
+/// Rewrite every variable of `p` through `f`, in traversal order.
+fn rename_pattern(p: &mut Pattern, vars: &HashSet<Symbol>, f: &mut impl FnMut(Symbol) -> Symbol) {
+    if let Some(v) = &mut p.obj_var {
+        *v = f(*v);
+    }
+    if let Some(t) = &mut p.oid {
+        rename_term(t, vars, f);
+    }
+    rename_term(&mut p.label, vars, f);
+    if let Some(t) = &mut p.typ {
+        rename_term(t, vars, f);
+    }
+    match &mut p.value {
+        PatValue::Term(t) => rename_term(t, vars, f),
+        PatValue::Set(sp) => {
+            for e in &mut sp.elements {
+                match e {
+                    SetElem::Pattern(q) | SetElem::Wildcard(q) => rename_pattern(q, vars, f),
+                    SetElem::Var(v) => *v = f(*v),
+                }
             }
-            r.conditions
-                .sort_by_cached_key(|c| masked_print_pattern(c, vars));
+            if let Some(r) = &mut sp.rest {
+                r.var = f(r.var);
+                for c in &mut r.conditions {
+                    rename_pattern(c, vars, f);
+                }
+            }
         }
     }
 }
 
-fn masked_print_pattern(p: &Pattern, vars: &HashSet<Symbol>) -> String {
-    let mut mask = |_: Symbol| Symbol::intern("MASKED");
-    msl::printer::pattern(&map_pattern(p, vars, &mut mask))
-}
-
-fn masked_print_elem(e: &SetElem, vars: &HashSet<Symbol>) -> String {
-    match e {
-        SetElem::Pattern(p) => format!("p:{}", masked_print_pattern(p, vars)),
-        SetElem::Wildcard(p) => format!("w:{}", masked_print_pattern(p, vars)),
-        SetElem::Var(_) => "v:".to_string(),
-    }
-}
-
-fn masked_print_tail(t: &TailItem, vars: &HashSet<Symbol>) -> String {
-    let mut mask = |_: Symbol| Symbol::intern("MASKED");
-    match t {
-        TailItem::Match { pattern, source } => format!(
-            "m:{}@{}",
-            msl::printer::pattern(&map_pattern(pattern, vars, &mut mask)),
-            source.map(|s| s.as_str().to_string()).unwrap_or_default()
-        ),
-        TailItem::External { name, args } => {
-            let args: Vec<String> = args
-                .iter()
-                .map(|a| msl::printer::term(&map_term(a, vars, &mut mask), true))
-                .collect();
-            format!("e:{name}({})", args.join(","))
-        }
-    }
-}
-
-fn map_term(t: &Term, vars: &HashSet<Symbol>, f: &mut impl FnMut(Symbol) -> Symbol) -> Term {
-    match t {
-        Term::Var(v) => Term::Var(f(*v)),
-        Term::Const(v) => match map_bind_for(v, vars, f) {
-            Some(mapped) => Term::Const(mapped),
-            None => t.clone(),
-        },
-        Term::Param(p) => Term::Param(*p),
-        Term::Func(name, args) => {
-            Term::Func(*name, args.iter().map(|a| map_term(a, vars, f)).collect())
-        }
-    }
-}
-
-fn map_pattern(
-    p: &Pattern,
+fn rename_tail_item(
+    t: &mut TailItem,
     vars: &HashSet<Symbol>,
     f: &mut impl FnMut(Symbol) -> Symbol,
-) -> Pattern {
-    Pattern {
-        obj_var: p.obj_var.map(&mut *f),
-        oid: p.oid.as_ref().map(|t| map_term(t, vars, f)),
-        label: map_term(&p.label, vars, f),
-        typ: p.typ.as_ref().map(|t| map_term(t, vars, f)),
-        value: match &p.value {
-            PatValue::Term(t) => PatValue::Term(map_term(t, vars, f)),
-            PatValue::Set(sp) => PatValue::Set(SetPattern {
-                elements: sp
-                    .elements
-                    .iter()
-                    .map(|e| match e {
-                        SetElem::Pattern(q) => SetElem::Pattern(map_pattern(q, vars, f)),
-                        SetElem::Wildcard(q) => SetElem::Wildcard(map_pattern(q, vars, f)),
-                        SetElem::Var(v) => SetElem::Var(f(*v)),
-                    })
-                    .collect(),
-                rest: sp.rest.as_ref().map(|r| RestSpec {
-                    var: f(r.var),
-                    conditions: r
-                        .conditions
-                        .iter()
-                        .map(|c| map_pattern(c, vars, f))
-                        .collect(),
-                }),
-            }),
-        },
-    }
-}
-
-fn rename_term(t: &mut Term, namer: &mut Namer) {
-    let vars = namer.vars.clone();
-    *t = map_term(t, &vars, &mut |v| namer.rename(v));
-}
-
-fn rename_pattern(p: &mut Pattern, namer: &mut Namer) {
-    let vars = namer.vars.clone();
-    *p = map_pattern(p, &vars, &mut |v| namer.rename(v));
-}
-
-fn rename_head(head: &mut Head, namer: &mut Namer) {
-    match head {
-        Head::Var(v) => *v = namer.rename(*v),
-        Head::Pattern(p) => rename_pattern(p, namer),
-    }
-}
-
-fn rename_tail_item(t: &mut TailItem, namer: &mut Namer) {
+) {
     match t {
-        TailItem::Match { pattern, .. } => rename_pattern(pattern, namer),
-        TailItem::External { args, .. } => {
-            for a in args {
-                rename_term(a, namer);
-            }
-        }
+        TailItem::Match { pattern, .. } => rename_pattern(pattern, vars, f),
+        TailItem::External { args, .. } => args.iter_mut().for_each(|a| rename_term(a, vars, f)),
     }
 }
 
@@ -988,6 +979,16 @@ struct Mapping {
 }
 
 impl Mapping {
+    /// The mapping between two queries of one shape: their variables,
+    /// zipped in the order the shape numbers them.
+    fn zip(new: &QueryShape, cached: &QueryShape) -> Mapping {
+        let pairs = new.vars().iter().zip(cached.vars());
+        Mapping {
+            rho_inv: pairs.map(|(&n, &c)| (n, c)).collect(),
+            ..Mapping::default()
+        }
+    }
+
     fn bind_var(&mut self, cached: Symbol, new: Symbol) -> bool {
         if self.sigma.contains_key(&cached) {
             return false;
@@ -1068,81 +1069,18 @@ fn extra_rest_vars_are_local(m: &Mapping, new: &Rule) -> bool {
     if m.extra_rest.is_empty() {
         return true;
     }
-    let mut rule_counts: HashMap<Symbol, usize> = HashMap::new();
-    count_vars_head(&new.head, &mut rule_counts);
-    for t in &new.tail {
-        count_vars_tail(t, &mut rule_counts);
-    }
-    for (_, cond) in &m.extra_rest {
-        let mut cond_counts: HashMap<Symbol, usize> = HashMap::new();
-        count_vars_pattern(cond, &mut cond_counts);
-        for (v, n) in &cond_counts {
-            if rule_counts.get(v) != Some(n) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-fn count_vars_term(t: &Term, counts: &mut HashMap<Symbol, usize>) {
-    match t {
-        Term::Var(v) => *counts.entry(*v).or_insert(0) += 1,
-        Term::Const(_) | Term::Param(_) => {}
-        Term::Func(_, args) => {
-            for a in args {
-                count_vars_term(a, counts);
-            }
-        }
-    }
-}
-
-fn count_vars_pattern(p: &Pattern, counts: &mut HashMap<Symbol, usize>) {
-    if let Some(v) = p.obj_var {
-        *counts.entry(v).or_insert(0) += 1;
-    }
-    if let Some(t) = &p.oid {
-        count_vars_term(t, counts);
-    }
-    count_vars_term(&p.label, counts);
-    if let Some(t) = &p.typ {
-        count_vars_term(t, counts);
-    }
-    match &p.value {
-        PatValue::Term(t) => count_vars_term(t, counts),
-        PatValue::Set(sp) => {
-            for e in &sp.elements {
-                match e {
-                    SetElem::Pattern(q) | SetElem::Wildcard(q) => count_vars_pattern(q, counts),
-                    SetElem::Var(v) => *counts.entry(*v).or_insert(0) += 1,
-                }
-            }
-            if let Some(r) = &sp.rest {
-                *counts.entry(r.var).or_insert(0) += 1;
-                for c in &r.conditions {
-                    count_vars_pattern(c, counts);
-                }
-            }
-        }
-    }
-}
-
-fn count_vars_head(head: &Head, counts: &mut HashMap<Symbol, usize>) {
-    match head {
-        Head::Var(v) => *counts.entry(*v).or_insert(0) += 1,
-        Head::Pattern(p) => count_vars_pattern(p, counts),
-    }
-}
-
-fn count_vars_tail(t: &TailItem, counts: &mut HashMap<Symbol, usize>) {
-    match t {
-        TailItem::Match { pattern, .. } => count_vars_pattern(pattern, counts),
-        TailItem::External { args, .. } => {
-            for a in args {
-                count_vars_term(a, counts);
-            }
-        }
-    }
+    // Every occurrence of every variable, with repeats.
+    let mut everywhere = Vec::new();
+    new.head.collect_vars(&mut everywhere);
+    new.tail
+        .iter()
+        .for_each(|t| t.collect_vars(&mut everywhere));
+    let count = |vars: &[Symbol], v: Symbol| vars.iter().filter(|&&w| w == v).count();
+    m.extra_rest.iter().all(|(_, cond)| {
+        let mut here = Vec::new();
+        cond.collect_vars(&mut here);
+        (here.iter()).all(|&v| count(&here, v) == count(&everywhere, v))
+    })
 }
 
 /// Match a new pattern against a cached (candidate-general) one,
@@ -1211,7 +1149,8 @@ fn specialize_set(sn: &SetPattern, sc: &SetPattern, m: &mut Mapping) -> bool {
     if sn.elements.len() != sc.elements.len() {
         return false;
     }
-    if !match_elements(&sn.elements, &sc.elements, m) {
+    let mut used = vec![false; sn.elements.len()];
+    if !match_distinct(&sc.elements, &sn.elements, &mut used, m, &specialize_elem) {
         return false;
     }
     match (&sn.rest, &sc.rest) {
@@ -1227,7 +1166,13 @@ fn specialize_set(sn: &SetPattern, sc: &SetPattern, m: &mut Mapping) -> bool {
             // Each cached condition must generalize a distinct new one;
             // unmatched new conditions become local rest filters.
             let mut used = vec![false; rn.conditions.len()];
-            if !match_conditions(&rc.conditions, &rn.conditions, &mut used, 0, m) {
+            if !match_distinct(
+                &rc.conditions,
+                &rn.conditions,
+                &mut used,
+                m,
+                &specialize_pattern,
+            ) {
                 return false;
             }
             for (i, cond) in rn.conditions.iter().enumerate() {
@@ -1240,64 +1185,36 @@ fn specialize_set(sn: &SetPattern, sc: &SetPattern, m: &mut Mapping) -> bool {
     }
 }
 
-/// Backtracking perfect matching of new elements onto cached elements.
-fn match_elements(new: &[SetElem], cached: &[SetElem], m: &mut Mapping) -> bool {
-    fn go(
-        i: usize,
-        new: &[SetElem],
-        cached: &[SetElem],
-        used: &mut [bool],
-        m: &mut Mapping,
-    ) -> bool {
-        if i == cached.len() {
-            return true;
-        }
-        for (j, en) in new.iter().enumerate() {
-            if used[j] {
-                continue;
-            }
-            let snapshot = m.clone();
-            let ok = match (en, &cached[i]) {
-                (SetElem::Pattern(pn), SetElem::Pattern(pc)) => specialize_pattern(pn, pc, m),
-                (SetElem::Wildcard(pn), SetElem::Wildcard(pc)) => specialize_pattern(pn, pc, m),
-                (SetElem::Var(vn), SetElem::Var(vc)) => m.bind_var(*vc, *vn),
-                _ => false,
-            };
-            if ok {
-                used[j] = true;
-                if go(i + 1, new, cached, used, m) {
-                    return true;
-                }
-                used[j] = false;
-            }
-            *m = snapshot;
-        }
-        false
+/// A set member of the new query against one of the cached query's.
+fn specialize_elem(en: &SetElem, ec: &SetElem, m: &mut Mapping) -> bool {
+    match (en, ec) {
+        (SetElem::Pattern(pn), SetElem::Pattern(pc))
+        | (SetElem::Wildcard(pn), SetElem::Wildcard(pc)) => specialize_pattern(pn, pc, m),
+        (SetElem::Var(vn), SetElem::Var(vc)) => m.bind_var(*vc, *vn),
+        _ => false,
     }
-    let mut used = vec![false; new.len()];
-    go(0, new, cached, &mut used, m)
 }
 
-/// Backtracking match of cached rest conditions onto distinct new ones,
-/// marking which new conditions were consumed.
-fn match_conditions(
-    cached: &[Pattern],
-    new: &[Pattern],
+/// Backtracking match of each cached member onto a distinct new one
+/// through `specialize`, marking which new members were consumed.
+fn match_distinct<T>(
+    cached: &[T],
+    new: &[T],
     used: &mut [bool],
-    i: usize,
     m: &mut Mapping,
+    specialize: &impl Fn(&T, &T, &mut Mapping) -> bool,
 ) -> bool {
-    if i == cached.len() {
+    let Some((first, rest)) = cached.split_first() else {
         return true;
-    }
-    for (j, cn) in new.iter().enumerate() {
+    };
+    for (j, n) in new.iter().enumerate() {
         if used[j] {
             continue;
         }
         let snapshot = m.clone();
-        if specialize_pattern(cn, &cached[i], m) {
+        if specialize(n, first, m) {
             used[j] = true;
-            if match_conditions(cached, new, used, i + 1, m) {
+            if match_distinct(rest, new, used, m, specialize) {
                 return true;
             }
             used[j] = false;

@@ -16,8 +16,19 @@ impl AnswerCache {
     /// through the entry constructor every insert goes through.
     fn insert(&self, source: Symbol, query: &Rule, vars: &[ExtractVar], answer: &ObjectStore) {
         if self.enabled_for(source) && self.opts.capacity > 0 {
-            self.insert_store(source, query, vars, answer.clone());
+            self.insert_store(source, query, QueryShape::of(query), vars, answer.clone());
         }
+    }
+
+    /// [`AnswerCache::lookup`] under `query`'s own shape.
+    fn probe(
+        &self,
+        source: Symbol,
+        query: &Rule,
+        vars: &[ExtractVar],
+        memory: &mut ObjectStore,
+    ) -> Option<(Vec<Vec<BoundValue>>, CacheHit)> {
+        self.lookup(source, query, &QueryShape::of(query), vars, memory)
     }
 }
 
@@ -108,7 +119,7 @@ fn exact_hit_serves_identical_rows_under_renamed_vars() {
     ];
     let mut memory = ObjectStore::new();
     let (rows, kind) = cache
-        .lookup(sym("whois"), &renamed, &vars, &mut memory)
+        .probe(sym("whois"), &renamed, &vars, &mut memory)
         .expect("exact hit");
     assert_eq!(kind, CacheHit::Exact);
     assert_eq!(rows.len(), 2);
@@ -140,7 +151,7 @@ fn containment_hit_filters_by_pinned_constant() {
     }];
     let mut memory = ObjectStore::new();
     let (rows, kind) = cache
-        .lookup(sym("whois"), &narrow, &vars, &mut memory)
+        .probe(sym("whois"), &narrow, &vars, &mut memory)
         .expect("containment hit");
     assert_eq!(kind, CacheHit::Containment);
     assert_eq!(rows.len(), 1, "only Joe survives the filter");
@@ -172,7 +183,7 @@ fn containment_hit_filters_by_extra_rest_condition() {
     );
     let mut memory = ObjectStore::new();
     let (rows, kind) = cache
-        .lookup(sym("whois"), &narrow, &extract_nr(), &mut memory)
+        .probe(sym("whois"), &narrow, &extract_nr(), &mut memory)
         .expect("containment hit");
     assert_eq!(kind, CacheHit::Containment);
     assert_eq!(rows.len(), 1);
@@ -204,7 +215,7 @@ fn rest_condition_sharing_a_query_variable_is_not_served() {
     let mut memory = ObjectStore::new();
     assert!(
         cache
-            .lookup(sym("whois"), &narrow, &extract_nr(), &mut memory)
+            .probe(sym("whois"), &narrow, &extract_nr(), &mut memory)
             .is_none(),
         "a shared-variable rest condition must miss, never serve a superset"
     );
@@ -230,7 +241,7 @@ fn rest_conditions_sharing_a_variable_are_not_served() {
     );
     let mut memory = ObjectStore::new();
     assert!(cache
-        .lookup(sym("whois"), &narrow, &extract_nr(), &mut memory)
+        .probe(sym("whois"), &narrow, &extract_nr(), &mut memory)
         .is_none());
 }
 
@@ -255,7 +266,7 @@ fn rest_condition_with_local_variable_is_served() {
     );
     let mut memory = ObjectStore::new();
     let (rows, kind) = cache
-        .lookup(sym("whois"), &narrow, &extract_nr(), &mut memory)
+        .probe(sym("whois"), &narrow, &extract_nr(), &mut memory)
         .expect("a purely local condition variable is servable");
     assert_eq!(kind, CacheHit::Containment);
     assert_eq!(rows.len(), 1, "only Joe has a relation member");
@@ -278,7 +289,7 @@ fn broader_query_never_served_from_narrower_entry() {
     // not cover a variable).
     let mut memory = ObjectStore::new();
     assert!(cache
-        .lookup(
+        .probe(
             sym("whois"),
             &whois_query("N", "Rest1"),
             &extract_nr(),
@@ -307,7 +318,7 @@ fn extra_tail_pattern_is_not_containment() {
     }];
     let mut memory = ObjectStore::new();
     assert!(cache
-        .lookup(sym("whois"), &two_tails, &vars, &mut memory)
+        .probe(sym("whois"), &two_tails, &vars, &mut memory)
         .is_none());
 }
 
@@ -358,7 +369,7 @@ fn ttl_expires_on_the_virtual_clock() {
     );
     let mut memory = ObjectStore::new();
     assert!(cache
-        .lookup(
+        .probe(
             sym("whois"),
             &whois_query("N", "Rest1"),
             &extract_nr(),
@@ -368,7 +379,7 @@ fn ttl_expires_on_the_virtual_clock() {
     clock.advance(101);
     assert!(
         cache
-            .lookup(
+            .probe(
                 sym("whois"),
                 &whois_query("N", "Rest1"),
                 &extract_nr(),
@@ -401,7 +412,7 @@ fn failed_source_embargoes_entries_unless_stale_ok() {
         cache.mark_failed(sym("whois"));
         let mut memory = ObjectStore::new();
         let served = cache
-            .lookup(
+            .probe(
                 sym("whois"),
                 &whois_query("N", "Rest1"),
                 &extract_nr(),
@@ -412,7 +423,7 @@ fn failed_source_embargoes_entries_unless_stale_ok() {
         // Recovery lifts the embargo either way.
         cache.mark_ok(sym("whois"));
         assert!(cache
-            .lookup(
+            .probe(
                 sym("whois"),
                 &whois_query("N", "Rest1"),
                 &extract_nr(),
@@ -440,7 +451,7 @@ fn invalidate_source_drops_the_shard() {
     assert_eq!(c.bytes_cached, 0);
     let mut memory = ObjectStore::new();
     assert!(cache
-        .lookup(
+        .probe(
             sym("whois"),
             &whois_query("N", "Rest1"),
             &extract_nr(),
@@ -513,7 +524,7 @@ fn n_answer(rows: usize) -> ObjectStore {
 fn lookup_names(cache: &AnswerCache, query: &Rule) -> Option<Vec<BoundValue>> {
     let mut memory = ObjectStore::new();
     cache
-        .lookup(sym("whois"), query, &extract_n(), &mut memory)
+        .probe(sym("whois"), query, &extract_n(), &mut memory)
         .map(|(rows, _)| rows.into_iter().map(|mut r| r.remove(0)).collect())
 }
 
@@ -775,7 +786,7 @@ fn warm_segments_keep_their_bytes() {
     for (source, wrapper, query, vars) in filed {
         let (query, vars) = (q(query), scalars(vars));
         let rows = wrapper.query_rows(&query, &vars).unwrap();
-        cache.insert_rows(sym(source), &query, &vars, &rows);
+        cache.insert_rows(sym(source), &query, &QueryShape::of(&query), &vars, &rows);
     }
     let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
@@ -1022,7 +1033,7 @@ fn non_atomic_pinned_column_refuses_the_probe() {
     let mut memory = ObjectStore::new();
     for _ in 0..2 {
         assert!(cache
-            .lookup(sym("whois"), &narrow, &vars, &mut memory)
+            .probe(sym("whois"), &narrow, &vars, &mut memory)
             .is_none());
     }
     assert_eq!(cache.counters().misses, 2);
@@ -1030,7 +1041,7 @@ fn non_atomic_pinned_column_refuses_the_probe() {
     // The year column is all atoms, so a probe pinning only it is served.
     let (by_year, vars) = narrow_people("N", "1", "");
     assert!(cache
-        .lookup(sym("whois"), &by_year, &vars, &mut memory)
+        .probe(sym("whois"), &by_year, &vars, &mut memory)
         .is_some());
 }
 
@@ -1048,7 +1059,7 @@ fn an_answer_the_carrier_reader_rejects_is_never_cached() {
     assert_eq!(cache.counters().bytes_cached, 0);
     let (by_year, vars) = narrow_people("N", "1", "");
     assert!(cache
-        .lookup(sym("whois"), &by_year, &vars, &mut ObjectStore::new())
+        .probe(sym("whois"), &by_year, &vars, &mut ObjectStore::new())
         .is_none());
 }
 
@@ -1056,7 +1067,7 @@ fn an_answer_the_carrier_reader_rejects_is_never_cached() {
 fn lookup_person(cache: &AnswerCache, name: &str) -> Option<Vec<(Value, String)>> {
     let (narrow, vars) = narrow_people(&format!("'{name}'"), "Y", "");
     let mut memory = ObjectStore::new();
-    let (rows, kind) = cache.lookup(sym("whois"), &narrow, &vars, &mut memory)?;
+    let (rows, kind) = cache.probe(sym("whois"), &narrow, &vars, &mut memory)?;
     assert_eq!(kind, CacheHit::Containment);
     Some(
         rows.into_iter()

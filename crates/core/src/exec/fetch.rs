@@ -4,7 +4,7 @@
 use super::absorb::{absorb_all, ExtSource};
 use super::ops::{Batch, MemoRows};
 use super::{ChainCtx, ParamMemoKey, SourceQuery, StreamEnv};
-use crate::cache::CacheHit;
+use crate::cache::{CacheHit, QueryShape};
 use crate::error::{MedError, Result};
 use crate::graph::{ExtractVar, VarKind};
 use crate::metrics::{NodeMetrics, Observation};
@@ -19,20 +19,28 @@ use std::rc::Rc;
 use std::sync::Arc;
 use wrappers::{Rows, Wrapper, WrapperError};
 
-/// Probe the answer cache for `q`. A hit's rows are absorbed into chain
-/// memory and it counts as an exact or containment hit. Its
-/// row count is a real cardinality the source once returned for this
-/// query, so it *is* recorded as a §3.5 observation — otherwise a
-/// cache-heavy workload starves the EWMA feed. What a hit must never feed
-/// is the round-trip accounting (source_calls, latency, failures): serving
-/// from cache says nothing about the source's speed or health.
+/// The shape `q` is looked up and filed under, computed once per source
+/// query; `None` when the answer cache does not serve its source.
+fn cache_shape(q: SourceQuery<'_>, ctx: &ChainCtx<'_>) -> Option<QueryShape> {
+    (ctx.cache?.enabled_for(q.source)).then(|| QueryShape::of(q.query))
+}
+
+/// Probe the answer cache for `q`, whose shape is `shape`. A hit's rows
+/// are absorbed into chain memory and it counts as an exact or
+/// containment hit. Its row count is a real cardinality the source once
+/// returned for this query, so it *is* recorded as a §3.5 observation —
+/// otherwise a cache-heavy workload starves the EWMA feed. What a hit
+/// must never feed is the round-trip accounting (source_calls, latency,
+/// failures): serving from cache says nothing about the source's speed or
+/// health.
 fn cache_probe(
     q: SourceQuery<'_>,
+    shape: Option<&QueryShape>,
     env: &mut StreamEnv<'_, '_>,
     counters: &mut NodeMetrics,
 ) -> Option<Batch> {
-    let cache = env.ctx.cache.filter(|c| c.enabled_for(q.source))?;
-    let (rows, kind) = cache.lookup(q.source, q.query, q.vars, env.memory)?;
+    let (cache, shape) = env.ctx.cache.zip(shape)?;
+    let (rows, kind) = cache.lookup(q.source, q.query, shape, q.vars, env.memory)?;
     let trace = &mut env.stats.trace;
     let (node, per_source) = match kind {
         CacheHit::Exact => (&mut counters.cache_hits, &mut trace.cache_hits),
@@ -58,10 +66,12 @@ pub(super) fn open_ext_source(
     env: &mut StreamEnv<'_, '_>,
     counters: &mut NodeMetrics,
 ) -> Result<ExtSource> {
-    if let Some(rows) = cache_probe(q, env, counters) {
+    let shape = cache_shape(q, env.ctx);
+    if let Some(rows) = cache_probe(q, shape.as_ref(), env, counters) {
         return Ok(ExtSource::from_rows(rows));
     }
-    Ok(ExtSource::from_answer(fetch_rows(q, 0, env, counters)?))
+    let answer = fetch_rows(q, shape.as_ref(), 0, env, counters)?;
+    Ok(ExtSource::from_answer(answer))
 }
 
 /// One source call under the fault policy: circuit-breaker check, bounded
@@ -214,14 +224,18 @@ impl<'p> ParamSource<'p> {
             query: &filled,
             ..self.q
         };
-        if let Some(rows) = cache_probe(q, env, counters) {
+        let shape = cache_shape(q, env.ctx);
+        if let Some(rows) = cache_probe(q, shape.as_ref(), env, counters) {
             return Ok(rows);
         }
         let slot = env.ctx.param_memo.slot(self.shared_key(env.ctx, tuple));
         let mut held = slot.lock();
         let answer = match &mut *held {
             Some(answer) => Arc::clone(answer),
-            empty => Arc::clone(empty.insert(Arc::new(fetch_rows(q, 1, env, counters)?))),
+            empty => {
+                let answer = fetch_rows(q, shape.as_ref(), 1, env, counters)?;
+                Arc::clone(empty.insert(Arc::new(answer)))
+            }
         };
         drop(held);
         Ok(absorb_counted(&answer, env.memory, counters))
@@ -277,18 +291,19 @@ impl<'p> ParamSource<'p> {
         let Some(template) = self.batch.get_or_init(|| self.set_valued_form(ctx)) else {
             return Ok(());
         };
-        let mut open: Vec<(Vec<Value>, Rule)> = Vec::new();
+        let mut open: Vec<(Vec<Value>, Rule, Option<QueryShape>)> = Vec::new();
         for tuple in tuples {
             let filled = self.fill(&tuple);
             let q = SourceQuery {
                 query: &filled,
                 ..self.q
             };
-            match cache_probe(q, env, counters) {
+            let shape = cache_shape(q, ctx);
+            match cache_probe(q, shape.as_ref(), env, counters) {
                 Some(rows) => {
                     memo.insert(tuple, Rc::new(rows));
                 }
-                None => open.push((tuple, filled)),
+                None => open.push((tuple, filled, shape)),
             }
         }
         // Every open tuple's slot is held across the fetch, as a lone
@@ -296,7 +311,7 @@ impl<'p> ParamSource<'p> {
         // keeps two parallel chains that batch overlapping tuples from
         // deadlocking.
         let slots: Vec<_> = (open.iter())
-            .map(|(tuple, _)| ctx.param_memo.slot(self.shared_key(ctx, tuple)))
+            .map(|(tuple, ..)| ctx.param_memo.slot(self.shared_key(ctx, tuple)))
             .collect();
         let mut order: Vec<usize> = (0..open.len()).collect();
         order.sort_by_cached_key(|&k| -> Vec<String> {
@@ -323,7 +338,10 @@ impl<'p> ParamSource<'p> {
         };
         let answers: Vec<Rows> = match fetch[..] {
             [] => return Ok(()),
-            [(k, _)] => vec![fetch_rows(tuple_query(k), 1, env, counters)?],
+            [(k, _)] => {
+                let shape = open[k].2.as_ref();
+                vec![fetch_rows(tuple_query(k), shape, 1, env, counters)?]
+            }
             _ => {
                 let asked: Vec<&[Value]> =
                     fetch.iter().map(|(k, _)| open[*k].0.as_slice()).collect();
@@ -345,7 +363,7 @@ impl<'p> ParamSource<'p> {
                 let answer = call_source(q, asked.len(), env, counters)?;
                 let answers = valueset::split_answer(&answer, self.q.vars.len(), &asked);
                 for ((k, _), answer) in fetch.iter().zip(&answers) {
-                    record_answer(tuple_query(*k), answer, env);
+                    record_answer(tuple_query(*k), open[*k].2.as_ref(), answer, env);
                 }
                 answers
             }
@@ -404,14 +422,19 @@ fn call_source(
     outcome
 }
 
-/// File a fresh answer to `q`: into the answer cache, and as a §3.5
-/// observation. Only an answer that survived retries AND its deadline
-/// gets here: `query_with_retry` converts a too-late Ok into a Timeout.
-/// One tuple's rows of a split set-valued answer are filed like a lone
-/// answer, so its entry does not depend on how the tuple travelled.
-fn record_answer(q: SourceQuery<'_>, answer: &Rows, env: &mut StreamEnv<'_, '_>) {
-    if let Some(cache) = env.ctx.cache {
-        cache.insert_rows(q.source, q.query, q.vars, answer);
+/// File a fresh answer to `q`: into the answer cache under `shape`, and
+/// as a §3.5 observation. Only an answer that survived retries AND its
+/// deadline gets here: `query_with_retry` converts a too-late Ok into a
+/// Timeout. One tuple's rows of a split set-valued answer are filed like
+/// a lone answer, so its entry does not depend on how the tuple travelled.
+fn record_answer(
+    q: SourceQuery<'_>,
+    shape: Option<&QueryShape>,
+    answer: &Rows,
+    env: &mut StreamEnv<'_, '_>,
+) {
+    if let Some((cache, shape)) = env.ctx.cache.zip(shape) {
+        cache.insert_rows(q.source, q.query, shape, q.vars, answer);
     }
     // Keyed by the first tail pattern's label.
     env.stats.trace.observations.push(Observation {
@@ -424,12 +447,13 @@ fn record_answer(q: SourceQuery<'_>, answer: &Rows, env: &mut StreamEnv<'_, '_>)
 /// The round-trip for one query: [`call_source`], then [`record_answer`].
 fn fetch_rows(
     q: SourceQuery<'_>,
+    shape: Option<&QueryShape>,
     tuples: usize,
     env: &mut StreamEnv<'_, '_>,
     counters: &mut NodeMetrics,
 ) -> Result<Rows> {
     let answer = call_source(q, tuples, env, counters)?;
-    record_answer(q, &answer, env);
+    record_answer(q, shape, &answer, env);
     Ok(answer)
 }
 

@@ -63,8 +63,10 @@ pub struct MediatorOptions {
 /// [`MediatorOptions`] by [`Mediator::query_rule_with`]. `None` fields
 /// inherit the mediator's configuration. The serving layer uses these to
 /// cap what any single request may cost a shared mediator; see
-/// DESIGN.md §10.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// DESIGN.md §10. Equal limits and an equal query shape
+/// ([`crate::cache::QueryShape`]) are what lets the server coalesce two
+/// in-flight requests into one execution.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct QueryLimits {
     /// Per-source-call deadline in milliseconds, mapped onto
     /// [`crate::retry::FaultOptions::source_deadline_ms`] for this query
@@ -82,19 +84,6 @@ pub struct QueryLimits {
     /// Rows per batch for this query only ([`ExecOptions::batch_size`]);
     /// bounds the query's peak resident rows per operator.
     pub batch_size: Option<usize>,
-}
-
-impl QueryLimits {
-    /// A stable fingerprint of the limit set, appended to the canonical
-    /// query key ([`crate::cache::canonical_key`]) when coalescing
-    /// in-flight requests: two textually-identical queries carrying
-    /// different limits must not share one execution.
-    pub fn fingerprint(&self) -> String {
-        format!(
-            "d={:?};r={:?};b={:?}",
-            self.deadline_ms, self.max_rows, self.batch_size
-        )
-    }
 }
 
 impl Default for MediatorOptions {
@@ -1081,7 +1070,7 @@ mod tests {
     }
 
     #[test]
-    fn query_limits_preserve_answers_and_fingerprints_differ() {
+    fn query_limits_preserve_answers_and_differ_in_equality() {
         let q = "JC :- JC:<cs_person {<name 'Joe Chung'>}>@med";
         let med = paper_mediator();
         let rule = msl::parse_query(q).unwrap();
@@ -1101,14 +1090,13 @@ mod tests {
             oem::printer::print_store(&limited.results)
         );
         // Different limits must not coalesce to one execution: the
-        // fingerprint distinguishes them.
+        // server's coalescing key tells them apart.
         assert_ne!(
-            QueryLimits::default().fingerprint(),
+            QueryLimits::default(),
             QueryLimits {
                 max_rows: Some(10),
                 ..Default::default()
             }
-            .fingerprint()
         );
     }
 

@@ -7,7 +7,7 @@
 
 use crate::store::{FxSet, ObjId, ObjectStore};
 use crate::value::Value;
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// Render every top-level structure of the store.
 pub fn print_store(store: &ObjectStore) -> String {
@@ -20,17 +20,37 @@ pub fn print_store(store: &ObjectStore) -> String {
 /// capped answer is literally a prefix of the full one.
 pub fn print_store_limit(store: &ObjectStore, max: usize) -> String {
     let mut out = String::new();
+    let _ = write_store_limit(store, max, &mut out);
+    out
+}
+
+/// The length of [`print_store`]'s text, counted as it is written
+/// instead of kept.
+pub fn printed_len(store: &ObjectStore) -> usize {
+    struct Tally(usize);
+    impl Write for Tally {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut tally = Tally(0);
+    let _ = write_store_limit(store, usize::MAX, &mut tally);
+    tally.0
+}
+
+fn write_store_limit<W: Write>(store: &ObjectStore, max: usize, out: &mut W) -> fmt::Result {
     let mut printed = FxSet::default();
     for &t in store.top_level().iter().take(max) {
-        print_rec(store, t, 0, &mut printed, &mut out);
+        print_rec(store, t, 0, &mut printed, out)?;
     }
-    out
+    Ok(())
 }
 
 /// Render one structure rooted at `id`.
 pub fn print_object(store: &ObjectStore, id: ObjId) -> String {
     let mut out = String::new();
-    print_rec(store, id, 0, &mut FxSet::default(), &mut out);
+    let _ = print_rec(store, id, 0, &mut FxSet::default(), &mut out);
     out
 }
 
@@ -38,60 +58,61 @@ pub fn print_object(store: &ObjectStore, id: ObjId) -> String {
 /// `<&n1, name, string, 'Joe Chung'>`.
 pub fn object_line(store: &ObjectStore, id: ObjId) -> String {
     let mut out = String::new();
-    write_object_line(store, id, &mut out);
+    let _ = write_object_line(store, id, &mut out);
     out
 }
 
-/// Append [`object_line`]'s text to `out`.
-fn write_object_line(store: &ObjectStore, id: ObjId, out: &mut String) {
+/// Write [`object_line`]'s text to `out`.
+fn write_object_line<W: Write>(store: &ObjectStore, id: ObjId, out: &mut W) -> fmt::Result {
     let obj = store.get(id);
-    out.push_str("<&");
-    let _ = store.oid_display(id).write_to(out);
-    out.push_str(", ");
-    obj.label.with_str(|l| out.push_str(l));
-    out.push_str(", ");
+    out.write_str("<&")?;
+    store.oid_display(id).write_to(out)?;
+    out.write_str(", ")?;
+    obj.label.with_str(|l| out.write_str(l))?;
+    out.write_str(", ")?;
     match &obj.value {
         Value::Set(children) => {
-            out.push_str("set, {");
+            out.write_str("set, {")?;
             for (i, &c) in children.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
-                out.push('&');
-                let _ = store.oid_display(c).write_to(out);
+                out.write_char('&')?;
+                store.oid_display(c).write_to(out)?;
             }
-            out.push_str("}>");
+            out.write_str("}>")
         }
         atomic => {
-            out.push_str(atomic.oem_type().keyword());
-            out.push_str(", ");
-            let _ = atomic.write_atomic(out);
-            out.push('>');
+            out.write_str(atomic.oem_type().keyword())?;
+            out.write_str(", ")?;
+            atomic.write_atomic(out)?;
+            out.write_char('>')
         }
     }
 }
 
-fn print_rec(
+fn print_rec<W: Write>(
     store: &ObjectStore,
     id: ObjId,
     indent: usize,
     printed: &mut FxSet<ObjId>,
-    out: &mut String,
-) {
+    out: &mut W,
+) -> fmt::Result {
     for _ in 0..indent {
-        out.push_str("  ");
+        out.write_str("  ")?;
     }
-    write_object_line(store, id, out);
-    out.push('\n');
+    write_object_line(store, id, out)?;
+    out.write_char('\n')?;
     if !printed.insert(id) {
-        return;
+        return Ok(());
     }
     for &c in store.children(id) {
         if printed.contains(&c) {
             continue; // already defined elsewhere; the oid ref suffices
         }
-        print_rec(store, c, indent + 1, printed, out);
+        print_rec(store, c, indent + 1, printed, out)?;
     }
+    Ok(())
 }
 
 /// Compact single-line rendering with inline subobjects, useful in logs:

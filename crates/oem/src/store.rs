@@ -65,10 +65,11 @@ impl fmt::Display for ObjId {
 }
 
 /// The Fx hash (rustc's): one rotate, xor and multiply per word. Keys here
-/// are object ids and fingerprints, which no adversary picks, so SipHash's
-/// collision resistance buys nothing.
+/// are object ids and fingerprints, and the cache's query shapes hash their
+/// tokens with it once each; none is a key an adversary floods a map with,
+/// so SipHash's collision resistance buys nothing.
 #[derive(Default, Clone, Copy)]
-pub(crate) struct FxHasher(u64);
+pub struct FxHasher(u64);
 
 impl FxHasher {
     #[inline]
@@ -88,6 +89,10 @@ impl Hasher for FxHasher {
     }
     fn write_u64(&mut self, n: u64) {
         self.add(n);
+    }
+    // An enum's discriminant, as `derive(Hash)` writes it: one word.
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
     }
     fn finish(&self) -> u64 {
         self.0

@@ -76,6 +76,12 @@ impl Symbol {
     pub fn index(&self) -> u32 {
         self.0
     }
+
+    /// How many strings the process has interned so far. The interner
+    /// never frees one, so this only grows.
+    pub fn interned() -> usize {
+        interner().read().strings.len()
+    }
 }
 
 impl fmt::Display for Symbol {

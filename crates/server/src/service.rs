@@ -5,7 +5,7 @@
 //! semantics documented in DESIGN.md §11:
 //!
 //! 1. **Coalescing** — an arriving query joins an identical in-flight one
-//!    (same canonical key *and* same limits) as a follower and shares the
+//!    (same query shape *and* same limits) as a follower and shares the
 //!    leader's rendered answer bytes, paying zero executions.
 //! 2. **Admission control** — leaders pass a gate bounding concurrent
 //!    executions (`workers`) with a bounded wait queue (`queue`); a full
@@ -17,7 +17,7 @@
 //!    followers never double-count source traffic.
 
 use crate::metrics::ServerMetrics;
-use medmaker::cache::canonical_key;
+use medmaker::cache::QueryShape;
 use medmaker::{Mediator, QueryLimits};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -206,7 +206,7 @@ impl Slot {
 pub struct QueryService {
     mediator: Arc<Mediator>,
     gate: Gate,
-    inflight: Mutex<HashMap<String, Arc<Slot>>>,
+    inflight: Mutex<HashMap<(QueryShape, QueryLimits), Arc<Slot>>>,
     metrics: ServerMetrics,
     default_limits: QueryLimits,
     started: Instant,
@@ -278,10 +278,10 @@ impl QueryService {
                 return reply;
             }
         };
-        // Coalescing identity: the cache's canonicalized key (variable
-        // names and condition order normalized away) plus the limits
-        // fingerprint — different limits never share an execution.
-        let key = format!("{}|{}", canonical_key(&rule), limits.fingerprint());
+        // Coalescing identity: the query's shape (variable names and
+        // condition order normalized away) and its limits — different
+        // limits never share an execution.
+        let key = (QueryShape::of(&rule), limits.clone());
         let (slot, leader) = {
             let mut map = lock(&self.inflight);
             match map.get(&key) {

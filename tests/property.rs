@@ -12,7 +12,9 @@
 //!   bytes of one that ships them one by one;
 //! * pruning the chains the sources' summaries prove empty never changes
 //!   a lookup's answer;
-//! * the semi-structured source's value index answers like a scan.
+//! * the semi-structured source's value index answers like a scan;
+//! * the answer cache's query shape is equal exactly where the printed
+//!   canonical key is, and an exact hit serves what containment would.
 
 mod common;
 
@@ -653,9 +655,12 @@ fn pinned_payloads(
         var: oem::sym("P"),
         kind: VarKind::Scalar,
     }];
+    let query = fill_params_rule(&template, &pins);
+    let shape = medmaker::cache::QueryShape::of(&query);
     let (rows, _) = cache.lookup(
         oem::sym("s"),
-        &fill_params_rule(&template, &pins),
+        &query,
+        &shape,
         &vars,
         &mut ObjectStore::new(),
     )?;
@@ -714,7 +719,13 @@ proptest! {
             store: std::sync::Arc::new(ObjectStore::new()),
         };
         let resident = AnswerCache::new(opts(4));
-        resident.insert_rows(oem::sym("s"), &whole, &exported, &answer);
+        resident.insert_rows(
+            oem::sym("s"),
+            &whole,
+            &medmaker::cache::QueryShape::of(&whole),
+            &exported,
+            &answer,
+        );
         let on_disk = AnswerCache::new(opts(0));
 
         for (pin_a, a, pin_b, b) in &probes {
@@ -738,6 +749,318 @@ proptest! {
         // object once per pinned variable, then at candidates only.
         prop_assert_eq!(cold.objects_examined, probes.len() * items.len());
         prop_assert!(hot.objects_examined <= cold.objects_examined + 2 * items.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The answer cache's query shape: equal exactly where the printed
+// canonical key is, and an exact hit serves what containment would
+
+/// Source-query rules over `arb_pattern`: one or two tail patterns, some
+/// under a rest variable with conditions, maybe an external predicate, and
+/// a head that is either a bare object variable or the carrier head the
+/// planner builds, one `bind_for_<var>` label per variable.
+fn arb_source_rule() -> impl Strategy<Value = Rule> {
+    let tail = (
+        arb_pattern(),
+        prop::collection::vec(arb_pattern(), 0..3),
+        prop::sample::select(vec!["s", "t"]),
+    );
+    (
+        prop::collection::vec(tail, 1..3),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(|(tails, carriers, external)| {
+            let mut tail: Vec<TailItem> = tails
+                .into_iter()
+                .map(|(pattern, conditions, source)| {
+                    let pattern = if conditions.is_empty() {
+                        pattern
+                    } else {
+                        Pattern::lv(
+                            Term::str("item"),
+                            PatValue::Set(SetPattern {
+                                elements: vec![SetElem::Pattern(pattern)],
+                                rest: Some(RestSpec {
+                                    var: oem::sym("Rest2"),
+                                    conditions,
+                                }),
+                            }),
+                        )
+                    };
+                    TailItem::Match {
+                        pattern,
+                        source: Some(oem::sym(source)),
+                    }
+                })
+                .collect();
+            if external {
+                tail.push(TailItem::External {
+                    name: oem::sym("ge"),
+                    args: vec![Term::var("N"), Term::int(3)],
+                });
+            }
+            let mut rule = Rule {
+                head: Head::Var(oem::sym("X")),
+                tail,
+            };
+            if carriers {
+                let elements = (rule.variables().iter())
+                    .map(|v| {
+                        let label = Term::str(&format!("bind_for_{v}"));
+                        SetElem::Pattern(Pattern::lv(label, PatValue::Term(Term::Var(*v))))
+                    })
+                    .collect();
+                rule.head = Head::Pattern(Pattern::lv(
+                    Term::str("bind_for_s"),
+                    PatValue::Set(SetPattern {
+                        elements,
+                        rest: None,
+                    }),
+                ));
+            } else if let Some(TailItem::Match { pattern, .. }) = rule.tail.first_mut() {
+                pattern.obj_var = Some(oem::sym("X"));
+            }
+            rule
+        })
+}
+
+/// A copy of a rule with every variable renamed (its `bind_for_<var>`
+/// labels along with it), and, when `shuffle`, its set members, rest
+/// conditions and tail items reordered; `seed` picks both.
+struct Variant {
+    names: std::collections::HashMap<oem::Symbol, oem::Symbol>,
+    seed: u64,
+    shuffle: bool,
+}
+
+impl Variant {
+    fn of(rule: &Rule, seed: u64, shuffle: bool) -> Rule {
+        // The new names are a permutation of the old ones, drawn first, so
+        // one seed renames alike whether or not it also reorders.
+        let mut v = Variant {
+            names: Default::default(),
+            seed: seed | 1,
+            shuffle: true,
+        };
+        let mut to = rule.variables();
+        v.reorder(&mut to);
+        v.names = (rule.variables().into_iter().zip(to))
+            .map(|(var, to)| (var, oem::sym(&format!("Z{to}"))))
+            .collect();
+        v.shuffle = shuffle;
+        let mut out = rule.clone();
+        match &mut out.head {
+            Head::Var(x) => *x = v.names[x],
+            Head::Pattern(p) => v.pattern(p),
+        }
+        for t in &mut out.tail {
+            match t {
+                TailItem::Match { pattern, .. } => v.pattern(pattern),
+                TailItem::External { args, .. } => args.iter_mut().for_each(|a| v.term(a)),
+            }
+        }
+        v.reorder(&mut out.tail);
+        out
+    }
+
+    fn reorder<T>(&mut self, items: &mut [T]) {
+        if !self.shuffle {
+            return;
+        }
+        for i in (1..items.len()).rev() {
+            // xorshift64
+            self.seed ^= self.seed << 13;
+            self.seed ^= self.seed >> 7;
+            self.seed ^= self.seed << 17;
+            items.swap(i, (self.seed % (i as u64 + 1)) as usize);
+        }
+    }
+
+    fn term(&mut self, t: &mut Term) {
+        match t {
+            Term::Var(x) => *x = self.names[x],
+            Term::Const(Value::Str(s)) => {
+                let carried = (s.as_str().strip_prefix("bind_for_"))
+                    .and_then(|var| self.names.get(&oem::sym(var)).copied());
+                if let Some(var) = carried {
+                    *s = oem::sym(&format!("bind_for_{var}"));
+                }
+            }
+            Term::Func(_, args) => args.iter_mut().for_each(|a| self.term(a)),
+            Term::Const(_) | Term::Param(_) => {}
+        }
+    }
+
+    fn pattern(&mut self, p: &mut Pattern) {
+        if let Some(x) = &mut p.obj_var {
+            *x = self.names[x];
+        }
+        self.term(&mut p.label);
+        match &mut p.value {
+            PatValue::Term(t) => self.term(t),
+            PatValue::Set(sp) => {
+                for e in &mut sp.elements {
+                    match e {
+                        SetElem::Pattern(q) | SetElem::Wildcard(q) => self.pattern(q),
+                        SetElem::Var(x) => *x = self.names[x],
+                    }
+                }
+                self.reorder(&mut sp.elements);
+                if let Some(r) = &mut sp.rest {
+                    r.var = self.names[&r.var];
+                    r.conditions.iter_mut().for_each(|c| self.pattern(c));
+                    self.reorder(&mut r.conditions);
+                }
+            }
+        }
+    }
+}
+
+/// Whether two rules' shapes are equal, and whether their printed
+/// canonical keys are.
+fn shape_and_key_agree(a: &Rule, b: &Rule) -> (bool, bool) {
+    use medmaker::cache::{canonical_key, QueryShape};
+    (
+        QueryShape::of(a) == QueryShape::of(b),
+        canonical_key(a) == canonical_key(b),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The shape is the printed key without the printing: over generated
+    /// source queries, their renamed and reordered copies, and the same
+    /// query comparing `year` with `3`, `3.0` and `'3'`.
+    #[test]
+    fn shapes_are_equal_exactly_when_canonical_keys_are(
+        a in arb_source_rule(),
+        b in arb_source_rule(),
+        seed in any::<u64>(),
+    ) {
+        prop_assert_eq!(shape_and_key_agree(&a, &a), (true, true));
+        let renamed = Variant::of(&a, seed, false);
+        prop_assert_eq!(shape_and_key_agree(&a, &renamed), (true, true), "{}", renamed);
+        let reordered = Variant::of(&a, seed, true);
+        let (shape, key) = shape_and_key_agree(&a, &reordered);
+        prop_assert_eq!(shape, key, "{}\n{}", a, reordered);
+        let (shape, key) = shape_and_key_agree(&a, &b);
+        prop_assert_eq!(shape, key, "{}\n{}", a, b);
+        let typed: Vec<Rule> = [Value::Int(3), Value::real(3.0), Value::str("3")]
+            .into_iter()
+            .map(|year| {
+                let mut rule = a.clone();
+                rule.tail.push(TailItem::Match {
+                    pattern: Pattern::lv(Term::str("year"), PatValue::Term(Term::Const(year))),
+                    source: Some(oem::sym("s")),
+                });
+                rule
+            })
+            .collect();
+        for (i, x) in typed.iter().enumerate() {
+            for (j, y) in typed.iter().enumerate() {
+                prop_assert_eq!(shape_and_key_agree(x, y), (i == j, i == j), "{}\n{}", x, y);
+            }
+        }
+    }
+
+    /// An exact hit maps the query onto the entry by zipping the two
+    /// shapes' variables; the warm tier serves the same entry through the
+    /// containment mapping. Over renamed, reordered copies of a cached
+    /// query, both return the same rows.
+    #[test]
+    fn exact_hits_serve_what_the_containment_mapping_serves(
+        present in prop::collection::vec(any::<bool>(), 4..5),
+        pins in prop::collection::vec(prop::option::of(arb_key()), 4..5),
+        rows in prop::collection::vec(prop::collection::vec(arb_key(), 5..6), 0..12),
+        seed in any::<u64>(),
+    ) {
+        use medmaker::cache::{canonical_key, QueryShape};
+        use medmaker::graph::{ExtractVar, VarKind};
+        use medmaker::{AnswerCache, CacheHit, CacheOptions};
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "medmaker-shape-zip-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = |capacity| CacheOptions {
+            enabled: true,
+            capacity,
+            cache_dir: Some(dir.clone()),
+            ..Default::default()
+        };
+
+        // `<item {<k1 A1> <k2 3> ... <payload P>}>`: a variable or a pinned
+        // constant under each label, every variable exported.
+        let mut members = vec!["<payload P>".to_string()];
+        let mut exported = vec!["P".to_string()];
+        let labels = ["k1", "k2", "k3", "k4"];
+        let listed = labels.iter().zip(&pins).zip(&present).filter(|(_, &p)| p);
+        for (i, ((label, pin), _)) in listed.enumerate() {
+            match pin {
+                Some(value) => members.push(format!("<{label} {}>", value.render_atomic())),
+                None => {
+                    members.push(format!("<{label} A{i}>"));
+                    exported.push(format!("A{i}"));
+                }
+            }
+        }
+        let carriers: Vec<String> =
+            exported.iter().map(|v| format!("<bind_for_{v} {v}>")).collect();
+        let whole = msl::parse_rule(&format!(
+            "<bind_for_s {{{}}}> :- <item {{{}}}>@s",
+            carriers.join(" "),
+            members.join(" ")
+        ))
+        .unwrap();
+        let extract = |names: &[String]| -> Vec<ExtractVar> {
+            names
+                .iter()
+                .map(|v| ExtractVar { var: oem::sym(v), kind: VarKind::Scalar })
+                .collect()
+        };
+        let answer = wrappers::Rows {
+            rows: rows
+                .iter()
+                .map(|row| row[..exported.len()].iter().cloned().map(BoundValue::Atom).collect())
+                .collect(),
+            store: std::sync::Arc::new(ObjectStore::new()),
+        };
+        let resident = AnswerCache::new(opts(4));
+        resident.insert_rows(
+            oem::sym("s"),
+            &whole,
+            &QueryShape::of(&whole),
+            &extract(&exported),
+            &answer,
+        );
+        let on_disk = AnswerCache::new(opts(0));
+
+        // The probe: renamed, its members reordered but its head's kept
+        // (so its shape is the entry's), its columns asked for in another
+        // order.
+        let probe = Variant::of(&whole, seed, true);
+        let probe = Rule { head: Variant::of(&whole, seed, false).head, ..probe };
+        prop_assert_eq!(canonical_key(&probe), canonical_key(&whole));
+        let mut asked: Vec<String> = probe.variables().iter().map(oem::Symbol::as_str).collect();
+        let turn = seed as usize % asked.len();
+        asked.rotate_left(turn);
+        let vars = extract(&asked);
+        let shape = QueryShape::of(&probe);
+        let lookup = |cache: &AnswerCache| {
+            cache.lookup(oem::sym("s"), &probe, &shape, &vars, &mut ObjectStore::new())
+        };
+        let zipped = lookup(&resident);
+        let mapped = lookup(&on_disk);
+        prop_assert_eq!(zipped.as_ref().map(|(_, kind)| *kind), Some(CacheHit::Exact));
+        prop_assert_eq!(mapped.as_ref().map(|(_, kind)| *kind), Some(CacheHit::Exact));
+        prop_assert_eq!(zipped.map(|(rows, _)| rows), mapped.map(|(rows, _)| rows));
+        prop_assert_eq!(on_disk.counters().warm_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
