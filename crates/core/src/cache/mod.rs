@@ -891,19 +891,19 @@ fn masked(p: &Pattern, vars: &HashSet<Symbol>) -> String {
 /// Rewrite a `bind_for_<var>` carrier-label constant through `f` when its
 /// suffix is one of the rule's variables. The planner embeds extraction
 /// variable names in these labels, so key normalization must follow them.
+/// The suffix is compared by text, so a label of no variable interns
+/// nothing.
 fn map_bind_for(
     value: &Value,
     vars: &HashSet<Symbol>,
     f: &mut impl FnMut(Symbol) -> Symbol,
 ) -> Option<Value> {
     let Value::Str(s) = value else { return None };
-    let text = s.as_str();
-    let suffix = text.strip_prefix("bind_for_")?;
-    let sym = Symbol::intern(suffix);
-    if !vars.contains(&sym) {
-        return None;
-    }
-    Some(Value::str(&format!("bind_for_{}", f(sym))))
+    let var = s.with_str(|text| {
+        let suffix = text.strip_prefix("bind_for_")?;
+        vars.iter().copied().find(|v| v.with_str(|v| v == suffix))
+    })?;
+    Some(Value::str(&format!("bind_for_{}", f(var))))
 }
 
 /// Rewrite every variable of `t` through `f`, carrier labels included.
@@ -920,10 +920,15 @@ fn rename_term(t: &mut Term, vars: &HashSet<Symbol>, f: &mut impl FnMut(Symbol) 
     }
 }
 
-/// Rewrite every variable of `p` through `f`, in traversal order.
+/// Rewrite every variable of `p` through `f`, in traversal order. A
+/// pattern with a type and no oid would print like one with an oid and
+/// no type; it is given the oid `$`, which no parsed rule holds.
 fn rename_pattern(p: &mut Pattern, vars: &HashSet<Symbol>, f: &mut impl FnMut(Symbol) -> Symbol) {
     if let Some(v) = &mut p.obj_var {
         *v = f(*v);
+    }
+    if p.oid.is_none() && p.typ.is_some() {
+        p.oid = Some(Term::Param(Symbol::intern("")));
     }
     if let Some(t) = &mut p.oid {
         rename_term(t, vars, f);

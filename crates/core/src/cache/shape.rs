@@ -12,10 +12,8 @@
 //!
 //! Two rules have equal shapes exactly when their canonical keys are equal
 //! text, except in corners no planned query reaches, where the shape is the
-//! finer of the two: a pattern with an oid and no type against one with a
-//! type and no oid (both print three fields), a constant
-//! `'bind_for_CV0'` against a carrier renamed to it, and reals that print
-//! alike (`NaN` payloads).
+//! finer of the two: a constant `'bind_for_CV0'` against a carrier renamed
+//! to it, and reals that print alike (`NaN` payloads).
 //!
 //! Equal shapes mean the two queries differ only in variable names and in
 //! the order of their sets and conjuncts, so zipping their

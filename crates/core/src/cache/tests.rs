@@ -4,7 +4,8 @@
 use super::*;
 use crate::graph::VarKind;
 use msl::parse_rule;
-use oem::sym;
+use oem::printer::compact;
+use oem::{sym, ObjectBuilder};
 use wrappers::fault::VirtualClock;
 
 fn q(src: &str) -> Rule {
@@ -160,6 +161,82 @@ fn containment_hit_filters_by_pinned_constant() {
     };
     assert_eq!(ids.len(), 1);
     assert_eq!(memory.get(ids[0]).label, sym("relation"));
+}
+
+#[test]
+fn hits_copy_the_sets_an_entry_shares_and_leave_it_as_filed() {
+    // An entry's rows share their object sets with every row a hit
+    // serves. Absorbing a served row must copy such a set before it
+    // renames its ids into chain memory: the entry's own sets keep
+    // naming the entry's store, so a later hit serves the same bytes.
+    let cache = AnswerCache::new(CacheOptions::enabled());
+    let answer = whois_answer(&[
+        (
+            "Joe Chung",
+            &[("relation", "employee"), ("e_mail", "chung@cs")],
+        ),
+        ("Nick Naive", &[("relation", "student")]),
+    ]);
+    let source = sym("whois");
+    cache.insert(source, &whois_query("N", "Rest1"), &extract_nr(), &answer);
+    let filed = || -> Vec<Vec<BoundValue>> {
+        let inner = cache.inner.lock();
+        inner.hot.shard(source).unwrap()[0].answer.rows.rows.clone()
+    };
+    let before = filed();
+
+    // Each hit into a chain memory of its own, printed there.
+    let serve = |query: &Rule, vars: &[ExtractVar], kind: CacheHit| -> Vec<String> {
+        let mut memory = ObjectStore::with_oid_prefix("m");
+        // Chain memory already holds objects, so a copy's id differs
+        // from the id it was copied from.
+        ObjectBuilder::set("filler")
+            .atom("a", 1)
+            .atom("b", 2)
+            .build_top(&mut memory);
+        let (rows, hit) = cache.probe(source, query, vars, &mut memory).unwrap();
+        assert_eq!(hit, kind);
+        (rows.iter().flatten())
+            .map(|v| match v {
+                BoundValue::ObjSet(ids) => {
+                    let members: Vec<String> = ids.iter().map(|&id| compact(&memory, id)).collect();
+                    members.join(" ")
+                }
+                other => other.to_string(),
+            })
+            .collect()
+    };
+    let exact = serve(&whois_query("N", "Rest1"), &extract_nr(), CacheHit::Exact);
+    assert_eq!(
+        exact,
+        [
+            "'Joe Chung'",
+            "<relation 'employee'> <e_mail 'chung@cs'>",
+            "'Nick Naive'",
+            "<relation 'student'>"
+        ]
+    );
+    let pinned = q("<bind_for_whois {<bind_for_Rest1 {Rest1}>}> :- \
+         <person {<name 'Joe Chung'> <dept 'CS'> | Rest1}>@whois");
+    let rest = [ExtractVar {
+        var: sym("Rest1"),
+        kind: VarKind::Scalar,
+    }];
+    let contained = serve(&pinned, &rest, CacheHit::Containment);
+    assert_eq!(contained, exact[1..2]);
+    let again = serve(&whois_query("N", "Rest1"), &extract_nr(), CacheHit::Exact);
+    assert_eq!(again, exact);
+
+    let after = filed();
+    assert_eq!(after, before);
+    let inner = cache.inner.lock();
+    let store = &inner.hot.shard(source).unwrap()[0].answer.rows.store;
+    let labels: Vec<String> = (after.iter().flatten())
+        .filter_map(BoundValue::as_obj_set)
+        .flatten()
+        .map(|&id| store.get(id).label.to_string())
+        .collect();
+    assert_eq!(labels, ["relation", "e_mail", "relation"]);
 }
 
 #[test]

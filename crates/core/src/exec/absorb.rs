@@ -2,8 +2,8 @@
 
 use crate::metrics::NodeMetrics;
 use engine::bindings::BoundValue;
-use oem::{copy, ObjId, ObjectStore};
-use std::collections::HashMap;
+use oem::copy::{self, IdMap};
+use oem::ObjectStore;
 use std::sync::Arc;
 use wrappers::Rows;
 
@@ -16,7 +16,7 @@ pub(super) struct ExtSource {
     /// While rows remain to absorb: the answer's store, and its one
     /// old-id → new-id map through which every chunk is absorbed, so an
     /// object shared across rows or chunks is copied once.
-    rest: Option<(Arc<ObjectStore>, HashMap<ObjId, ObjId>)>,
+    rest: Option<(Arc<ObjectStore>, IdMap)>,
 }
 
 impl ExtSource {
@@ -34,7 +34,7 @@ impl ExtSource {
         ExtSource {
             rows: answer.rows,
             absorbed: 0,
-            rest: Some((answer.store, HashMap::new())),
+            rest: Some((answer.store, IdMap::default())),
         }
     }
 
@@ -82,7 +82,7 @@ pub(crate) fn absorb_all(
     rows: impl IntoIterator<Item = Vec<BoundValue>>,
     memory: &mut ObjectStore,
 ) -> Vec<Vec<BoundValue>> {
-    let mut map = HashMap::new();
+    let mut map = IdMap::default();
     rows.into_iter()
         .map(|row| absorb(store, row, memory, &mut map))
         .collect()
@@ -91,18 +91,20 @@ pub(crate) fn absorb_all(
 /// One answer row into chain memory: the objects an object or set
 /// variable binds are deep-copied out of `store` through `map`, the
 /// answer's persistent old-id → new-id map, and the row now names the
-/// copies; atoms stay as they are.
+/// copies; atoms stay as they are. A set only this row holds is rewritten
+/// in place; one shared with another row, as a cache entry's are, is
+/// copied first.
 fn absorb(
     store: &ObjectStore,
     mut row: Vec<BoundValue>,
     memory: &mut ObjectStore,
-    map: &mut HashMap<ObjId, ObjId>,
+    map: &mut IdMap,
 ) -> Vec<BoundValue> {
     for value in &mut row {
         let ids = match value {
             BoundValue::Atom(_) => continue,
             BoundValue::Obj(id) => std::slice::from_mut(id),
-            BoundValue::ObjSet(ids) => ids.as_mut_slice(),
+            BoundValue::ObjSet(ids) => Arc::make_mut(ids),
         };
         for id in ids {
             *id = copy::deep_copy_into(store, *id, memory, map);

@@ -1120,6 +1120,72 @@ mod tests {
         }
     }
 
+    #[test]
+    fn hash_join_confirms_what_the_index_folds() {
+        // `3` meets `3.0`. 2^53 and 2^53 + 1 fold to one key but are not
+        // equal, so they do not meet. The three `q`s that meet `3` come out
+        // in extraction order. A bind join asks `t` for each key and must
+        // agree, object for object.
+        let source = |name: &str, text: &str| -> Arc<dyn Wrapper> {
+            let store = oem::parser::parse_store(text).unwrap();
+            Arc::new(wrappers::SemiStructuredWrapper::new(name, store))
+        };
+        let mut srcs: HashMap<Symbol, Arc<dyn Wrapper>> = HashMap::new();
+        srcs.insert(
+            sym("s"),
+            source(
+                "s",
+                "<&a1, p, set, {<&k1, k, 3>}>
+                 <&a2, p, set, {<&k2, k, 9007199254740992>}>",
+            ),
+        );
+        srcs.insert(
+            sym("t"),
+            source(
+                "t",
+                "<&b1, q, set, {<&j1, k, 3.0> <&m1, m, 'x'>}>
+                 <&b2, q, set, {<&j2, k, 9007199254740993> <&m2, m, 'y'>}>
+                 <&b3, q, set, {<&j3, k, 3> <&m3, m, 'z'>}>
+                 <&b4, q, set, {<&j4, k, 3.0> <&m4, m, 'w'>}>",
+            ),
+        );
+        let answers = |bind: bool, op: &str| {
+            let (_, physical) = expand_and_plan(
+                "<x {<k K> <m M>}> :- <p {<k K>}>@s AND <q {<k K> <m M>}>@t",
+                "X :- X:<x {}>@med",
+                &srcs,
+                &PlannerOptions {
+                    prefer_bind_join: Some(bind),
+                    ..Default::default()
+                },
+            );
+            let ops: Vec<&str> = (physical.rules[0].nodes.iter())
+                .map(|n| n.op_name())
+                .collect();
+            assert!(ops.contains(&op), "{ops:?}");
+            let out = execute(
+                &physical,
+                &srcs,
+                &standard_registry(),
+                &ExecOptions::default(),
+            )
+            .unwrap();
+            (out.results.top_level().iter())
+                .map(|&id| compact(&out.results, id))
+                .collect::<Vec<String>>()
+        };
+        let hash = answers(false, "hash join");
+        assert_eq!(
+            hash,
+            [
+                "<x {<k 3> <m 'x'>}>",
+                "<x {<k 3> <m 'z'>}>",
+                "<x {<k 3> <m 'w'>}>"
+            ]
+        );
+        assert_eq!(hash, answers(true, "parameterized query"));
+    }
+
     // ---- in-place extraction ---------------------------------------------
 
     /// The logical program and physical plan of `query` against the

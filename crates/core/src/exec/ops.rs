@@ -4,15 +4,17 @@ use super::absorb::ExtSource;
 use super::fetch::{open_ext_source, ParamSource};
 use super::{SourceQuery, StreamEnv};
 use crate::error::{MedError, Result};
-use crate::externals::Callee;
+use crate::externals::{CallBuffers, Callee};
 use crate::graph::{Node, RulePlan};
 use crate::metrics::NodeMetrics;
 use engine::bindings::{Bindings, BoundValue};
 use engine::matcher::{atomic_eq, atomic_key};
 use msl::Term;
+use oem::store::FxHasher;
 use oem::{ObjectStore, Symbol, Value};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -48,10 +50,36 @@ pub(super) struct OpMeter {
     pub(super) rendered: String,
 }
 
+/// Row numbers filed by a hash of some of the row's columns, no column
+/// copied: `heads` maps a hash to the row filed under it last, and
+/// `next[r]` leads from row `r` to the one filed before it under the same
+/// hash. Rows that share a hash are candidates, for the caller to compare.
+#[derive(Default)]
+struct HashChains {
+    heads: HashMap<u64, usize>,
+    next: Vec<Option<usize>>,
+}
+
+impl HashChains {
+    /// File row `r` under `hash`, ahead of the rows filed there before.
+    fn file(&mut self, r: usize, hash: u64) {
+        if self.next.len() <= r {
+            self.next.resize(r + 1, None);
+        }
+        self.next[r] = self.heads.insert(hash, r);
+    }
+
+    /// The rows filed under `hash`, the last filed first.
+    fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.heads.get(&hash).copied(), |&r| self.next[r])
+    }
+}
+
 /// The inner side a hash join fetches and indexes on its first input.
 struct JoinBuild {
-    /// Join key → indices into `rows`, in extraction order.
-    index: HashMap<Vec<BoundValue>, Vec<usize>>,
+    /// `rows` by [`join_hash`] of their key columns, filed last to first
+    /// so that each chain runs in extraction order.
+    index: HashChains,
     rows: Vec<Vec<BoundValue>>,
 }
 
@@ -65,12 +93,9 @@ impl JoinBuild {
     ) -> JoinBuild {
         src.extract_more(memory, counters, usize::MAX);
         let rows = src.into_ext();
-        let mut index: HashMap<Vec<BoundValue>, Vec<usize>> = HashMap::with_capacity(rows.len());
-        for (ri, row) in rows.iter().enumerate() {
-            index
-                .entry(join_key(row, key_idx).collect())
-                .or_default()
-                .push(ri);
+        let mut index = HashChains::default();
+        for (ri, row) in rows.iter().enumerate().rev() {
+            index.file(ri, join_hash(row, key_idx));
         }
         JoinBuild { index, rows }
     }
@@ -158,6 +183,10 @@ enum OpKind<'p> {
         /// far: a column can hold an atom in one row and an object in
         /// another.
         resolved: Vec<(Vec<bool>, Callee)>,
+        /// Kept from one row to the next: the row's argument values and
+        /// the call's buffers.
+        values: Vec<Option<Value>>,
+        buf: CallBuffers,
     },
     RestFilter {
         /// Column of the rest variable.
@@ -179,9 +208,11 @@ enum OpKind<'p> {
     DupElim {
         /// Projection column positions (vars ∩ input columns, vars order).
         proj: Vec<usize>,
-        /// Pipeline breaker: rows ever emitted, for first-occurrence dedup
-        /// across batches.
-        seen: HashSet<Vec<BoundValue>>,
+        /// Pipeline breaker: the rows ever emitted, for first-occurrence
+        /// dedup across batches — their values one row after another in
+        /// `kept`, `proj.len()` each, filed in `seen` by [`row_hash`].
+        seen: HashChains,
+        kept: Vec<BoundValue>,
     },
 }
 
@@ -276,12 +307,13 @@ impl OpKind<'_> {
                 arg_src,
                 new_pos,
                 resolved,
+                values,
+                buf,
             } => {
                 let Some(batch) = input else {
                     return Ok(());
                 };
                 let registry = env.ctx.registry;
-                let mut values: Vec<Option<Value>> = Vec::with_capacity(args.len());
                 let mut produced = 0usize;
                 for row in &batch {
                     values.clear();
@@ -302,7 +334,9 @@ impl OpKind<'_> {
                             callee
                         }
                     };
-                    'answer: for full in registry.call(callee, *pred, args, &values)? {
+                    buf.tuples.clear();
+                    let n = registry.call(callee, *pred, args, values, buf)?;
+                    'answer: for full in buf.first(n, args.len()) {
                         // A produced value must agree with a column holding
                         // an object (never) and with the variable's first
                         // position.
@@ -393,14 +427,10 @@ impl OpKind<'_> {
                         build.insert(JoinBuild::new(src, inner_key_idx, env.memory, counters))
                     }
                 };
-                let mut key = Vec::with_capacity(outer_key_idx.len());
                 for row in &batch {
-                    key.clear();
-                    key.extend(join_key(row, outer_key_idx));
-                    let Some(matches) = jb.index.get(key.as_slice()) else {
-                        continue;
-                    };
-                    for &ri in matches {
+                    // A shared hash is a candidate: values that match share
+                    // a key and so a hash, and `same_value` confirms it.
+                    for ri in jb.index.chain(join_hash(row, outer_key_idx)) {
                         let inner = &jb.rows[ri];
                         let confirmed = (outer_key_idx.iter().zip(inner_key_idx.iter()))
                             .all(|(&o, &k)| same_value(&row[o], &inner[k]));
@@ -410,15 +440,23 @@ impl OpKind<'_> {
                     }
                 }
             }
-            OpKind::DupElim { proj, seen } => {
+            OpKind::DupElim { proj, seen, kept } => {
                 let Some(batch) = input else {
                     return Ok(());
                 };
+                let width = proj.len();
                 for row in &batch {
-                    let projected: Vec<BoundValue> = proj.iter().map(|&k| row[k].clone()).collect();
-                    if seen.insert(projected.clone()) {
-                        sink.push(projected);
+                    let hash = row_hash(row, proj);
+                    let same = |r: usize| {
+                        let earlier = &kept[r * width..(r + 1) * width];
+                        earlier.iter().zip(proj.iter()).all(|(v, &k)| *v == row[k])
+                    };
+                    if seen.chain(hash).any(same) {
+                        continue;
                     }
+                    seen.file(seen.next.len(), hash);
+                    kept.extend(proj.iter().map(|&k| row[k].clone()));
+                    sink.push(proj.iter().map(|&k| row[k].clone()).collect());
                 }
             }
         }
@@ -536,6 +574,8 @@ pub(super) fn build_ops(rule_plan: &RulePlan) -> Result<Vec<OpState<'_>>> {
                         })
                         .collect::<Result<_>>()?,
                     resolved: Vec::new(),
+                    values: Vec::with_capacity(args.len()),
+                    buf: CallBuffers::default(),
                 },
             ),
             Node::RestFilter { var, condition } => (
@@ -587,7 +627,8 @@ pub(super) fn build_ops(rule_plan: &RulePlan) -> Result<Vec<OpState<'_>>> {
                     proj: (vars.iter())
                         .filter_map(|v| cols.iter().position(|c| c == v))
                         .collect(),
-                    seen: HashSet::new(),
+                    seen: HashChains::default(),
+                    kept: Vec::new(),
                 },
             ),
         };
@@ -686,14 +727,27 @@ fn pull_inner(
     Ok(out)
 }
 
-/// A hash-join key over the columns `idx`: atoms by [`atomic_key`], so
-/// `3` and `3.0` share one. Unequal integers past 2^53 can share one too,
-/// so a hit is a candidate to confirm with [`same_value`].
-fn join_key<'a>(row: &'a [BoundValue], idx: &'a [usize]) -> impl Iterator<Item = BoundValue> + 'a {
-    idx.iter().map(|&k| match &row[k] {
-        BoundValue::Atom(v) => BoundValue::Atom(atomic_key(v)),
-        other => other.clone(),
-    })
+/// The hash of a join key over the columns `idx`, read in place: atoms by
+/// [`atomic_key`], so `3` and `3.0` hash alike. Unequal integers past 2^53
+/// share a key too, so a hit is a candidate to confirm with
+/// [`same_value`].
+fn join_hash(row: &[BoundValue], idx: &[usize]) -> u64 {
+    let mut h = FxHasher::default();
+    for &k in idx {
+        match &row[k] {
+            BoundValue::Atom(v) => atomic_key(v).hash(&mut h),
+            other => other.hash(&mut h),
+        }
+    }
+    h.finish()
+}
+
+/// The hash of `row`'s columns `idx`, read in place, for rows compared
+/// value for value.
+fn row_hash(row: &[BoundValue], idx: &[usize]) -> u64 {
+    let mut h = FxHasher::default();
+    idx.iter().for_each(|&k| row[k].hash(&mut h));
+    h.finish()
 }
 
 /// `row` followed by `tail`, allocated once at its final width.

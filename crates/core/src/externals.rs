@@ -15,12 +15,15 @@ use crate::error::{MedError, Result};
 use engine::bindings::{Bindings, BoundValue};
 use msl::{Adornment, Term};
 use oem::{Symbol, Value};
-use std::sync::Arc;
+use std::cmp::Ordering;
+use std::sync::{Arc, OnceLock};
 
 /// An external function: given the values at its `Bound` positions (in
-/// argument order), produce zero or more tuples of values for its `Free`
-/// positions (in argument order). Zero tuples = the predicate fails.
-pub type ExtFn = Arc<dyn Fn(&[Value]) -> Vec<Vec<Value>> + Send + Sync>;
+/// argument order), push the values of zero or more tuples for its `Free`
+/// positions (in argument order, one tuple after another) onto the buffer,
+/// and return how many tuples it pushed. Zero tuples = the predicate
+/// fails.
+pub type ExtFn = Arc<dyn Fn(&[Value], &mut Vec<Value>) -> usize + Send + Sync>;
 
 /// One registered implementation.
 #[derive(Clone)]
@@ -62,7 +65,7 @@ impl ExternalRegistry {
         pred: &str,
         func: &str,
         adornment: Vec<Adornment>,
-        f: impl Fn(&[Value]) -> Vec<Vec<Value>> + Send + Sync + 'static,
+        f: impl Fn(&[Value], &mut Vec<Value>) -> usize + Send + Sync + 'static,
     ) {
         self.impls.push(ExternalImpl {
             pred: Symbol::intern(pred),
@@ -94,7 +97,7 @@ impl ExternalRegistry {
     pub fn resolve(&self, pred: Symbol, args: &[Term], bound: &[bool]) -> Result<Callee> {
         if is_builtin(pred) {
             let n = bound.iter().filter(|b| **b).count();
-            return if n == args.len() || (pred == Symbol::intern("eq") && n + 1 == args.len()) {
+            return if n == args.len() || (is_eq(pred) && n + 1 == args.len()) {
                 Ok(Callee::Builtin)
             } else {
                 Err(MedError::External(format!(
@@ -120,23 +123,29 @@ impl ExternalRegistry {
     }
 
     /// Call what [`ExternalRegistry::resolve`] chose on `values`, one per
-    /// argument (`None` where unbound). Returns one full argument tuple
-    /// per answer: bound positions as given, free ones as produced. A free
-    /// position given a value, or holding a constant, keeps only answers
-    /// that agree with it; a variable at two free positions is the
-    /// caller's to check.
+    /// argument (`None` where unbound). Appends one full argument tuple
+    /// per answer to `buf.tuples` — bound positions as given, free ones as
+    /// produced — and returns how many it appended. A free position given
+    /// a value, or holding a constant, keeps only answers that agree with
+    /// it; a variable at two free positions is the caller's to check.
     pub fn call(
         &self,
         callee: Callee,
         pred: Symbol,
         args: &[Term],
         values: &[Option<Value>],
-    ) -> Result<Vec<Vec<Value>>> {
+        buf: &mut CallBuffers,
+    ) -> Result<usize> {
         let imp = match callee {
-            Callee::Builtin => return call_builtin(pred, args, values),
+            Callee::Builtin => return call_builtin(pred, args, values, &mut buf.tuples),
             Callee::Impl(i) => &self.impls[i],
         };
-        let mut inputs = Vec::new();
+        let CallBuffers {
+            tuples,
+            inputs,
+            produced,
+        } = buf;
+        inputs.clear();
         for (k, a) in imp.adornment.iter().enumerate() {
             if *a == Adornment::Bound {
                 let Some(v) = &values[k] else {
@@ -154,23 +163,25 @@ impl ExternalRegistry {
             .iter()
             .filter(|a| **a == Adornment::Free)
             .count();
-        let mut out = Vec::new();
-        'tuple: for tuple in (imp.f)(&inputs) {
-            if tuple.len() != free {
-                return Err(MedError::External(format!(
-                    "implementation {} returned a tuple of wrong arity",
-                    imp.func
-                )));
-            }
-            let mut produced = tuple.into_iter();
-            let mut full = Vec::with_capacity(args.len());
+        produced.clear();
+        let n = (imp.f)(inputs, produced);
+        if produced.len() != n * free {
+            return Err(MedError::External(format!(
+                "implementation {} returned a tuple of wrong arity",
+                imp.func
+            )));
+        }
+        let mut kept = 0;
+        'tuple: for i in 0..n {
+            let start = tuples.len();
+            let mut own = produced[i * free..(i + 1) * free].iter();
             for ((a, t), given) in imp.adornment.iter().zip(args).zip(values) {
                 let Some(v) = given.as_ref().filter(|_| *a == Adornment::Bound) else {
                     // A free position: what the implementation produced.
-                    let v = produced.next().expect("arity checked above");
+                    let v = own.next().expect("arity checked above");
                     let agrees = match (t, given) {
-                        (Term::Const(c), _) => engine::matcher::atomic_eq(c, &v),
-                        (Term::Var(_), Some(given)) => *given == v,
+                        (Term::Const(c), _) => engine::matcher::atomic_eq(c, v),
+                        (Term::Var(_), Some(given)) => given == v,
                         (Term::Var(_), None) => true,
                         _ => {
                             return Err(MedError::External(format!(
@@ -179,16 +190,18 @@ impl ExternalRegistry {
                         }
                     };
                     if !agrees {
+                        // Take back what this tuple appended so far.
+                        tuples.truncate(start);
                         continue 'tuple;
                     }
-                    full.push(v);
+                    tuples.push(v.clone());
                     continue;
                 };
-                full.push(v.clone());
+                tuples.push(v.clone());
             }
-            out.push(full);
+            kept += 1;
         }
-        Ok(out)
+        Ok(kept)
     }
 
     /// Evaluate `pred(args)` under `bindings`, returning the extended
@@ -198,12 +211,14 @@ impl ExternalRegistry {
         let values: Vec<Option<Value>> = args.iter().map(|t| term_value(t, b)).collect();
         let bound: Vec<bool> = values.iter().map(Option::is_some).collect();
         let callee = self.resolve(pred, args, &bound)?;
+        let mut buf = CallBuffers::default();
+        let n = self.call(callee, pred, args, &values, &mut buf)?;
         let mut out = Vec::new();
-        'answer: for full in self.call(callee, pred, args, &values)? {
+        'answer: for full in buf.first(n, args.len()) {
             let mut next = b.clone();
             for ((t, given), v) in args.iter().zip(&values).zip(full) {
                 if let (Term::Var(var), None) = (t, given) {
-                    if !next.bind_mut(*var, BoundValue::Atom(v)) {
+                    if !next.bind_mut(*var, BoundValue::Atom(v.clone())) {
                         continue 'answer;
                     }
                 }
@@ -211,6 +226,24 @@ impl ExternalRegistry {
             out.push(next);
         }
         Ok(out)
+    }
+}
+
+/// The buffers of [`ExternalRegistry::call`]: the full tuples it appends,
+/// and the scratch it passes an implementation. A caller keeps them from
+/// one call to the next, so a call allocates nothing once they have grown.
+#[derive(Default)]
+pub struct CallBuffers {
+    /// Full argument tuples, one after another, `args.len()` values each.
+    pub tuples: Vec<Value>,
+    inputs: Vec<Value>,
+    produced: Vec<Value>,
+}
+
+impl CallBuffers {
+    /// The first `n` tuples of `tuples`, `arity` values each.
+    pub fn first(&self, n: usize, arity: usize) -> impl Iterator<Item = &[Value]> {
+        (0..n).map(move |k| &self.tuples[k * arity..(k + 1) * arity])
     }
 }
 
@@ -241,17 +274,46 @@ fn term_value(t: &Term, b: &Bindings) -> Option<Value> {
     }
 }
 
-/// A built-in comparison on its two argument values: the full tuple when
-/// it holds. `eq` with one side unbound binds it to the other.
-fn call_builtin(pred: Symbol, args: &[Term], values: &[Option<Value>]) -> Result<Vec<Vec<Value>>> {
+/// Is `pred` the built-in `eq`, which can bind one side?
+fn is_eq(pred: Symbol) -> bool {
+    pred == builtin_orders()[0].0
+}
+
+/// The built-in comparisons, `eq` first, each with the orderings of its
+/// two arguments under which it holds. Interned once.
+fn builtin_orders() -> &'static [(Symbol, &'static [Ordering]); 6] {
+    use Ordering::{Equal, Greater, Less};
+    static ORDERS: OnceLock<[(Symbol, &'static [Ordering]); 6]> = OnceLock::new();
+    ORDERS.get_or_init(|| {
+        [
+            ("eq", &[Equal][..]),
+            ("neq", &[Less, Greater]),
+            ("lt", &[Less]),
+            ("le", &[Less, Equal]),
+            ("gt", &[Greater]),
+            ("ge", &[Greater, Equal]),
+        ]
+        .map(|(name, holds)| (Symbol::intern(name), holds))
+    })
+}
+
+/// A built-in comparison on its two argument values: appends the full
+/// tuple to `out` when it holds. `eq` with one side unbound binds it to
+/// the other.
+fn call_builtin(
+    pred: Symbol,
+    args: &[Term],
+    values: &[Option<Value>],
+    out: &mut Vec<Value>,
+) -> Result<usize> {
     let [va, vb] = values else {
         return Err(MedError::External(format!("{pred} expects 2 arguments")));
     };
-    let name = pred.as_str();
     let (x, y) = match (va, vb, args) {
         (Some(x), Some(y), _) => (x, y),
-        (Some(v), None, [_, Term::Var(_)]) | (None, Some(v), [Term::Var(_), _]) if name == "eq" => {
-            return Ok(vec![vec![v.clone(), v.clone()]])
+        (Some(v), None, [_, Term::Var(_)]) | (None, Some(v), [Term::Var(_), _]) if is_eq(pred) => {
+            out.extend([v.clone(), v.clone()]);
+            return Ok(1);
         }
         _ => {
             return Err(MedError::External(format!(
@@ -259,24 +321,16 @@ fn call_builtin(pred: Symbol, args: &[Term], values: &[Option<Value>]) -> Result
             )))
         }
     };
-    use std::cmp::Ordering::{Equal, Greater, Less};
-    let ord = x.compare_atomic(y);
-    let holds = match (name.as_str(), ord) {
-        ("eq", Some(Equal)) => true,
-        ("neq", Some(Less | Greater)) => true,
-        ("lt", Some(Less)) => true,
-        ("le", Some(Less | Equal)) => true,
-        ("gt", Some(Greater)) => true,
-        ("ge", Some(Greater | Equal)) => true,
-        // Incomparable values fail every comparison — irregular data never
-        // errors, it just fails to match (§2).
-        _ => false,
-    };
-    Ok(if holds {
-        vec![vec![x.clone(), y.clone()]]
-    } else {
-        Vec::new()
-    })
+    // Incomparable values fail every comparison — irregular data never
+    // errors, it just fails to match (§2).
+    let holds = x.compare_atomic(y).is_some_and(|ord| {
+        (builtin_orders().iter()).any(|(name, holds)| *name == pred && holds.contains(&ord))
+    });
+    if !holds {
+        return Ok(0);
+    }
+    out.extend([x.clone(), y.clone()]);
+    Ok(1)
 }
 
 /// The standard library: the paper's `decomp` predicate, implemented by
@@ -290,44 +344,48 @@ pub fn standard_registry() -> ExternalRegistry {
         "decomp",
         "name_to_lnfn",
         vec![Adornment::Bound, Adornment::Free, Adornment::Free],
-        |inputs| {
+        |inputs, out| {
             let Some(full) = inputs[0].as_str_sym() else {
-                return Vec::new();
+                return 0;
             };
-            match name_to_lnfn(&full.as_str()) {
-                Some((ln, fn_)) => vec![vec![Value::str(&ln), Value::str(&fn_)]],
-                None => Vec::new(),
-            }
+            full.with_str(|full| match name_to_lnfn(full) {
+                Some((ln, fn_)) => {
+                    out.extend([Value::str(ln), Value::str(fn_)]);
+                    1
+                }
+                None => 0,
+            })
         },
     );
     reg.register(
         "decomp",
         "lnfn_to_name",
         vec![Adornment::Free, Adornment::Bound, Adornment::Bound],
-        |inputs| {
+        |inputs, out| {
             let (Some(ln), Some(fn_)) = (inputs[0].as_str_sym(), inputs[1].as_str_sym()) else {
-                return Vec::new();
+                return 0;
             };
-            vec![vec![Value::str(&lnfn_to_name(&ln.as_str(), &fn_.as_str()))]]
+            let full = ln.with_str(|ln| fn_.with_str(|fn_| lnfn_to_name(ln, fn_)));
+            out.push(Value::str(&full));
+            1
         },
     );
     reg.register(
         "decomp",
         "check_name_lnfn",
         vec![Adornment::Bound, Adornment::Bound, Adornment::Bound],
-        |inputs| {
+        |inputs, _| {
             let (Some(full), Some(ln), Some(fn_)) = (
                 inputs[0].as_str_sym(),
                 inputs[1].as_str_sym(),
                 inputs[2].as_str_sym(),
             ) else {
-                return Vec::new();
+                return 0;
             };
-            if check_name_lnfn(&full.as_str(), &ln.as_str(), &fn_.as_str()) {
-                vec![vec![]]
-            } else {
-                Vec::new()
-            }
+            let holds = full.with_str(|full| {
+                ln.with_str(|ln| fn_.with_str(|fn_| check_name_lnfn(full, ln, fn_)))
+            });
+            usize::from(holds)
         },
     );
     reg
@@ -422,13 +480,41 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_of_calls_appends_only_the_tuples_it_keeps() {
+        // decomp(N, LN, 'Bob') over a batch of rows into one buffer:
+        // name_to_lnfn produces a tuple for every name, and the constant
+        // keeps those whose first name is Bob. A rejected tuple leaves
+        // nothing behind, so the kept ones lie one after another.
+        let reg = standard_registry();
+        let args = [Term::var("N"), Term::var("LN"), Term::str("Bob")];
+        let names = ["Joe Chung", "Bob Smith", "Ann Lee", "Bob Jones"];
+        let mut buf = CallBuffers::default();
+        let mut kept = Vec::new();
+        for name in names {
+            let values = [Some(Value::str(name)), None, Some(Value::str("Bob"))];
+            let callee = reg
+                .resolve(sym("decomp"), &args, &[true, false, true])
+                .unwrap();
+            kept.push(
+                reg.call(callee, sym("decomp"), &args, &values, &mut buf)
+                    .unwrap(),
+            );
+        }
+        assert_eq!(kept, [0, 1, 0, 1]);
+        let tuples: Vec<Value> = ["Bob Smith", "Smith", "Bob", "Bob Jones", "Jones", "Bob"]
+            .map(Value::str)
+            .into();
+        assert_eq!(buf.tuples, tuples);
+    }
+
+    #[test]
     fn argument_columns_alone_evaluate_like_the_whole_row() {
         // decomp(N, LN, FN) with FN bound: name_to_lnfn generates, and the
         // bound "free" FN keeps only an agreeing tuple. The row's other
         // columns, a set among them, change nothing.
         let reg = standard_registry();
         let args = [Term::var("N"), Term::var("LN"), Term::var("FN")];
-        let rest = BoundValue::ObjSet(vec![oem::ObjId::from_raw(2), oem::ObjId::from_raw(1)]);
+        let rest = BoundValue::ObjSet([2, 1].map(oem::ObjId::from_raw).into());
         let new_values = |b: &Bindings| -> Vec<Option<BoundValue>> {
             reg.evaluate(sym("decomp"), &args, b)
                 .unwrap()

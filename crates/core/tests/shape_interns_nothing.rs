@@ -1,12 +1,12 @@
-//! Shaping a query interns nothing: the process-wide interner never frees
-//! what it holds, so a key that interned per query would grow a resident
-//! mediator without bound.
+//! Shaping a query, and printing its key, interns nothing: the
+//! process-wide interner never frees what it holds, so a key that interned
+//! per query would grow a resident mediator without bound.
 //!
 //! Lives in its own test binary: the check compares the interner's size
 //! before and after, which any test interning on another thread would
 //! disturb.
 
-use medmaker::cache::QueryShape;
+use medmaker::cache::{canonical_key, QueryShape};
 use oem::Symbol;
 
 #[test]
@@ -22,9 +22,14 @@ fn shaping_distinct_queries_interns_nothing() {
             .unwrap()
         })
         .collect();
+    // The key's own names (`CV0`, its carriers, the mask) are the same
+    // for every rule: the first key interns them.
+    canonical_key(&rules[0]);
     let before = Symbol::interned();
     let shapes: Vec<QueryShape> = rules.iter().map(QueryShape::of).collect();
+    let keys: Vec<String> = rules.iter().map(canonical_key).collect();
     assert_eq!(Symbol::interned(), before);
     assert_eq!(shapes[0].vars().len(), 2);
     assert!(shapes.windows(2).all(|w| w[0] != w[1]));
+    assert!(keys.windows(2).all(|w| w[0] != w[1]));
 }

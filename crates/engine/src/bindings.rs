@@ -12,6 +12,7 @@
 
 use oem::{ObjId, Symbol, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// What a variable is bound to.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -22,18 +23,21 @@ pub enum BoundValue {
     /// A whole object (object variables `X:`).
     Obj(ObjId),
     /// A set of objects (rest variables and set-valued variables). Kept
-    /// sorted so that equal sets compare equal.
-    ObjSet(Vec<ObjId>),
+    /// sorted so that equal sets compare equal. Shared: cloning a row
+    /// that binds a set bumps a reference count and copies no id.
+    ObjSet(Arc<[ObjId]>),
 }
 
 impl BoundValue {
-    /// Normalize: `ObjSet` contents are sorted and deduplicated.
+    /// Normalize: `ObjSet` contents are sorted and deduplicated. A set
+    /// already so is returned as it is, still shared.
     pub fn normalized(self) -> BoundValue {
         match self {
-            BoundValue::ObjSet(mut ids) => {
+            BoundValue::ObjSet(ids) if !ids.windows(2).all(|w| w[0] < w[1]) => {
+                let mut ids = ids.to_vec();
                 ids.sort_unstable();
                 ids.dedup();
-                BoundValue::ObjSet(ids)
+                BoundValue::ObjSet(ids.into())
             }
             other => other,
         }
@@ -318,25 +322,26 @@ mod tests {
 
     #[test]
     fn objset_normalization() {
-        let a = BoundValue::ObjSet(vec![
-            ObjId::from_raw(3),
-            ObjId::from_raw(1),
-            ObjId::from_raw(3),
-        ])
-        .normalized();
-        let b = BoundValue::ObjSet(vec![ObjId::from_raw(1), ObjId::from_raw(3)]).normalized();
+        let a = BoundValue::ObjSet([3, 1, 3].map(ObjId::from_raw).into()).normalized();
+        let sorted: Arc<[ObjId]> = [1, 3].map(ObjId::from_raw).into();
+        let b = BoundValue::ObjSet(Arc::clone(&sorted)).normalized();
         assert_eq!(a, b);
+        // A sorted set stays the one shared allocation.
+        let BoundValue::ObjSet(kept) = b else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(&kept, &sorted));
 
         // bind() normalizes automatically, so binding orders agree.
         let b1 = Bindings::new()
             .bind(
                 sym("Rest"),
-                BoundValue::ObjSet(vec![ObjId::from_raw(2), ObjId::from_raw(1)]),
+                BoundValue::ObjSet([2, 1].map(ObjId::from_raw).into()),
             )
             .unwrap();
         let b2 = b1.bind(
             sym("Rest"),
-            BoundValue::ObjSet(vec![ObjId::from_raw(1), ObjId::from_raw(2)]),
+            BoundValue::ObjSet([1, 2].map(ObjId::from_raw).into()),
         );
         assert!(b2.is_some());
     }

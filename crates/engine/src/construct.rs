@@ -15,6 +15,7 @@
 
 use crate::bindings::{Bindings, BoundValue};
 use msl::{Head, PatValue, Pattern, SetElem, Term};
+use oem::copy::{self, IdMap};
 use oem::{ObjId, ObjectStore, Symbol, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -64,7 +65,7 @@ pub struct Constructor<'a> {
     pub src: &'a ObjectStore,
     /// Copy map shared across constructions from one `src`, so shared
     /// source objects stay shared in the output.
-    copy_map: HashMap<ObjId, ObjId>,
+    copy_map: IdMap,
     /// Semantic oid → already-constructed object.
     fused: HashMap<Symbol, ObjId>,
 }
@@ -74,7 +75,7 @@ impl<'a> Constructor<'a> {
     pub fn new(src: &'a ObjectStore) -> Constructor<'a> {
         Constructor {
             src,
-            copy_map: HashMap::new(),
+            copy_map: IdMap::default(),
             fused: HashMap::new(),
         }
     }
@@ -246,7 +247,7 @@ impl<'a> Constructor<'a> {
                             // Set-bound variables are flattened one level
                             // (§2, "Creation of the Virtual Objects").
                             Some(BoundValue::ObjSet(ids)) => {
-                                for &i in ids {
+                                for &i in ids.iter() {
                                     kids.push(self.copy_obj(i, dst));
                                 }
                             }
@@ -303,24 +304,7 @@ impl<'a> Constructor<'a> {
         // performs) keeps source-side sharing — including interior sharing
         // between different bindings — shared in the output, and makes
         // cycles terminate.
-        if let Some(&done) = self.copy_map.get(&src_id) {
-            return done;
-        }
-        let obj = self.src.get(src_id);
-        match obj.value.as_set() {
-            None => {
-                let new = dst.insert_auto(obj.label, obj.value.clone());
-                self.copy_map.insert(src_id, new);
-                new
-            }
-            Some(children) => {
-                let new = dst.insert_auto(obj.label, Value::Set(Vec::new()));
-                self.copy_map.insert(src_id, new);
-                let kids: Vec<ObjId> = children.iter().map(|&c| self.copy_obj(c, dst)).collect();
-                *dst.get_mut(new).value.as_set_mut().unwrap() = kids;
-                new
-            }
-        }
+        copy::deep_copy_into(self.src, src_id, dst, &mut self.copy_map)
     }
 }
 

@@ -16,6 +16,7 @@
 use crate::bindings::{dedup_bindings, Bindings, BoundValue};
 use msl::{PatValue, Pattern, SetElem, SetPattern, Term};
 use oem::{path, ObjId, ObjectStore, Symbol, Value};
+use std::sync::Arc;
 
 // ---- the depth-first kernel ----------------------------------------------
 //
@@ -115,7 +116,7 @@ fn match_obj(
         match (&pat.value, &obj.value) {
             // A variable in value position binds the set of subobjects.
             (PatValue::Term(Term::Var(v)), Value::Set(children)) => {
-                if b.bind_trailed(*v, BoundValue::ObjSet(children.clone()), trail) {
+                if b.bind_trailed(*v, BoundValue::ObjSet(children.as_slice().into()), trail) {
                     k(b, trail);
                 }
             }
@@ -200,7 +201,7 @@ impl SetMatch<'_> {
                     return;
                 };
                 let saved = consumed.to_vec();
-                for idv in ids {
+                for idv in ids.iter() {
                     let Some(i) = self.children.iter().position(|c| c == idv) else {
                         consumed.copy_from_slice(&saved);
                         return;
@@ -219,12 +220,16 @@ impl SetMatch<'_> {
         let Some(rest) = &self.sp.rest else {
             return k(b, trail);
         };
-        let rest_ids: Vec<ObjId> = (self.children.iter().enumerate())
+        // Counted first, so the shared set is allocated once at its size.
+        let mut unconsumed = (self.children.iter().enumerate())
             .filter(|(i, _)| consumed[i / 64] & (1 << (i % 64)) == 0)
-            .map(|(_, &c)| c)
+            .map(|(_, &c)| c);
+        let taken: u32 = consumed.iter().map(|w| w.count_ones()).sum();
+        let rest_ids: Arc<[ObjId]> = (0..self.children.len() - taken as usize)
+            .map(|_| unconsumed.next().expect("counted above"))
             .collect();
         let mark = trail.len();
-        if b.bind_trailed(rest.var, BoundValue::ObjSet(rest_ids.clone()), trail) {
+        if b.bind_trailed(rest.var, BoundValue::ObjSet(Arc::clone(&rest_ids)), trail) {
             conditions(self.store, &rest_ids, &rest.conditions, b, trail, k);
         }
         b.undo(trail, mark);
@@ -450,7 +455,7 @@ mod tests {
         assert_eq!(sols.len(), 1);
         assert_eq!(
             sols[0].get(sym("Rest")).unwrap(),
-            &BoundValue::ObjSet(vec![])
+            &BoundValue::ObjSet(Arc::new([]))
         );
     }
 

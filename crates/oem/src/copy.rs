@@ -7,9 +7,14 @@
 //! visited set) and generate fresh oids in the destination, since oids from
 //! different sources may collide.
 
-use crate::store::{ObjId, ObjectStore};
+use crate::store::{FxHasher, ObjId, ObjectStore};
 use crate::value::Value;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+/// An old-id → new-id map, hashed with one multiply per id: ids are
+/// integers local to the process, and no client chooses them.
+pub type IdMap = HashMap<ObjId, ObjId, BuildHasherDefault<FxHasher>>;
 
 /// Copy the structures rooted at `roots` from `src` into `dst`.
 ///
@@ -17,7 +22,7 @@ use std::collections::HashMap;
 /// `dst`'s generator; sharing is preserved, within a structure and across
 /// the roots.
 pub fn deep_copy_all(src: &ObjectStore, roots: &[ObjId], dst: &mut ObjectStore) -> Vec<ObjId> {
-    let mut map: HashMap<ObjId, ObjId> = HashMap::new();
+    let mut map = IdMap::default();
     roots
         .iter()
         .map(|&r| copy_rec(src, r, dst, &mut map))
@@ -35,7 +40,7 @@ pub fn deep_copy_into(
     src: &ObjectStore,
     root: ObjId,
     dst: &mut ObjectStore,
-    map: &mut HashMap<ObjId, ObjId>,
+    map: &mut IdMap,
 ) -> ObjId {
     copy_rec(src, root, dst, map)
 }
@@ -50,12 +55,7 @@ pub fn copy_top_level(src: &ObjectStore, dst: &mut ObjectStore) -> Vec<ObjId> {
     roots
 }
 
-fn copy_rec(
-    src: &ObjectStore,
-    id: ObjId,
-    dst: &mut ObjectStore,
-    map: &mut HashMap<ObjId, ObjId>,
-) -> ObjId {
+fn copy_rec(src: &ObjectStore, id: ObjId, dst: &mut ObjectStore, map: &mut IdMap) -> ObjId {
     if let Some(&done) = map.get(&id) {
         return done;
     }

@@ -271,7 +271,7 @@ pub fn read_carriers(
                         )))
                     }
                 },
-                (Value::Set(kids), VarKind::Scalar) => BoundValue::ObjSet(kids.clone()),
+                (Value::Set(kids), VarKind::Scalar) => BoundValue::ObjSet(kids.as_slice().into()),
                 (atomic, _) => BoundValue::Atom(atomic.clone()),
             });
         }
@@ -558,7 +558,7 @@ mod tests {
         );
         assert_eq!(
             read(var("X", VarKind::Scalar)).unwrap(),
-            [[BoundValue::ObjSet(vec![])]]
+            [[BoundValue::ObjSet(Arc::new([]))]]
         );
         // An answer without the carrier cannot be attributed to a binding.
         let err = read(var("Y", VarKind::Scalar)).unwrap_err();

@@ -374,6 +374,7 @@ impl<'q> FlatRow<'q> {
     ) {
         let wants_rest = self.head.contains(&None);
         let mut vals = Vec::with_capacity(self.vars.len());
+        let mut rest = Vec::new();
         for &rid in rids {
             let row = cells.row(rid);
             vals.clear();
@@ -386,7 +387,7 @@ impl<'q> FlatRow<'q> {
             if !bound || !sets.admit_atoms(&self.vars, &mut vals) {
                 continue;
             }
-            let mut rest = Vec::new();
+            rest.clear();
             if wants_rest {
                 for (c, v) in row.iter().enumerate() {
                     if let Some(v) = v.as_ref().filter(|_| !at.contains(&c)) {
@@ -396,7 +397,7 @@ impl<'q> FlatRow<'q> {
             }
             let head = self.head.iter().map(|h| match h {
                 Some(i) => BoundValue::Atom(vals[*i].clone()),
-                None => BoundValue::ObjSet(std::mem::take(&mut rest)),
+                None => BoundValue::ObjSet(rest.as_slice().into()),
             });
             out.push(head.collect());
         }

@@ -107,9 +107,9 @@ pub fn cs_wrapper() -> RelationalWrapper {
     RelationalWrapper::new("cs", cs_catalog())
 }
 
-/// `name_to_lnfn`: decompose a full name into (last, first). The paper's
-/// convention: 'Joe Chung' ⇒ LN='Chung', FN='Joe'.
-pub fn name_to_lnfn(full: &str) -> Option<(String, String)> {
+/// `name_to_lnfn`: decompose a full name into (last, first), both slices
+/// of `full`. The paper's convention: 'Joe Chung' ⇒ LN='Chung', FN='Joe'.
+pub fn name_to_lnfn(full: &str) -> Option<(&str, &str)> {
     let idx = full.rfind(' ')?;
     let (first, last) = full.split_at(idx);
     let first = first.trim();
@@ -117,7 +117,7 @@ pub fn name_to_lnfn(full: &str) -> Option<(String, String)> {
     if first.is_empty() || last.is_empty() {
         return None;
     }
-    Some((last.to_string(), first.to_string()))
+    Some((last, first))
 }
 
 /// `lnfn_to_name`: compose (last, first) into a full name.
@@ -172,10 +172,7 @@ mod tests {
 
     #[test]
     fn decomp_functions() {
-        assert_eq!(
-            name_to_lnfn("Joe Chung"),
-            Some(("Chung".to_string(), "Joe".to_string()))
-        );
+        assert_eq!(name_to_lnfn("Joe Chung"), Some(("Chung", "Joe")));
         assert_eq!(lnfn_to_name("Chung", "Joe"), "Joe Chung");
         assert!(check_name_lnfn("Joe Chung", "Chung", "Joe"));
         assert!(!check_name_lnfn("Joe Chung", "Chung", "Bob"));
@@ -183,7 +180,7 @@ mod tests {
         // Multi-part first names split at the last space.
         assert_eq!(
             name_to_lnfn("John von Neumann"),
-            Some(("Neumann".to_string(), "John von".to_string()))
+            Some(("Neumann", "John von"))
         );
     }
 }

@@ -51,11 +51,12 @@ compose_lnf(bound, bound, free) by last_comma_first
         "compose_lnf",
         "last_comma_first",
         vec![Adornment::Bound, Adornment::Bound, Adornment::Free],
-        |inputs| {
+        |inputs, out| {
             let (Some(ln), Some(fn_)) = (inputs[0].as_str_sym(), inputs[1].as_str_sym()) else {
-                return Vec::new();
+                return 0;
             };
-            vec![vec![Value::str(&format!("{ln}, {fn_}"))]]
+            out.push(Value::str(&format!("{ln}, {fn_}")));
+            1
         },
     );
 

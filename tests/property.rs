@@ -133,7 +133,7 @@ fn arb_bindings() -> impl Strategy<Value = Bindings> {
     let value = prop_oneof![
         (0i64..3).prop_map(|i| BoundValue::Atom(Value::Int(i))),
         id.clone().prop_map(BoundValue::Obj),
-        prop::collection::vec(id, 0..3).prop_map(BoundValue::ObjSet),
+        prop::collection::vec(id, 0..3).prop_map(|ids| BoundValue::ObjSet(ids.into())),
     ];
     prop::collection::vec((arb_binding_var(), value), 0..4).prop_map(|pairs| {
         let mut b = Bindings::new();
@@ -934,13 +934,31 @@ proptest! {
 
     /// The shape is the printed key without the printing: over generated
     /// source queries, their renamed and reordered copies, and the same
-    /// query comparing `year` with `3`, `3.0` and `'3'`.
+    /// query comparing `year` with `3`, `3.0` and `'3'`; and over a fixed
+    /// pair that prints three fields alike, `<oid a, label b, 'c'>` and
+    /// `<label a, type b, 'c'>`.
     #[test]
     fn shapes_are_equal_exactly_when_canonical_keys_are(
         a in arb_source_rule(),
         b in arb_source_rule(),
         seed in any::<u64>(),
     ) {
+        let three_fields = |oid: Option<&str>, label: &str, typ: Option<&str>| Rule {
+            head: Head::Var(oem::sym("X")),
+            tail: vec![TailItem::Match {
+                pattern: Pattern {
+                    obj_var: Some(oem::sym("X")),
+                    oid: oid.map(Term::str),
+                    label: Term::str(label),
+                    typ: typ.map(Term::str),
+                    value: PatValue::Term(Term::str("c")),
+                },
+                source: Some(oem::sym("s")),
+            }],
+        };
+        let with_oid = three_fields(Some("a"), "b", None);
+        let with_type = three_fields(None, "a", Some("b"));
+        prop_assert_eq!(shape_and_key_agree(&with_oid, &with_type), (false, false));
         prop_assert_eq!(shape_and_key_agree(&a, &a), (true, true));
         let renamed = Variant::of(&a, seed, false);
         prop_assert_eq!(shape_and_key_agree(&a, &renamed), (true, true), "{}", renamed);
@@ -1460,7 +1478,7 @@ fn same_rows(a: &wrappers::Rows, b: &wrappers::Rows) -> bool {
         (BoundValue::Atom(x), BoundValue::Atom(y)) => engine::matcher::atomic_eq(x, y),
         (BoundValue::Obj(x), BoundValue::Obj(y)) => same_obj(x, y),
         (BoundValue::ObjSet(xs), BoundValue::ObjSet(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_obj(x, y))
+            xs.len() == ys.len() && xs.iter().zip(ys.iter()).all(|(x, y)| same_obj(x, y))
         }
         _ => false,
     };
