@@ -108,7 +108,7 @@ use crate::stats::SharedStats;
 use engine::bindings::{Bindings, BoundValue};
 use engine::matcher::{atomic_eq, match_pattern};
 use hot::{CachedAnswer, ColumnIndex, HotTier};
-use msl::{Head, PatValue, Pattern, Rule, SetElem, SetPattern, TailItem, Term};
+use msl::{Head, PatValue, Pattern, Rule, SetElem, SetPattern, Slot, TailItem, Term, VisitMut};
 use oem::{ObjectStore, Symbol, Value};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -824,7 +824,7 @@ pub fn canonical_key(query: &Rule) -> String {
     }
     rule.tail.sort_by_cached_key(|t| {
         let mut t = t.clone();
-        rename_tail_item(&mut t, &vars, &mut |_| Symbol::intern("MASKED"));
+        rename(&mut t, &vars, &mut |_| Symbol::intern("MASKED"));
         match t {
             TailItem::Match { pattern, source } => format!(
                 "m:{}@{}",
@@ -840,25 +840,23 @@ pub fn canonical_key(query: &Rule) -> String {
     // Pass 2: rename every variable (and the `bind_for_<var>` carrier
     // labels that embed one) to CV0, CV1, ... in traversal order.
     let mut names: HashMap<Symbol, Symbol> = HashMap::new();
-    let mut rename = |v: Symbol| {
+    rename(&mut rule, &vars, &mut |v| {
         let next = names.len();
         *names
             .entry(v)
             .or_insert_with(|| Symbol::intern(&format!("CV{next}")))
-    };
-    match &mut rule.head {
-        Head::Var(v) => *v = rename(*v),
-        Head::Pattern(p) => rename_pattern(p, &vars, &mut rename),
-    }
-    for t in &mut rule.tail {
-        rename_tail_item(t, &vars, &mut rename);
-    }
+    });
     msl::printer::rule(&rule)
 }
 
 /// Sort `p`'s set elements and rest conditions by their masked printed
-/// form, innermost sets first.
+/// form, innermost sets first. A pattern with a type and no oid would
+/// print like one with an oid and no type; it is given the oid `$`, which
+/// no parsed rule holds.
 fn sort_pattern(p: &mut Pattern, vars: &HashSet<Symbol>) {
+    if p.oid.is_none() && p.typ.is_some() {
+        p.oid = Some(Term::Param(Symbol::intern("")));
+    }
     let PatValue::Set(sp) = &mut p.value else {
         return;
     };
@@ -884,7 +882,7 @@ fn sort_pattern(p: &mut Pattern, vars: &HashSet<Symbol>) {
 /// masked.
 fn masked(p: &Pattern, vars: &HashSet<Symbol>) -> String {
     let mut p = p.clone();
-    rename_pattern(&mut p, vars, &mut |_| Symbol::intern("MASKED"));
+    rename(&mut p, vars, &mut |_| Symbol::intern("MASKED"));
     msl::printer::pattern(&p)
 }
 
@@ -906,65 +904,21 @@ fn map_bind_for(
     Some(Value::str(&format!("bind_for_{}", f(var))))
 }
 
-/// Rewrite every variable of `t` through `f`, carrier labels included.
-fn rename_term(t: &mut Term, vars: &HashSet<Symbol>, f: &mut impl FnMut(Symbol) -> Symbol) {
-    match t {
-        Term::Var(v) => *v = f(*v),
-        Term::Const(c) => {
+/// Rewrite every variable of `x` through `f`, in visit order, and every
+/// carrier label of one.
+fn rename(x: &mut impl VisitMut, vars: &HashSet<Symbol>, f: &mut impl FnMut(Symbol) -> Symbol) {
+    x.visit_mut(&mut |slot| match slot {
+        Slot::Term(Term::Const(c)) => {
             if let Some(mapped) = map_bind_for(c, vars, f) {
                 *c = mapped;
             }
         }
-        Term::Param(_) => {}
-        Term::Func(_, args) => args.iter_mut().for_each(|a| rename_term(a, vars, f)),
-    }
-}
-
-/// Rewrite every variable of `p` through `f`, in traversal order. A
-/// pattern with a type and no oid would print like one with an oid and
-/// no type; it is given the oid `$`, which no parsed rule holds.
-fn rename_pattern(p: &mut Pattern, vars: &HashSet<Symbol>, f: &mut impl FnMut(Symbol) -> Symbol) {
-    if let Some(v) = &mut p.obj_var {
-        *v = f(*v);
-    }
-    if p.oid.is_none() && p.typ.is_some() {
-        p.oid = Some(Term::Param(Symbol::intern("")));
-    }
-    if let Some(t) = &mut p.oid {
-        rename_term(t, vars, f);
-    }
-    rename_term(&mut p.label, vars, f);
-    if let Some(t) = &mut p.typ {
-        rename_term(t, vars, f);
-    }
-    match &mut p.value {
-        PatValue::Term(t) => rename_term(t, vars, f),
-        PatValue::Set(sp) => {
-            for e in &mut sp.elements {
-                match e {
-                    SetElem::Pattern(q) | SetElem::Wildcard(q) => rename_pattern(q, vars, f),
-                    SetElem::Var(v) => *v = f(*v),
-                }
-            }
-            if let Some(r) = &mut sp.rest {
-                r.var = f(r.var);
-                for c in &mut r.conditions {
-                    rename_pattern(c, vars, f);
-                }
+        slot => {
+            if let Some(v) = slot.var() {
+                *v = f(*v);
             }
         }
-    }
-}
-
-fn rename_tail_item(
-    t: &mut TailItem,
-    vars: &HashSet<Symbol>,
-    f: &mut impl FnMut(Symbol) -> Symbol,
-) {
-    match t {
-        TailItem::Match { pattern, .. } => rename_pattern(pattern, vars, f),
-        TailItem::External { args, .. } => args.iter_mut().for_each(|a| rename_term(a, vars, f)),
-    }
+    });
 }
 
 // ---- containment probe --------------------------------------------------

@@ -1283,3 +1283,18 @@ fn a_promoted_entry_is_indexed_on_its_next_pinned_probe() {
     assert_eq!(cache.counters().warm_hits, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn canonical_key_numbers_variables_in_field_order() {
+    // A variable in every slot the visitor yields: object variable, an
+    // oid's function argument, label, type, set element, rest variable
+    // and its condition, and an external's arguments. Numbering is by
+    // first occurrence in visit order, so this text pins that order.
+    let rule = q("<f(K) L T {<n N> S}> :- \
+         X:<g(K, M) L T {<name N> S | R:{<year Y>}}>@s AND ext(N, Z)");
+    assert_eq!(
+        canonical_key(&rule),
+        "<f(CV0) CV1 CV2 {<n CV3> CV4}> :- ext(CV3, CV5)\n    \
+         AND CV6:<g(CV0, CV7) CV1 CV2 {<name CV3> CV4 | CV8:{<year CV9>}}>@s"
+    );
+}

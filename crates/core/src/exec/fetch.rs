@@ -10,7 +10,7 @@ use crate::graph::{ExtractVar, VarKind};
 use crate::metrics::{NodeMetrics, Observation};
 use crate::valueset;
 use engine::bindings::BoundValue;
-use engine::subst::{fill_params_rule, Subst};
+use engine::subst::{fill_params, Subst};
 use msl::{Rule, TailItem, Term};
 use oem::{ObjectStore, Symbol, Value};
 use std::cell::OnceCell;
@@ -193,7 +193,7 @@ impl<'p> ParamSource<'p> {
         let consts: Subst = (self.params.iter().zip(tuple))
             .map(|(p, v)| (*p, Term::Const(v.clone())))
             .collect();
-        fill_params_rule(self.q.query, &consts)
+        fill_params(self.q.query, &consts)
     }
 
     /// The [`super::ParamMemo`] key of `tuple`.

@@ -22,9 +22,7 @@ use crate::analysis::SourceInfo;
 use engine::containment::contained_in;
 use engine::unify::Unifier;
 use msl::diag::{codes, Diagnostic, Span};
-use msl::{
-    Head, PatValue, Pattern, RestSpec, Rule, SetElem, SetPattern, Spec, SpecSpans, TailItem, Term,
-};
+use msl::{Head, Rule, Spec, SpecSpans, TailItem, VisitMut};
 use oem::Symbol;
 use std::collections::BTreeMap;
 
@@ -216,69 +214,13 @@ fn canonical(rule: &Rule) -> Rule {
         map.entry(v)
             .or_insert_with(|| Symbol::intern(&format!("__c{next}")));
     }
-    map_rule(rule, &map)
-}
-
-fn map_sym(v: Symbol, m: &BTreeMap<Symbol, Symbol>) -> Symbol {
-    m.get(&v).copied().unwrap_or(v)
-}
-
-fn map_term(t: &Term, m: &BTreeMap<Symbol, Symbol>) -> Term {
-    match t {
-        Term::Var(v) => Term::Var(map_sym(*v, m)),
-        Term::Func(f, args) => Term::Func(*f, args.iter().map(|a| map_term(a, m)).collect()),
-        Term::Const(_) | Term::Param(_) => t.clone(),
-    }
-}
-
-fn map_pattern(p: &Pattern, m: &BTreeMap<Symbol, Symbol>) -> Pattern {
-    Pattern {
-        obj_var: p.obj_var.map(|v| map_sym(v, m)),
-        oid: p.oid.as_ref().map(|t| map_term(t, m)),
-        label: map_term(&p.label, m),
-        typ: p.typ.as_ref().map(|t| map_term(t, m)),
-        value: match &p.value {
-            PatValue::Term(t) => PatValue::Term(map_term(t, m)),
-            PatValue::Set(sp) => PatValue::Set(SetPattern {
-                elements: sp
-                    .elements
-                    .iter()
-                    .map(|e| match e {
-                        SetElem::Pattern(p) => SetElem::Pattern(map_pattern(p, m)),
-                        SetElem::Wildcard(p) => SetElem::Wildcard(map_pattern(p, m)),
-                        SetElem::Var(v) => SetElem::Var(map_sym(*v, m)),
-                    })
-                    .collect(),
-                rest: sp.rest.as_ref().map(|r| RestSpec {
-                    var: map_sym(r.var, m),
-                    conditions: r.conditions.iter().map(|c| map_pattern(c, m)).collect(),
-                }),
-            }),
-        },
-    }
-}
-
-fn map_rule(rule: &Rule, m: &BTreeMap<Symbol, Symbol>) -> Rule {
-    Rule {
-        head: match &rule.head {
-            Head::Var(v) => Head::Var(map_sym(*v, m)),
-            Head::Pattern(p) => Head::Pattern(map_pattern(p, m)),
-        },
-        tail: rule
-            .tail
-            .iter()
-            .map(|t| match t {
-                TailItem::Match { pattern, source } => TailItem::Match {
-                    pattern: map_pattern(pattern, m),
-                    source: *source,
-                },
-                TailItem::External { name, args } => TailItem::External {
-                    name: *name,
-                    args: args.iter().map(|a| map_term(a, m)).collect(),
-                },
-            })
-            .collect(),
-    }
+    let mut out = rule.clone();
+    out.visit_mut(&mut |slot| {
+        if let Some(v) = slot.var() {
+            *v = map[&*v];
+        }
+    });
+    out
 }
 
 #[cfg(test)]

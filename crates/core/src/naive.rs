@@ -19,7 +19,7 @@ use crate::externals::ExternalRegistry;
 use engine::bindings::{dedup_bindings, Bindings};
 use engine::construct::Constructor;
 use engine::matcher::match_top_level;
-use engine::subst::{bindings_to_subst, subst_pattern};
+use engine::subst::{bindings_to_subst, subst};
 use msl::{Head, Pattern, Rule, TailItem};
 use oem::{copy, eq::dedup_structural, ObjectStore, Symbol};
 use std::collections::HashMap;
@@ -107,7 +107,7 @@ fn rule_bindings(
                     return Err(MedError::UnknownSource(src.as_str()));
                 };
                 for b in &states {
-                    let bound = subst_pattern(pattern, &bindings_to_subst(b));
+                    let bound = subst(pattern, &bindings_to_subst(b));
                     match &sref {
                         SourceRef::Store(store) => {
                             for nb in match_top_level(store, &bound, &Bindings::new()) {

@@ -25,7 +25,7 @@ use crate::externals::ExternalRegistry;
 use crate::graph::{ExtractVar, Node, PhysicalPlan, RulePlan, VarKind};
 use crate::logical::LogicalProgram;
 use crate::stats::{StatsCache, JOIN_EQ_SELECTIVITY};
-use engine::subst::{subst_pattern, Subst};
+use engine::subst::{subst, Subst};
 use msl::{Head, PatValue, Pattern, RestSpec, Rule, SetElem, SetPattern, TailItem, Term};
 use oem::{Symbol, Value};
 use std::collections::{HashMap, HashSet};
@@ -947,11 +947,11 @@ fn build_source_query(
     ));
 
     // Parameterize: replace bound vars with $param slots.
-    let subst: Subst = params.iter().map(|v| (*v, Term::Param(*v))).collect();
+    let as_params: Subst = params.iter().map(|v| (*v, Term::Param(*v))).collect();
     let tail = patterns
         .iter()
         .map(|p| TailItem::Match {
-            pattern: subst_pattern(p, &subst),
+            pattern: subst(p, &as_params),
             source: Some(source),
         })
         .collect();

@@ -17,7 +17,7 @@
 use crate::graph::carrier_label;
 use engine::bindings::BoundValue;
 use engine::matcher::{atomic_eq, atomic_key};
-use engine::subst::{fill_params_rule, Subst};
+use engine::subst::{fill_params, Subst};
 use msl::{Head, PatValue, Pattern, Rule, SetElem, Term};
 use oem::{Symbol, Value};
 use std::collections::{HashMap, HashSet};
@@ -30,7 +30,7 @@ use wrappers::Rows;
 /// `<bind_for_src {…}>` shape.
 pub(crate) fn template(query: &Rule, params: &[Symbol]) -> Option<Rule> {
     let as_vars: Subst = params.iter().map(|p| (*p, Term::Var(*p))).collect();
-    let mut rule = fill_params_rule(query, &as_vars);
+    let mut rule = fill_params(query, &as_vars);
     let Head::Pattern(Pattern {
         value: PatValue::Set(head),
         ..
@@ -183,9 +183,7 @@ mod tests {
                 .zip(tuple)
                 .map(|(p, v)| (*p, Term::Const(v.clone())))
                 .collect();
-            let alone = cs
-                .query_rows(&fill_params_rule(&qcs(), &filled), &vars)
-                .unwrap();
+            let alone = cs.query_rows(&fill_params(&qcs(), &filled), &vars).unwrap();
             assert_eq!(print(part), print(&alone), "{tuple:?}");
         }
         assert!(parts[2].rows.is_empty() && parts[3].rows.is_empty());

@@ -17,7 +17,7 @@
 use crate::error::{MedError, Result};
 use crate::logical::LogicalProgram;
 use crate::spec::MediatorSpec;
-use engine::subst::{subst_pattern, subst_tail_item, subst_term, Subst};
+use engine::subst::{subst, Subst};
 use engine::unify::{unify_query_with_head, Unifier, UnifyMode};
 use msl::rename::{rename_rule, Renamer};
 use msl::{Head, PatValue, Pattern, RestSpec, Rule, SetElem, SetPattern, TailItem, Term};
@@ -100,11 +100,7 @@ pub fn expand(query: &Rule, spec: &MediatorSpec, mode: UnifyMode) -> Result<Logi
     let mut program = LogicalProgram::default();
     for st in states {
         let head = transform_head(&query.head, &st.subst, &st.unifiers)?;
-        let tail: Vec<TailItem> = st
-            .tail
-            .iter()
-            .map(|t| subst_tail_item(t, &st.subst))
-            .collect();
+        let tail: Vec<TailItem> = st.tail.iter().map(|t| subst(t, &st.subst)).collect();
         let rule = Rule { head, tail };
         // Dedup identical rules (different choices can coincide).
         if !program.rules.contains(&rule) {
@@ -135,8 +131,8 @@ fn merge_substs(a: &Subst, b: &Subst) -> Option<Subst> {
 }
 
 fn unify_into(a: &Term, b: &Term, mut s: Subst) -> Option<Subst> {
-    let ra = subst_term(a, &s);
-    let rb = subst_term(b, &s);
+    let ra = subst(a, &s);
+    let rb = subst(b, &s);
     match (&ra, &rb) {
         (Term::Const(x), Term::Const(y)) => {
             if engine::matcher::atomic_eq(x, y) {
@@ -220,22 +216,19 @@ fn attach_to_pattern(p: &Pattern, u: &Unifier) -> Pattern {
 /// Transform the query head into the datamerge rule head, resolving object
 /// variable definitions ("the rule head is formed by applying the unifier
 /// to the query head", §3.2).
-fn transform_head(head: &Head, subst: &Subst, unifiers: &[Unifier]) -> Result<Head> {
+fn transform_head(head: &Head, s: &Subst, unifiers: &[Unifier]) -> Result<Head> {
     match head {
         Head::Var(v) => {
             for u in unifiers {
                 if let Some(def) = u.obj_def(*v) {
-                    return Ok(Head::Pattern(subst_pattern(def, subst)));
+                    return Ok(Head::Pattern(subst(def, s)));
                 }
             }
             Err(MedError::Expansion(format!(
                 "query head variable {v} has no definition (missing '{v}:' in the tail?)"
             )))
         }
-        Head::Pattern(p) => Ok(Head::Pattern(splice_defs(
-            &subst_pattern(p, subst),
-            unifiers,
-        ))),
+        Head::Pattern(p) => Ok(Head::Pattern(splice_defs(&subst(p, s), unifiers))),
     }
 }
 

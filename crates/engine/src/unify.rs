@@ -25,7 +25,7 @@
 //! subpatterns, which is required for completeness when source objects may
 //! repeat a label.
 
-use crate::subst::{subst_pattern, subst_term, Subst};
+use crate::subst::{subst, Subst};
 use msl::{PatValue, Pattern, SetElem, SetPattern, Term};
 use oem::Symbol;
 use std::collections::HashMap;
@@ -110,13 +110,13 @@ fn finalize(mut st: St, _head: &Pattern) -> Unifier {
     // K ↦ pid('Ann')).
     let snapshot = st.subst.clone();
     for term in st.subst.values_mut() {
-        *term = subst_term(term, &snapshot);
+        *term = subst(term, &snapshot);
     }
-    let subst = &st.subst;
+    let s = &st.subst;
     let mut rest_conds: Vec<(Symbol, Vec<Pattern>)> = st
         .rest_conds
         .into_iter()
-        .map(|(v, conds)| (v, conds.iter().map(|c| subst_pattern(c, subst)).collect()))
+        .map(|(v, conds)| (v, conds.iter().map(|c| subst(c, s)).collect()))
         .collect();
     // HashMap iteration order is nondeterministic; canonicalize so that
     // unifier lists (and the plans derived from them) are stable.
@@ -124,29 +124,17 @@ fn finalize(mut st: St, _head: &Pattern) -> Unifier {
     let obj_defs = st
         .obj_defs
         .into_iter()
-        .map(|(v, p)| (v, subst_pattern(&p, subst)))
+        .map(|(v, p)| (v, subst(&p, s)))
         .collect();
     let value_defs = st
         .value_defs
         .into_iter()
-        .map(|(v, pv)| (v, crate::subst::subst_pat_value(&pv, subst)))
+        .map(|(v, pv)| (v, subst(&pv, s)))
         .collect();
     let rest_defs = st
         .rest_defs
         .into_iter()
-        .map(|(v, elems)| {
-            (
-                v,
-                elems
-                    .into_iter()
-                    .map(|e| match e {
-                        SetElem::Pattern(p) => SetElem::Pattern(subst_pattern(&p, subst)),
-                        SetElem::Wildcard(p) => SetElem::Wildcard(subst_pattern(&p, subst)),
-                        SetElem::Var(v) => SetElem::Var(v),
-                    })
-                    .collect(),
-            )
-        })
+        .map(|(v, elems)| (v, elems.iter().map(|e| subst(e, s)).collect()))
         .collect();
     Unifier {
         subst: st.subst,
@@ -354,8 +342,8 @@ fn unify_sets(qsp: &SetPattern, hsp: &SetPattern, st: St, mode: UnifyMode) -> Ve
 
 /// First-order unification of two terms under a shared substitution.
 fn unify_terms(a: &Term, b: &Term, mut st: St) -> Option<St> {
-    let ra = subst_term(a, &st.subst);
-    let rb = subst_term(b, &st.subst);
+    let ra = subst(a, &st.subst);
+    let rb = subst(b, &st.subst);
     match (&ra, &rb) {
         (Term::Const(x), Term::Const(y)) => {
             if crate::matcher::atomic_eq(x, y) {

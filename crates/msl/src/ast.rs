@@ -359,6 +359,113 @@ impl Spec {
     }
 }
 
+/// One mutable position that [`VisitMut::visit_mut`] yields.
+pub enum Slot<'a> {
+    /// A position that holds only a variable: an object variable, a head
+    /// variable, a set-element variable or a rest variable.
+    Var(&'a mut Symbol),
+    /// A leaf term (`Var`, `Const` or `Param`). A `Func` is not yielded;
+    /// the walk descends into its arguments.
+    Term(&'a mut Term),
+}
+
+impl<'a> Slot<'a> {
+    /// The variable at this slot: a symbol-only position or a `Term::Var`
+    /// leaf.
+    pub fn var(self) -> Option<&'a mut Symbol> {
+        match self {
+            Slot::Var(v) | Slot::Term(Term::Var(v)) => Some(v),
+            Slot::Term(_) => None,
+        }
+    }
+}
+
+/// The one in-place walk over an MSL structure's variables and leaf terms.
+/// Renaming apart, substitution, parameter filling and cache-key
+/// canonicalization are each a closure over it.
+///
+/// The order is a format: object variable, oid, label, type, value; in a
+/// set, the elements, then the rest variable and its conditions; a rule's
+/// head, then its tail items in order. It is the order of `collect_vars`,
+/// and the cache's warm tier numbers variables in it. A term the closure
+/// writes is not walked again.
+pub trait VisitMut {
+    /// Call `f` on every slot of `self`, in order.
+    fn visit_mut<F: FnMut(Slot<'_>)>(&mut self, f: &mut F);
+}
+
+impl VisitMut for Term {
+    fn visit_mut<F: FnMut(Slot<'_>)>(&mut self, f: &mut F) {
+        match self {
+            Term::Func(_, args) => args.iter_mut().for_each(|a| a.visit_mut(f)),
+            leaf => f(Slot::Term(leaf)),
+        }
+    }
+}
+
+impl VisitMut for Pattern {
+    fn visit_mut<F: FnMut(Slot<'_>)>(&mut self, f: &mut F) {
+        self.obj_var.iter_mut().for_each(|v| f(Slot::Var(v)));
+        self.oid.iter_mut().for_each(|t| t.visit_mut(f));
+        self.label.visit_mut(f);
+        self.typ.iter_mut().for_each(|t| t.visit_mut(f));
+        self.value.visit_mut(f);
+    }
+}
+
+impl VisitMut for PatValue {
+    fn visit_mut<F: FnMut(Slot<'_>)>(&mut self, f: &mut F) {
+        match self {
+            PatValue::Term(t) => t.visit_mut(f),
+            PatValue::Set(sp) => sp.visit_mut(f),
+        }
+    }
+}
+
+impl VisitMut for SetPattern {
+    fn visit_mut<F: FnMut(Slot<'_>)>(&mut self, f: &mut F) {
+        self.elements.iter_mut().for_each(|e| e.visit_mut(f));
+        if let Some(r) = &mut self.rest {
+            f(Slot::Var(&mut r.var));
+            r.conditions.iter_mut().for_each(|c| c.visit_mut(f));
+        }
+    }
+}
+
+impl VisitMut for SetElem {
+    fn visit_mut<F: FnMut(Slot<'_>)>(&mut self, f: &mut F) {
+        match self {
+            SetElem::Pattern(p) | SetElem::Wildcard(p) => p.visit_mut(f),
+            SetElem::Var(v) => f(Slot::Var(v)),
+        }
+    }
+}
+
+impl VisitMut for TailItem {
+    fn visit_mut<F: FnMut(Slot<'_>)>(&mut self, f: &mut F) {
+        match self {
+            TailItem::Match { pattern, .. } => pattern.visit_mut(f),
+            TailItem::External { args, .. } => args.iter_mut().for_each(|a| a.visit_mut(f)),
+        }
+    }
+}
+
+impl VisitMut for Head {
+    fn visit_mut<F: FnMut(Slot<'_>)>(&mut self, f: &mut F) {
+        match self {
+            Head::Var(v) => f(Slot::Var(v)),
+            Head::Pattern(p) => p.visit_mut(f),
+        }
+    }
+}
+
+impl VisitMut for Rule {
+    fn visit_mut<F: FnMut(Slot<'_>)>(&mut self, f: &mut F) {
+        self.head.visit_mut(f);
+        self.tail.iter_mut().for_each(|t| t.visit_mut(f));
+    }
+}
+
 impl std::fmt::Display for Term {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&crate::printer::term(self, true))
@@ -436,6 +543,25 @@ mod tests {
                 sym("Y")
             ]
         );
+    }
+
+    #[test]
+    fn visit_mut_yields_variables_in_collect_vars_order() {
+        // The rule of `cache::tests::canonical_key_numbers_variables_in_field_order`.
+        let mut rule = crate::parse_rule(
+            "<f(K) L T {<n N> S}> :- \
+             X:<g(K, M) L T {<name N> S | R:{<year Y>}}>@s AND ext(N, Z)",
+        )
+        .unwrap();
+        let mut collected = Vec::new();
+        rule.head.collect_vars(&mut collected);
+        rule.tail
+            .iter()
+            .for_each(|t| t.collect_vars(&mut collected));
+        let mut visited = Vec::new();
+        rule.visit_mut(&mut |slot| visited.extend(slot.var().map(|v| *v)));
+        assert_eq!(visited, collected);
+        assert_eq!(visited.len(), 16);
     }
 
     #[test]

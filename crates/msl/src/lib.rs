@@ -42,8 +42,8 @@ pub mod rename;
 pub mod validate;
 
 pub use ast::{
-    Adornment, ExternalDecl, Head, PatValue, Pattern, RestSpec, Rule, SetElem, SetPattern, Spec,
-    TailItem, Term,
+    Adornment, ExternalDecl, Head, PatValue, Pattern, RestSpec, Rule, SetElem, SetPattern, Slot,
+    Spec, TailItem, Term, VisitMut,
 };
 pub use diag::{Diagnostic, Severity, Span};
 pub use error::{MslError, Result};

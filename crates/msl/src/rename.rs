@@ -6,80 +6,18 @@
 //! footnote 7). [`rename_rule`] appends a suffix to every variable of a
 //! rule; the view expander uses a fresh suffix per (query, rule) pairing.
 
-use crate::ast::*;
+use crate::ast::{Rule, VisitMut};
 use oem::Symbol;
-
-fn rename_sym(v: Symbol, suffix: &str) -> Symbol {
-    Symbol::intern(&format!("{v}{suffix}"))
-}
-
-fn rename_term(t: &Term, suffix: &str) -> Term {
-    match t {
-        Term::Var(v) => Term::Var(rename_sym(*v, suffix)),
-        Term::Func(f, args) => {
-            Term::Func(*f, args.iter().map(|a| rename_term(a, suffix)).collect())
-        }
-        Term::Const(_) | Term::Param(_) => t.clone(),
-    }
-}
-
-fn rename_pattern(p: &Pattern, suffix: &str) -> Pattern {
-    Pattern {
-        obj_var: p.obj_var.map(|v| rename_sym(v, suffix)),
-        oid: p.oid.as_ref().map(|t| rename_term(t, suffix)),
-        label: rename_term(&p.label, suffix),
-        typ: p.typ.as_ref().map(|t| rename_term(t, suffix)),
-        value: rename_pat_value(&p.value, suffix),
-    }
-}
-
-fn rename_pat_value(v: &PatValue, suffix: &str) -> PatValue {
-    match v {
-        PatValue::Term(t) => PatValue::Term(rename_term(t, suffix)),
-        PatValue::Set(sp) => PatValue::Set(SetPattern {
-            elements: sp
-                .elements
-                .iter()
-                .map(|e| match e {
-                    SetElem::Pattern(p) => SetElem::Pattern(rename_pattern(p, suffix)),
-                    SetElem::Wildcard(p) => SetElem::Wildcard(rename_pattern(p, suffix)),
-                    SetElem::Var(v) => SetElem::Var(rename_sym(*v, suffix)),
-                })
-                .collect(),
-            rest: sp.rest.as_ref().map(|r| RestSpec {
-                var: rename_sym(r.var, suffix),
-                conditions: r
-                    .conditions
-                    .iter()
-                    .map(|c| rename_pattern(c, suffix))
-                    .collect(),
-            }),
-        }),
-    }
-}
 
 /// Rename every variable of `rule` by appending `suffix`.
 pub fn rename_rule(rule: &Rule, suffix: &str) -> Rule {
-    Rule {
-        head: match &rule.head {
-            Head::Var(v) => Head::Var(rename_sym(*v, suffix)),
-            Head::Pattern(p) => Head::Pattern(rename_pattern(p, suffix)),
-        },
-        tail: rule
-            .tail
-            .iter()
-            .map(|t| match t {
-                TailItem::Match { pattern, source } => TailItem::Match {
-                    pattern: rename_pattern(pattern, suffix),
-                    source: *source,
-                },
-                TailItem::External { name, args } => TailItem::External {
-                    name: *name,
-                    args: args.iter().map(|a| rename_term(a, suffix)).collect(),
-                },
-            })
-            .collect(),
-    }
+    let mut out = rule.clone();
+    out.visit_mut(&mut |slot| {
+        if let Some(v) = slot.var() {
+            *v = Symbol::intern(&format!("{v}{suffix}"));
+        }
+    });
+    out
 }
 
 /// A counter handing out fresh rename suffixes (`_r1`, `_r2`, ...).
@@ -104,6 +42,7 @@ impl Renamer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Head;
     use crate::parser::parse_rule;
     use oem::sym;
     use std::collections::HashSet;

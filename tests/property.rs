@@ -639,7 +639,7 @@ fn pinned_payloads(
     a: Option<&Value>,
     b: Option<&Value>,
 ) -> Option<Vec<BoundValue>> {
-    use engine::subst::{fill_params_rule, Subst};
+    use engine::subst::{fill_params, Subst};
     use medmaker::graph::{ExtractVar, VarKind};
     let template =
         msl::parse_rule("<bind_for_s {<bind_for_P P>}> :- <item {<k1 $A> <k2 $B> <payload P>}>@s")
@@ -655,7 +655,7 @@ fn pinned_payloads(
         var: oem::sym("P"),
         kind: VarKind::Scalar,
     }];
-    let query = fill_params_rule(&template, &pins);
+    let query = fill_params(&template, &pins);
     let shape = medmaker::cache::QueryShape::of(&query);
     let (rows, _) = cache.lookup(
         oem::sym("s"),
