@@ -138,8 +138,6 @@ pub struct CacheOptions {
     /// (the `--cache-stale-ok` escape hatch). Default `false`: a failed
     /// source's entries are embargoed until it answers again.
     pub stale_ok: bool,
-    /// Sources excluded from caching (always fetched live).
-    pub disabled_sources: BTreeSet<Symbol>,
     /// Injectable clock for TTL measurement; `None` =
     /// [`wrappers::fault::SystemClock`]. Share a
     /// [`wrappers::fault::VirtualClock`] with [`crate::retry::FaultOptions`]
@@ -167,7 +165,6 @@ impl Default for CacheOptions {
             capacity: 64,
             ttl_ms: None,
             stale_ok: false,
-            disabled_sources: BTreeSet::new(),
             clock: None,
             cache_dir: None,
             warm_bytes: DEFAULT_WARM_BYTES,
@@ -192,7 +189,6 @@ impl fmt::Debug for CacheOptions {
             .field("capacity", &self.capacity)
             .field("ttl_ms", &self.ttl_ms)
             .field("stale_ok", &self.stale_ok)
-            .field("disabled_sources", &self.disabled_sources)
             .field("clock", &self.clock.as_ref().map(|_| "<injected>"))
             .field("cache_dir", &self.cache_dir)
             .field("warm_bytes", &self.warm_bytes)
@@ -394,9 +390,9 @@ impl AnswerCache {
         }
     }
 
-    /// Whether the cache participates in calls to `source`.
-    pub fn enabled_for(&self, source: Symbol) -> bool {
-        self.opts.enabled && !self.opts.disabled_sources.contains(&source)
+    /// Whether the cache participates in source calls.
+    pub fn enabled(&self) -> bool {
+        self.opts.enabled
     }
 
     /// Value-score inputs for a fresh entry of `source`:
@@ -438,7 +434,7 @@ impl AnswerCache {
         shape: &QueryShape,
         vars: &[ExtractVar],
     ) -> Option<(Rows, CacheHit)> {
-        if !self.enabled_for(source) {
+        if !self.enabled() {
             return None;
         }
         let now = self.clock.now_ms();
@@ -593,7 +589,7 @@ impl AnswerCache {
         vars: &[ExtractVar],
         rows: &Rows,
     ) {
-        if !self.enabled_for(source) || self.opts.capacity == 0 {
+        if !self.enabled() || self.opts.capacity == 0 {
             return;
         }
         let names: Vec<Symbol> = vars.iter().map(|v| v.var).collect();

@@ -15,8 +15,6 @@ pub enum MedError {
     UnknownSource(String),
     /// View expansion failed (no rule head matches, bad query shape, ...).
     Expansion(String),
-    /// The specification is recursive but recursion support was disabled.
-    RecursionDisabled(String),
     /// Planning failed (capability dead-end, unsupported feature).
     Planning(String),
     /// A wrapper refused or failed a query at runtime.
@@ -51,12 +49,6 @@ impl fmt::Display for MedError {
             MedError::Msl(m) => write!(f, "MSL error: {m}"),
             MedError::UnknownSource(s) => write!(f, "unknown source '{s}'"),
             MedError::Expansion(m) => write!(f, "view expansion failed: {m}"),
-            MedError::RecursionDisabled(m) => {
-                write!(
-                    f,
-                    "specification is recursive ({m}) and recursion is disabled"
-                )
-            }
             MedError::Planning(m) => write!(f, "planning failed: {m}"),
             MedError::Wrapper(m) => write!(f, "wrapper error: {m}"),
             MedError::External(m) => write!(f, "external predicate error: {m}"),

@@ -22,7 +22,7 @@ use wrappers::{Rows, Wrapper, WrapperError};
 /// The shape `q` is looked up and filed under, computed once per source
 /// query; `None` when the answer cache does not serve its source.
 fn cache_shape(q: SourceQuery<'_>, ctx: &ChainCtx<'_>) -> Option<QueryShape> {
-    (ctx.cache?.enabled_for(q.source)).then(|| QueryShape::of(q.query))
+    (ctx.cache?.enabled()).then(|| QueryShape::of(q.query))
 }
 
 /// Probe the answer cache for `q`, whose shape is `shape`. A hit's rows
@@ -407,7 +407,7 @@ fn call_source(
     // rather than at lookup time: a tuple a sibling chain already fetched
     // pays no fetch and must not inflate the trace's miss counters. Every
     // tuple of a set-valued query was looked up on its own.
-    if ctx.cache.is_some_and(|c| c.enabled_for(source)) {
+    if ctx.cache.is_some_and(|c| c.enabled()) {
         let lookups = tuples.max(1);
         counters.cache_misses += lookups;
         *env.stats.trace.cache_misses.entry(source).or_insert(0) += lookups;

@@ -33,8 +33,6 @@ pub struct MediatorOptions {
     /// Unifier enumeration mode. `Exhaustive` (default) is complete;
     /// `Minimal` reproduces the paper's worked expansions.
     pub unify_mode: UnifyMode,
-    /// Evaluate recursive specifications by fixpoint materialization.
-    pub allow_recursion: bool,
     /// Record per-node execution traces (explain): the binding tables,
     /// each node's detail and the trace's query text. Off, a query
     /// renders none of that text.
@@ -91,7 +89,6 @@ impl Default for MediatorOptions {
         MediatorOptions {
             planner: PlannerOptions::default(),
             unify_mode: UnifyMode::Exhaustive,
-            allow_recursion: true,
             trace: false,
             parallel: false,
             learn_stats: true,
@@ -322,9 +319,6 @@ impl Mediator {
         msl::validate::validate_rule(query, &self.spec.spec.externals)?;
 
         let mut outcome = if self.spec.is_recursive() {
-            if !self.options.allow_recursion {
-                return Err(MedError::RecursionDisabled(self.spec.name.as_str()));
-            }
             self.query_recursive(query)?
         } else {
             let (_, outcome) =
@@ -695,33 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn recursion_can_be_disabled() {
-        let mut s = ObjectStore::new();
-        oem::ObjectBuilder::set("parent")
-            .atom("of", "a")
-            .atom("is", "b")
-            .build_top(&mut s);
-        let src: Arc<dyn Wrapper> = Arc::new(wrappers::SemiStructuredWrapper::new("src", s));
-        let med = Mediator::new(
-            "m",
-            "<anc {<of X> <is Y>}> :- <parent {<of X> <is Y>}>@src\n\
-             <anc {<of X> <is Z>}> :- <parent {<of X> <is Y>}>@src \
-             AND <anc {<of Y> <is Z>}>@m",
-            vec![src],
-            standard_registry(),
-        )
-        .unwrap()
-        .with_options(MediatorOptions {
-            allow_recursion: false,
-            ..Default::default()
-        });
-        assert!(matches!(
-            med.query_text("X :- X:<anc {}>@m"),
-            Err(MedError::RecursionDisabled(_))
-        ));
-    }
-
-    #[test]
     fn learn_stats_off_keeps_cache_empty() {
         let med = paper_mediator().with_options(MediatorOptions {
             learn_stats: false,
@@ -1045,26 +1012,6 @@ mod tests {
                 (whois_calls, 0),
                 "{:?}",
                 after.trace.source_calls
-            );
-        }
-    }
-
-    #[test]
-    fn a_source_excluded_from_caching_is_fetched_live_by_every_query() {
-        // `disabled_sources` means "always fetched live", for the tuples
-        // of a bind join like for any other query.
-        let q = msl::parse_query("S :- S:<cs_person {<year 3>}>@med").unwrap();
-        let med = paper_mediator().with_options(bind_join_cache_options(CacheOptions {
-            disabled_sources: [sym("whois")].into_iter().collect(),
-            ..CacheOptions::enabled()
-        }));
-        for cs_calls in [1, 0] {
-            let out = med.query_rule(&q).unwrap();
-            assert_eq!(
-                (out.trace.calls(sym("whois")), out.trace.calls(sym("cs"))),
-                (2, cs_calls),
-                "{:?}",
-                out.trace.source_calls
             );
         }
     }

@@ -2,21 +2,26 @@
 //!
 //! Turns each logical datamerge rule into a physical chain:
 //!
-//! * groups the tail's match items by source;
-//! * orders the groups by **join enumeration** over a multi-objective
-//!   [`CostEstimate`] (rows / cpu / net / memory, collapsed by
-//!   [`CostEstimate::total`]): exhaustive enumeration of every feasible
-//!   order for small rule bodies (up to `EXHAUSTIVE_LIMIT` = 6 groups),
-//!   greedy cheapest-next above it. The `net` component prices
-//!   round-trips with the measured per-source latency, failure-rate and
-//!   cache-hit EWMAs ([`crate::stats::StatsCache::per_call_cost_ms`]);
-//! * chooses, for every non-outer group, between a **parameterized query**
-//!   (bind join, the plan of Figure 3.6) and a **fetch + hash join**;
-//! * pushes every condition the source can evaluate; conditions a source
-//!   *cannot* evaluate (capability restrictions, §3.5) are stripped from
-//!   the source query and kept as client-side filters;
-//! * places external-predicate calls at the earliest point where an
-//!   implementation is callable (§2's adornments);
+//! * groups the tail's match items by source, pushing every condition the
+//!   source can evaluate; conditions a source *cannot* evaluate
+//!   (capability restrictions, §3.5) are stripped from the source query
+//!   and kept as client-side filters;
+//! * walks a chain one group at a time with a single step (`Chain::step`).
+//!   A step picks the group's `$param` variables, prices the group with
+//!   the multi-objective [`CostEstimate`] (rows / cpu / net / memory,
+//!   collapsed by [`CostEstimate::total`]), chooses between a
+//!   **parameterized query** (bind join, the plan of Figure 3.6) and a
+//!   **fetch + hash join**, binds the group's variables, and places every
+//!   external-predicate call that has become callable (§2's adornments).
+//!   The `net` component prices round-trips with the measured per-source
+//!   latency, failure-rate and cache-hit EWMAs
+//!   ([`crate::stats::StatsCache::per_call_cost_ms`]);
+//! * orders the groups by stepping candidate orders and summing their
+//!   weighted costs: every feasible order for small rule bodies (up to
+//!   `EXHAUSTIVE_LIMIT` = 6 groups), greedy cheapest-next above it;
+//! * steps the chosen order once more and emits, per step, its source
+//!   node, the group's client-side filters and the placed external calls,
+//!   so the estimates that chose the order are the ones EXPLAIN renders;
 //! * appends duplicate elimination per MSL's semantics (footnote 9).
 
 use crate::cost::CostEstimate;
@@ -112,13 +117,25 @@ pub fn plan(program: &LogicalProgram, ctx: &PlanContext) -> Result<PhysicalPlan>
     })
 }
 
+/// One source's share of a rule body, with what join ordering reads of it
+/// computed once.
 struct Group {
     source: Symbol,
+    /// The source's match patterns, stripped of what it cannot evaluate.
     patterns: Vec<Pattern>,
+    /// The stripped conditions, applied client-side after the group.
+    filters: Vec<ClientFilter>,
     /// Required condition labels no pattern satisfies on its own — the
     /// planner must order this group after one that binds the condition
     /// variable and reach it by bind join ($param fills the condition).
     missing_required: Vec<Symbol>,
+    /// Every variable of the patterns.
+    vars: HashSet<Symbol>,
+    /// The object variables among them.
+    object_vars: HashSet<Symbol>,
+    /// The variables in term positions, first occurrence first: the ones
+    /// a `$param` slot can fill.
+    term_vars: Vec<Symbol>,
 }
 
 /// A condition stripped out of a source query, to be applied client-side.
@@ -130,18 +147,18 @@ enum ClientFilter {
     Rest { var: Symbol, condition: Pattern },
 }
 
-/// A rule body ready for join ordering: its source groups with the
-/// conditions stripped out of each, its external-predicate calls, and the
-/// variables later steps need extracted.
+/// A rule body ready for join ordering: its source groups, its
+/// external-predicate calls, and the variables later steps need
+/// extracted.
 struct Body {
-    processed: Vec<(Group, Vec<ClientFilter>)>,
+    groups: Vec<Group>,
     externals: Vec<(Symbol, Vec<Term>)>,
     needed: HashSet<Symbol>,
 }
 
 fn prepare_body(rule: &Rule, ctx: &PlanContext) -> Result<Body> {
     // ---- partition the tail --------------------------------------------
-    let mut groups: Vec<Group> = Vec::new();
+    let mut by_source: Vec<(Symbol, Vec<Pattern>)> = Vec::new();
     let mut externals: Vec<(Symbol, Vec<Term>)> = Vec::new();
     for item in &rule.tail {
         match item {
@@ -154,13 +171,9 @@ fn prepare_body(rule: &Rule, ctx: &PlanContext) -> Result<Body> {
                 if !ctx.sources.contains_key(src) {
                     return Err(MedError::UnknownSource(src.as_str()));
                 }
-                match groups.iter_mut().find(|g| g.source == *src) {
-                    Some(g) => g.patterns.push(pattern.clone()),
-                    None => groups.push(Group {
-                        source: *src,
-                        patterns: vec![pattern.clone()],
-                        missing_required: Vec::new(),
-                    }),
+                match by_source.iter_mut().find(|(s, _)| s == src) {
+                    Some((_, patterns)) => patterns.push(pattern.clone()),
+                    None => by_source.push((*src, vec![pattern.clone()])),
                 }
             }
             TailItem::External { name, args } => externals.push((*name, args.clone())),
@@ -169,13 +182,12 @@ fn prepare_body(rule: &Rule, ctx: &PlanContext) -> Result<Body> {
 
     // ---- capability handling / pushdown --------------------------------
     let mut fresh_counter = 0usize;
-    let mut processed: Vec<(Group, Vec<ClientFilter>)> = Vec::new();
-    for g in groups {
-        let wrapper = &ctx.sources[&g.source];
+    let mut groups: Vec<Group> = Vec::with_capacity(by_source.len());
+    for (source, patterns) in by_source {
+        let wrapper = &ctx.sources[&source];
         let caps = wrapper.capabilities();
         let mut filters: Vec<ClientFilter> = Vec::new();
-        let patterns: Vec<Pattern> = g
-            .patterns
+        let patterns: Vec<Pattern> = patterns
             .iter()
             .map(|p| {
                 strip_conditions(
@@ -209,23 +221,23 @@ fn prepare_body(rule: &Rule, ctx: &PlanContext) -> Result<Body> {
                             missing_required.push(label);
                         }
                     }
-                    other => {
-                        return Err(MedError::Planning(format!(
-                            "source '{}': {other}",
-                            g.source
-                        )))
-                    }
+                    other => return Err(MedError::Planning(format!("source '{source}': {other}"))),
                 }
             }
         }
-        processed.push((
-            Group {
-                source: g.source,
-                patterns,
-                missing_required,
-            },
+        let mut vars = Vec::new();
+        for p in &patterns {
+            p.collect_vars(&mut vars);
+        }
+        groups.push(Group {
+            source,
+            vars: vars.into_iter().collect(),
+            object_vars: object_vars(&patterns),
+            term_vars: term_position_vars(&patterns),
+            patterns,
             filters,
-        ));
+            missing_required,
+        });
     }
 
     // ---- variable bookkeeping -------------------------------------------
@@ -242,64 +254,36 @@ fn prepare_body(rule: &Rule, ctx: &PlanContext) -> Result<Body> {
         }
         needed.extend(vs);
     }
-    for (_, filters) in &processed {
-        for f in filters {
-            match f {
-                ClientFilter::ValueEq { var, .. } => {
-                    needed.insert(*var);
-                }
-                ClientFilter::Rest { var, .. } => {
-                    needed.insert(*var);
-                }
-            }
-        }
+    for g in &groups {
+        needed.extend(g.filters.iter().map(|f| match f {
+            ClientFilter::ValueEq { var, .. } | ClientFilter::Rest { var, .. } => *var,
+        }));
     }
     // Vars shared between groups are join/param variables → needed.
-    {
-        let mut seen_in: HashMap<Symbol, usize> = HashMap::new();
-        for (g, _) in &processed {
-            let mut vs = Vec::new();
-            for p in &g.patterns {
-                p.collect_vars(&mut vs);
-            }
-            let uniq: HashSet<Symbol> = vs.into_iter().collect();
-            for v in uniq {
-                *seen_in.entry(v).or_insert(0) += 1;
-            }
-        }
-        for (v, n) in seen_in {
-            if n > 1 {
-                needed.insert(v);
-            }
+    let mut seen_in: HashMap<Symbol, usize> = HashMap::new();
+    for g in &groups {
+        for &v in &g.vars {
+            *seen_in.entry(v).or_insert(0) += 1;
         }
     }
+    needed.extend(seen_in.into_iter().filter(|&(_, n)| n > 1).map(|(v, _)| v));
     Ok(Body {
-        processed,
+        groups,
         externals,
         needed,
     })
 }
 
 fn plan_rule(rule: &Rule, ctx: &PlanContext) -> Result<RulePlan> {
-    let Body {
-        processed,
-        externals,
-        needed,
-    } = prepare_body(rule, ctx)?;
+    let body = prepare_body(rule, ctx)?;
 
     // ---- join order ------------------------------------------------------
-    // Pick the evaluation order by simulating candidate prefixes with the
-    // same cost model the chain builder prices nodes with, so the scores
-    // that chose the order are exactly the estimates EXPLAIN renders.
-    // Orders that cannot fill a group's required conditions are skipped.
+    // Candidate orders are scored by the same step the chain is built
+    // with, so the scores that chose the order are exactly the estimates
+    // EXPLAIN renders. Orders that cannot fill a group's required
+    // conditions are skipped.
     let model = CostModel::new(ctx);
-    let order = choose_join_order(&processed, &externals, &needed, &model)?;
-    let mut slots: Vec<Option<(Group, Vec<ClientFilter>)>> =
-        processed.into_iter().map(Some).collect();
-    let processed: Vec<(Group, Vec<ClientFilter>)> = order
-        .iter()
-        .map(|&i| slots[i].take().expect("join order is a permutation"))
-        .collect();
+    let order = choose_join_order(&body, &model)?;
 
     // ---- build the chain ---------------------------------------------------
     // `estimates` stays parallel to `nodes`: every push into one is paired
@@ -307,191 +291,84 @@ fn plan_rule(rule: &Rule, ctx: &PlanContext) -> Result<RulePlan> {
     // model's guess up against what actually flowed through each node.
     let mut nodes: Vec<Node> = Vec::new();
     let mut estimates: Vec<CostEstimate> = Vec::new();
-    let mut bound: HashSet<Symbol> = HashSet::new();
-    let mut placed_ext = vec![false; externals.len()];
-    let mut running_est: f64 = 1.0;
-
-    let place_externals = |nodes: &mut Vec<Node>,
-                           estimates: &mut Vec<CostEstimate>,
-                           cur_est: f64,
-                           bound: &mut HashSet<Symbol>,
-                           placed: &mut Vec<bool>,
-                           ctx: &PlanContext| {
-        loop {
-            let mut progressed = false;
-            for (i, (pred, args)) in externals.iter().enumerate() {
-                if placed[i] || !callable_static(*pred, args, bound, ctx.registry) {
-                    continue;
-                }
-                let mut vs = Vec::new();
-                for a in args {
-                    a.collect_vars(&mut vs);
-                }
-                let new_vars: Vec<Symbol> = vs.into_iter().filter(|v| !bound.contains(v)).collect();
-                bound.extend(new_vars.iter().copied());
-                nodes.push(Node::ExternalPred {
-                    pred: *pred,
-                    args: args.clone(),
-                    new_vars,
-                });
-                estimates.push(CostEstimate::rows_only(cur_est));
-                placed[i] = true;
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
-        }
-    };
-
-    for (gi, (group, filters)) in processed.iter().enumerate() {
-        let wrapper = &ctx.sources[&group.source];
-        let caps = wrapper.capabilities();
-
-        // Variables of this group.
-        let mut gvars = Vec::new();
-        for p in &group.patterns {
-            p.collect_vars(&mut gvars);
-        }
-        let gvars_set: HashSet<Symbol> = gvars.iter().copied().collect();
-        let obj_vars = object_vars(&group.patterns);
-
-        // Parameterizable vars: already bound, occur in term positions.
-        let param_vars: Vec<Symbol> = if gi == 0 {
-            Vec::new()
-        } else {
-            term_position_vars(&group.patterns)
-                .into_iter()
-                .filter(|v| bound.contains(v))
-                .collect()
-        };
-
+    let mut chain = Chain::new(body.externals.len());
+    for i in order {
+        let group = &body.groups[i];
         // Extraction: group vars that are needed downstream and not already
         // bound (params are in the table).
-        let extract: Vec<ExtractVar> = gvars_set
-            .iter()
-            .filter(|v| needed.contains(v) && !bound.contains(v))
-            .map(|v| ExtractVar {
-                var: *v,
-                kind: if obj_vars.contains(v) {
-                    VarKind::Object
-                } else {
-                    VarKind::Scalar
-                },
-            })
-            .collect();
-        let mut extract = extract;
-        extract.sort_by_key(|e| e.var.as_str());
-
+        let extract = group.extract_vars(|v| body.needed.contains(v) && !chain.bound.contains(v));
+        let first = chain.first;
         // A group with unmet required conditions (a form-based source's
         // mandatory field) is only evaluable as a bind join whose `$param`
-        // slots fill those conditions; `assess` refuses it otherwise.
-        let (step_est, use_bind) = model
-            .assess(
-                group,
-                caps,
-                &param_vars,
-                &gvars_set,
-                &bound,
-                running_est,
-                gi == 0,
-            )
+        // slots fill those conditions; the step refuses it otherwise.
+        let step = chain
+            .step(&body, &model, i)
             .ok_or_else(|| unfillable_order_error(group))?;
-        running_est = step_est.rows_out;
-
-        if gi == 0 {
-            let query = build_source_query(group.source, &group.patterns, &extract, &[]);
-            nodes.push(Node::Query {
+        let node = if first {
+            Node::Query {
                 source: group.source,
-                query,
-                vars: extract.clone(),
-            });
-        } else if use_bind {
-            let query = build_source_query(group.source, &group.patterns, &extract, &param_vars);
-            nodes.push(Node::ParamQuery {
-                source: group.source,
-                query,
-                params: param_vars.clone(),
-                vars: extract.clone(),
-            });
-        } else {
-            // Fetch the group and hash-join on the shared bound vars.
-            let join_vars: Vec<Symbol> = {
-                let mut jv: Vec<Symbol> = gvars_set
-                    .iter()
-                    .filter(|v| bound.contains(v))
-                    .copied()
-                    .collect();
-                jv.sort_by_key(|v| v.as_str());
-                jv
-            };
-            // Inner extraction must include the join vars.
-            let mut inner_extract = extract.clone();
-            for v in &join_vars {
-                if !inner_extract.iter().any(|e| e.var == *v) {
-                    inner_extract.push(ExtractVar {
-                        var: *v,
-                        kind: if obj_vars.contains(v) {
-                            VarKind::Object
-                        } else {
-                            VarKind::Scalar
-                        },
-                    });
-                }
+                query: build_source_query(group.source, &group.patterns, &extract, &[]),
+                vars: extract,
             }
-            inner_extract.sort_by_key(|e| e.var.as_str());
-            let query = build_source_query(group.source, &group.patterns, &inner_extract, &[]);
-            nodes.push(Node::HashJoin {
+        } else if step.bind {
+            Node::ParamQuery {
                 source: group.source,
-                query,
-                vars: inner_extract,
+                query: build_source_query(
+                    group.source,
+                    &group.patterns,
+                    &extract,
+                    &step.param_vars,
+                ),
+                params: step.param_vars,
+                vars: extract,
+            }
+        } else {
+            // Fetch the group and hash-join on the vars bound before it.
+            // Externals bind only needed vars, which the step has already
+            // bound from the group, so the group's vars bound now are
+            // exactly its extracted vars and its join vars.
+            let vars = group.extract_vars(|v| chain.bound.contains(v));
+            let join_vars = vars
+                .iter()
+                .map(|e| e.var)
+                .filter(|v| !extract.iter().any(|e| e.var == *v))
+                .collect();
+            Node::HashJoin {
+                source: group.source,
+                query: build_source_query(group.source, &group.patterns, &vars, &[]),
+                vars,
                 join_vars,
-            });
-        }
-        estimates.push(step_est);
-        bound.extend(extract.iter().map(|e| e.var));
-        bound.extend(param_vars.iter().copied());
+            }
+        };
+        nodes.push(node);
+        estimates.push(step.est);
 
         // Client-side filters for what the source could not evaluate.
-        for f in filters {
-            match f {
-                ClientFilter::ValueEq { var, value } => nodes.push(Node::ExternalPred {
+        for f in &group.filters {
+            nodes.push(match f {
+                ClientFilter::ValueEq { var, value } => Node::ExternalPred {
                     pred: Symbol::intern("eq"),
                     args: vec![Term::Var(*var), Term::Const(value.clone())],
                     new_vars: Vec::new(),
-                }),
-                ClientFilter::Rest { var, condition } => nodes.push(Node::RestFilter {
+                },
+                ClientFilter::Rest { var, condition } => Node::RestFilter {
                     var: *var,
                     condition: condition.clone(),
-                }),
-            }
-            estimates.push(CostEstimate::rows_only(running_est));
+                },
+            });
+            estimates.push(CostEstimate::rows_only(chain.running));
         }
-
-        place_externals(
-            &mut nodes,
-            &mut estimates,
-            running_est,
-            &mut bound,
-            &mut placed_ext,
-            ctx,
-        );
+        push_externals(&mut nodes, &mut estimates, &body, step.externals, &chain);
     }
 
-    // Last chance for stragglers (e.g. all-bound checks).
-    place_externals(
-        &mut nodes,
-        &mut estimates,
-        running_est,
-        &mut bound,
-        &mut placed_ext,
-        ctx,
-    );
-    if let Some(i) = placed_ext.iter().position(|p| !p) {
+    // A body without source groups places its externals here.
+    let stragglers = chain.place_externals(&body, ctx.registry);
+    push_externals(&mut nodes, &mut estimates, &body, stragglers, &chain);
+    if let Some(i) = chain.placed.iter().position(|p| !p) {
         return Err(MedError::Planning(format!(
             "external predicate {} is not callable in any placement \
              (no implementation matches the available bindings)",
-            externals[i].0
+            body.externals[i].0
         )));
     }
 
@@ -501,7 +378,7 @@ fn plan_rule(rule: &Rule, ctx: &PlanContext) -> Result<RulePlan> {
         let mut seen = HashSet::new();
         hv.retain(|v| seen.insert(*v));
         nodes.push(Node::DupElim { vars: hv });
-        estimates.push(CostEstimate::rows_only(running_est));
+        estimates.push(CostEstimate::rows_only(chain.running));
     }
 
     Ok(RulePlan {
@@ -509,6 +386,26 @@ fn plan_rule(rule: &Rule, ctx: &PlanContext) -> Result<RulePlan> {
         estimates,
         head: rule.head.clone(),
     })
+}
+
+/// Emit an external-predicate node per placed call, each estimated at the
+/// chain's running rows.
+fn push_externals(
+    nodes: &mut Vec<Node>,
+    estimates: &mut Vec<CostEstimate>,
+    body: &Body,
+    placed: Vec<(usize, Vec<Symbol>)>,
+    chain: &Chain,
+) {
+    for (k, new_vars) in placed {
+        let (pred, args) = &body.externals[k];
+        nodes.push(Node::ExternalPred {
+            pred: *pred,
+            args: args.clone(),
+            new_vars,
+        });
+        estimates.push(CostEstimate::rows_only(chain.running));
+    }
 }
 
 /// The shared error for a group whose required conditions (a form-based
@@ -532,12 +429,32 @@ impl Group {
                 .all(|&label| caps.condition_fillable(p, label, |v| params.contains(&v)))
         })
     }
+
+    /// The group's variables `keep` selects, as extraction slots sorted by
+    /// name.
+    fn extract_vars(&self, keep: impl Fn(&Symbol) -> bool) -> Vec<ExtractVar> {
+        let mut out: Vec<ExtractVar> = self
+            .vars
+            .iter()
+            .filter(|v| keep(v))
+            .map(|&var| ExtractVar {
+                var,
+                kind: if self.object_vars.contains(&var) {
+                    VarKind::Object
+                } else {
+                    VarKind::Scalar
+                },
+            })
+            .collect();
+        out.sort_by_key(|e| e.var.as_str());
+        out
+    }
 }
 
-/// The multi-objective cost model. One instance prices both the
-/// enumerator's simulated steps and the chain builder's final per-node
-/// estimates, so the scores that choose the join order are exactly the
-/// numbers `EXPLAIN ANALYZE` renders drift against.
+/// The multi-objective cost model. One instance prices every chain step,
+/// the join-order search's and the chain builder's alike, so the scores
+/// that choose the join order are exactly the numbers `EXPLAIN ANALYZE`
+/// renders drift against.
 struct CostModel<'a, 'b> {
     ctx: &'b PlanContext<'a>,
     /// Fallback estimates for sources with no provided/learned statistics.
@@ -575,29 +492,24 @@ impl<'a, 'b> CostModel<'a, 'b> {
         }
     }
 
-    /// Price `group` as the next step of a chain: `running` rows flow in
-    /// and `bound` variables are available. Returns the step's cost
-    /// breakdown and whether a bind join was chosen; `None` when the step
-    /// is infeasible at this position (required conditions no `$param`
-    /// can fill yet).
-    #[allow(clippy::too_many_arguments)]
+    /// Price `group` as the next step of `chain`, with `$param` slots for
+    /// `param_vars`. Returns the step's cost breakdown and whether a bind
+    /// join was chosen; `None` when the step is infeasible at this
+    /// position (required conditions no `$param` can fill yet).
     fn assess(
         &self,
         group: &Group,
-        caps: &wrappers::Capabilities,
+        chain: &Chain,
         param_vars: &[Symbol],
-        gvars: &HashSet<Symbol>,
-        bound: &HashSet<Symbol>,
-        running: f64,
-        first: bool,
     ) -> Option<(CostEstimate, bool)> {
+        let caps = self.ctx.sources[&group.source].capabilities();
         if !group.fillable_by(caps, param_vars) {
             return None;
         }
         let forced_bind = !group.missing_required.is_empty();
         let rows_g = self.group_rows(group);
         let per_call = self.per_call_ms(group.source);
-        if first {
+        if chain.first {
             // One fetch: every group row crosses the wire, is scanned
             // once, and flows on.
             return Some((
@@ -610,7 +522,12 @@ impl<'a, 'b> CostModel<'a, 'b> {
                 false,
             ));
         }
-        let shared = gvars.iter().filter(|v| bound.contains(*v)).count();
+        let running = chain.running;
+        let shared = group
+            .vars
+            .iter()
+            .filter(|v| chain.bound.contains(*v))
+            .count();
         // Floored at one row: observed cardinalities for inner groups are
         // fed by per-probe bind-join calls, so they already reflect the
         // join condition — multiplying the equi-join selectivity back in
@@ -645,121 +562,122 @@ impl<'a, 'b> CostModel<'a, 'b> {
     }
 }
 
-/// Simulated execution state for join-order search. Stepping a group
-/// mirrors exactly what the chain builder will do for that prefix: bind
-/// the group's needed variables and `$param`s, then run the
-/// external-predicate placement fixpoint (externals bind variables too,
-/// which can make later groups' bind joins feasible).
+/// A chain's state between steps: the variables bound so far, which
+/// externals are placed, the rows flowing out of the last step, and
+/// whether no group has been taken yet. The join-order search clones it
+/// to try a prefix; the chain builder steps one copy through the chosen
+/// order.
 #[derive(Clone)]
-struct OrderSim<'a, 'b> {
-    model: &'b CostModel<'a, 'b>,
-    processed: &'b [(Group, Vec<ClientFilter>)],
-    externals: &'b [(Symbol, Vec<Term>)],
-    needed: &'b HashSet<Symbol>,
+struct Chain {
     bound: HashSet<Symbol>,
     placed: Vec<bool>,
     running: f64,
     first: bool,
 }
 
-impl<'a, 'b> OrderSim<'a, 'b> {
-    fn new(
-        model: &'b CostModel<'a, 'b>,
-        processed: &'b [(Group, Vec<ClientFilter>)],
-        externals: &'b [(Symbol, Vec<Term>)],
-        needed: &'b HashSet<Symbol>,
-    ) -> OrderSim<'a, 'b> {
-        OrderSim {
-            model,
-            processed,
-            externals,
-            needed,
+/// What taking one group as a chain's next step decided.
+struct Step {
+    est: CostEstimate,
+    /// Bind join (`true`) or fetch + hash join; the first step is a fetch.
+    bind: bool,
+    /// The group's bound term-position variables, filled by `$param` slots.
+    param_vars: Vec<Symbol>,
+    /// The externals placed after the group, as indices into
+    /// `Body::externals`, each with the variables it newly binds.
+    externals: Vec<(usize, Vec<Symbol>)>,
+}
+
+impl Chain {
+    fn new(externals: usize) -> Chain {
+        Chain {
             bound: HashSet::new(),
-            placed: vec![false; externals.len()],
+            placed: vec![false; externals],
             running: 1.0,
             first: true,
         }
     }
 
-    /// Take group `i` as the next step; returns its weighted cost, or
-    /// `None` when the group is infeasible at this position.
-    fn step(&mut self, i: usize) -> Option<f64> {
-        let ctx = self.model.ctx;
-        let (group, _) = &self.processed[i];
-        let caps = ctx.sources[&group.source].capabilities();
-        let mut gv = Vec::new();
-        for p in &group.patterns {
-            p.collect_vars(&mut gv);
-        }
-        let gvars: HashSet<Symbol> = gv.into_iter().collect();
+    /// Take group `i` of `body` as the next step: choose its `$param`
+    /// variables, price it, bind the group's needed variables, then place
+    /// every external that has become callable (externals bind variables
+    /// too, which can make later groups' bind joins feasible). `None`, with
+    /// the chain unchanged, when the group is infeasible at this position.
+    fn step(&mut self, body: &Body, model: &CostModel, i: usize) -> Option<Step> {
+        let group = &body.groups[i];
         let param_vars: Vec<Symbol> = if self.first {
             Vec::new()
         } else {
-            term_position_vars(&group.patterns)
-                .into_iter()
+            group
+                .term_vars
+                .iter()
+                .copied()
                 .filter(|v| self.bound.contains(v))
                 .collect()
         };
-        let (est, _) = self.model.assess(
-            group,
-            caps,
-            &param_vars,
-            &gvars,
-            &self.bound,
-            self.running,
-            self.first,
-        )?;
-        let cost = est.total();
+        let (est, bind) = model.assess(group, self, &param_vars)?;
         self.running = est.rows_out;
         self.first = false;
+        // `$param` variables are bound already, so binding the group's
+        // needed variables binds everything a later step can join on.
         self.bound
-            .extend(gvars.iter().filter(|v| self.needed.contains(*v)).copied());
-        self.bound.extend(param_vars);
+            .extend(group.vars.iter().filter(|v| body.needed.contains(*v)));
+        let externals = self.place_externals(body, model.ctx.registry);
+        Some(Step {
+            est,
+            bind,
+            param_vars,
+            externals,
+        })
+    }
+
+    /// The external-placement fixpoint: place every unplaced external that
+    /// is callable with the bound variables, bind its arguments, and repeat
+    /// until none is left callable. Returns what was placed, in order.
+    fn place_externals(
+        &mut self,
+        body: &Body,
+        registry: &ExternalRegistry,
+    ) -> Vec<(usize, Vec<Symbol>)> {
+        let mut placed = Vec::new();
         loop {
-            let mut progressed = false;
-            for (k, (pred, args)) in self.externals.iter().enumerate() {
-                if self.placed[k] || !callable_static(*pred, args, &self.bound, ctx.registry) {
+            let before = placed.len();
+            for (k, (pred, args)) in body.externals.iter().enumerate() {
+                if self.placed[k] || !callable_static(*pred, args, &self.bound, registry) {
                     continue;
                 }
-                let mut vs = Vec::new();
+                let mut new_vars = Vec::new();
                 for a in args {
-                    a.collect_vars(&mut vs);
+                    a.collect_vars(&mut new_vars);
                 }
-                self.bound.extend(vs);
+                new_vars.retain(|v| !self.bound.contains(v));
+                self.bound.extend(new_vars.iter().copied());
                 self.placed[k] = true;
-                progressed = true;
+                placed.push((k, new_vars));
             }
-            if !progressed {
-                break;
+            if placed.len() == before {
+                return placed;
             }
         }
-        Some(cost)
     }
 }
 
 /// Pick the evaluation order of the rule's source groups, as indices into
-/// `processed`. Errors when a group's required conditions cannot be
+/// `body.groups`. Errors when a group's required conditions cannot be
 /// filled under any order.
-fn choose_join_order(
-    processed: &[(Group, Vec<ClientFilter>)],
-    externals: &[(Symbol, Vec<Term>)],
-    needed: &HashSet<Symbol>,
-    model: &CostModel,
-) -> Result<Vec<usize>> {
-    let n = processed.len();
+fn choose_join_order(body: &Body, model: &CostModel) -> Result<Vec<usize>> {
+    let n = body.groups.len();
     if n <= 1 {
         return Ok((0..n).collect());
     }
-    let sim = OrderSim::new(model, processed, externals, needed);
     let order = if n <= EXHAUSTIVE_LIMIT {
-        exhaustive_order(&sim, n)
+        exhaustive_order(body, model)
     } else {
-        greedy_order(sim, n)
+        greedy_order(body, model)
     };
     order.ok_or_else(|| {
-        let offender = processed
+        let offender = body
+            .groups
             .iter()
-            .map(|(g, _)| g)
             .find(|g| !g.missing_required.is_empty())
             .expect("an order search only fails over unfillable required conditions");
         unfillable_order_error(offender)
@@ -770,9 +688,11 @@ fn choose_join_order(
 /// Ties keep the first (lexicographically-smallest) order found, so equal
 /// costs never make planning order-dependent. Prefixes already at or
 /// above the best score are pruned (step costs are non-negative).
-fn exhaustive_order(sim: &OrderSim, n: usize) -> Option<Vec<usize>> {
+fn exhaustive_order(body: &Body, model: &CostModel) -> Option<Vec<usize>> {
     fn search(
-        sim: &OrderSim,
+        body: &Body,
+        model: &CostModel,
+        chain: &Chain,
         score: f64,
         used: &mut Vec<bool>,
         prefix: &mut Vec<usize>,
@@ -791,40 +711,63 @@ fn exhaustive_order(sim: &OrderSim, n: usize) -> Option<Vec<usize>> {
             if used[i] {
                 continue;
             }
-            let mut next = sim.clone();
-            let Some(cost) = next.step(i) else { continue };
+            let mut next = chain.clone();
+            let Some(step) = next.step(body, model, i) else {
+                continue;
+            };
             used[i] = true;
             prefix.push(i);
-            search(&next, score + cost, used, prefix, best);
+            search(
+                body,
+                model,
+                &next,
+                score + step.est.total(),
+                used,
+                prefix,
+                best,
+            );
             prefix.pop();
             used[i] = false;
         }
     }
     let mut best = None;
-    search(sim, 0.0, &mut vec![false; n], &mut Vec::new(), &mut best);
+    let chain = Chain::new(body.externals.len());
+    let mut used = vec![false; body.groups.len()];
+    search(
+        body,
+        model,
+        &chain,
+        0.0,
+        &mut used,
+        &mut Vec::new(),
+        &mut best,
+    );
     best.map(|(_, order)| order)
 }
 
 /// Greedy cheapest-next: at each position take the feasible group with
 /// the lowest incremental weighted cost (first index wins ties).
-fn greedy_order(mut sim: OrderSim, n: usize) -> Option<Vec<usize>> {
+fn greedy_order(body: &Body, model: &CostModel) -> Option<Vec<usize>> {
+    let n = body.groups.len();
+    let mut chain = Chain::new(body.externals.len());
     let mut order = Vec::with_capacity(n);
     let mut used = vec![false; n];
     for _ in 0..n {
-        let mut best: Option<(f64, usize, OrderSim)> = None;
+        let mut best: Option<(f64, usize, Chain)> = None;
         for (i, &taken) in used.iter().enumerate() {
             if taken {
                 continue;
             }
-            let mut next = sim.clone();
-            if let Some(cost) = next.step(i) {
+            let mut next = chain.clone();
+            if let Some(step) = next.step(body, model, i) {
+                let cost = step.est.total();
                 if best.as_ref().is_none_or(|(bc, _, _)| cost < *bc) {
                     best = Some((cost, i, next));
                 }
             }
         }
         let (_, i, next) = best?;
-        sim = next;
+        chain = next;
         used[i] = true;
         order.push(i);
     }
@@ -1307,12 +1250,10 @@ mod tests {
     fn searched_first_sources(program: &LogicalProgram, ctx: &PlanContext) -> [Symbol; 2] {
         let body = prepare_body(&program.rules[0], ctx).unwrap();
         let model = CostModel::new(ctx);
-        let sim = OrderSim::new(&model, &body.processed, &body.externals, &body.needed);
-        let n = body.processed.len();
-        let first = |order: Option<Vec<usize>>| body.processed[order.unwrap()[0]].0.source;
+        let first = |order: Option<Vec<usize>>| body.groups[order.unwrap()[0]].source;
         [
-            first(exhaustive_order(&sim, n)),
-            first(greedy_order(sim.clone(), n)),
+            first(exhaustive_order(&body, &model)),
+            first(greedy_order(&body, &model)),
         ]
     }
 
@@ -1364,6 +1305,148 @@ mod tests {
             panic!("expected a query first: {:?}", plan.rules[0].nodes)
         };
         assert_eq!(*source, sym("whois"));
+    }
+
+    /// Step every order of the first rule's groups through `Chain::step`,
+    /// the way a regret check judges a plan, and assert that `plan` keeps
+    /// the order with the least summed cost among the feasible ones, the
+    /// earliest on ties, and prices its source nodes with those steps.
+    /// Returns how many orders were feasible.
+    fn assert_plan_keeps_the_cheapest_order(program: &LogicalProgram, ctx: &PlanContext) -> usize {
+        fn orders(n: usize, prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if prefix.len() == n {
+                out.push(prefix.clone());
+            }
+            for i in 0..n {
+                if prefix.contains(&i) {
+                    continue;
+                }
+                prefix.push(i);
+                orders(n, prefix, out);
+                prefix.pop();
+            }
+        }
+        let body = prepare_body(&program.rules[0], ctx).unwrap();
+        let model = CostModel::new(ctx);
+        let mut all = Vec::new();
+        orders(body.groups.len(), &mut Vec::new(), &mut all);
+        let mut feasible = 0;
+        let mut cheapest: Option<(f64, Vec<usize>)> = None;
+        for order in all {
+            let mut chain = Chain::new(body.externals.len());
+            let Some(cost) = order.iter().try_fold(0.0, |sum, &i| {
+                Some(sum + chain.step(&body, &model, i)?.est.total())
+            }) else {
+                continue;
+            };
+            feasible += 1;
+            if cheapest.as_ref().is_none_or(|(least, _)| cost < *least) {
+                cheapest = Some((cost, order));
+            }
+        }
+        let (least, want) = cheapest.expect("some order is feasible");
+
+        let plan = plan(program, ctx).unwrap();
+        let rule = &plan.rules[0];
+        let mut kept = Vec::new();
+        let mut priced = 0.0;
+        for (node, est) in rule.nodes.iter().zip(&rule.estimates) {
+            if let Node::Query { source, .. }
+            | Node::ParamQuery { source, .. }
+            | Node::HashJoin { source, .. } = node
+            {
+                kept.push(
+                    body.groups
+                        .iter()
+                        .position(|g| g.source == *source)
+                        .unwrap(),
+                );
+                priced += est.total();
+            }
+        }
+        assert_eq!(
+            kept, want,
+            "plan kept {kept:?}; the cheapest order is {want:?}"
+        );
+        assert_eq!(priced, least);
+        feasible
+    }
+
+    #[test]
+    fn plan_keeps_the_cheapest_stepped_order() {
+        // Q1: whois and cs, joined through decomp.
+        let med = MediatorSpec::parse("med", MS1).unwrap();
+        let q = parse_query("JC :- JC:<cs_person {<name 'Joe Chung'>}>@med").unwrap();
+        let program = expand(&q, &med, UnifyMode::Minimal).unwrap();
+        let registry = standard_registry();
+        let stats = StatsCache::new();
+        let srcs = sources();
+        let options = PlannerOptions::default();
+        let ctx = PlanContext {
+            sources: &srcs,
+            registry: &registry,
+            stats: &stats,
+            options: &options,
+            analysis: None,
+        };
+        assert_eq!(assert_plan_keeps_the_cheapest_order(&program, &ctx), 2);
+
+        // Three match items over two sources, and three sources of
+        // different sizes; then two indistinguishable sources, where every
+        // order ties and the input order must win.
+        let mut stats = StatsCache::new();
+        for (src, rows) in [
+            ("whois", 100),
+            ("cs", 300),
+            ("s1", 100),
+            ("s2", 1000),
+            ("s3", 10),
+            ("s4", 100),
+        ] {
+            stats.provide(
+                sym(src),
+                wrappers::SourceStats {
+                    top_level_count: rows,
+                    label_counts: [(sym("a"), 50), (sym("b"), 50), (sym("c"), rows)]
+                        .into_iter()
+                        .collect(),
+                    eq_selectivity: Default::default(),
+                },
+            );
+        }
+        let mut srcs = sources();
+        for src in ["s1", "s2", "s3", "s4"] {
+            srcs.insert(sym(src), Arc::new(cs_wrapper()));
+        }
+        for (spec, orders) in [
+            (
+                "<v {<x X> <y Y>}> :- <a {<x X> <y Y>}>@whois \
+                 AND <b {<x X>}>@whois AND <c {<y Y>}>@cs",
+                2,
+            ),
+            (
+                "<v {<x X> <y Y>}> :- <c {<x X>}>@s1 \
+                 AND <c {<x X> <y Y>}>@s2 AND <c {<y Y>}>@s3",
+                6,
+            ),
+            ("<v {<x X>}> :- <c {<x X>}>@s4 AND <c {<x X>}>@s1", 2),
+        ] {
+            let med = MediatorSpec::parse("med", spec).unwrap();
+            let q = parse_query("V :- V:<v {}>@med").unwrap();
+            let program = expand(&q, &med, UnifyMode::Minimal).unwrap();
+            let ctx = PlanContext {
+                sources: &srcs,
+                registry: &registry,
+                stats: &stats,
+                options: &options,
+                analysis: None,
+            };
+            assert_eq!(
+                assert_plan_keeps_the_cheapest_order(&program, &ctx),
+                orders,
+                "{spec}"
+            );
+        }
     }
 
     #[test]
