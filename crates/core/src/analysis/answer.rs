@@ -269,7 +269,7 @@ fn view_attributes(spec: &Spec, rules: &[usize]) -> Vec<Symbol> {
     // Symbols order by intern id; sort by name so mask-bit positions are
     // deterministic across runs.
     let mut attrs: Vec<Symbol> = attrs.into_iter().collect();
-    attrs.sort_by_key(|a| a.as_str());
+    attrs.sort_by(|a, b| a.cmp_str(b));
     attrs.truncate(ATTR_CAP);
     attrs
 }

@@ -47,6 +47,7 @@
 //! had not yet written, and recovery then keeps the valid prefix.
 
 use super::keyidx::{rule_labels, LabelFootprint};
+use super::QueryShape;
 use crate::graph::{ExtractVar, VarKind};
 use msl::Rule;
 use oem::Symbol;
@@ -90,6 +91,9 @@ pub(crate) struct WarmEntry {
     pub key: String,
     /// The cached source query, parsed (containment probes need the AST).
     pub query: Rule,
+    /// Its shape, which an exact probe compares instead of printing the
+    /// probe's key.
+    pub shape: QueryShape,
     /// Variables the executor extracts from served answers.
     pub extract: Vec<ExtractVar>,
     /// Label footprint for delta-driven invalidation.
@@ -293,6 +297,7 @@ impl WarmTier {
         let (seg, offset) = self.write_record(&payload)?;
         let entry = WarmEntry {
             key: key.to_string(),
+            shape: QueryShape::of(query),
             query: query.clone(),
             extract: extract.to_vec(),
             footprint: rule_labels(query),
@@ -575,6 +580,7 @@ impl Record {
         let footprint = rule_labels(&query);
         Some(WarmEntry {
             key: self.key.clone(),
+            shape: QueryShape::of(&query),
             query,
             extract,
             footprint,

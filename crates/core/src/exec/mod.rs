@@ -765,10 +765,14 @@ mod tests {
             "JC :- JC:<cs_person {<name 'Joe Chung'>}>@med",
             PlannerOptions::default(),
         );
+        // The lookup's first source node is the cs query its `decomp`
+        // binds; its row carries the relation cs's label names.
         let trace = &out.trace.rules[0].nodes;
-        assert!(trace.iter().any(|t| t.op == "query"));
-        let qtrace = trace.iter().find(|t| t.op == "query").unwrap();
-        assert!(qtrace.detail.contains("@whois"), "{}", qtrace.detail);
+        let qtrace = trace
+            .iter()
+            .find(|t| t.op == "parameterized query")
+            .unwrap();
+        assert!(qtrace.detail.contains("@cs"), "{}", qtrace.detail);
         assert!(qtrace.table.contains("employee") || qtrace.table.contains("'employee'"));
     }
 
@@ -808,10 +812,14 @@ mod tests {
         let physical = plan(&program, &ctx).unwrap();
         let out = execute(&physical, &srcs, &registry, &ExecOptions::default()).unwrap();
         assert!(!out.trace.rules.is_empty());
-        // The outer whois query: 1 row in (unit), 1 Joe Chung row out, one
-        // source round-trip, a positive estimate from the optimizer.
-        let first = &out.trace.rules[0].nodes[0];
-        assert_eq!(first.op, "query");
+        // `decomp` runs first on the unit row; the cs query it binds then
+        // takes that 1 row in, returns 1 Joe Chung row, in one source
+        // round-trip, with a positive estimate from the optimizer.
+        let seed = &out.trace.rules[0].nodes[0];
+        assert_eq!(seed.op, "external pred");
+        assert_eq!((seed.metrics.rows_in, seed.metrics.rows_out), (1, 1));
+        let first = &out.trace.rules[0].nodes[1];
+        assert_eq!(first.op, "parameterized query");
         assert_eq!(first.metrics.rows_in, 1);
         assert_eq!(first.metrics.rows_out, 1);
         assert_eq!(first.metrics.source_calls, 1);

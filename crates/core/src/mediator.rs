@@ -492,7 +492,7 @@ impl Mediator {
             .iter()
             .filter_map(|(name, w)| w.metrics().map(|m| (*name, m)))
             .collect();
-        out.sort_by_key(|(n, _)| n.as_str());
+        out.sort_by(|(a, _), (b, _)| a.cmp_str(b));
         out
     }
 }

@@ -298,7 +298,7 @@ pub fn render_unifier(u: &Unifier) -> String {
         .iter()
         .map(|(v, t)| (*v, msl::printer::term(t, true)))
         .collect();
-    mappings.sort_by_key(|(v, _)| v.as_str());
+    mappings.sort_by(|(a, _), (b, _)| a.cmp_str(b));
     for (v, t) in mappings {
         parts.push(format!("{v} -> {t}"));
     }

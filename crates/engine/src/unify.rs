@@ -120,7 +120,7 @@ fn finalize(mut st: St, _head: &Pattern) -> Unifier {
         .collect();
     // HashMap iteration order is nondeterministic; canonicalize so that
     // unifier lists (and the plans derived from them) are stable.
-    rest_conds.sort_by_key(|(v, _)| v.as_str());
+    rest_conds.sort_by(|(a, _), (b, _)| a.cmp_str(b));
     let obj_defs = st
         .obj_defs
         .into_iter()

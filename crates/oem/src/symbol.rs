@@ -72,6 +72,12 @@ impl Symbol {
         f(s)
     }
 
+    /// Compare two symbols by the strings they intern, without allocating
+    /// (`Ord` on `Symbol` compares interning order instead).
+    pub fn cmp_str(&self, other: &Symbol) -> std::cmp::Ordering {
+        self.with_str(|a| other.with_str(|b| a.cmp(b)))
+    }
+
     /// The raw interner index. Only meaningful within this process.
     pub fn index(&self) -> u32 {
         self.0

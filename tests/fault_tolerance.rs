@@ -637,10 +637,12 @@ fn a_batch_fills_the_cache_tuple_by_tuple() {
         oem::printer::print_store(&warm.results),
         oem::printer::print_store(&cold.results)
     );
-    // One of the twenty on its own: its cs query is the filled query the
-    // batch was split into, an exact hit.
+    // One of the twenty on its own: decomp binds its cs query from the
+    // constant name, so that query is the filled query the batch was
+    // split into, an exact hit.
     let name = wrappers::workload::PersonWorkload::full_name_of(3);
-    let one = msl::parse_query(&format!("P :- P:<cs_person {{<name '{name}'>}}>@m")).unwrap();
+    let one = format!("P :- P:<cs_person {{<name '{name}'> <rel 'student'>}}>@m");
+    let one = msl::parse_query(&one).unwrap();
     let out = f.med.query_rule(&one).unwrap();
     assert_eq!(out.results.top_level().len(), 1);
     let node = out

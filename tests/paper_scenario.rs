@@ -229,10 +229,10 @@ fn mediator_stacks_as_source() {
 }
 
 /// The instrumented Figure 3.6 run (`experiments analyze`): per-node
-/// observed row counts for the Q1 chain. The outer cs fetch finds both
-/// people; decomp plus the name condition narrow to Joe Chung; the
-/// parameterized whois query and duplicate elimination each pass the
-/// single surviving row to the constructor.
+/// observed row counts for the Q1 chain. decomp turns the constant name
+/// into a first and last name before any source is asked; the cs query
+/// they bind finds Joe Chung alone; the parameterized whois query and
+/// duplicate elimination each pass that one row to the constructor.
 #[test]
 fn analyze_q1_per_node_row_counts() {
     let med = med_paper_shape();
@@ -248,8 +248,8 @@ fn analyze_q1_per_node_row_counts() {
     assert_eq!(
         observed,
         vec![
-            ("query", 1, 2),
-            ("external pred", 2, 1),
+            ("external pred", 1, 1),
+            ("parameterized query", 1, 1),
             ("parameterized query", 1, 1),
             ("dup elim", 1, 1),
         ],
@@ -260,7 +260,10 @@ fn analyze_q1_per_node_row_counts() {
     assert_eq!(trace.calls(sym("whois")), 1);
     assert_eq!(trace.rules[0].constructed, 1);
     assert_eq!(trace.result_count, 1);
-    assert!(report.contains("rows: 1 in -> 2 out"), "{report}");
+    assert!(
+        report.contains("[external pred] decomp('Joe Chung', LN_r1, FN_r1)\n  rows: 1 in -> 1 out"),
+        "{report}"
+    );
     assert!(report.contains("=== totals ==="), "{report}");
 }
 
