@@ -186,7 +186,7 @@ record! {
         /// emitted, bounded by [`crate::exec::ExecOptions::batch_size`].
         peak_batch_rows: usize = before "streaming execution",
         /// Approximate bytes of the largest resident batch (same resolution as
-        /// `peak_batch_rows`; see `crate::table::approx_row_bytes`).
+        /// `peak_batch_rows`; see `crate::table::approx_batch_bytes`).
         peak_bytes_resident: u64 = before "streaming execution",
     }
 }

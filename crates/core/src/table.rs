@@ -6,8 +6,12 @@
 //! and rows of [`BoundValue`]s referencing the mediator's memory.
 
 use engine::bindings::{Bindings, BoundValue};
+use oem::store::FxHasher;
 use oem::{ObjectStore, Symbol};
+use std::cell::RefCell;
+use std::collections::HashSet;
 use std::fmt::Write;
+use std::hash::BuildHasherDefault;
 
 /// A table of variable bindings.
 #[derive(Clone, PartialEq, Debug, Default)]
@@ -68,23 +72,33 @@ pub fn render_rows(rows: &[Vec<BoundValue>], store: &ObjectStore) -> String {
     out
 }
 
-/// Rough resident size of one row in bytes: atoms count their inline
-/// `Value` footprint, object references a machine word, object sets their
-/// id vector. Deliberately cheap — used for the `peak_bytes_resident`
-/// metric, not for allocation decisions.
-pub fn approx_row_bytes(row: &[BoundValue]) -> u64 {
-    row.iter()
-        .map(|v| match v {
-            BoundValue::Atom(_) => 24,
-            BoundValue::Obj(_) => 8,
-            BoundValue::ObjSet(ids) => 24 + 8 * ids.len() as u64,
-        })
-        .sum()
-}
-
-/// Rough resident size of a batch of rows, in bytes.
+/// Rough resident size of a batch of rows in bytes: a cell holding an atom
+/// or an object set counts 24, an object reference a machine word, and
+/// every object set its ids once, however many rows share it (rows share
+/// one `Arc<[ObjId]>` where they were crossed or joined with one row).
+/// Deliberately cheap — used for the `peak_bytes_resident` metric, not for
+/// allocation decisions.
 pub fn approx_batch_bytes(rows: &[Vec<BoundValue>]) -> u64 {
-    rows.iter().map(|r| approx_row_bytes(r)).sum()
+    thread_local! {
+        /// The addresses of the sets the batch has counted, kept between
+        /// calls so that measuring allocates nothing.
+        static COUNTED: RefCell<HashSet<usize, BuildHasherDefault<FxHasher>>> =
+            RefCell::default();
+    }
+    COUNTED.with_borrow_mut(|counted| {
+        counted.clear();
+        (rows.iter().flatten())
+            .map(|v| match v {
+                BoundValue::Atom(_) => 24,
+                BoundValue::Obj(_) => 8,
+                BoundValue::ObjSet(ids) => {
+                    // One address is one allocation (`Arc::ptr_eq`).
+                    let first = counted.insert(ids.as_ptr() as usize);
+                    24 + if first { 8 * ids.len() as u64 } else { 0 }
+                }
+            })
+            .sum()
+    })
 }
 
 fn render_value(v: &BoundValue, store: &ObjectStore) -> String {
@@ -133,6 +147,29 @@ mod tests {
         assert_eq!(back.len(), 2);
         assert_eq!(back.get(sym("A")), Some(&atom(1)));
         assert_eq!(back.get(sym("B")), Some(&atom(2)));
+    }
+
+    #[test]
+    fn a_set_rows_share_counts_its_ids_once() {
+        let set =
+            |n: u32| -> std::sync::Arc<[oem::ObjId]> { (0..n).map(oem::ObjId::from_raw).collect() };
+        // Two rows of their own sets: 24 + 8·n each, as before sharing.
+        let own = [
+            vec![BoundValue::ObjSet(set(3))],
+            vec![BoundValue::ObjSet(set(3))],
+        ];
+        assert_eq!(approx_batch_bytes(&own), 2 * (24 + 24));
+        // Three rows sharing a set of 3 (the last holds it twice), one of
+        // them also a set of 2: six cells of 24, and each set's ids once.
+        let (a, b) = (set(3), set(2));
+        let rows = [
+            vec![BoundValue::ObjSet(a.clone()), atom(1)],
+            vec![BoundValue::ObjSet(a.clone()), BoundValue::ObjSet(b.clone())],
+            vec![BoundValue::ObjSet(a.clone()), BoundValue::ObjSet(a.clone())],
+        ];
+        assert_eq!(approx_batch_bytes(&rows), 6 * 24 + 8 * 3 + 8 * 2);
+        // What one batch shared is forgotten by the next.
+        assert_eq!(approx_batch_bytes(&rows[..1]), 2 * 24 + 8 * 3);
     }
 
     #[test]
